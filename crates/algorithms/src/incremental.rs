@@ -300,14 +300,20 @@ impl Default for FingerprintBuilder {
 }
 
 /// Order-sensitive fingerprint over the batch content and the selection context: candidate
-/// digests and ingress interfaces, the egress list, and the budget/extension knobs.
+/// contents and ingress interfaces, the egress list, and the budget/extension knobs.
+///
+/// A candidate's content is folded as its canonical wire bytes (length first, so candidate
+/// boundaries cannot shift) — one encode, no cryptographic hash: the fingerprint only
+/// guards a local cache.
 fn fingerprint(batch: &CandidateBatch, ctx: &AlgorithmContext<'_>) -> u64 {
     let mut fp = FingerprintBuilder::new();
     fp.fold(batch.origin.value());
     fp.fold(u64::from(batch.group.value()));
     fp.fold(batch.target.map_or(u64::MAX, |t| t.value()));
     for c in &batch.candidates {
-        fp.fold_bytes(&c.pcb.digest().0 .0);
+        let encoded = c.pcb.wire_bytes();
+        fp.fold(encoded.len() as u64);
+        fp.fold_bytes(&encoded);
         fp.fold(u64::from(c.ingress.value()));
     }
     fp.fold(ctx.local_as.id.value());

@@ -43,15 +43,61 @@ pub struct BatchKey {
 /// used to hand out: the beacons themselves are shared (`Arc<StoredBeacon>`), and the batch
 /// as a whole is an `Arc` slice, so cloning a view — e.g. to move it onto a worker thread of
 /// the parallel RAC execution engine — is a pair of reference-count bumps.
+///
+/// Beside every beacon the view carries its [`PcbId`], as computed when this AS verified
+/// the beacon: nothing downstream of the database (fingerprinting, egress dedup, path
+/// registration) hashes a stored beacon again.
 #[derive(Debug, Clone)]
 pub struct BatchView {
     /// The batch parameters the beacons were collected for.
     pub key: BatchKey,
     /// The candidate beacons, unexpired at snapshot time.
     pub beacons: Arc<[Arc<StoredBeacon>]>,
+    /// `ids[i]` is the id of `beacons[i]`.
+    ids: Arc<[PcbId]>,
 }
 
 impl BatchView {
+    /// Snapshots the `live` slots (at most `capacity` of them, when the caller knows a
+    /// bound) under `key`; `None` when there are none.
+    fn new<'a>(
+        key: BatchKey,
+        capacity: usize,
+        live: impl Iterator<Item = &'a Slot>,
+    ) -> Option<BatchView> {
+        let mut slots = Vec::with_capacity(capacity);
+        slots.extend(live);
+        if slots.is_empty() {
+            return None;
+        }
+        Some(BatchView {
+            key,
+            beacons: slots.iter().map(|slot| Arc::clone(&slot.beacon)).collect(),
+            ids: slots.iter().map(|slot| slot.id).collect(),
+        })
+    }
+
+    /// A view of the beacons `selected` — with the ids those outputs carry — under `key`:
+    /// what the execution engine's reduce pass re-selects over.
+    pub(crate) fn of_selected<'a>(
+        key: BatchKey,
+        selected: impl Iterator<Item = &'a crate::engine::IdentifiedOutput> + Clone,
+    ) -> BatchView {
+        BatchView {
+            key,
+            beacons: selected
+                .clone()
+                .map(|o| Arc::clone(&o.output.beacon))
+                .collect(),
+            ids: selected.map(|o| o.pcb_id).collect(),
+        }
+    }
+
+    /// The ids of [`BatchView::beacons`], index for index.
+    pub fn ids(&self) -> &[PcbId] {
+        &self.ids
+    }
+
     /// Number of candidate beacons in the view.
     pub fn len(&self) -> usize {
         self.beacons.len()
@@ -68,15 +114,23 @@ impl BatchView {
     pub fn subrange(&self, range: std::ops::Range<usize>) -> BatchView {
         BatchView {
             key: self.key,
-            beacons: self.beacons[range].to_vec().into(),
+            beacons: self.beacons[range.clone()].into(),
+            ids: self.ids[range].into(),
         }
     }
+}
+
+/// One stored beacon and the id this AS computed for it on the way in.
+#[derive(Debug, Clone)]
+struct Slot {
+    id: PcbId,
+    beacon: Arc<StoredBeacon>,
 }
 
 /// The ingress database: received beacons indexed for RAC consumption.
 #[derive(Debug, Clone, Default)]
 pub struct IngressDb {
-    by_key: BTreeMap<BatchKey, Vec<Arc<StoredBeacon>>>,
+    by_key: BTreeMap<BatchKey, Vec<Slot>>,
     seen: HashSet<PcbId>,
 }
 
@@ -87,9 +141,22 @@ impl IngressDb {
     }
 
     /// Inserts a received beacon. Returns `false` when an identical beacon (same digest) is
-    /// already stored (duplicate suppression).
+    /// already stored (duplicate suppression). Hashes the beacon; callers that already hold
+    /// its id use [`IngressDb::insert_with_id`].
     pub fn insert(&mut self, pcb: Pcb, ingress: IfId, received_at: SimTime) -> bool {
-        let id = pcb.digest();
+        self.insert_with_id(pcb.digest(), pcb, ingress, received_at)
+    }
+
+    /// [`IngressDb::insert`] for a beacon whose id the caller already computed — `id` must
+    /// be `pcb.digest()`, as returned by the verification this AS ran on the beacon. The id
+    /// is stored beside the beacon and travels with it from here on.
+    pub fn insert_with_id(
+        &mut self,
+        id: PcbId,
+        pcb: Pcb,
+        ingress: IfId,
+        received_at: SimTime,
+    ) -> bool {
         if !self.seen.insert(id) {
             return false;
         }
@@ -101,14 +168,14 @@ impl IngressDb {
                 .unwrap_or(InterfaceGroupId::DEFAULT),
             target: pcb.extensions.target,
         };
-        self.by_key
-            .entry(key)
-            .or_default()
-            .push(Arc::new(StoredBeacon {
+        self.by_key.entry(key).or_default().push(Slot {
+            id,
+            beacon: Arc::new(StoredBeacon {
                 pcb,
                 ingress,
                 received_at,
-            }));
+            }),
+        });
         true
     }
 
@@ -120,15 +187,32 @@ impl IngressDb {
     /// The stored beacons for one batch key (unexpired at `now`). Returned beacons are
     /// shared, not cloned.
     pub fn beacons_for(&self, key: &BatchKey, now: SimTime) -> Vec<Arc<StoredBeacon>> {
+        self.live_slots(key, now)
+            .map(|slot| Arc::clone(&slot.beacon))
+            .collect()
+    }
+
+    /// The slots stored under `key` that are unexpired at `now`, in insertion order.
+    fn live_slots(&self, key: &BatchKey, now: SimTime) -> impl Iterator<Item = &Slot> {
         self.by_key
             .get(key)
-            .map(|v| {
-                v.iter()
-                    .filter(|b| !b.pcb.is_expired(now))
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default()
+            .into_iter()
+            .flatten()
+            .filter(move |slot| !slot.beacon.pcb.is_expired(now))
+    }
+
+    /// The unexpired slots of one origin across all its interface groups, in key order.
+    fn live_origin_slots(
+        &self,
+        origin: AsId,
+        target: Option<AsId>,
+        now: SimTime,
+    ) -> impl Iterator<Item = &Slot> {
+        self.by_key
+            .iter()
+            .filter(move |(k, _)| k.origin == origin && k.target == target)
+            .flat_map(|(_, v)| v.iter())
+            .filter(move |slot| !slot.beacon.pcb.is_expired(now))
     }
 
     /// The stored beacons for one origin across all its interface groups, merged into one
@@ -140,26 +224,16 @@ impl IngressDb {
         target: Option<AsId>,
         now: SimTime,
     ) -> Vec<Arc<StoredBeacon>> {
-        self.by_key
-            .iter()
-            .filter(|(k, _)| k.origin == origin && k.target == target)
-            .flat_map(|(_, v)| v.iter())
-            .filter(|b| !b.pcb.is_expired(now))
-            .cloned()
+        self.live_origin_slots(origin, target, now)
+            .map(|slot| Arc::clone(&slot.beacon))
             .collect()
     }
 
     /// Snapshots the batch for `key` into an immutable view, or `None` when no unexpired
     /// beacon is stored under it.
     pub fn batch_view(&self, key: &BatchKey, now: SimTime) -> Option<BatchView> {
-        let beacons = self.beacons_for(key, now);
-        if beacons.is_empty() {
-            return None;
-        }
-        Some(BatchView {
-            key: *key,
-            beacons: beacons.into(),
-        })
+        let stored = self.by_key.get(key).map_or(0, Vec::len);
+        BatchView::new(*key, stored, self.live_slots(key, now))
     }
 
     /// Snapshots the group-merged batch of one origin (under the default group id), or
@@ -170,18 +244,15 @@ impl IngressDb {
         target: Option<AsId>,
         now: SimTime,
     ) -> Option<BatchView> {
-        let beacons = self.beacons_for_origin(origin, target, now);
-        if beacons.is_empty() {
-            return None;
-        }
-        Some(BatchView {
-            key: BatchKey {
+        BatchView::new(
+            BatchKey {
                 origin,
                 group: InterfaceGroupId::DEFAULT,
                 target,
             },
-            beacons: beacons.into(),
-        })
+            0,
+            self.live_origin_slots(origin, target, now),
+        )
     }
 
     /// Total number of stored beacons **including expired ones not yet evicted**. Use
@@ -196,7 +267,7 @@ impl IngressDb {
         self.by_key
             .values()
             .flat_map(|v| v.iter())
-            .filter(|b| !b.pcb.is_expired(now))
+            .filter(|slot| !slot.beacon.pcb.is_expired(now))
             .count()
     }
 
@@ -212,11 +283,11 @@ impl IngressDb {
         let horizon = now + grace;
         let mut evicted = 0;
         self.by_key.retain(|_, beacons| {
-            beacons.retain(|b| {
-                let keep = !b.pcb.is_expired(horizon);
+            beacons.retain(|slot| {
+                let keep = !slot.beacon.pcb.is_expired(horizon);
                 if !keep {
                     evicted += 1;
-                    self.seen.remove(&b.pcb.digest());
+                    self.seen.remove(&slot.id);
                 }
                 keep
             });
@@ -228,7 +299,10 @@ impl IngressDb {
     /// True when any stored beacon matches `predicate` — the read-only probe the sharded
     /// facade uses to keep withdrawal sweeps from materializing untouched CoW shards.
     pub fn any_where(&self, predicate: impl Fn(&StoredBeacon) -> bool) -> bool {
-        self.by_key.values().flatten().any(|b| predicate(b))
+        self.by_key
+            .values()
+            .flatten()
+            .any(|slot| predicate(&slot.beacon))
     }
 
     /// Removes every stored beacon matching `predicate` (a withdrawal sweep), returning
@@ -238,11 +312,11 @@ impl IngressDb {
     pub fn purge_where(&mut self, predicate: impl Fn(&StoredBeacon) -> bool) -> usize {
         let mut purged = 0;
         self.by_key.retain(|_, beacons| {
-            beacons.retain(|b| {
-                let keep = !predicate(b);
+            beacons.retain(|slot| {
+                let keep = !predicate(&slot.beacon);
                 if !keep {
                     purged += 1;
-                    self.seen.remove(&b.pcb.digest());
+                    self.seen.remove(&slot.id);
                 }
                 keep
             });
@@ -413,12 +487,38 @@ impl ShardedIngressDb {
         ingress: IfId,
         received_at: SimTime,
     ) -> bool {
+        self.write_shard(shard, pcb.origin, |db| db.insert(pcb, ingress, received_at))
+    }
+
+    /// [`ShardedIngressDb::insert_in_shard`] for a beacon whose id the caller already
+    /// computed (see [`IngressDb::insert_with_id`]) — the ingress gateway's commit path,
+    /// which hands over the id its verification produced.
+    pub fn insert_with_id_in_shard(
+        &self,
+        shard: usize,
+        id: PcbId,
+        pcb: Pcb,
+        ingress: IfId,
+        received_at: SimTime,
+    ) -> bool {
+        self.write_shard(shard, pcb.origin, |db| {
+            db.insert_with_id(id, pcb, ingress, received_at)
+        })
+    }
+
+    /// Runs `write` on the (copy-on-write materialized) shard `origin`'s beacons live in.
+    fn write_shard<R>(
+        &self,
+        shard: usize,
+        origin: AsId,
+        write: impl FnOnce(&mut IngressDb) -> R,
+    ) -> R {
         debug_assert_eq!(
             shard,
-            self.shard_of(pcb.origin),
+            self.shard_of(origin),
             "beacon committed to a foreign shard"
         );
-        Arc::make_mut(&mut *self.shards[shard].write()).insert(pcb, ingress, received_at)
+        write(Arc::make_mut(&mut *self.shards[shard].write()))
     }
 
     /// All batch keys currently present, in global ascending order — identical to what the
@@ -613,26 +713,32 @@ impl EgressDb {
         Self::default()
     }
 
-    /// Records that `pcb` is about to be propagated on `egress_ifs`. Returns the subset of
-    /// interfaces that are *new* for this PCB (the ones propagation should actually happen
-    /// on); interfaces already recorded are filtered out.
-    pub fn filter_new_egresses(&mut self, pcb: &Pcb, egress_ifs: &[IfId]) -> Vec<IfId> {
-        let id = pcb.digest();
+    /// Records that the beacon with id `id`, expiring at `expires_at`, is about to be
+    /// propagated on `egress_ifs`. Returns the subset of interfaces that are *new* for this
+    /// PCB (the ones propagation should actually happen on); interfaces already recorded
+    /// are filtered out. The database never sees the beacon itself — only the id its
+    /// holder carries for it.
+    pub fn filter_new_egresses(
+        &mut self,
+        id: PcbId,
+        expires_at: SimTime,
+        egress_ifs: &[IfId],
+    ) -> Vec<IfId> {
         let entry = self.propagated.entry(id).or_insert_with(|| {
-            self.expiry.entry(pcb.expires_at).or_default().push(id);
+            self.expiry.entry(expires_at).or_default().push(id);
             EgressEntry {
                 egresses: HashSet::new(),
-                expires_at: pcb.expires_at,
+                expires_at,
             }
         });
-        if entry.expires_at != pcb.expires_at {
+        if entry.expires_at != expires_at {
             // Defensive: a digest re-recorded under a different expiry (cannot happen while
             // the digest covers the expiry field, but the bookkeeping must not silently
             // drift if that ever changes). Track the later expiry and index it; the old
             // index row becomes stale and is skipped at eviction.
-            if pcb.expires_at > entry.expires_at {
-                entry.expires_at = pcb.expires_at;
-                self.expiry.entry(pcb.expires_at).or_default().push(id);
+            if expires_at > entry.expires_at {
+                entry.expires_at = expires_at;
+                self.expiry.entry(expires_at).or_default().push(id);
             }
         }
         egress_ifs
@@ -664,12 +770,12 @@ impl EgressDb {
         removed
     }
 
-    /// Whether the PCB has already been recorded for the given egress interface.
-    pub fn contains(&self, pcb: &Pcb, egress: IfId) -> bool {
+    /// Whether the PCB with id `id` has already been recorded for the given egress
+    /// interface.
+    pub fn contains(&self, id: &PcbId, egress: IfId) -> bool {
         self.propagated
-            .get(&pcb.digest())
-            .map(|e| e.egresses.contains(&egress))
-            .unwrap_or(false)
+            .get(id)
+            .is_some_and(|e| e.egresses.contains(&egress))
     }
 
     /// Number of PCB hashes tracked.
@@ -752,6 +858,11 @@ mod tests {
         pcb
     }
 
+    /// Records a propagation the way the egress gateway does: by id and expiry.
+    fn record(db: &mut EgressDb, pcb: &Pcb, egress_ifs: &[IfId]) -> Vec<IfId> {
+        db.filter_new_egresses(pcb.digest(), pcb.expires_at, egress_ifs)
+    }
+
     #[test]
     fn ingress_insert_and_query() {
         let mut db = IngressDb::new();
@@ -828,6 +939,63 @@ mod tests {
     }
 
     #[test]
+    fn carried_id_leaves_the_dedup_set_on_eviction_and_purge() {
+        // A beacon stored under a carried id (the gateway's commit path) is deduplicated,
+        // evicted and purged by that id: after either removal the same beacon — same id —
+        // can be stored again, through either insert path.
+        let short = pcb(1, 0, PcbExtensions::none(), 1);
+        let long = pcb(2, 0, PcbExtensions::none(), 10);
+        let later = SimTime::ZERO + SimDuration::from_hours(2);
+        for shards in [1usize, 4] {
+            let db = ShardedIngressDb::new(shards);
+            for p in [&short, &long] {
+                let shard = db.shard_of(p.origin);
+                assert!(db.insert_with_id_in_shard(
+                    shard,
+                    p.digest(),
+                    p.clone(),
+                    IfId(1),
+                    SimTime::ZERO
+                ));
+                // Both paths dedup against the carried id.
+                assert!(!db.insert_with_id_in_shard(
+                    shard,
+                    p.digest(),
+                    p.clone(),
+                    IfId(1),
+                    SimTime::ZERO
+                ));
+                assert!(!db.insert(p.clone(), IfId(1), SimTime::ZERO));
+            }
+            assert_eq!(db.evict_expired(later, SimDuration::ZERO), 1);
+            assert!(db.insert(short.clone(), IfId(1), SimTime::ZERO));
+            assert_eq!(db.purge_where(|b| b.pcb.origin == AsId(2)), 1);
+            let shard = db.shard_of(long.origin);
+            assert!(db.insert_with_id_in_shard(
+                shard,
+                long.digest(),
+                long.clone(),
+                IfId(1),
+                SimTime::ZERO
+            ));
+            assert_eq!(db.len(), 2);
+            // What the views carry is what went in.
+            for p in [&short, &long] {
+                let key = BatchKey {
+                    origin: p.origin,
+                    group: InterfaceGroupId::DEFAULT,
+                    target: None,
+                };
+                let view = db.batch_view(&key, SimTime::ZERO).unwrap();
+                assert_eq!(view.ids(), &[p.digest()]);
+                assert_eq!(view.subrange(0..1).ids(), view.ids());
+                let merged = db.origin_view(p.origin, None, SimTime::ZERO).unwrap();
+                assert_eq!(merged.ids(), view.ids());
+            }
+        }
+    }
+
+    #[test]
     fn ingress_soon_to_expire_grace_eviction() {
         let mut db = IngressDb::new();
         db.insert(pcb(1, 0, PcbExtensions::none(), 2), IfId(1), SimTime::ZERO);
@@ -841,13 +1009,13 @@ mod tests {
     fn egress_dedup_per_interface() {
         let mut db = EgressDb::new();
         let p = pcb(1, 0, PcbExtensions::none(), 6);
-        let first = db.filter_new_egresses(&p, &[IfId(1), IfId(2)]);
+        let first = record(&mut db, &p, &[IfId(1), IfId(2)]);
         assert_eq!(first, vec![IfId(1), IfId(2)]);
         // A second RAC selects the same PCB for if2 and if3: only if3 is new.
-        let second = db.filter_new_egresses(&p, &[IfId(2), IfId(3)]);
+        let second = record(&mut db, &p, &[IfId(2), IfId(3)]);
         assert_eq!(second, vec![IfId(3)]);
-        assert!(db.contains(&p, IfId(1)));
-        assert!(!db.contains(&p, IfId(9)));
+        assert!(db.contains(&p.digest(), IfId(1)));
+        assert!(!db.contains(&p.digest(), IfId(9)));
         assert_eq!(db.len(), 1);
     }
 
@@ -856,14 +1024,14 @@ mod tests {
         let mut db = EgressDb::new();
         let short = pcb(1, 0, PcbExtensions::none(), 1);
         let long = pcb(1, 1, PcbExtensions::none(), 10);
-        db.filter_new_egresses(&short, &[IfId(1)]);
-        db.filter_new_egresses(&long, &[IfId(1)]);
+        record(&mut db, &short, &[IfId(1)]);
+        record(&mut db, &long, &[IfId(1)]);
         assert_eq!(db.len(), 2);
         let removed = db.evict_expired(SimTime::ZERO + SimDuration::from_hours(2));
         assert_eq!(removed, 1);
         assert_eq!(db.len(), 1);
         // After eviction the short beacon would be propagated again if re-selected.
-        assert!(!db.contains(&short, IfId(1)));
+        assert!(!db.contains(&short.digest(), IfId(1)));
     }
 
     #[test]
@@ -914,7 +1082,7 @@ mod tests {
         let p = pcb(1, 0, PcbExtensions::none(), 1);
         let expiry = SimTime::ZERO + SimDuration::from_hours(2);
 
-        db.filter_new_egresses(&p, &[IfId(1)]);
+        record(&mut db, &p, &[IfId(1)]);
         assert_eq!(db.len(), 1);
         let removed = db.evict_expired(expiry);
         assert_eq!(removed, 1);
@@ -923,7 +1091,7 @@ mod tests {
         // The same digest reappears after eviction (a RAC re-selects a re-received beacon):
         // it must be tracked again and the next eviction must count exactly one deletion —
         // `len()` always drops by exactly `removed`.
-        let again = db.filter_new_egresses(&p, &[IfId(1), IfId(2)]);
+        let again = record(&mut db, &p, &[IfId(1), IfId(2)]);
         assert_eq!(again, vec![IfId(1), IfId(2)]);
         assert_eq!(db.len(), 1);
         let before = db.len();
@@ -938,7 +1106,7 @@ mod tests {
     fn egress_empty_interface_list() {
         let mut db = EgressDb::new();
         let p = pcb(1, 0, PcbExtensions::none(), 6);
-        assert!(db.filter_new_egresses(&p, &[]).is_empty());
+        assert!(record(&mut db, &p, &[]).is_empty());
         assert_eq!(db.len(), 1); // the hash is tracked even with no interfaces yet
     }
 
@@ -1158,7 +1326,7 @@ mod tests {
         // (expiry is inclusive, matching `Pcb::is_expired`).
         let mut db = EgressDb::new();
         let p = pcb(1, 0, PcbExtensions::none(), 1);
-        db.filter_new_egresses(&p, &[IfId(1)]);
+        record(&mut db, &p, &[IfId(1)]);
         let just_before = SimTime::from_micros(p.expires_at.as_micros() - 1);
         assert_eq!(db.evict_expired(just_before), 0);
         assert_eq!(db.len(), 1);
@@ -1170,7 +1338,7 @@ mod tests {
         let mut db = EgressDb::new();
         let mut eternal = pcb(1, 1, PcbExtensions::none(), 1);
         eternal.expires_at = SimTime::MAX;
-        db.filter_new_egresses(&eternal, &[IfId(1)]);
+        record(&mut db, &eternal, &[IfId(1)]);
         assert_eq!(db.evict_expired(SimTime::from_micros(u64::MAX - 1)), 0);
         assert_eq!(db.len(), 1);
         assert_eq!(db.evict_expired(SimTime::MAX), 1);

@@ -3,11 +3,12 @@
 
 use crate::beacon_db::EgressDb;
 use crate::config::PropagationPolicy;
+use crate::engine::IdentifiedOutput;
 use crate::messages::{PcbMessage, PullReturn};
 use crate::path_service::{RegisteredPath, ShardedPathService};
 use crate::rac::RacOutput;
 use irec_crypto::Signer;
-use irec_pcb::{Pcb, PcbExtensions, StaticInfo};
+use irec_pcb::{Pcb, PcbExtensions, PcbId, StaticInfo};
 use irec_topology::Topology;
 use irec_types::{AsId, IfId, InterfaceGroupId, Result, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -259,18 +260,22 @@ impl EgressGateway {
     /// registers the selected paths, returns pull-based beacons whose target is the local AS,
     /// and propagates the rest (deduplicated per egress interface, extended with the local
     /// signed hop entry, filtered by the export policy).
+    ///
+    /// Every selection comes with the id its batch view carried, so neither registration
+    /// nor dedup encodes or hashes a beacon; the only beacons encoded here are the ones
+    /// actually extended and sent.
     pub fn process_outputs(
         &mut self,
-        outputs: Vec<RacOutput>,
+        outputs: Vec<IdentifiedOutput>,
         now: SimTime,
     ) -> Result<(Vec<PcbMessage>, Vec<PullReturn>)> {
         let mut messages = Vec::new();
         let mut returns = Vec::new();
 
-        for output in outputs {
+        for IdentifiedOutput { pcb_id, output } in outputs {
             // Path registration happens for every selection — these are the paths endpoints
             // can use, whether or not the beacon is propagated further.
-            self.register_path(&output, now);
+            self.register_path(pcb_id, &output, now);
 
             let beacon = &output.beacon;
             // Pull-based beacon reaching its target: return it to the origin instead of
@@ -293,8 +298,11 @@ impl EgressGateway {
                 .copied()
                 .filter(|&egress| self.export_allowed(beacon.ingress, egress))
                 .collect();
-            let new_egresses =
-                Arc::make_mut(&mut self.db).filter_new_egresses(&beacon.pcb, &allowed);
+            let new_egresses = Arc::make_mut(&mut self.db).filter_new_egresses(
+                pcb_id,
+                beacon.pcb.expires_at,
+                &allowed,
+            );
 
             for egress in new_egresses {
                 match self.extend_and_send(beacon, egress, now) {
@@ -310,14 +318,14 @@ impl EgressGateway {
         Ok((messages, returns))
     }
 
-    fn register_path(&mut self, output: &RacOutput, now: SimTime) {
+    fn register_path(&mut self, pcb_id: PcbId, output: &RacOutput, now: SimTime) {
         let pcb = &output.beacon.pcb;
         let Some(destination_interface) = pcb.origin_interface() else {
             return;
         };
         self.stats.registered += 1;
         self.path_service.register(RegisteredPath {
-            pcb_id: pcb.digest(),
+            pcb_id,
             destination: pcb.origin,
             destination_interface,
             local_interface: output.beacon.ingress,
@@ -455,13 +463,17 @@ mod tests {
         }
     }
 
-    fn output(name: &str, beacon: StoredBeacon, egress_ifs: Vec<IfId>) -> RacOutput {
-        RacOutput {
-            rac_name: name.to_string(),
-            origin: beacon.pcb.origin,
-            group: InterfaceGroupId::DEFAULT,
-            beacon,
-            egress_ifs,
+    fn output(name: &str, beacon: StoredBeacon, egress_ifs: Vec<IfId>) -> IdentifiedOutput {
+        IdentifiedOutput {
+            pcb_id: beacon.pcb.digest(),
+            output: RacOutput {
+                rac_name: name.to_string(),
+                origin: beacon.pcb.origin,
+                group: InterfaceGroupId::DEFAULT,
+                candidate_index: 0,
+                beacon: Arc::new(beacon),
+                egress_ifs,
+            },
         }
     }
 
@@ -551,6 +563,94 @@ mod tests {
         assert!(sent_ifs.contains(&IfId(2)) && sent_ifs.contains(&IfId(3)));
         // Both RACs registered their selection.
         assert_eq!(gw.path_service().len(), 2);
+    }
+
+    #[test]
+    fn dedup_by_carried_id_matches_dedup_by_digest() {
+        // Selections arrive the way a node produces them: verified and committed by an
+        // ingress gateway, snapshotted into a view, selected by a RAC. The carried ids
+        // must drive the dedup database exactly as the beacons' digests would — across a
+        // re-selection, a re-origination and a `forget_egress`.
+        use crate::ingress::IngressGateway;
+        use crate::rac::Rac;
+        use crate::RacConfig;
+
+        let (mut gw, registry, topo) = gateway(PropagationPolicy::All);
+        let ingress = IngressGateway::new(AsId(2), Verifier::new(registry.clone()));
+        let racs = [Rac::new_static(RacConfig::static_rac("5SP", "5SP")).unwrap()];
+        let node = topo.as_node(AsId(2)).unwrap();
+        let select = |ingress: &IngressGateway| {
+            crate::engine::execute_racs_cached(
+                &racs,
+                ingress.db(),
+                node,
+                &[IfId(2), IfId(3)],
+                SimTime::ZERO,
+                1,
+                None,
+            )
+            .unwrap()
+            .0
+        };
+
+        let first = received_beacon(&registry, 1, 1, 1).pcb;
+        ingress
+            .receive(first.clone(), IfId(1), SimTime::ZERO)
+            .unwrap();
+        let outputs = select(&ingress);
+        assert_eq!(outputs.len(), 1);
+        assert_eq!(outputs[0].pcb_id, first.digest());
+        assert!(outputs[0].output.beacon.pcb == first);
+        let (messages, _) = gw.process_outputs(outputs.clone(), SimTime::ZERO).unwrap();
+        assert_eq!(messages.len(), 2);
+        for egress in [IfId(2), IfId(3)] {
+            assert!(gw.db.contains(&first.digest(), egress));
+        }
+
+        // Re-selected next round: nothing new to send.
+        let (messages, _) = gw.process_outputs(outputs.clone(), SimTime::ZERO).unwrap();
+        assert!(messages.is_empty());
+
+        // The origin re-originates (next sequence number): a different id, sent afresh,
+        // while the first beacon stays deduplicated.
+        let mut second = received_beacon(&registry, 1, 1, 1).pcb;
+        second.sequence = 1;
+        second.entries.clear();
+        second
+            .extend(
+                IfId::NONE,
+                IfId(1),
+                StaticInfo::origin(Latency::from_millis(10), Bandwidth::from_mbps(100), None),
+                &Signer::new(AsId(1), registry.clone()),
+            )
+            .unwrap();
+        ingress
+            .receive(second.clone(), IfId(1), SimTime::ZERO)
+            .unwrap();
+        let outputs = select(&ingress);
+        assert_eq!(outputs.len(), 2);
+        let (messages, _) = gw.process_outputs(outputs.clone(), SimTime::ZERO).unwrap();
+        assert_eq!(messages.len(), 2);
+        assert!(messages.iter().all(|m| m.pcb.sequence == 1));
+        assert_eq!(gw.db.len(), 2);
+
+        // Forgetting one interface re-sends both beacons there and nowhere else.
+        assert_eq!(gw.forget_egress(IfId(3)), 2);
+        assert!(!gw.db.contains(&second.digest(), IfId(3)));
+        assert!(gw.db.contains(&second.digest(), IfId(2)));
+        let (messages, _) = gw.process_outputs(outputs, SimTime::ZERO).unwrap();
+        assert_eq!(messages.len(), 2);
+        assert!(messages.iter().all(|m| m.from_if == IfId(3)));
+
+        // The registered path (both beacons describe the same links, so the later
+        // registration refreshes the earlier one) is tagged with the carried id.
+        let registered: Vec<_> = gw
+            .path_service()
+            .paths_to(AsId(1))
+            .into_iter()
+            .map(|p| p.pcb_id)
+            .collect();
+        assert_eq!(registered, [second.digest()]);
     }
 
     #[test]

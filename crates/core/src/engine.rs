@@ -21,16 +21,16 @@
 //! Errors are deterministic too: the first failing work item *in item order* wins, exactly
 //! as in a sequential loop.
 
-use crate::beacon_db::{BatchKey, BatchView, ShardedIngressDb, StoredBeacon};
+use crate::beacon_db::{BatchKey, BatchView, ShardedIngressDb};
 use crate::rac::{Rac, RacOutput, RacTiming};
 use irec_algorithms::incremental::{
     FingerprintBuilder, IncrementalStats, IncrementalTable, SelectionDelta,
 };
+use irec_pcb::PcbId;
 use irec_topology::AsNode;
 use irec_types::{IfId, Result, SimTime};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Hard cap on engine workers; beyond this, coordination overhead dominates any workload
@@ -42,6 +42,38 @@ pub const MAX_WORKERS: usize = 64;
 /// own work item and the per-sub-range selections are reduced by one final selection pass
 /// over their union (see [`execute_racs_with`]).
 pub const BATCH_SPLIT_THRESHOLD: usize = 512;
+
+/// A RAC selection paired with the [`PcbId`] its batch view carried for the selected beacon.
+///
+/// RACs select by candidate index and know nothing of ids; the engine owns the views, so it
+/// is the engine that looks the id up — `view.ids()[output.candidate_index]` — and hands
+/// the pair to the egress gateway, which dedups and registers by it without hashing the
+/// beacon. The id is always one this AS computed itself when it verified the beacon.
+#[derive(Debug, Clone)]
+pub struct IdentifiedOutput {
+    /// The id of `output.beacon`.
+    pub pcb_id: PcbId,
+    /// The selection.
+    pub output: RacOutput,
+}
+
+/// Pairs the outputs a RAC produced over `view` with the ids `view` carries.
+fn identify(view: &BatchView, outputs: Vec<RacOutput>) -> Vec<IdentifiedOutput> {
+    outputs
+        .into_iter()
+        .map(|output| IdentifiedOutput {
+            pcb_id: view.ids()[output.candidate_index],
+            output,
+        })
+        .collect()
+}
+
+/// Drops the ids again, for callers that only look at the selections.
+fn selections(
+    (outputs, timing): (Vec<IdentifiedOutput>, RacTiming),
+) -> (Vec<RacOutput>, RacTiming) {
+    (outputs.into_iter().map(|o| o.output).collect(), timing)
+}
 
 /// One unit of parallel work: a RAC paired with a snapshot of one candidate batch (or a
 /// sub-range of one, when the batch exceeded the split threshold).
@@ -65,7 +97,7 @@ struct BatchGroup {
     view: Option<BatchView>,
     /// Table hit: the cached per-RAC outputs for this batch, found during the serial
     /// snapshot phase. Such groups carry no work items and contribute no timing.
-    cached: Option<Vec<RacOutput>>,
+    cached: Option<Vec<IdentifiedOutput>>,
     /// The batch-view fingerprint, computed during the snapshot phase for every cacheable
     /// group; the merge stores the freshly computed outputs under it.
     fingerprint: Option<u64>,
@@ -81,7 +113,7 @@ struct BatchGroup {
 /// is byte-identical to a from-scratch run on every scheduler × worker × shard plane.
 #[derive(Debug, Clone, Default)]
 pub struct SelectionTables {
-    tables: Vec<Option<IncrementalTable<Vec<RacOutput>>>>,
+    tables: Vec<Option<IncrementalTable<Vec<IdentifiedOutput>>>>,
 }
 
 impl SelectionTables {
@@ -137,14 +169,17 @@ impl SelectionTables {
         self.len() == 0
     }
 
-    fn table_mut(&mut self, rac_index: usize) -> Option<&mut IncrementalTable<Vec<RacOutput>>> {
+    fn table_mut(
+        &mut self,
+        rac_index: usize,
+    ) -> Option<&mut IncrementalTable<Vec<IdentifiedOutput>>> {
         self.tables.get_mut(rac_index)?.as_mut()
     }
 }
 
 /// Content fingerprint of one candidate batch under one RAC's selection context: batch key,
-/// per-beacon content digest + ingress interface + receive time, the local AS, the egress
-/// list, and the RAC's selection knobs. Any batch mutation — a new beacon, an eviction, a
+/// per-beacon content digest (the id the view carries — nothing is hashed here) + ingress
+/// interface + receive time, the local AS, the egress list, and the RAC's selection knobs. Any batch mutation — a new beacon, an eviction, a
 /// withdrawal sweep — changes a beacon digest or the beacon list and thereby the
 /// fingerprint, forcing a recompute for exactly the affected `(origin, group)` batch.
 ///
@@ -157,8 +192,8 @@ fn view_fingerprint(view: &BatchView, local_as: &AsNode, egress_ifs: &[IfId], ra
     fp.fold(view.key.origin.value());
     fp.fold(u64::from(view.key.group.value()));
     fp.fold(view.key.target.map_or(u64::MAX, |t| t.value()));
-    for beacon in view.beacons.iter() {
-        fp.fold_bytes(&beacon.pcb.digest().0 .0);
+    for (beacon, id) in view.beacons.iter().zip(view.ids()) {
+        fp.fold_bytes(&id.0 .0);
         fp.fold(u64::from(beacon.ingress.value()));
         fp.fold(beacon.received_at.0);
     }
@@ -208,6 +243,9 @@ pub fn execute_racs(
 /// Cached groups contribute **zero** timing, which is the measured round-cost win; no
 /// deterministic output (fingerprints, registered paths, counters) folds timing, so the
 /// byte-identity guarantee is unaffected.
+///
+/// This is the node's entry point, so the selections come back paired with the ids their
+/// views carried ([`IdentifiedOutput`]) — what the egress gateway consumes.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_racs_cached(
     racs: &[Rac],
@@ -217,7 +255,7 @@ pub fn execute_racs_cached(
     now: SimTime,
     parallelism: usize,
     tables: Option<&mut SelectionTables>,
-) -> Result<(Vec<RacOutput>, RacTiming)> {
+) -> Result<(Vec<IdentifiedOutput>, RacTiming)> {
     execute_racs_inner(
         racs,
         db,
@@ -261,6 +299,7 @@ pub fn execute_racs_with(
         split_threshold,
         None,
     )
+    .map(selections)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -273,7 +312,7 @@ fn execute_racs_inner(
     parallelism: usize,
     split_threshold: usize,
     mut tables: Option<&mut SelectionTables>,
-) -> Result<(Vec<RacOutput>, RacTiming)> {
+) -> Result<(Vec<IdentifiedOutput>, RacTiming)> {
     let threshold = split_threshold.max(1);
     // Snapshot phase: materialize the work list in deterministic order. Incremental tables
     // are probed here, on the coordinating thread, so a table hit skips work-item creation
@@ -347,7 +386,7 @@ fn execute_racs_inner(
         execute_parallel(racs, &items, local_as, egress_ifs, workers)
     };
 
-    merge_results(racs, &groups, results, local_as, egress_ifs, tables)
+    merge_results(racs, &groups, &items, results, local_as, egress_ifs, tables)
 }
 
 /// Processes one work item (on whatever thread it was claimed by).
@@ -446,17 +485,25 @@ fn execute_parallel(
 fn merge_results(
     racs: &[Rac],
     groups: &[BatchGroup],
+    items: &[WorkItem],
     results: Vec<ItemResult>,
     local_as: &AsNode,
     egress_ifs: &[IfId],
     mut tables: Option<&mut SelectionTables>,
-) -> Result<(Vec<RacOutput>, RacTiming)> {
+) -> Result<(Vec<IdentifiedOutput>, RacTiming)> {
     let mut results: Vec<Option<ItemResult>> = results.into_iter().map(Some).collect();
     let mut outputs = Vec::new();
     let mut timing = RacTiming::default();
     for group in groups {
-        let group_outputs =
-            merge_group(racs, group, &mut results, local_as, egress_ifs, &mut timing)?;
+        let group_outputs = merge_group(
+            racs,
+            group,
+            items,
+            &mut results,
+            local_as,
+            egress_ifs,
+            &mut timing,
+        )?;
         // Freshly computed cacheable group: store the outputs (and the batch's hop-chain
         // footprint, extracted from the retained view) into the RAC's table. Table-hit
         // groups were already marked fresh by the snapshot-phase probe.
@@ -488,41 +535,38 @@ fn merge_results(
 /// Produces one group's final output vector: the cached value for table hits (zero
 /// timing), the single item's outputs for unsplit groups, or the deterministic sub-merge
 /// for split ones. Timings accumulate into `timing` in item order, exactly as a sequential
-/// loop would.
+/// loop would. Every output is paired with the id carried by the view it was selected from.
 fn merge_group(
     racs: &[Rac],
     group: &BatchGroup,
+    items: &[WorkItem],
     results: &mut [Option<ItemResult>],
     local_as: &AsNode,
     egress_ifs: &[IfId],
     timing: &mut RacTiming,
-) -> Result<Vec<RacOutput>> {
+) -> Result<Vec<IdentifiedOutput>> {
     if let Some(cached) = &group.cached {
         return Ok(cached.clone());
     }
-    if group.items.len() == 1 {
-        let (item_outputs, item_timing) = results[group.items.start]
-            .take()
-            .expect("each item is consumed by exactly one group")?;
-        timing.accumulate(&item_timing);
-        return Ok(item_outputs);
-    }
-    // Sub-merge: collect each sub-range's selections in item order (within a sub-range
-    // selections are already ordered by candidate index, and sub-ranges are ascending,
-    // so the union is in ascending original candidate order)...
-    let mut sub_selections: Vec<Vec<RacOutput>> = Vec::new();
+    // Collect each item's selections in item order (within a sub-range selections are
+    // already ordered by candidate index, and sub-ranges are ascending, so the union is
+    // in ascending original candidate order)...
+    let mut sub_selections: Vec<Vec<IdentifiedOutput>> = Vec::with_capacity(group.items.len());
     for index in group.items.clone() {
         let (sub_outputs, sub_timing) = results[index]
             .take()
             .expect("each item is consumed by exactly one group")?;
         timing.accumulate(&sub_timing);
-        sub_selections.push(sub_outputs);
+        sub_selections.push(identify(&items[index].view, sub_outputs));
+    }
+    if sub_selections.len() == 1 {
+        return Ok(sub_selections.remove(0));
     }
     // ...then try the merge-aware reduce: algorithms overriding `merge_partial` get the
-    // full batch plus the per-sub-range selections (reconstructed as full-batch
-    // indices), making the split lossless for set-valued objectives...
+    // full batch plus the per-sub-range selections (rebased to full-batch indices),
+    // making the split lossless for set-valued objectives...
     if let Some(view) = &group.view {
-        let partials = reconstruct_partials(view, &sub_selections);
+        let partials = rebase_partials(&items[group.items.clone()], &sub_selections);
         if let Some(merged) = racs[group.rac_index].merge_split_candidates(
             &group.key,
             &view.beacons,
@@ -532,50 +576,50 @@ fn merge_group(
         ) {
             let (reduced, merge_timing) = merged?;
             timing.accumulate(&merge_timing);
-            return Ok(reduced);
+            return Ok(identify(view, reduced));
         }
     }
-    let winners: Vec<Arc<StoredBeacon>> = sub_selections
-        .into_iter()
-        .flatten()
-        .map(|o| Arc::new(o.beacon))
-        .collect();
+    let winners = BatchView::of_selected(group.key, sub_selections.iter().flatten());
     if winners.is_empty() {
         return Ok(Vec::new());
     }
     // ...or fall back to the generic reduce: one final selection pass of the owning RAC
     // over the union of the sub-range winners.
-    let (reduced, reduce_timing) =
-        racs[group.rac_index].process_candidates(&group.key, &winners, local_as, egress_ifs)?;
+    let (reduced, reduce_timing) = racs[group.rac_index].process_candidates(
+        &group.key,
+        &winners.beacons,
+        local_as,
+        egress_ifs,
+    )?;
     timing.accumulate(&reduce_timing);
-    Ok(reduced)
+    Ok(identify(&winners, reduced))
 }
 
-/// Rebuilds each sub-range's selection as indices into the full batch view. Sub-range
-/// outputs carry beacons, not indices, so beacons are matched back by content digest; the
-/// per-egress index lists come out ascending because sub-ranges are walked in offset order
-/// and outputs within a sub-range are ordered by candidate index.
-fn reconstruct_partials(
-    view: &BatchView,
-    sub_selections: &[Vec<RacOutput>],
+/// Rebuilds each sub-range's selection as indices into the full batch view: an output's
+/// candidate index is relative to its sub-range item, whose offset in the full batch is the
+/// summed length of the items before it. The per-egress index lists come out ascending
+/// because sub-ranges are walked in offset order and outputs within a sub-range are ordered
+/// by candidate index.
+fn rebase_partials(
+    sub_items: &[WorkItem],
+    sub_selections: &[Vec<IdentifiedOutput>],
 ) -> Vec<irec_algorithms::SelectionResult> {
-    let index_of: std::collections::HashMap<irec_pcb::PcbId, usize> = view
-        .beacons
+    let mut offset = 0;
+    sub_items
         .iter()
-        .enumerate()
-        .map(|(index, beacon)| (beacon.pcb.digest(), index))
-        .collect();
-    sub_selections
-        .iter()
-        .map(|sub_outputs| {
+        .zip(sub_selections)
+        .map(|(item, sub_outputs)| {
             let mut partial = irec_algorithms::SelectionResult::empty();
-            for output in sub_outputs {
-                if let Some(&index) = index_of.get(&output.beacon.pcb.digest()) {
-                    for &egress in &output.egress_ifs {
-                        partial.per_egress.entry(egress).or_default().push(index);
-                    }
+            for IdentifiedOutput { output, .. } in sub_outputs {
+                for &egress in &output.egress_ifs {
+                    partial
+                        .per_egress
+                        .entry(egress)
+                        .or_default()
+                        .push(offset + output.candidate_index);
                 }
             }
+            offset += item.view.len();
             partial
         })
         .collect()
@@ -589,6 +633,7 @@ mod tests {
     use irec_pcb::{Pcb, PcbExtensions, StaticInfo};
     use irec_topology::{Interface, Tier};
     use irec_types::{AsId, Bandwidth, GeoCoord, Latency, LinkId, SimDuration};
+    use std::sync::Arc;
 
     fn local_as() -> AsNode {
         let mut node = AsNode::new(AsId(50), Tier::Tier2);
@@ -826,6 +871,94 @@ mod tests {
     }
 
     #[test]
+    fn outputs_share_the_stored_beacon_and_carry_its_id() {
+        // Every output — unsplit, reduced from sub-ranges, merge-aware — is the database's
+        // own allocation (no clone of the decoded candidate) and carries the id the view
+        // carries for it, which is the beacon's digest.
+        let racs: Vec<Rac> = ["1SP", "HD"]
+            .iter()
+            .map(|name| Rac::new_static(RacConfig::static_rac(*name, *name)).unwrap())
+            .collect();
+        let db = db_link_diverse(24);
+        let node = local_as();
+        let egress = [IfId(2), IfId(3)];
+        let key = db.batch_keys()[0];
+        let view = db.batch_view(&key, SimTime::ZERO).unwrap();
+        for threshold in [BATCH_SPLIT_THRESHOLD, 4] {
+            let (outputs, _) = execute_racs_inner(
+                &racs,
+                &db,
+                &node,
+                &egress,
+                SimTime::ZERO,
+                2,
+                threshold,
+                None,
+            )
+            .unwrap();
+            assert!(!outputs.is_empty());
+            for IdentifiedOutput { pcb_id, output } in &outputs {
+                let stored = view
+                    .beacons
+                    .iter()
+                    .position(|b| Arc::ptr_eq(b, &output.beacon))
+                    .expect("output beacon is pointer-equal to a stored beacon");
+                assert_eq!(*pcb_id, view.ids()[stored]);
+                assert_eq!(*pcb_id, output.beacon.pcb.digest());
+            }
+        }
+    }
+
+    #[test]
+    fn rebased_partials_match_a_digest_lookup() {
+        // The index arithmetic that replaced the digest map: sub-range candidate indices
+        // plus sub-range offsets must land on the same full-batch positions a lookup by
+        // content digest finds.
+        let rac = Rac::new_static(RacConfig::static_rac("HD", "HD").with_max_selected(3)).unwrap();
+        let db = db_link_diverse(22);
+        let node = local_as();
+        let egress = [IfId(2), IfId(3)];
+        let key = db.batch_keys()[0];
+        let view = db.batch_view(&key, SimTime::ZERO).unwrap();
+        let items: Vec<WorkItem> = [0..8, 8..16, 16..22]
+            .into_iter()
+            .map(|range| WorkItem {
+                rac_index: 0,
+                view: view.subrange(range),
+            })
+            .collect();
+        let sub_selections: Vec<Vec<IdentifiedOutput>> = items
+            .iter()
+            .map(|item| {
+                let (outputs, _) = rac
+                    .process_candidates(&item.view.key, &item.view.beacons, &node, &egress)
+                    .unwrap();
+                identify(&item.view, outputs)
+            })
+            .collect();
+        let rebased = rebase_partials(&items, &sub_selections);
+
+        let index_of: std::collections::HashMap<irec_pcb::PcbId, usize> = view
+            .beacons
+            .iter()
+            .enumerate()
+            .map(|(index, beacon)| (beacon.pcb.digest(), index))
+            .collect();
+        assert_eq!(rebased.len(), sub_selections.len());
+        for (partial, sub_outputs) in rebased.iter().zip(&sub_selections) {
+            let mut expected = irec_algorithms::SelectionResult::empty();
+            for IdentifiedOutput { pcb_id, output } in sub_outputs {
+                let index = index_of[pcb_id];
+                for &egress in &output.egress_ifs {
+                    expected.per_egress.entry(egress).or_default().push(index);
+                }
+            }
+            assert!(!expected.per_egress.is_empty());
+            assert_eq!(partial.per_egress, expected.per_egress);
+        }
+    }
+
+    #[test]
     fn split_threshold_boundary_does_not_split() {
         // Exactly `threshold` candidates stay one work item (no reduce pass): the timing
         // counts every candidate exactly once.
@@ -876,9 +1009,12 @@ mod tests {
         assert_eq!(seq_err.category(), "not-found");
     }
 
-    fn assert_same_outputs(a: &[RacOutput], b: &[RacOutput]) {
+    /// `b` — what the node's entry point returned — selects what the reference `a` selects,
+    /// and every id it carries is the digest of the beacon beside it.
+    fn assert_same_outputs(a: &[RacOutput], b: &[IdentifiedOutput]) {
         assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
+        for (x, IdentifiedOutput { pcb_id, output: y }) in a.iter().zip(b) {
+            assert_eq!(*pcb_id, y.beacon.pcb.digest());
             assert_eq!(x.rac_name, y.rac_name);
             assert_eq!(x.origin, y.origin);
             assert_eq!(x.group, y.group);

@@ -2,9 +2,15 @@
 
 use crate::beacon_db::ShardedIngressDb;
 use irec_crypto::Verifier;
-use irec_pcb::Pcb;
+use irec_pcb::{Pcb, PcbId};
 use irec_types::{AsId, IfId, IrecError, Result, SimTime};
 use parking_lot::Mutex;
+
+/// What [`IngressGateway::verify`] concluded about one received beacon: the rejection, or
+/// — for an accepted beacon — the id this AS computed for it while verifying. The id is
+/// hashed from the buffer the signature check built and then carried with the stored
+/// beacon; it is never taken from the sender.
+pub type Verdict = Result<PcbId>;
 
 /// Statistics kept by the ingress gateway.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -42,9 +48,6 @@ pub struct IngressGateway {
     local_as: AsId,
     db: ShardedIngressDb,
     verifier: Verifier,
-    /// Whether signature verification is enabled (disabled only in throughput benches that
-    /// isolate algorithm cost, mirroring the paper's RAC-only measurements).
-    verify_signatures: bool,
     /// Per-shard statistics, indexed like the database's shards. A rejected beacon never
     /// touches the database but is still attributed to its origin's shard so concurrent
     /// shard commits account without contending.
@@ -59,7 +62,6 @@ impl Clone for IngressGateway {
             local_as: self.local_as,
             db: self.db.clone(),
             verifier: self.verifier.clone(),
-            verify_signatures: self.verify_signatures,
             stats: self
                 .stats
                 .iter()
@@ -79,7 +81,6 @@ impl IngressGateway {
             local_as: self.local_as,
             db: self.db.cow_clone(),
             verifier: self.verifier.clone(),
-            verify_signatures: self.verify_signatures,
             stats: self
                 .stats
                 .iter()
@@ -105,14 +106,8 @@ impl IngressGateway {
             local_as,
             db,
             verifier,
-            verify_signatures: true,
             stats,
         }
-    }
-
-    /// Disables signature verification (benchmarks only).
-    pub fn set_verify_signatures(&mut self, enabled: bool) {
-        self.verify_signatures = enabled;
     }
 
     /// Access to the ingress database (RACs read candidate batches from here; eviction and
@@ -156,15 +151,33 @@ impl IngressGateway {
     /// delivery plane verifies a whole epoch of messages concurrently against a `&self`
     /// snapshot **before** any of them commits, so a verdict must not depend on the order
     /// other messages of the same epoch are applied in.
-    pub fn verify(&self, pcb: &Pcb, now: SimTime) -> Result<()> {
-        self.check(pcb, now)
+    ///
+    /// Every check runs on every received beacon — nothing is cached across beacons, nodes
+    /// or rounds. The beacon is encoded once for all its hop signatures, and the id of an
+    /// accepted beacon is hashed from that same buffer ([`Pcb::verify_with_id`]): this is
+    /// the only place the receiving AS computes it.
+    pub fn verify(&self, pcb: &Pcb, now: SimTime) -> Verdict {
+        if pcb.is_empty() {
+            return Err(IrecError::policy("received beacon carries no AS entries"));
+        }
+        if pcb.is_expired(now) {
+            return Err(IrecError::policy("received beacon is expired"));
+        }
+        if pcb.contains_as(self.local_as) {
+            return Err(IrecError::policy(
+                "received beacon already contains the local AS (loop)",
+            ));
+        }
+        pcb.verify_with_id(&self.verifier)
     }
 
     /// The apply stage: accounts a precomputed `verdict` and, on success, stores the beacon
-    /// (deduplicating by digest). Messages of one origin must commit in delivery order —
-    /// this is where the dedup set and the statistics of the origin's shard mutate; commits
-    /// for *different* shards are independent and may interleave freely.
-    pub fn commit(&self, pcb: Pcb, ingress: IfId, now: SimTime, verdict: Result<()>) -> Result<()> {
+    /// under the id the verdict carries (deduplicating by it — the beacon is not hashed
+    /// again). `verdict` must be what [`IngressGateway::verify`] returned for this `pcb`.
+    /// Messages of one origin must commit in delivery order — this is where the dedup set
+    /// and the statistics of the origin's shard mutate; commits for *different* shards are
+    /// independent and may interleave freely.
+    pub fn commit(&self, pcb: Pcb, ingress: IfId, now: SimTime, verdict: Verdict) -> Result<()> {
         let shard = self.db.shard_of(pcb.origin);
         self.commit_in_shard(shard, pcb, ingress, now, verdict)
     }
@@ -178,36 +191,22 @@ impl IngressGateway {
         pcb: Pcb,
         ingress: IfId,
         now: SimTime,
-        verdict: Result<()>,
+        verdict: Verdict,
     ) -> Result<()> {
-        if let Err(e) = verdict {
-            self.stats[shard].lock().rejected += 1;
-            return Err(e);
-        }
-        if self.db.insert_in_shard(shard, pcb, ingress, now) {
+        let id = match verdict {
+            Ok(id) => id,
+            Err(e) => {
+                self.stats[shard].lock().rejected += 1;
+                return Err(e);
+            }
+        };
+        if self
+            .db
+            .insert_with_id_in_shard(shard, id, pcb, ingress, now)
+        {
             self.stats[shard].lock().accepted += 1;
         } else {
             self.stats[shard].lock().duplicates += 1;
-        }
-        Ok(())
-    }
-
-    fn check(&self, pcb: &Pcb, now: SimTime) -> Result<()> {
-        if pcb.is_empty() {
-            return Err(IrecError::policy("received beacon carries no AS entries"));
-        }
-        if pcb.is_expired(now) {
-            return Err(IrecError::policy("received beacon is expired"));
-        }
-        if pcb.contains_as(self.local_as) {
-            return Err(IrecError::policy(
-                "received beacon already contains the local AS (loop)",
-            ));
-        }
-        if self.verify_signatures {
-            pcb.verify(&self.verifier)?;
-        } else if pcb.has_loop() {
-            return Err(IrecError::policy("received beacon contains a loop"));
         }
         Ok(())
     }
@@ -393,14 +392,18 @@ mod tests {
     }
 
     #[test]
-    fn verification_can_be_disabled_but_loops_still_rejected() {
+    fn verdict_carries_the_id_the_database_dedups_on() {
         let reg = registry();
-        let mut gw = IngressGateway::new(AsId(10), Verifier::new(reg.clone()));
-        gw.set_verify_signatures(false);
-        let mut pcb = beacon(&reg, 1, &[2], 6);
-        // Tampering goes unnoticed without verification...
-        pcb.entries[1].static_info.link_latency = Latency::from_millis(1);
-        gw.receive(pcb, IfId(7), SimTime::ZERO).unwrap();
-        assert_eq!(gw.stats().accepted, 1);
+        let gw = IngressGateway::new(AsId(10), Verifier::new(reg.clone()));
+        let pcb = beacon(&reg, 1, &[2, 3], 6);
+        let id = gw.verify(&pcb, SimTime::ZERO).unwrap();
+        assert_eq!(id, pcb.digest());
+        gw.commit(pcb.clone(), IfId(7), SimTime::ZERO, Ok(id))
+            .unwrap();
+        // The stored view carries that id, and the hashing insert path dedups against it.
+        let key = gw.db().batch_keys()[0];
+        let view = gw.db().batch_view(&key, SimTime::ZERO).unwrap();
+        assert_eq!(view.ids(), &[id]);
+        assert!(!gw.db().insert(pcb, IfId(7), SimTime::ZERO));
     }
 }

@@ -51,10 +51,10 @@ pub use beacon_db::{BatchView, EgressDb, IngressDb, ShardedIngressDb, StoredBeac
 pub use config::{NodeConfig, PropagationPolicy, RacConfig, RacKind};
 pub use egress::{EgressGateway, OriginationSpec};
 pub use engine::{
-    execute_racs, execute_racs_cached, execute_racs_with, run_claimed, SelectionTables,
-    BATCH_SPLIT_THRESHOLD,
+    execute_racs, execute_racs_cached, execute_racs_with, run_claimed, IdentifiedOutput,
+    SelectionTables, BATCH_SPLIT_THRESHOLD,
 };
-pub use ingress::{IngressGateway, IngressStats};
+pub use ingress::{IngressGateway, IngressStats, Verdict};
 pub use messages::{PcbMessage, PullReturn};
 pub use node::{IrecNode, RoundOutput};
 pub use path_service::{PathService, RegisteredPath, ShardedPathService, MAX_PATH_SHARDS};

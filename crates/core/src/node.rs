@@ -4,7 +4,7 @@
 use crate::config::{NodeConfig, RacConfig, RacKind};
 use crate::egress::{EgressGateway, OriginationSpec};
 use crate::engine::SelectionTables;
-use crate::ingress::IngressGateway;
+use crate::ingress::{IngressGateway, Verdict};
 use crate::messages::{PcbMessage, PullReturn};
 use crate::path_service::{RegisteredPath, ShardedPathService};
 use crate::rac::{AlgorithmFetcher, Rac, RacTiming, SharedAlgorithmStore};
@@ -210,8 +210,10 @@ impl IrecNode {
     /// The pure verification stage of message handling: signature, expiry and policy checks
     /// against immutable node state. Safe to run concurrently for many messages — the
     /// verdict must not depend on what other in-flight messages of the same delivery epoch
-    /// will commit (dedup and statistics live in [`IrecNode::apply_message`]).
-    pub fn verify_message(&self, message: &PcbMessage, now: SimTime) -> Result<()> {
+    /// will commit (dedup and statistics live in [`IrecNode::apply_message`]). The verdict
+    /// of an accepted message carries the beacon's id (see [`Verdict`]); hand it to
+    /// [`IrecNode::apply_message`] together with the same message.
+    pub fn verify_message(&self, message: &PcbMessage, now: SimTime) -> Verdict {
         self.ingress.verify(&message.pcb, now)
     }
 
@@ -223,7 +225,7 @@ impl IrecNode {
         &mut self,
         message: PcbMessage,
         now: SimTime,
-        verdict: Result<()>,
+        verdict: Verdict,
     ) -> Result<()> {
         self.ingress
             .commit(message.pcb, message.to_if, now, verdict)
@@ -248,7 +250,7 @@ impl IrecNode {
         shard: usize,
         message: PcbMessage,
         now: SimTime,
-        verdict: Result<()>,
+        verdict: Verdict,
     ) -> Result<()> {
         self.ingress
             .commit_in_shard(shard, message.pcb, message.to_if, now, verdict)
@@ -275,7 +277,9 @@ impl IrecNode {
             return;
         };
         // The returned beacon describes a path from this AS (the beacon origin) to the
-        // target; register it with the target as the destination.
+        // target; register it with the target as the destination. A returned beacon is
+        // not stored, so this is the one place its id is needed — hashed here, by the AS
+        // that registers it, not taken from the sender.
         self.egress.path_service().register_in_shard(
             shard,
             RegisteredPath {

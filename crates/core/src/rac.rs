@@ -96,6 +96,13 @@ impl AlgorithmFetcher for SharedAlgorithmStore {
 
 /// One selected beacon produced by a RAC: the stored beacon, the egress interfaces it was
 /// optimized for, and bookkeeping for registration.
+///
+/// The RAC's algorithm works on owned candidates decoded from the marshalled batch, but a
+/// selection is an *index* into that batch: the output shares the gateway's stored beacon
+/// (an `Arc` bump, pointer-equal to the database's copy) instead of cloning the decoded
+/// one, and records the index so the gateway side can pair it with whatever it keeps
+/// beside the beacon — the execution engine attaches the carried [`irec_pcb::PcbId`] this
+/// way (see [`crate::engine::IdentifiedOutput`]).
 #[derive(Debug, Clone)]
 pub struct RacOutput {
     /// The RAC that produced this selection (used to tag registered paths).
@@ -104,8 +111,10 @@ pub struct RacOutput {
     pub origin: AsId,
     /// Interface group of the batch.
     pub group: InterfaceGroupId,
-    /// The selected beacon.
-    pub beacon: StoredBeacon,
+    /// The selected beacon, shared with the candidate batch it was selected from.
+    pub beacon: Arc<StoredBeacon>,
+    /// Position of `beacon` in the candidate batch the RAC was handed.
+    pub candidate_index: usize,
     /// Egress interfaces the beacon was optimized for.
     pub egress_ifs: Vec<IfId>,
 }
@@ -172,11 +181,15 @@ struct CandidateEnvelope {
     beacons: Vec<(irec_pcb::Pcb, IfId)>,
 }
 
+/// Wire size reserved per candidate: measured beacons of 2–6 hops encode to 150–400 bytes.
+const CANDIDATE_WIRE_HINT: usize = 384;
+
 /// Encodes a shared candidate set directly into wire bytes, without first deep-copying the
 /// beacons into an owned envelope (the decode side still materializes owned candidates — that
-/// is the unmarshalling cost the Fig. 6 "marshal" component measures).
+/// is the unmarshalling cost the Fig. 6 "marshal" component measures). The buffer is
+/// reserved once for the whole set.
 fn encode_candidates(beacons: &[Arc<StoredBeacon>]) -> Vec<u8> {
-    let mut writer = WireWriter::new();
+    let mut writer = WireWriter::with_capacity(16 + beacons.len() * CANDIDATE_WIRE_HINT);
     writer.put_varint(beacons.len() as u64);
     for beacon in beacons {
         beacon.pcb.encode(&mut writer);
@@ -187,11 +200,11 @@ fn encode_candidates(beacons: &[Arc<StoredBeacon>]) -> Vec<u8> {
 
 impl Decode for CandidateEnvelope {
     fn decode(reader: &mut WireReader<'_>) -> Result<Self> {
-        let n = reader.get_varint()? as usize;
-        if n > 1_000_000 {
-            return Err(IrecError::decode("implausible candidate count"));
-        }
-        let mut beacons = Vec::with_capacity(n.min(4096));
+        let n = usize::try_from(reader.get_varint()?)
+            .ok()
+            .filter(|&n| n <= 1_000_000)
+            .ok_or_else(|| IrecError::decode("implausible candidate count"))?;
+        let mut beacons = Vec::with_capacity(irec_pcb::bounded_reservation(n, reader.remaining()));
         for _ in 0..n {
             let pcb = irec_pcb::Pcb::decode(reader)?;
             let ingress = IfId(reader.get_u32v()?);
@@ -406,7 +419,6 @@ impl Rac {
         let received: CandidateEnvelope = irec_wire::from_bytes(&wire_bytes)?;
         timing.marshal = marshal_start.elapsed();
 
-        let received_at: Vec<SimTime> = beacons.iter().map(|b| b.received_at).collect();
         let candidates: Vec<Candidate> = received
             .beacons
             .into_iter()
@@ -467,19 +479,18 @@ impl Rac {
         let selection = algorithm.select(&batch, &ctx)?;
         timing.execute = execute_start.elapsed();
 
-        let outputs = self.outputs_from_selection(key, &batch, &index_map, &received_at, selection);
+        let outputs = self.outputs_from_selection(key, beacons, &index_map, selection);
         Ok((outputs, timing))
     }
 
     /// Inverts a per-egress selection into per-beacon [`RacOutput`]s, ordered by candidate
-    /// index. `index_map` maps the batch's (possibly filtered) candidate indices back to
-    /// positions in `received_at`.
+    /// index. `index_map` maps the algorithm's (possibly filtered) candidate indices back to
+    /// positions in `beacons`; each output shares the stored beacon at that position.
     fn outputs_from_selection(
         &self,
         key: &BatchKey,
-        batch: &CandidateBatch,
+        beacons: &[Arc<StoredBeacon>],
         index_map: &[usize],
-        received_at: &[SimTime],
         selection: irec_algorithms::SelectionResult,
     ) -> Vec<RacOutput> {
         let mut per_candidate: HashMap<usize, Vec<IfId>> = HashMap::new();
@@ -494,20 +505,13 @@ impl Rac {
         indices.sort_unstable();
         for local_idx in indices {
             let egress_ifs = per_candidate.remove(&local_idx).expect("key exists");
-            let original_idx = index_map[local_idx];
-            let candidate = &batch.candidates[local_idx];
+            let candidate_index = index_map[local_idx];
             outputs.push(RacOutput {
                 rac_name: self.config.name.clone(),
                 origin: key.origin,
                 group: key.group,
-                beacon: StoredBeacon {
-                    pcb: candidate.pcb.clone(),
-                    ingress: candidate.ingress,
-                    received_at: received_at
-                        .get(original_idx)
-                        .copied()
-                        .unwrap_or(SimTime::ZERO),
-                },
+                beacon: Arc::clone(&beacons[candidate_index]),
+                candidate_index,
                 egress_ifs,
             });
         }
@@ -544,7 +548,6 @@ impl Rac {
             let received: CandidateEnvelope = irec_wire::from_bytes(&wire_bytes)?;
             timing.marshal = marshal_start.elapsed();
 
-            let received_at: Vec<SimTime> = beacons.iter().map(|b| b.received_at).collect();
             let batch = CandidateBatch {
                 origin: key.origin,
                 group: key.group,
@@ -564,8 +567,7 @@ impl Rac {
                 .merge_partial(&batch, &ctx, partials)
                 .unwrap_or_else(|| algorithm.select(&batch, &ctx))?;
             timing.execute = execute_start.elapsed();
-            let outputs =
-                self.outputs_from_selection(key, &batch, &index_map, &received_at, selection);
+            let outputs = self.outputs_from_selection(key, beacons, &index_map, selection);
             Ok((outputs, timing))
         })())
     }
@@ -964,6 +966,42 @@ mod tests {
         assert!(!outputs.is_empty());
         // legacy-scion keeps at most 20 per egress.
         assert!(outputs.len() <= 32);
+        // Outputs share the caller's beacons — no clone of the decoded candidate — and
+        // say which candidate they are.
+        for output in &outputs {
+            assert!(Arc::ptr_eq(
+                &output.beacon,
+                &beacons[output.candidate_index]
+            ));
+        }
+    }
+
+    #[test]
+    fn candidate_envelope_round_trips_and_bounds_hostile_counts() {
+        let reg = registry();
+        let beacons: Vec<Arc<StoredBeacon>> = (0..5)
+            .map(|i| {
+                Arc::new(StoredBeacon {
+                    pcb: beacon(&reg, 1, &[(10 + i, 100), (5, 50)], PcbExtensions::none()),
+                    ingress: IfId(1 + i as u32),
+                    received_at: SimTime::ZERO,
+                })
+            })
+            .collect();
+        let bytes = encode_candidates(&beacons);
+        let envelope: CandidateEnvelope = irec_wire::from_bytes(&bytes).unwrap();
+        assert_eq!(envelope.beacons.len(), beacons.len());
+        for ((pcb, ingress), stored) in envelope.beacons.iter().zip(&beacons) {
+            assert_eq!(pcb, &stored.pcb);
+            assert_eq!(*ingress, stored.ingress);
+        }
+        // A count the input cannot back fails at the first missing candidate, having
+        // reserved nothing for the rest; a count beyond the cap fails outright.
+        for claimed in [1_000_000u64, 1_000_001, u64::MAX] {
+            let mut w = WireWriter::new();
+            w.put_varint(claimed);
+            assert!(irec_wire::from_bytes::<CandidateEnvelope>(w.as_slice()).is_err());
+        }
     }
 
     #[test]

@@ -426,9 +426,10 @@ proptest! {
             } else {
                 let pcb = test_pcb(*origin, *seq, *hours);
                 let egress = IfId(*kind as u32 + 1);
-                db.filter_new_egresses(&pcb, &[egress]);
-                model.insert(pcb.digest(), pcb.expires_at);
-                prop_assert!(db.contains(&pcb, egress));
+                let id = pcb.digest();
+                db.filter_new_egresses(id, pcb.expires_at, &[egress]);
+                model.insert(id, pcb.expires_at);
+                prop_assert!(db.contains(&id, egress));
             }
             prop_assert_eq!(db.len(), model.len());
         }

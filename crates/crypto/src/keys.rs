@@ -7,10 +7,11 @@
 //! being dominated by hashing the signed payload) matches what the paper's design needs.
 
 use crate::hash::sha256;
+use crate::hmac::HmacSha256;
 use irec_types::AsId;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Signing key of a single AS.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,7 +52,30 @@ pub struct KeyRegistry {
 #[derive(Debug, Default)]
 struct RegistryInner {
     seed: u64,
-    keys: HashMap<AsId, AsKey>,
+    keys: HashMap<AsId, KeyEntry>,
+}
+
+/// One registered key plus its HMAC key state, built on the first MAC under the key so
+/// registries that only hand out keys never pay for it.
+#[derive(Debug)]
+struct KeyEntry {
+    key: AsKey,
+    mac: OnceLock<HmacSha256>,
+}
+
+impl KeyEntry {
+    fn derive(seed: u64, asn: AsId) -> Self {
+        KeyEntry {
+            key: AsKey::derive(seed, asn),
+            mac: OnceLock::new(),
+        }
+    }
+
+    fn mac(&self) -> HmacSha256 {
+        self.mac
+            .get_or_init(|| HmacSha256::new(&self.key.key))
+            .clone()
+    }
 }
 
 impl KeyRegistry {
@@ -72,7 +96,7 @@ impl KeyRegistry {
             let mut inner = registry.inner.write();
             for i in 0..count {
                 let asn = AsId(i);
-                inner.keys.insert(asn, AsKey::derive(seed, asn));
+                inner.keys.insert(asn, KeyEntry::derive(seed, asn));
             }
         }
         registry
@@ -85,7 +109,8 @@ impl KeyRegistry {
         inner
             .keys
             .entry(asn)
-            .or_insert_with(|| AsKey::derive(seed, asn))
+            .or_insert_with(|| KeyEntry::derive(seed, asn))
+            .key
             .clone()
     }
 
@@ -96,16 +121,31 @@ impl KeyRegistry {
     pub fn key_for(&self, asn: AsId) -> AsKey {
         {
             let inner = self.inner.read();
-            if let Some(k) = inner.keys.get(&asn) {
-                return k.clone();
+            if let Some(entry) = inner.keys.get(&asn) {
+                return entry.key.clone();
             }
         }
         self.register(asn)
     }
 
+    /// A MAC instance keyed with `asn`'s key, ready for message data; registers the AS
+    /// lazily like [`KeyRegistry::key_for`]. The key's ipad/opad blocks are compressed
+    /// once per AS, on first use, and every later call clones that state.
+    pub fn mac_for(&self, asn: AsId) -> HmacSha256 {
+        if let Some(entry) = self.inner.read().keys.get(&asn) {
+            return entry.mac();
+        }
+        self.register(asn);
+        self.inner.read().keys[&asn].mac()
+    }
+
     /// Returns the key for `asn` only if it has been registered explicitly.
     pub fn existing_key_for(&self, asn: AsId) -> Option<AsKey> {
-        self.inner.read().keys.get(&asn).cloned()
+        self.inner
+            .read()
+            .keys
+            .get(&asn)
+            .map(|entry| entry.key.clone())
     }
 
     /// Number of registered ASes.
@@ -152,6 +192,21 @@ mod tests {
         assert_eq!(reg.len(), 1);
         // Subsequent lookups return the same key.
         assert_eq!(reg.key_for(AsId(55)), k);
+    }
+
+    #[test]
+    fn mac_for_is_keyed_like_the_registered_key() {
+        let reg = KeyRegistry::new(5);
+        // Lazy registration on first MAC, and every call starts from the same key state.
+        for _ in 0..2 {
+            let mut mac = reg.mac_for(AsId(8));
+            mac.update(b"message");
+            assert_eq!(
+                mac.finalize(),
+                crate::hmac::hmac_sha256(&AsKey::derive(5, AsId(8)).key, b"message")
+            );
+        }
+        assert_eq!(reg.len(), 1);
     }
 
     #[test]

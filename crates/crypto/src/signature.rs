@@ -6,7 +6,6 @@
 //! HMAC-SHA-256 [`Signature`]s over arbitrary byte strings.
 
 use crate::hash::{Digest, DIGEST_LEN};
-use crate::hmac::hmac_sha256;
 use crate::keys::KeyRegistry;
 use core::fmt;
 use irec_types::{AsId, IrecError, Result};
@@ -64,12 +63,26 @@ impl Signer {
 
     /// Signs `message`.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        let key = self.registry.key_for(self.asn);
+        self.sign_parts(&[message])
+    }
+
+    /// Signs the concatenation of `parts` without materializing it: callers stream slices
+    /// of a buffer they already hold into the MAC.
+    pub fn sign_parts(&self, parts: &[&[u8]]) -> Signature {
         Signature {
             signer: self.asn,
-            tag: hmac_sha256(&key.key, message),
+            tag: mac_of(&self.registry, self.asn, parts),
         }
     }
+}
+
+/// The MAC of the concatenation of `parts` under `asn`'s key.
+fn mac_of(registry: &KeyRegistry, asn: AsId, parts: &[&[u8]]) -> Digest {
+    let mut mac = registry.mac_for(asn);
+    for part in parts {
+        mac.update(part);
+    }
+    mac.finalize()
 }
 
 /// Verifies signatures from any registered AS.
@@ -86,9 +99,13 @@ impl Verifier {
 
     /// Verifies that `signature` is a valid signature by `signature.signer` over `message`.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<()> {
-        let key = self.registry.key_for(signature.signer);
-        let expected = hmac_sha256(&key.key, message);
-        if expected == signature.tag {
+        self.verify_parts(&[message], signature)
+    }
+
+    /// [`Verifier::verify`] over the concatenation of `parts`, streamed into the MAC
+    /// without materializing it.
+    fn verify_parts(&self, parts: &[&[u8]], signature: &Signature) -> Result<()> {
+        if mac_of(&self.registry, signature.signer, parts) == signature.tag {
             Ok(())
         } else {
             Err(IrecError::verification(format!(
@@ -98,11 +115,12 @@ impl Verifier {
         }
     }
 
-    /// Verifies and additionally checks the claimed signer.
+    /// Checks the claimed signer, then verifies the signature over the concatenation of
+    /// `parts`.
     pub fn verify_from(
         &self,
         expected_signer: AsId,
-        message: &[u8],
+        parts: &[&[u8]],
         signature: &Signature,
     ) -> Result<()> {
         if signature.signer != expected_signer {
@@ -111,7 +129,7 @@ impl Verifier {
                 signature.signer, expected_signer
             )));
         }
-        self.verify(message, signature)
+        self.verify_parts(parts, signature)
     }
 }
 
@@ -162,8 +180,23 @@ mod tests {
         let reg = registry();
         let verifier = Verifier::new(reg.clone());
         let sig = sign(&reg, AsId(5), b"msg");
-        assert!(verifier.verify_from(AsId(5), b"msg", &sig).is_ok());
-        assert!(verifier.verify_from(AsId(6), b"msg", &sig).is_err());
+        assert!(verifier.verify_from(AsId(5), &[b"msg"], &sig).is_ok());
+        assert!(verifier.verify_from(AsId(6), &[b"msg"], &sig).is_err());
+    }
+
+    #[test]
+    fn parts_are_signed_and_verified_as_their_concatenation() {
+        let reg = registry();
+        let signer = Signer::new(AsId(3), reg.clone());
+        let verifier = Verifier::new(reg);
+        let whole = signer.sign(b"hop entry bytes");
+        assert_eq!(signer.sign_parts(&[b"hop ", b"", b"entry bytes"]), whole);
+        assert!(verifier
+            .verify_parts(&[b"hop entry", b" bytes"], &whole)
+            .is_ok());
+        assert!(verifier
+            .verify_parts(&[b"hop entry", b"bytes"], &whole)
+            .is_err());
     }
 
     #[test]

@@ -2,10 +2,24 @@
 
 use crate::extensions::PcbExtensions;
 use crate::hop::{AsEntry, HopInfo, StaticInfo};
-use irec_crypto::{Digest, Signer, Verifier};
+use irec_crypto::{Digest, Sha256, Signer, Verifier};
 use irec_types::{AsId, IfId, IrecError, IsdId, PathMetrics, Result, SimTime};
-use irec_wire::{Decode, Encode, WireReader, WireWriter};
-use std::collections::HashSet;
+use irec_wire::{write_varint, Decode, Encode, WireReader, WireWriter, MAX_VARINT_LEN};
+
+/// Wire size the encoders reserve for a beacon header (measured headers are 10–60 bytes).
+const HEADER_WIRE_HINT: usize = 64;
+/// Wire size the encoders reserve per AS entry (measured entries are 50–70 bytes).
+const ENTRY_WIRE_HINT: usize = 96;
+/// The smallest possible wire size of one AS entry: seven one-byte fields (hop AS, ingress,
+/// egress, three static-info integers, the location flag), a one-byte signer and the tag.
+const MIN_ENTRY_WIRE_LEN: usize = 8 + irec_crypto::DIGEST_LEN;
+
+/// How many elements a decoder may reserve for when the input claims `claimed` of them
+/// and `remaining` bytes are left, each element holding at least one AS entry: never more
+/// than the input could still contain, so a hostile count cannot buy an allocation.
+pub fn bounded_reservation(claimed: usize, remaining: usize) -> usize {
+    claimed.min(remaining / MIN_ENTRY_WIRE_LEN)
+}
 
 /// Identifier of a PCB: the SHA-256 digest of its canonical wire encoding.
 ///
@@ -17,6 +31,56 @@ impl PcbId {
     /// A short (64-bit) form of the id, convenient for logs and maps in tests.
     pub fn short(&self) -> u64 {
         self.0.short()
+    }
+}
+
+/// A beacon's signing buffer: `header ‖ entry_0 ‖ … ‖ entry_{n-1}`, i.e. the canonical
+/// encoding without the entry count. Every signed payload is a prefix of it (see
+/// [`SigningBuffer::with_signed_payload`]) and the [`PcbId`] is a hash over its two halves,
+/// so one encode serves every signature and the id.
+struct SigningBuffer {
+    writer: WireWriter,
+    header_len: usize,
+}
+
+impl SigningBuffer {
+    /// Starts the buffer with `pcb`'s header, reserving room for `entries` entries.
+    fn with_header(pcb: &Pcb, entries: usize) -> Self {
+        let mut writer = WireWriter::with_capacity(HEADER_WIRE_HINT + entries * ENTRY_WIRE_HINT);
+        pcb.encode_header(&mut writer);
+        let header_len = writer.len();
+        SigningBuffer { writer, header_len }
+    }
+
+    /// Appends the signed content of the next entry (hop and static info) and hands `f`
+    /// what that entry's signature covers — `varint(len(prefix)) ‖ prefix ‖ hop ‖
+    /// static_info`, where `prefix` is everything appended before — as two parts: the
+    /// length prefix from the stack and the buffer itself. The caller appends the entry's
+    /// signature afterwards.
+    fn with_signed_payload<R>(
+        &mut self,
+        hop: &HopInfo,
+        static_info: &StaticInfo,
+        f: impl FnOnce(&[&[u8]]) -> R,
+    ) -> R {
+        let mut prefix_len = [0u8; MAX_VARINT_LEN];
+        let used = write_varint(self.writer.len() as u64, &mut prefix_len);
+        hop.encode(&mut self.writer);
+        static_info.encode(&mut self.writer);
+        f(&[&prefix_len[..used], self.writer.as_slice()])
+    }
+
+    /// The id of a beacon with `entries` entries whose header and entries this buffer
+    /// holds: the hash of `header ‖ varint(entries) ‖ entries`, streamed from the buffer.
+    fn id(&self, entries: usize) -> PcbId {
+        let (header, body) = self.writer.as_slice().split_at(self.header_len);
+        let mut count = [0u8; MAX_VARINT_LEN];
+        let used = write_varint(entries as u64, &mut count);
+        let mut hasher = Sha256::new();
+        hasher.update(header);
+        hasher.update(&count[..used]);
+        hasher.update(body);
+        PcbId(hasher.finalize())
     }
 }
 
@@ -105,9 +169,15 @@ impl Pcb {
     }
 
     /// Whether any AS appears more than once (a malformed/looping beacon).
+    ///
+    /// Runs on every verification, so it compares each hop with the ones before it instead
+    /// of allocating a set: real beacons have a handful of hops, and a decoded one at most
+    /// 1 024, whose signatures cost far more to check than this scan.
     pub fn has_loop(&self) -> bool {
-        let mut seen = HashSet::with_capacity(self.entries.len());
-        self.entries.iter().any(|e| !seen.insert(e.hop.asn))
+        self.entries
+            .iter()
+            .enumerate()
+            .any(|(i, e)| self.entries[..i].iter().any(|p| p.hop.asn == e.hop.asn))
     }
 
     /// Whether the beacon is expired at `now`.
@@ -146,25 +216,18 @@ impl Pcb {
     /// Canonical encoding of the beacon header (everything the origin signs besides its own
     /// hop entry: origin, sequence, validity, extensions).
     pub fn header_bytes(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(64);
+        let mut w = WireWriter::with_capacity(HEADER_WIRE_HINT);
+        self.encode_header(&mut w);
+        w.into_bytes()
+    }
+
+    fn encode_header(&self, w: &mut WireWriter) {
         w.put_varint(self.origin_isd.0 as u64);
         w.put_varint(self.origin.value());
         w.put_varint(self.sequence);
         w.put_varint(self.created_at.as_micros());
         w.put_varint(self.expires_at.as_micros());
-        self.extensions.encode(&mut w);
-        w.into_bytes()
-    }
-
-    /// Canonical encoding of the header plus the first `n` entries; entry `n` signs this
-    /// prefix together with its own hop/static-info content.
-    fn prefix_bytes(&self, n: usize) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(64 + n * 96);
-        w.put_raw(&self.header_bytes());
-        for entry in &self.entries[..n] {
-            entry.encode(&mut w);
-        }
-        w.into_bytes()
+        self.extensions.encode(w);
     }
 
     /// Appends a signed AS entry: the AS `signer.asn()` propagates the beacon from ingress
@@ -211,9 +274,12 @@ impl Pcb {
             ingress,
             egress,
         };
-        let prefix = self.prefix_bytes(self.entries.len());
-        let payload = AsEntry::signed_payload(&prefix, &hop, &static_info);
-        let signature = signer.sign(&payload);
+        let mut buffer = SigningBuffer::with_header(self, self.entries.len() + 1);
+        for entry in &self.entries {
+            entry.encode(&mut buffer.writer);
+        }
+        let signature =
+            buffer.with_signed_payload(&hop, &static_info, |parts| signer.sign_parts(parts));
         self.entries.push(AsEntry {
             hop,
             static_info,
@@ -224,13 +290,30 @@ impl Pcb {
 
     /// Verifies every entry's signature and basic well-formedness (origin entry first, no
     /// loops, monotone structure). This is what the ingress gateway runs on received PCBs.
+    ///
+    /// The beacon is encoded once: each entry's signed payload is a prefix of one growing
+    /// buffer and is streamed into the MAC from there, so `n` hops cost O(n) encoded bytes
+    /// and no per-hop allocation. (The bytes *hashed* stay O(n²) — every hop signs the
+    /// whole prefix before it, which is the format, not the implementation.)
     pub fn verify(&self, verifier: &Verifier) -> Result<()> {
+        self.verify_into_buffer(verifier).map(|_| ())
+    }
+
+    /// [`Pcb::verify`], returning the beacon's id hashed from the buffer the verification
+    /// built — the one place a receiving AS needs to compute the identity of a beacon.
+    pub fn verify_with_id(&self, verifier: &Verifier) -> Result<PcbId> {
+        let buffer = self.verify_into_buffer(verifier)?;
+        Ok(buffer.id(self.entries.len()))
+    }
+
+    fn verify_into_buffer(&self, verifier: &Verifier) -> Result<SigningBuffer> {
         if self.has_loop() {
             return Err(IrecError::policy("beacon path contains a loop"));
         }
         if self.expires_at <= self.created_at {
             return Err(IrecError::policy("beacon expires before it was created"));
         }
+        let mut buffer = SigningBuffer::with_header(self, self.entries.len());
         for (i, entry) in self.entries.iter().enumerate() {
             if i == 0 {
                 if entry.hop.asn != self.origin || !entry.hop.is_origin() {
@@ -243,22 +326,36 @@ impl Pcb {
                     "transit entry {i} is missing an ingress interface"
                 )));
             }
-            let prefix = self.prefix_bytes(i);
-            let payload = AsEntry::signed_payload(&prefix, &entry.hop, &entry.static_info);
-            verifier.verify_from(entry.hop.asn, &payload, &entry.signature)?;
+            buffer.with_signed_payload(&entry.hop, &entry.static_info, |parts| {
+                verifier.verify_from(entry.hop.asn, parts, &entry.signature)
+            })?;
+            entry.encode_signature(&mut buffer.writer);
         }
-        Ok(())
+        Ok(buffer)
     }
 
     /// The content digest of the beacon (hash of its canonical wire encoding).
+    ///
+    /// Encodes and hashes on every call and is deliberately not memoised — the fields are
+    /// public and mutable, so a cached value could go stale. Code that touches a beacon
+    /// repeatedly carries the id computed once (`irec_core` carries the one
+    /// [`Pcb::verify_with_id`] returned at ingress).
     pub fn digest(&self) -> PcbId {
-        PcbId(irec_crypto::sha256(&self.encode_to_vec()))
+        PcbId(irec_crypto::sha256(&self.wire_bytes()))
+    }
+
+    /// The canonical wire encoding of the beacon — what [`Pcb::digest`] hashes.
+    pub fn wire_bytes(&self) -> Vec<u8> {
+        let mut w =
+            WireWriter::with_capacity(HEADER_WIRE_HINT + self.entries.len() * ENTRY_WIRE_HINT);
+        self.encode(&mut w);
+        w.into_bytes()
     }
 }
 
 impl Encode for Pcb {
     fn encode(&self, writer: &mut WireWriter) {
-        writer.put_raw(&self.header_bytes());
+        self.encode_header(writer);
         writer.put_varint(self.entries.len() as u64);
         for entry in &self.entries {
             entry.encode(writer);
@@ -277,13 +374,11 @@ impl Decode for Pcb {
         let created_at = SimTime::from_micros(reader.get_varint()?);
         let expires_at = SimTime::from_micros(reader.get_varint()?);
         let extensions = PcbExtensions::decode(reader)?;
-        let count = reader.get_varint()? as usize;
-        if count > 1024 {
-            return Err(IrecError::decode(format!(
-                "implausible entry count {count}"
-            )));
-        }
-        let mut entries = Vec::with_capacity(count);
+        let count = usize::try_from(reader.get_varint()?)
+            .ok()
+            .filter(|&count| count <= 1024)
+            .ok_or_else(|| IrecError::decode("implausible entry count"))?;
+        let mut entries = Vec::with_capacity(bounded_reservation(count, reader.remaining()));
         for _ in 0..count {
             entries.push(AsEntry::decode(reader)?);
         }
@@ -303,8 +398,53 @@ impl Decode for Pcb {
 mod tests {
     use super::*;
     use irec_crypto::{KeyRegistry, Signer, Verifier};
-    use irec_types::{Bandwidth, Latency, SimDuration};
+    use irec_types::{Bandwidth, GeoCoord, InterfaceGroupId, Latency, SimDuration};
     use irec_wire::{from_bytes, to_bytes};
+    use proptest::prelude::*;
+
+    /// The pre-streaming construction, kept as the oracle for `verify` / `extend`: every
+    /// entry's prefix is re-encoded from scratch and copied into a length-prefixed payload.
+    impl Pcb {
+        fn prefix_bytes(&self, n: usize) -> Vec<u8> {
+            let mut w = WireWriter::new();
+            w.put_raw(&self.header_bytes());
+            for entry in &self.entries[..n] {
+                entry.encode(&mut w);
+            }
+            w.into_bytes()
+        }
+
+        /// What entry `i` signs, the old way.
+        fn oracle_payload(&self, i: usize) -> Vec<u8> {
+            let entry = &self.entries[i];
+            AsEntry::signed_payload(&self.prefix_bytes(i), &entry.hop, &entry.static_info)
+        }
+
+        /// The old `verify`, check for check.
+        fn oracle_verify(&self, verifier: &Verifier) -> Result<()> {
+            if self.has_loop() {
+                return Err(IrecError::policy("beacon path contains a loop"));
+            }
+            if self.expires_at <= self.created_at {
+                return Err(IrecError::policy("beacon expires before it was created"));
+            }
+            for (i, entry) in self.entries.iter().enumerate() {
+                if i == 0 {
+                    if entry.hop.asn != self.origin || !entry.hop.is_origin() {
+                        return Err(IrecError::verification("invalid origin entry"));
+                    }
+                } else if entry.hop.is_origin() {
+                    return Err(IrecError::verification("transit entry without ingress"));
+                }
+                verifier.verify_from(
+                    entry.hop.asn,
+                    &[&self.oracle_payload(i)],
+                    &entry.signature,
+                )?;
+            }
+            Ok(())
+        }
+    }
 
     fn registry() -> KeyRegistry {
         KeyRegistry::with_ases(1, 32)
@@ -393,6 +533,25 @@ mod tests {
         pcb.entries.swap(0, 1);
         let verifier = Verifier::new(reg);
         assert!(pcb.verify(&verifier).is_err());
+    }
+
+    #[test]
+    fn loop_detection_finds_a_repeat_anywhere() {
+        let reg = registry();
+        let entry = |asn: u64| AsEntry {
+            hop: HopInfo::transit(AsId(asn), IfId(1), IfId(2)),
+            static_info: StaticInfo::empty(),
+            signature: irec_crypto::Signature::placeholder(AsId(asn)),
+        };
+        let mut pcb = sample_pcb(&reg);
+        assert!(!pcb.has_loop());
+        pcb.entries = (0..40).map(|i| entry(1_000 + i)).collect();
+        assert!(!pcb.has_loop());
+        for repeated in [0, 17, 39] {
+            pcb.entries.push(entry(1_000 + repeated));
+            assert!(pcb.has_loop(), "repeat of hop {repeated}");
+            pcb.entries.pop();
+        }
     }
 
     #[test]
@@ -502,6 +661,39 @@ mod tests {
     }
 
     #[test]
+    fn entry_count_beyond_the_input_fails_without_reserving_for_it() {
+        let reg = registry();
+        let mut bytes = sample_pcb(&reg).header_bytes();
+        let mut w = irec_wire::WireWriter::new();
+        w.put_varint(1024);
+        bytes.extend_from_slice(w.as_slice());
+        // The largest accepted count followed by nothing: nothing is reserved, and
+        // decoding the first entry fails.
+        assert_eq!(bounded_reservation(1024, 0), 0);
+        assert!(from_bytes::<Pcb>(&bytes).is_err());
+        // Trailing garbage buys a reservation only for the entries it could hold.
+        assert_eq!(bounded_reservation(1024, 3 * MIN_ENTRY_WIRE_LEN + 5), 3);
+        assert_eq!(bounded_reservation(2, 10 * MIN_ENTRY_WIRE_LEN), 2);
+        bytes.extend_from_slice(&[0xff; 3 * MIN_ENTRY_WIRE_LEN + 5]);
+        assert!(from_bytes::<Pcb>(&bytes).is_err());
+    }
+
+    #[test]
+    fn min_entry_wire_len_is_a_lower_bound() {
+        let entry = AsEntry {
+            hop: HopInfo::origin(AsId(0), IfId(0)),
+            static_info: StaticInfo {
+                link_latency: Latency::ZERO,
+                link_bandwidth: Bandwidth(0),
+                intra_latency: Latency::ZERO,
+                egress_location: None,
+            },
+            signature: irec_crypto::Signature::placeholder(AsId(0)),
+        };
+        assert_eq!(to_bytes(&entry).len(), MIN_ENTRY_WIRE_LEN);
+    }
+
+    #[test]
     fn truncated_pcb_decoding_fails_gracefully() {
         let reg = registry();
         let pcb = sample_pcb(&reg);
@@ -525,5 +717,253 @@ mod tests {
         assert_eq!(pcb.last_as(), AsId(1));
         assert_eq!(pcb.last_egress(), None);
         assert_eq!(pcb.origin_interface(), None);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Golden vectors generated at the commit before the single-buffer rewrite (registry
+    /// seed 7): the wire bytes, every hop's tag and the id of one fixed 3-hop beacon with
+    /// target, algorithm and interface-group extensions and geo-coordinates. Signed bytes
+    /// and `PcbId` are implementation-independent; this pins them.
+    #[test]
+    fn golden_vectors_are_frozen() {
+        let registry = KeyRegistry::with_ases(7, 64);
+        let start = SimTime::from_micros(1_500_000);
+        let mut pcb = Pcb::originate(
+            AsId(11),
+            300,
+            start,
+            start + SimDuration::from_hours(6),
+            PcbExtensions::none()
+                .with_target(AsId(44))
+                .with_algorithm(crate::AlgorithmRef::for_code(
+                    irec_types::AlgorithmId(9),
+                    b"golden module",
+                ))
+                .with_interface_group(InterfaceGroupId(2)),
+        );
+        type Hop = (u64, u32, u32, u64, u64, u64, Option<(f64, f64)>);
+        let hops: [Hop; 3] = [
+            (11, 0, 3, 12_000, 10_000, 0, Some((47.3769, 8.5417))),
+            (22, 5, 130, 7_500, 400, 350, None),
+            (
+                33,
+                70_000,
+                2,
+                20_000,
+                2_500,
+                1_200,
+                Some((-33.8688, 151.2093)),
+            ),
+        ];
+        for (asn, ingress, egress, lat_us, bw_mbps, intra_us, loc) in hops {
+            pcb.extend(
+                IfId(ingress),
+                IfId(egress),
+                StaticInfo {
+                    link_latency: Latency::from_micros(lat_us),
+                    link_bandwidth: Bandwidth::from_mbps(bw_mbps),
+                    intra_latency: Latency::from_micros(intra_us),
+                    egress_location: loc.map(|(lat, lon)| GeoCoord::new(lat, lon)),
+                },
+                &Signer::new(AsId(asn), registry.clone()),
+            )
+            .unwrap();
+        }
+
+        assert_eq!(
+            hex(&to_bytes(&pcb)),
+            "010bac02e0c65be0f6b2bc50012c01096a95d58aa2b144a2cac27ebd0d1c8235f8b56896f7f83f9c\
+             ff4bac5318201ecc0102030b0003e05d80ade204000100000000184814040000000015f780040bd8\
+             a7bc3ee5b4fc674133ab2a691523986cef1dd2a5024457820552958f516a5a16058201cc3a80b518\
+             de0200167f1c450797ee95d832a5d394651bbd749cc5708ba693437239407911da97b56f21f0a204\
+             02a09c01a0cb9801b009010000000013705e00000000001e786f54214af9faf0c7afaca19ba5c0cf\
+             cd5c0725103117aa885843dfc57916788424165c"
+        );
+        let tags: Vec<String> = pcb
+            .entries
+            .iter()
+            .map(|e| e.signature.tag.to_hex())
+            .collect();
+        assert_eq!(
+            tags,
+            [
+                "d8a7bc3ee5b4fc674133ab2a691523986cef1dd2a5024457820552958f516a5a",
+                "7f1c450797ee95d832a5d394651bbd749cc5708ba693437239407911da97b56f",
+                "4af9faf0c7afaca19ba5c0cfcd5c0725103117aa885843dfc57916788424165c",
+            ]
+        );
+        let id = "034328d1bc898bcec9899f7578b5c9fb32673aee0750ed98e9d277fa1c34657f";
+        assert_eq!(pcb.digest().0.to_hex(), id);
+        let verifier = Verifier::new(registry);
+        assert_eq!(pcb.verify_with_id(&verifier).unwrap().0.to_hex(), id);
+    }
+
+    /// One generated hop: static-info fields plus whether a location is shared.
+    type HopSpec = (u64, u64, u64, bool, f64, f64);
+
+    /// A signed beacon of `hops.len()` hops through ASes 1, 2, … built with the streaming
+    /// `extend`.
+    fn generated_pcb(
+        reg: &KeyRegistry,
+        sequence: u64,
+        group: Option<u32>,
+        hops: &[HopSpec],
+    ) -> Pcb {
+        let mut extensions = PcbExtensions::none();
+        if let Some(group) = group {
+            extensions = extensions.with_interface_group(InterfaceGroupId(group));
+        }
+        let mut pcb = Pcb::originate(
+            AsId(1),
+            sequence,
+            SimTime::from_micros(10),
+            SimTime::from_micros(10) + SimDuration::from_hours(6),
+            extensions,
+        );
+        for (i, &(lat_us, bw, intra_us, with_loc, lat, lon)) in hops.iter().enumerate() {
+            let info = StaticInfo {
+                link_latency: Latency::from_micros(lat_us),
+                link_bandwidth: Bandwidth(bw),
+                intra_latency: Latency::from_micros(intra_us),
+                egress_location: with_loc.then(|| GeoCoord::new(lat, lon)),
+            };
+            let ingress = if i == 0 { IfId::NONE } else { IfId(7) };
+            let signer = Signer::new(AsId(1 + i as u64), reg.clone());
+            pcb.extend(ingress, IfId(8 + i as u32), info, &signer)
+                .unwrap();
+        }
+        pcb
+    }
+
+    /// Flips one bit (or otherwise minimally changes one field) of the beacon; `field`
+    /// walks the header fields, then every field of entry `field / 9`.
+    fn tamper(pcb: &mut Pcb, field: usize, bit: u32) {
+        let entry_fields = 9;
+        let header_fields = 7;
+        if field < header_fields {
+            match field {
+                0 => pcb.origin_isd.0 ^= 1 << (bit % 16),
+                1 => pcb.origin.0 ^= 1 << (bit % 64),
+                2 => pcb.sequence ^= 1 << (bit % 64),
+                3 => {
+                    pcb.created_at =
+                        SimTime::from_micros(pcb.created_at.as_micros() ^ (1 << (bit % 40)))
+                }
+                4 => {
+                    pcb.expires_at =
+                        SimTime::from_micros(pcb.expires_at.as_micros() ^ (1 << (bit % 40)))
+                }
+                5 => {
+                    pcb.extensions.target = match pcb.extensions.target {
+                        None => Some(AsId(u64::from(bit))),
+                        Some(_) => None,
+                    }
+                }
+                _ => {
+                    pcb.extensions.interface_group = match pcb.extensions.interface_group {
+                        None => Some(InterfaceGroupId(bit)),
+                        Some(g) => Some(InterfaceGroupId(g.value() ^ (1 << (bit % 32)))),
+                    }
+                }
+            }
+            return;
+        }
+        let field = field - header_fields;
+        let entry = &mut pcb.entries[field / entry_fields];
+        match field % entry_fields {
+            0 => entry.hop.asn.0 ^= 1 << (bit % 64),
+            1 => entry.hop.ingress.0 ^= 1 << (bit % 32),
+            2 => entry.hop.egress.0 ^= 1 << (bit % 32),
+            3 => {
+                let flipped = entry.static_info.link_latency.as_micros() ^ (1 << (bit % 40));
+                entry.static_info.link_latency = Latency::from_micros(flipped);
+            }
+            4 => entry.static_info.link_bandwidth.0 ^= 1 << (bit % 60),
+            5 => {
+                let flipped = entry.static_info.intra_latency.as_micros() ^ (1 << (bit % 40));
+                entry.static_info.intra_latency = Latency::from_micros(flipped);
+            }
+            6 => {
+                // A whole degree: below the codec's micro-degree resolution a change would
+                // not reach the wire at all.
+                entry.static_info.egress_location = match entry.static_info.egress_location {
+                    None => Some(GeoCoord::new(1.0, 2.0)),
+                    Some(loc) => Some(GeoCoord::new(loc.lat + 1.0, loc.lon)),
+                }
+            }
+            7 => entry.signature.signer.0 ^= 1 << (bit % 64),
+            _ => entry.signature.tag.0[(bit as usize / 8) % 32] ^= 1 << (bit % 8),
+        }
+    }
+
+    fn hop_specs() -> impl Strategy<Value = Vec<HopSpec>> {
+        proptest::collection::vec(
+            (
+                0u64..10_000_000,
+                0u64..(1 << 50),
+                0u64..1_000_000,
+                any::<bool>(),
+                -60.0f64..60.0,
+                -179.0f64..179.0,
+            ),
+            1..13,
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn prop_streaming_sign_and_verify_match_the_oracle(hops in hop_specs(),
+                                                           sequence in any::<u64>(),
+                                                           group in proptest::option::of(any::<u32>())) {
+            let reg = registry();
+            let verifier = Verifier::new(reg.clone());
+            let pcb = generated_pcb(&reg, sequence, group, &hops);
+            // `extend` signed exactly the bytes the old construction builds...
+            for (i, entry) in pcb.entries.iter().enumerate() {
+                let signer = Signer::new(entry.hop.asn, reg.clone());
+                prop_assert_eq!(signer.sign(&pcb.oracle_payload(i)), entry.signature);
+            }
+            // ...both verifiers accept it, and the id hashed from verify's buffer is the
+            // hash of the canonical encoding.
+            prop_assert!(pcb.oracle_verify(&verifier).is_ok());
+            prop_assert!(pcb.verify(&verifier).is_ok());
+            let id = pcb.verify_with_id(&verifier).unwrap();
+            prop_assert_eq!(id, pcb.digest());
+            prop_assert_eq!(id, PcbId(irec_crypto::sha256(&to_bytes(&pcb))));
+            let decoded: Pcb = from_bytes(&to_bytes(&pcb)).unwrap();
+            prop_assert_eq!(decoded.digest(), id);
+        }
+
+        #[test]
+        fn prop_any_tampered_field_is_rejected_like_the_oracle(hops in hop_specs(),
+                                                               field in 0usize..1000,
+                                                               bit in 0u32..256) {
+            let reg = registry();
+            let verifier = Verifier::new(reg.clone());
+            let mut pcb = generated_pcb(&reg, 5, Some(3), &hops);
+            let fields = 7 + 9 * pcb.entries.len();
+            tamper(&mut pcb, field % fields, bit);
+            let streaming = pcb.verify(&verifier);
+            let oracle = pcb.oracle_verify(&verifier);
+            prop_assert!(streaming.is_err(), "tampered field {} accepted", field % fields);
+            prop_assert_eq!(streaming.unwrap_err().category(), oracle.unwrap_err().category());
+            prop_assert!(pcb.verify_with_id(&verifier).is_err());
+        }
+
+        #[test]
+        fn prop_swapped_entries_are_rejected(hops in hop_specs(), a in 0usize..12, b in 0usize..12) {
+            let reg = registry();
+            let verifier = Verifier::new(reg.clone());
+            let mut pcb = generated_pcb(&reg, 5, None, &hops);
+            let (a, b) = (a % pcb.entries.len(), b % pcb.entries.len());
+            if a != b {
+                pcb.entries.swap(a, b);
+                prop_assert!(pcb.verify(&verifier).is_err());
+                prop_assert!(pcb.oracle_verify(&verifier).is_err());
+            }
+        }
     }
 }

@@ -181,9 +181,22 @@ pub struct AsEntry {
 }
 
 impl AsEntry {
+    /// Appends the entry's signature (signer and tag) — the part of the entry its own
+    /// signature does not cover.
+    pub(crate) fn encode_signature(&self, writer: &mut WireWriter) {
+        writer.put_varint(self.signature.signer.value());
+        writer.put_raw(self.signature.tag.as_bytes());
+    }
+
     /// The byte string a signature of this entry covers, given the canonical encoding of the
-    /// preceding beacon content (`prefix`).
-    pub fn signed_payload(prefix: &[u8], hop: &HopInfo, static_info: &StaticInfo) -> Vec<u8> {
+    /// preceding beacon content (`prefix`), built the pre-streaming way. Test oracle for
+    /// the single-buffer construction in `Pcb::verify` / `Pcb::extend`.
+    #[cfg(test)]
+    pub(crate) fn signed_payload(
+        prefix: &[u8],
+        hop: &HopInfo,
+        static_info: &StaticInfo,
+    ) -> Vec<u8> {
         let mut w = WireWriter::with_capacity(prefix.len() + 64);
         w.put_bytes(prefix);
         hop.encode(&mut w);
@@ -196,8 +209,7 @@ impl Encode for AsEntry {
     fn encode(&self, writer: &mut WireWriter) {
         self.hop.encode(writer);
         self.static_info.encode(writer);
-        writer.put_varint(self.signature.signer.value());
-        writer.put_raw(self.signature.tag.as_bytes());
+        self.encode_signature(writer);
     }
 }
 

@@ -51,8 +51,8 @@
 //! paths never populate or read the cache.
 
 use crate::event::{Event, EventQueue};
-use irec_core::{engine::run_claimed, IrecNode, PcbMessage, PullReturn};
-use irec_types::{AsId, IfId, LinkId, Result, SimTime};
+use irec_core::{engine::run_claimed, IrecNode, PcbMessage, PullReturn, Verdict};
+use irec_types::{AsId, IfId, LinkId, SimTime};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -117,7 +117,7 @@ pub struct DeliveryPlane {
     /// applied to the wrong event). Entries are consumed when their event is drained.
     /// Always empty under the barrier scheduler. Cloned with the plane: a snapshot's
     /// in-flight events replay with the same precomputed verdicts.
-    verdict_cache: HashMap<u64, Result<()>>,
+    verdict_cache: HashMap<u64, Verdict>,
     /// Links currently down (churn injection), with the two `(AS, interface)` endpoints
     /// each was resolved to when it was taken down. A PCB whose `(from_as, from_if)`
     /// endpoint belongs to a downed link is dropped at delivery time — evaluated against
@@ -264,13 +264,13 @@ impl DeliveryPlane {
 
     /// Removes and returns the speculatively-computed verdict for the event with queue
     /// sequence number `seq`, if one was cached.
-    pub fn take_cached_verdict(&mut self, seq: u64) -> Option<Result<()>> {
+    pub fn take_cached_verdict(&mut self, seq: u64) -> Option<Verdict> {
         self.verdict_cache.remove(&seq)
     }
 
     /// Caches speculatively-computed verdicts keyed by event sequence number, to be
     /// consumed by the epoch that drains those events.
-    pub fn cache_verdicts(&mut self, verdicts: impl IntoIterator<Item = (u64, Result<()>)>) {
+    pub fn cache_verdicts(&mut self, verdicts: impl IntoIterator<Item = (u64, Verdict)>) {
         self.verdict_cache.extend(verdicts);
     }
 
@@ -384,11 +384,11 @@ impl DeliveryPlane {
         &mut self,
         nodes: &mut BTreeMap<AsId, IrecNode>,
         epoch: Vec<(SimTime, Event)>,
-        mut verdicts: Vec<Option<Result<()>>>,
+        mut verdicts: Vec<Option<Verdict>>,
         busy_nanos: &AtomicU64,
     ) {
         /// One pending PCB commit: delivery time, message, precomputed verdict.
-        type Commit = (SimTime, PcbMessage, Result<()>);
+        type Commit = (SimTime, PcbMessage, Verdict);
         /// One pending pull-return registration.
         type ReturnCommit = (SimTime, PullReturn);
         struct ShardInbox<T> {
@@ -423,7 +423,7 @@ impl DeliveryPlane {
                             .and_then(Option::take)
                             .unwrap_or_else(|| node.verify_message(&message, at));
                         match verdict {
-                            Ok(()) => self.stats.delivered += 1,
+                            Ok(_) => self.stats.delivered += 1,
                             Err(_) => self.stats.rejected += 1,
                         }
                         let shard = node.ingress_shard_of(message.pcb.origin);
@@ -500,7 +500,7 @@ fn verify_epoch(
     down_endpoints: &BTreeSet<(AsId, IfId)>,
     parallelism: usize,
     busy_nanos: &AtomicU64,
-) -> Vec<Option<Result<()>>> {
+) -> Vec<Option<Verdict>> {
     // Inboxes in AsId order; each holds the epoch indices addressed to that node.
     // Messages over downed links are skipped: the apply pass drops them unverified.
     let mut by_destination: BTreeMap<AsId, Vec<usize>> = BTreeMap::new();
@@ -523,7 +523,7 @@ fn verify_epoch(
         .map(|(asn, indices)| (nodes.get(&asn).expect("destination checked above"), indices))
         .collect();
 
-    let slots: Vec<Mutex<Option<Result<()>>>> = epoch.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<Verdict>>> = epoch.iter().map(|_| Mutex::new(None)).collect();
     run_claimed(inboxes.len(), parallelism, Some(busy_nanos), |claimed| {
         let (node, indices) = &inboxes[claimed];
         for &index in indices {

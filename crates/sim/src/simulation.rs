@@ -5,7 +5,7 @@ use crate::dag::{DagExecutor, RoundDagBuilder, RoundItem, RoundPlan, SchedulerSt
 use crate::delivery::{DeliveryPlane, DeliveryStats, MAX_EPOCH_EVENTS};
 use crate::event::Event;
 use irec_algorithms::incremental::{IncrementalStats, SelectionDelta};
-use irec_core::{IrecNode, NodeConfig, RacConfig, RoundOutput, SharedAlgorithmStore};
+use irec_core::{IrecNode, NodeConfig, RacConfig, RoundOutput, SharedAlgorithmStore, Verdict};
 use irec_crypto::KeyRegistry;
 use irec_metrics::overhead::OverheadCounter;
 use irec_metrics::RegisteredPath;
@@ -766,7 +766,7 @@ impl Simulation {
         let core_ok: Vec<AtomicBool> = cells.iter().map(|_| AtomicBool::new(false)).collect();
         let staged: Vec<Mutex<Vec<(SimTime, u64, Event)>>> =
             cells.iter().map(|_| Mutex::new(Vec::new())).collect();
-        let spec_verdicts: Mutex<Vec<(u64, Result<()>)>> = Mutex::new(Vec::new());
+        let spec_verdicts: Mutex<Vec<(u64, Verdict)>> = Mutex::new(Vec::new());
         let topology = &self.topology;
         let processing_delay = self.config.processing_delay;
         let acct = Mutex::new(RoundAccounting {
@@ -854,7 +854,7 @@ impl Simulation {
             RoundItem::SpeculativeVerify { asn } => {
                 let position = index_of[&asn];
                 let events = staged[position].lock();
-                let mut local: Vec<(u64, Result<()>)> = Vec::new();
+                let mut local: Vec<(u64, Verdict)> = Vec::new();
                 for (at, seq, event) in events.iter() {
                     if let Event::DeliverPcb(message) = event {
                         // Verification is pure (verdict = f(message, delivery time,
@@ -1357,7 +1357,7 @@ struct DeliveryPrep {
     /// Verdict slots, one per event, prefilled from the speculative-verdict cache. Apply
     /// items clone (never take) so the epoch's accounting item can read every slot
     /// regardless of execution order.
-    verdicts: Vec<Mutex<Option<Result<()>>>>,
+    verdicts: Vec<Mutex<Option<Verdict>>>,
     /// Positions needing verification, grouped per destination AS.
     verify_inboxes: BTreeMap<AsId, Vec<usize>>,
     /// PCB commits, grouped per `(destination AS, ingress shard)`.
@@ -1411,7 +1411,7 @@ fn account_epoch(prep: &DeliveryPrep) -> DeliveryStats {
             .as_ref()
             .expect("every verify item precedes the accounting item")
         {
-            Ok(()) => delta.delivered += 1,
+            Ok(_) => delta.delivered += 1,
             Err(_) => delta.rejected += 1,
         }
     }

@@ -1,11 +1,15 @@
 //! The bounds-checked wire reader/writer and the `Encode`/`Decode` traits.
 
-use crate::varint::{decode_varint, encode_varint};
+use crate::varint::{decode_varint, write_varint, MAX_VARINT_LEN};
 use crate::MAX_FIELD_LEN;
 use bytes::{BufMut, BytesMut};
 use irec_types::{IrecError, Result};
 
 /// Append-only writer building a wire message.
+///
+/// Writing never allocates beyond growing the one backing buffer: integers are encoded on
+/// the stack, and [`WireWriter::into_bytes`] hands the buffer over instead of copying it.
+/// Callers that know the message size reserve it once with [`WireWriter::with_capacity`].
 #[derive(Debug, Default)]
 pub struct WireWriter {
     buf: BytesMut,
@@ -38,9 +42,9 @@ impl WireWriter {
 
     /// Writes a varint-encoded u64.
     pub fn put_varint(&mut self, value: u64) {
-        let mut tmp = Vec::with_capacity(10);
-        encode_varint(value, &mut tmp);
-        self.buf.put_slice(&tmp);
+        let mut tmp = [0u8; MAX_VARINT_LEN];
+        let len = write_varint(value, &mut tmp);
+        self.buf.put_slice(&tmp[..len]);
     }
 
     /// Writes a varint-encoded u32.
@@ -82,7 +86,7 @@ impl WireWriter {
 
     /// Consumes the writer and returns the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf.to_vec()
+        self.buf.into()
     }
 
     /// Returns the bytes written so far without consuming the writer.
@@ -406,7 +410,67 @@ mod tests {
         assert_eq!(w.as_slice(), &[1]);
     }
 
+    /// The push-per-byte LEB128 loop `encode_varint` used before the stack-buffer writer,
+    /// kept as the oracle the writer is compared against.
+    fn reference_varint(mut value: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        loop {
+            let byte = (value & 0x7f) as u8;
+            value >>= 7;
+            if value == 0 {
+                out.push(byte);
+                return out;
+            }
+            out.push(byte | 0x80);
+        }
+    }
+
+    fn put_varint_bytes(value: u64) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_varint(value);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn put_varint_matches_reference_at_every_length_boundary() {
+        for len in 1..=10u32 {
+            // Smallest and largest value of each encoded length.
+            let lo = if len == 1 { 0 } else { 1u64 << (7 * (len - 1)) };
+            let hi = if len == 10 {
+                u64::MAX
+            } else {
+                (1u64 << (7 * len)) - 1
+            };
+            for value in [lo, hi] {
+                let bytes = put_varint_bytes(value);
+                assert_eq!(bytes.len(), len as usize, "value {value}");
+                assert_eq!(bytes, reference_varint(value));
+            }
+        }
+    }
+
+    #[test]
+    fn into_bytes_hands_over_everything_written() {
+        let mut w = WireWriter::with_capacity(4);
+        for i in 0..100u64 {
+            w.put_varint(i * 1_000_003);
+        }
+        let expected = w.as_slice().to_vec();
+        assert_eq!(w.into_bytes(), expected);
+    }
+
     proptest! {
+        #[test]
+        fn prop_put_varint_matches_encode_varint(value in any::<u64>(), shift in 0u32..64) {
+            // `value >> shift` spreads the cases over all ten encoded lengths.
+            let value = value >> shift;
+            let mut expected = Vec::new();
+            crate::encode_varint(value, &mut expected);
+            prop_assert_eq!(&put_varint_bytes(value), &expected);
+            prop_assert_eq!(&expected, &reference_varint(value));
+            prop_assert_eq!(expected.len(), crate::varint_len(value));
+        }
+
         #[test]
         fn prop_bytes_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..1024)) {
             let mut w = WireWriter::new();

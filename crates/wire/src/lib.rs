@@ -21,7 +21,7 @@ pub mod codec;
 pub mod varint;
 
 pub use codec::{Decode, Encode, WireReader, WireWriter};
-pub use varint::{decode_varint, encode_varint, varint_len};
+pub use varint::{decode_varint, encode_varint, varint_len, write_varint, MAX_VARINT_LEN};
 
 use irec_types::IrecError;
 

@@ -6,15 +6,25 @@ use irec_types::{IrecError, Result};
 pub const MAX_VARINT_LEN: usize = 10;
 
 /// Appends the LEB128 encoding of `value` to `out`.
-pub fn encode_varint(mut value: u64, out: &mut Vec<u8>) {
+pub fn encode_varint(value: u64, out: &mut Vec<u8>) {
+    let mut buf = [0u8; MAX_VARINT_LEN];
+    let len = write_varint(value, &mut buf);
+    out.extend_from_slice(&buf[..len]);
+}
+
+/// Writes the LEB128 encoding of `value` to the front of `buf` and returns its length —
+/// the allocation-free form every encoder builds on.
+pub fn write_varint(mut value: u64, buf: &mut [u8; MAX_VARINT_LEN]) -> usize {
+    let mut len = 0;
     loop {
         let byte = (value & 0x7f) as u8;
         value >>= 7;
         if value == 0 {
-            out.push(byte);
-            return;
+            buf[len] = byte;
+            return len + 1;
         }
-        out.push(byte | 0x80);
+        buf[len] = byte | 0x80;
+        len += 1;
     }
 }
 

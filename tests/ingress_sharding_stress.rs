@@ -133,13 +133,15 @@ fn sharded_gateway_commits_match_serial_reference() {
     let registry = KeyRegistry::with_ases(3, 16);
     let beacons = workload();
 
-    // Serial single-shard reference. Verdicts are precomputed `Ok` — the stress targets
-    // the commit path, not signature verification.
+    // Serial single-shard reference. Verdicts are precomputed `Ok` (carrying the beacon's
+    // id, as a real verdict does) — the stress targets the commit path, not signature
+    // verification.
     let reference = IngressGateway::new(AsId(99), Verifier::new(registry.clone()));
     for pcb in &beacons {
-        let _ = reference.commit(pcb.clone(), IfId(1), SimTime::ZERO, Ok(()));
+        let verdict = Ok(pcb.digest());
+        let _ = reference.commit(pcb.clone(), IfId(1), SimTime::ZERO, verdict.clone());
         // Every beacon is also committed a second time, as in the racing test.
-        let _ = reference.commit(pcb.clone(), IfId(1), SimTime::ZERO, Ok(()));
+        let _ = reference.commit(pcb.clone(), IfId(1), SimTime::ZERO, verdict);
     }
 
     for shards in [2usize, 7, 16] {
@@ -162,7 +164,7 @@ fn sharded_gateway_commits_match_serial_reference() {
                                 (*pcb).clone(),
                                 IfId(1),
                                 SimTime::ZERO,
-                                Ok(()),
+                                Ok(pcb.digest()),
                             );
                         }
                     }
