@@ -26,8 +26,10 @@
 //!   reference baseline for the `KShortestPaths` truncation heuristic,
 //! * [`aco::AntColony`] — **ACO**: a seeded, deterministic ant-colony multi-criteria
 //!   selector,
-//! * [`incremental::IncrementalSelection`] — the churn-incremental old/new-table wrapper
-//!   re-scoring only batches whose hop chains cross a topology delta.
+//!
+//! [`RoutingAlgorithm::union_composable`] declares which of them may be re-run over
+//! *previous winners ∪ new arrivals* instead of the whole batch; [`incremental`] holds the
+//! vocabulary the delta-driven RAC engine shares with the layers around it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -203,6 +205,23 @@ pub trait RoutingAlgorithm: Send + Sync {
     fn select(&self, batch: &CandidateBatch, ctx: &AlgorithmContext<'_>)
         -> Result<SelectionResult>;
 
+    /// Whether the selection is *union-composable*: for candidate sets `A` and `B`,
+    /// `select(A ∪ B) = select(select(A) ∪ B)` as sets of candidates per egress interface,
+    /// provided the candidates keep their relative order (index tie-breaks then resolve
+    /// the same way). True for selectors that rank every candidate on its own — a
+    /// candidate that lost against `A` can never win against `A ∪ B` — and false (the
+    /// default) for set-valued or stochastic objectives, whose choice of one candidate
+    /// depends on which others are present.
+    ///
+    /// The RAC engine relies on it twice: a batch that only *grew* since the last round is
+    /// re-selected over the previous winners plus the arrivals, and an oversized batch is
+    /// split into sub-ranges whose winners are reduced by one more `select` pass. An
+    /// algorithm that is neither composable nor [merge-aware](Self::merges_partial)
+    /// always sees its whole batch in one pass.
+    fn union_composable(&self) -> bool {
+        false
+    }
+
     /// Whether this algorithm implements [`RoutingAlgorithm::merge_partial`]. The engine
     /// probes this before marshalling a full oversized batch for the merge-aware reduce, so
     /// it must return `true` exactly when `merge_partial` returns `Some`.
@@ -214,12 +233,12 @@ pub trait RoutingAlgorithm: Send + Sync {
     /// *full* batch and the per-sub-range selections (`partials`, indices into the full
     /// batch, ascending within each partial), produce the final selection.
     ///
-    /// The default (`None`) keeps the engine's generic reduce — one more `select` pass over
-    /// the union of the partials' winners — which is exact for selectors that rank
-    /// candidates independently but a hierarchical approximation for set-valued ones.
-    /// Set-valued selectors override this to compute their objective over the merged view
-    /// instead of concatenated truncations (HD recomputes disjointness over the full batch,
-    /// making the split lossless).
+    /// The default (`None`) leaves the reduce to the engine: one more `select` pass over the
+    /// union of the partials' winners, which is exact for
+    /// [union-composable](Self::union_composable) selectors — the only other ones the
+    /// engine splits. Set-valued selectors override this to compute their objective over
+    /// the merged view instead of concatenated truncations (HD recomputes disjointness
+    /// over the full batch, making the split lossless).
     fn merge_partial(
         &self,
         _batch: &CandidateBatch,

@@ -88,6 +88,12 @@ impl<F: ScoreFn> RoutingAlgorithm for ScoredAlgorithm<F> {
         }
         Ok(result)
     }
+
+    /// Every candidate is scored on its own and ties break by candidate index, so the
+    /// `k` best of `A ∪ B` are among the `k` best of `A` and the members of `B`.
+    fn union_composable(&self) -> bool {
+        true
+    }
 }
 
 /// **1SP** — propagate the single shortest (by AS-hop count) path per origin on every egress
@@ -123,6 +129,9 @@ impl RoutingAlgorithm for ShortestPath {
         ctx: &AlgorithmContext<'_>,
     ) -> Result<SelectionResult> {
         self.inner.select(batch, ctx)
+    }
+    fn union_composable(&self) -> bool {
+        self.inner.union_composable()
     }
 }
 
@@ -168,6 +177,9 @@ impl RoutingAlgorithm for KShortestPaths {
     ) -> Result<SelectionResult> {
         self.inner.select(batch, ctx)
     }
+    fn union_composable(&self) -> bool {
+        self.inner.union_composable()
+    }
 }
 
 /// **DO — delay optimization**: select the lowest-latency paths. With
@@ -205,6 +217,9 @@ impl RoutingAlgorithm for DelayOptimization {
     ) -> Result<SelectionResult> {
         self.inner.select(batch, ctx)
     }
+    fn union_composable(&self) -> bool {
+        self.inner.union_composable()
+    }
 }
 
 /// **Widest path** — select the highest-bottleneck-bandwidth paths (the file-transfer
@@ -234,6 +249,9 @@ impl RoutingAlgorithm for WidestPath {
         ctx: &AlgorithmContext<'_>,
     ) -> Result<SelectionResult> {
         self.inner.select(batch, ctx)
+    }
+    fn union_composable(&self) -> bool {
+        self.inner.union_composable()
     }
 }
 
@@ -271,6 +289,9 @@ impl RoutingAlgorithm for ShortestWidest {
         ctx: &AlgorithmContext<'_>,
     ) -> Result<SelectionResult> {
         self.inner.select(batch, ctx)
+    }
+    fn union_composable(&self) -> bool {
+        self.inner.union_composable()
     }
 }
 
@@ -395,6 +416,46 @@ mod tests {
         let dob = AlgorithmContext::new(&node, vec![IfId(3)], 20).with_extended_paths(true);
         let r_dob = DelayOptimization::new(1).select(&b, &dob).unwrap();
         assert_eq!(r_dob.per_egress[&IfId(3)], vec![1]);
+    }
+
+    #[test]
+    fn scored_selectors_are_union_composable() {
+        // select(A ∪ B) = select(select(A) ∪ B), candidates kept in their relative order —
+        // ties included: candidates 1 and 3 tie on every metric and the earlier one wins.
+        let node = local_as();
+        let context = AlgorithmContext::new(&node, vec![IfId(2), IfId(3)], 2);
+        let mut all = batch().candidates;
+        all.insert(3, all[1].clone());
+        all.push(candidate(1, &[(5, 1000), (5, 1000)], 1));
+        let algorithms: [&dyn RoutingAlgorithm; 5] = [
+            &ShortestPath::new(),
+            &KShortestPaths::new(2),
+            &DelayOptimization::new(2),
+            &WidestPath::new(2),
+            &ShortestWidest::new(2),
+        ];
+        for algorithm in algorithms {
+            assert!(algorithm.union_composable());
+            let of = |candidates: Vec<Candidate>| {
+                CandidateBatch::new(AsId(1), InterfaceGroupId::DEFAULT, candidates)
+            };
+            let whole = algorithm.select(&of(all.clone()), &context).unwrap();
+            for split in 1..all.len() {
+                let kept = algorithm
+                    .select(&of(all[..split].to_vec()), &context)
+                    .unwrap()
+                    .distinct_candidates();
+                // Winners of A, then B, as indices into `all`.
+                let fed: Vec<usize> = kept.into_iter().chain(split..all.len()).collect();
+                let reduced = algorithm
+                    .select(&of(fed.iter().map(|&i| all[i].clone()).collect()), &context)
+                    .unwrap();
+                for (egress, selected) in &reduced.per_egress {
+                    let selected: Vec<usize> = selected.iter().map(|&i| fed[i]).collect();
+                    assert_eq!(selected, whole.per_egress[egress], "{}", algorithm.name());
+                }
+            }
+        }
     }
 
     #[test]

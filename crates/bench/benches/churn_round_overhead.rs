@@ -6,19 +6,16 @@
 //! step mean more withdrawal sweeps and more settle rounds before the registered-path set
 //! steadies. The rate-0 row is the overhead floor: a churn engine that draws nothing still
 //! pays one settle round per step, so its gap to a plain `run_rounds` loop is the price of
-//! the convergence/no-blackhole bookkeeping itself. Each rate also gets an
-//! `incremental/<rate>` row: the same campaign with `--incremental-selection on`, whose
-//! gap to the from-scratch row is what reusing unchanged batch selections buys a live
-//! round. Outside the timed loop this bench asserts the churn determinism guarantee: the
-//! fingerprint at every rate is byte-identical between the barrier and DAG schedulers,
-//! across worker/shard counts, and between incremental-selection on and off — and at
-//! nonzero rates the incremental run must recompute strictly fewer selections than a
-//! from-scratch run performs.
+//! the convergence/no-blackhole bookkeeping itself. Outside the timed loop this bench
+//! asserts the churn determinism guarantee: the fingerprint at every rate is
+//! byte-identical between the barrier and DAG schedulers and across worker/shard counts —
+//! and that the rounds kept part of their selections even while the timeline's deltas
+//! kept dropping them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use irec_bench::regression::calibration_pass;
-use irec_bench::workload::{churn_pass, churn_pass_incremental};
-use irec_sim::{ChurnConfig, IncrementalSelectionMode, RoundScheduler};
+use irec_bench::workload::{churn_pass, churn_pass_with_stats};
+use irec_sim::{ChurnConfig, RoundScheduler};
 use std::time::Duration;
 
 const ASES: usize = 14;
@@ -43,7 +40,7 @@ fn bench_churn_round_overhead(c: &mut Criterion) {
         // Outside the timed loop: the determinism probes. One sequential barrier pass
         // pins the fingerprint; the DAG scheduler and the parallelism/shard planes must
         // reproduce it byte for byte at this rate.
-        let reference = churn_pass(
+        let (reference, stats) = churn_pass_with_stats(
             ASES,
             STEPS,
             config_at(rate),
@@ -52,6 +49,11 @@ fn bench_churn_round_overhead(c: &mut Criterion) {
             1,
             1,
             SEED,
+        );
+        // `reused + extended + recomputed` is what from-scratch rounds would compute.
+        assert!(
+            stats.reused + stats.extended > 0,
+            "churn rounds at rate {rate} recomputed every selection ({stats:?})"
         );
         for (scheduler, width, ingress, path) in [
             (RoundScheduler::Dag, 1, 1, 1),
@@ -75,42 +77,6 @@ fn bench_churn_round_overhead(c: &mut Criterion) {
             );
         }
 
-        // The incremental probes, also outside the timed loop: `on` must reproduce the
-        // from-scratch fingerprint byte for byte on every plane, and at nonzero rates it
-        // must *reuse* part of the work — recomputing strictly fewer selections than the
-        // from-scratch total (reused + recomputed is exactly what a from-scratch run
-        // computes, so `reused > 0` ⟺ strictly fewer recomputes).
-        for (scheduler, width, ingress, path) in [
-            (RoundScheduler::Barrier, 1, 1, 1),
-            (RoundScheduler::Dag, 4, 4, 7),
-        ] {
-            let (fingerprint, stats) = churn_pass_incremental(
-                ASES,
-                STEPS,
-                config_at(rate),
-                scheduler,
-                width,
-                ingress,
-                path,
-                IncrementalSelectionMode::On,
-                SEED,
-            );
-            assert_eq!(
-                fingerprint, reference,
-                "incremental fingerprint diverged at rate {rate} under {scheduler} \
-                 x{width} ingress={ingress} path={path}"
-            );
-            if rate > 0.0 {
-                let from_scratch = stats.reused + stats.recomputed;
-                assert!(
-                    stats.recomputed < from_scratch,
-                    "incremental selection at rate {rate} recomputed every selection \
-                     ({} of {from_scratch}) — the tables never reused anything",
-                    stats.recomputed
-                );
-            }
-        }
-
         group.throughput(Throughput::Elements(STEPS as u64));
         group.bench_with_input(BenchmarkId::from_parameter(rate), &rate, |b, &rate| {
             b.iter(|| {
@@ -122,23 +88,6 @@ fn bench_churn_round_overhead(c: &mut Criterion) {
                     1,
                     1,
                     1,
-                    SEED,
-                )
-            });
-        });
-        // The incremental row: same campaign with the selection tables on. The gap to
-        // the row above is what skipping unchanged batch selections buys a live round.
-        group.bench_with_input(BenchmarkId::new("incremental", rate), &rate, |b, &rate| {
-            b.iter(|| {
-                churn_pass_incremental(
-                    ASES,
-                    STEPS,
-                    config_at(rate),
-                    RoundScheduler::Barrier,
-                    1,
-                    1,
-                    1,
-                    IncrementalSelectionMode::On,
                     SEED,
                 )
             });

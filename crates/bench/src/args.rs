@@ -1,8 +1,11 @@
 //! A tiny `--key value` argument parser shared by the figure binaries (no external
-//! dependencies).
+//! dependencies). It is strict: a key it does not know or a value it cannot parse is an
+//! error naming the key, never a silent fallback to the default — a script that still
+//! passes a removed knob, or misspells a value, must not run (and pass its diff)
+//! vacuously.
 
-use irec_sim::{ChurnKinds, IncrementalSelectionMode, RoundScheduler, SimulationConfig};
-use std::collections::HashMap;
+use irec_sim::{ChurnKinds, RoundScheduler, SimulationConfig};
+use irec_types::{IrecError, Result};
 
 /// Parsed benchmark arguments with defaults suitable for a laptop-scale run.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,11 +55,6 @@ pub struct BenchArgs {
     /// one pool of `max(parallelism, delivery-parallelism)` workers; the simulation output
     /// is byte-identical either way.
     pub round_scheduler: RoundScheduler,
-    /// Incremental re-selection mode of every node the binaries build
-    /// (`--incremental-selection {off,on}`, default off). Under `on` static RACs reuse
-    /// the previous round's selections for batches whose content is unchanged; the
-    /// simulation output is byte-identical either way.
-    pub incremental_selection: IncrementalSelectionMode,
     /// Expected churn deltas per step of the churn engine (`--churn-rate`, default 0 =
     /// churn disabled). A *workload* knob: it changes what is simulated — deterministically
     /// for a fixed `--churn-seed` — unlike the parallelism/shard knobs, which never change
@@ -101,7 +99,6 @@ impl Default for BenchArgs {
             path_shards: 0,
             pd_deep_clone: false,
             round_scheduler: RoundScheduler::Barrier,
-            incremental_selection: IncrementalSelectionMode::Off,
             churn_rate: 0.0,
             churn_seed: 11,
             churn_kinds: ChurnKinds::default(),
@@ -113,93 +110,88 @@ impl Default for BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses `--key value` pairs from an iterator of arguments (unknown keys are ignored so
-    /// binaries stay forward compatible).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
-        let mut map: HashMap<String, String> = HashMap::new();
+    /// Parses `--key value` pairs from an iterator of arguments. Every argument must be
+    /// a known `--key` followed by its value (only `--pd-deep-clone` may stand alone);
+    /// anything else — an unknown key, a missing or unparsable value, a stray word — is
+    /// an error naming the offender. Out-of-range numbers are still clamped, as
+    /// [`BenchArgs::help_text`] documents per knob.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self> {
+        let mut parsed = BenchArgs::default();
         let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
-            if let Some(key) = arg.strip_prefix("--") {
-                if let Some(value) = iter.peek() {
-                    if !value.starts_with("--") {
-                        map.insert(key.to_string(), value.clone());
-                        iter.next();
-                        continue;
-                    }
-                }
-                map.insert(key.to_string(), String::from("true"));
-            }
+            let key = arg.strip_prefix("--").ok_or_else(|| {
+                IrecError::config(format!(
+                    "unexpected argument {arg:?} (expected --key value)"
+                ))
+            })?;
+            let value = iter.next_if(|next| !next.starts_with("--"));
+            parsed.set(key, value.as_deref())?;
         }
-        let mut parsed = BenchArgs::default();
-        let get = |map: &HashMap<String, String>, key: &str| -> Option<usize> {
-            map.get(key).and_then(|v| v.parse().ok())
-        };
-        if let Some(v) = get(&map, "ases") {
-            parsed.ases = v.max(5);
-        }
-        if let Some(v) = get(&map, "rounds") {
-            parsed.rounds = v.max(1);
-        }
-        if let Some(v) = map.get("seed").and_then(|v| v.parse().ok()) {
-            parsed.seed = v;
-        }
-        if let Some(v) = get(&map, "pd-pairs") {
-            parsed.pd_pairs = v;
-        }
-        if let Some(v) = get(&map, "reps") {
-            parsed.reps = v.max(1);
-        }
-        if let Some(v) = get(&map, "max-racs") {
-            parsed.max_racs = v.clamp(1, 64);
-        }
-        if let Some(v) = get(&map, "parallelism") {
-            parsed.parallelism = v.clamp(1, 64);
-        }
-        if let Some(v) = get(&map, "delivery-parallelism") {
-            parsed.delivery_parallelism = v.clamp(1, 64);
-        }
-        if let Some(v) = get(&map, "ingress-shards") {
-            parsed.ingress_shards = v.min(256);
-        }
-        if let Some(v) = get(&map, "pd-parallelism") {
-            parsed.pd_parallelism = v.clamp(1, 64);
-        }
-        if let Some(v) = get(&map, "path-shards") {
-            parsed.path_shards = v.min(256);
-        }
-        if let Some(v) = map.get("pd-deep-clone") {
-            parsed.pd_deep_clone = matches!(v.as_str(), "true" | "1" | "yes");
-        }
-        if let Some(v) = map.get("round-scheduler").and_then(|v| v.parse().ok()) {
-            parsed.round_scheduler = v;
-        }
-        if let Some(v) = map
-            .get("incremental-selection")
-            .and_then(|v| v.parse().ok())
+        Ok(parsed)
+    }
+
+    /// Applies one `--key [value]` pair.
+    fn set(&mut self, key: &str, value: Option<&str>) -> Result<()> {
+        /// The value of `--key`, parsed; missing and unparsable values are errors.
+        fn parsed<T: std::str::FromStr>(key: &str, value: Option<&str>) -> Result<T>
+        where
+            T::Err: std::fmt::Display,
         {
-            parsed.incremental_selection = v;
+            let raw = value.ok_or_else(|| IrecError::config(format!("--{key} needs a value")))?;
+            raw.parse()
+                .map_err(|err| IrecError::config(format!("--{key}: cannot parse {raw:?}: {err}")))
         }
-        if let Some(v) = map.get("churn-rate").and_then(|v| v.parse::<f64>().ok()) {
-            parsed.churn_rate = if v.is_finite() { v.max(0.0) } else { 0.0 };
-        }
-        if let Some(v) = map.get("churn-seed").and_then(|v| v.parse().ok()) {
-            parsed.churn_seed = v;
-        }
-        if let Some(v) = map.get("churn-kinds").and_then(|v| v.parse().ok()) {
-            parsed.churn_kinds = v;
-        }
-        if let Some(v) = map.get("algorithm") {
-            if v != "true" && !v.is_empty() {
-                parsed.algorithm = Some(v.clone());
+        match key {
+            "ases" => self.ases = parsed::<usize>(key, value)?.max(5),
+            "rounds" => self.rounds = parsed::<usize>(key, value)?.max(1),
+            "seed" => self.seed = parsed(key, value)?,
+            "pd-pairs" => self.pd_pairs = parsed(key, value)?,
+            "reps" => self.reps = parsed::<usize>(key, value)?.max(1),
+            "max-racs" => self.max_racs = parsed::<usize>(key, value)?.clamp(1, 64),
+            "parallelism" => self.parallelism = parsed::<usize>(key, value)?.clamp(1, 64),
+            "delivery-parallelism" => {
+                self.delivery_parallelism = parsed::<usize>(key, value)?.clamp(1, 64);
+            }
+            "ingress-shards" => self.ingress_shards = parsed::<usize>(key, value)?.min(256),
+            "pd-parallelism" => self.pd_parallelism = parsed::<usize>(key, value)?.clamp(1, 64),
+            "path-shards" => self.path_shards = parsed::<usize>(key, value)?.min(256),
+            "pd-deep-clone" => {
+                self.pd_deep_clone = match value {
+                    None | Some("true" | "1" | "yes") => true,
+                    Some("false" | "0" | "no") => false,
+                    Some(other) => {
+                        return Err(IrecError::config(format!(
+                            "--{key}: cannot parse {other:?} (expected true or false)"
+                        )))
+                    }
+                };
+            }
+            "round-scheduler" => self.round_scheduler = parsed(key, value)?,
+            "churn-rate" => {
+                let rate: f64 = parsed(key, value)?;
+                if !rate.is_finite() {
+                    return Err(IrecError::config(format!("--{key}: {rate} is not a rate")));
+                }
+                self.churn_rate = rate.max(0.0);
+            }
+            "churn-seed" => self.churn_seed = parsed(key, value)?,
+            "churn-kinds" => self.churn_kinds = parsed(key, value)?,
+            "algorithm" => {
+                let spec: String = parsed(key, value)?;
+                if spec.is_empty() {
+                    return Err(IrecError::config(format!("--{key} needs a value")));
+                }
+                self.algorithm = Some(spec);
+            }
+            "aco-seed" => self.aco_seed = parsed(key, value)?,
+            "aco-budget" => self.aco_budget = parsed::<usize>(key, value)?.clamp(1, 1024),
+            _ => {
+                return Err(IrecError::config(format!(
+                    "unknown argument --{key} (see --help for the knobs this binary takes)"
+                )))
             }
         }
-        if let Some(v) = map.get("aco-seed").and_then(|v| v.parse().ok()) {
-            parsed.aco_seed = v;
-        }
-        if let Some(v) = get(&map, "aco-budget") {
-            parsed.aco_budget = v.clamp(1, 1024);
-        }
-        parsed
+        Ok(())
     }
 
     /// The effective `--algorithm` catalog spec, with the bare `aco` family name expanded
@@ -228,7 +220,6 @@ impl BenchArgs {
             .with_round_scheduler(self.round_scheduler)
             .with_ingress_shards(self.ingress_shards)
             .with_path_shards(self.path_shards)
-            .with_incremental_selection(self.incremental_selection)
     }
 
     /// One-screen summary of every `--key value` knob shared by the figure binaries.
@@ -236,7 +227,8 @@ impl BenchArgs {
     /// The full table — auto-default rules, determinism guarantees, and the
     /// `IREC_CRITERION_*` environment hooks — lives in `docs/KNOBS.md`.
     pub fn help_text() -> &'static str {
-        "Shared figure-binary knobs (all `--key value`; unknown keys are ignored):\n\
+        "Shared figure-binary knobs (all `--key value`; an unknown key or an unparsable\n\
+         value is an error):\n\
          \n\
          \x20 --ases N                  topology size in ASes (default 60, min 5)\n\
          \x20 --rounds N                beaconing rounds to simulate (default 8)\n\
@@ -251,8 +243,6 @@ impl BenchArgs {
          \x20 --path-shards N           path-service shards per node (default 0 = auto)\n\
          \x20 --pd-deep-clone           use deep-Clone PD snapshots instead of copy-on-write\n\
          \x20 --round-scheduler S       round scheduler: barrier (default) or dag\n\
-         \x20 --incremental-selection M reuse unchanged RAC selections across rounds:\n\
-         \x20                           off (default) or on\n\
          \x20 --churn-rate R            expected churn deltas per step (default 0 = off)\n\
          \x20 --churn-seed N            churn-timeline PRNG seed (default 11)\n\
          \x20 --churn-kinds K           delta kinds, e.g. all or link-down=3,node-leave\n\
@@ -271,14 +261,18 @@ impl BenchArgs {
 
     /// Parses the current process arguments (skipping the binary name).
     ///
-    /// `--help`/`-h` print [`BenchArgs::help_text`] and exit.
+    /// `--help`/`-h` print [`BenchArgs::help_text`] and exit; arguments
+    /// [`BenchArgs::parse`] rejects print the reason and exit with status 2.
     pub fn from_env() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         if args.iter().any(|a| a == "--help" || a == "-h") {
             print!("{}", Self::help_text());
             std::process::exit(0);
         }
-        Self::parse(args)
+        Self::parse(args).unwrap_or_else(|err| {
+            eprintln!("{err}\nrun with --help for the list of knobs");
+            std::process::exit(2);
+        })
     }
 }
 
@@ -286,8 +280,19 @@ impl BenchArgs {
 mod tests {
     use super::*;
 
-    fn parse(s: &[&str]) -> BenchArgs {
+    fn try_parse(s: &[&str]) -> Result<BenchArgs> {
         BenchArgs::parse(s.iter().map(|s| s.to_string()))
+    }
+
+    fn parse(s: &[&str]) -> BenchArgs {
+        try_parse(s).expect("arguments parse")
+    }
+
+    /// The message `s` is rejected with.
+    fn rejection(s: &[&str]) -> String {
+        try_parse(s)
+            .expect_err("arguments are rejected")
+            .to_string()
     }
 
     #[test]
@@ -314,32 +319,44 @@ mod tests {
             parse(&["--round-scheduler", "barrier"]).round_scheduler,
             RoundScheduler::Barrier
         );
-        // Unparsable values fall back to the default, like every other knob.
-        assert_eq!(
-            parse(&["--round-scheduler", "eager"]).round_scheduler,
-            RoundScheduler::Barrier
-        );
     }
 
     #[test]
-    fn incremental_selection_parses_and_defaults_to_off() {
-        assert_eq!(
-            parse(&[]).incremental_selection,
-            IncrementalSelectionMode::Off
+    fn unknown_keys_are_errors_naming_the_key() {
+        // A script still passing a knob that was removed must fail, not run vacuously.
+        let message = rejection(&["--rounds", "3", "--retired-knob", "on"]);
+        assert!(message.contains("--retired-knob"), "{message}");
+        assert!(rejection(&["--bogus", "x"]).contains("--bogus"));
+        assert!(rejection(&["--verbose"]).contains("--verbose"));
+        // So must a stray word that is no `--key` at all.
+        assert!(rejection(&["rounds", "3"]).contains("\"rounds\""));
+    }
+
+    #[test]
+    fn unparsable_and_missing_values_are_errors_naming_the_key() {
+        // `dga` used to fall back to the barrier scheduler and pass its CI diff vacuously.
+        let message = rejection(&["--round-scheduler", "dga"]);
+        assert!(
+            message.contains("--round-scheduler") && message.contains("dga"),
+            "{message}"
         );
-        assert_eq!(
-            parse(&["--incremental-selection", "on"]).incremental_selection,
-            IncrementalSelectionMode::On
-        );
-        assert_eq!(
-            parse(&["--incremental-selection", "off"]).incremental_selection,
-            IncrementalSelectionMode::Off
-        );
-        // Unparsable values fall back to the default, like every other knob.
-        assert_eq!(
-            parse(&["--incremental-selection", "maybe"]).incremental_selection,
-            IncrementalSelectionMode::Off
-        );
+        for (key, value) in [
+            ("--ases", "twelve"),
+            ("--seed", "-1"),
+            ("--parallelism", "4.5"),
+            ("--pd-deep-clone", "maybe"),
+            ("--churn-rate", "fast"),
+            ("--churn-rate", "inf"),
+            ("--churn-kinds", "bogus-kind"),
+            ("--aco-budget", ""),
+        ] {
+            let message = rejection(&[key, value]);
+            assert!(message.contains(key), "{key} {value}: {message}");
+        }
+        for key in ["--rounds", "--algorithm", "--churn-seed"] {
+            assert!(rejection(&[key]).contains(key));
+            assert!(rejection(&[key, "--seed", "1"]).contains(key));
+        }
     }
 
     #[test]
@@ -355,8 +372,6 @@ mod tests {
             "7",
             "--path-shards",
             "5",
-            "--incremental-selection",
-            "on",
         ]);
         let config = a.to_sim_config();
         assert_eq!(config.parallelism, 4);
@@ -364,7 +379,6 @@ mod tests {
         assert_eq!(config.round_scheduler, RoundScheduler::Dag);
         assert_eq!(config.ingress_shards, 7);
         assert_eq!(config.path_shards, 5);
-        assert_eq!(config.incremental_selection, IncrementalSelectionMode::On);
         // Defaults translate to the default simulation config.
         assert_eq!(parse(&[]).to_sim_config(), SimulationConfig::default());
     }
@@ -409,8 +423,8 @@ mod tests {
     }
 
     #[test]
-    fn ignores_unknown_keys_and_clamps() {
-        let a = parse(&["--bogus", "x", "--ases", "1", "--max-racs", "1000"]);
+    fn out_of_range_numbers_clamp() {
+        let a = parse(&["--ases", "1", "--max-racs", "1000"]);
         assert_eq!(a.ases, 5);
         assert_eq!(a.max_racs, 64);
         let p = parse(&["--parallelism", "0"]);
@@ -452,13 +466,8 @@ mod tests {
         assert_eq!(a.churn_kinds.link_down, 3);
         assert_eq!(a.churn_kinds.link_up, 1);
         assert_eq!(a.churn_kinds.node_leave, 0);
-        // Negative, non-finite, and unparsable values fall back to off/default.
+        // A negative rate clamps to off.
         assert_eq!(parse(&["--churn-rate", "-2"]).churn_rate, 0.0);
-        assert_eq!(parse(&["--churn-rate", "inf"]).churn_rate, 0.0);
-        assert_eq!(
-            parse(&["--churn-kinds", "bogus-kind"]).churn_kinds,
-            ChurnKinds::default()
-        );
     }
 
     #[test]
@@ -488,11 +497,9 @@ mod tests {
         let a = parse(&["--algorithm", "aco:9:4", "--aco-seed", "42"]);
         assert_eq!(a.algorithm_spec().as_deref(), Some("aco:9:4"));
 
-        // The budget clamps to the catalog's iteration cap; a value-less `--algorithm`
-        // stays off instead of deploying a RAC literally named "true".
+        // The budget clamps to the catalog's iteration cap.
         assert_eq!(parse(&["--aco-budget", "0"]).aco_budget, 1);
         assert_eq!(parse(&["--aco-budget", "90000"]).aco_budget, 1024);
-        assert_eq!(parse(&["--algorithm"]).algorithm, None);
     }
 
     #[test]
@@ -512,7 +519,6 @@ mod tests {
             "--path-shards",
             "--pd-deep-clone",
             "--round-scheduler",
-            "--incremental-selection",
             "--churn-rate",
             "--churn-seed",
             "--churn-kinds",
@@ -524,11 +530,5 @@ mod tests {
         }
         assert!(help.contains("docs/KNOBS.md"));
         assert!(help.contains("IREC_CRITERION_"));
-    }
-
-    #[test]
-    fn flag_without_value_is_tolerated() {
-        let a = parse(&["--verbose", "--rounds", "3"]);
-        assert_eq!(a.rounds, 3);
     }
 }

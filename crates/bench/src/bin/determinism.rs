@@ -1,253 +1,19 @@
-//! Determinism probe: runs three fixed simulation scenarios — two beaconing scenarios plus
-//! a PD campaign — and prints every registered path, every overhead counter and every
-//! per-pair PD result in full. With `--churn-rate > 0` a fourth scenario appends a churn
-//! run (per-step deltas plus the final plane state); with `--algorithm` a fifth appends
-//! a run where every AS deploys the requested catalog spec (e.g. `5YEN` or a seeded
-//! `aco` family).
+//! Determinism probe: prints [`irec_bench::determinism::render`] — the fixed simulation
+//! scenarios with every registered path, overhead counter and PD result in full.
 //!
 //! ```text
-//! cargo run -p irec_bench --bin determinism --release -- [--parallelism N] [--delivery-parallelism N] [--ingress-shards N] [--pd-parallelism N] [--path-shards N] [--round-scheduler S] [--incremental-selection M] [--churn-rate R] [--churn-seed N] [--churn-kinds K] [--algorithm A] [--aco-seed N] [--aco-budget N] [--ases 12] [--rounds 3] [--seed 5]
+//! cargo run -p irec_bench --bin determinism --release -- [--parallelism N] [--delivery-parallelism N] [--ingress-shards N] [--pd-parallelism N] [--path-shards N] [--round-scheduler S] [--churn-rate R] [--churn-seed N] [--churn-kinds K] [--algorithm A] [--aco-seed N] [--aco-budget N] [--ases 12] [--rounds 3] [--seed 5]
 //! ```
 //!
-//! The output is **byte-identical for every `--parallelism`, `--delivery-parallelism`,
-//! `--ingress-shards`, `--pd-parallelism`, `--path-shards`, `--round-scheduler` and
-//! `--incremental-selection` value** — that is the determinism guarantee of the parallel
-//! execution engine, of the message-delivery plane, of the sharded ingress database, of
-//! the sharded path service, of the PD campaign engine, of the work-item DAG round
-//! scheduler and of the incremental selection tables, and the CI determinism job enforces
-//! it by diffing a sequential run against each knob alone and all of them stacked. All
-//! seven arguments are deliberately excluded from the output for exactly that reason.
-//! Incremental-selection counters (reused/recomputed/invalidated) go to **stderr**, like
-//! every piece of how-it-ran reporting, so they never pollute the diffed stdout. The
-//! churn knobs are different: they are *workload* knobs, so CI diffs runs with the same
-//! churn knobs across parallelism planes against each other.
+//! The output is byte-identical for every parallelism, shard and scheduler value, which
+//! the CI determinism job enforces by diffing a sequential run against each knob alone
+//! and all of them stacked; the selection-table counters go to stderr.
 
 use irec_bench::BenchArgs;
-use irec_core::{NodeConfig, PropagationPolicy, RacConfig};
-use irec_sim::{ChurnConfig, ChurnEngine, PdCampaign, Simulation};
-use irec_topology::builder::{figure1, figure1_topology};
-use irec_topology::{GeneratorConfig, TopologyGenerator};
-use std::sync::Arc;
 
 fn main() {
-    let args = BenchArgs::from_env();
-
-    // Scenario 1: the quickstart setup on the paper's Fig. 1 topology.
-    let figure1_sim = Simulation::new(Arc::new(figure1_topology()), args.to_sim_config(), |_| {
-        NodeConfig::default()
-            .with_policy(PropagationPolicy::All)
-            .with_racs(vec![
-                RacConfig::static_rac("DO", "DO"),
-                RacConfig::static_rac("widest", "widest"),
-            ])
-            .with_parallelism(args.parallelism)
-    })
-    .expect("figure-1 simulation setup");
-    dump("figure1", figure1_sim, 6);
-
-    // Scenario 2: a generated internet topology with the paper's static RAC set.
-    let config = GeneratorConfig {
-        num_ases: args.ases,
-        seed: args.seed,
-        ..Default::default()
-    };
-    let generated = Simulation::new(
-        Arc::new(TopologyGenerator::new(config).generate()),
-        args.to_sim_config(),
-        |_| {
-            NodeConfig::default()
-                .with_racs(vec![
-                    RacConfig::static_rac("1SP", "1SP"),
-                    RacConfig::static_rac("5SP", "5SP"),
-                    RacConfig::static_rac("HD", "HD"),
-                    RacConfig::static_rac("DON", "DO"),
-                ])
-                .with_parallelism(args.parallelism)
-        },
-    )
-    .expect("generated simulation setup");
-    dump("generated", generated, args.rounds);
-
-    // Scenario 3: the PD campaign on Fig. 1 — exercises the `--pd-parallelism` worker
-    // pool and the sharded path service's concurrent pull-return commits end to end.
-    let mut base = Simulation::new(Arc::new(figure1_topology()), args.to_sim_config(), |_| {
-        NodeConfig::default()
-            .with_policy(PropagationPolicy::All)
-            .with_racs(vec![
-                RacConfig::static_rac("HD", "HD"),
-                RacConfig::on_demand_rac("on-demand"),
-            ])
-            .with_parallelism(args.parallelism)
-    })
-    .expect("PD base simulation setup");
-    base.run_rounds(6).expect("PD warm-up rounds");
-    // `max_paths` must exceed the HD seed count of the warmed base, or every workflow
-    // finishes on its seeds alone and the probe never originates a single pull beacon —
-    // the assertion below keeps the scenario honest.
-    let results = PdCampaign::new(
-        vec![
-            (figure1::SRC, figure1::DST),
-            (figure1::DST, figure1::SRC),
-            (figure1::SRC, figure1::DST),
-        ],
-        6,
-    )
-    .with_rounds_per_iteration(3)
-    .with_parallelism(args.pd_parallelism)
-    .run(&base)
-    .expect("PD campaign run");
-    assert!(
-        results
-            .iter()
-            .any(|pair| pair.result.iterations > 0 && !pair.pull_overhead.is_empty()),
-        "PD scenario ran zero pull iterations — the probe no longer exercises the pull pipeline"
-    );
-    println!("## scenario: pd-campaign");
-    for (index, pair) in results.iter().enumerate() {
-        println!(
-            "pd-pair\t{index}\t{}\t{}\titerations={}\tempty={}\tpull_overhead={:?}",
-            pair.origin,
-            pair.target,
-            pair.result.iterations,
-            pair.result.empty_iterations,
-            pair.pull_overhead
-        );
-        for p in &pair.result.paths {
-            println!(
-                "pd-path\t{index}\t{}\t{}\t{}\t{}\t{:?}",
-                p.algorithm, p.metrics.latency, p.metrics.bandwidth, p.metrics.hops, p.links
-            );
-        }
-    }
-
-    // Scenario 4 (only with `--churn-rate > 0`): the churn engine on a generated
-    // topology. Churn knobs are *workload* knobs — they change this scenario's output
-    // deliberately (and deterministically), unlike the parallelism/shard/scheduler knobs,
-    // which must leave it byte-identical. The CI churn rows therefore diff churn runs
-    // against each other (same churn knobs, different parallelism planes), never against
-    // a churn-free run. The scenario is appended after the three fixed ones so enabling
-    // churn leaves their bytes untouched.
-    if args.churn_rate > 0.0 {
-        let parallelism = args.parallelism;
-        let node_config = move |_| {
-            NodeConfig::default()
-                .with_policy(PropagationPolicy::All)
-                .with_racs(vec![RacConfig::static_rac("5SP", "5SP")])
-                .with_parallelism(parallelism)
-        };
-        let config = GeneratorConfig {
-            num_ases: args.ases,
-            seed: args.seed,
-            ..Default::default()
-        };
-        let mut sim = Simulation::new(
-            Arc::new(TopologyGenerator::new(config).generate()),
-            args.to_sim_config(),
-            node_config,
-        )
-        .expect("churn simulation setup");
-        let mut engine = ChurnEngine::new(
-            ChurnConfig::default()
-                .with_rate(args.churn_rate)
-                .with_seed(args.churn_seed)
-                .with_kinds(args.churn_kinds),
-            node_config,
-        );
-        let report = engine.run(&mut sim, 4).expect("churn scenario converges");
-        println!("## scenario: churn");
-        for step in &report.steps {
-            let deltas: Vec<String> = step.deltas.iter().map(|d| d.to_string()).collect();
-            println!(
-                "churn-step\t{}\tround={}\tdeltas=[{}]\tsettle={}\tdropped_no_node={}\tdropped_link_down={}\tdelivered={}",
-                step.step,
-                step.round,
-                deltas.join(","),
-                step.settle_rounds,
-                step.dropped_no_node,
-                step.dropped_link_down,
-                step.delivered
-            );
-        }
-        dump_state("churn-final", &sim);
-    }
-
-    // Scenario 5 (only with `--algorithm`): every AS runs a single RAC with the requested
-    // catalog spec on the generated topology. Like the churn knobs this is a *workload*
-    // knob — `--algorithm 5YEN` or `--algorithm aco` (seeded via `--aco-seed`/
-    // `--aco-budget`) changes the selection plane deliberately, but for a fixed spec the
-    // output must stay byte-identical across every parallelism/shard/scheduler knob: ACO's
-    // randomness comes entirely from seeded per-(origin, group, egress, iteration, ant)
-    // streams, never from execution order. The CI algorithm rows diff runs with the same
-    // spec across parallelism planes. Appended last so enabling it leaves every other
-    // scenario's bytes untouched.
-    if let Some(spec) = args.algorithm_spec() {
-        let parallelism = args.parallelism;
-        let rac_spec = spec.clone();
-        let config = GeneratorConfig {
-            num_ases: args.ases,
-            seed: args.seed,
-            ..Default::default()
-        };
-        let sim = Simulation::new(
-            Arc::new(TopologyGenerator::new(config).generate()),
-            args.to_sim_config(),
-            move |_| {
-                NodeConfig::default()
-                    .with_policy(PropagationPolicy::All)
-                    .with_racs(vec![RacConfig::static_rac(&rac_spec, &rac_spec)])
-                    .with_parallelism(parallelism)
-            },
-        )
-        .expect("algorithm scenario setup");
-        dump(&format!("algorithm {spec}"), sim, args.rounds);
-    }
-}
-
-/// Runs `rounds` beaconing rounds and prints every observable output of the simulation in
-/// its natural (deterministic) order — registration order included, so any scheduling
-/// nondeterminism shows up as a diff.
-fn dump(label: &str, mut sim: Simulation, rounds: usize) {
-    sim.run_rounds(rounds).expect("beaconing rounds");
-    dump_state(label, &sim);
-}
-
-/// Prints every observable output of an already-run simulation.
-fn dump_state(label: &str, sim: &Simulation) {
-    println!("## scenario: {label}");
-    println!(
-        "counters\tdelivered={}\tdropped_no_node={}\tdropped_link_down={}\trejected={}\toccupancy={}\tconnectivity={:.6}",
-        sim.delivered_messages(),
-        sim.dropped_no_node(),
-        sim.dropped_link_down(),
-        sim.rejected_messages(),
-        sim.ingress_occupancy(),
-        sim.connectivity()
-    );
-    println!(
-        "overhead\ttotal={}\tsamples={:?}",
-        sim.overhead().total(),
-        sim.overhead().nonzero_samples()
-    );
-    for p in sim.registered_paths() {
-        println!(
-            "path\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:?}",
-            p.holder,
-            p.origin,
-            p.algorithm,
-            p.group,
-            p.origin_interface,
-            p.holder_interface,
-            p.metrics.latency,
-            p.metrics.bandwidth,
-            p.metrics.hops,
-            p.links
-        );
-    }
-    // How-it-ran reporting, like `SchedulerStats`: stderr only, so the diffed stdout
-    // stays byte-identical between `--incremental-selection on` and `off`.
-    let inc = sim.incremental_stats();
-    eprintln!(
-        "incremental\tscenario={label}\treused={}\trecomputed={}\tinvalidated={}",
-        inc.reused, inc.recomputed, inc.invalidated
+    print!(
+        "{}",
+        irec_bench::determinism::render(&BenchArgs::from_env())
     );
 }

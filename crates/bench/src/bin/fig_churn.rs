@@ -3,8 +3,7 @@
 //! ```text
 //! cargo run -p irec_bench --bin fig_churn --release -- [--ases 60] [--rounds 8] \
 //!     [--churn-rate R] [--churn-seed N] [--churn-kinds K] \
-//!     [--round-scheduler S] [--parallelism N] [--ingress-shards N] [--path-shards N] \
-//!     [--incremental-selection M]
+//!     [--round-scheduler S] [--parallelism N] [--ingress-shards N] [--path-shards N]
 //! ```
 //!
 //! Runs one seeded churn campaign per rate — the fixed sweep `0.5, 1.0, 2.0` deltas per
@@ -21,12 +20,12 @@
 //! stay visible (a catalog swap settles in one round and drops nothing).
 //!
 //! The tables are byte-identical for every `--round-scheduler`, `--parallelism`,
-//! `--ingress-shards`, `--path-shards` and `--incremental-selection` value; the churn
-//! knobs are *workload* knobs and deliberately move the tables. With
-//! `--incremental-selection on` the per-rate reuse counters go to stderr.
+//! `--ingress-shards` and `--path-shards` value; the churn knobs are *workload* knobs and
+//! deliberately move the tables. The per-rate selection counters (reused / extended /
+//! recomputed / invalidated) go to stderr.
 
 use irec_bench::campaign::{print_cdf, print_summary};
-use irec_bench::workload::churn_pass_incremental;
+use irec_bench::workload::churn_pass_with_stats;
 use irec_bench::BenchArgs;
 use irec_metrics::Cdf;
 use irec_sim::ChurnConfig;
@@ -55,7 +54,7 @@ fn main() {
             .with_rate(rate)
             .with_seed(args.churn_seed)
             .with_kinds(args.churn_kinds);
-        let ((steps, _, _, _), inc) = churn_pass_incremental(
+        let ((steps, _, _, _), inc) = churn_pass_with_stats(
             args.ases,
             args.rounds,
             churn,
@@ -63,7 +62,6 @@ fn main() {
             width,
             args.ingress_shards,
             args.path_shards,
-            args.incremental_selection,
             args.seed,
         );
         let deltas: usize = steps.iter().map(|s| s.deltas.len()).sum();
@@ -72,8 +70,8 @@ fn main() {
             steps.len()
         );
         eprintln!(
-            "# rate {rate}: incremental reused={} recomputed={} invalidated={}",
-            inc.reused, inc.recomputed, inc.invalidated
+            "# rate {rate}: selections reused={} extended={} recomputed={} invalidated={}",
+            inc.reused, inc.extended, inc.recomputed, inc.invalidated
         );
         let convergence = Cdf::new(steps.iter().map(|s| s.settle_rounds as f64).collect());
         let dropped = Cdf::new(steps.iter().map(|s| s.dropped_total() as f64).collect());

@@ -20,6 +20,7 @@
 
 pub mod args;
 pub mod campaign;
+pub mod determinism;
 pub mod regression;
 pub mod report;
 pub mod workload;

@@ -13,8 +13,8 @@ use irec_crypto::{KeyRegistry, Signer};
 use irec_metrics::RegisteredPath;
 use irec_pcb::{Pcb, PcbExtensions, StaticInfo};
 use irec_sim::{
-    ChurnConfig, ChurnEngine, ChurnStep, DeliveryStats, IncrementalSelectionMode, PdCampaign,
-    RoundScheduler, SchedulerStats, Simulation, SimulationConfig,
+    ChurnConfig, ChurnEngine, ChurnStep, DeliveryStats, PdCampaign, RoundScheduler, SchedulerStats,
+    Simulation, SimulationConfig,
 };
 use irec_topology::{AsNode, GeneratorConfig, Interface, Tier, TopologyGenerator};
 use irec_types::{
@@ -532,8 +532,8 @@ pub type ChurnFingerprint = (Vec<ChurnStep>, Vec<RegisteredPath>, DeliveryStats,
 /// *physically* — which the no-blackhole checker excuses — never policy-blackhole them;
 /// shipped churn scenarios therefore converge by construction, and the genuine
 /// valley-free blackhole case stays covered by the churn invariants unit tests. Shard
-/// counts and the incremental-selection flag ride on the simulation config — mid-run
-/// churn joins pick them up through [`Simulation::add_node`]'s knob injection.
+/// counts ride on the simulation config — mid-run churn joins pick them up through
+/// [`Simulation::add_node`]'s knob injection.
 fn churn_node_config() -> NodeConfig {
     NodeConfig::default()
         .with_policy(PropagationPolicy::All)
@@ -552,30 +552,6 @@ pub fn churn_workload(
     path_shards: usize,
     seed: u64,
 ) -> Simulation {
-    churn_workload_incremental(
-        ases,
-        scheduler,
-        width,
-        ingress_shards,
-        path_shards,
-        IncrementalSelectionMode::Off,
-        seed,
-    )
-}
-
-/// [`churn_workload`] with an explicit `--incremental-selection` mode — the variant the
-/// incremental rows of the `churn_round_overhead` bench and the live-round determinism
-/// matrix build on.
-#[allow(clippy::too_many_arguments)]
-pub fn churn_workload_incremental(
-    ases: usize,
-    scheduler: RoundScheduler,
-    width: usize,
-    ingress_shards: usize,
-    path_shards: usize,
-    incremental: IncrementalSelectionMode,
-    seed: u64,
-) -> Simulation {
     let config = GeneratorConfig {
         num_ases: ases,
         seed,
@@ -589,8 +565,7 @@ pub fn churn_workload_incremental(
             .with_parallelism(width)
             .with_delivery_parallelism(width)
             .with_ingress_shards(ingress_shards)
-            .with_path_shards(path_shards)
-            .with_incremental_selection(incremental),
+            .with_path_shards(path_shards),
         move |_| churn_node_config(),
     )
     .expect("churn workload simulation setup")
@@ -612,7 +587,7 @@ pub fn churn_pass(
     path_shards: usize,
     seed: u64,
 ) -> ChurnFingerprint {
-    churn_pass_incremental(
+    churn_pass_with_stats(
         ases,
         steps,
         churn,
@@ -620,19 +595,17 @@ pub fn churn_pass(
         width,
         ingress_shards,
         path_shards,
-        IncrementalSelectionMode::Off,
         seed,
     )
     .0
 }
 
-/// [`churn_pass`] with an explicit incremental-selection mode, additionally returning the
-/// accumulated [`IncrementalStats`]. The fingerprint must be byte-identical across
-/// `IncrementalSelectionMode::{Off,On}` for every scheduler × worker × shard plane (the
-/// tentpole guarantee); the stats quantify how much recomputation `On` skipped — all
-/// zeros under `Off`.
+/// [`churn_pass`], additionally returning the run's accumulated [`IncrementalStats`]:
+/// how many `(RAC, batch)` selections its rounds reused, extended and recomputed, and how
+/// many kept selections the timeline's catalog swaps dropped. Counters, not output —
+/// the fingerprint is what must agree across planes.
 #[allow(clippy::too_many_arguments)]
-pub fn churn_pass_incremental(
+pub fn churn_pass_with_stats(
     ases: usize,
     steps: usize,
     churn: ChurnConfig,
@@ -640,18 +613,9 @@ pub fn churn_pass_incremental(
     width: usize,
     ingress_shards: usize,
     path_shards: usize,
-    incremental: IncrementalSelectionMode,
     seed: u64,
 ) -> (ChurnFingerprint, IncrementalStats) {
-    let mut sim = churn_workload_incremental(
-        ases,
-        scheduler,
-        width,
-        ingress_shards,
-        path_shards,
-        incremental,
-        seed,
-    );
+    let mut sim = churn_workload(ases, scheduler, width, ingress_shards, path_shards, seed);
     let mut engine = ChurnEngine::new(churn, move |_| churn_node_config());
     let report = engine.run(&mut sim, steps).expect("churn pass converges");
     (
@@ -912,41 +876,24 @@ mod tests {
     }
 
     #[test]
-    fn churn_pass_incremental_matches_reference_and_reuses_selections() {
+    fn churn_pass_reuses_selections_on_every_plane() {
         let churn = ChurnConfig::default()
             .with_rate(1.0)
             .with_seed(13)
             .with_warmup_rounds(3);
-        let reference = churn_pass(10, 3, churn, RoundScheduler::Barrier, 1, 1, 1, 5);
-        // `on` must be byte-identical to the from-scratch reference, even stacked with
-        // the DAG scheduler, multiple workers and non-default shard counts.
-        let (fingerprint, stats) = churn_pass_incremental(
-            10,
-            3,
-            churn,
-            RoundScheduler::Dag,
-            4,
-            4,
-            4,
-            IncrementalSelectionMode::On,
-            5,
-        );
+        let (reference, sequential) =
+            churn_pass_with_stats(10, 3, churn, RoundScheduler::Barrier, 1, 1, 1, 5);
+        let (fingerprint, stacked) =
+            churn_pass_with_stats(10, 3, churn, RoundScheduler::Dag, 4, 4, 4, 5);
         assert_eq!(fingerprint, reference);
-        assert!(stats.reused > 0, "warm rounds must hit the tables");
-        assert!(stats.recomputed > 0, "changed batches must recompute");
-        // Off is the retained reference path: tables never engage.
-        let (_, off) = churn_pass_incremental(
-            10,
-            3,
-            churn,
-            RoundScheduler::Barrier,
-            1,
-            1,
-            1,
-            IncrementalSelectionMode::Off,
-            5,
+        // What a round reuses is decided per node from its own database, so the counters
+        // are as plane-independent as the output.
+        assert_eq!(stacked, sequential);
+        assert!(
+            stacked.reused + stacked.extended > 0,
+            "warm rounds keep selections"
         );
-        assert_eq!(off, IncrementalStats::default());
+        assert!(stacked.recomputed > 0, "disturbed batches recompute");
     }
 
     #[test]

@@ -11,6 +11,7 @@ use irec_pcb::{Pcb, PcbId};
 use irec_types::{AsId, IfId, InterfaceGroupId, SimTime};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A received beacon as stored in the ingress database.
@@ -81,7 +82,7 @@ impl BatchView {
     /// what the execution engine's reduce pass re-selects over.
     pub(crate) fn of_selected<'a>(
         key: BatchKey,
-        selected: impl Iterator<Item = &'a crate::engine::IdentifiedOutput> + Clone,
+        selected: impl Iterator<Item = &'a crate::engine::Identified> + Clone,
     ) -> BatchView {
         BatchView {
             key,
@@ -91,6 +92,47 @@ impl BatchView {
                 .collect(),
             ids: selected.map(|o| o.pcb_id).collect(),
         }
+    }
+
+    /// The view a delta-driven pass re-selects over: last round's `winners` plus the
+    /// `arrivals` stored since, **in batch order**. Both lists are already in batch order
+    /// on their own, and within one stored batch every arrival sits behind every winner
+    /// (the database only appended), so the two interleave by interface group alone —
+    /// which matters for group-merged batches, whose arrivals land in the middle of the
+    /// merged list, and keeps index tie-breaks resolving as they would over the whole
+    /// batch.
+    pub(crate) fn of_winners_and_arrivals(
+        winners: &[crate::engine::SelectedBeacon],
+        arrivals: &BatchView,
+    ) -> BatchView {
+        let total = winners.len() + arrivals.len();
+        let mut beacons = Vec::with_capacity(total);
+        let mut ids = Vec::with_capacity(total);
+        let mut winners = winners.iter().peekable();
+        for (arrival, id) in arrivals.beacons.iter().zip(arrivals.ids()) {
+            let group = stored_group(&arrival.pcb);
+            while let Some(winner) = winners.next_if(|w| stored_group(&w.beacon.pcb) <= group) {
+                beacons.push(Arc::clone(&winner.beacon));
+                ids.push(winner.pcb_id);
+            }
+            beacons.push(Arc::clone(arrival));
+            ids.push(*id);
+        }
+        for winner in winners {
+            beacons.push(Arc::clone(&winner.beacon));
+            ids.push(winner.pcb_id);
+        }
+        BatchView {
+            key: arrivals.key,
+            beacons: beacons.into(),
+            ids: ids.into(),
+        }
+    }
+
+    /// The earliest expiry among the view's beacons: from this instant on a snapshot of
+    /// the same stored beacons would come out shorter. `None` for an empty view.
+    pub fn earliest_expiry(&self) -> Option<SimTime> {
+        self.beacons.iter().map(|b| b.pcb.expires_at).min()
     }
 
     /// The ids of [`BatchView::beacons`], index for index.
@@ -120,6 +162,13 @@ impl BatchView {
     }
 }
 
+/// The interface group a beacon is stored under.
+fn stored_group(pcb: &Pcb) -> InterfaceGroupId {
+    pcb.extensions
+        .interface_group
+        .unwrap_or(InterfaceGroupId::DEFAULT)
+}
+
 /// One stored beacon and the id this AS computed for it on the way in.
 #[derive(Debug, Clone)]
 struct Slot {
@@ -127,11 +176,76 @@ struct Slot {
     beacon: Arc<StoredBeacon>,
 }
 
+/// The beacons stored under one [`BatchKey`], in insertion order.
+#[derive(Debug, Clone)]
+struct Batch {
+    slots: Vec<Slot>,
+    /// The change-clock reading of this batch's creation or of the latest sweep that
+    /// removed a beacon from it, whichever came last: until the clock passes a reader's
+    /// reading, `slots` has only grown at its end. A batch that empties is dropped with
+    /// its stamp; if it comes back, its creation stamps it afresh.
+    disturbed_at: u64,
+}
+
+/// A reader's position in the candidate set it requested under one key — one stored batch,
+/// or all interface groups of an origin merged: the change clock it read at and how long
+/// each stored batch of the set was. The database owns the stamps, the reader keeps the
+/// cursor; [`IngressDb::changes_since`] compares the two.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BatchCursor {
+    lineage: u64,
+    clock: u64,
+    /// Stored length of each batch of the set, in key order.
+    lengths: Vec<usize>,
+}
+
+/// What happened to a candidate set since a reader's [`BatchCursor`], as far as a
+/// snapshot at `now` can tell.
+#[derive(Debug, Clone)]
+pub enum BatchChange {
+    /// Nothing was removed and no beacon live at `now` was stored.
+    Unchanged,
+    /// Beacons were only appended: the arrivals live at `now`, in batch order, and the
+    /// cursor behind them.
+    Appended(BatchView, BatchCursor),
+    /// A sweep removed beacons, or a stored batch of the set came, went or came back: the
+    /// reader has to snapshot the set again.
+    Disturbed,
+}
+
 /// The ingress database: received beacons indexed for RAC consumption.
-#[derive(Debug, Clone, Default)]
+///
+/// Storing a beacon appends it to its batch; everything else that can happen to a batch —
+/// its creation, a sweep that removes beacons from it — advances a monotone **change
+/// clock** and stamps the batch with the new reading. A stamp at or below a reader's
+/// reading therefore proves the batch only grew at its end since, and that is all a reader
+/// needs to learn, without snapshotting a batch, whether it is untouched, has only grown,
+/// or lost beacons since the reader last looked (see [`IngressDb::changes_since`]).
+///
+/// The stamps are part of the database, so clones and copy-on-write snapshots carry them:
+/// a cursor stays meaningful against the database it was read from and against copies
+/// taken after it was read. Against any other database — say the fresh one of a node that
+/// left and re-joined — clock readings mean nothing, so every database created empty gets
+/// a `lineage` of its own and a cursor from another lineage reads as a disturbance.
+#[derive(Debug, Clone)]
 pub struct IngressDb {
-    by_key: BTreeMap<BatchKey, Vec<Slot>>,
+    by_key: BTreeMap<BatchKey, Batch>,
     seen: HashSet<PcbId>,
+    clock: u64,
+    lineage: u64,
+}
+
+impl Default for IngressDb {
+    fn default() -> Self {
+        /// Never part of any output: lineages are only compared for equality.
+        static NEXT_LINEAGE: AtomicU64 = AtomicU64::new(0);
+        IngressDb {
+            by_key: BTreeMap::new(),
+            seen: HashSet::new(),
+            clock: 0,
+            lineage: NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed),
+        }
+    }
 }
 
 impl IngressDb {
@@ -162,20 +276,27 @@ impl IngressDb {
         }
         let key = BatchKey {
             origin: pcb.origin,
-            group: pcb
-                .extensions
-                .interface_group
-                .unwrap_or(InterfaceGroupId::DEFAULT),
+            group: stored_group(&pcb),
             target: pcb.extensions.target,
         };
-        self.by_key.entry(key).or_default().push(Slot {
-            id,
-            beacon: Arc::new(StoredBeacon {
-                pcb,
-                ingress,
-                received_at,
-            }),
-        });
+        self.by_key
+            .entry(key)
+            .or_insert_with(|| {
+                self.clock += 1;
+                Batch {
+                    slots: Vec::new(),
+                    disturbed_at: self.clock,
+                }
+            })
+            .slots
+            .push(Slot {
+                id,
+                beacon: Arc::new(StoredBeacon {
+                    pcb,
+                    ingress,
+                    received_at,
+                }),
+            });
         true
     }
 
@@ -187,32 +308,60 @@ impl IngressDb {
     /// The stored beacons for one batch key (unexpired at `now`). Returned beacons are
     /// shared, not cloned.
     pub fn beacons_for(&self, key: &BatchKey, now: SimTime) -> Vec<Arc<StoredBeacon>> {
-        self.live_slots(key, now)
+        self.live_slots(*key, false, now)
             .map(|slot| Arc::clone(&slot.beacon))
             .collect()
     }
 
-    /// The slots stored under `key` that are unexpired at `now`, in insertion order.
-    fn live_slots(&self, key: &BatchKey, now: SimTime) -> impl Iterator<Item = &Slot> {
+    /// The stored batches that make up the candidate set requested under `key`, in key
+    /// order: the one batch stored under it, or — with `merge_groups` — every interface
+    /// group of `key`'s origin and target.
+    fn batches_of(&self, key: BatchKey, merge_groups: bool) -> impl Iterator<Item = &Batch> {
+        // `BatchKey` orders by origin, then group, then target: one origin's groups are
+        // contiguous, with its targets interleaved among them.
+        let (first, last) = if merge_groups {
+            (
+                BatchKey {
+                    origin: key.origin,
+                    group: InterfaceGroupId(u32::MIN),
+                    target: None,
+                },
+                BatchKey {
+                    origin: key.origin,
+                    group: InterfaceGroupId(u32::MAX),
+                    target: Some(AsId(u64::MAX)),
+                },
+            )
+        } else {
+            (key, key)
+        };
         self.by_key
-            .get(key)
-            .into_iter()
-            .flatten()
+            .range(first..=last)
+            .filter(move |(k, _)| k.target == key.target)
+            .map(|(_, batch)| batch)
+    }
+
+    /// The slots of the candidate set requested under `key` (see
+    /// [`IngressDb::batches_of`]) that are unexpired at `now`, in batch order.
+    fn live_slots(
+        &self,
+        key: BatchKey,
+        merge_groups: bool,
+        now: SimTime,
+    ) -> impl Iterator<Item = &Slot> {
+        self.batches_of(key, merge_groups)
+            .flat_map(|batch| &batch.slots)
             .filter(move |slot| !slot.beacon.pcb.is_expired(now))
     }
 
-    /// The unexpired slots of one origin across all its interface groups, in key order.
-    fn live_origin_slots(
-        &self,
-        origin: AsId,
-        target: Option<AsId>,
-        now: SimTime,
-    ) -> impl Iterator<Item = &Slot> {
-        self.by_key
-            .iter()
-            .filter(move |(k, _)| k.origin == origin && k.target == target)
-            .flat_map(|(_, v)| v.iter())
-            .filter(move |slot| !slot.beacon.pcb.is_expired(now))
+    /// The key a group-merged candidate set of `origin` is requested (and handed out)
+    /// under.
+    fn merged_key(origin: AsId, target: Option<AsId>) -> BatchKey {
+        BatchKey {
+            origin,
+            group: InterfaceGroupId::DEFAULT,
+            target,
+        }
     }
 
     /// The stored beacons for one origin across all its interface groups, merged into one
@@ -224,7 +373,7 @@ impl IngressDb {
         target: Option<AsId>,
         now: SimTime,
     ) -> Vec<Arc<StoredBeacon>> {
-        self.live_origin_slots(origin, target, now)
+        self.live_slots(Self::merged_key(origin, target), true, now)
             .map(|slot| Arc::clone(&slot.beacon))
             .collect()
     }
@@ -232,8 +381,7 @@ impl IngressDb {
     /// Snapshots the batch for `key` into an immutable view, or `None` when no unexpired
     /// beacon is stored under it.
     pub fn batch_view(&self, key: &BatchKey, now: SimTime) -> Option<BatchView> {
-        let stored = self.by_key.get(key).map_or(0, Vec::len);
-        BatchView::new(*key, stored, self.live_slots(key, now))
+        self.snapshot(*key, false, now).0
     }
 
     /// Snapshots the group-merged batch of one origin (under the default group id), or
@@ -244,21 +392,85 @@ impl IngressDb {
         target: Option<AsId>,
         now: SimTime,
     ) -> Option<BatchView> {
-        BatchView::new(
-            BatchKey {
-                origin,
-                group: InterfaceGroupId::DEFAULT,
-                target,
-            },
-            0,
-            self.live_origin_slots(origin, target, now),
-        )
+        self.snapshot(Self::merged_key(origin, target), true, now).0
+    }
+
+    /// Snapshots the candidate set requested under `key` — the one batch stored under it,
+    /// or with `merge_groups` all interface groups of its origin and target merged (then
+    /// `key` carries the default group) — together with the [`BatchCursor`] a later
+    /// [`IngressDb::changes_since`] takes. The view is `None` when no unexpired beacon is
+    /// stored.
+    pub fn snapshot(
+        &self,
+        key: BatchKey,
+        merge_groups: bool,
+        now: SimTime,
+    ) -> (Option<BatchView>, BatchCursor) {
+        let cursor = BatchCursor {
+            lineage: self.lineage,
+            clock: self.clock,
+            lengths: self
+                .batches_of(key, merge_groups)
+                .map(|batch| batch.slots.len())
+                .collect(),
+        };
+        let stored = cursor.lengths.iter().sum();
+        let view = BatchView::new(key, stored, self.live_slots(key, merge_groups, now));
+        (view, cursor)
+    }
+
+    /// What happened since `cursor` to the candidate set requested under `key` (same
+    /// `key` and `merge_groups` as the [`IngressDb::snapshot`] or `changes_since` call the
+    /// cursor came from): costs one stamp comparison per stored batch of the set plus the
+    /// arrivals themselves, never a walk over what was already there. While a batch's
+    /// stamp has not passed the cursor's clock reading it has only been appended to, so
+    /// its arrivals are the slots beyond the length the cursor recorded.
+    ///
+    /// A batch that appeared since the cursor counts as a disturbance, not as arrivals:
+    /// its stamp cannot tell a new interface group from one that emptied and came back.
+    pub fn changes_since(
+        &self,
+        key: BatchKey,
+        merge_groups: bool,
+        cursor: &BatchCursor,
+        now: SimTime,
+    ) -> BatchChange {
+        if cursor.lineage != self.lineage {
+            return BatchChange::Disturbed;
+        }
+        let mut known = cursor.lengths.iter();
+        let mut lengths = Vec::with_capacity(cursor.lengths.len());
+        let mut arrivals = Vec::new();
+        for batch in self.batches_of(key, merge_groups) {
+            // A batch of the set that went away shifts the ones behind it onto its
+            // recorded length — possibly a longer one; the count check below settles it.
+            let Some(arrived) = known
+                .next()
+                .filter(|_| batch.disturbed_at <= cursor.clock)
+                .and_then(|&known| batch.slots.get(known..))
+            else {
+                return BatchChange::Disturbed;
+            };
+            lengths.push(batch.slots.len());
+            arrivals.extend(
+                arrived
+                    .iter()
+                    .filter(|slot| !slot.beacon.pcb.is_expired(now)),
+            );
+        }
+        if known.next().is_some() {
+            return BatchChange::Disturbed;
+        }
+        match BatchView::new(key, 0, arrivals.into_iter()) {
+            Some(view) => BatchChange::Appended(view, BatchCursor { lengths, ..*cursor }),
+            None => BatchChange::Unchanged,
+        }
     }
 
     /// Total number of stored beacons **including expired ones not yet evicted**. Use
     /// [`IngressDb::live_len`] for occupancy/overhead metrics.
     pub fn len(&self) -> usize {
-        self.by_key.values().map(Vec::len).sum()
+        self.by_key.values().map(|batch| batch.slots.len()).sum()
     }
 
     /// Number of stored beacons that are still valid at `now`. Unlike [`IngressDb::len`],
@@ -266,7 +478,7 @@ impl IngressDb {
     pub fn live_len(&self, now: SimTime) -> usize {
         self.by_key
             .values()
-            .flat_map(|v| v.iter())
+            .flat_map(|batch| &batch.slots)
             .filter(|slot| !slot.beacon.pcb.is_expired(now))
             .count()
     }
@@ -281,19 +493,31 @@ impl IngressDb {
     /// evicted.
     pub fn evict_expired(&mut self, now: SimTime, grace: irec_types::SimDuration) -> usize {
         let horizon = now + grace;
-        let mut evicted = 0;
-        self.by_key.retain(|_, beacons| {
-            beacons.retain(|slot| {
-                let keep = !slot.beacon.pcb.is_expired(horizon);
+        self.remove_where(|beacon| beacon.pcb.is_expired(horizon))
+    }
+
+    /// Removes every stored beacon matching `remove`, keeping the others in order;
+    /// matched ids leave the dedup set, so such a beacon can be stored again. Every batch
+    /// that loses a beacon is stamped as disturbed; one that empties is dropped.
+    fn remove_where(&mut self, remove: impl Fn(&StoredBeacon) -> bool) -> usize {
+        let mut removed = 0;
+        self.by_key.retain(|_, batch| {
+            let before = removed;
+            batch.slots.retain(|slot| {
+                let keep = !remove(&slot.beacon);
                 if !keep {
-                    evicted += 1;
+                    removed += 1;
                     self.seen.remove(&slot.id);
                 }
                 keep
             });
-            !beacons.is_empty()
+            if removed > before {
+                self.clock += 1;
+                batch.disturbed_at = self.clock;
+            }
+            !batch.slots.is_empty()
         });
-        evicted
+        removed
     }
 
     /// True when any stored beacon matches `predicate` — the read-only probe the sharded
@@ -301,7 +525,7 @@ impl IngressDb {
     pub fn any_where(&self, predicate: impl Fn(&StoredBeacon) -> bool) -> bool {
         self.by_key
             .values()
-            .flatten()
+            .flat_map(|batch| &batch.slots)
             .any(|slot| predicate(&slot.beacon))
     }
 
@@ -310,19 +534,7 @@ impl IngressDb {
     /// [`IngressDb::evict_expired`] — so a withdrawn beacon could be re-learned if it were
     /// ever re-sent.
     pub fn purge_where(&mut self, predicate: impl Fn(&StoredBeacon) -> bool) -> usize {
-        let mut purged = 0;
-        self.by_key.retain(|_, beacons| {
-            beacons.retain(|slot| {
-                let keep = !predicate(&slot.beacon);
-                if !keep {
-                    purged += 1;
-                    self.seen.remove(&slot.id);
-                }
-                keep
-            });
-            !beacons.is_empty()
-        });
-        purged
+        self.remove_where(predicate)
     }
 }
 
@@ -576,6 +788,34 @@ impl ShardedIngressDb {
         self.shards[self.shard_of(origin)]
             .read()
             .origin_view(origin, target, now)
+    }
+
+    /// [`IngressDb::snapshot`] on the shard `key`'s origin lives in: the candidate set
+    /// requested under `key`, and the cursor to ask that shard about it later.
+    pub fn snapshot(
+        &self,
+        key: BatchKey,
+        merge_groups: bool,
+        now: SimTime,
+    ) -> (Option<BatchView>, BatchCursor) {
+        self.shards[self.shard_of(key.origin)]
+            .read()
+            .snapshot(key, merge_groups, now)
+    }
+
+    /// [`IngressDb::changes_since`] on the shard `key`'s origin lives in. Copy-on-write
+    /// snapshots carry the stamps with the shards, so a cursor read from a database stays
+    /// valid against that database across [`ShardedIngressDb::cow_clone`]s on either side.
+    pub fn changes_since(
+        &self,
+        key: BatchKey,
+        merge_groups: bool,
+        cursor: &BatchCursor,
+        now: SimTime,
+    ) -> BatchChange {
+        self.shards[self.shard_of(key.origin)]
+            .read()
+            .changes_since(key, merge_groups, cursor, now)
     }
 
     /// Total number of stored beacons **including expired ones not yet evicted**, reduced
@@ -993,6 +1233,110 @@ mod tests {
                 assert_eq!(merged.ids(), view.ids());
             }
         }
+    }
+
+    #[test]
+    fn change_stamps_tell_untouched_grown_and_disturbed_batches_apart() {
+        let grouped =
+            |group: u32| PcbExtensions::none().with_interface_group(InterfaceGroupId(group));
+        let key = |group: u32| BatchKey {
+            origin: AsId(1),
+            group: InterfaceGroupId(group),
+            target: None,
+        };
+        let merged = key(0);
+        let now = SimTime::ZERO;
+        let mut db = IngressDb::new();
+        for (seq, group) in [(0, 1), (1, 2), (2, 1)] {
+            db.insert(pcb(1, seq, grouped(group), 6), IfId(1), now);
+        }
+        db.insert(pcb(2, 0, PcbExtensions::none(), 6), IfId(1), now);
+
+        let (view, one_group) = db.snapshot(key(1), false, now);
+        assert_eq!(view.unwrap().len(), 2);
+        let (view, all_groups) = db.snapshot(merged, true, now);
+        assert_eq!(view.unwrap().len(), 3);
+        let changes = |db: &IngressDb, cursor: &BatchCursor, merge: bool| {
+            db.changes_since(if merge { merged } else { key(1) }, merge, cursor, now)
+        };
+        assert!(matches!(
+            changes(&db, &one_group, false),
+            BatchChange::Unchanged
+        ));
+        assert!(matches!(
+            changes(&db, &all_groups, true),
+            BatchChange::Unchanged
+        ));
+
+        // Another origin's insert, a duplicate and an arrival that is already expired
+        // change nothing; an arrival in group 2 grows the merged set only.
+        db.insert(pcb(2, 1, PcbExtensions::none(), 6), IfId(1), now);
+        assert!(!db.insert(pcb(1, 0, grouped(1), 6), IfId(1), now));
+        let late = SimTime::ZERO + SimDuration::from_hours(2);
+        db.insert(pcb(1, 7, grouped(1), 1), IfId(1), now);
+        assert!(matches!(
+            db.changes_since(key(1), false, &one_group, late),
+            BatchChange::Unchanged
+        ));
+        db.purge_where(|b| b.pcb.sequence == 7);
+        let (_, one_group) = db.snapshot(key(1), false, now);
+        let (_, all_groups) = db.snapshot(merged, true, now);
+        db.insert(pcb(1, 3, grouped(2), 6), IfId(1), now);
+        assert!(matches!(
+            changes(&db, &one_group, false),
+            BatchChange::Unchanged
+        ));
+        let BatchChange::Appended(arrivals, all_groups) = changes(&db, &all_groups, true) else {
+            panic!("an insert into a standing group is an arrival");
+        };
+        assert_eq!(arrivals.key, merged);
+        assert_eq!(arrivals.ids(), &[pcb(1, 3, grouped(2), 6).digest()]);
+        assert!(matches!(
+            changes(&db, &all_groups, true),
+            BatchChange::Unchanged
+        ));
+
+        // A group the reader has not seen, a removal, and a batch that emptied and came
+        // back all send the reader back to a snapshot — as does another database.
+        db.insert(pcb(1, 4, grouped(3), 6), IfId(1), now);
+        assert!(matches!(
+            changes(&db, &all_groups, true),
+            BatchChange::Disturbed
+        ));
+        assert!(matches!(
+            changes(&db, &one_group, false),
+            BatchChange::Unchanged
+        ));
+        db.purge_where(|b| b.pcb.sequence == 2);
+        assert!(matches!(
+            changes(&db, &one_group, false),
+            BatchChange::Disturbed
+        ));
+        // ...also once the batch has grown back to the length the cursor recorded.
+        db.insert(pcb(1, 5, grouped(1), 6), IfId(1), now);
+        assert!(matches!(
+            changes(&db, &one_group, false),
+            BatchChange::Disturbed
+        ));
+        let (_, one_group) = db.snapshot(key(1), false, now);
+        db.purge_where(|b| stored_group(&b.pcb) == InterfaceGroupId(1));
+        db.insert(pcb(1, 0, grouped(1), 6), IfId(1), now);
+        assert!(matches!(
+            changes(&db, &one_group, false),
+            BatchChange::Disturbed
+        ));
+        let (_, one_group) = db.snapshot(key(1), false, now);
+        let copy = db.clone();
+        assert!(matches!(
+            changes(&copy, &one_group, false),
+            BatchChange::Unchanged
+        ));
+        let mut other = IngressDb::new();
+        other.insert(pcb(1, 0, grouped(1), 6), IfId(1), now);
+        assert!(matches!(
+            changes(&other, &one_group, false),
+            BatchChange::Disturbed
+        ));
     }
 
     #[test]

@@ -143,12 +143,6 @@ pub struct NodeConfig {
     /// registration concurrency — RAC selections and pull-return commits — the service
     /// admits.
     pub path_shards: usize,
-    /// Whether the RAC execution engine keeps per-RAC incremental selection tables
-    /// (see [`crate::engine::SelectionTables`]): unchanged candidate batches are served
-    /// from the table instead of re-running the RAC, guarded by a content fingerprint so
-    /// the output stays byte-identical to a from-scratch run. `false` (the default) is the
-    /// retained from-scratch reference path.
-    pub incremental_selection: bool,
 }
 
 impl Default for NodeConfig {
@@ -163,7 +157,6 @@ impl Default for NodeConfig {
             parallelism: 1,
             ingress_shards: 0,
             path_shards: 0,
-            incremental_selection: false,
         }
     }
 }
@@ -244,13 +237,6 @@ impl NodeConfig {
     #[must_use]
     pub fn with_path_shards(mut self, shards: usize) -> Self {
         self.path_shards = shards;
-        self
-    }
-
-    /// Builder-style: enable or disable incremental re-selection in the RAC engine.
-    #[must_use]
-    pub fn with_incremental_selection(mut self, enabled: bool) -> Self {
-        self.incremental_selection = enabled;
         self
     }
 

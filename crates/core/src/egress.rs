@@ -3,12 +3,11 @@
 
 use crate::beacon_db::EgressDb;
 use crate::config::PropagationPolicy;
-use crate::engine::IdentifiedOutput;
+use crate::engine::{BatchSelection, SelectedBeacon};
 use crate::messages::{PcbMessage, PullReturn};
 use crate::path_service::{RegisteredPath, ShardedPathService};
-use crate::rac::RacOutput;
 use irec_crypto::Signer;
-use irec_pcb::{Pcb, PcbExtensions, PcbId, StaticInfo};
+use irec_pcb::{Pcb, PcbExtensions, StaticInfo};
 use irec_topology::Topology;
 use irec_types::{AsId, IfId, InterfaceGroupId, Result, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -264,53 +263,52 @@ impl EgressGateway {
     /// Every selection comes with the id its batch view carried, so neither registration
     /// nor dedup encodes or hashes a beacon; the only beacons encoded here are the ones
     /// actually extended and sent.
-    pub fn process_outputs(
+    pub fn process_outputs<'a>(
         &mut self,
-        outputs: Vec<IdentifiedOutput>,
+        batches: impl IntoIterator<Item = &'a BatchSelection>,
         now: SimTime,
     ) -> Result<(Vec<PcbMessage>, Vec<PullReturn>)> {
         let mut messages = Vec::new();
         let mut returns = Vec::new();
 
-        for IdentifiedOutput { pcb_id, output } in outputs {
-            // Path registration happens for every selection — these are the paths endpoints
-            // can use, whether or not the beacon is propagated further.
-            self.register_path(pcb_id, &output, now);
+        for batch in batches {
+            for selected in &batch.selected {
+                // Path registration happens for every selection — these are the paths
+                // endpoints can use, whether or not the beacon is propagated further.
+                self.register_path(batch, selected, now);
 
-            let beacon = &output.beacon;
-            // Pull-based beacon reaching its target: return it to the origin instead of
-            // propagating it further.
-            if beacon.pcb.extensions.target == Some(self.local_as) {
-                self.stats.pull_returns += 1;
-                returns.push(PullReturn {
-                    from_as: self.local_as,
-                    to_as: beacon.pcb.origin,
-                    target_ingress: beacon.ingress,
-                    pcb: beacon.pcb.clone(),
-                });
-                continue;
-            }
+                let beacon = &selected.beacon;
+                // Pull-based beacon reaching its target: return it to the origin instead
+                // of propagating it further.
+                if beacon.pcb.extensions.target == Some(self.local_as) {
+                    self.stats.pull_returns += 1;
+                    returns.push(PullReturn {
+                        from_as: self.local_as,
+                        to_as: beacon.pcb.origin,
+                        target_ingress: beacon.ingress,
+                        pcb: beacon.pcb.clone(),
+                    });
+                    continue;
+                }
 
-            // Export-policy and dedup filtering.
-            let allowed: Vec<IfId> = output
-                .egress_ifs
-                .iter()
-                .copied()
-                .filter(|&egress| self.export_allowed(beacon.ingress, egress))
-                .collect();
-            let new_egresses = Arc::make_mut(&mut self.db).filter_new_egresses(
-                pcb_id,
-                beacon.pcb.expires_at,
-                &allowed,
-            );
+                // Export-policy and dedup filtering.
+                let allowed: Vec<IfId> = selected
+                    .egress_ifs
+                    .iter()
+                    .copied()
+                    .filter(|&egress| self.export_allowed(beacon.ingress, egress))
+                    .collect();
+                let new_egresses = Arc::make_mut(&mut self.db).filter_new_egresses(
+                    selected.pcb_id,
+                    beacon.pcb.expires_at,
+                    &allowed,
+                );
 
-            for egress in new_egresses {
-                match self.extend_and_send(beacon, egress, now) {
-                    Ok(message) => messages.push(message),
-                    Err(_) => {
-                        // A single unpropagatable (e.g. topology-inconsistent) selection must
-                        // not abort the whole round.
-                        continue;
+                for egress in new_egresses {
+                    // A single unpropagatable (e.g. topology-inconsistent) selection must
+                    // not abort the whole round.
+                    if let Ok(message) = self.extend_and_send(beacon, egress, now) {
+                        messages.push(message);
                     }
                 }
             }
@@ -318,19 +316,19 @@ impl EgressGateway {
         Ok((messages, returns))
     }
 
-    fn register_path(&mut self, pcb_id: PcbId, output: &RacOutput, now: SimTime) {
-        let pcb = &output.beacon.pcb;
+    fn register_path(&mut self, batch: &BatchSelection, selected: &SelectedBeacon, now: SimTime) {
+        let pcb = &selected.beacon.pcb;
         let Some(destination_interface) = pcb.origin_interface() else {
             return;
         };
         self.stats.registered += 1;
         self.path_service.register(RegisteredPath {
-            pcb_id,
+            pcb_id: selected.pcb_id,
             destination: pcb.origin,
             destination_interface,
-            local_interface: output.beacon.ingress,
-            algorithm: output.rac_name.clone(),
-            group: output.group,
+            local_interface: selected.beacon.ingress,
+            algorithm: batch.rac_name.to_string(),
+            group: batch.group,
             metrics: pcb.path_metrics(),
             links: pcb.link_keys(),
             registered_at: now,
@@ -463,17 +461,17 @@ mod tests {
         }
     }
 
-    fn output(name: &str, beacon: StoredBeacon, egress_ifs: Vec<IfId>) -> IdentifiedOutput {
-        IdentifiedOutput {
-            pcb_id: beacon.pcb.digest(),
-            output: RacOutput {
-                rac_name: name.to_string(),
-                origin: beacon.pcb.origin,
-                group: InterfaceGroupId::DEFAULT,
-                candidate_index: 0,
+    /// One RAC's selection of one beacon, the way the engine hands it over.
+    fn output(name: &str, beacon: StoredBeacon, egress_ifs: Vec<IfId>) -> BatchSelection {
+        BatchSelection {
+            rac_name: name.into(),
+            origin: beacon.pcb.origin,
+            group: InterfaceGroupId::DEFAULT,
+            selected: vec![SelectedBeacon {
+                pcb_id: beacon.pcb.digest(),
                 beacon: Arc::new(beacon),
-                egress_ifs,
-            },
+                egress_ifs: egress_ifs.into(),
+            }],
         }
     }
 
@@ -532,7 +530,7 @@ mod tests {
         let (mut gw, registry, topo) = gateway(PropagationPolicy::All);
         let beacon = received_beacon(&registry, 1, 1, 1); // arrived on if1 (from AS1)
         let outputs = vec![output("1SP", beacon, vec![IfId(2), IfId(3)])];
-        let (messages, returns) = gw.process_outputs(outputs, SimTime::ZERO).unwrap();
+        let (messages, returns) = gw.process_outputs(&outputs, SimTime::ZERO).unwrap();
         assert!(returns.is_empty());
         assert_eq!(messages.len(), 2);
         let verifier = Verifier::new(registry);
@@ -557,7 +555,7 @@ mod tests {
             output("1SP", beacon.clone(), vec![IfId(2)]),
             output("DO", beacon, vec![IfId(2), IfId(3)]),
         ];
-        let (messages, _) = gw.process_outputs(outputs, SimTime::ZERO).unwrap();
+        let (messages, _) = gw.process_outputs(&outputs, SimTime::ZERO).unwrap();
         assert_eq!(messages.len(), 2);
         let sent_ifs: Vec<IfId> = messages.iter().map(|m| m.from_if).collect();
         assert!(sent_ifs.contains(&IfId(2)) && sent_ifs.contains(&IfId(3)));
@@ -579,18 +577,21 @@ mod tests {
         let ingress = IngressGateway::new(AsId(2), Verifier::new(registry.clone()));
         let racs = [Rac::new_static(RacConfig::static_rac("5SP", "5SP")).unwrap()];
         let node = topo.as_node(AsId(2)).unwrap();
-        let select = |ingress: &IngressGateway| {
-            crate::engine::execute_racs_cached(
+        let mut tables = crate::engine::SelectionTables::new();
+        // One RAC, one origin: every round's selection is one batch.
+        let mut select = |ingress: &IngressGateway| -> crate::engine::BatchOutputs {
+            let (mut batches, _) = crate::engine::execute_racs_cached(
                 &racs,
                 ingress.db(),
                 node,
                 &[IfId(2), IfId(3)],
                 SimTime::ZERO,
                 1,
-                None,
+                &mut tables,
             )
-            .unwrap()
-            .0
+            .unwrap();
+            assert_eq!(batches.len(), 1);
+            batches.remove(0)
         };
 
         let first = received_beacon(&registry, 1, 1, 1).pcb;
@@ -598,17 +599,18 @@ mod tests {
             .receive(first.clone(), IfId(1), SimTime::ZERO)
             .unwrap();
         let outputs = select(&ingress);
-        assert_eq!(outputs.len(), 1);
-        assert_eq!(outputs[0].pcb_id, first.digest());
-        assert!(outputs[0].output.beacon.pcb == first);
-        let (messages, _) = gw.process_outputs(outputs.clone(), SimTime::ZERO).unwrap();
+        assert_eq!(&*outputs.rac_name, "5SP");
+        assert_eq!(outputs.selected.len(), 1);
+        assert_eq!(outputs.selected[0].pcb_id, first.digest());
+        assert!(outputs.selected[0].beacon.pcb == first);
+        let (messages, _) = gw.process_outputs([&*outputs], SimTime::ZERO).unwrap();
         assert_eq!(messages.len(), 2);
         for egress in [IfId(2), IfId(3)] {
             assert!(gw.db.contains(&first.digest(), egress));
         }
 
         // Re-selected next round: nothing new to send.
-        let (messages, _) = gw.process_outputs(outputs.clone(), SimTime::ZERO).unwrap();
+        let (messages, _) = gw.process_outputs([&*outputs], SimTime::ZERO).unwrap();
         assert!(messages.is_empty());
 
         // The origin re-originates (next sequence number): a different id, sent afresh,
@@ -628,8 +630,8 @@ mod tests {
             .receive(second.clone(), IfId(1), SimTime::ZERO)
             .unwrap();
         let outputs = select(&ingress);
-        assert_eq!(outputs.len(), 2);
-        let (messages, _) = gw.process_outputs(outputs.clone(), SimTime::ZERO).unwrap();
+        assert_eq!(outputs.selected.len(), 2);
+        let (messages, _) = gw.process_outputs([&*outputs], SimTime::ZERO).unwrap();
         assert_eq!(messages.len(), 2);
         assert!(messages.iter().all(|m| m.pcb.sequence == 1));
         assert_eq!(gw.db.len(), 2);
@@ -638,7 +640,7 @@ mod tests {
         assert_eq!(gw.forget_egress(IfId(3)), 2);
         assert!(!gw.db.contains(&second.digest(), IfId(3)));
         assert!(gw.db.contains(&second.digest(), IfId(2)));
-        let (messages, _) = gw.process_outputs(outputs, SimTime::ZERO).unwrap();
+        let (messages, _) = gw.process_outputs([&*outputs], SimTime::ZERO).unwrap();
         assert_eq!(messages.len(), 2);
         assert!(messages.iter().all(|m| m.from_if == IfId(3)));
 
@@ -658,7 +660,7 @@ mod tests {
         let (mut gw, registry, _) = gateway(PropagationPolicy::All);
         let beacon = received_beacon(&registry, 1, 1, 1);
         let outputs = vec![output("1SP", beacon, vec![IfId(1)])];
-        let (messages, _) = gw.process_outputs(outputs, SimTime::ZERO).unwrap();
+        let (messages, _) = gw.process_outputs(&outputs, SimTime::ZERO).unwrap();
         assert!(messages.is_empty());
     }
 
@@ -669,7 +671,7 @@ mod tests {
         let (mut gw, registry, _) = gateway(PropagationPolicy::ValleyFree);
         let beacon = received_beacon(&registry, 1, 1, 1);
         let outputs = vec![output("1SP", beacon, vec![IfId(2), IfId(3)])];
-        let (messages, _) = gw.process_outputs(outputs, SimTime::ZERO).unwrap();
+        let (messages, _) = gw.process_outputs(&outputs, SimTime::ZERO).unwrap();
         assert_eq!(messages.len(), 1);
         assert_eq!(messages[0].from_if, IfId(3));
         assert_eq!(messages[0].to_as, AsId(4));
@@ -681,7 +683,7 @@ mod tests {
         let (mut gw, registry, _) = gateway(PropagationPolicy::ValleyFree);
         let beacon = received_beacon(&registry, 4, 1, 3);
         let outputs = vec![output("1SP", beacon, vec![IfId(1), IfId(2)])];
-        let (messages, _) = gw.process_outputs(outputs, SimTime::ZERO).unwrap();
+        let (messages, _) = gw.process_outputs(&outputs, SimTime::ZERO).unwrap();
         assert_eq!(messages.len(), 2);
     }
 
@@ -709,7 +711,7 @@ mod tests {
             received_at: SimTime::ZERO,
         };
         let outputs = vec![output("od", beacon, vec![IfId(2), IfId(3)])];
-        let (messages, returns) = gw.process_outputs(outputs, SimTime::ZERO).unwrap();
+        let (messages, returns) = gw.process_outputs(&outputs, SimTime::ZERO).unwrap();
         assert!(messages.is_empty());
         assert_eq!(returns.len(), 1);
         assert_eq!(returns[0].to_as, AsId(1));
@@ -731,7 +733,7 @@ mod tests {
         gw.originate(&spec, SimTime::ZERO, SimDuration::from_hours(1))
             .unwrap();
         let beacon = received_beacon(&registry, 1, 1, 1);
-        gw.process_outputs(vec![output("1SP", beacon, vec![IfId(2)])], SimTime::ZERO)
+        gw.process_outputs(&[output("1SP", beacon, vec![IfId(2)])], SimTime::ZERO)
             .unwrap();
         let counters = gw.take_sent_counters();
         assert_eq!(counters.values().sum::<u64>(), 4);

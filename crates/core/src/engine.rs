@@ -21,16 +21,19 @@
 //! Errors are deterministic too: the first failing work item *in item order* wins, exactly
 //! as in a sequential loop.
 
-use crate::beacon_db::{BatchKey, BatchView, ShardedIngressDb};
-use crate::rac::{Rac, RacOutput, RacTiming};
-use irec_algorithms::incremental::{
-    FingerprintBuilder, IncrementalStats, IncrementalTable, SelectionDelta,
+use crate::beacon_db::{
+    BatchChange, BatchCursor, BatchKey, BatchView, ShardedIngressDb, StoredBeacon,
 };
+use crate::config::RacConfig;
+use crate::rac::{Rac, RacOutput, RacTiming};
+use irec_algorithms::incremental::IncrementalStats;
 use irec_pcb::PcbId;
 use irec_topology::AsNode;
-use irec_types::{IfId, Result, SimTime};
+use irec_types::{AsId, IfId, InterfaceGroupId, Result, SimTime};
 use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Hard cap on engine workers; beyond this, coordination overhead dominates any workload
@@ -43,36 +46,71 @@ pub const MAX_WORKERS: usize = 64;
 /// over their union (see [`execute_racs_with`]).
 pub const BATCH_SPLIT_THRESHOLD: usize = 512;
 
-/// A RAC selection paired with the [`PcbId`] its batch view carried for the selected beacon.
+/// One selected beacon as the egress gateway consumes it: the stored beacon, the
+/// [`PcbId`] its batch view carried for it, and the egress interfaces it was selected for.
 ///
 /// RACs select by candidate index and know nothing of ids; the engine owns the views, so it
-/// is the engine that looks the id up — `view.ids()[output.candidate_index]` — and hands
-/// the pair to the egress gateway, which dedups and registers by it without hashing the
-/// beacon. The id is always one this AS computed itself when it verified the beacon.
+/// is the engine that looks the id up — `view.ids()[output.candidate_index]` — and hands it
+/// on with the beacon, so the gateway dedups and registers without hashing anything. The
+/// id is always one this AS computed itself when it verified the beacon.
 #[derive(Debug, Clone)]
-pub struct IdentifiedOutput {
-    /// The id of `output.beacon`.
+pub struct SelectedBeacon {
+    /// The id of `beacon`.
     pub pcb_id: PcbId,
-    /// The selection.
-    pub output: RacOutput,
+    /// The selected beacon, shared with the ingress database.
+    pub beacon: Arc<StoredBeacon>,
+    /// Egress interfaces the beacon was optimized for, ascending.
+    pub egress_ifs: Box<[IfId]>,
+}
+
+/// The selections of one `(RAC, candidate batch)` pair, in candidate order, under the
+/// attributes they share. This is the form selections are *kept* in from one round to the
+/// next (see [`SelectionTables`]), so it carries per beacon only what differs per beacon.
+#[derive(Debug)]
+pub struct BatchSelection {
+    /// The RAC that made the selections (tags registered paths).
+    pub rac_name: Arc<str>,
+    /// Origin AS of the batch.
+    pub origin: AsId,
+    /// Interface group of the batch.
+    pub group: InterfaceGroupId,
+    /// The selected beacons.
+    pub selected: Vec<SelectedBeacon>,
+}
+
+/// A [`BatchSelection`], shared — not copied — between the round that consumes it and the
+/// [`SelectionTables`] entry that serves it again next round.
+pub type BatchOutputs = Arc<BatchSelection>;
+
+/// A RAC output paired with the id its view carried: the merge's working form, which
+/// still knows the candidate index the sub-merge needs.
+pub(crate) struct Identified {
+    pub(crate) pcb_id: PcbId,
+    pub(crate) output: RacOutput,
 }
 
 /// Pairs the outputs a RAC produced over `view` with the ids `view` carries.
-fn identify(view: &BatchView, outputs: Vec<RacOutput>) -> Vec<IdentifiedOutput> {
+fn identify(view: &BatchView, outputs: Vec<RacOutput>) -> Vec<Identified> {
     outputs
         .into_iter()
-        .map(|output| IdentifiedOutput {
+        .map(|output| Identified {
             pcb_id: view.ids()[output.candidate_index],
             output,
         })
         .collect()
 }
 
-/// Drops the ids again, for callers that only look at the selections.
-fn selections(
-    (outputs, timing): (Vec<IdentifiedOutput>, RacTiming),
-) -> (Vec<RacOutput>, RacTiming) {
-    (outputs.into_iter().map(|o| o.output).collect(), timing)
+/// What the merge hands on for one `(RAC, batch)` group.
+enum Merged {
+    /// Last round's selection, served verbatim.
+    Reused(BatchOutputs),
+    /// A selection computed this round and, for a RAC with a table, what to record with it.
+    Computed {
+        rac_index: usize,
+        key: BatchKey,
+        record: Option<Record>,
+        outputs: Vec<Identified>,
+    },
 }
 
 /// One unit of parallel work: a RAC paired with a snapshot of one candidate batch (or a
@@ -91,77 +129,117 @@ struct BatchGroup {
     rac_index: usize,
     key: BatchKey,
     items: std::ops::Range<usize>,
-    /// The full unsplit view, retained (an `Arc` bump, no copy) for split groups so the
-    /// merge can hand merge-aware algorithms the complete batch, and for every cacheable
-    /// group so the merge can record the batch's hop-chain footprint in the table.
+    /// The unsplit view the items are sub-ranges of, retained (an `Arc` bump, no copy) for
+    /// split groups so the merge can hand merge-aware algorithms the complete batch.
     view: Option<BatchView>,
-    /// Table hit: the cached per-RAC outputs for this batch, found during the serial
-    /// snapshot phase. Such groups carry no work items and contribute no timing.
-    cached: Option<Vec<IdentifiedOutput>>,
-    /// The batch-view fingerprint, computed during the snapshot phase for every cacheable
-    /// group; the merge stores the freshly computed outputs under it.
-    fingerprint: Option<u64>,
+    /// Table hit: last round's outputs, served verbatim. Such groups carry no work items
+    /// and contribute no timing.
+    reused: Option<BatchOutputs>,
+    /// For a computed group of a RAC with a table: what the merge records beside the
+    /// fresh outputs.
+    record: Option<Record>,
 }
 
-/// The per-node incremental selection state: one [`IncrementalTable`] of cached per-batch
-/// output vectors per *cacheable* RAC (static RACs only — see
-/// [`Rac::is_cacheable`]), indexed by RAC configuration order.
+/// The bookkeeping half of a [`SelectionTables`] entry, fixed in the snapshot phase.
+struct Record {
+    /// Whether the items run over *winners ∪ arrivals* rather than the whole batch.
+    extended: bool,
+    cursor: BatchCursor,
+    valid_until: SimTime,
+}
+
+/// Last round's selections of one `(RAC, batch)` pair and what proves them current.
+#[derive(Debug, Clone)]
+struct Entry {
+    outputs: BatchOutputs,
+    /// Where the database stood when the outputs were computed.
+    cursor: BatchCursor,
+    /// When they were computed. A snapshot at an earlier instant could contain beacons
+    /// that had already expired by then.
+    computed_at: SimTime,
+    /// The earliest expiry among all beacons the outputs were computed from — the batch of
+    /// the last full pass and every arrival fed since. Expiry shortens a snapshot without
+    /// touching the database, so no stamp shows it.
+    valid_until: SimTime,
+}
+
+impl Entry {
+    /// Whether a snapshot at `now` still holds every beacon the outputs were computed
+    /// from (and none that was left out as expired).
+    fn covers(&self, now: SimTime) -> bool {
+        now.is_at_or_after(self.computed_at) && !now.is_at_or_after(self.valid_until)
+    }
+}
+
+/// What a set of tables was filled under; outputs computed under one context say nothing
+/// about another.
+#[derive(Debug, Clone, PartialEq)]
+struct Context {
+    local_as: AsId,
+    egress_ifs: Vec<IfId>,
+    /// Per RAC: its configuration and whether it ignores IREC extensions.
+    racs: Vec<(RacConfig, bool)>,
+}
+
+/// A node's delta-driven selection state: per *cacheable* RAC (static RACs only — see
+/// [`Rac::is_cacheable`]) and candidate batch, the outputs of the last round, shared with
+/// that round's consumer, plus the [`BatchCursor`] and expiry bound that let the next
+/// round decide — without snapshotting the batch — between three passes:
 ///
-/// Determinism: the engine probes the tables in the serial snapshot phase and stores into
-/// them in the serial merge phase, both on the coordinating thread in canonical group
-/// order — worker threads never touch the tables, so no locking is needed and a cached run
-/// is byte-identical to a from-scratch run on every scheduler × worker × shard plane.
+/// | the ingress database says | pass |
+/// |---|---|
+/// | untouched | **reuse**: the outputs verbatim — exact for every deterministic algorithm |
+/// | only grew, and the algorithm is [union-composable](irec_algorithms::RoutingAlgorithm::union_composable) | **extend**: select over *winners ∪ arrivals*, in batch order |
+/// | anything else — a removal, an expiry, an arrival for HD / `<k>YEN` / ACO, no entry yet | **full**: snapshot and select from scratch |
+///
+/// One invariant carries correctness: an entry is used only while the database proves its
+/// batch append-only since the entry was written *and* no beacon the entry was computed
+/// from has expired *and* the context — local AS, egress interfaces, RAC configurations —
+/// is the one it was computed under. The tables hold cursors into one database and belong
+/// with it: hand them only the database (or copy-on-write descendants of it) and RAC list
+/// they were filled from.
+///
+/// Determinism: the engine probes the tables in the serial snapshot phase and writes them
+/// in the serial merge phase, both on the coordinating thread in canonical group order —
+/// worker threads never touch them, and every pass produces the outputs a from-scratch
+/// run would, so any worker count stays byte-identical.
 #[derive(Debug, Clone, Default)]
 pub struct SelectionTables {
-    tables: Vec<Option<IncrementalTable<Vec<IdentifiedOutput>>>>,
+    /// Indexed by RAC configuration order; `None` for RACs that always run the full pass.
+    tables: Vec<Option<HashMap<BatchKey, Entry>>>,
+    context: Option<Context>,
+    stats: IncrementalStats,
 }
 
 impl SelectionTables {
-    /// Creates one table per cacheable RAC in `racs` (configuration order); on-demand RACs
-    /// get no table and always recompute.
-    pub fn for_racs(racs: &[Rac]) -> Self {
-        SelectionTables {
-            tables: racs
-                .iter()
-                .map(|rac| rac.is_cacheable().then(IncrementalTable::new))
-                .collect(),
-        }
+    /// Empty tables; the first [`execute_racs_cached`] call binds them to its context.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Drops every cached entry whose footprint intersects `delta`; returns how many
-    /// entries were dropped across all tables.
-    pub fn apply_delta(&mut self, delta: &SelectionDelta) -> usize {
-        self.tables
-            .iter_mut()
-            .flatten()
-            .map(|table| table.apply_delta(delta))
-            .sum()
-    }
-
-    /// Ends one round: entries whose batches were neither probed nor stored this round age
-    /// out of every table.
-    pub fn commit_round(&mut self) {
+    /// Drops every entry (counted as invalidated) and returns how many there were: the
+    /// next round runs the full pass everywhere. Happens by itself when the context the
+    /// tables are bound to changes (a swapped RAC catalog); never needed against changes of
+    /// the *candidates* — whatever makes an entry stale also moves a stamp or passes an
+    /// expiry.
+    pub fn clear(&mut self) -> usize {
+        let dropped = self.len();
         for table in self.tables.iter_mut().flatten() {
-            table.commit_round();
+            table.clear();
         }
+        self.stats.invalidated += dropped;
+        dropped
     }
 
-    /// The summed reuse/recompute/invalidation counters across all tables.
+    /// How many `(RAC, batch)` selections were reused, extended and recomputed, and how
+    /// many entries were dropped by [`SelectionTables::clear`].
     pub fn stats(&self) -> IncrementalStats {
-        let mut total = IncrementalStats::default();
-        for table in self.tables.iter().flatten() {
-            total.accumulate(table.stats());
-        }
-        total
+        self.stats
     }
 
-    /// Total cached entries across all tables.
+    /// Total entries across all tables.
     pub fn len(&self) -> usize {
-        self.tables
-            .iter()
-            .flatten()
-            .map(IncrementalTable::len)
-            .sum()
+        self.tables.iter().flatten().map(HashMap::len).sum()
     }
 
     /// Whether no table holds any entry.
@@ -169,47 +247,64 @@ impl SelectionTables {
         self.len() == 0
     }
 
-    fn table_mut(
-        &mut self,
-        rac_index: usize,
-    ) -> Option<&mut IncrementalTable<Vec<IdentifiedOutput>>> {
+    /// Makes the tables those of this context: kept when it is the one they were filled
+    /// under, rebuilt empty otherwise.
+    fn bind(&mut self, racs: &[Rac], local_as: &AsNode, egress_ifs: &[IfId]) {
+        let context = Context {
+            local_as: local_as.id,
+            egress_ifs: egress_ifs.to_vec(),
+            racs: racs
+                .iter()
+                .map(|rac| (rac.config().clone(), rac.ignores_extensions()))
+                .collect(),
+        };
+        if self.context.as_ref() == Some(&context) {
+            return;
+        }
+        self.clear();
+        self.tables = racs
+            .iter()
+            .map(|rac| rac.is_cacheable().then(HashMap::new))
+            .collect();
+        self.context = Some(context);
+    }
+
+    fn table_mut(&mut self, rac_index: usize) -> Option<&mut HashMap<BatchKey, Entry>> {
         self.tables.get_mut(rac_index)?.as_mut()
     }
-}
 
-/// Content fingerprint of one candidate batch under one RAC's selection context: batch key,
-/// per-beacon content digest (the id the view carries — nothing is hashed here) + ingress
-/// interface + receive time, the local AS, the egress list, and the RAC's selection knobs. Any batch mutation — a new beacon, an eviction, a
-/// withdrawal sweep — changes a beacon digest or the beacon list and thereby the
-/// fingerprint, forcing a recompute for exactly the affected `(origin, group)` batch.
-///
-/// `received_at` is folded per beacon because it is *not* covered by the PCB content
-/// digest, yet it flows into [`RacOutput::beacon`] — without it a re-received beacon could
-/// be served from the table with a stale receive time and diverge from the from-scratch
-/// reference.
-fn view_fingerprint(view: &BatchView, local_as: &AsNode, egress_ifs: &[IfId], rac: &Rac) -> u64 {
-    let mut fp = FingerprintBuilder::new();
-    fp.fold(view.key.origin.value());
-    fp.fold(u64::from(view.key.group.value()));
-    fp.fold(view.key.target.map_or(u64::MAX, |t| t.value()));
-    for (beacon, id) in view.beacons.iter().zip(view.ids()) {
-        fp.fold_bytes(&id.0 .0);
-        fp.fold(u64::from(beacon.ingress.value()));
-        fp.fold(beacon.received_at.0);
+    /// Keeps `outputs`, computed at `now`, as the entry of `key` in the RAC's table.
+    fn keep(
+        &mut self,
+        rac_index: usize,
+        key: BatchKey,
+        record: Record,
+        now: SimTime,
+        outputs: &BatchOutputs,
+    ) {
+        if record.extended {
+            self.stats.extended += 1;
+        } else {
+            self.stats.recomputed += 1;
+        }
+        self.table_mut(rac_index)
+            .expect("only RACs with a table record")
+            .insert(
+                key,
+                Entry {
+                    outputs: Arc::clone(outputs),
+                    cursor: record.cursor,
+                    computed_at: now,
+                    valid_until: record.valid_until,
+                },
+            );
     }
-    fp.fold(local_as.id.value());
-    for egress in egress_ifs {
-        fp.fold(u64::from(egress.value()));
-    }
-    fp.fold(rac.config().max_selected as u64);
-    fp.fold(u64::from(rac.config().extend_paths));
-    fp.finish()
 }
 
 type ItemResult = Result<(Vec<RacOutput>, RacTiming)>;
 
 /// Runs every RAC over its relevant candidate batches from `db` and returns the merged
-/// selections plus accumulated timing.
+/// selections plus accumulated timing — always from scratch, reading nothing but `db`.
 ///
 /// With `parallelism <= 1` the items run sequentially on the calling thread; with
 /// `parallelism > 1` they are distributed over that many scoped worker threads (capped at
@@ -235,18 +330,16 @@ pub fn execute_racs(
     )
 }
 
-/// [`execute_racs`] consulting per-RAC incremental selection tables: batches whose
-/// fingerprint matches a table entry are served from the table (no work item, no
-/// algorithm run), everything else is computed as usual and stored back. With
-/// `tables = None` this is exactly [`execute_racs`] — the retained from-scratch reference.
+/// The node's entry point: [`execute_racs`] driven by what changed since `tables` were
+/// last written (see [`SelectionTables`]). Batches the ingress database reports untouched
+/// are served from the tables — no snapshot, no work item, no algorithm run, zero timing;
+/// batches that only grew are re-selected over the previous winners plus the arrivals,
+/// where the algorithm allows; everything else is snapshotted and computed as
+/// [`execute_racs`] would. The selections are those of a from-scratch pass, in its order.
 ///
-/// Cached groups contribute **zero** timing, which is the measured round-cost win; no
-/// deterministic output (fingerprints, registered paths, counters) folds timing, so the
-/// byte-identity guarantee is unaffected.
-///
-/// This is the node's entry point, so the selections come back paired with the ids their
-/// views carried ([`IdentifiedOutput`]) — what the egress gateway consumes.
-#[allow(clippy::too_many_arguments)]
+/// They come back per `(RAC, batch)` pair ([`BatchSelection`]) — shared with the tables,
+/// which serve them again next round — each beacon with the id its view carried
+/// ([`SelectedBeacon`]), which is what the egress gateway consumes.
 pub fn execute_racs_cached(
     racs: &[Rac],
     db: &ShardedIngressDb,
@@ -254,9 +347,9 @@ pub fn execute_racs_cached(
     egress_ifs: &[IfId],
     now: SimTime,
     parallelism: usize,
-    tables: Option<&mut SelectionTables>,
-) -> Result<(Vec<IdentifiedOutput>, RacTiming)> {
-    execute_racs_inner(
+    tables: &mut SelectionTables,
+) -> Result<(Vec<BatchOutputs>, RacTiming)> {
+    execute_racs_delta(
         racs,
         db,
         local_as,
@@ -268,17 +361,79 @@ pub fn execute_racs_cached(
     )
 }
 
+/// [`execute_racs_cached`] with an explicit batch-split threshold, for the tests that
+/// exercise extension over split batches.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn execute_racs_delta(
+    racs: &[Rac],
+    db: &ShardedIngressDb,
+    local_as: &AsNode,
+    egress_ifs: &[IfId],
+    now: SimTime,
+    parallelism: usize,
+    split_threshold: usize,
+    tables: &mut SelectionTables,
+) -> Result<(Vec<BatchOutputs>, RacTiming)> {
+    let (merged, timing) = execute_racs_inner(
+        racs,
+        db,
+        local_as,
+        egress_ifs,
+        now,
+        parallelism,
+        split_threshold,
+        Some(tables),
+    )?;
+    let batches = merged
+        .into_iter()
+        .map(|merged| match merged {
+            Merged::Reused(outputs) => outputs,
+            Merged::Computed {
+                rac_index,
+                key,
+                record,
+                outputs,
+            } => {
+                // Kept across rounds, so sized exactly: collecting straight out of
+                // `outputs` would reuse its allocation, which is twice as large.
+                let mut selected = Vec::with_capacity(outputs.len());
+                selected.extend(outputs.into_iter().map(|Identified { pcb_id, output }| {
+                    SelectedBeacon {
+                        pcb_id,
+                        beacon: output.beacon,
+                        egress_ifs: output.egress_ifs.into_boxed_slice(),
+                    }
+                }));
+                let outputs = Arc::new(BatchSelection {
+                    rac_name: racs[rac_index].shared_name(),
+                    origin: key.origin,
+                    group: key.group,
+                    selected,
+                });
+                if let Some(record) = record {
+                    tables.keep(rac_index, key, record, now, &outputs);
+                }
+                outputs
+            }
+        })
+        .collect();
+    Ok((batches, timing))
+}
+
 /// [`execute_racs`] with an explicit batch-split threshold (exposed so tests and benchmarks
 /// can exercise the splitting machinery on small batches).
 ///
 /// Splitting is part of the canonical work-item construction, **not** a function of the
 /// worker count: a batch of `n > threshold` candidates always becomes `ceil(n / threshold)`
 /// sub-range items plus one reduce pass, whether the items then run on one thread or many —
-/// which is what keeps parallel runs byte-identical to sequential ones. The reduce pass
-/// re-runs the RAC's selection over the union of the sub-range selections (in ascending
-/// candidate order); for selectors that rank candidates independently (shortest, widest,
-/// k-shortest) this two-level selection equals the single-pass selection, for set-valued
-/// selectors (e.g. high-disjointness) it is the standard hierarchical approximation.
+/// which is what keeps parallel runs byte-identical to sequential ones. And it never
+/// changes a selection: only batches of RACs whose algorithm can put sub-range selections
+/// back together exactly are split (see [`Rac::splits_batches`]). The reduce is the
+/// algorithm's own [`merge_partial`](irec_algorithms::RoutingAlgorithm::merge_partial)
+/// over the full batch where it has one (HD), else one more selection pass over the union
+/// of the sub-range winners in ascending candidate order — exact for union-composable
+/// selectors. Every other RAC (`<k>YEN`, ACO, on-demand modules) sees its whole batch in
+/// one pass, whatever its size.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_racs_with(
     racs: &[Rac],
@@ -289,7 +444,7 @@ pub fn execute_racs_with(
     parallelism: usize,
     split_threshold: usize,
 ) -> Result<(Vec<RacOutput>, RacTiming)> {
-    execute_racs_inner(
+    let (merged, timing) = execute_racs_inner(
         racs,
         db,
         local_as,
@@ -298,8 +453,16 @@ pub fn execute_racs_with(
         parallelism,
         split_threshold,
         None,
-    )
-    .map(selections)
+    )?;
+    let outputs = merged
+        .into_iter()
+        .flat_map(|merged| match merged {
+            Merged::Computed { outputs, .. } => outputs,
+            Merged::Reused(_) => unreachable!("without tables there is nothing to reuse"),
+        })
+        .map(|identified| identified.output)
+        .collect();
+    Ok((outputs, timing))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -312,37 +475,85 @@ fn execute_racs_inner(
     parallelism: usize,
     split_threshold: usize,
     mut tables: Option<&mut SelectionTables>,
-) -> Result<(Vec<IdentifiedOutput>, RacTiming)> {
+) -> Result<(Vec<Merged>, RacTiming)> {
     let threshold = split_threshold.max(1);
-    // Snapshot phase: materialize the work list in deterministic order. Incremental tables
-    // are probed here, on the coordinating thread, so a table hit skips work-item creation
-    // entirely and table access stays serial and deterministic.
+    if let Some(tables) = tables.as_deref_mut() {
+        tables.bind(racs, local_as, egress_ifs);
+    }
+    // Snapshot phase: materialize the work list in deterministic order. The tables are
+    // probed here, on the coordinating thread: a reused batch is never snapshotted and
+    // gets no work item, an extended one only its arrivals are read.
     let mut items = Vec::new();
     let mut groups = Vec::new();
     for (rac_index, rac) in racs.iter().enumerate() {
-        for view in rac.relevant_batches(db, now) {
+        let merge_groups = rac.merges_groups();
+        // Last round's entries move out; the ones still standing for a batch move back in
+        // below, the freshly computed ones in the merge phase. What is left over belonged
+        // to batches that are gone.
+        let mut previous = tables
+            .as_deref_mut()
+            .and_then(|t| t.table_mut(rac_index))
+            .map(|table| {
+                let sized = HashMap::with_capacity(table.len());
+                std::mem::replace(table, sized)
+            });
+        for key in rac.relevant_batch_keys(db) {
             let start = items.len();
-            let key = view.key;
-            let fingerprint = tables
-                .as_deref_mut()
-                .and_then(|t| t.table_mut(rac_index))
-                .map(|table| {
-                    let fp = view_fingerprint(&view, local_as, egress_ifs, rac);
-                    (table.probe((key.origin, key.group, key.target), fp), fp)
-                });
-            if let Some((Some(cached), fp)) = fingerprint {
-                groups.push(BatchGroup {
-                    rac_index,
-                    key,
-                    items: start..start,
-                    view: None,
-                    cached: Some(cached),
-                    fingerprint: Some(fp),
-                });
-                continue;
-            }
-            let fingerprint = fingerprint.map(|(_, fp)| fp);
-            let full_view = if view.len() > threshold {
+            let entry = previous
+                .as_mut()
+                .and_then(|table| table.remove(&key))
+                .filter(|entry| entry.covers(now));
+            let change = entry
+                .as_ref()
+                .map(|entry| db.changes_since(key, merge_groups, &entry.cursor, now));
+            let (view, record) = match (entry, change) {
+                (Some(entry), Some(BatchChange::Unchanged)) => {
+                    let tables = tables.as_deref_mut().expect("entries come from tables");
+                    tables.stats.reused += 1;
+                    groups.push(BatchGroup {
+                        rac_index,
+                        key,
+                        items: start..start,
+                        view: None,
+                        reused: Some(Arc::clone(&entry.outputs)),
+                        record: None,
+                    });
+                    tables
+                        .table_mut(rac_index)
+                        .expect("entries come from this RAC's table")
+                        .insert(key, entry);
+                    continue;
+                }
+                (Some(entry), Some(BatchChange::Appended(arrivals, cursor)))
+                    if rac.extends_selections() =>
+                {
+                    let arrived_until = arrivals
+                        .earliest_expiry()
+                        .expect("arrivals are reported only when there are some");
+                    (
+                        BatchView::of_winners_and_arrivals(&entry.outputs.selected, &arrivals),
+                        Some(Record {
+                            extended: true,
+                            cursor,
+                            valid_until: entry.valid_until.min(arrived_until),
+                        }),
+                    )
+                }
+                _ => {
+                    let (Some(view), cursor) = db.snapshot(key, merge_groups, now) else {
+                        continue;
+                    };
+                    let record = previous.is_some().then(|| Record {
+                        extended: false,
+                        cursor,
+                        valid_until: view
+                            .earliest_expiry()
+                            .expect("a snapshot without beacons is no view"),
+                    });
+                    (view, record)
+                }
+            };
+            let full_view = if view.len() > threshold && rac.splits_batches() {
                 let mut offset = 0;
                 while offset < view.len() {
                     let end = (offset + threshold).min(view.len());
@@ -353,14 +564,6 @@ fn execute_racs_inner(
                     offset = end;
                 }
                 Some(view)
-            } else if fingerprint.is_some() {
-                // Retain the view (an `Arc` bump) so the merge can record the batch's
-                // footprint when storing the fresh outputs into the table.
-                items.push(WorkItem {
-                    rac_index,
-                    view: view.clone(),
-                });
-                Some(view)
             } else {
                 items.push(WorkItem { rac_index, view });
                 None
@@ -370,8 +573,8 @@ fn execute_racs_inner(
                 key,
                 items: start..items.len(),
                 view: full_view,
-                cached: None,
-                fingerprint,
+                reused: None,
+                record,
             });
         }
     }
@@ -386,7 +589,7 @@ fn execute_racs_inner(
         execute_parallel(racs, &items, local_as, egress_ifs, workers)
     };
 
-    merge_results(racs, &groups, &items, results, local_as, egress_ifs, tables)
+    merge_results(racs, groups, &items, results, local_as, egress_ifs)
 }
 
 /// Processes one work item (on whatever thread it was claimed by).
@@ -484,58 +687,43 @@ fn execute_parallel(
 /// configure RACs in non-alphabetical order.
 fn merge_results(
     racs: &[Rac],
-    groups: &[BatchGroup],
+    groups: Vec<BatchGroup>,
     items: &[WorkItem],
     results: Vec<ItemResult>,
     local_as: &AsNode,
     egress_ifs: &[IfId],
-    mut tables: Option<&mut SelectionTables>,
-) -> Result<(Vec<IdentifiedOutput>, RacTiming)> {
+) -> Result<(Vec<Merged>, RacTiming)> {
     let mut results: Vec<Option<ItemResult>> = results.into_iter().map(Some).collect();
-    let mut outputs = Vec::new();
+    let mut merged = Vec::with_capacity(groups.len());
     let mut timing = RacTiming::default();
-    for group in groups {
-        let group_outputs = merge_group(
+    for mut group in groups {
+        if let Some(reused) = group.reused.take() {
+            merged.push(Merged::Reused(reused));
+            continue;
+        }
+        let outputs = merge_group(
             racs,
-            group,
+            &group,
             items,
             &mut results,
             local_as,
             egress_ifs,
             &mut timing,
         )?;
-        // Freshly computed cacheable group: store the outputs (and the batch's hop-chain
-        // footprint, extracted from the retained view) into the RAC's table. Table-hit
-        // groups were already marked fresh by the snapshot-phase probe.
-        if group.cached.is_none() {
-            if let (Some(fp), Some(view)) = (group.fingerprint, &group.view) {
-                if let Some(table) = tables
-                    .as_deref_mut()
-                    .and_then(|t| t.table_mut(group.rac_index))
-                {
-                    let links = view
-                        .beacons
-                        .iter()
-                        .flat_map(|beacon| beacon.pcb.link_keys())
-                        .collect::<Vec<_>>();
-                    table.store(
-                        (group.key.origin, group.key.group, group.key.target),
-                        fp,
-                        links,
-                        group_outputs.clone(),
-                    );
-                }
-            }
-        }
-        outputs.extend(group_outputs);
+        merged.push(Merged::Computed {
+            rac_index: group.rac_index,
+            key: group.key,
+            record: group.record,
+            outputs,
+        });
     }
-    Ok((outputs, timing))
+    Ok((merged, timing))
 }
 
-/// Produces one group's final output vector: the cached value for table hits (zero
-/// timing), the single item's outputs for unsplit groups, or the deterministic sub-merge
-/// for split ones. Timings accumulate into `timing` in item order, exactly as a sequential
-/// loop would. Every output is paired with the id carried by the view it was selected from.
+/// Produces one computed group's final output vector: the single item's outputs for
+/// unsplit groups, or the deterministic sub-merge for split ones. Timings accumulate into
+/// `timing` in item order, exactly as a sequential loop would. Every output is paired with
+/// the id carried by the view it was selected from.
 fn merge_group(
     racs: &[Rac],
     group: &BatchGroup,
@@ -544,14 +732,11 @@ fn merge_group(
     local_as: &AsNode,
     egress_ifs: &[IfId],
     timing: &mut RacTiming,
-) -> Result<Vec<IdentifiedOutput>> {
-    if let Some(cached) = &group.cached {
-        return Ok(cached.clone());
-    }
+) -> Result<Vec<Identified>> {
     // Collect each item's selections in item order (within a sub-range selections are
     // already ordered by candidate index, and sub-ranges are ascending, so the union is
     // in ascending original candidate order)...
-    let mut sub_selections: Vec<Vec<IdentifiedOutput>> = Vec::with_capacity(group.items.len());
+    let mut sub_selections: Vec<Vec<Identified>> = Vec::with_capacity(group.items.len());
     for index in group.items.clone() {
         let (sub_outputs, sub_timing) = results[index]
             .take()
@@ -583,8 +768,8 @@ fn merge_group(
     if winners.is_empty() {
         return Ok(Vec::new());
     }
-    // ...or fall back to the generic reduce: one final selection pass of the owning RAC
-    // over the union of the sub-range winners.
+    // ...or, for union-composable selectors, the generic reduce: one final selection pass
+    // of the owning RAC over the union of the sub-range winners.
     let (reduced, reduce_timing) = racs[group.rac_index].process_candidates(
         &group.key,
         &winners.beacons,
@@ -602,7 +787,7 @@ fn merge_group(
 /// by candidate index.
 fn rebase_partials(
     sub_items: &[WorkItem],
-    sub_selections: &[Vec<IdentifiedOutput>],
+    sub_selections: &[Vec<Identified>],
 ) -> Vec<irec_algorithms::SelectionResult> {
     let mut offset = 0;
     sub_items
@@ -610,7 +795,7 @@ fn rebase_partials(
         .zip(sub_selections)
         .map(|(item, sub_outputs)| {
             let mut partial = irec_algorithms::SelectionResult::empty();
-            for IdentifiedOutput { output, .. } in sub_outputs {
+            for Identified { output, .. } in sub_outputs {
                 for &egress in &output.egress_ifs {
                     partial
                         .per_egress
@@ -885,7 +1070,7 @@ mod tests {
         let key = db.batch_keys()[0];
         let view = db.batch_view(&key, SimTime::ZERO).unwrap();
         for threshold in [BATCH_SPLIT_THRESHOLD, 4] {
-            let (outputs, _) = execute_racs_inner(
+            let (batches, _) = execute_racs_delta(
                 &racs,
                 &db,
                 &node,
@@ -893,18 +1078,18 @@ mod tests {
                 SimTime::ZERO,
                 2,
                 threshold,
-                None,
+                &mut SelectionTables::new(),
             )
             .unwrap();
-            assert!(!outputs.is_empty());
-            for IdentifiedOutput { pcb_id, output } in &outputs {
+            assert!(!batches.is_empty());
+            for SelectedBeacon { pcb_id, beacon, .. } in batches.iter().flat_map(|b| &b.selected) {
                 let stored = view
                     .beacons
                     .iter()
-                    .position(|b| Arc::ptr_eq(b, &output.beacon))
+                    .position(|b| Arc::ptr_eq(b, beacon))
                     .expect("output beacon is pointer-equal to a stored beacon");
                 assert_eq!(*pcb_id, view.ids()[stored]);
-                assert_eq!(*pcb_id, output.beacon.pcb.digest());
+                assert_eq!(*pcb_id, beacon.pcb.digest());
             }
         }
     }
@@ -927,7 +1112,7 @@ mod tests {
                 view: view.subrange(range),
             })
             .collect();
-        let sub_selections: Vec<Vec<IdentifiedOutput>> = items
+        let sub_selections: Vec<Vec<Identified>> = items
             .iter()
             .map(|item| {
                 let (outputs, _) = rac
@@ -947,7 +1132,7 @@ mod tests {
         assert_eq!(rebased.len(), sub_selections.len());
         for (partial, sub_outputs) in rebased.iter().zip(&sub_selections) {
             let mut expected = irec_algorithms::SelectionResult::empty();
-            for IdentifiedOutput { pcb_id, output } in sub_outputs {
+            for Identified { pcb_id, output } in sub_outputs {
                 let index = index_of[pcb_id];
                 for &egress in &output.egress_ifs {
                     expected.per_egress.entry(egress).or_default().push(index);
@@ -1011,169 +1196,197 @@ mod tests {
 
     /// `b` — what the node's entry point returned — selects what the reference `a` selects,
     /// and every id it carries is the digest of the beacon beside it.
-    fn assert_same_outputs(a: &[RacOutput], b: &[IdentifiedOutput]) {
+    fn assert_same_outputs(a: &[RacOutput], b: &[BatchOutputs]) {
+        let b: Vec<(&BatchSelection, &SelectedBeacon)> = b
+            .iter()
+            .flat_map(|batch| batch.selected.iter().map(move |s| (&**batch, s)))
+            .collect();
         assert_eq!(a.len(), b.len());
-        for (x, IdentifiedOutput { pcb_id, output: y }) in a.iter().zip(b) {
-            assert_eq!(*pcb_id, y.beacon.pcb.digest());
-            assert_eq!(x.rac_name, y.rac_name);
-            assert_eq!(x.origin, y.origin);
-            assert_eq!(x.group, y.group);
-            assert_eq!(x.egress_ifs, y.egress_ifs);
-            assert_eq!(x.beacon, y.beacon);
+        for (x, (batch, y)) in a.iter().zip(b) {
+            assert_eq!(y.pcb_id, y.beacon.pcb.digest());
+            assert_eq!(*x.rac_name, *batch.rac_name);
+            assert_eq!(x.origin, batch.origin);
+            assert_eq!(x.group, batch.group);
+            assert_eq!(x.egress_ifs[..], y.egress_ifs[..]);
+            assert!(Arc::ptr_eq(&x.beacon, &y.beacon));
         }
     }
 
-    #[test]
-    fn cached_execution_is_byte_identical_and_reuses_unchanged_batches() {
-        let racs = rac_set();
-        let db = db_with_origins(6, 4);
-        let node = local_as();
-        let egress = [IfId(1), IfId(2), IfId(3)];
-        let (reference, _) = execute_racs(&racs, &db, &node, &egress, SimTime::ZERO, 1).unwrap();
-
-        let mut tables = SelectionTables::for_racs(&racs);
-        for parallelism in [1, 4] {
-            // First pass populates, second is served from the table — both identical to
-            // the from-scratch reference.
-            let (first, _) = execute_racs_cached(
-                &racs,
-                &db,
-                &node,
-                &egress,
-                SimTime::ZERO,
-                parallelism,
-                Some(&mut tables),
-            )
-            .unwrap();
-            assert_same_outputs(&reference, &first);
-            let before = tables.stats();
-            let (second, timing) = execute_racs_cached(
-                &racs,
-                &db,
-                &node,
-                &egress,
-                SimTime::ZERO,
-                parallelism,
-                Some(&mut tables),
-            )
-            .unwrap();
-            assert_same_outputs(&reference, &second);
-            let after = tables.stats();
-            assert_eq!(
-                after.recomputed, before.recomputed,
-                "an unchanged database is served entirely from the table"
-            );
-            assert!(after.reused > before.reused);
-            assert_eq!(timing.candidates, 0, "cached groups contribute zero timing");
-            tables.commit_round();
-        }
-
-        // A database mutation flips the fingerprint of the affected batch only.
-        let registry = KeyRegistry::with_ases(11, 512);
+    /// One more beacon of `origin`, better than everything `db_with_origins` stores.
+    fn insert_arrival(db: &ShardedIngressDb, origin: u64, seq: u64, validity: SimDuration) {
         let mut pcb = Pcb::originate(
-            AsId(1),
-            99,
+            AsId(origin),
+            seq,
             SimTime::ZERO,
-            SimTime::ZERO + SimDuration::from_hours(6),
+            SimTime::ZERO + validity,
             PcbExtensions::none(),
         );
         pcb.extend(
             IfId::NONE,
             IfId(1),
             StaticInfo::origin(Latency::from_millis(1), Bandwidth::from_mbps(999), None),
-            &Signer::new(AsId(1), registry),
+            &Signer::new(AsId(origin), KeyRegistry::with_ases(11, 512)),
         )
         .unwrap();
-        db.insert(pcb, IfId(1), SimTime::ZERO);
+        assert!(db.insert(pcb, IfId(1), SimTime::ZERO));
+    }
+
+    /// One delta-driven pass checked against the from-scratch pass over the same database;
+    /// returns the counters the pass added and the candidates it evaluated.
+    fn delta_pass(
+        racs: &[Rac],
+        db: &ShardedIngressDb,
+        now: SimTime,
+        parallelism: usize,
+        tables: &mut SelectionTables,
+    ) -> (IncrementalStats, usize) {
+        let node = local_as();
+        let egress = [IfId(1), IfId(2), IfId(3)];
         let before = tables.stats();
-        let (reference, _) = execute_racs(&racs, &db, &node, &egress, SimTime::ZERO, 1).unwrap();
-        let (cached, _) = execute_racs_cached(
-            &racs,
-            &db,
-            &node,
-            &egress,
-            SimTime::ZERO,
-            1,
-            Some(&mut tables),
-        )
-        .unwrap();
-        assert_same_outputs(&reference, &cached);
+        let (reference, _) = execute_racs(racs, db, &node, &egress, now, 1).unwrap();
+        let (batches, timing) =
+            execute_racs_cached(racs, db, &node, &egress, now, parallelism, tables).unwrap();
+        assert_same_outputs(&reference, &batches);
         let after = tables.stats();
-        // Four cacheable RACs, one mutated origin out of six: exactly one recompute per
-        // RAC, the other five origins reused.
-        assert_eq!(after.recomputed - before.recomputed, racs.len());
-        assert_eq!(after.reused - before.reused, racs.len() * 5);
+        (
+            IncrementalStats {
+                reused: after.reused - before.reused,
+                recomputed: after.recomputed - before.recomputed,
+                invalidated: after.invalidated - before.invalidated,
+                extended: after.extended - before.extended,
+            },
+            timing.candidates,
+        )
+    }
+
+    fn counts(reused: usize, extended: usize, recomputed: usize) -> IncrementalStats {
+        IncrementalStats {
+            reused,
+            recomputed,
+            invalidated: 0,
+            extended,
+        }
     }
 
     #[test]
-    fn selection_delta_invalidates_affected_entries() {
+    fn untouched_batches_are_reused_and_grown_ones_extended() {
+        let mut racs = rac_set();
+        racs.push(Rac::new_static(RacConfig::static_rac("HD", "HD")).unwrap());
+        let db = db_with_origins(6, 4);
+        let mut tables = SelectionTables::new();
+        for parallelism in [1, 4] {
+            tables.clear();
+            // The first pass computes everything, the second is served from the tables
+            // without evaluating a single candidate.
+            let (first, candidates) =
+                delta_pass(&racs, &db, SimTime::ZERO, parallelism, &mut tables);
+            assert_eq!(first, counts(0, 0, racs.len() * 6));
+            assert_eq!(candidates, racs.len() * 6 * 4);
+            let second = delta_pass(&racs, &db, SimTime::ZERO, parallelism, &mut tables);
+            assert_eq!(second, (counts(racs.len() * 6, 0, 0), 0));
+        }
+        assert_eq!(tables.len(), racs.len() * 6);
+
+        // One arrival at origin 1: the four scored RACs re-select over their winners plus
+        // the arrival, HD goes back to the whole batch, the other five origins stand.
+        insert_arrival(&db, 1, 99, SimDuration::from_hours(6));
+        let (third, candidates) = delta_pass(&racs, &db, SimTime::ZERO, 1, &mut tables);
+        assert_eq!(third, counts(racs.len() * 5, 4, 1));
+        // 1SP keeps one winner per egress, the budgets of the others exceed the batch.
+        assert!(candidates < 5 * 5, "{candidates} candidates evaluated");
+        let fourth = delta_pass(&racs, &db, SimTime::ZERO, 1, &mut tables);
+        assert_eq!(fourth, (counts(racs.len() * 6, 0, 0), 0));
+    }
+
+    #[test]
+    fn removals_expiry_and_context_changes_force_the_full_pass() {
         let racs = rac_set();
-        let db = db_with_origins(3, 2);
-        let node = local_as();
-        let egress = [IfId(1), IfId(2)];
-        let mut tables = SelectionTables::for_racs(&racs);
-        execute_racs_cached(
-            &racs,
-            &db,
-            &node,
-            &egress,
-            SimTime::ZERO,
-            1,
-            Some(&mut tables),
-        )
-        .unwrap();
-        assert_eq!(tables.len(), racs.len() * 3);
-        // Origin 2 leaves: its batches drop from every RAC's table.
-        let dropped = tables.apply_delta(&SelectionDelta::As(AsId(2)));
-        assert_eq!(dropped, racs.len());
-        assert_eq!(tables.stats().invalidated, racs.len());
-        assert!(!tables.is_empty());
-        let dropped = tables.apply_delta(&SelectionDelta::All);
-        assert_eq!(dropped, racs.len() * 2);
+        let db = db_with_origins(3, 4);
+        let mut tables = SelectionTables::new();
+        delta_pass(&racs, &db, SimTime::ZERO, 1, &mut tables);
+
+        // A purge disturbs exactly the batch it removes from.
+        assert_eq!(
+            db.purge_where(|b| b.pcb.origin == AsId(2) && b.pcb.sequence == 0),
+            1
+        );
+        let (pass, _) = delta_pass(&racs, &db, SimTime::ZERO, 1, &mut tables);
+        assert_eq!(pass, counts(racs.len() * 2, 0, racs.len()));
+
+        // A short-lived arrival is extended in; once it expires — the database untouched —
+        // the entry computed from it no longer covers the batch.
+        insert_arrival(&db, 3, 99, SimDuration::from_hours(1));
+        let (pass, _) = delta_pass(&racs, &db, SimTime::ZERO, 1, &mut tables);
+        assert_eq!(pass, counts(racs.len() * 2, racs.len(), 0));
+        let later = SimTime::ZERO + SimDuration::from_hours(2);
+        let (pass, _) = delta_pass(&racs, &db, later, 1, &mut tables);
+        assert_eq!(pass, counts(racs.len() * 2, 0, racs.len()));
+        // The sweep that evicts it disturbs the batch once more, and a batch that empties
+        // takes its entries with it.
+        assert_eq!(db.evict_expired(later, SimDuration::ZERO), 1);
+        assert_eq!(db.purge_where(|b| b.pcb.origin == AsId(1)), 4);
+        let (pass, _) = delta_pass(&racs, &db, later, 1, &mut tables);
+        assert_eq!(pass, counts(racs.len(), 0, racs.len()));
+        assert_eq!(tables.len(), racs.len() * 2);
+
+        // Another RAC list is another context: nothing carries over.
+        let fewer = &racs[..2];
+        let (pass, _) = delta_pass(fewer, &db, later, 1, &mut tables);
+        assert_eq!(pass.recomputed, fewer.len() * 2);
+        assert_eq!(pass.invalidated, racs.len() * 2);
+        assert_eq!(tables.clear(), fewer.len() * 2);
         assert!(tables.is_empty());
     }
 
     #[test]
-    fn on_demand_racs_are_never_cached() {
+    fn on_demand_racs_always_run_the_full_pass() {
         let store = crate::rac::SharedAlgorithmStore::new();
         let od =
             Rac::new_on_demand(RacConfig::on_demand_rac("od"), std::sync::Arc::new(store)).unwrap();
-        assert!(!od.is_cacheable());
+        assert!(!od.is_cacheable() && !od.extends_selections() && !od.splits_batches());
         let racs = vec![od];
-        let tables = SelectionTables::for_racs(&racs);
+        let db = db_with_origins(2, 2);
+        let mut tables = SelectionTables::new();
+        for _ in 0..2 {
+            delta_pass(&racs, &db, SimTime::ZERO, 1, &mut tables);
+        }
         assert!(tables.is_empty());
         assert_eq!(tables.stats(), IncrementalStats::default());
     }
 
     #[test]
-    fn cached_split_groups_match_reference() {
-        // Oversized batches go through the sub-merge; their reduced outputs are cached and
-        // served identically on the second pass.
-        let racs: Vec<Rac> = ["1SP", "widest"]
-            .iter()
-            .map(|name| Rac::new_static(RacConfig::static_rac(*name, *name)).unwrap())
-            .collect();
-        let db = db_with_origins(1, 24);
+    fn splitting_never_changes_a_selection() {
+        // Sub-ranges of four over 24 link-diverse candidates: composable selectors reduce
+        // their sub-range winners, HD merges over the full batch, and `<k>YEN` and ACO —
+        // neither composable nor merge-aware — are not split at all.
         let node = local_as();
-        let egress = [IfId(1), IfId(2), IfId(3)];
-        let (reference, _) =
-            execute_racs_with(&racs, &db, &node, &egress, SimTime::ZERO, 1, 4).unwrap();
-        let mut tables = SelectionTables::for_racs(&racs);
-        for _ in 0..2 {
-            let (outputs, _) = execute_racs_inner(
-                &racs,
-                &db,
-                &node,
-                &egress,
-                SimTime::ZERO,
-                2,
-                4,
-                Some(&mut tables),
-            )
-            .unwrap();
-            assert_same_outputs(&reference, &outputs);
+        let egress = [IfId(2), IfId(3)];
+        let db = db_link_diverse(24);
+        let names = irec_algorithms::catalog::BUILTIN_NAMES
+            .iter()
+            .copied()
+            .chain(["DON", "DOB", "3SP", "aco:7:4"]);
+        for name in names {
+            let config = RacConfig::static_rac(name, name).with_max_selected(3);
+            let racs = vec![Rac::new_static(config).unwrap()];
+            let (unsplit, unsplit_timing) =
+                execute_racs_with(&racs, &db, &node, &egress, SimTime::ZERO, 1, 512).unwrap();
+            assert!(!unsplit.is_empty(), "{name} selects nothing");
+            for parallelism in [1, 4] {
+                let (split, split_timing) =
+                    execute_racs_with(&racs, &db, &node, &egress, SimTime::ZERO, parallelism, 4)
+                        .unwrap();
+                assert_eq!(
+                    split_timing.candidates > unsplit_timing.candidates,
+                    racs[0].splits_batches(),
+                    "{name}"
+                );
+                assert_eq!(unsplit.len(), split.len(), "{name}");
+                for (a, b) in unsplit.iter().zip(&split) {
+                    assert_eq!(a.egress_ifs, b.egress_ifs, "{name}");
+                    assert!(Arc::ptr_eq(&a.beacon, &b.beacon), "{name}");
+                }
+            }
         }
-        assert_eq!(tables.stats().recomputed, racs.len());
-        assert_eq!(tables.stats().reused, racs.len());
     }
 }

@@ -39,6 +39,8 @@
 
 pub mod beacon_db;
 pub mod config;
+#[cfg(test)]
+mod delta_oracle;
 pub mod egress;
 pub mod engine;
 pub mod ingress;
@@ -47,12 +49,14 @@ pub mod node;
 pub mod path_service;
 pub mod rac;
 
-pub use beacon_db::{BatchView, EgressDb, IngressDb, ShardedIngressDb, StoredBeacon};
+pub use beacon_db::{
+    BatchChange, BatchCursor, BatchView, EgressDb, IngressDb, ShardedIngressDb, StoredBeacon,
+};
 pub use config::{NodeConfig, PropagationPolicy, RacConfig, RacKind};
 pub use egress::{EgressGateway, OriginationSpec};
 pub use engine::{
-    execute_racs, execute_racs_cached, execute_racs_with, run_claimed, IdentifiedOutput,
-    SelectionTables, BATCH_SPLIT_THRESHOLD,
+    execute_racs, execute_racs_cached, execute_racs_with, run_claimed, BatchOutputs,
+    BatchSelection, SelectedBeacon, SelectionTables, BATCH_SPLIT_THRESHOLD,
 };
 pub use ingress::{IngressGateway, IngressStats, Verdict};
 pub use messages::{PcbMessage, PullReturn};

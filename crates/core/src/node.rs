@@ -8,7 +8,7 @@ use crate::ingress::{IngressGateway, Verdict};
 use crate::messages::{PcbMessage, PullReturn};
 use crate::path_service::{RegisteredPath, ShardedPathService};
 use crate::rac::{AlgorithmFetcher, Rac, RacTiming, SharedAlgorithmStore};
-use irec_algorithms::incremental::{IncrementalStats, SelectionDelta};
+use irec_algorithms::incremental::IncrementalStats;
 use irec_crypto::{KeyRegistry, Signer, Verifier};
 use irec_irvm::Program;
 use irec_pcb::AlgorithmRef;
@@ -50,10 +50,10 @@ pub struct IrecNode {
     extra_originations: Vec<OriginationSpec>,
     /// The store this node publishes its own on-demand algorithm modules to.
     algorithm_store: SharedAlgorithmStore,
-    /// Per-RAC incremental selection tables, present iff the config enables
-    /// `incremental_selection`. Probed and updated by the RAC engine's serial phases,
-    /// invalidated by [`IrecNode::apply_selection_delta`], aged by round housekeeping.
-    selection_tables: Option<SelectionTables>,
+    /// Last round's selections per `(RAC, batch)` and the cursors into the ingress
+    /// database that tell the RAC engine which of them still stand (see
+    /// [`SelectionTables`]). Read and written by the engine's serial phases only.
+    selection_tables: SelectionTables,
     round: u64,
 }
 
@@ -129,9 +129,6 @@ impl IrecNode {
             config.policy,
             config.path_shard_count(),
         );
-        let selection_tables = config
-            .incremental_selection
-            .then(|| SelectionTables::for_racs(&racs));
         Ok(IrecNode {
             asn,
             config,
@@ -142,7 +139,7 @@ impl IrecNode {
             interface_groups: None,
             extra_originations: Vec::new(),
             algorithm_store: store,
-            selection_tables,
+            selection_tables: SelectionTables::new(),
             round: 0,
         })
     }
@@ -359,24 +356,28 @@ impl IrecNode {
             }
         }
 
-        // 2. RAC processing (§V-C): snapshot candidate batches and run every RAC through
-        // the execution engine — sequentially or fanned out over worker threads, with
-        // byte-identical results (see `crate::engine`). With incremental selection enabled
-        // the engine serves unchanged batches from the node's tables.
+        // 2. RAC processing (§V-C): run every RAC through the execution engine —
+        // sequentially or fanned out over worker threads, with byte-identical results (see
+        // `crate::engine`). The engine re-selects only where the ingress database changed
+        // since the last round and serves every other batch's outputs from the node's
+        // tables; what comes back is what a from-scratch pass would select, in its order.
         let local_as = self.topology.as_node(self.asn)?;
-        let (all_outputs, timing) = crate::engine::execute_racs_cached(
+        let (batches, timing) = crate::engine::execute_racs_cached(
             &self.racs,
             self.ingress.db(),
             local_as,
             &all_interfaces,
             now,
             self.config.parallelism,
-            self.selection_tables.as_mut(),
+            &mut self.selection_tables,
         )?;
         output.timing.accumulate(&timing);
 
-        // 3. Egress processing (§V-D).
-        let (messages, returns) = self.egress.process_outputs(all_outputs, now)?;
+        // 3. Egress processing (§V-D) — of every selection, every round: registrations
+        // refresh the paths' `registered_at`, which drives the path service's eviction.
+        let (messages, returns) = self
+            .egress
+            .process_outputs(batches.iter().map(|batch| &**batch), now)?;
         output.messages.extend(messages);
         output.pull_returns = returns;
         Ok(output)
@@ -404,31 +405,17 @@ impl IrecNode {
             eviction_workers,
         );
         self.egress.evict_expired(now);
-        // Age the incremental selection tables: entries whose batches were neither probed
-        // nor stored this round vanish with the batches themselves. Housekeeping runs
-        // under both the barrier and the DAG round scheduler, so table ageing is
-        // scheduler-independent.
-        if let Some(tables) = &mut self.selection_tables {
-            tables.commit_round();
-        }
         self.egress.take_sent_counters()
     }
 
-    /// Invalidates cached incremental selections whose footprint intersects `delta`;
-    /// returns how many entries were dropped (0 when incremental selection is off). The
-    /// simulation fans topology deltas out to every node through this hook.
-    pub fn apply_selection_delta(&mut self, delta: &SelectionDelta) -> usize {
-        self.selection_tables
-            .as_mut()
-            .map_or(0, |tables| tables.apply_delta(delta))
-    }
-
-    /// Snapshot of the node's incremental-selection counters
-    /// (zeroes when incremental selection is off).
+    /// Snapshot of the node's selection-table counters: `(RAC, batch)` selections reused,
+    /// extended and recomputed so far, and kept selections dropped by catalog swaps.
+    ///
+    /// There is no way to *tell* a node that the network changed, and no need: what a link
+    /// flap, a neighbour's departure or a withdrawal sweep does to this node's candidates
+    /// reaches its selection tables through the ingress database's own change stamps.
     pub fn incremental_stats(&self) -> IncrementalStats {
-        self.selection_tables
-            .as_ref()
-            .map_or_else(IncrementalStats::default, SelectionTables::stats)
+        self.selection_tables.stats()
     }
 
     /// Forgets the egress gateway's propagation-dedup marks for `egress` (see
@@ -448,11 +435,8 @@ impl IrecNode {
     pub fn swap_rac_catalog(&mut self, racs: Vec<RacConfig>) -> Result<()> {
         self.racs = build_racs(&racs, self.config.irec_enabled, &self.algorithm_store)?;
         self.config.racs = racs;
-        // RAC indices (the tables' axis) change with the catalog: rebuild empty tables so
-        // no stale selection survives under a different RAC's index.
-        if self.selection_tables.is_some() {
-            self.selection_tables = Some(SelectionTables::for_racs(&self.racs));
-        }
+        // The selection tables notice a changed catalog on their own: they are bound to the
+        // RAC configurations they were filled under.
         Ok(())
     }
 }

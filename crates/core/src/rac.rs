@@ -102,7 +102,7 @@ impl AlgorithmFetcher for SharedAlgorithmStore {
 /// (an `Arc` bump, pointer-equal to the database's copy) instead of cloning the decoded
 /// one, and records the index so the gateway side can pair it with whatever it keeps
 /// beside the beacon — the execution engine attaches the carried [`irec_pcb::PcbId`] this
-/// way (see [`crate::engine::IdentifiedOutput`]).
+/// way (see [`crate::engine::SelectedBeacon`]).
 #[derive(Debug, Clone)]
 pub struct RacOutput {
     /// The RAC that produced this selection (used to tag registered paths).
@@ -222,6 +222,9 @@ impl Decode for CandidateEnvelope {
 /// candidate batches out over worker threads.
 pub struct Rac {
     config: RacConfig,
+    /// `config.name`, in the form kept selections share (see
+    /// [`crate::engine::BatchSelection`]).
+    name: Arc<str>,
     /// The algorithm of a static RAC.
     static_algorithm: Option<Arc<dyn RoutingAlgorithm>>,
     /// Fetcher for on-demand executables.
@@ -244,6 +247,7 @@ impl Clone for Rac {
     fn clone(&self) -> Self {
         Rac {
             config: self.config.clone(),
+            name: Arc::clone(&self.name),
             static_algorithm: self.static_algorithm.clone(),
             fetcher: self.fetcher.clone(),
             cache: RwLock::new(self.cache.read().clone()),
@@ -260,6 +264,7 @@ impl Rac {
         };
         let alg = catalog::by_name(algorithm)?;
         Ok(Rac {
+            name: config.name.as_str().into(),
             config,
             static_algorithm: Some(alg),
             fetcher: None,
@@ -271,6 +276,7 @@ impl Rac {
     /// Creates a static RAC with a caller-provided algorithm implementation.
     pub fn with_algorithm(config: RacConfig, algorithm: Arc<dyn RoutingAlgorithm>) -> Self {
         Rac {
+            name: config.name.as_str().into(),
             config,
             static_algorithm: Some(algorithm),
             fetcher: None,
@@ -287,6 +293,7 @@ impl Rac {
             ));
         }
         Ok(Rac {
+            name: config.name.as_str().into(),
             config,
             static_algorithm: None,
             fetcher: Some(fetcher),
@@ -305,6 +312,11 @@ impl Rac {
         &self.config.name
     }
 
+    /// The display name in the form kept selections share.
+    pub(crate) fn shared_name(&self) -> Arc<str> {
+        Arc::clone(&self.name)
+    }
+
     /// Number of cached on-demand algorithm instantiations.
     pub fn cached_algorithms(&self) -> usize {
         self.cache.read().len()
@@ -320,12 +332,45 @@ impl Rac {
         self.config.kind == RacKind::OnDemand
     }
 
-    /// Whether this RAC's selections may be cached by the incremental-selection tables
-    /// (see [`crate::engine::SelectionTables`]). Only static RACs qualify: an on-demand
-    /// RAC's algorithm identity varies per batch (it runs whatever module the PCBs
-    /// reference, including fetch-failure semantics), so its outputs are never cached.
+    /// Whether the RAC ignores IREC extensions (see [`Rac::set_ignore_extensions`]).
+    pub fn ignores_extensions(&self) -> bool {
+        self.ignore_extensions
+    }
+
+    /// Whether this RAC's selections may be kept across rounds (see
+    /// [`crate::engine::SelectionTables`]). Only static RACs qualify: an on-demand RAC's
+    /// algorithm identity varies per batch (it runs whatever module the PCBs reference,
+    /// including fetch-failure semantics), so it always runs the full pass.
     pub fn is_cacheable(&self) -> bool {
         self.static_algorithm.is_some()
+    }
+
+    /// Whether a batch that only grew may be re-selected over *previous winners ∪
+    /// arrivals*: a static RAC whose algorithm is
+    /// [union-composable](RoutingAlgorithm::union_composable). HD, `<k>YEN` and ACO pick
+    /// candidates in relation to each other, on-demand modules are opaque — an arrival
+    /// sends all of them back to the full batch.
+    pub fn extends_selections(&self) -> bool {
+        self.static_algorithm
+            .as_ref()
+            .is_some_and(|algorithm| algorithm.union_composable())
+    }
+
+    /// Whether the execution engine may split an oversized batch of this RAC into
+    /// sub-ranges: only when the algorithm puts the sub-range selections back together
+    /// exactly — its own [`merge_partial`](RoutingAlgorithm::merge_partial), or one more
+    /// `select` over their union for a union-composable selector. Everything else gets
+    /// its whole batch in one pass.
+    pub fn splits_batches(&self) -> bool {
+        self.static_algorithm
+            .as_ref()
+            .is_some_and(|algorithm| algorithm.union_composable() || algorithm.merges_partial())
+    }
+
+    /// Whether this RAC requests all interface groups of an origin as one merged batch
+    /// (interface-group processing disabled) rather than one batch per stored group.
+    pub fn merges_groups(&self) -> bool {
+        !self.config.use_interface_groups && !self.ignore_extensions
     }
 
     /// One periodic processing run: snapshot every relevant candidate batch from the ingress
@@ -357,25 +402,20 @@ impl Rac {
     /// beacons (no deep copies) and are what the parallel execution engine distributes over
     /// its workers.
     pub fn relevant_batches(&self, db: &ShardedIngressDb, now: SimTime) -> Vec<BatchView> {
-        let keys = self.relevant_batch_keys(db);
-        let grouped = self.config.use_interface_groups || self.ignore_extensions;
-        keys.into_iter()
-            .filter_map(|key| {
-                if grouped {
-                    db.batch_view(&key, now)
-                } else {
-                    // Interface groups disabled: merge all groups of the origin. The
-                    // group-merged batch is snapshotted once per (origin, target) because
-                    // `relevant_batch_keys` collapsed the keys already.
-                    db.origin_view(key.origin, key.target, now)
-                }
-            })
+        let merge_groups = self.merges_groups();
+        self.relevant_batch_keys(db)
+            .into_iter()
+            // With interface groups disabled the group-merged batch is snapshotted once
+            // per (origin, target): `relevant_batch_keys` collapsed the keys already.
+            .filter_map(|key| db.snapshot(key, merge_groups, now).0)
             .collect()
     }
 
-    /// The batch keys this RAC processes, honouring its pull-based / interface-group /
-    /// on-demand configuration.
-    fn relevant_batch_keys(&self, db: &ShardedIngressDb) -> Vec<BatchKey> {
+    /// The keys this RAC requests candidate batches under, ascending, honouring its
+    /// pull-based / interface-group / on-demand configuration: one per stored batch, or —
+    /// when it [merges groups](Rac::merges_groups) — one per `(origin, target)` under the
+    /// default group.
+    pub(crate) fn relevant_batch_keys(&self, db: &ShardedIngressDb) -> Vec<BatchKey> {
         let mut keys: Vec<BatchKey> = db
             .batch_keys()
             .into_iter()
@@ -383,7 +423,7 @@ impl Rac {
                 self.config.process_pull_based || k.target.is_none() || self.ignore_extensions
             })
             .collect();
-        if !self.config.use_interface_groups && !self.ignore_extensions {
+        if self.merges_groups() {
             // Collapse groups: keep one representative key per (origin, target). Sort by
             // the dedup key itself — under `BatchKey`'s full ordering (origin, group,
             // target), equal (origin, target) pairs from different groups are not adjacent
@@ -493,29 +533,30 @@ impl Rac {
         index_map: &[usize],
         selection: irec_algorithms::SelectionResult,
     ) -> Vec<RacOutput> {
-        let mut per_candidate: HashMap<usize, Vec<IfId>> = HashMap::new();
-        for (egress, selected) in &selection.per_egress {
-            for &local_idx in selected {
-                per_candidate.entry(local_idx).or_default().push(*egress);
-            }
-        }
-
-        let mut outputs = Vec::with_capacity(per_candidate.len());
-        let mut indices: Vec<usize> = per_candidate.keys().copied().collect();
-        indices.sort_unstable();
-        for local_idx in indices {
-            let egress_ifs = per_candidate.remove(&local_idx).expect("key exists");
-            let candidate_index = index_map[local_idx];
-            outputs.push(RacOutput {
-                rac_name: self.config.name.clone(),
-                origin: key.origin,
-                group: key.group,
-                beacon: Arc::clone(&beacons[candidate_index]),
-                candidate_index,
-                egress_ifs,
-            });
-        }
-        outputs
+        // (candidate, egress) pairs, grouped by candidate. The sort is stable and the
+        // selection lists egress interfaces in ascending order, so each candidate's
+        // interfaces stay ascending; every list is allocated once, at its final size —
+        // outputs are kept across rounds (see `crate::engine::SelectionTables`).
+        let mut pairs: Vec<(usize, IfId)> = selection
+            .per_egress
+            .iter()
+            .flat_map(|(egress, selected)| selected.iter().map(move |&idx| (idx, *egress)))
+            .collect();
+        pairs.sort_by_key(|&(local_idx, _)| local_idx);
+        pairs
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|group| {
+                let candidate_index = index_map[group[0].0];
+                RacOutput {
+                    rac_name: self.config.name.clone(),
+                    origin: key.origin,
+                    group: key.group,
+                    beacon: Arc::clone(&beacons[candidate_index]),
+                    candidate_index,
+                    egress_ifs: group.iter().map(|&(_, egress)| egress).collect(),
+                }
+            })
+            .collect()
     }
 
     /// Merge-aware reduce for a batch the execution engine split into sub-ranges: when this

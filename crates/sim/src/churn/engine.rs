@@ -140,14 +140,12 @@ where
     /// construction; this also accepts hand-built timelines (the staged-migration tests)
     /// and surfaces their errors.
     ///
-    /// Returns the [`SelectionDelta`] describing the delta's blast radius on cached
-    /// selections, for feeding an
-    /// [`IncrementalSelection`](irec_algorithms::incremental::IncrementalSelection) table
-    /// so only candidate batches crossing the change get re-scored. The live node round's
-    /// own tables no longer depend on this return: every structural hook the arms below
-    /// call ([`Simulation::set_link_down`], [`Simulation::remove_node`], ...) fans the
-    /// same delta out to node tables and [`crate::SelectionInvalidation`] observers
-    /// itself, making this engine one subscriber among any number.
+    /// Returns the [`SelectionDelta`] describing the delta's blast radius on kept
+    /// selections, for callers that keep selection state of their own. Nothing inside the
+    /// simulation depends on this return: every structural hook the arms below call
+    /// ([`Simulation::set_link_down`], [`Simulation::remove_node`], ...) announces the same
+    /// delta to [`crate::SelectionInvalidation`] observers itself, and the nodes need no
+    /// telling.
     pub fn apply_delta(
         &mut self,
         sim: &mut Simulation,

@@ -30,12 +30,11 @@
 //! [`churn::ChurnEngine`] layers live reconfiguration on top: a seeded generator emits a
 //! deterministic timeline of topology deltas (link flaps, AS leaves/joins, RAC-catalog
 //! swaps) applied between rounds, with convergence and no-blackhole invariants checked
-//! after every step (see [`churn`]). Every structural mutation also fans a
-//! [`irec_algorithms::incremental::SelectionDelta`] out to the nodes'
-//! incremental-selection tables and to subscribed [`SelectionInvalidation`] observers —
-//! the plumbing behind [`SimulationConfig::with_incremental_selection`], which lets live
-//! rounds reuse RAC selections for batches a reconfiguration did not touch, byte-identical
-//! to the from-scratch reference.
+//! after every step (see [`churn`]). Node rounds keep the previous round's RAC selections
+//! and re-select only where their ingress database changed (see
+//! [`irec_core::SelectionTables`]), so structural mutations need no invalidation protocol;
+//! each is still announced as a [`irec_algorithms::incremental::SelectionDelta`] to
+//! subscribed [`SelectionInvalidation`] observers.
 //!
 //! Rounds execute under one of two schedulers ([`simulation::RoundScheduler`]): the
 //! **barrier** reference path (deliver → node phase → housekeeping, each a strict phase)
@@ -63,6 +62,5 @@ pub use delivery::{DeliveryPlane, DeliveryStats};
 pub use event::{Event, EventQueue};
 pub use pd::{PdCampaign, PdPairResult, PdResult, PdWorkflow};
 pub use simulation::{
-    IncrementalSelectionMode, RoundScheduler, SelectionInvalidation, SimSnapshot, Simulation,
-    SimulationConfig,
+    RoundScheduler, SelectionInvalidation, SimSnapshot, Simulation, SimulationConfig,
 };

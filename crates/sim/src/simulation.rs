@@ -54,41 +54,6 @@ impl std::fmt::Display for RoundScheduler {
     }
 }
 
-/// Whether nodes reuse per-batch RAC selections across rounds (see
-/// [`irec_core::SelectionTables`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum IncrementalSelectionMode {
-    /// The reference path: every RAC recomputes every batch from scratch each round.
-    #[default]
-    Off,
-    /// Static RACs keep a per-`(origin, group, target)` selection table and reuse the
-    /// previous round's outputs for batches whose content fingerprint is unchanged.
-    /// Output is byte-identical to [`IncrementalSelectionMode::Off`].
-    On,
-}
-
-impl std::str::FromStr for IncrementalSelectionMode {
-    type Err = IrecError;
-    fn from_str(s: &str) -> Result<Self> {
-        match s {
-            "off" => Ok(IncrementalSelectionMode::Off),
-            "on" => Ok(IncrementalSelectionMode::On),
-            other => Err(IrecError::config(format!(
-                "unknown incremental-selection mode {other:?} (expected \"off\" or \"on\")"
-            ))),
-        }
-    }
-}
-
-impl std::fmt::Display for IncrementalSelectionMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            IncrementalSelectionMode::Off => "off",
-            IncrementalSelectionMode::On => "on",
-        })
-    }
-}
-
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimulationConfig {
@@ -118,10 +83,6 @@ pub struct SimulationConfig {
     /// Path-service shard count applied to every node's [`NodeConfig::path_shards`].
     /// `0` (the default) leaves each node's own setting alone.
     pub path_shards: usize,
-    /// Whether nodes reuse unchanged per-batch RAC selections across rounds.
-    /// [`IncrementalSelectionMode::On`] sets every node's
-    /// [`NodeConfig::incremental_selection`] flag; output stays byte-identical either way.
-    pub incremental_selection: IncrementalSelectionMode,
 }
 
 impl Default for SimulationConfig {
@@ -134,7 +95,6 @@ impl Default for SimulationConfig {
             round_scheduler: RoundScheduler::Barrier,
             ingress_shards: 0,
             path_shards: 0,
-            incremental_selection: IncrementalSelectionMode::Off,
         }
     }
 }
@@ -178,16 +138,8 @@ impl SimulationConfig {
         self
     }
 
-    /// Builder-style: select the incremental-selection mode.
-    #[must_use]
-    pub fn with_incremental_selection(mut self, mode: IncrementalSelectionMode) -> Self {
-        self.incremental_selection = mode;
-        self
-    }
-
     /// Applies the simulation-level node knobs to one node's config: nonzero shard counts
-    /// override the node's own, and [`IncrementalSelectionMode::On`] switches the node's
-    /// selection tables on. Used wherever the simulation builds a node
+    /// override the node's own. Used wherever the simulation builds a node
     /// ([`Simulation::new`] and [`Simulation::add_node`]), so mid-run joins get the same
     /// knobs as the initial population.
     fn apply_node_knobs(&self, mut config: NodeConfig) -> NodeConfig {
@@ -197,18 +149,15 @@ impl SimulationConfig {
         if self.path_shards != 0 {
             config.path_shards = self.path_shards;
         }
-        if self.incremental_selection == IncrementalSelectionMode::On {
-            config.incremental_selection = true;
-        }
         config
     }
 }
 
 /// Observer of selection-invalidation events: every structural mutation of the simulation
 /// (link state change, node churn, RAC catalog swap) is translated into a
-/// [`SelectionDelta`] and fanned out — first to every live node's
-/// [`irec_core::SelectionTables`], then to each subscribed observer, in subscription
-/// order. Subscribe with [`Simulation::subscribe_invalidations`].
+/// [`SelectionDelta`] and fanned out to each subscribed observer, in subscription order —
+/// for callers that keep selection-derived state of their own. Subscribe with
+/// [`Simulation::subscribe_invalidations`].
 ///
 /// Observers are deliberately *not* carried across [`Simulation::clone`] or
 /// [`Simulation::snapshot`]: a snapshot evolves independently and an observer boxed into
@@ -244,7 +193,7 @@ impl SimulationConfig {
 /// sim.set_link_down(link).unwrap();  // fans a SelectionDelta::Link to the observer
 /// ```
 pub trait SelectionInvalidation: Send + Sync {
-    /// Called once per structural mutation, after every node's tables saw `delta`.
+    /// Called once per structural mutation.
     fn on_invalidation(&mut self, delta: &SelectionDelta);
 }
 
@@ -387,33 +336,32 @@ impl Simulation {
     }
 
     /// Subscribes a [`SelectionInvalidation`] observer: from now on every structural
-    /// mutation's [`SelectionDelta`] is delivered to it, after the nodes' own tables.
+    /// mutation's [`SelectionDelta`] is delivered to it.
     pub fn subscribe_invalidations(&mut self, observer: Box<dyn SelectionInvalidation>) {
         self.observers.push(observer);
     }
 
-    /// Fans `delta` out to every live node's selection tables (in `AsId` order) and then
-    /// to every subscribed observer (in subscription order). Returns the total number of
-    /// table entries invalidated across nodes. The structural-mutation hooks
-    /// ([`Simulation::set_link_down`], [`Simulation::set_link_up`],
-    /// [`Simulation::remove_node`], [`Simulation::add_node`],
+    /// Tells every subscribed observer, in subscription order, that the selections `delta`
+    /// describes are stale. The structural-mutation hooks ([`Simulation::set_link_down`],
+    /// [`Simulation::set_link_up`], [`Simulation::remove_node`], [`Simulation::add_node`],
     /// [`Simulation::swap_rac_catalog`]) call this themselves; call it directly only for
     /// out-of-band mutations the simulation cannot see.
-    pub fn invalidate_selections(&mut self, delta: &SelectionDelta) -> usize {
-        let invalidated = self
-            .nodes
-            .values_mut()
-            .map(|node| node.apply_selection_delta(delta))
-            .sum();
+    ///
+    /// The nodes are not among the listeners. A node re-selects where its own ingress
+    /// database changed (see [`irec_core::SelectionTables`]), and every structural change
+    /// that matters to a node gets there as exactly that: a withdrawal sweep, an eviction,
+    /// the fresh database of a node that re-joined.
+    pub fn invalidate_selections(&mut self, delta: &SelectionDelta) {
         for observer in &mut self.observers {
             observer.on_invalidation(delta);
         }
-        invalidated
     }
 
-    /// Sum of every live node's [`irec_core::SelectionTables`] counters, in `AsId` order.
-    /// All zeros when incremental selection is off. Like [`SchedulerStats`], this is
-    /// reporting about how the run executed, not part of the deterministic output.
+    /// Sum of every live node's [`irec_core::SelectionTables`] counters, in `AsId` order:
+    /// how many `(RAC, batch)` selections the rounds so far reused, extended over their
+    /// arrivals or recomputed from scratch, and how many kept selections catalog swaps
+    /// dropped. Like [`SchedulerStats`], this is reporting about how the run
+    /// executed, not part of the deterministic output.
     pub fn incremental_stats(&self) -> IncrementalStats {
         let mut stats = IncrementalStats::default();
         for node in self.nodes.values() {
@@ -1171,8 +1119,6 @@ impl Simulation {
             }
         }
         self.nodes.insert(asn, node);
-        // A (re-)joining AS changes which batches its neighbors will see; cached
-        // selections whose footprint touches it are stale the moment it starts beaconing.
         self.invalidate_selections(&SelectionDelta::As(asn));
         Ok(())
     }
@@ -1224,12 +1170,11 @@ impl Simulation {
         Ok(())
     }
 
-    /// Replaces one node's RAC catalog live (see [`IrecNode::swap_rac_catalog`]) and fans
-    /// a [`SelectionDelta::All`] out to every node's selection tables and the subscribed
-    /// observers. The swapped node's own tables are rebuilt empty by the node first (RAC
-    /// indices change with the catalog), so the fan-out mainly informs observers and
-    /// clears the *other* nodes' tables — a catalog swap is the one churn event whose
-    /// blast radius the delta language cannot narrow.
+    /// Replaces one node's RAC catalog live (see [`IrecNode::swap_rac_catalog`]; the
+    /// node's kept selections go with the catalog they were made under) and tells the
+    /// subscribed observers with a
+    /// [`SelectionDelta::All`] — a catalog swap is the one churn event whose blast radius
+    /// the delta language cannot narrow.
     pub fn swap_rac_catalog(&mut self, asn: AsId, catalog: Vec<RacConfig>) -> Result<()> {
         self.node_mut(asn)?.swap_rac_catalog(catalog)?;
         self.invalidate_selections(&SelectionDelta::All);
@@ -1675,27 +1620,11 @@ mod tests {
     }
 
     #[test]
-    fn incremental_selection_mode_parses_and_displays() {
-        assert_eq!(
-            "off".parse::<IncrementalSelectionMode>().unwrap(),
-            IncrementalSelectionMode::Off
-        );
-        assert_eq!(
-            "on".parse::<IncrementalSelectionMode>().unwrap(),
-            IncrementalSelectionMode::On
-        );
-        assert!("maybe".parse::<IncrementalSelectionMode>().is_err());
-        assert_eq!(IncrementalSelectionMode::Off.to_string(), "off");
-        assert_eq!(IncrementalSelectionMode::On.to_string(), "on");
-    }
-
-    #[test]
     fn sim_level_knobs_reach_every_node_including_mid_run_joins() {
         let topology = Arc::new(figure1_topology());
         let config = SimulationConfig::default()
             .with_ingress_shards(3)
-            .with_path_shards(2)
-            .with_incremental_selection(IncrementalSelectionMode::On);
+            .with_path_shards(2);
         let mut sim = Simulation::new(topology, config, |_| {
             NodeConfig::default()
                 .with_policy(PropagationPolicy::All)
@@ -1706,7 +1635,6 @@ mod tests {
             let node_config = sim.node(asn).unwrap().config();
             assert_eq!(node_config.ingress_shards, 3);
             assert_eq!(node_config.path_shards, 2);
-            assert!(node_config.incremental_selection);
         }
         // A node added mid-run gets the same knobs applied to its (plain) config.
         sim.remove_node(figure1::X).unwrap();
@@ -1714,11 +1642,11 @@ mod tests {
         let rejoined = sim.node(figure1::X).unwrap().config();
         assert_eq!(rejoined.ingress_shards, 3);
         assert_eq!(rejoined.path_shards, 2);
-        assert!(rejoined.incremental_selection);
-        // And the tables actually engage: a couple of rounds produce nonzero counters.
+        // The selection tables are not a knob: a few rounds of any simulation compute,
+        // then keep, selections.
         sim.run_rounds(3).unwrap();
         let stats = sim.incremental_stats();
-        assert!(stats.recomputed > 0);
+        assert!(stats.recomputed > 0 && stats.reused + stats.extended > 0);
     }
 
     #[test]

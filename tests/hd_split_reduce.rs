@@ -6,7 +6,11 @@
 //! engine hands HD the full batch plus the partial selections and HD recomputes
 //! disjointness over the merged view, so the split run is byte-identical to the unsplit
 //! one (loss = 0). These tests pin that at the paper-scale set sizes |Φ| ∈ {600, 2048}
-//! and quantify the link-coverage delta the legacy reduce leaves on the table.
+//! and quantify the link-coverage delta the generic reduce — one more `select` over the
+//! sub-range winners, exact only for selectors that declare themselves
+//! [union-composable](RoutingAlgorithm::union_composable) — would leave on the table. The
+//! engine no longer applies it to anything else: an algorithm that declares neither
+//! capability is not split at all.
 //!
 //! The workload is a crafted adversarial motif, not a random set: ten independent
 //! four-link universes where the globally complementary candidate (`y`) sits in the
@@ -34,14 +38,18 @@ const EGRESS: IfId = IfId(900);
 /// universe, so the full-batch greedy spends it on `{a1, y}` of every universe.
 const MOTIFS: u64 = 10;
 
-/// HD stripped of its merge hook: same selection, but `merges_partial()` stays `false`,
-/// so the engine falls back to the generic concatenated-truncation reduce. This is the
-/// pre-hook behaviour, kept around to measure what the hook buys.
-struct LegacyReduceHd(HeuristicDisjointness);
+/// HD stripped of its merge hook: same selection, but `merges_partial()` stays `false`.
+/// With `claims_composable` it additionally *lies* about being union-composable, which
+/// sends it down the generic concatenated-truncation reduce — the pre-hook behaviour,
+/// kept around to measure what the hook buys and what a wrong declaration costs.
+struct LegacyReduceHd {
+    hd: HeuristicDisjointness,
+    claims_composable: bool,
+}
 
 impl RoutingAlgorithm for LegacyReduceHd {
     fn name(&self) -> &str {
-        self.0.name()
+        self.hd.name()
     }
 
     fn select(
@@ -49,7 +57,11 @@ impl RoutingAlgorithm for LegacyReduceHd {
         batch: &CandidateBatch,
         ctx: &AlgorithmContext<'_>,
     ) -> Result<SelectionResult> {
-        self.0.select(batch, ctx)
+        self.hd.select(batch, ctx)
+    }
+
+    fn union_composable(&self) -> bool {
+        self.claims_composable
     }
 }
 
@@ -149,11 +161,19 @@ fn hd_rac() -> Rac {
     Rac::new_static(RacConfig::static_rac("HD", "HD")).expect("HD resolves")
 }
 
-fn legacy_rac() -> Rac {
+fn hookless_rac(claims_composable: bool) -> Rac {
     Rac::with_algorithm(
         RacConfig::static_rac("HD", "HD"),
-        Arc::new(LegacyReduceHd(HeuristicDisjointness::new(20))),
+        Arc::new(LegacyReduceHd {
+            hd: HeuristicDisjointness::new(20),
+            claims_composable,
+        }),
     )
+}
+
+/// HD through the generic reduce it is not entitled to.
+fn legacy_rac() -> Rac {
+    hookless_rac(true)
 }
 
 /// The disjointness coverage of a selection: the number of distinct inter-AS links
@@ -211,6 +231,22 @@ fn hd_split_disjointness_delta_is_quantified() {
             "the motif is built so the legacy reduce strictly loses coverage \
              (legacy {legacy} vs full {full} at phi = {phi})"
         );
+    }
+}
+
+/// A set-valued selector that declares neither capability falls into no reduce at all:
+/// the engine hands it the whole batch in one pass, whatever the split threshold, so it
+/// selects what the unsplit run selects. (Before the capability existed it was silently
+/// given the generic reduce and lost the coverage quantified above.)
+#[test]
+fn undeclared_selectors_are_never_split() {
+    let honest = || hookless_rac(false);
+    assert!(!honest().splits_batches() && legacy_rac().splits_batches());
+    for phi in [600usize, 2048] {
+        let unsplit = run(honest(), phi, phi);
+        let split = run(honest(), phi, BATCH_SPLIT_THRESHOLD);
+        assert_identical(&unsplit, &split);
+        assert_identical(&unsplit, &run(hd_rac(), phi, BATCH_SPLIT_THRESHOLD));
     }
 }
 
