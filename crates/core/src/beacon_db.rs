@@ -922,12 +922,120 @@ impl ShardedIngressDb {
     }
 }
 
+/// Membership tests against an ascending list of interface ids, for queries that mostly
+/// ascend as well (selections list their egress interfaces in ascending order): the cursor
+/// walks forward from where the last query ended, so a run of queries costs one pass over
+/// the list, and starts over when a query falls behind it.
+pub(crate) struct AscendingIfIds<'a> {
+    ids: &'a [IfId],
+    at: usize,
+}
+
+impl<'a> AscendingIfIds<'a> {
+    pub(crate) fn new(ids: &'a [IfId]) -> Self {
+        AscendingIfIds { ids, at: 0 }
+    }
+
+    pub(crate) fn contains(&mut self, id: IfId) -> bool {
+        if self.at > 0 && self.ids[self.at - 1] >= id {
+            self.at = 0;
+        }
+        while self.at < self.ids.len() && self.ids[self.at] < id {
+            self.at += 1;
+        }
+        self.ids.get(self.at) == Some(&id)
+    }
+}
+
+/// How many interface ids an [`EgressMarks`] holds in place. Seven ids, their count and the
+/// variant tag take the 32 bytes the spilled form needs anyway.
+const INLINE_MARKS: usize = 7;
+
+/// The egress interfaces one beacon was propagated on: a sorted set of at most *degree*
+/// interface ids, held in place while there are no more than [`INLINE_MARKS`] of them and
+/// in one exactly-sized heap vector beyond that.
+#[derive(Debug, Clone)]
+enum EgressMarks {
+    Inline { len: u8, ids: [IfId; INLINE_MARKS] },
+    Spilled(Vec<IfId>),
+}
+
+impl EgressMarks {
+    const fn new() -> Self {
+        EgressMarks::Inline {
+            len: 0,
+            ids: [IfId::NONE; INLINE_MARKS],
+        }
+    }
+
+    fn as_slice(&self) -> &[IfId] {
+        match self {
+            EgressMarks::Inline { len, ids } => &ids[..usize::from(*len)],
+            EgressMarks::Spilled(ids) => ids,
+        }
+    }
+
+    fn contains(&self, id: IfId) -> bool {
+        self.as_slice().binary_search(&id).is_ok()
+    }
+
+    /// Makes room for `additional` more ids, spilling to the heap now if they cannot all
+    /// stay in place, so a burst of marks costs at most one allocation.
+    fn reserve(&mut self, additional: usize) {
+        match self {
+            EgressMarks::Inline { len, ids } => {
+                let len = usize::from(*len);
+                if len + additional > INLINE_MARKS {
+                    let mut spilled = Vec::with_capacity(len + additional);
+                    spilled.extend_from_slice(&ids[..len]);
+                    *self = EgressMarks::Spilled(spilled);
+                }
+            }
+            EgressMarks::Spilled(ids) => ids.reserve_exact(additional),
+        }
+    }
+
+    /// Adds `id`, keeping the order; returns whether it was new.
+    fn insert(&mut self, id: IfId) -> bool {
+        let Err(at) = self.as_slice().binary_search(&id) else {
+            return false;
+        };
+        self.reserve(1);
+        match self {
+            EgressMarks::Inline { len, ids } => {
+                ids.copy_within(at..usize::from(*len), at + 1);
+                ids[at] = id;
+                *len += 1;
+            }
+            EgressMarks::Spilled(ids) => ids.insert(at, id),
+        }
+        true
+    }
+
+    /// Removes `id`; returns whether it was there.
+    fn remove(&mut self, id: IfId) -> bool {
+        let Ok(at) = self.as_slice().binary_search(&id) else {
+            return false;
+        };
+        match self {
+            EgressMarks::Inline { len, ids } => {
+                ids.copy_within(at + 1..usize::from(*len), at);
+                *len -= 1;
+            }
+            EgressMarks::Spilled(ids) => {
+                ids.remove(at);
+            }
+        }
+        true
+    }
+}
+
 /// One tracked PCB hash in the egress database: the interfaces it was propagated on and the
 /// expiry time it was recorded under (so eviction can tell live entries from stale expiry-
 /// index rows).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct EgressEntry {
-    egresses: HashSet<IfId>,
+    egresses: EgressMarks,
     expires_at: SimTime,
 }
 
@@ -958,41 +1066,77 @@ impl EgressDb {
     /// PCB (the ones propagation should actually happen on); interfaces already recorded
     /// are filtered out. The database never sees the beacon itself — only the id its
     /// holder carries for it.
+    ///
+    /// This is [`EgressDb::unmarked_egresses`] followed by [`EgressDb::record`]; a holder
+    /// of a shared database calls the two halves itself and skips the write when the probe
+    /// says there is nothing to record.
     pub fn filter_new_egresses(
         &mut self,
         id: PcbId,
         expires_at: SimTime,
         egress_ifs: &[IfId],
     ) -> Vec<IfId> {
+        let mut new = Vec::new();
+        if self.unmarked_egresses(&id, expires_at, egress_ifs, |_| true, &mut new) {
+            self.record(id, expires_at, &new);
+        }
+        new
+    }
+
+    /// The read-only half of [`EgressDb::filter_new_egresses`]: fills `new` (emptied first,
+    /// so a caller can reuse one buffer) with the interfaces of `egress_ifs`, in order and
+    /// each once, that carry no mark for `id` yet and pass `exportable` (asked only about
+    /// unmarked interfaces). Returns whether [`EgressDb::record`] has anything to write —
+    /// a new mark, an id seen for the first time (it is tracked even with nothing to
+    /// send), or a known id under a later expiry.
+    pub fn unmarked_egresses(
+        &self,
+        id: &PcbId,
+        expires_at: SimTime,
+        egress_ifs: &[IfId],
+        mut exportable: impl FnMut(IfId) -> bool,
+        new: &mut Vec<IfId>,
+    ) -> bool {
+        let entry = self.propagated.get(id);
+        let mut marked = AscendingIfIds::new(entry.map_or(&[], |entry| entry.egresses.as_slice()));
+        new.clear();
+        for &egress in egress_ifs {
+            if !marked.contains(egress) && !new.contains(&egress) && exportable(egress) {
+                new.push(egress);
+            }
+        }
+        !new.is_empty() || entry.is_none_or(|entry| expires_at > entry.expires_at)
+    }
+
+    /// The write half of [`EgressDb::filter_new_egresses`]: tracks `id` under `expires_at`
+    /// and marks it as propagated on the interfaces `new`.
+    pub fn record(&mut self, id: PcbId, expires_at: SimTime, new: &[IfId]) {
         let entry = self.propagated.entry(id).or_insert_with(|| {
             self.expiry.entry(expires_at).or_default().push(id);
             EgressEntry {
-                egresses: HashSet::new(),
+                egresses: EgressMarks::new(),
                 expires_at,
             }
         });
-        if entry.expires_at != expires_at {
+        if expires_at > entry.expires_at {
             // Defensive: a digest re-recorded under a different expiry (cannot happen while
             // the digest covers the expiry field, but the bookkeeping must not silently
             // drift if that ever changes). Track the later expiry and index it; the old
             // index row becomes stale and is skipped at eviction.
-            if expires_at > entry.expires_at {
-                entry.expires_at = expires_at;
-                self.expiry.entry(expires_at).or_default().push(id);
-            }
+            entry.expires_at = expires_at;
+            self.expiry.entry(expires_at).or_default().push(id);
         }
-        egress_ifs
-            .iter()
-            .copied()
-            .filter(|ifid| entry.egresses.insert(*ifid))
-            .collect()
+        entry.egresses.reserve(new.len());
+        for &egress in new {
+            entry.egresses.insert(egress);
+        }
     }
 
     /// Whether any beacon has been recorded as propagated over `egress`.
     pub fn has_egress_records(&self, egress: IfId) -> bool {
         self.propagated
             .values()
-            .any(|entry| entry.egresses.contains(&egress))
+            .any(|entry| entry.egresses.contains(egress))
     }
 
     /// Removes `egress` from every beacon's propagated-interface set, so each beacon's
@@ -1003,7 +1147,7 @@ impl EgressDb {
     pub fn forget_egress(&mut self, egress: IfId) -> usize {
         let mut removed = 0;
         for entry in self.propagated.values_mut() {
-            if entry.egresses.remove(&egress) {
+            if entry.egresses.remove(egress) {
                 removed += 1;
             }
         }
@@ -1015,7 +1159,7 @@ impl EgressDb {
     pub fn contains(&self, id: &PcbId, egress: IfId) -> bool {
         self.propagated
             .get(id)
-            .is_some_and(|e| e.egresses.contains(&egress))
+            .is_some_and(|e| e.egresses.contains(egress))
     }
 
     /// Number of PCB hashes tracked.
@@ -1444,6 +1588,124 @@ mod tests {
         assert_eq!(before - removed, db.len());
         // A second sweep finds nothing left to delete.
         assert_eq!(db.evict_expired(expiry), 0);
+    }
+
+    #[test]
+    fn egress_marks_are_held_in_place_then_in_one_exact_vector() {
+        // What the database keeps per tracked id, beside the 32-byte id itself: 40 bytes
+        // in the map slot and nothing on the heap for up to seven marks. (It was a 56-byte
+        // slot plus a hash table of its own per id.)
+        assert_eq!(std::mem::size_of::<EgressMarks>(), 32);
+        assert_eq!(std::mem::size_of::<EgressEntry>(), 40);
+
+        let mut marks = EgressMarks::new();
+        for id in [5, 1, 9, 3, 7, 2, 8] {
+            assert!(marks.insert(IfId(id)));
+            assert!(!marks.insert(IfId(id)));
+        }
+        assert!(matches!(marks, EgressMarks::Inline { len: 7, .. }));
+        assert_eq!(
+            marks.as_slice(),
+            [1, 2, 3, 5, 7, 8, 9].map(IfId),
+            "kept in ascending order"
+        );
+        // The burst that does not fit spills once, to exactly the size it needs.
+        marks.reserve(3);
+        for id in [4, 6, 10] {
+            assert!(marks.insert(IfId(id)));
+        }
+        let EgressMarks::Spilled(ids) = &marks else {
+            panic!("ten marks do not fit in place");
+        };
+        assert_eq!(ids.capacity(), 10);
+        assert_eq!(marks.as_slice(), (1..=10).map(IfId).collect::<Vec<_>>());
+        assert!(marks.remove(IfId(1)) && marks.remove(IfId(10)) && !marks.remove(IfId(10)));
+        assert!(marks.contains(IfId(9)) && !marks.contains(IfId(1)));
+        assert_eq!(marks.as_slice(), (2..=9).map(IfId).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn ascending_lookup_answers_queries_in_any_order() {
+        let ids = [2, 3, 5, 8, 13].map(IfId);
+        let mut lookup = AscendingIfIds::new(&ids);
+        for query in [1, 2, 2, 4, 5, 13, 14, 3, 8, 8, 7, 1, 13, 2] {
+            assert_eq!(
+                lookup.contains(IfId(query)),
+                ids.contains(&IfId(query)),
+                "{query}"
+            );
+        }
+        assert!(!AscendingIfIds::new(&[]).contains(IfId(1)));
+    }
+
+    proptest::proptest! {
+        /// The compact marks against a hash-set model, operation for operation: what is
+        /// new (in the order asked, a repeat never twice), what is contained, what a reset
+        /// of an interface drops, and that the read-only probe tells exactly when the
+        /// write has something to do.
+        #[test]
+        fn egress_marks_match_a_hash_set_model(
+            ops in proptest::collection::vec(
+                (0u8..4, 0u64..5, proptest::collection::vec(1u32..14, 0..10)),
+                1..60,
+            ),
+        ) {
+            let mut db = EgressDb::new();
+            let mut model: HashMap<u64, HashSet<IfId>> = HashMap::new();
+            let beacons: Vec<Pcb> = (0..5).map(|seq| pcb(1, seq, PcbExtensions::none(), 6)).collect();
+            for (kind, beacon, interfaces) in ops {
+                let interfaces: Vec<IfId> = interfaces.into_iter().map(IfId).collect();
+                let pcb = &beacons[beacon as usize];
+                let id = pcb.digest();
+                match kind {
+                    0 | 1 => {
+                        let known = model.contains_key(&beacon);
+                        let marked = model.entry(beacon).or_default();
+                        let expected: Vec<IfId> = interfaces
+                            .iter()
+                            .copied()
+                            .filter(|&egress| egress.value() % 2 == u32::from(kind) || kind == 0)
+                            .filter(|egress| marked.insert(*egress))
+                            .collect();
+                        let mut new = vec![IfId(99)];  // stale content of a reused buffer
+                        let unrecorded = db.unmarked_egresses(
+                            &id,
+                            pcb.expires_at,
+                            &interfaces,
+                            |egress| egress.value() % 2 == u32::from(kind) || kind == 0,
+                            &mut new,
+                        );
+                        proptest::prop_assert_eq!(&new, &expected);
+                        proptest::prop_assert_eq!(unrecorded, !known || !expected.is_empty());
+                        db.record(id, pcb.expires_at, &new);
+                        // Recorded: the same question finds nothing left to do.
+                        proptest::prop_assert!(
+                            db.filter_new_egresses(id, pcb.expires_at, &expected).is_empty()
+                        );
+                    }
+                    2 => {
+                        for egress in interfaces {
+                            let expected = model
+                                .values_mut()
+                                .filter_map(|marked| marked.remove(&egress).then_some(()))
+                                .count();
+                            proptest::prop_assert_eq!(db.has_egress_records(egress), expected > 0);
+                            proptest::prop_assert_eq!(db.forget_egress(egress), expected);
+                            proptest::prop_assert!(!db.has_egress_records(egress));
+                        }
+                    }
+                    _ => {
+                        for egress in (1..14).map(IfId) {
+                            proptest::prop_assert_eq!(
+                                db.contains(&id, egress),
+                                model.get(&beacon).is_some_and(|marked| marked.contains(&egress))
+                            );
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(db.len(), model.len());
+            }
+        }
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! The egress gateway (§V-D): PCB origination, deduplication, extension with the local hop
 //! entry, propagation to neighbors, pull-based returns, and path registration.
 
-use crate::beacon_db::EgressDb;
+use crate::beacon_db::{AscendingIfIds, EgressDb};
 use crate::config::PropagationPolicy;
-use crate::engine::{BatchSelection, SelectedBeacon};
+use crate::engine::BatchSelection;
 use crate::messages::{PcbMessage, PullReturn};
-use crate::path_service::{RegisteredPath, ShardedPathService};
+use crate::path_service::ShardedPathService;
 use irec_crypto::Signer;
-use irec_pcb::{Pcb, PcbExtensions, StaticInfo};
-use irec_topology::Topology;
-use irec_types::{AsId, IfId, InterfaceGroupId, Result, SimDuration, SimTime};
+use irec_pcb::{HopExtender, Pcb, PcbExtensions, StaticInfo};
+use irec_topology::{LinkEnd, Topology};
+use irec_types::{
+    AsId, GeoCoord, IfId, InterfaceGroupId, Latency, LinkMetrics, Result, SimDuration, SimTime,
+};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// What an AS originates each beaconing round: for every interface group, the member
 /// interfaces to send fresh beacons on, plus the extensions to attach (the same `extensions`
@@ -77,6 +79,115 @@ impl EgressStats {
     }
 }
 
+/// What the gateway reads off the topology about the inter-domain link behind one of its
+/// interfaces, as seen from the local AS.
+#[derive(Debug)]
+struct AttachedLink {
+    metrics: LinkMetrics,
+    /// Whether the neighbour is a customer of the local AS (the Gao–Rexford export rules
+    /// ask nothing else about a link).
+    to_customer: bool,
+    /// The far end; `None` on a link the topology does not attach to the local AS, over
+    /// which nothing can be sent.
+    neighbor: Option<LinkEnd>,
+}
+
+/// One interface of the local AS.
+#[derive(Debug)]
+struct LocalInterface {
+    id: IfId,
+    location: GeoCoord,
+    /// `None` when the topology has no link for the interface.
+    link: Option<AttachedLink>,
+}
+
+/// The local AS's interfaces, ascending by id: everything the export policy and the hop
+/// entries of outgoing beacons take from the topology.
+///
+/// Built from the gateway's `Arc<Topology>` on first use rather than at construction, so
+/// that building a node stays free of topology walks. It stays valid for the gateway's
+/// lifetime because nothing mutates the topology behind the `Arc` — a link going down is a
+/// drop at delivery time, not a change to the graph.
+#[derive(Debug, Default)]
+struct LocalInterfaces {
+    crossing_latency: Latency,
+    by_id: Box<[LocalInterface]>,
+    /// The interfaces with a link, ascending: where a beacon learned from a customer may
+    /// be exported (Gao–Rexford: to everyone).
+    linked: Box<[IfId]>,
+    /// The interfaces whose link leads to a customer, ascending: where a beacon learned
+    /// from a provider or a peer may be exported.
+    to_customers: Box<[IfId]>,
+}
+
+impl LocalInterfaces {
+    fn of(topology: &Topology, local_as: AsId) -> Self {
+        let Ok(node) = topology.as_node(local_as) else {
+            return LocalInterfaces::default();
+        };
+        let by_id: Box<[LocalInterface]> = node
+            .interfaces
+            .values()
+            .map(|interface| LocalInterface {
+                id: interface.id,
+                location: interface.location,
+                link: topology.link(interface.link).ok().map(|link| AttachedLink {
+                    metrics: link.metrics,
+                    to_customer: link
+                        .relationship_from(local_as)
+                        .is_some_and(|r| r.neighbor_is_customer()),
+                    neighbor: link.other_end(local_as),
+                }),
+            })
+            .collect();
+        let with_link = |wanted: fn(&AttachedLink) -> bool| {
+            by_id
+                .iter()
+                .filter(|interface| interface.link.as_ref().is_some_and(wanted))
+                .map(|interface| interface.id)
+                .collect()
+        };
+        LocalInterfaces {
+            crossing_latency: node.local_crossing_latency,
+            linked: with_link(|_| true),
+            to_customers: with_link(|link| link.to_customer),
+            by_id,
+        }
+    }
+
+    fn get(&self, id: IfId) -> Option<&LocalInterface> {
+        self.by_id
+            .binary_search_by_key(&id, |interface| interface.id)
+            .ok()
+            .map(|at| &self.by_id[at])
+    }
+
+    /// What the hop entry of a beacon that came in on `ingress` shares when it leaves on
+    /// `egress`, and whom it reaches there; `None` where nothing can be sent — an interface
+    /// the topology does not know, has no link for, or whose link is not this AS's.
+    fn hop_towards(
+        &self,
+        ingress: Option<&LocalInterface>,
+        egress: IfId,
+    ) -> Option<(StaticInfo, LinkEnd)> {
+        let interface = self.get(egress)?;
+        let link = interface.link.as_ref()?;
+        let info = StaticInfo {
+            link_latency: link.metrics.latency,
+            link_bandwidth: link.metrics.bandwidth,
+            // `AsNode::intra_latency`, with an unknown ingress crossing for free.
+            intra_latency: match ingress {
+                Some(ingress) if ingress.id != egress => {
+                    ingress.location.propagation_delay(&interface.location) + self.crossing_latency
+                }
+                _ => Latency::ZERO,
+            },
+            egress_location: Some(interface.location),
+        };
+        Some((info, link.neighbor?))
+    }
+}
+
 /// The egress gateway of one AS.
 pub struct EgressGateway {
     local_as: AsId,
@@ -90,6 +201,8 @@ pub struct EgressGateway {
     path_service: ShardedPathService,
     stats: EgressStats,
     sequence: u64,
+    /// See [`LocalInterfaces`]; clones share what is already built.
+    interfaces: OnceLock<Arc<LocalInterfaces>>,
 }
 
 impl Clone for EgressGateway {
@@ -107,6 +220,7 @@ impl Clone for EgressGateway {
             path_service: self.path_service.clone(),
             stats: self.stats.clone(),
             sequence: self.sequence,
+            interfaces: self.interfaces.clone(),
         }
     }
 }
@@ -128,6 +242,7 @@ impl EgressGateway {
             path_service: self.path_service.cow_clone(),
             stats: self.stats.clone(),
             sequence: self.sequence,
+            interfaces: self.interfaces.clone(),
         }
     }
 
@@ -161,6 +276,7 @@ impl EgressGateway {
             path_service: ShardedPathService::new(path_shards),
             stats: EgressStats::default(),
             sequence: 0,
+            interfaces: OnceLock::new(),
         }
     }
 
@@ -240,6 +356,8 @@ impl EgressGateway {
                     link.metrics.bandwidth,
                     Some(interface.location),
                 );
+                // The receiver stores this very vector: room for the one entry, not for four.
+                pcb.entries.reserve_exact(1);
                 pcb.extend(IfId::NONE, egress, info, &self.signer)?;
                 let neighbor = self.topology.neighbor_of(self.local_as, egress)?;
                 *self.stats.sent_per_interface.entry(egress).or_default() += 1;
@@ -260,24 +378,49 @@ impl EgressGateway {
     /// and propagates the rest (deduplicated per egress interface, extended with the local
     /// signed hop entry, filtered by the export policy).
     ///
-    /// Every selection comes with the id its batch view carried, so neither registration
-    /// nor dedup encodes or hashes a beacon; the only beacons encoded here are the ones
-    /// actually extended and sent.
+    /// Every selection of every round takes this one path, whether it was made this round
+    /// or kept from an earlier one, and what it costs follows what it has to say. A kept
+    /// winner costs lookups: its registration is found and refreshed in place (one key
+    /// lookup and shard lock per batch, see [`ShardedPathService::register_selected`]),
+    /// and the dedup database is probed under a shared reference and written — which
+    /// copies it when it is shared with a snapshot — only for a mark or an id it does not
+    /// hold yet. A beacon that does go out is checked, encoded and absorbed into the MAC
+    /// once for all its interfaces ([`HopExtender`]). Every selection comes with the id
+    /// its batch view carried, so nothing here hashes a beacon.
     pub fn process_outputs<'a>(
         &mut self,
         batches: impl IntoIterator<Item = &'a BatchSelection>,
         now: SimTime,
     ) -> Result<(Vec<PcbMessage>, Vec<PullReturn>)> {
+        let interfaces = Arc::clone(
+            self.interfaces
+                .get_or_init(|| Arc::new(LocalInterfaces::of(&self.topology, self.local_as))),
+        );
         let mut messages = Vec::new();
         let mut returns = Vec::new();
+        let mut new_egresses = Vec::new();
 
         for batch in batches {
-            for selected in &batch.selected {
-                // Path registration happens for every selection — these are the paths
-                // endpoints can use, whether or not the beacon is propagated further.
-                self.register_path(batch, selected, now);
+            // Path registration happens for every selection — these are the paths
+            // endpoints can use, whether or not the beacon is propagated further. A batch
+            // holds one origin's beacons, so its winners are one run.
+            let mut winners = batch.selected.iter().peekable();
+            while let Some(first) = winners.peek() {
+                let destination = first.beacon.pcb.origin;
+                let run = std::iter::from_fn(|| {
+                    winners.next_if(|winner| winner.beacon.pcb.origin == destination)
+                });
+                self.stats.registered += self.path_service.register_selected(
+                    &batch.rac_name,
+                    destination,
+                    batch.group,
+                    now,
+                    run.map(|winner| (winner.pcb_id, &winner.beacon.pcb, winner.beacon.ingress)),
+                );
+            }
 
-                let beacon = &selected.beacon;
+            for selected in &batch.selected {
+                let beacon = &*selected.beacon;
                 // Pull-based beacon reaching its target: return it to the origin instead
                 // of propagating it further.
                 if beacon.pcb.extensions.target == Some(self.local_as) {
@@ -291,119 +434,95 @@ impl EgressGateway {
                     continue;
                 }
 
-                // Export-policy and dedup filtering.
-                let allowed: Vec<IfId> = selected
-                    .egress_ifs
-                    .iter()
-                    .copied()
-                    .filter(|&egress| self.export_allowed(beacon.ingress, egress))
-                    .collect();
-                let new_egresses = Arc::make_mut(&mut self.db).filter_new_egresses(
+                // Export-policy and dedup filtering; the policy is asked only about
+                // interfaces the beacon has not gone out on yet.
+                let mut exportable = self
+                    .exportable_from(&interfaces, beacon.ingress)
+                    .map(AscendingIfIds::new);
+                let unrecorded = self.db.unmarked_egresses(
+                    &selected.pcb_id,
+                    beacon.pcb.expires_at,
+                    &selected.egress_ifs,
+                    |egress| {
+                        egress != beacon.ingress
+                            && exportable
+                                .as_mut()
+                                .is_none_or(|exportable| exportable.contains(egress))
+                    },
+                    &mut new_egresses,
+                );
+                if !unrecorded {
+                    continue;
+                }
+                Arc::make_mut(&mut self.db).record(
                     selected.pcb_id,
                     beacon.pcb.expires_at,
-                    &allowed,
+                    &new_egresses,
                 );
+                if new_egresses.is_empty() {
+                    continue;
+                }
 
-                for egress in new_egresses {
-                    // A single unpropagatable (e.g. topology-inconsistent) selection must
-                    // not abort the whole round.
-                    if let Ok(message) = self.extend_and_send(beacon, egress, now) {
-                        messages.push(message);
-                    }
+                // A single unpropagatable (e.g. topology-inconsistent) selection must not
+                // abort the whole round, nor must a single unusable interface.
+                let Ok(mut extender) = HopExtender::new(&beacon.pcb, beacon.ingress, &self.signer)
+                else {
+                    continue;
+                };
+                let ingress = interfaces.get(beacon.ingress);
+                for &egress in &new_egresses {
+                    let Some((info, neighbor)) = interfaces.hop_towards(ingress, egress) else {
+                        continue;
+                    };
+                    let Ok(pcb) = extender.extended(egress, info) else {
+                        continue;
+                    };
+                    *self.stats.sent_per_interface.entry(egress).or_default() += 1;
+                    messages.push(PcbMessage {
+                        from_as: self.local_as,
+                        from_if: egress,
+                        to_as: neighbor.asn,
+                        to_if: neighbor.interface,
+                        pcb,
+                    });
                 }
             }
         }
         Ok((messages, returns))
     }
 
-    fn register_path(&mut self, batch: &BatchSelection, selected: &SelectedBeacon, now: SimTime) {
-        let pcb = &selected.beacon.pcb;
-        let Some(destination_interface) = pcb.origin_interface() else {
-            return;
-        };
-        self.stats.registered += 1;
-        self.path_service.register(RegisteredPath {
-            pcb_id: selected.pcb_id,
-            destination: pcb.origin,
-            destination_interface,
-            local_interface: selected.beacon.ingress,
-            algorithm: batch.rac_name.to_string(),
-            group: batch.group,
-            metrics: pcb.path_metrics(),
-            links: pcb.link_keys(),
-            registered_at: now,
-        });
-    }
-
-    /// Gao–Rexford export rules (or "all" for policy-free example topologies).
-    fn export_allowed(&self, ingress: IfId, egress: IfId) -> bool {
-        if ingress == egress {
-            return false;
-        }
+    /// Where a beacon that arrived on `ingress` may be exported, the ingress interface
+    /// itself always excepted: the Gao–Rexford export rules, or `None` — anywhere, on
+    /// interfaces known to the topology or not — for policy-free example topologies.
+    fn exportable_from<'a>(
+        &self,
+        interfaces: &'a LocalInterfaces,
+        ingress: IfId,
+    ) -> Option<&'a [IfId]> {
         match self.policy {
-            PropagationPolicy::All => true,
-            PropagationPolicy::ValleyFree => {
-                let Ok(in_link) = self.topology.link_at(self.local_as, ingress) else {
-                    return false;
-                };
-                let Ok(out_link) = self.topology.link_at(self.local_as, egress) else {
-                    return false;
-                };
-                let from_customer = in_link
-                    .relationship_from(self.local_as)
-                    .map(|r| r.neighbor_is_customer())
-                    .unwrap_or(false);
-                if from_customer {
+            PropagationPolicy::All => None,
+            PropagationPolicy::ValleyFree => Some(
+                match interfaces.get(ingress).and_then(|i| i.link.as_ref()) {
                     // Routes learned from customers are exported to everyone.
-                    true
-                } else {
+                    Some(link) if link.to_customer => &interfaces.linked,
                     // Routes learned from providers/peers are exported to customers only.
-                    out_link
-                        .relationship_from(self.local_as)
-                        .map(|r| r.neighbor_is_customer())
-                        .unwrap_or(false)
-                }
-            }
+                    Some(_) => &interfaces.to_customers,
+                    // Not a link of this AS: nothing to apply the rules to.
+                    None => &[],
+                },
+            ),
         }
-    }
-
-    fn extend_and_send(
-        &mut self,
-        beacon: &crate::beacon_db::StoredBeacon,
-        egress: IfId,
-        _now: SimTime,
-    ) -> Result<PcbMessage> {
-        let link = self.topology.link_at(self.local_as, egress)?;
-        let interface = self.topology.interface(self.local_as, egress)?;
-        let node = self.topology.as_node(self.local_as)?;
-        let intra = node
-            .intra_latency(beacon.ingress, egress)
-            .unwrap_or_default();
-
-        let mut pcb = beacon.pcb.clone();
-        let info = StaticInfo {
-            link_latency: link.metrics.latency,
-            link_bandwidth: link.metrics.bandwidth,
-            intra_latency: intra,
-            egress_location: Some(interface.location),
-        };
-        pcb.extend(beacon.ingress, egress, info, &self.signer)?;
-        let neighbor = self.topology.neighbor_of(self.local_as, egress)?;
-        *self.stats.sent_per_interface.entry(egress).or_default() += 1;
-        Ok(PcbMessage {
-            from_as: self.local_as,
-            from_if: egress,
-            to_as: neighbor.asn,
-            to_if: neighbor.interface,
-            pcb,
-        })
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::beacon_db::StoredBeacon;
+    use crate::engine::SelectedBeacon;
     use irec_crypto::{KeyRegistry, Verifier};
     use irec_topology::{Tier, TopologyBuilder};
     use irec_types::{Bandwidth, Latency};
@@ -739,5 +858,85 @@ mod tests {
         assert_eq!(counters.values().sum::<u64>(), 4);
         // Drained: the next period starts from zero.
         assert_eq!(gw.stats().total_sent(), 0);
+    }
+
+    #[test]
+    fn a_no_op_pass_leaves_a_shared_dedup_database_shared() {
+        let (mut gw, registry, _) = gateway(PropagationPolicy::All);
+        let beacon = received_beacon(&registry, 1, 1, 1);
+        let outputs = vec![
+            output("1SP", beacon.clone(), vec![IfId(2), IfId(3)]),
+            // Nothing to send and nothing allowed, yet tracked from its first sight on.
+            output("1SP", received_beacon(&registry, 3, 1, 2), vec![IfId(2)]),
+        ];
+        let (messages, _) = gw.process_outputs(&outputs, SimTime::ZERO).unwrap();
+        assert_eq!(messages.len(), 2);
+        assert_eq!(gw.db.len(), 2);
+
+        // A snapshot whose round selects what was sent before it was taken sends nothing
+        // and must not pay for a private copy of the database.
+        let mut snapshot = gw.cow_clone();
+        let later = SimTime::ZERO + SimDuration::from_minutes(10);
+        let (messages, _) = snapshot.process_outputs(&outputs, later).unwrap();
+        assert!(messages.is_empty());
+        assert!(Arc::ptr_eq(&snapshot.db, &gw.db));
+
+        // The first new mark copies it, on the side that writes.
+        let more = vec![output(
+            "1SP",
+            beacon,
+            vec![IfId(1), IfId(2), IfId(3), IfId(7)],
+        )];
+        let (messages, _) = snapshot.process_outputs(&more, later).unwrap();
+        assert!(
+            messages.is_empty(),
+            "interface 7 is marked but cannot be sent on"
+        );
+        assert!(!Arc::ptr_eq(&snapshot.db, &gw.db));
+        assert!(snapshot.db.contains(&more[0].selected[0].pcb_id, IfId(7)));
+        assert!(!gw.db.contains(&more[0].selected[0].pcb_id, IfId(7)));
+    }
+
+    #[test]
+    fn interface_tables_are_built_on_first_use_and_shared_with_clones() {
+        let (mut gw, registry, _) = gateway(PropagationPolicy::ValleyFree);
+        assert!(
+            gw.interfaces.get().is_none(),
+            "construction walks no topology"
+        );
+        assert!(gw.cow_clone().interfaces.get().is_none());
+        let beacon = received_beacon(&registry, 1, 1, 1);
+        gw.process_outputs(&[output("1SP", beacon, vec![IfId(3)])], SimTime::ZERO)
+            .unwrap();
+        let built = gw.interfaces.get().expect("built by the first pass");
+        assert_eq!(&*built.linked, [IfId(1), IfId(2), IfId(3)]);
+        assert_eq!(&*built.to_customers, [IfId(3)]);
+        for clone in [gw.cow_clone(), gw.clone()] {
+            assert!(Arc::ptr_eq(clone.interfaces.get().unwrap(), built));
+        }
+    }
+
+    #[test]
+    fn emitted_beacons_carry_no_spare_capacity() {
+        let (mut gw, registry, topo) = gateway(PropagationPolicy::All);
+        let spec = OriginationSpec::plain(
+            topo.as_node(AsId(2))
+                .unwrap()
+                .interfaces
+                .keys()
+                .copied()
+                .collect(),
+        );
+        let mut messages = gw
+            .originate(&spec, SimTime::ZERO, SimDuration::from_hours(1))
+            .unwrap();
+        let beacon = received_beacon(&registry, 1, 1, 1);
+        let outputs = [output("1SP", beacon, vec![IfId(2), IfId(3)])];
+        messages.extend(gw.process_outputs(&outputs, SimTime::ZERO).unwrap().0);
+        assert_eq!(messages.len(), 5);
+        for message in &messages {
+            let entries = &message.pcb.entries;
+            assert_eq!(entries.capacity(), entries.len(), "{entries:?}");
+        }
     }
 }

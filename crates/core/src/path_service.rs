@@ -10,7 +10,7 @@
 //! any shard count.
 
 use crate::beacon_db::splitmix64;
-use irec_pcb::PcbId;
+use irec_pcb::{Pcb, PcbId};
 use irec_types::{AsId, IfId, InterfaceGroupId, PathMetrics, SimTime};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -42,7 +42,51 @@ pub struct RegisteredPath {
 
 /// Key limiting registrations: the paper caps registered paths "per RAC, origin AS, and
 /// interface group" (20 in the evaluation).
-type RegistrationKey = (String, AsId, InterfaceGroupId);
+type RegistrationKey = (Arc<str>, AsId, InterfaceGroupId);
+
+/// A fixed mix of a link sequence into 64 bits. Equal sequences hash equally; the converse
+/// is never assumed, a hash hit is confirmed by comparing the sequences.
+fn link_hash(links: impl Iterator<Item = (AsId, IfId)>) -> u64 {
+    links.fold(0, |hash, (asn, interface)| {
+        splitmix64(hash ^ asn.value()).wrapping_add(u64::from(interface.value()))
+    })
+}
+
+/// The registrations of one key, in registration order.
+#[derive(Debug, Clone, Default)]
+struct Registrations {
+    paths: Vec<RegisteredPath>,
+    /// [`link_hash`] of `paths[i].links`, kept beside the paths so that looking for a link
+    /// sequence reads no link vector but the one it finds.
+    link_hashes: Vec<u64>,
+}
+
+impl Registrations {
+    /// The registration a new one for the same key refreshes instead of being added beside
+    /// it: the first, in registration order, that has the same beacon id **or** the same
+    /// link sequence (a re-originated beacon over the same inter-domain path) — `hash` is
+    /// the new sequence's [`link_hash`], `same_links` compares it with a registered one.
+    ///
+    /// The rule has this one home because [`PathService::register`] and
+    /// [`PathService::register_selected`] must agree on it registration for registration.
+    /// The id alone would not do: a RAC that keeps several originations of one path among
+    /// its winners refreshes one registration with each of them in turn, every round, and
+    /// the last one leaves its id there — so next round the others find their
+    /// registration by its links, not by their id.
+    fn first_match(
+        &mut self,
+        pcb_id: &PcbId,
+        hash: u64,
+        same_links: impl Fn(&[(AsId, IfId)]) -> bool,
+    ) -> Option<&mut RegisteredPath> {
+        let at = self
+            .paths
+            .iter()
+            .zip(&self.link_hashes)
+            .position(|(p, &h)| p.pcb_id == *pcb_id || (h == hash && same_links(&p.links)))?;
+        Some(&mut self.paths[at])
+    }
+}
 
 /// The default per-key registration limit of the paper's evaluation.
 const DEFAULT_LIMIT_PER_KEY: usize = 20;
@@ -52,7 +96,7 @@ const DEFAULT_LIMIT_PER_KEY: usize = 20;
 #[derive(Debug, Clone, Default)]
 pub struct PathService {
     limit_per_key: usize,
-    paths: BTreeMap<RegistrationKey, Vec<RegisteredPath>>,
+    paths: BTreeMap<RegistrationKey, Registrations>,
     /// Registrations evicted because their key hit the per-key limit.
     evicted: u64,
 }
@@ -81,12 +125,14 @@ impl PathService {
     /// refresh the existing registration instead of creating a duplicate, mirroring how
     /// SCION path segments are refreshed rather than multiplied.
     pub fn register(&mut self, path: RegisteredPath) {
-        let key = (path.algorithm.clone(), path.destination, path.group);
+        let key = (
+            Arc::from(path.algorithm.as_str()),
+            path.destination,
+            path.group,
+        );
         let entry = self.paths.entry(key).or_default();
-        if let Some(existing) = entry
-            .iter_mut()
-            .find(|p| p.pcb_id == path.pcb_id || p.links == path.links)
-        {
+        let hash = link_hash(path.links.iter().copied());
+        if let Some(existing) = entry.first_match(&path.pcb_id, hash, |links| links == path.links) {
             // Refresh: update the registration time and metrics (the beacon may carry fresher
             // metadata after re-origination).
             existing.pcb_id = path.pcb_id;
@@ -94,18 +140,73 @@ impl PathService {
             existing.metrics = path.metrics;
             return;
         }
-        if entry.len() >= self.limit_per_key {
+        if entry.paths.len() >= self.limit_per_key {
             // Evict the stalest registration.
             if let Some((idx, _)) = entry
+                .paths
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, p)| p.registered_at)
             {
-                entry.remove(idx);
+                entry.paths.remove(idx);
+                entry.link_hashes.remove(idx);
                 self.evicted += 1;
             }
         }
-        entry.push(path);
+        entry.paths.push(path);
+        entry.link_hashes.push(hash);
+    }
+
+    /// Registers, in order, the beacons a RAC selected from one batch — `selected` yields
+    /// each winner's id, beacon and the local interface it arrived on; all of them lead
+    /// to `destination`. Observably one [`PathService::register`] call per beacon, at the
+    /// cost of one key lookup for all of them and, for a beacon whose registration already
+    /// exists (every kept winner, every round), of finding it: the link sequence is
+    /// compared straight off the beacon's entries and a [`RegisteredPath`] is built only
+    /// for a beacon that matches nothing, which then goes through `register` itself.
+    /// Beacons without entries describe no path and are skipped; returns how many were
+    /// registered.
+    pub fn register_selected<'a>(
+        &mut self,
+        algorithm: &Arc<str>,
+        destination: AsId,
+        group: InterfaceGroupId,
+        now: SimTime,
+        selected: impl IntoIterator<Item = (PcbId, &'a Pcb, IfId)>,
+    ) -> u64 {
+        let key = (Arc::clone(algorithm), destination, group);
+        let mut known = self.paths.get_mut(&key);
+        let mut registered = 0;
+        for (pcb_id, pcb, local_interface) in selected {
+            let Some(destination_interface) = pcb.origin_interface() else {
+                continue;
+            };
+            registered += 1;
+            let refreshed = known.as_deref_mut().and_then(|known| {
+                known.first_match(&pcb_id, link_hash(pcb.links()), |links| {
+                    links.iter().copied().eq(pcb.links())
+                })
+            });
+            if let Some(existing) = refreshed {
+                existing.pcb_id = pcb_id;
+                existing.registered_at = now;
+                existing.metrics = pcb.path_metrics();
+                continue;
+            }
+            self.register(RegisteredPath {
+                pcb_id,
+                destination,
+                destination_interface,
+                local_interface,
+                algorithm: algorithm.to_string(),
+                group,
+                metrics: pcb.path_metrics(),
+                links: pcb.link_keys(),
+                registered_at: now,
+            });
+            known = self.paths.get_mut(&key);
+        }
+        registered
     }
 
     /// All paths towards `destination`, across all RACs and groups.
@@ -113,7 +214,7 @@ impl PathService {
         self.paths
             .iter()
             .filter(|((_, dst, _), _)| *dst == destination)
-            .flat_map(|(_, v)| v.iter())
+            .flat_map(|(_, v)| v.paths.iter())
             .collect()
     }
 
@@ -121,19 +222,19 @@ impl PathService {
     pub fn paths_to_by(&self, destination: AsId, algorithm: &str) -> Vec<&RegisteredPath> {
         self.paths
             .iter()
-            .filter(|((alg, dst, _), _)| *dst == destination && alg == algorithm)
-            .flat_map(|(_, v)| v.iter())
+            .filter(|((alg, dst, _), _)| *dst == destination && **alg == *algorithm)
+            .flat_map(|(_, v)| v.paths.iter())
             .collect()
     }
 
     /// Every registered path.
     pub fn all(&self) -> Vec<&RegisteredPath> {
-        self.paths.values().flat_map(|v| v.iter()).collect()
+        self.paths.values().flat_map(|v| v.paths.iter()).collect()
     }
 
     /// Total number of registered paths.
     pub fn len(&self) -> usize {
-        self.paths.values().map(Vec::len).sum()
+        self.paths.values().map(|v| v.paths.len()).sum()
     }
 
     /// Whether nothing is registered.
@@ -159,7 +260,7 @@ impl PathService {
     fn entries(&self) -> Vec<(RegistrationKey, Vec<RegisteredPath>)> {
         self.paths
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(k, v)| (k.clone(), v.paths.clone()))
             .collect()
     }
 }
@@ -284,6 +385,28 @@ impl ShardedPathService {
             "path registered in a foreign shard"
         );
         Arc::make_mut(&mut *self.shards[shard].write()).register(path);
+    }
+
+    /// [`PathService::register_selected`] in `destination`'s shard, under one lock. A
+    /// selection with nothing to register leaves the shard untouched (and, if it is shared
+    /// with a snapshot, shared).
+    pub fn register_selected<'a>(
+        &self,
+        algorithm: &Arc<str>,
+        destination: AsId,
+        group: InterfaceGroupId,
+        now: SimTime,
+        selected: impl IntoIterator<Item = (PcbId, &'a Pcb, IfId)>,
+    ) -> u64 {
+        let mut selected = selected
+            .into_iter()
+            .filter(|(_, pcb, _)| !pcb.is_empty())
+            .peekable();
+        if selected.peek().is_none() {
+            return 0;
+        }
+        let mut shard = self.shards[self.shard_of(destination)].write();
+        Arc::make_mut(&mut *shard).register_selected(algorithm, destination, group, now, selected)
     }
 
     /// All paths towards `destination`, across all RACs and groups — entirely within the
@@ -424,6 +547,126 @@ mod tests {
             .collect();
         assert!(!ids.contains(&1), "stalest registration must be evicted");
         assert!(ids.contains(&2) && ids.contains(&3));
+    }
+
+    /// A one-hop beacon of `origin` leaving through `egress`, numbered `sequence`.
+    fn beacon(origin: u64, sequence: u64, egress: u32, latency_ms: u64) -> (PcbId, Pcb) {
+        use irec_crypto::{KeyRegistry, Signer};
+        use irec_pcb::{PcbExtensions, StaticInfo};
+        let mut pcb = Pcb::originate(
+            AsId(origin),
+            sequence,
+            SimTime::ZERO,
+            SimTime::from_micros(3_600_000_000),
+            PcbExtensions::none(),
+        );
+        pcb.extend(
+            IfId::NONE,
+            IfId(egress),
+            StaticInfo::origin(
+                Latency::from_millis(latency_ms),
+                Bandwidth::from_mbps(100),
+                None,
+            ),
+            &Signer::new(AsId(origin), KeyRegistry::with_ases(1, 8)),
+        )
+        .unwrap();
+        (pcb.digest(), pcb)
+    }
+
+    #[test]
+    fn originations_of_one_path_take_turns_in_one_registration() {
+        // A RAC that keeps two originations of one path among its winners refreshes one
+        // registration with each in turn: whichever comes last leaves its id and metrics,
+        // so the other one finds the registration by its links the round after.
+        let (first_id, first) = beacon(1, 0, 4, 10);
+        let (second_id, second) = beacon(1, 1, 4, 30);
+        let (other_id, other) = beacon(1, 2, 5, 20);
+        let algorithm: Arc<str> = "5SP".into();
+        let mut ps = PathService::new();
+        for round in 0..3u64 {
+            let now = SimTime::from_micros(round * 600_000_000);
+            let registered = ps.register_selected(
+                &algorithm,
+                AsId(1),
+                InterfaceGroupId::DEFAULT,
+                now,
+                [
+                    (first_id, &first, IfId(2)),
+                    (other_id, &other, IfId(2)),
+                    (second_id, &second, IfId(3)),
+                ],
+            );
+            assert_eq!(registered, 3);
+            let paths = ps.paths_to(AsId(1));
+            assert_eq!(paths.len(), 2, "round {round}");
+            assert_eq!(paths[0].pcb_id, second_id);
+            assert_eq!(paths[0].metrics, second.path_metrics());
+            assert_eq!(
+                paths[0].local_interface,
+                IfId(2),
+                "set at registration only"
+            );
+            assert_eq!(paths[1].pcb_id, other_id);
+            assert!(paths.iter().all(|p| p.registered_at == now));
+        }
+        // The same beacons one `register` call each build the same service.
+        let mut one_by_one = PathService::new();
+        for (id, pcb, local) in [
+            (first_id, &first, 2),
+            (other_id, &other, 2),
+            (second_id, &second, 3),
+        ] {
+            one_by_one.register(RegisteredPath {
+                pcb_id: id,
+                destination: AsId(1),
+                destination_interface: pcb.origin_interface().unwrap(),
+                local_interface: IfId(local),
+                algorithm: "5SP".to_string(),
+                group: InterfaceGroupId::DEFAULT,
+                metrics: pcb.path_metrics(),
+                links: pcb.link_keys(),
+                registered_at: SimTime::from_micros(1_200_000_000),
+            });
+        }
+        assert_eq!(ps.all(), one_by_one.all());
+        assert_eq!(ps.evictions(), 0);
+    }
+
+    #[test]
+    fn a_selection_with_nothing_to_register_leaves_a_shared_shard_shared() {
+        let base = ShardedPathService::new(1);
+        base.register(path(1, "1SP", 1, 0));
+        let snapshot = base.cow_clone();
+        let algorithm: Arc<str> = "1SP".into();
+        let empty = Pcb::originate(
+            AsId(1),
+            0,
+            SimTime::ZERO,
+            SimTime::from_micros(1),
+            irec_pcb::PcbExtensions::none(),
+        );
+        let group = InterfaceGroupId::DEFAULT;
+        assert_eq!(
+            snapshot.register_selected(&algorithm, AsId(1), group, SimTime::ZERO, []),
+            0
+        );
+        let entryless = [(empty.digest(), &empty, IfId(1))];
+        assert_eq!(
+            snapshot.register_selected(&algorithm, AsId(1), group, SimTime::ZERO, entryless),
+            0
+        );
+        assert!(snapshot.shares_shard_with(&base, 0));
+        assert_eq!(snapshot.destinations(), vec![AsId(1)]);
+
+        let (id, pcb) = beacon(2, 0, 1, 5);
+        let selected = [(id, &pcb, IfId(1))];
+        assert_eq!(
+            snapshot.register_selected(&algorithm, AsId(2), group, SimTime::ZERO, selected),
+            1
+        );
+        assert!(!snapshot.shares_shard_with(&base, 0));
+        assert_eq!((snapshot.len(), base.len()), (2, 1));
     }
 
     #[test]

@@ -29,4 +29,4 @@ pub mod signature;
 pub use hash::{sha256, Digest, Sha256, DIGEST_LEN};
 pub use hmac::{hmac_sha256, HmacSha256};
 pub use keys::{AsKey, KeyRegistry};
-pub use signature::{sign, verify, Signature, Signer, Verifier};
+pub use signature::{sign, verify, PartialSignature, Signature, Signer, Verifier};

@@ -6,9 +6,11 @@
 //! HMAC-SHA-256 [`Signature`]s over arbitrary byte strings.
 
 use crate::hash::{Digest, DIGEST_LEN};
+use crate::hmac::HmacSha256;
 use crate::keys::KeyRegistry;
 use core::fmt;
 use irec_types::{AsId, IrecError, Result};
+use std::sync::OnceLock;
 
 /// A signature over a byte string, attributable to an AS.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,12 +50,20 @@ impl fmt::Debug for Signature {
 pub struct Signer {
     asn: AsId,
     registry: KeyRegistry,
+    /// The AS's keyed MAC state, fetched from the registry on the first signature (so
+    /// building a signer registers nothing) and cloned for every signature after it. A
+    /// registered key never changes, so neither does this.
+    key_state: OnceLock<HmacSha256>,
 }
 
 impl Signer {
     /// Creates a signer for `asn` using keys from `registry`.
     pub fn new(asn: AsId, registry: KeyRegistry) -> Self {
-        Signer { asn, registry }
+        Signer {
+            asn,
+            registry,
+            key_state: OnceLock::new(),
+        }
     }
 
     /// The AS this signer signs for.
@@ -69,10 +79,59 @@ impl Signer {
     /// Signs the concatenation of `parts` without materializing it: callers stream slices
     /// of a buffer they already hold into the MAC.
     pub fn sign_parts(&self, parts: &[&[u8]]) -> Signature {
+        let mut mac = self.key_state().clone();
+        for part in parts {
+            mac.update(part);
+        }
         Signature {
             signer: self.asn,
-            tag: mac_of(&self.registry, self.asn, parts),
+            tag: mac.finalize(),
         }
+    }
+
+    fn key_state(&self) -> &HmacSha256 {
+        self.key_state
+            .get_or_init(|| self.registry.mac_for(self.asn))
+    }
+
+    /// Starts a signature whose message is fed piecewise. Messages that share a beginning
+    /// absorb it once and are then signed with [`PartialSignature::sign_with_tail`].
+    pub fn begin(&self) -> PartialSignature {
+        PartialSignature {
+            signer: self.asn,
+            mac: self.key_state().clone(),
+        }
+    }
+}
+
+/// A signature in the making: the signer's keyed MAC state plus whatever part of the
+/// message it has absorbed so far.
+#[derive(Clone)]
+pub struct PartialSignature {
+    signer: AsId,
+    mac: HmacSha256,
+}
+
+impl PartialSignature {
+    /// Absorbs the next part of the message.
+    pub fn update(&mut self, data: &[u8]) {
+        self.mac.update(data);
+    }
+
+    /// The signature over everything absorbed.
+    pub fn finish(self) -> Signature {
+        Signature {
+            signer: self.signer,
+            tag: self.mac.finalize(),
+        }
+    }
+
+    /// The signature over everything absorbed so far followed by `tail`, leaving this
+    /// state as it is — so one absorbed beginning serves any number of endings.
+    pub fn sign_with_tail(&self, tail: &[u8]) -> Signature {
+        let mut signing = self.clone();
+        signing.update(tail);
+        signing.finish()
     }
 }
 
@@ -197,6 +256,33 @@ mod tests {
         assert!(verifier
             .verify_parts(&[b"hop entry", b"bytes"], &whole)
             .is_err());
+    }
+
+    #[test]
+    fn one_absorbed_beginning_serves_many_endings() {
+        let signer = Signer::new(AsId(3), registry());
+        let mut shared = signer.begin();
+        shared.update(b"beacon ");
+        shared.update(b"prefix ");
+        let long = [0x5au8; 150];
+        for tail in [&b"hop a"[..], b"", &long] {
+            let whole = [&b"beacon prefix "[..], tail].concat();
+            assert_eq!(shared.sign_with_tail(tail), signer.sign(&whole));
+        }
+        assert_eq!(shared.finish(), signer.sign(b"beacon prefix "));
+    }
+
+    #[test]
+    fn a_signer_resolves_its_key_on_the_first_signature() {
+        let reg = KeyRegistry::new(1);
+        let signer = Signer::new(AsId(9), reg.clone());
+        assert!(reg.is_empty(), "building a signer registers nothing");
+        let first = signer.sign(b"msg");
+        assert_eq!(reg.len(), 1);
+        // Clones carry the resolved state and sign alike.
+        assert_eq!(signer.clone().sign(b"msg"), first);
+        assert_eq!(sign(&reg, AsId(9), b"msg"), first);
+        assert!(verify(&reg, b"msg", &first).is_ok());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::extensions::PcbExtensions;
 use crate::hop::{AsEntry, HopInfo, StaticInfo};
-use irec_crypto::{Digest, Sha256, Signer, Verifier};
+use irec_crypto::{Digest, PartialSignature, Sha256, Signer, Verifier};
 use irec_types::{AsId, IfId, IrecError, IsdId, PathMetrics, Result, SimTime};
 use irec_wire::{write_varint, Decode, Encode, WireReader, WireWriter, MAX_VARINT_LEN};
 
@@ -24,8 +24,19 @@ pub fn bounded_reservation(claimed: usize, remaining: usize) -> usize {
 /// Identifier of a PCB: the SHA-256 digest of its canonical wire encoding.
 ///
 /// The egress database deduplicates on this id (the paper stores "only their hashes" there).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PcbId(pub Digest);
+
+impl core::hash::Hash for PcbId {
+    /// Feeds the hasher 64 bits of the id instead of all 256: the id is a SHA-256 digest,
+    /// so any 64 of its bits are as well spread as the whole, and a map keyed by ids — one
+    /// probe per selected beacon per round at the egress gateway — spends its time on the
+    /// hasher. Maps keep their keyed default hasher on top of this, and two ids that are
+    /// to collide under every key must agree in these 64 bits.
+    fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.short());
+    }
+}
 
 impl PcbId {
     /// A short (64-bit) form of the id, convenient for logs and maps in tests.
@@ -207,10 +218,12 @@ impl Pcb {
     /// identifies links and is the basis of the disjointness metrics (TLF) and of the
     /// pull-based disjointness algorithm's link-avoidance sets.
     pub fn link_keys(&self) -> Vec<(AsId, IfId)> {
-        self.entries
-            .iter()
-            .map(|e| (e.hop.asn, e.hop.egress))
-            .collect()
+        self.links().collect()
+    }
+
+    /// [`Pcb::link_keys`] read in place, for callers that only compare or hash the sequence.
+    pub fn links(&self) -> impl ExactSizeIterator<Item = (AsId, IfId)> + '_ {
+        self.entries.iter().map(|e| (e.hop.asn, e.hop.egress))
     }
 
     /// Canonical encoding of the beacon header (everything the origin signs besides its own
@@ -233,7 +246,8 @@ impl Pcb {
     /// Appends a signed AS entry: the AS `signer.asn()` propagates the beacon from ingress
     /// interface `ingress` out of egress interface `egress`, sharing `static_info`.
     ///
-    /// Fails if the AS is already on the path (which would create a loop).
+    /// Fails if the AS is already on the path (which would create a loop). This is the
+    /// one-interface use of [`HopExtender`].
     pub fn extend(
         &mut self,
         ingress: IfId,
@@ -241,50 +255,8 @@ impl Pcb {
         static_info: StaticInfo,
         signer: &Signer,
     ) -> Result<()> {
-        let asn = signer.asn();
-        if self.contains_as(asn) {
-            return Err(IrecError::policy(format!(
-                "extending PCB through {asn} would create a loop"
-            )));
-        }
-        if self.is_empty() {
-            // The first entry must come from the origin AS itself, with no ingress.
-            if asn != self.origin {
-                return Err(IrecError::policy(format!(
-                    "first entry must be appended by the origin {} (got {asn})",
-                    self.origin
-                )));
-            }
-            if !ingress.is_none() {
-                return Err(IrecError::policy(
-                    "origin entry must not have an ingress interface",
-                ));
-            }
-        } else if ingress.is_none() {
-            return Err(IrecError::policy(
-                "transit entry requires an ingress interface",
-            ));
-        }
-        if egress.is_none() {
-            return Err(IrecError::policy("an entry requires an egress interface"));
-        }
-
-        let hop = HopInfo {
-            asn,
-            ingress,
-            egress,
-        };
-        let mut buffer = SigningBuffer::with_header(self, self.entries.len() + 1);
-        for entry in &self.entries {
-            entry.encode(&mut buffer.writer);
-        }
-        let signature =
-            buffer.with_signed_payload(&hop, &static_info, |parts| signer.sign_parts(parts));
-        self.entries.push(AsEntry {
-            hop,
-            static_info,
-            signature,
-        });
+        let entry = HopExtender::new(self, ingress, signer)?.entry(egress, static_info)?;
+        self.entries.push(entry);
         Ok(())
     }
 
@@ -353,6 +325,117 @@ impl Pcb {
     }
 }
 
+/// Extends one beacon through one AS onto any number of egress interfaces.
+///
+/// Every entry an AS appends to one beacon signs `varint(len(prefix)) ‖ prefix ‖ hop ‖
+/// static_info` with the same `prefix = header ‖ entries`; only the hop's egress interface
+/// and its static info differ per interface. The extender runs the checks, encodes the
+/// prefix and absorbs `varint(len(prefix)) ‖ prefix` into the signer's keyed MAC state
+/// once; each interface then costs a copy of that state, the few bytes of its own
+/// `hop ‖ static_info`, and the finalization.
+pub struct HopExtender<'a> {
+    pcb: &'a Pcb,
+    asn: AsId,
+    ingress: IfId,
+    /// The signature every entry starts from: `varint(len(prefix)) ‖ prefix` absorbed.
+    prefix: PartialSignature,
+    /// The buffer the prefix was encoded in, reused for each entry's `hop ‖ static_info`.
+    tail: WireWriter,
+}
+
+impl<'a> HopExtender<'a> {
+    /// Prepares extending `pcb`, received on `ingress`, through the AS of `signer`.
+    ///
+    /// Fails if the AS is already on the path (which would create a loop), if the first
+    /// entry is not the origin's own or names an ingress interface, or if a transit entry
+    /// names none.
+    pub fn new(pcb: &'a Pcb, ingress: IfId, signer: &Signer) -> Result<Self> {
+        let asn = signer.asn();
+        if pcb.contains_as(asn) {
+            return Err(IrecError::policy(format!(
+                "extending PCB through {asn} would create a loop"
+            )));
+        }
+        if pcb.is_empty() {
+            // The first entry must come from the origin AS itself, with no ingress.
+            if asn != pcb.origin {
+                return Err(IrecError::policy(format!(
+                    "first entry must be appended by the origin {} (got {asn})",
+                    pcb.origin
+                )));
+            }
+            if !ingress.is_none() {
+                return Err(IrecError::policy(
+                    "origin entry must not have an ingress interface",
+                ));
+            }
+        } else if ingress.is_none() {
+            return Err(IrecError::policy(
+                "transit entry requires an ingress interface",
+            ));
+        }
+
+        let mut buffer =
+            WireWriter::with_capacity(HEADER_WIRE_HINT + pcb.entries.len() * ENTRY_WIRE_HINT);
+        pcb.encode_header(&mut buffer);
+        for entry in &pcb.entries {
+            entry.encode(&mut buffer);
+        }
+        let mut prefix_len = [0u8; MAX_VARINT_LEN];
+        let used = write_varint(buffer.len() as u64, &mut prefix_len);
+        let mut prefix = signer.begin();
+        prefix.update(&prefix_len[..used]);
+        prefix.update(buffer.as_slice());
+        Ok(HopExtender {
+            pcb,
+            asn,
+            ingress,
+            prefix,
+            tail: buffer,
+        })
+    }
+
+    /// The signed entry with which the beacon leaves through `egress`.
+    pub fn entry(&mut self, egress: IfId, static_info: StaticInfo) -> Result<AsEntry> {
+        if egress.is_none() {
+            return Err(IrecError::policy("an entry requires an egress interface"));
+        }
+        let hop = HopInfo {
+            asn: self.asn,
+            ingress: self.ingress,
+            egress,
+        };
+        self.tail.clear();
+        hop.encode(&mut self.tail);
+        static_info.encode(&mut self.tail);
+        Ok(AsEntry {
+            hop,
+            static_info,
+            signature: self.prefix.sign_with_tail(self.tail.as_slice()),
+        })
+    }
+
+    /// The beacon as it leaves through `egress`: a copy extended by [`HopExtender::entry`],
+    /// its entry vector allocated at exactly the length it ends up with — the receiver
+    /// stores this copy, and a beacon grows by one entry per AS, each time in a new copy,
+    /// so spare capacity would be carried unused by every stored beacon.
+    pub fn extended(&mut self, egress: IfId, static_info: StaticInfo) -> Result<Pcb> {
+        let entry = self.entry(egress, static_info)?;
+        let mut entries = Vec::with_capacity(self.pcb.entries.len() + 1);
+        entries.extend_from_slice(&self.pcb.entries);
+        entries.push(entry);
+        Ok(Pcb {
+            origin_isd: self.pcb.origin_isd,
+            origin: self.pcb.origin,
+            sequence: self.pcb.sequence,
+            created_at: self.pcb.created_at,
+            expires_at: self.pcb.expires_at,
+            extensions: self.pcb.extensions,
+            entries,
+        })
+    }
+}
+
 impl Encode for Pcb {
     fn encode(&self, writer: &mut WireWriter) {
         self.encode_header(writer);
@@ -418,6 +501,47 @@ mod tests {
         fn oracle_payload(&self, i: usize) -> Vec<u8> {
             let entry = &self.entries[i];
             AsEntry::signed_payload(&self.prefix_bytes(i), &entry.hop, &entry.static_info)
+        }
+
+        /// The pre-extender `extend`, check for check, signing the payload built the old
+        /// way.
+        fn oracle_extend(
+            &mut self,
+            ingress: IfId,
+            egress: IfId,
+            static_info: StaticInfo,
+            signer: &Signer,
+        ) -> Result<()> {
+            let asn = signer.asn();
+            if self.contains_as(asn) {
+                return Err(IrecError::policy("loop"));
+            }
+            if self.is_empty() {
+                if asn != self.origin {
+                    return Err(IrecError::policy("first entry not by the origin"));
+                }
+                if !ingress.is_none() {
+                    return Err(IrecError::policy("origin entry with ingress"));
+                }
+            } else if ingress.is_none() {
+                return Err(IrecError::policy("transit entry without ingress"));
+            }
+            if egress.is_none() {
+                return Err(IrecError::policy("entry without egress"));
+            }
+            let hop = HopInfo {
+                asn,
+                ingress,
+                egress,
+            };
+            let prefix = self.prefix_bytes(self.entries.len());
+            let signature = signer.sign(&AsEntry::signed_payload(&prefix, &hop, &static_info));
+            self.entries.push(AsEntry {
+                hop,
+                static_info,
+                signature,
+            });
+            Ok(())
         }
 
         /// The old `verify`, check for check.
@@ -951,6 +1075,89 @@ mod tests {
             prop_assert!(streaming.is_err(), "tampered field {} accepted", field % fields);
             prop_assert_eq!(streaming.unwrap_err().category(), oracle.unwrap_err().category());
             prop_assert!(pcb.verify_with_id(&verifier).is_err());
+        }
+
+        #[test]
+        fn prop_fan_out_extender_matches_clone_and_extend(
+            hops in hop_specs(),
+            egresses in proptest::collection::vec((1u32..40, 0u64..10_000_000, any::<bool>()), 1..17),
+            fault in 0u8..8,
+            at in 0usize..16,
+        ) {
+            let reg = registry();
+            let verifier = Verifier::new(reg.clone());
+            let mut pcb = generated_pcb(&reg, 9, Some(2), &hops);
+            // Faults the extender must refuse exactly as `extend` always did: the local AS
+            // already on the path, a transit entry without ingress, a first entry that is
+            // not the origin's or names an ingress, an entry without egress.
+            let mut signer = Signer::new(AsId(20), reg.clone());
+            let mut ingress = IfId(3);
+            let mut egresses = egresses;
+            match fault {
+                0 => signer = Signer::new(AsId(1 + (at % hops.len()) as u64), reg.clone()),
+                1 => ingress = IfId::NONE,
+                2 => pcb.entries.clear(),
+                3 => {
+                    pcb.entries.clear();
+                    signer = Signer::new(pcb.origin, reg.clone());
+                }
+                4 => {
+                    pcb.entries.clear();
+                    signer = Signer::new(pcb.origin, reg.clone());
+                    ingress = IfId::NONE;
+                }
+                5 => {
+                    let missing = at % egresses.len();
+                    egresses[missing].0 = IfId::NONE.value();
+                }
+                _ => {}
+            }
+
+            let mut extender = HopExtender::new(&pcb, ingress, &signer);
+            for (egress, latency_us, with_location) in egresses {
+                let egress = IfId(egress);
+                let info = StaticInfo {
+                    link_latency: Latency::from_micros(latency_us),
+                    link_bandwidth: Bandwidth(latency_us ^ 0x55),
+                    intra_latency: Latency::from_micros(latency_us / 3),
+                    egress_location: with_location.then(|| GeoCoord::new(1.5, f64::from(egress.value()))),
+                };
+                let mut expected = pcb.clone();
+                let reference = expected.oracle_extend(ingress, egress, info, &signer);
+                let mut in_place = pcb.clone();
+                let one_shot = in_place.extend(ingress, egress, info, &signer);
+                let fanned = match extender.as_mut() {
+                    Ok(extender) => extender.extended(egress, info),
+                    Err(error) => Err(error.clone()),
+                };
+                match reference {
+                    Ok(()) => {
+                        let fanned = fanned.unwrap();
+                        one_shot.unwrap();
+                        for produced in [&fanned, &in_place] {
+                            prop_assert_eq!(produced.origin_isd, expected.origin_isd);
+                            prop_assert_eq!(produced.origin, expected.origin);
+                            prop_assert_eq!(produced.sequence, expected.sequence);
+                            prop_assert_eq!(produced.created_at, expected.created_at);
+                            prop_assert_eq!(produced.expires_at, expected.expires_at);
+                            prop_assert_eq!(produced.extensions, expected.extensions);
+                            prop_assert_eq!(&produced.entries, &expected.entries);
+                            prop_assert_eq!(produced.digest(), expected.digest());
+                            prop_assert_eq!(
+                                produced.verify(&verifier).is_ok(),
+                                expected.oracle_verify(&verifier).is_ok()
+                            );
+                            prop_assert!(produced.verify(&verifier).is_ok());
+                        }
+                        prop_assert_eq!(fanned.entries.capacity(), fanned.entries.len());
+                    }
+                    Err(refused) => {
+                        prop_assert_eq!(fanned.unwrap_err().category(), refused.category());
+                        prop_assert_eq!(one_shot.unwrap_err().category(), refused.category());
+                        prop_assert_eq!(&in_place, &pcb);
+                    }
+                }
+            }
         }
 
         #[test]

@@ -31,6 +31,6 @@ pub mod beacon;
 pub mod extensions;
 pub mod hop;
 
-pub use beacon::{bounded_reservation, Pcb, PcbId};
+pub use beacon::{bounded_reservation, HopExtender, Pcb, PcbId};
 pub use extensions::{AlgorithmRef, PcbExtensions};
 pub use hop::{AsEntry, HopInfo, StaticInfo};

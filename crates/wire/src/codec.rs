@@ -84,6 +84,11 @@ impl WireWriter {
         self.put_bytes(s.as_bytes());
     }
 
+    /// Empties the writer, keeping its buffer for the next message.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Consumes the writer and returns the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf.into()
