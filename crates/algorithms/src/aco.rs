@@ -13,6 +13,7 @@
 //! `select` takes `&self` — no state survives a call, so worker count, shard count and
 //! scheduler choice cannot reorder anything the sampler observes.
 
+use crate::frame::{EgressUse, Frame};
 use crate::{AlgorithmContext, CandidateBatch, RoutingAlgorithm, SelectionResult};
 use irec_types::{IfId, Result};
 
@@ -66,26 +67,25 @@ impl AntColony {
         self.iterations
     }
 
+    /// One colony run: the interface seeds the random streams, so every interface gets
+    /// its own, whoever is eligible.
     fn select_for_egress(
         &self,
         batch: &CandidateBatch,
-        ctx: &AlgorithmContext<'_>,
+        frame: &Frame<'_>,
+        budget: usize,
         egress: IfId,
     ) -> Vec<usize> {
-        let budget = self.k.min(ctx.max_selected);
         // Eligible candidates with their blended multi-criteria cost.
-        let eligible: Vec<(usize, u64)> = batch
-            .candidates
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.ingress != egress && !c.pcb.contains_as(ctx.local_as.id))
-            .map(|(i, c)| {
-                let m = ctx.metrics_at_egress(c, egress);
+        let eligible: Vec<(usize, u64)> = frame
+            .eligible_at(egress)
+            .map(|(_, candidate)| {
+                let m = frame.metrics_at(candidate, egress);
                 let latency_us = m.latency.as_micros();
                 let hops = u64::from(m.hops);
                 // Wider paths are cheaper; +1 keeps the division total.
                 let inverse_bw = 1_000_000_000 / (1 + m.bandwidth.as_kbps());
-                (i, latency_us + 50_000 * hops + inverse_bw)
+                (candidate.index, latency_us + 50_000 * hops + inverse_bw)
             })
             .collect();
         if eligible.is_empty() || budget == 0 {
@@ -149,11 +149,11 @@ impl RoutingAlgorithm for AntColony {
         batch: &CandidateBatch,
         ctx: &AlgorithmContext<'_>,
     ) -> Result<SelectionResult> {
-        let mut result = SelectionResult::empty();
-        for &egress in &ctx.egress_interfaces {
-            result.insert(egress, self.select_for_egress(batch, ctx, egress));
-        }
-        Ok(result)
+        let budget = self.k.min(ctx.max_selected);
+        let frame = Frame::new(batch, ctx);
+        Ok(frame.per_egress(EgressUse::Identity, |egress| {
+            self.select_for_egress(batch, &frame, budget, egress)
+        }))
     }
 }
 

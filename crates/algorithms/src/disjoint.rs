@@ -1,16 +1,11 @@
 //! Disjointness-oriented algorithms: HD (heuristic disjointness) and the building blocks of
 //! PD (pull-based disjointness).
 
+use crate::frame::{EgressUse, Frame, Usable};
 use crate::{AlgorithmContext, CandidateBatch, RoutingAlgorithm, SelectionResult};
 use irec_irvm::Program;
 use irec_types::{AsId, IfId, Result};
 use std::collections::HashSet;
-
-/// Inter-domain links of one candidate, keyed by (AS, egress interface).
-type LinkSet = HashSet<(AsId, IfId)>;
-
-/// Candidate index with its link set and hop count, as ranked by HD.
-type RankedCandidate = (usize, LinkSet, u32);
 
 /// **HD — heuristic disjointness** (Krähenbühl et al., as used in §VIII-B of the paper).
 ///
@@ -27,15 +22,20 @@ impl HeuristicDisjointness {
         HeuristicDisjointness { k }
     }
 
-    fn select_for_egress(
+    /// The selection for one interface in its set formulation, as it was computed before
+    /// the kernel existed: one link set per candidate, one intersection with the used set
+    /// per remaining candidate per step. Kept as the oracle of [`crate::oracle`].
+    #[cfg(test)]
+    pub(crate) fn select_for_egress(
         &self,
         batch: &CandidateBatch,
         ctx: &AlgorithmContext<'_>,
         egress: IfId,
     ) -> Vec<usize> {
+        type LinkSet = HashSet<(AsId, IfId)>;
         let budget = self.k.min(ctx.max_selected);
-        // Eligible candidates with their link sets.
-        let eligible: Vec<RankedCandidate> = batch
+        // Eligible candidates with their link sets and hop counts.
+        let eligible: Vec<(usize, LinkSet, u32)> = batch
             .candidates
             .iter()
             .enumerate()
@@ -45,13 +45,10 @@ impl HeuristicDisjointness {
                 (i, links, c.pcb.path_metrics().hops)
             })
             .collect();
-        if eligible.is_empty() {
-            return Vec::new();
-        }
 
         let mut selected: Vec<usize> = Vec::new();
         let mut used_links: LinkSet = HashSet::new();
-        let mut remaining: Vec<&RankedCandidate> = eligible.iter().collect();
+        let mut remaining: Vec<&(usize, LinkSet, u32)> = eligible.iter().collect();
 
         while selected.len() < budget && !remaining.is_empty() {
             // Pick the candidate with the fewest shared links, then fewest hops, then index.
@@ -81,30 +78,95 @@ impl RoutingAlgorithm for HeuristicDisjointness {
         batch: &CandidateBatch,
         ctx: &AlgorithmContext<'_>,
     ) -> Result<SelectionResult> {
-        let mut result = SelectionResult::empty();
-        for &egress in &ctx.egress_interfaces {
-            result.insert(egress, self.select_for_egress(batch, ctx, egress));
+        let budget = self.k.min(ctx.max_selected);
+        let frame = Frame::new(batch, ctx);
+        let mut kernel = DisjointnessKernel::new(batch, frame.usable());
+        Ok(frame.per_egress(EgressUse::FilterOnly, |egress| {
+            let members = frame.eligible_at(egress).map(|(position, _)| position);
+            kernel.greedy(members, budget)
+        }))
+    }
+}
+
+/// HD's greedy over one batch with the links interned: the `(link, holder)` incidences of
+/// the usable candidates, sorted and deduplicated — a key a candidate repeats counts once
+/// — so that the holders of a link are one run, found by binary search, and the run's
+/// start is the link's dense id. The overlap of a candidate with the used links is then a
+/// counter — a link that *becomes* used bumps its holders, once — and a step is a flat
+/// scan for the minimum `(overlap, hops, position)`. That is the set formulation's
+/// `|links ∩ used|` at every step, so the picks are the same; what is gone is the set per
+/// candidate per interface and the intersection per remaining candidate per step.
+/// Candidates are addressed by position among the usable ones, which orders like the
+/// batch index. Sort-and-dedup rather than a hash map: a batch is a few hundred
+/// incidences at most and a handful in the early rounds.
+struct DisjointnessKernel<'a> {
+    batch: &'a CandidateBatch,
+    usable: &'a [Usable],
+    incidences: Vec<((AsId, IfId), u32)>,
+    /// `(overlap << 32) | hops` per candidate: the scan compares one word, and a bump adds
+    /// [`OVERLAP_ONE`].
+    keys: Vec<u64>,
+    /// Per link, at the start of its run.
+    used: Vec<bool>,
+    remaining: Vec<u32>,
+}
+
+/// One more used link in a [`DisjointnessKernel`] key.
+const OVERLAP_ONE: u64 = 1 << 32;
+
+impl<'a> DisjointnessKernel<'a> {
+    fn new(batch: &'a CandidateBatch, usable: &'a [Usable]) -> Self {
+        let mut incidences = Vec::new();
+        for (position, u) in usable.iter().enumerate() {
+            let links = batch.candidates[u.index].pcb.links();
+            incidences.extend(links.map(|link| (link, position as u32)));
         }
-        Ok(result)
+        incidences.sort_unstable();
+        incidences.dedup();
+        DisjointnessKernel {
+            batch,
+            usable,
+            keys: usable.iter().map(|u| u64::from(u.received.hops)).collect(),
+            used: vec![false; incidences.len()],
+            incidences,
+            remaining: Vec::with_capacity(usable.len()),
+        }
     }
 
-    fn merges_partial(&self) -> bool {
-        true
-    }
+    /// The greedy over `members` (positions, ascending): up to `budget` picks as batch
+    /// indices, in pick order.
+    fn greedy(&mut self, members: impl Iterator<Item = usize>, budget: usize) -> Vec<usize> {
+        for key in &mut self.keys {
+            *key &= OVERLAP_ONE - 1;
+        }
+        self.used.fill(false);
+        self.remaining.clear();
+        self.remaining
+            .extend(members.map(|position| position as u32));
 
-    /// HD's greedy objective is set-valued: the engine's generic reduce — greedy over the
-    /// concatenation of per-sub-range truncations — can discard the globally disjoint
-    /// candidate because its sub-range already had `k` locally better ones. Recomputing the
-    /// greedy over the full merged batch makes the `|Φ| > threshold` split lossless (the
-    /// partials carry no extra information for a global objective, so they are ignored),
-    /// trading the hierarchical reduce's speedup for exactness.
-    fn merge_partial(
-        &self,
-        batch: &CandidateBatch,
-        ctx: &AlgorithmContext<'_>,
-        _partials: &[SelectionResult],
-    ) -> Option<Result<SelectionResult>> {
-        Some(self.select(batch, ctx))
+        let mut picked = Vec::with_capacity(budget.min(self.remaining.len()));
+        while picked.len() < budget && !self.remaining.is_empty() {
+            // Fewest shared links, then fewest hops, then — `remaining` is ascending and
+            // only a strictly smaller key displaces the incumbent — lowest position.
+            let mut best = 0;
+            for (at, &position) in self.remaining.iter().enumerate() {
+                if self.keys[position as usize] < self.keys[self.remaining[best] as usize] {
+                    best = at;
+                }
+            }
+            let index = self.usable[self.remaining.remove(best) as usize].index;
+            for link in self.batch.candidates[index].pcb.links() {
+                let run = self.incidences.partition_point(|&(held, _)| held < link);
+                if !std::mem::replace(&mut self.used[run], true) {
+                    let holders = self.incidences[run..].iter();
+                    for &(_, holder) in holders.take_while(|(held, _)| *held == link) {
+                        self.keys[holder as usize] += OVERLAP_ONE;
+                    }
+                }
+            }
+            picked.push(index);
+        }
+        picked
     }
 }
 
@@ -124,6 +186,31 @@ impl AvoidLinksAlgorithm {
             k,
         }
     }
+
+    /// The selection for one interface as it was computed before the frame existed. Kept
+    /// as the oracle of [`crate::oracle`].
+    #[cfg(test)]
+    pub(crate) fn select_for_egress(
+        &self,
+        batch: &CandidateBatch,
+        ctx: &AlgorithmContext<'_>,
+        egress: IfId,
+    ) -> Vec<usize> {
+        let mut scored: Vec<(u64, usize)> = batch
+            .candidates
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.ingress != egress && !c.pcb.contains_as(ctx.local_as.id))
+            .filter(|(_, c)| !c.pcb.link_keys().iter().any(|l| self.avoid.contains(l)))
+            .map(|(i, c)| (ctx.metrics_at_egress(c, egress).latency.as_micros(), i))
+            .collect();
+        scored.sort();
+        scored
+            .into_iter()
+            .take(self.k.min(ctx.max_selected))
+            .map(|(_, i)| i)
+            .collect()
+    }
 }
 
 impl RoutingAlgorithm for AvoidLinksAlgorithm {
@@ -136,27 +223,13 @@ impl RoutingAlgorithm for AvoidLinksAlgorithm {
         batch: &CandidateBatch,
         ctx: &AlgorithmContext<'_>,
     ) -> Result<SelectionResult> {
-        let mut result = SelectionResult::empty();
-        for &egress in &ctx.egress_interfaces {
-            let mut scored: Vec<(u64, usize)> = batch
-                .candidates
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.ingress != egress && !c.pcb.contains_as(ctx.local_as.id))
-                .filter(|(_, c)| !c.pcb.link_keys().iter().any(|l| self.avoid.contains(l)))
-                .map(|(i, c)| (ctx.metrics_at_egress(c, egress).latency.as_micros(), i))
-                .collect();
-            scored.sort();
-            result.insert(
-                egress,
-                scored
-                    .into_iter()
-                    .take(self.k.min(ctx.max_selected))
-                    .map(|(_, i)| i)
-                    .collect(),
-            );
-        }
-        Ok(result)
+        let budget = self.k.min(ctx.max_selected);
+        Ok(
+            Frame::new(batch, ctx).select_ranked(budget, |candidate, metrics| {
+                let mut links = batch.candidates[candidate.index].pcb.links();
+                (!links.any(|link| self.avoid.contains(&link))).then(|| metrics.latency.as_micros())
+            }),
+        )
     }
 }
 
@@ -248,32 +321,6 @@ mod tests {
             .select(&b, &ctx(&node))
             .unwrap();
         assert!(r.per_egress[&IfId(3)].is_empty());
-    }
-
-    #[test]
-    fn hd_merge_partial_equals_full_batch_selection() {
-        let node = local_as();
-        // Candidates 0/1 overlap heavily; candidate 2 is the globally disjoint one. Partials
-        // that truncated it away must not matter: the merge recomputes over the full batch.
-        let b = CandidateBatch::new(
-            AsId(1),
-            InterfaceGroupId::DEFAULT,
-            vec![
-                candidate_with_links(1, &[(1, 1), (2, 1)], 1),
-                candidate_with_links(1, &[(1, 1), (2, 2)], 1),
-                candidate_with_links(1, &[(1, 9), (3, 1), (4, 1)], 1),
-            ],
-        );
-        let hd = HeuristicDisjointness::new(2);
-        assert!(hd.merges_partial());
-        let mut truncated = SelectionResult::empty();
-        truncated.insert(IfId(3), vec![0, 1]);
-        let merged = hd
-            .merge_partial(&b, &ctx(&node), &[truncated])
-            .expect("HD is merge-aware")
-            .unwrap();
-        assert_eq!(merged, hd.select(&b, &ctx(&node)).unwrap());
-        assert_eq!(merged.per_egress[&IfId(3)], vec![0, 2]);
     }
 
     #[test]

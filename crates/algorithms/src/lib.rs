@@ -27,6 +27,11 @@
 //! * [`aco::AntColony`] — **ACO**: a seeded, deterministic ant-colony multi-criteria
 //!   selector,
 //!
+//! All of them answer "which candidates, for each egress interface" through one per-batch
+//! frame (`frame.rs`): the eligibility rule, the loop over the interfaces — run once per
+//! *eligibility class* where the interface matters only as a filter — and the ranked
+//! selection every individually-scoring selector reduces to live there, once.
+//!
 //! [`RoutingAlgorithm::union_composable`] declares which of them may be re-run over
 //! *previous winners ∪ new arrivals* instead of the whole batch; [`incremental`] holds the
 //! vocabulary the delta-driven RAC engine shares with the layers around it.
@@ -37,8 +42,11 @@
 pub mod aco;
 pub mod catalog;
 pub mod disjoint;
+mod frame;
 pub mod incremental;
 pub mod ondemand;
+#[cfg(test)]
+mod oracle;
 pub mod score;
 pub mod yens;
 
@@ -146,11 +154,21 @@ impl<'a> AlgorithmContext<'a> {
     /// the intra-AS crossing from the candidate's ingress interface to `egress` when
     /// extended-path optimization is enabled.
     pub fn metrics_at_egress(&self, candidate: &Candidate, egress: IfId) -> PathMetrics {
-        let received = candidate.received_metrics();
+        self.extend_to_egress(candidate.received_metrics(), candidate.ingress, egress)
+    }
+
+    /// [`AlgorithmContext::metrics_at_egress`] for a candidate received on `ingress` whose
+    /// `received` metrics are already known.
+    pub(crate) fn extend_to_egress(
+        &self,
+        received: PathMetrics,
+        ingress: IfId,
+        egress: IfId,
+    ) -> PathMetrics {
         if !self.extend_paths {
             return received;
         }
-        match self.local_as.intra_metrics(candidate.ingress, egress) {
+        match self.local_as.intra_metrics(ingress, egress) {
             Ok(crossing) => received.extend_intra(crossing),
             // Unknown interfaces (e.g. a beacon received on a since-removed link): fall back
             // to the received metrics rather than dropping the candidate.
@@ -215,37 +233,10 @@ pub trait RoutingAlgorithm: Send + Sync {
     ///
     /// The RAC engine relies on it twice: a batch that only *grew* since the last round is
     /// re-selected over the previous winners plus the arrivals, and an oversized batch is
-    /// split into sub-ranges whose winners are reduced by one more `select` pass. An
-    /// algorithm that is neither composable nor [merge-aware](Self::merges_partial)
-    /// always sees its whole batch in one pass.
+    /// split into sub-ranges whose winners are reduced by one more `select` pass. Every
+    /// other algorithm always sees its whole batch in one pass.
     fn union_composable(&self) -> bool {
         false
-    }
-
-    /// Whether this algorithm implements [`RoutingAlgorithm::merge_partial`]. The engine
-    /// probes this before marshalling a full oversized batch for the merge-aware reduce, so
-    /// it must return `true` exactly when `merge_partial` returns `Some`.
-    fn merges_partial(&self) -> bool {
-        false
-    }
-
-    /// Merge-aware reduce for batches the execution engine split into sub-ranges: given the
-    /// *full* batch and the per-sub-range selections (`partials`, indices into the full
-    /// batch, ascending within each partial), produce the final selection.
-    ///
-    /// The default (`None`) leaves the reduce to the engine: one more `select` pass over the
-    /// union of the partials' winners, which is exact for
-    /// [union-composable](Self::union_composable) selectors — the only other ones the
-    /// engine splits. Set-valued selectors override this to compute their objective over
-    /// the merged view instead of concatenated truncations (HD recomputes disjointness
-    /// over the full batch, making the split lossless).
-    fn merge_partial(
-        &self,
-        _batch: &CandidateBatch,
-        _ctx: &AlgorithmContext<'_>,
-        _partials: &[SelectionResult],
-    ) -> Option<Result<SelectionResult>> {
-        None
     }
 }
 
@@ -314,13 +305,18 @@ pub(crate) mod testutil {
         Candidate::new(pcb, IfId(ingress))
     }
 
-    /// A local AS with three interfaces at distinct locations, for extended-path tests.
+    /// A local AS (AS 500) with five interfaces far enough apart that every crossing
+    /// differs — Zurich, Paris, New York, Tokyo, Sydney — for extended-path tests.
     pub fn local_as() -> AsNode {
         let mut node = AsNode::new(AsId(500), Tier::Tier2);
-        for (i, (lat, lon)) in [(47.37, 8.54), (48.86, 2.35), (40.71, -74.0)]
-            .iter()
-            .enumerate()
-        {
+        let sites = [
+            (47.37, 8.54),
+            (48.86, 2.35),
+            (40.71, -74.0),
+            (35.68, 139.69),
+            (-33.87, 151.21),
+        ];
+        for (i, (lat, lon)) in sites.iter().enumerate() {
             let ifid = IfId(i as u32 + 1);
             node.interfaces.insert(
                 ifid,

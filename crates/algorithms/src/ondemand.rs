@@ -5,9 +5,10 @@
 //! adapter is also useful for *static* RACs whose operators prefer to configure algorithms as
 //! IRVM modules rather than native code.
 
+use crate::frame::Frame;
 use crate::{AlgorithmContext, CandidateBatch, RoutingAlgorithm, SelectionResult};
 use irec_irvm::{CandidateView, ExecutionLimits, Interpreter, Program};
-use irec_types::{IfId, Result};
+use irec_types::Result;
 
 /// A routing algorithm backed by a sandboxed IRVM program.
 pub struct IrvmAlgorithm {
@@ -41,13 +42,18 @@ impl IrvmAlgorithm {
         self.interpreter.program()
     }
 
-    fn views_for_egress(
+    /// The selection for one interface as it was computed before the frame existed: a
+    /// fresh set of views, the interpreter's own evaluate-and-rank over a copy of them.
+    /// Kept as the oracle of [`crate::oracle`].
+    #[cfg(test)]
+    pub(crate) fn select_for_egress(
         &self,
         batch: &CandidateBatch,
         ctx: &AlgorithmContext<'_>,
-        egress: IfId,
-    ) -> Vec<(usize, CandidateView)> {
-        batch
+        egress: irec_types::IfId,
+    ) -> Vec<usize> {
+        let budget = (self.interpreter.program().meta.max_selected as usize).min(ctx.max_selected);
+        let views: Vec<(usize, CandidateView)> = batch
             .candidates
             .iter()
             .enumerate()
@@ -62,6 +68,13 @@ impl IrvmAlgorithm {
                     ),
                 )
             })
+            .collect();
+        let inner: Vec<CandidateView> = views.iter().map(|(_, v)| v.clone()).collect();
+        let picked = self.interpreter.select_best(&inner);
+        picked
+            .into_iter()
+            .take(budget)
+            .map(|pos| views[pos].0)
             .collect()
     }
 }
@@ -71,25 +84,28 @@ impl RoutingAlgorithm for IrvmAlgorithm {
         &self.name
     }
 
+    /// Ranked selection with the interpreter's verdict as the cost: the score of an
+    /// accepted candidate, nothing for one the program rejects or fails on. A candidate's
+    /// view is built once, when it is first judged, and only its metrics are rewritten
+    /// when extended paths make them differ per interface.
     fn select(
         &self,
         batch: &CandidateBatch,
         ctx: &AlgorithmContext<'_>,
     ) -> Result<SelectionResult> {
         let budget = (self.interpreter.program().meta.max_selected as usize).min(ctx.max_selected);
-        let mut result = SelectionResult::empty();
-        for &egress in &ctx.egress_interfaces {
-            let views = self.views_for_egress(batch, ctx, egress);
-            let inner: Vec<CandidateView> = views.iter().map(|(_, v)| v.clone()).collect();
-            let picked = self.interpreter.select_best(&inner);
-            let selected: Vec<usize> = picked
-                .into_iter()
-                .take(budget)
-                .map(|pos| views[pos].0)
-                .collect();
-            result.insert(egress, selected);
-        }
-        Ok(result)
+        let mut views: Vec<Option<CandidateView>> = vec![None; batch.len()];
+        Ok(
+            Frame::new(batch, ctx).select_ranked(budget, |candidate, metrics| {
+                let index = candidate.index;
+                let view = views[index].get_or_insert_with(|| {
+                    let links = batch.candidates[index].pcb.link_keys();
+                    CandidateView::new(index as u64, *metrics, links)
+                });
+                view.metrics = *metrics;
+                self.interpreter.score(view)
+            }),
+        )
     }
 }
 
@@ -98,7 +114,7 @@ mod tests {
     use super::*;
     use crate::testutil::{candidate, local_as};
     use irec_irvm::programs;
-    use irec_types::{AsId, InterfaceGroupId, Latency};
+    use irec_types::{AsId, IfId, InterfaceGroupId, Latency};
 
     fn batch() -> CandidateBatch {
         CandidateBatch::new(

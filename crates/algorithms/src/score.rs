@@ -1,17 +1,15 @@
 //! Score-based routing algorithms: 1SP, k-shortest (5SP / legacy SCION), delay optimization
 //! (DON/DOB), widest path and shortest-widest.
 //!
-//! All of them share the same structure: per egress interface, compute a totally ordered
-//! score for every candidate (from the received or extended path metrics) and keep the `k`
-//! best. The generic machinery lives in [`ScoredAlgorithm`]; the concrete algorithms are
-//! thin scoring functions on top.
+//! All of them share the same structure: compute a cost for every candidate (from the
+//! received or extended path metrics) and keep, per egress interface, the `k` cheapest
+//! eligible ones, ties broken by candidate index so that repeated runs are stable. The
+//! generic machinery is the crate's ranked selection behind [`ScoredAlgorithm`]; the
+//! concrete algorithms are thin scoring functions on top.
 
+use crate::frame::Frame;
 use crate::{AlgorithmContext, Candidate, CandidateBatch, RoutingAlgorithm, SelectionResult};
-use irec_types::{IfId, PathMetrics, Result};
-
-/// A totally ordered score; lower is better. The second component breaks ties
-/// deterministically by candidate index so that repeated runs are stable.
-type Score = (i128, usize);
+use irec_types::{PathMetrics, Result};
 
 /// A scoring function: maps the (possibly extended) path metrics of a candidate to a scalar
 /// cost (lower is better).
@@ -48,14 +46,17 @@ impl<F: ScoreFn> ScoredAlgorithm<F> {
         }
     }
 
-    fn select_for_egress(
+    /// The selection for one interface as it was computed before the frame existed:
+    /// filter, score and sort the whole batch. Kept as the oracle of [`crate::oracle`].
+    #[cfg(test)]
+    pub(crate) fn select_for_egress(
         &self,
         batch: &CandidateBatch,
         ctx: &AlgorithmContext<'_>,
-        egress: IfId,
+        egress: irec_types::IfId,
     ) -> Vec<usize> {
         let budget = self.k.unwrap_or(usize::MAX).min(ctx.max_selected);
-        let mut scored: Vec<(Score, usize)> = batch
+        let mut scored: Vec<((i128, usize), usize)> = batch
             .candidates
             .iter()
             .enumerate()
@@ -82,11 +83,12 @@ impl<F: ScoreFn> RoutingAlgorithm for ScoredAlgorithm<F> {
         batch: &CandidateBatch,
         ctx: &AlgorithmContext<'_>,
     ) -> Result<SelectionResult> {
-        let mut result = SelectionResult::empty();
-        for &egress in &ctx.egress_interfaces {
-            result.insert(egress, self.select_for_egress(batch, ctx, egress));
-        }
-        Ok(result)
+        let budget = self.k.unwrap_or(usize::MAX).min(ctx.max_selected);
+        Ok(
+            Frame::new(batch, ctx).select_ranked(budget, |candidate, metrics| {
+                Some(self.score.cost(metrics, &batch.candidates[candidate.index]))
+            }),
+        )
     }
 
     /// Every candidate is scored on its own and ties break by candidate index, so the
@@ -299,7 +301,7 @@ impl RoutingAlgorithm for ShortestWidest {
 mod tests {
     use super::*;
     use crate::testutil::{candidate, local_as};
-    use irec_types::{AsId, InterfaceGroupId};
+    use irec_types::{AsId, IfId, InterfaceGroupId};
 
     /// Batch with three candidates of distinct shapes:
     /// 0: 2 hops, 20 ms, 10 Mbps    (short, thin)

@@ -17,11 +17,12 @@
 //! Enumeration is fully deterministic — adjacency is kept in ordered sets and the candidate
 //! queue is a `BTreeSet` — so selections are byte-identical across parallelism planes.
 
-use crate::{AlgorithmContext, CandidateBatch, RoutingAlgorithm, SelectionResult};
+use crate::frame::{EgressUse, Frame};
+use crate::{AlgorithmContext, Candidate, CandidateBatch, RoutingAlgorithm, SelectionResult};
 use irec_types::{AsId, IfId, Result};
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
-/// Deterministic cap on shortest-path subroutine invocations per egress interface, so a
+/// Deterministic cap on shortest-path subroutine invocations per enumeration, so a
 /// dense multigraph with a huge k cannot wedge a round (the spur loop runs one subroutine
 /// call per spur node per accepted path).
 const MAX_EXPANSIONS: usize = 10_000;
@@ -60,46 +61,41 @@ impl YensKShortest {
             name: format!("{k}YEN"),
         }
     }
+}
 
-    fn select_for_egress(
-        &self,
-        batch: &CandidateBatch,
-        ctx: &AlgorithmContext<'_>,
-        egress: IfId,
-    ) -> Vec<usize> {
-        let budget = self.k.min(ctx.max_selected);
-        // Build the candidate-induced multigraph and the chain -> candidate index map.
-        let mut adjacency: BTreeMap<Node, BTreeSet<(Node, EdgeLabel)>> = BTreeMap::new();
-        let mut chain_to_candidate: BTreeMap<Path, usize> = BTreeMap::new();
-        for (idx, c) in batch.candidates.iter().enumerate() {
-            if c.ingress == egress || c.pcb.contains_as(ctx.local_as.id) {
-                continue;
-            }
-            let links = c.pcb.link_keys();
-            if links.is_empty() {
-                continue;
-            }
-            let mut chain: Path =
-                vec![(Node::Source, Node::As(links[0].0), (IfId::NONE, IfId::NONE))];
-            for window in links.windows(2) {
-                let (from_as, egress_if) = window[0];
-                let (to_as, _) = window[1];
-                chain.push((Node::As(from_as), Node::As(to_as), (egress_if, IfId::NONE)));
-            }
-            let (last_as, last_egress) = links[links.len() - 1];
-            chain.push((Node::As(last_as), Node::Local, (last_egress, c.ingress)));
-            for &(from, to, label) in &chain {
-                adjacency.entry(from).or_default().insert((to, label));
-            }
-            // Duplicate chains collapse onto the earliest candidate.
-            chain_to_candidate.entry(chain).or_insert(idx);
+/// The selection over `eligible` — `(batch index, candidate)`, ascending: builds the
+/// candidate-induced multigraph and the chain -> candidate index map, then enumerates.
+/// Nothing here knows an egress interface, so one run serves a whole eligibility class.
+fn select_among<'c>(
+    eligible: impl Iterator<Item = (usize, &'c Candidate)>,
+    budget: usize,
+) -> Vec<usize> {
+    let mut adjacency: BTreeMap<Node, BTreeSet<(Node, EdgeLabel)>> = BTreeMap::new();
+    let mut chain_to_candidate: BTreeMap<Path, usize> = BTreeMap::new();
+    for (idx, c) in eligible {
+        let links = c.pcb.link_keys();
+        if links.is_empty() {
+            continue;
         }
-        if chain_to_candidate.is_empty() {
-            return Vec::new();
+        let mut chain: Path = vec![(Node::Source, Node::As(links[0].0), (IfId::NONE, IfId::NONE))];
+        for window in links.windows(2) {
+            let (from_as, egress_if) = window[0];
+            let (to_as, _) = window[1];
+            chain.push((Node::As(from_as), Node::As(to_as), (egress_if, IfId::NONE)));
         }
-
-        enumerate_selected(&adjacency, &chain_to_candidate, budget)
+        let (last_as, last_egress) = links[links.len() - 1];
+        chain.push((Node::As(last_as), Node::Local, (last_egress, c.ingress)));
+        for &(from, to, label) in &chain {
+            adjacency.entry(from).or_default().insert((to, label));
+        }
+        // Duplicate chains collapse onto the earliest candidate.
+        chain_to_candidate.entry(chain).or_insert(idx);
     }
+    if chain_to_candidate.is_empty() {
+        return Vec::new();
+    }
+
+    enumerate_selected(&adjacency, &chain_to_candidate, budget)
 }
 
 impl RoutingAlgorithm for YensKShortest {
@@ -112,11 +108,15 @@ impl RoutingAlgorithm for YensKShortest {
         batch: &CandidateBatch,
         ctx: &AlgorithmContext<'_>,
     ) -> Result<SelectionResult> {
-        let mut result = SelectionResult::empty();
-        for &egress in &ctx.egress_interfaces {
-            result.insert(egress, self.select_for_egress(batch, ctx, egress));
-        }
-        Ok(result)
+        let budget = self.k.min(ctx.max_selected);
+        let frame = Frame::new(batch, ctx);
+        Ok(frame.per_egress(EgressUse::FilterOnly, |egress| {
+            let eligible = frame.eligible_at(egress);
+            select_among(
+                eligible.map(|(_, u)| (u.index, &batch.candidates[u.index])),
+                budget,
+            )
+        }))
     }
 }
 

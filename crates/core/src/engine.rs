@@ -43,7 +43,8 @@ pub const MAX_WORKERS: usize = 64;
 /// Candidate batches larger than this are split into sub-range work items so a single hot
 /// origin (one huge |Φ|) cannot serialize the RAC phase: each sub-range is processed as its
 /// own work item and the per-sub-range selections are reduced by one final selection pass
-/// over their union (see [`execute_racs_with`]).
+/// over their union (see [`execute_racs_with`]) — for the algorithms that reduce exactly;
+/// the others are never split.
 pub const BATCH_SPLIT_THRESHOLD: usize = 512;
 
 /// One selected beacon as the egress gateway consumes it: the stored beacon, the
@@ -129,9 +130,6 @@ struct BatchGroup {
     rac_index: usize,
     key: BatchKey,
     items: std::ops::Range<usize>,
-    /// The unsplit view the items are sub-ranges of, retained (an `Arc` bump, no copy) for
-    /// split groups so the merge can hand merge-aware algorithms the complete batch.
-    view: Option<BatchView>,
     /// Table hit: last round's outputs, served verbatim. Such groups carry no work items
     /// and contribute no timing.
     reused: Option<BatchOutputs>,
@@ -427,13 +425,12 @@ pub(crate) fn execute_racs_delta(
 /// worker count: a batch of `n > threshold` candidates always becomes `ceil(n / threshold)`
 /// sub-range items plus one reduce pass, whether the items then run on one thread or many —
 /// which is what keeps parallel runs byte-identical to sequential ones. And it never
-/// changes a selection: only batches of RACs whose algorithm can put sub-range selections
-/// back together exactly are split (see [`Rac::splits_batches`]). The reduce is the
-/// algorithm's own [`merge_partial`](irec_algorithms::RoutingAlgorithm::merge_partial)
-/// over the full batch where it has one (HD), else one more selection pass over the union
-/// of the sub-range winners in ascending candidate order — exact for union-composable
-/// selectors. Every other RAC (`<k>YEN`, ACO, on-demand modules) sees its whole batch in
-/// one pass, whatever its size.
+/// changes a selection: only batches of RACs whose algorithm is
+/// [union-composable](irec_algorithms::RoutingAlgorithm::union_composable) are split (see
+/// [`Rac::splits_batches`]), and for those the reduce — one more selection pass over the
+/// union of the sub-range winners in ascending candidate order — is exact. Every other RAC
+/// (HD, `<k>YEN`, ACO, on-demand modules) sees its whole batch in one pass, whatever its
+/// size.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_racs_with(
     racs: &[Rac],
@@ -514,7 +511,6 @@ fn execute_racs_inner(
                         rac_index,
                         key,
                         items: start..start,
-                        view: None,
                         reused: Some(Arc::clone(&entry.outputs)),
                         record: None,
                     });
@@ -553,7 +549,7 @@ fn execute_racs_inner(
                     (view, record)
                 }
             };
-            let full_view = if view.len() > threshold && rac.splits_batches() {
+            if view.len() > threshold && rac.splits_batches() {
                 let mut offset = 0;
                 while offset < view.len() {
                     let end = (offset + threshold).min(view.len());
@@ -563,16 +559,13 @@ fn execute_racs_inner(
                     });
                     offset = end;
                 }
-                Some(view)
             } else {
                 items.push(WorkItem { rac_index, view });
-                None
-            };
+            }
             groups.push(BatchGroup {
                 rac_index,
                 key,
                 items: start..items.len(),
-                view: full_view,
                 reused: None,
                 record,
             });
@@ -747,29 +740,12 @@ fn merge_group(
     if sub_selections.len() == 1 {
         return Ok(sub_selections.remove(0));
     }
-    // ...then try the merge-aware reduce: algorithms overriding `merge_partial` get the
-    // full batch plus the per-sub-range selections (rebased to full-batch indices),
-    // making the split lossless for set-valued objectives...
-    if let Some(view) = &group.view {
-        let partials = rebase_partials(&items[group.items.clone()], &sub_selections);
-        if let Some(merged) = racs[group.rac_index].merge_split_candidates(
-            &group.key,
-            &view.beacons,
-            &partials,
-            local_as,
-            egress_ifs,
-        ) {
-            let (reduced, merge_timing) = merged?;
-            timing.accumulate(&merge_timing);
-            return Ok(identify(view, reduced));
-        }
-    }
     let winners = BatchView::of_selected(group.key, sub_selections.iter().flatten());
     if winners.is_empty() {
         return Ok(Vec::new());
     }
-    // ...or, for union-composable selectors, the generic reduce: one final selection pass
-    // of the owning RAC over the union of the sub-range winners.
+    // ...then reduce: one final selection pass of the owning RAC over the union of the
+    // sub-range winners — exact for the union-composable selectors, the only ones split.
     let (reduced, reduce_timing) = racs[group.rac_index].process_candidates(
         &group.key,
         &winners.beacons,
@@ -778,36 +754,6 @@ fn merge_group(
     )?;
     timing.accumulate(&reduce_timing);
     Ok(identify(&winners, reduced))
-}
-
-/// Rebuilds each sub-range's selection as indices into the full batch view: an output's
-/// candidate index is relative to its sub-range item, whose offset in the full batch is the
-/// summed length of the items before it. The per-egress index lists come out ascending
-/// because sub-ranges are walked in offset order and outputs within a sub-range are ordered
-/// by candidate index.
-fn rebase_partials(
-    sub_items: &[WorkItem],
-    sub_selections: &[Vec<Identified>],
-) -> Vec<irec_algorithms::SelectionResult> {
-    let mut offset = 0;
-    sub_items
-        .iter()
-        .zip(sub_selections)
-        .map(|(item, sub_outputs)| {
-            let mut partial = irec_algorithms::SelectionResult::empty();
-            for Identified { output, .. } in sub_outputs {
-                for &egress in &output.egress_ifs {
-                    partial
-                        .per_egress
-                        .entry(egress)
-                        .or_default()
-                        .push(offset + output.candidate_index);
-                }
-            }
-            offset += item.view.len();
-            partial
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1020,44 +966,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_aware_reduce_makes_hd_split_lossless() {
-        // HD with a tight budget over link-diverse candidates: the per-sub-range
-        // truncations at threshold 4 discard globally disjoint candidates, so without the
-        // merge-aware reduce the split selection could diverge from the full-batch one.
-        // With `merge_partial` the two must be byte-identical, across worker counts.
-        let racs =
-            vec![Rac::new_static(RacConfig::static_rac("HD", "HD").with_max_selected(3)).unwrap()];
-        let db = db_link_diverse(24);
-        let node = local_as();
-        let egress = [IfId(2), IfId(3)];
-
-        let (unsplit, _) = execute_racs_with(
-            &racs,
-            &db,
-            &node,
-            &egress,
-            SimTime::ZERO,
-            1,
-            BATCH_SPLIT_THRESHOLD,
-        )
-        .unwrap();
-        assert!(!unsplit.is_empty());
-        for parallelism in [1, 4] {
-            let (split, _) =
-                execute_racs_with(&racs, &db, &node, &egress, SimTime::ZERO, parallelism, 4)
-                    .unwrap();
-            assert_eq!(split.len(), unsplit.len());
-            for (a, b) in unsplit.iter().zip(&split) {
-                assert_eq!(a.rac_name, b.rac_name);
-                assert_eq!(a.egress_ifs, b.egress_ifs);
-                assert_eq!(a.beacon, b.beacon);
-            }
-        }
-    }
-
-    #[test]
     fn outputs_share_the_stored_beacon_and_carry_its_id() {
-        // Every output — unsplit, reduced from sub-ranges, merge-aware — is the database's
+        // Every output — of an unsplit batch or reduced from sub-ranges — is the database's
         // own allocation (no clone of the decoded candidate) and carries the id the view
         // carries for it, which is the beacon's digest.
         let racs: Vec<Rac> = ["1SP", "HD"]
@@ -1091,55 +1001,6 @@ mod tests {
                 assert_eq!(*pcb_id, view.ids()[stored]);
                 assert_eq!(*pcb_id, beacon.pcb.digest());
             }
-        }
-    }
-
-    #[test]
-    fn rebased_partials_match_a_digest_lookup() {
-        // The index arithmetic that replaced the digest map: sub-range candidate indices
-        // plus sub-range offsets must land on the same full-batch positions a lookup by
-        // content digest finds.
-        let rac = Rac::new_static(RacConfig::static_rac("HD", "HD").with_max_selected(3)).unwrap();
-        let db = db_link_diverse(22);
-        let node = local_as();
-        let egress = [IfId(2), IfId(3)];
-        let key = db.batch_keys()[0];
-        let view = db.batch_view(&key, SimTime::ZERO).unwrap();
-        let items: Vec<WorkItem> = [0..8, 8..16, 16..22]
-            .into_iter()
-            .map(|range| WorkItem {
-                rac_index: 0,
-                view: view.subrange(range),
-            })
-            .collect();
-        let sub_selections: Vec<Vec<Identified>> = items
-            .iter()
-            .map(|item| {
-                let (outputs, _) = rac
-                    .process_candidates(&item.view.key, &item.view.beacons, &node, &egress)
-                    .unwrap();
-                identify(&item.view, outputs)
-            })
-            .collect();
-        let rebased = rebase_partials(&items, &sub_selections);
-
-        let index_of: std::collections::HashMap<irec_pcb::PcbId, usize> = view
-            .beacons
-            .iter()
-            .enumerate()
-            .map(|(index, beacon)| (beacon.pcb.digest(), index))
-            .collect();
-        assert_eq!(rebased.len(), sub_selections.len());
-        for (partial, sub_outputs) in rebased.iter().zip(&sub_selections) {
-            let mut expected = irec_algorithms::SelectionResult::empty();
-            for Identified { pcb_id, output } in sub_outputs {
-                let index = index_of[pcb_id];
-                for &egress in &output.egress_ifs {
-                    expected.per_egress.entry(egress).or_default().push(index);
-                }
-            }
-            assert!(!expected.per_egress.is_empty());
-            assert_eq!(partial.per_egress, expected.per_egress);
         }
     }
 
@@ -1357,8 +1218,7 @@ mod tests {
     #[test]
     fn splitting_never_changes_a_selection() {
         // Sub-ranges of four over 24 link-diverse candidates: composable selectors reduce
-        // their sub-range winners, HD merges over the full batch, and `<k>YEN` and ACO —
-        // neither composable nor merge-aware — are not split at all.
+        // their sub-range winners; HD, `<k>YEN` and ACO are not split at all.
         let node = local_as();
         let egress = [IfId(2), IfId(3)];
         let db = db_link_diverse(24);

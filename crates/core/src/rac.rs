@@ -178,7 +178,7 @@ impl Decode for RacTiming {
 /// Wire envelope used to marshal a candidate set across the gateway↔RAC boundary (the
 /// gRPC/Protobuf substitute measured as the "marshal" component).
 struct CandidateEnvelope {
-    beacons: Vec<(irec_pcb::Pcb, IfId)>,
+    candidates: Vec<Candidate>,
 }
 
 /// Wire size reserved per candidate: measured beacons of 2–6 hops encode to 150–400 bytes.
@@ -204,13 +204,14 @@ impl Decode for CandidateEnvelope {
             .ok()
             .filter(|&n| n <= 1_000_000)
             .ok_or_else(|| IrecError::decode("implausible candidate count"))?;
-        let mut beacons = Vec::with_capacity(irec_pcb::bounded_reservation(n, reader.remaining()));
+        let mut candidates =
+            Vec::with_capacity(irec_pcb::bounded_reservation(n, reader.remaining()));
         for _ in 0..n {
             let pcb = irec_pcb::Pcb::decode(reader)?;
             let ingress = IfId(reader.get_u32v()?);
-            beacons.push((pcb, ingress));
+            candidates.push(Candidate::new(pcb, ingress));
         }
-        Ok(CandidateEnvelope { beacons })
+        Ok(CandidateEnvelope { candidates })
     }
 }
 
@@ -357,14 +358,12 @@ impl Rac {
     }
 
     /// Whether the execution engine may split an oversized batch of this RAC into
-    /// sub-ranges: only when the algorithm puts the sub-range selections back together
-    /// exactly — its own [`merge_partial`](RoutingAlgorithm::merge_partial), or one more
-    /// `select` over their union for a union-composable selector. Everything else gets
-    /// its whole batch in one pass.
+    /// sub-ranges: only when one more `select` over the union of the sub-range winners puts
+    /// them back together exactly, which is what
+    /// [union-composable](RoutingAlgorithm::union_composable) declares. Everything else —
+    /// HD, `<k>YEN`, ACO, on-demand modules — gets its whole batch in one pass.
     pub fn splits_batches(&self) -> bool {
-        self.static_algorithm
-            .as_ref()
-            .is_some_and(|algorithm| algorithm.union_composable() || algorithm.merges_partial())
+        self.extends_selections()
     }
 
     /// Whether this RAC requests all interface groups of an origin as one merged batch
@@ -456,14 +455,8 @@ impl Rac {
         // -- Marshal: the candidate set crosses the gateway -> RAC process boundary. --
         let marshal_start = std::time::Instant::now();
         let wire_bytes = encode_candidates(beacons);
-        let received: CandidateEnvelope = irec_wire::from_bytes(&wire_bytes)?;
+        let CandidateEnvelope { mut candidates } = irec_wire::from_bytes(&wire_bytes)?;
         timing.marshal = marshal_start.elapsed();
-
-        let candidates: Vec<Candidate> = received
-            .beacons
-            .into_iter()
-            .map(|(pcb, ingress)| Candidate::new(pcb, ingress))
-            .collect();
 
         // -- Setup: instantiate the algorithm (sandbox creation for on-demand RACs). --
         let setup_start = std::time::Instant::now();
@@ -490,26 +483,25 @@ impl Rac {
         };
         timing.setup = setup_start.elapsed();
 
-        // For on-demand batches, restrict the candidates to the ones actually carrying the
-        // algorithm (mixed batches can only occur when extensions are ignored).
-        let filtered: Vec<(usize, Candidate)> = candidates
-            .into_iter()
-            .enumerate()
-            .filter(|(_, c)| {
-                self.ignore_extensions
-                    || !self.is_on_demand()
-                    || c.pcb.extensions.algorithm.is_some()
-            })
-            .collect();
-        if filtered.is_empty() {
+        // An on-demand RAC that honours extensions runs only the candidates actually
+        // carrying the algorithm and remembers where they sat among `beacons`; every
+        // other RAC runs the batch as it was decoded.
+        let index_map = (self.is_on_demand() && !self.ignore_extensions).then(|| {
+            let carries = |c: &Candidate| c.pcb.extensions.algorithm.is_some();
+            let kept: Vec<usize> = (0..candidates.len())
+                .filter(|&index| carries(&candidates[index]))
+                .collect();
+            candidates.retain(carries);
+            kept
+        });
+        if candidates.is_empty() {
             return Ok((Vec::new(), timing));
         }
-        let index_map: Vec<usize> = filtered.iter().map(|(i, _)| *i).collect();
         let batch = CandidateBatch {
             origin: key.origin,
             group: key.group,
             target: key.target,
-            candidates: filtered.into_iter().map(|(_, c)| c).collect(),
+            candidates,
         };
 
         // -- Execute: run the algorithm over the candidate set. --
@@ -519,18 +511,19 @@ impl Rac {
         let selection = algorithm.select(&batch, &ctx)?;
         timing.execute = execute_start.elapsed();
 
-        let outputs = self.outputs_from_selection(key, beacons, &index_map, selection);
+        let outputs = self.outputs_from_selection(key, beacons, index_map.as_deref(), selection);
         Ok((outputs, timing))
     }
 
     /// Inverts a per-egress selection into per-beacon [`RacOutput`]s, ordered by candidate
-    /// index. `index_map` maps the algorithm's (possibly filtered) candidate indices back to
-    /// positions in `beacons`; each output shares the stored beacon at that position.
+    /// index. `index_map`, where the algorithm saw a filtered batch, maps its candidate
+    /// indices back to positions in `beacons`; each output shares the stored beacon at that
+    /// position.
     fn outputs_from_selection(
         &self,
         key: &BatchKey,
         beacons: &[Arc<StoredBeacon>],
-        index_map: &[usize],
+        index_map: Option<&[usize]>,
         selection: irec_algorithms::SelectionResult,
     ) -> Vec<RacOutput> {
         // (candidate, egress) pairs, grouped by candidate. The sort is stable and the
@@ -546,7 +539,7 @@ impl Rac {
         pairs
             .chunk_by(|a, b| a.0 == b.0)
             .map(|group| {
-                let candidate_index = index_map[group[0].0];
+                let candidate_index = index_map.map_or(group[0].0, |map| map[group[0].0]);
                 RacOutput {
                     rac_name: self.config.name.clone(),
                     origin: key.origin,
@@ -557,60 +550,6 @@ impl Rac {
                 }
             })
             .collect()
-    }
-
-    /// Merge-aware reduce for a batch the execution engine split into sub-ranges: when this
-    /// RAC is static and its algorithm overrides [`RoutingAlgorithm::merge_partial`], the
-    /// full batch is marshalled once more (the reduce pays the same gateway↔RAC boundary
-    /// cost as any pass) and the algorithm merges the sub-range selections over it.
-    ///
-    /// Returns `None` when the algorithm keeps the default hierarchical reduce — and always
-    /// for on-demand RACs, whose algorithm identity is per-batch.
-    pub fn merge_split_candidates(
-        &self,
-        key: &BatchKey,
-        beacons: &[Arc<StoredBeacon>],
-        partials: &[irec_algorithms::SelectionResult],
-        local_as: &AsNode,
-        egress_ifs: &[IfId],
-    ) -> Option<Result<(Vec<RacOutput>, RacTiming)>> {
-        let algorithm = self.static_algorithm.as_ref()?;
-        if !algorithm.merges_partial() {
-            return None;
-        }
-        let algorithm = Arc::clone(algorithm);
-        Some((|| {
-            let mut timing = RacTiming {
-                candidates: beacons.len(),
-                ..RacTiming::default()
-            };
-            let marshal_start = std::time::Instant::now();
-            let wire_bytes = encode_candidates(beacons);
-            let received: CandidateEnvelope = irec_wire::from_bytes(&wire_bytes)?;
-            timing.marshal = marshal_start.elapsed();
-
-            let batch = CandidateBatch {
-                origin: key.origin,
-                group: key.group,
-                target: key.target,
-                candidates: received
-                    .beacons
-                    .into_iter()
-                    .map(|(pcb, ingress)| Candidate::new(pcb, ingress))
-                    .collect(),
-            };
-            let index_map: Vec<usize> = (0..batch.candidates.len()).collect();
-            let ctx =
-                AlgorithmContext::new(local_as, egress_ifs.to_vec(), self.config.max_selected)
-                    .with_extended_paths(self.config.extend_paths);
-            let execute_start = std::time::Instant::now();
-            let selection = algorithm
-                .merge_partial(&batch, &ctx, partials)
-                .unwrap_or_else(|| algorithm.select(&batch, &ctx))?;
-            timing.execute = execute_start.elapsed();
-            let outputs = self.outputs_from_selection(key, beacons, &index_map, selection);
-            Ok((outputs, timing))
-        })())
     }
 
     /// Fetch → size check → hash verify → validate → cache an on-demand algorithm.
@@ -1031,10 +970,10 @@ mod tests {
             .collect();
         let bytes = encode_candidates(&beacons);
         let envelope: CandidateEnvelope = irec_wire::from_bytes(&bytes).unwrap();
-        assert_eq!(envelope.beacons.len(), beacons.len());
-        for ((pcb, ingress), stored) in envelope.beacons.iter().zip(&beacons) {
-            assert_eq!(pcb, &stored.pcb);
-            assert_eq!(*ingress, stored.ingress);
+        assert_eq!(envelope.candidates.len(), beacons.len());
+        for (candidate, stored) in envelope.candidates.iter().zip(&beacons) {
+            assert_eq!(candidate.pcb, stored.pcb);
+            assert_eq!(candidate.ingress, stored.ingress);
         }
         // A count the input cannot back fails at the first missing candidate, having
         // reserved nothing for the rest; a count beyond the cap fails outright.

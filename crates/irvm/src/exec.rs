@@ -269,10 +269,20 @@ impl Interpreter {
         }
     }
 
+    /// The verdict on one candidate as a rank key: the score of an accepted candidate
+    /// (lower is better), `None` for one the program rejects — or fails on (overflow,
+    /// fuel, …): a malicious algorithm can only hurt its own beacons, never the RAC (the
+    /// sandbox property the paper relies on). This is what a caller that ranks candidates
+    /// itself needs; it takes them one at a time, wherever they live.
+    pub fn score(&self, candidate: &CandidateView) -> Option<i64> {
+        self.evaluate(candidate)
+            .ok()
+            .and_then(|(verdict, _)| verdict.score())
+    }
+
     /// Evaluates the program over a whole candidate batch, returning one verdict per
-    /// candidate (in input order). Candidates whose evaluation fails (overflow, fuel, …) are
-    /// treated as rejected — a malicious algorithm can only hurt its own beacons, never the
-    /// RAC (the sandbox property the paper relies on).
+    /// candidate (in input order). Candidates whose evaluation fails are treated as
+    /// rejected, as in [`Interpreter::score`].
     pub fn evaluate_batch(&self, candidates: &[CandidateView]) -> Vec<Verdict> {
         candidates
             .iter()
@@ -286,11 +296,10 @@ impl Interpreter {
     /// Evaluates a batch and returns the indices of the best `max_selected` accepted
     /// candidates, ordered by ascending score (ties broken by candidate order).
     pub fn select_best(&self, candidates: &[CandidateView]) -> Vec<usize> {
-        let verdicts = self.evaluate_batch(candidates);
-        let mut accepted: Vec<(i64, usize)> = verdicts
+        let mut accepted: Vec<(i64, usize)> = candidates
             .iter()
             .enumerate()
-            .filter_map(|(i, v)| v.score().map(|s| (s, i)))
+            .filter_map(|(i, c)| self.score(c).map(|s| (s, i)))
             .collect();
         accepted.sort();
         accepted

@@ -1,16 +1,14 @@
-//! Acceptance tests for the merge-aware sub-range reduce: oversized candidate batches
-//! (|Φ| > `BATCH_SPLIT_THRESHOLD`) are split into contiguous sub-ranges for parallel
-//! execution, and HD's set-valued disjointness objective used to be computed over
-//! *concatenated truncations* of those sub-ranges — a hierarchical approximation that can
-//! discard the globally disjoint winners. With [`RoutingAlgorithm::merge_partial`] the
-//! engine hands HD the full batch plus the partial selections and HD recomputes
-//! disjointness over the merged view, so the split run is byte-identical to the unsplit
-//! one (loss = 0). These tests pin that at the paper-scale set sizes |Φ| ∈ {600, 2048}
-//! and quantify the link-coverage delta the generic reduce — one more `select` over the
-//! sub-range winners, exact only for selectors that declare themselves
-//! [union-composable](RoutingAlgorithm::union_composable) — would leave on the table. The
-//! engine no longer applies it to anything else: an algorithm that declares neither
-//! capability is not split at all.
+//! Acceptance tests for HD over oversized candidate batches (|Φ| > `BATCH_SPLIT_THRESHOLD`).
+//! The engine splits such a batch into contiguous sub-ranges and reduces their winners by
+//! one more `select` — exact only for selectors that declare themselves
+//! [union-composable](RoutingAlgorithm::union_composable). HD's objective is set-valued:
+//! over *concatenated truncations* of sub-ranges it can discard the globally disjoint
+//! winners. It used to be split all the same and repaired by a merge hook that threw the
+//! sub-range passes away and ran the full batch once more; its kernel scans 2 048
+//! candidates in tens of microseconds, so now it is simply not split. These tests pin
+//! that at the paper-scale set sizes |Φ| ∈ {600, 2048} — HD through the engine ≡ HD's
+//! direct `select` over the whole batch — and quantify the link coverage a selector
+//! loses if it *wrongly* declares itself composable.
 //!
 //! The workload is a crafted adversarial motif, not a random set: ten independent
 //! four-link universes where the globally complementary candidate (`y`) sits in the
@@ -19,14 +17,17 @@
 //! to saturate the coverage metric and show no delta; this one provably does.
 
 use irec_algorithms::disjoint::HeuristicDisjointness;
-use irec_algorithms::{AlgorithmContext, CandidateBatch, RoutingAlgorithm, SelectionResult};
+use irec_algorithms::{
+    AlgorithmContext, Candidate, CandidateBatch, RoutingAlgorithm, SelectionResult,
+};
+use irec_core::beacon_db::BatchKey;
 use irec_core::{
     execute_racs_with, Rac, RacConfig, RacOutput, ShardedIngressDb, BATCH_SPLIT_THRESHOLD,
 };
 use irec_crypto::{KeyRegistry, Signer};
 use irec_pcb::{Pcb, PcbExtensions, StaticInfo};
 use irec_topology::{AsNode, Tier};
-use irec_types::{AsId, Bandwidth, IfId, Latency, Result, SimDuration, SimTime};
+use irec_types::{AsId, Bandwidth, IfId, InterfaceGroupId, Latency, Result, SimDuration, SimTime};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -38,10 +39,9 @@ const EGRESS: IfId = IfId(900);
 /// universe, so the full-batch greedy spends it on `{a1, y}` of every universe.
 const MOTIFS: u64 = 10;
 
-/// HD stripped of its merge hook: same selection, but `merges_partial()` stays `false`.
-/// With `claims_composable` it additionally *lies* about being union-composable, which
-/// sends it down the generic concatenated-truncation reduce — the pre-hook behaviour,
-/// kept around to measure what the hook buys and what a wrong declaration costs.
+/// HD behind a declaration of its own: same selection, and with `claims_composable` it
+/// *lies* about being union-composable, which sends it down the concatenated-truncation
+/// reduce — kept around to measure what a wrong declaration costs.
 struct LegacyReduceHd {
     hd: HeuristicDisjointness,
     claims_composable: bool,
@@ -197,47 +197,87 @@ fn assert_identical(unsplit: &[RacOutput], split: &[RacOutput]) {
     }
 }
 
-/// The headline regression: with the merge hook, HD's split selection is byte-identical
-/// to the unsplit one at both paper-scale set sizes — the split is lossless.
+/// HD's direct `select` over the whole batch, as outputs: the reference no engine
+/// machinery takes part in.
+fn direct_full_batch_selection(phi: usize) -> Vec<(Pcb, Vec<IfId>)> {
+    let db = adversarial_db(phi);
+    let key = BatchKey {
+        origin: ORIGIN,
+        group: InterfaceGroupId::DEFAULT,
+        target: None,
+    };
+    let view = db
+        .batch_view(&key, SimTime::ZERO)
+        .expect("the batch is stored");
+    assert_eq!(view.len(), phi);
+    let batch = CandidateBatch::new(
+        ORIGIN,
+        InterfaceGroupId::DEFAULT,
+        view.beacons
+            .iter()
+            .map(|b| Candidate::new(b.pcb.clone(), b.ingress))
+            .collect(),
+    );
+    let node = AsNode::new(LOCAL, Tier::Tier2);
+    let selection = HeuristicDisjointness::new(20)
+        .select(&batch, &AlgorithmContext::new(&node, vec![EGRESS], 20))
+        .expect("HD selects");
+    let mut picked = selection.per_egress[&EGRESS].clone();
+    picked.sort_unstable();
+    picked
+        .into_iter()
+        .map(|index| (view.beacons[index].pcb.clone(), vec![EGRESS]))
+        .collect()
+}
+
+/// The headline regression: HD through the engine at the default threshold selects what
+/// its direct `select` over the full batch selects, at both paper-scale set sizes — and
+/// what the engine selects with the threshold out of reach.
 #[test]
-fn hd_split_is_lossless_with_merge_hook() {
+fn hd_is_never_split() {
+    assert!(!hd_rac().splits_batches());
     for phi in [600usize, 2048] {
         assert!(phi > BATCH_SPLIT_THRESHOLD);
-        let unsplit = run(hd_rac(), phi, phi);
-        let split = run(hd_rac(), phi, BATCH_SPLIT_THRESHOLD);
-        assert_identical(&unsplit, &split);
+        let through_engine = run(hd_rac(), phi, BATCH_SPLIT_THRESHOLD);
+        assert_identical(&run(hd_rac(), phi, phi), &through_engine);
+        let direct = direct_full_batch_selection(phi);
+        assert_eq!(through_engine.len(), direct.len());
+        for (output, (pcb, egress_ifs)) in through_engine.iter().zip(&direct) {
+            assert_eq!(&output.beacon.pcb, pcb);
+            assert_eq!(&output.egress_ifs, egress_ifs);
+        }
     }
 }
 
-/// Quantifies what the hook buys: on the adversarial motif the legacy
+/// Quantifies what a wrong declaration costs: on the adversarial motif the
 /// concatenated-truncation reduce strictly under-covers the full-batch objective (it
-/// keeps the sub-range decoys and loses every `y`), while the merge-aware run matches
-/// the full-batch coverage exactly (loss = 0).
+/// keeps the sub-range decoys and loses every `y`), while HD as the catalog declares it
+/// matches the full-batch coverage exactly (loss = 0).
 #[test]
 fn hd_split_disjointness_delta_is_quantified() {
     for phi in [600usize, 2048] {
         let full = link_coverage(&run(hd_rac(), phi, phi));
-        let merged = link_coverage(&run(hd_rac(), phi, BATCH_SPLIT_THRESHOLD));
+        let unsplit = link_coverage(&run(hd_rac(), phi, BATCH_SPLIT_THRESHOLD));
         let legacy = link_coverage(&run(legacy_rac(), phi, BATCH_SPLIT_THRESHOLD));
         println!(
-            "phi = {phi}: full coverage {full}, merge-hook {merged} (loss {}), \
-             legacy reduce {legacy} (loss {})",
-            full - merged,
+            "phi = {phi}: full coverage {full}, HD {unsplit} (loss {}), \
+             wrongly composable {legacy} (loss {})",
+            full - unsplit,
             full - legacy,
         );
-        assert_eq!(merged, full, "merge hook must be lossless at phi = {phi}");
+        assert_eq!(unsplit, full, "HD must be lossless at phi = {phi}");
         assert!(
             legacy < full,
-            "the motif is built so the legacy reduce strictly loses coverage \
+            "the motif is built so the generic reduce strictly loses coverage \
              (legacy {legacy} vs full {full} at phi = {phi})"
         );
     }
 }
 
-/// A set-valued selector that declares neither capability falls into no reduce at all:
-/// the engine hands it the whole batch in one pass, whatever the split threshold, so it
-/// selects what the unsplit run selects. (Before the capability existed it was silently
-/// given the generic reduce and lost the coverage quantified above.)
+/// A set-valued selector that does not declare itself composable falls into no reduce at
+/// all: the engine hands it the whole batch in one pass, whatever the split threshold, so
+/// it selects what the unsplit run selects. (Before the declaration existed it was
+/// silently given the generic reduce and lost the coverage quantified above.)
 #[test]
 fn undeclared_selectors_are_never_split() {
     let honest = || hookless_rac(false);
@@ -250,8 +290,8 @@ fn undeclared_selectors_are_never_split() {
     }
 }
 
-/// The legacy wrapper itself stays deterministic across repeated runs — the loss it
-/// measures is an approximation artifact, not a race.
+/// The wrongly declared wrapper itself stays deterministic across repeated runs — the
+/// loss it measures is an approximation artifact, not a race.
 #[test]
 fn legacy_reduce_is_still_deterministic() {
     let reference = run(legacy_rac(), 600, BATCH_SPLIT_THRESHOLD);
