@@ -4,7 +4,7 @@
 //!
 //! | Paper figure | What it shows | Regenerated by |
 //! |---|---|---|
-//! | Fig. 6 | PCB processing latency of the IREC sub-tasks (sandbox setup, marshalling, algorithm execution) vs. the legacy control service, for candidate-set sizes \|Φ\| = 1…4096 | `cargo run -p irec-bench --bin fig6 --release` and `cargo bench -p irec-bench --bench fig6_latency` |
+//! | Fig. 6 | PCB processing latency of the IREC sub-tasks (sandbox setup, marshalling, algorithm execution) vs. the legacy control service, for candidate-set sizes \|Φ\| = 1…4096. Setup is flat; marshalling and execution are *both* linear in \|Φ\| here (measured marshal : execute per candidate at \|Φ\| = 64 on `rac_kernel`: ≈ 6.8 : 1 before PR 19's codec kernel, ≈ 2.1 : 1 after) — the paper's "marshalling grows much more slowly" would need a different boundary, not a faster codec | `cargo run -p irec-bench --bin fig6 --release` and `cargo bench -p irec-bench --bench fig6_latency` |
 //! | Fig. 7 | PCB processing throughput for 1…N parallel RACs and \|Φ\| ∈ {16, 64, 256, 1024, 4096} | `cargo run -p irec-bench --bin fig7 --release` and `cargo bench -p irec-bench --bench fig7_throughput` |
 //! | Fig. 8a | CDF over PoP pairs of minimum propagation delay relative to 1SP (5SP, DON, DOB2000, DOB300) | `cargo run -p irec-bench --bin fig8a --release` |
 //! | Fig. 8b | CDF over AS pairs of tolerable link failures (1SP, 5SP, HD, PD) | `cargo run -p irec-bench --bin fig8b --release` |

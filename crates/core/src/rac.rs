@@ -203,7 +203,7 @@ impl Decode for CandidateEnvelope {
         let n = usize::try_from(reader.get_varint()?)
             .ok()
             .filter(|&n| n <= 1_000_000)
-            .ok_or_else(|| IrecError::decode("implausible candidate count"))?;
+            .ok_or_else(implausible_candidate_count)?;
         let mut candidates =
             Vec::with_capacity(irec_pcb::bounded_reservation(n, reader.remaining()));
         for _ in 0..n {
@@ -213,6 +213,12 @@ impl Decode for CandidateEnvelope {
         }
         Ok(CandidateEnvelope { candidates })
     }
+}
+
+#[cold]
+#[inline(never)]
+fn implausible_candidate_count() -> IrecError {
+    IrecError::decode("implausible candidate count")
 }
 
 /// A routing algorithm container.
@@ -599,6 +605,9 @@ impl Rac {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use irec_crypto::{KeyRegistry, Signer};
@@ -961,8 +970,21 @@ mod tests {
         let reg = registry();
         let beacons: Vec<Arc<StoredBeacon>> = (0..5)
             .map(|i| {
+                let mut pcb = beacon(&reg, 1, &[(10 + i, 100), (5, 50)], PcbExtensions::none());
+                // Every beacon the simulator makes carries the location of its egress
+                // interface, on the wire's micro-degree grid: it must come back as it went.
+                if i % 2 == 0 {
+                    let info = StaticInfo {
+                        link_latency: Latency::from_millis(3),
+                        link_bandwidth: Bandwidth::from_mbps(10),
+                        intra_latency: Latency::from_micros(400),
+                        egress_location: Some(GeoCoord::new(0.123456, -151.2093 + i as f64)),
+                    };
+                    pcb.extend(IfId(1), IfId(2), info, &Signer::new(AsId(77), reg.clone()))
+                        .unwrap();
+                }
                 Arc::new(StoredBeacon {
-                    pcb: beacon(&reg, 1, &[(10 + i, 100), (5, 50)], PcbExtensions::none()),
+                    pcb,
                     ingress: IfId(1 + i as u32),
                     received_at: SimTime::ZERO,
                 })

@@ -234,6 +234,7 @@ impl Pcb {
         w.into_bytes()
     }
 
+    #[inline]
     fn encode_header(&self, w: &mut WireWriter) {
         w.put_varint(self.origin_isd.0 as u64);
         w.put_varint(self.origin.value());
@@ -448,23 +449,27 @@ impl Encode for Pcb {
 
 impl Decode for Pcb {
     fn decode(reader: &mut WireReader<'_>) -> Result<Self> {
-        let origin_isd = IsdId(
-            u16::try_from(reader.get_varint()?)
-                .map_err(|_| IrecError::decode("ISD id out of range"))?,
-        );
-        let origin = AsId(reader.get_varint()?);
-        let sequence = reader.get_varint()?;
-        let created_at = SimTime::from_micros(reader.get_varint()?);
-        let expires_at = SimTime::from_micros(reader.get_varint()?);
-        let extensions = PcbExtensions::decode(reader)?;
-        let count = usize::try_from(reader.get_varint()?)
+        // The whole beacon is read through a copy of the cursor: a local whose address is
+        // never taken stays in registers, where the caller's reader would be loaded and
+        // stored back around every field. The caller's reader moves once, past a beacon
+        // that decoded.
+        let mut cursor = reader.clone();
+        let origin_isd =
+            IsdId(u16::try_from(cursor.get_varint()?).map_err(|_| isd_out_of_range())?);
+        let origin = AsId(cursor.get_varint()?);
+        let sequence = cursor.get_varint()?;
+        let created_at = SimTime::from_micros(cursor.get_varint()?);
+        let expires_at = SimTime::from_micros(cursor.get_varint()?);
+        let extensions = PcbExtensions::decode(&mut cursor)?;
+        let count = usize::try_from(cursor.get_varint()?)
             .ok()
             .filter(|&count| count <= 1024)
-            .ok_or_else(|| IrecError::decode("implausible entry count"))?;
-        let mut entries = Vec::with_capacity(bounded_reservation(count, reader.remaining()));
+            .ok_or_else(implausible_entry_count)?;
+        let mut entries = Vec::with_capacity(bounded_reservation(count, cursor.remaining()));
         for _ in 0..count {
-            entries.push(AsEntry::decode(reader)?);
+            entries.push(AsEntry::decode(&mut cursor)?);
         }
+        *reader = cursor;
         Ok(Pcb {
             origin_isd,
             origin,
@@ -475,6 +480,18 @@ impl Decode for Pcb {
             entries,
         })
     }
+}
+
+#[cold]
+#[inline(never)]
+fn isd_out_of_range() -> IrecError {
+    IrecError::decode("ISD id out of range")
+}
+
+#[cold]
+#[inline(never)]
+fn implausible_entry_count() -> IrecError {
+    IrecError::decode("implausible entry count")
 }
 
 #[cfg(test)]
@@ -748,6 +765,41 @@ mod tests {
         let decoded: Pcb = from_bytes(&to_bytes(&pcb)).unwrap();
         assert_eq!(decoded, pcb);
         assert_eq!(decoded.digest(), pcb.digest());
+    }
+
+    #[test]
+    fn a_beacon_with_locations_decodes_to_itself() {
+        let reg = registry();
+        let mut pcb = sample_pcb(&reg);
+        let located = StaticInfo {
+            egress_location: Some(GeoCoord::new(0.123456, 8.5417)),
+            ..static_info(7, 10, 1)
+        };
+        pcb.extend(
+            IfId(2),
+            IfId(3),
+            located,
+            &Signer::new(AsId(3), reg.clone()),
+        )
+        .unwrap();
+        let decoded: Pcb = from_bytes(&to_bytes(&pcb)).unwrap();
+        assert_eq!(decoded, pcb);
+        assert!(decoded.verify(&Verifier::new(reg)).is_ok());
+    }
+
+    #[test]
+    fn decoding_moves_the_reader_past_a_beacon_that_decoded_and_only_then() {
+        let reg = registry();
+        let mut bytes = to_bytes(&sample_pcb(&reg));
+        let len = bytes.len();
+        bytes.extend_from_slice(&[0xaa, 0xbb]);
+        let mut reader = WireReader::new(&bytes);
+        assert!(Pcb::decode(&mut reader).is_ok());
+        assert_eq!(reader.remaining(), 2);
+        // A beacon that does not decode leaves the reader where it was.
+        let mut reader = WireReader::new(&bytes[..len - 1]);
+        assert!(Pcb::decode(&mut reader).is_err());
+        assert_eq!(reader.remaining(), len - 1);
     }
 
     #[test]

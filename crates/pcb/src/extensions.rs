@@ -41,6 +41,7 @@ impl AlgorithmRef {
 }
 
 impl Encode for AlgorithmRef {
+    #[inline]
     fn encode(&self, writer: &mut WireWriter) {
         writer.put_varint(self.id.0);
         writer.put_raw(self.code_hash.as_bytes());
@@ -48,14 +49,11 @@ impl Encode for AlgorithmRef {
 }
 
 impl Decode for AlgorithmRef {
+    #[inline]
     fn decode(reader: &mut WireReader<'_>) -> Result<Self> {
-        let id = AlgorithmId(reader.get_varint()?);
-        let hash_bytes = reader.get_raw(irec_crypto::DIGEST_LEN)?;
-        let mut hash = [0u8; irec_crypto::DIGEST_LEN];
-        hash.copy_from_slice(hash_bytes);
         Ok(AlgorithmRef {
-            id,
-            code_hash: Digest(hash),
+            id: AlgorithmId(reader.get_varint()?),
+            code_hash: Digest(reader.get_array()?),
         })
     }
 }
@@ -117,6 +115,7 @@ impl PcbExtensions {
 }
 
 impl Encode for PcbExtensions {
+    #[inline]
     fn encode(&self, writer: &mut WireWriter) {
         match self.target {
             None => writer.put_bool(false),
@@ -143,6 +142,7 @@ impl Encode for PcbExtensions {
 }
 
 impl Decode for PcbExtensions {
+    #[inline]
     fn decode(reader: &mut WireReader<'_>) -> Result<Self> {
         let target = if reader.get_bool()? {
             Some(AsId(reader.get_varint()?))

@@ -42,6 +42,9 @@ impl HopInfo {
 }
 
 impl Encode for HopInfo {
+    // `always`, like the two other encoders of an entry's parts below: left to its cost
+    // model the compiler keeps them as calls inside `Pcb::encode`'s loop over the entries.
+    #[inline(always)]
     fn encode(&self, writer: &mut WireWriter) {
         writer.put_varint(self.asn.value());
         writer.put_u32v(self.ingress.value());
@@ -50,6 +53,7 @@ impl Encode for HopInfo {
 }
 
 impl Decode for HopInfo {
+    #[inline]
     fn decode(reader: &mut WireReader<'_>) -> Result<Self> {
         Ok(HopInfo {
             asn: AsId(reader.get_varint()?),
@@ -117,6 +121,7 @@ impl Default for StaticInfo {
 }
 
 impl Encode for StaticInfo {
+    #[inline(always)]
     fn encode(&self, writer: &mut WireWriter) {
         writer.put_varint(self.link_latency.as_micros());
         writer.put_varint(self.link_bandwidth.as_kbps());
@@ -134,6 +139,7 @@ impl Encode for StaticInfo {
 }
 
 impl Decode for StaticInfo {
+    #[inline]
     fn decode(reader: &mut WireReader<'_>) -> Result<Self> {
         let link_latency = Latency::from_micros(reader.get_varint()?);
         let link_bandwidth = Bandwidth(reader.get_varint()?);
@@ -154,18 +160,30 @@ impl Decode for StaticInfo {
     }
 }
 
+/// The offset that keeps an encoded coordinate non-negative, in micro-degrees.
+const COORD_OFFSET_MICRO_DEGREES: u64 = 360_000_000;
+
 /// Encodes a coordinate in fixed-point micro-degrees, offset to stay non-negative.
+#[inline]
 fn encode_coord(value: f64) -> u64 {
     ((value + 360.0) * 1_000_000.0).round() as u64
 }
 
-/// Decodes a fixed-point micro-degree coordinate.
+/// Decodes a fixed-point micro-degree coordinate in `[-360°, 360°]` to the `f64` nearest to
+/// it: the offset is taken off in integers and the one division is correctly rounded, so a
+/// coordinate on the micro-degree grid comes back as the value it was written from.
+#[inline]
 fn decode_coord(raw: u64) -> Result<f64> {
-    let value = raw as f64 / 1_000_000.0 - 360.0;
-    if !(-360.0..=360.0).contains(&value) {
-        return Err(IrecError::decode("coordinate out of range"));
+    if raw > 2 * COORD_OFFSET_MICRO_DEGREES {
+        return Err(coordinate_out_of_range());
     }
-    Ok(value)
+    Ok((raw as i64 - COORD_OFFSET_MICRO_DEGREES as i64) as f64 / 1_000_000.0)
+}
+
+#[cold]
+#[inline(never)]
+fn coordinate_out_of_range() -> IrecError {
+    IrecError::decode("coordinate out of range")
 }
 
 /// A complete per-AS entry of a PCB: hop info, static info and the AS's signature over the
@@ -183,6 +201,7 @@ pub struct AsEntry {
 impl AsEntry {
     /// Appends the entry's signature (signer and tag) — the part of the entry its own
     /// signature does not cover.
+    #[inline]
     pub(crate) fn encode_signature(&self, writer: &mut WireWriter) {
         writer.put_varint(self.signature.signer.value());
         writer.put_raw(self.signature.tag.as_bytes());
@@ -206,6 +225,7 @@ impl AsEntry {
 }
 
 impl Encode for AsEntry {
+    #[inline(always)]
     fn encode(&self, writer: &mut WireWriter) {
         self.hop.encode(writer);
         self.static_info.encode(writer);
@@ -214,19 +234,14 @@ impl Encode for AsEntry {
 }
 
 impl Decode for AsEntry {
+    #[inline]
     fn decode(reader: &mut WireReader<'_>) -> Result<Self> {
-        let hop = HopInfo::decode(reader)?;
-        let static_info = StaticInfo::decode(reader)?;
-        let signer = AsId(reader.get_varint()?);
-        let tag_bytes = reader.get_raw(irec_crypto::DIGEST_LEN)?;
-        let mut tag = [0u8; irec_crypto::DIGEST_LEN];
-        tag.copy_from_slice(tag_bytes);
         Ok(AsEntry {
-            hop,
-            static_info,
+            hop: HopInfo::decode(reader)?,
+            static_info: StaticInfo::decode(reader)?,
             signature: Signature {
-                signer,
-                tag: irec_crypto::Digest(tag),
+                signer: AsId(reader.get_varint()?),
+                tag: irec_crypto::Digest(reader.get_array()?),
             },
         })
     }
@@ -341,7 +356,31 @@ mod tests {
     fn coordinate_codec_bounds() {
         assert!(decode_coord(encode_coord(180.0)).is_ok());
         assert!(decode_coord(encode_coord(-180.0)).is_ok());
-        assert!(decode_coord(u64::MAX).is_err());
+        // The range is [-360°, 360°], to the micro-degree.
+        assert_eq!(decode_coord(0).unwrap(), -360.0);
+        assert_eq!(decode_coord(720_000_000).unwrap(), 360.0);
+        for raw in [720_000_001, 1 << 53, 1 << 63, u64::MAX] {
+            assert_eq!(decode_coord(raw).unwrap_err().category(), "decode");
+        }
+    }
+
+    #[test]
+    fn a_coordinate_on_the_micro_degree_grid_decodes_to_itself() {
+        // Dividing first and subtracting 360.0 afterwards rounds twice: 0.123456 came back
+        // as 0.12345599999997603, and no beacon with a location decoded to itself.
+        for value in [0.123456, -0.123456, 47.3769, 8.5417, -33.8688, 151.2093] {
+            assert_eq!(decode_coord(encode_coord(value)).unwrap(), value);
+        }
+        for micro_degrees in (-180_000_000i64..=180_000_000).step_by(999_983) {
+            let value = micro_degrees as f64 / 1e6;
+            assert_eq!(decode_coord(encode_coord(value)).unwrap(), value);
+        }
+        let info = StaticInfo::origin(
+            Latency::from_millis(5),
+            Bandwidth::from_mbps(250),
+            Some(GeoCoord::new(0.123456, -151.2093)),
+        );
+        assert_eq!(from_bytes::<StaticInfo>(&to_bytes(&info)).unwrap(), info);
     }
 
     proptest! {
@@ -367,6 +406,19 @@ mod tests {
                 prop_assert!((d.lat - o.lat).abs() < 1e-5);
                 prop_assert!((d.lon - o.lon).abs() < 1e-5);
             }
+        }
+
+        #[test]
+        fn prop_a_decoded_location_encodes_to_the_bytes_it_came_from(lat in -90.0f64..90.0,
+                                                                     lon in -180.0f64..180.0) {
+            let off_grid = StaticInfo::origin(
+                Latency::ZERO,
+                Bandwidth::MAX,
+                Some(GeoCoord::new(lat, lon)),
+            );
+            let bytes = to_bytes(&off_grid);
+            let on_grid: StaticInfo = from_bytes(&bytes).unwrap();
+            prop_assert_eq!(&to_bytes(&on_grid), &bytes);
         }
 
         #[test]

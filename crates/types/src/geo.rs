@@ -31,9 +31,13 @@ pub struct GeoCoord {
 impl GeoCoord {
     /// Creates a coordinate, clamping latitude to `[-90, 90]` and wrapping longitude into
     /// `[-180, 180]`.
+    ///
+    /// Inlinable, and a longitude already inside `(-360, 360)` — every one the wire codec
+    /// decodes — skips the remainder, which is a libm call and returns such a value as it is.
+    #[inline]
     pub fn new(lat: f64, lon: f64) -> Self {
         let lat = lat.clamp(-90.0, 90.0);
-        let mut lon = lon % 360.0;
+        let mut lon = if lon.abs() < 360.0 { lon } else { lon % 360.0 };
         if lon > 180.0 {
             lon -= 360.0;
         } else if lon < -180.0 {
@@ -126,6 +130,50 @@ mod tests {
         let q = GeoCoord::new(-100.0, -190.0);
         assert!(approx(q.lat, -90.0, 1e-9));
         assert!(approx(q.lon, 170.0, 1e-9));
+    }
+
+    #[test]
+    fn longitudes_inside_one_turn_skip_the_remainder_unchanged() {
+        // The shortcut in `new` against the plain formula, bit for bit (signed zeros too).
+        let plain = |lon: f64| {
+            let mut lon = lon % 360.0;
+            if lon > 180.0 {
+                lon -= 360.0;
+            } else if lon < -180.0 {
+                lon += 360.0;
+            }
+            lon
+        };
+        let below_one_turn = 360.0_f64.next_down();
+        for lon in [
+            0.0,
+            -0.0,
+            8.5417,
+            -74.006,
+            180.0,
+            -180.0,
+            180.000001,
+            -180.000001,
+            359.999999,
+            -359.999999,
+            below_one_turn,
+            -below_one_turn,
+            360.0,
+            -360.0,
+            360.000001,
+            -540.0,
+            725.5,
+            1e300,
+            f64::INFINITY,
+        ] {
+            let normalized = GeoCoord::new(0.0, lon).lon;
+            assert_eq!(
+                normalized.to_bits(),
+                plain(lon).to_bits(),
+                "longitude {lon}"
+            );
+        }
+        assert!(GeoCoord::new(0.0, f64::NAN).lon.is_nan());
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! The bounds-checked wire reader/writer and the `Encode`/`Decode` traits.
+//!
+//! Like [`crate::varint`], every primitive here is `#[inline]` and every error is built in a
+//! `#[cold]` function: an `Encode`/`Decode` impl in another crate compiles to one pass over
+//! the bytes, not to a call per field.
 
-use crate::varint::{decode_varint, write_varint, MAX_VARINT_LEN};
+use crate::varint::split_varint;
 use crate::MAX_FIELD_LEN;
 use bytes::{BufMut, BytesMut};
 use irec_types::{IrecError, Result};
 
 /// Append-only writer building a wire message.
 ///
-/// Writing never allocates beyond growing the one backing buffer: integers are encoded on
-/// the stack, and [`WireWriter::into_bytes`] hands the buffer over instead of copying it.
+/// Writing never allocates beyond growing the one backing buffer: a varint is pushed byte
+/// by byte, and [`WireWriter::into_bytes`] hands the buffer over instead of copying it.
 /// Callers that know the message size reserve it once with [`WireWriter::with_capacity`].
 #[derive(Debug, Default)]
 pub struct WireWriter {
@@ -17,6 +21,7 @@ pub struct WireWriter {
 
 impl WireWriter {
     /// Creates an empty writer.
+    #[inline]
     pub fn new() -> Self {
         WireWriter {
             buf: BytesMut::with_capacity(256),
@@ -24,6 +29,7 @@ impl WireWriter {
     }
 
     /// Creates a writer with a capacity hint.
+    #[inline]
     pub fn with_capacity(capacity: usize) -> Self {
         WireWriter {
             buf: BytesMut::with_capacity(capacity),
@@ -31,174 +37,194 @@ impl WireWriter {
     }
 
     /// Number of bytes written so far.
+    #[inline]
     pub fn len(&self) -> usize {
         self.buf.len()
     }
 
     /// Whether nothing has been written yet.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
     /// Writes a varint-encoded u64.
-    pub fn put_varint(&mut self, value: u64) {
-        let mut tmp = [0u8; MAX_VARINT_LEN];
-        let len = write_varint(value, &mut tmp);
-        self.buf.put_slice(&tmp[..len]);
+    #[inline]
+    pub fn put_varint(&mut self, mut value: u64) {
+        while value >= 0x80 {
+            self.buf.put_u8(value as u8 | 0x80);
+            value >>= 7;
+        }
+        self.buf.put_u8(value as u8);
     }
 
     /// Writes a varint-encoded u32.
+    #[inline]
     pub fn put_u32v(&mut self, value: u32) {
-        self.put_varint(value as u64);
+        self.put_varint(u64::from(value));
     }
 
     /// Writes a single byte.
+    #[inline]
     pub fn put_u8(&mut self, value: u8) {
         self.buf.put_u8(value);
     }
 
     /// Writes a fixed-width big-endian u64 (used where constant size matters, e.g. hashes of
     /// canonical byte strings).
+    #[inline]
     pub fn put_u64_fixed(&mut self, value: u64) {
         self.buf.put_u64(value);
     }
 
     /// Writes a boolean as one byte.
+    #[inline]
     pub fn put_bool(&mut self, value: bool) {
         self.buf.put_u8(u8::from(value));
     }
 
     /// Writes raw bytes without a length prefix.
+    #[inline]
     pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.put_slice(bytes);
     }
 
     /// Writes a length-prefixed byte string.
+    #[inline]
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_varint(bytes.len() as u64);
         self.buf.put_slice(bytes);
     }
 
     /// Writes a length-prefixed UTF-8 string.
+    #[inline]
     pub fn put_string(&mut self, s: &str) {
         self.put_bytes(s.as_bytes());
     }
 
     /// Empties the writer, keeping its buffer for the next message.
+    #[inline]
     pub fn clear(&mut self) {
         self.buf.clear();
     }
 
     /// Consumes the writer and returns the encoded bytes.
+    #[inline]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf.into()
     }
 
     /// Returns the bytes written so far without consuming the writer.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.buf
     }
 }
 
-/// Bounds-checked reader over a wire message.
-#[derive(Debug)]
+/// Bounds-checked reader over a wire message: a cursor that only moves forward.
+#[derive(Debug, Clone)]
 pub struct WireReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// What has not been read yet.
+    rest: &'a [u8],
 }
 
 impl<'a> WireReader<'a> {
     /// Creates a reader over `buf`.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
-        WireReader { buf, pos: 0 }
+        WireReader { rest: buf }
     }
 
     /// Number of bytes remaining.
+    #[inline]
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
     /// Whether all input has been consumed.
+    #[inline]
     pub fn is_exhausted(&self) -> bool {
-        self.remaining() == 0
+        self.rest.is_empty()
     }
 
     /// Errors unless all input has been consumed; call after decoding a top-level message.
+    #[inline]
     pub fn finish(&self) -> Result<()> {
         if self.is_exhausted() {
             Ok(())
         } else {
-            Err(IrecError::decode(format!(
-                "{} trailing bytes after message",
-                self.remaining()
-            )))
+            Err(trailing_bytes(self.remaining()))
         }
     }
 
     /// Reads a varint-encoded u64.
+    #[inline(always)]
     pub fn get_varint(&mut self) -> Result<u64> {
-        let (value, used) = decode_varint(&self.buf[self.pos..])?;
-        self.pos += used;
+        let (value, rest) = split_varint(self.rest)?;
+        self.rest = rest;
         Ok(value)
     }
 
     /// Reads a varint-encoded u32, rejecting values that do not fit.
+    #[inline(always)]
     pub fn get_u32v(&mut self) -> Result<u32> {
-        let v = self.get_varint()?;
-        u32::try_from(v).map_err(|_| IrecError::decode("varint does not fit in u32"))
+        u32::try_from(self.get_varint()?).map_err(|_| varint_exceeds_u32())
     }
 
     /// Reads a single byte.
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8> {
-        if self.remaining() < 1 {
-            return Err(IrecError::decode("unexpected end of input reading u8"));
-        }
-        let b = self.buf[self.pos];
-        self.pos += 1;
-        Ok(b)
+        let [byte] = self.get_array()?;
+        Ok(byte)
     }
 
     /// Reads a fixed-width big-endian u64.
+    #[inline]
     pub fn get_u64_fixed(&mut self) -> Result<u64> {
-        if self.remaining() < 8 {
-            return Err(IrecError::decode("unexpected end of input reading u64"));
-        }
-        let bytes: [u8; 8] = self.buf[self.pos..self.pos + 8]
-            .try_into()
-            .expect("slice is 8 bytes");
-        self.pos += 8;
-        Ok(u64::from_be_bytes(bytes))
+        Ok(u64::from_be_bytes(self.get_array()?))
     }
 
     /// Reads a boolean encoded as one byte (strictly 0 or 1).
+    #[inline]
     pub fn get_bool(&mut self) -> Result<bool> {
         match self.get_u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            other => Err(IrecError::decode(format!("invalid boolean byte {other}"))),
+            other => Err(invalid_boolean(other)),
+        }
+    }
+
+    /// Reads exactly `N` raw bytes as an array: one bounds check, no intermediate slice —
+    /// the form for fixed-size fields (digests, fixed-width integers).
+    #[inline]
+    pub fn get_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        match self.rest.split_first_chunk::<N>() {
+            Some((head, rest)) => {
+                self.rest = rest;
+                Ok(*head)
+            }
+            None => Err(unexpected_end(N, self.remaining())),
         }
     }
 
     /// Reads exactly `len` raw bytes.
+    #[inline]
     pub fn get_raw(&mut self, len: usize) -> Result<&'a [u8]> {
-        if self.remaining() < len {
-            return Err(IrecError::decode(format!(
-                "unexpected end of input: need {len} bytes, have {}",
-                self.remaining()
-            )));
+        match self.rest.split_at_checked(len) {
+            Some((head, rest)) => {
+                self.rest = rest;
+                Ok(head)
+            }
+            None => Err(unexpected_end(len, self.remaining())),
         }
-        let slice = &self.buf[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(slice)
     }
 
     /// Reads a length-prefixed byte string.
+    #[inline]
     pub fn get_bytes(&mut self) -> Result<&'a [u8]> {
         let len = self.get_varint()? as usize;
         if len > MAX_FIELD_LEN {
-            return Err(IrecError::decode(format!(
-                "field length {len} exceeds maximum {MAX_FIELD_LEN}"
-            )));
+            return Err(field_too_long(len));
         }
         self.get_raw(len)
     }
@@ -208,6 +234,46 @@ impl<'a> WireReader<'a> {
         let bytes = self.get_bytes()?;
         String::from_utf8(bytes.to_vec()).map_err(|_| IrecError::decode("invalid UTF-8 string"))
     }
+}
+
+#[cold]
+#[inline(never)]
+fn trailing_bytes(remaining: usize) -> IrecError {
+    IrecError::decode(format!("{remaining} trailing bytes after message"))
+}
+
+#[cold]
+#[inline(never)]
+fn varint_exceeds_u32() -> IrecError {
+    IrecError::decode("varint does not fit in u32")
+}
+
+#[cold]
+#[inline(never)]
+fn invalid_boolean(byte: u8) -> IrecError {
+    IrecError::decode(format!("invalid boolean byte {byte}"))
+}
+
+#[cold]
+#[inline(never)]
+fn unexpected_end(needed: usize, remaining: usize) -> IrecError {
+    IrecError::decode(format!(
+        "unexpected end of input: need {needed} bytes, have {remaining}"
+    ))
+}
+
+#[cold]
+#[inline(never)]
+fn implausible_collection_length(len: usize) -> IrecError {
+    IrecError::decode(format!("implausible collection length {len}"))
+}
+
+#[cold]
+#[inline(never)]
+fn field_too_long(len: usize) -> IrecError {
+    IrecError::decode(format!(
+        "field length {len} exceeds maximum {MAX_FIELD_LEN}"
+    ))
 }
 
 /// Values that can be serialized to the wire format.
@@ -230,12 +296,14 @@ pub trait Decode: Sized {
 }
 
 impl Encode for u64 {
+    #[inline]
     fn encode(&self, writer: &mut WireWriter) {
         writer.put_varint(*self);
     }
 }
 
 impl Decode for u64 {
+    #[inline]
     fn decode(reader: &mut WireReader<'_>) -> Result<Self> {
         reader.get_varint()
     }
@@ -267,9 +335,7 @@ impl<T: Decode> Decode for Vec<T> {
         let len = reader.get_varint()? as usize;
         // A non-empty element occupies at least one byte; reject absurd counts early.
         if len > reader.remaining().max(1) * 2 && len > 1_000_000 {
-            return Err(IrecError::decode(format!(
-                "implausible collection length {len}"
-            )));
+            return Err(implausible_collection_length(len));
         }
         let mut out = Vec::with_capacity(len.min(4096));
         for _ in 0..len {
@@ -347,6 +413,15 @@ mod tests {
     }
 
     #[test]
+    fn from_bytes_refuses_trailing_bytes() {
+        assert_eq!(from_bytes::<u64>(&[0x01]).unwrap(), 1);
+        assert_eq!(
+            from_bytes::<u64>(&[0x01, 0x02]).unwrap_err().category(),
+            "decode"
+        );
+    }
+
+    #[test]
     fn invalid_bool_rejected() {
         let mut r = WireReader::new(&[2]);
         assert!(r.get_bool().is_err());
@@ -413,6 +488,113 @@ mod tests {
         w.put_u8(1);
         assert_eq!(w.len(), 1);
         assert_eq!(w.as_slice(), &[1]);
+    }
+
+    #[test]
+    fn fixed_size_reads_take_an_array_or_nothing() {
+        let bytes = [1u8, 2, 3, 4, 5];
+        let mut r = WireReader::new(&bytes);
+        assert_eq!(r.get_array::<2>().unwrap(), [1, 2]);
+        // Too few bytes left: an error, and the cursor stays where it was.
+        assert_eq!(r.get_array::<4>().unwrap_err().category(), "decode");
+        assert_eq!(r.remaining(), 3);
+        assert_eq!(r.get_array::<3>().unwrap(), [3, 4, 5]);
+        assert_eq!(r.get_array::<0>().unwrap(), [0u8; 0]);
+        assert!(r.get_u8().is_err());
+        assert!(r.finish().is_ok());
+    }
+
+    /// `decode_varint` as it was before the reader became a cursor — one pass over a
+    /// re-sliced input, every check inside the loop — kept as the oracle the cursor reads
+    /// are compared against.
+    fn reference_decode_varint(input: &[u8]) -> Result<(u64, usize)> {
+        let mut value: u64 = 0;
+        let mut shift = 0u32;
+        for (i, &byte) in input.iter().enumerate() {
+            if i >= crate::MAX_VARINT_LEN {
+                return Err(IrecError::decode("varint longer than 10 bytes"));
+            }
+            let chunk = (byte & 0x7f) as u64;
+            if shift == 63 && chunk > 1 {
+                return Err(IrecError::decode("varint overflows u64"));
+            }
+            value |= chunk << shift;
+            if byte & 0x80 == 0 {
+                return Ok((value, i + 1));
+            }
+            shift += 7;
+        }
+        Err(IrecError::decode("truncated varint"))
+    }
+
+    /// Every way of reading a varint off the front of `data` against the reference: the
+    /// same value and the same number of bytes consumed, or a decode error from both.
+    fn assert_varint_reads_match_reference(data: &[u8]) {
+        let reference = reference_decode_varint(data);
+        match (&reference, crate::decode_varint(data)) {
+            (Ok(expected), Ok(decoded)) => assert_eq!(&decoded, expected, "{data:02x?}"),
+            (Err(_), Err(error)) => assert_eq!(error.category(), "decode"),
+            (expected, decoded) => panic!("{data:02x?}: {decoded:?}, reference {expected:?}"),
+        }
+        let mut r = WireReader::new(data);
+        match (&reference, r.get_varint()) {
+            (Ok((value, used)), Ok(read)) => {
+                assert_eq!(read, *value, "{data:02x?}");
+                assert_eq!(r.remaining(), data.len() - used);
+            }
+            (Err(_), Err(error)) => assert_eq!(error.category(), "decode"),
+            (expected, read) => panic!("{data:02x?}: {read:?}, reference {expected:?}"),
+        }
+        let mut r = WireReader::new(data);
+        match (&reference, r.get_u32v()) {
+            (Ok((value, used)), Ok(read)) => {
+                assert_eq!(u64::from(read), *value, "{data:02x?}");
+                assert_eq!(r.remaining(), data.len() - used);
+            }
+            (Ok((value, _)), Err(error)) => {
+                assert!(*value > u64::from(u32::MAX), "{data:02x?} refused as u32");
+                assert_eq!(error.category(), "decode");
+            }
+            (Err(_), Err(error)) => assert_eq!(error.category(), "decode"),
+            (Err(expected), Ok(read)) => panic!("{data:02x?}: {read}, reference {expected:?}"),
+        }
+    }
+
+    #[test]
+    fn hostile_varints_read_like_the_reference() {
+        let nine = [0xffu8; 9];
+        let with_tail = |tail: &[u8]| [&nine[..], tail].concat();
+        // What each input decodes to (value, bytes consumed), or `None` where it is refused.
+        for (input, expected) in [
+            // Over-long but terminated: accepted, every byte consumed.
+            (vec![0x80, 0x00], Some((0, 2))),
+            (vec![0x81, 0x80, 0x80, 0x00], Some((1, 4))),
+            (vec![0x80, 0x80, 0x80, 0x80, 0x80, 0x00], Some((0, 6))),
+            // Either side of the u32 range.
+            (
+                vec![0xff, 0xff, 0xff, 0xff, 0x0f],
+                Some((u64::from(u32::MAX), 5)),
+            ),
+            (vec![0x80, 0x80, 0x80, 0x80, 0x10], Some((1 << 32, 5))),
+            // Ten bytes are the most a u64 takes, and the 10th holds one bit.
+            (with_tail(&[0x01]), Some((u64::MAX, 10))),
+            (with_tail(&[0x01, 0xaa]), Some((u64::MAX, 10))),
+            (with_tail(&[0x02]), None),
+            (with_tail(&[0x7f]), None),
+            (with_tail(&[0xff]), None),
+            // A 10th byte that continues: truncated, or an 11th byte.
+            (with_tail(&[0x81]), None),
+            (with_tail(&[0x81, 0x00]), None),
+            (with_tail(&[0x80, 0x00]), None),
+            (vec![0x80; 10], None),
+            (vec![0x80; 11], None),
+            (vec![0xff; 11], None),
+            (vec![], None),
+            (vec![0x80], None),
+        ] {
+            assert_eq!(crate::decode_varint(&input).ok(), expected, "{input:02x?}");
+            assert_varint_reads_match_reference(&input);
+        }
     }
 
     /// The push-per-byte LEB128 loop `encode_varint` used before the stack-buffer writer,
@@ -491,6 +673,33 @@ mod tests {
             let encoded = to_bytes(&data);
             let decoded: Vec<u64> = from_bytes(&encoded).unwrap();
             prop_assert_eq!(decoded, data);
+        }
+
+        #[test]
+        fn prop_varint_reads_match_the_reference(data in proptest::collection::vec(any::<u8>(), 0..14),
+                                                 shape in 0u8..4,
+                                                 value in any::<u64>(),
+                                                 shift in 0u32..64) {
+            // Raw bytes; bytes that all continue; a run of continuing bytes that ends; and a
+            // canonical varint of any length with the raw bytes after it.
+            let data: Vec<u8> = match shape {
+                0 => data,
+                1 => data.iter().map(|byte| byte | 0x80).collect(),
+                2 => {
+                    let mut data: Vec<u8> = data.iter().map(|byte| byte | 0x80).collect();
+                    if let Some(last) = data.last_mut() {
+                        *last &= 0x7f;
+                    }
+                    data
+                }
+                _ => {
+                    let mut canonical = Vec::new();
+                    crate::encode_varint(value >> shift, &mut canonical);
+                    canonical.extend_from_slice(&data);
+                    canonical
+                }
+            };
+            assert_varint_reads_match_reference(&data);
         }
 
         #[test]

@@ -1,4 +1,9 @@
 //! Unsigned LEB128 varints, the integer primitive of the wire format.
+//!
+//! Everything here is `#[inline]`: the codec's callers live in other crates, and the
+//! workspaces that measure them build without LTO, so a primitive that is not marked
+//! inlinable costs a call per field (a beacon has about fifty). Errors are built in `#[cold]`
+//! functions so that the inlined copies carry a branch and a call, not `String` code.
 
 use irec_types::{IrecError, Result};
 
@@ -6,6 +11,7 @@ use irec_types::{IrecError, Result};
 pub const MAX_VARINT_LEN: usize = 10;
 
 /// Appends the LEB128 encoding of `value` to `out`.
+#[inline]
 pub fn encode_varint(value: u64, out: &mut Vec<u8>) {
     let mut buf = [0u8; MAX_VARINT_LEN];
     let len = write_varint(value, &mut buf);
@@ -13,7 +19,8 @@ pub fn encode_varint(value: u64, out: &mut Vec<u8>) {
 }
 
 /// Writes the LEB128 encoding of `value` to the front of `buf` and returns its length —
-/// the allocation-free form every encoder builds on.
+/// for callers that need the encoding on the stack (a length prefix fed to a hasher).
+#[inline]
 pub fn write_varint(mut value: u64, buf: &mut [u8; MAX_VARINT_LEN]) -> usize {
     let mut len = 0;
     loop {
@@ -29,6 +36,7 @@ pub fn write_varint(mut value: u64, buf: &mut [u8; MAX_VARINT_LEN]) -> usize {
 }
 
 /// Returns the number of bytes `value` occupies when varint-encoded.
+#[inline]
 pub fn varint_len(value: u64) -> usize {
     if value == 0 {
         return 1;
@@ -39,25 +47,48 @@ pub fn varint_len(value: u64) -> usize {
 
 /// Decodes a varint from the front of `input`, returning the value and the number of bytes
 /// consumed.
+#[inline]
 pub fn decode_varint(input: &[u8]) -> Result<(u64, usize)> {
-    let mut value: u64 = 0;
-    let mut shift = 0u32;
-    for (i, &byte) in input.iter().enumerate() {
-        if i >= MAX_VARINT_LEN {
-            return Err(IrecError::decode("varint longer than 10 bytes"));
+    let (value, rest) = split_varint(input)?;
+    Ok((value, input.len() - rest.len()))
+}
+
+/// The varint at the front of `bytes` and the bytes that follow it — the one decoder, which
+/// [`decode_varint`] and [`crate::WireReader`] share. A varint ends at the first byte
+/// without the continuation bit; over-long encodings (`80 00`) are accepted, an 11th byte
+/// and a 10th byte contributing more than the one bit a `u64` has left are not.
+///
+/// The slice comes in by value and the rest goes back by value, so a caller's cursor never
+/// has its address taken and can live in registers. `#[inline(always)]`, here and on the
+/// two reader methods above it, because a hint is not enough: left to its cost model the
+/// compiler keeps one copy of this loop per calling crate and calls it with a pointer to the
+/// cursor, which then lives in memory. Inlined, the loop's constant bound unrolls it.
+#[inline(always)]
+pub(crate) fn split_varint(bytes: &[u8]) -> Result<(u64, &[u8])> {
+    let mut value = 0u64;
+    for (index, &byte) in bytes.iter().take(MAX_VARINT_LEN).enumerate() {
+        let chunk = u64::from(byte & 0x7f);
+        if index == MAX_VARINT_LEN - 1 && chunk > 1 {
+            break;
         }
-        let chunk = (byte & 0x7f) as u64;
-        // The 10th byte may only contribute a single bit.
-        if shift == 63 && chunk > 1 {
-            return Err(IrecError::decode("varint overflows u64"));
+        value |= chunk << (7 * index);
+        if byte < 0x80 {
+            return Ok((value, &bytes[index + 1..]));
         }
-        value |= chunk << shift;
-        if byte & 0x80 == 0 {
-            return Ok((value, i + 1));
-        }
-        shift += 7;
     }
-    Err(IrecError::decode("truncated varint"))
+    Err(malformed_varint(bytes))
+}
+
+/// Why `bytes` does not start with a varint: its first ten bytes hold no byte without the
+/// continuation bit, or the 10th contributes more than the one bit a `u64` has left.
+#[cold]
+#[inline(never)]
+fn malformed_varint(bytes: &[u8]) -> IrecError {
+    match bytes.get(MAX_VARINT_LEN - 1) {
+        Some(tenth) if tenth & 0x7f > 1 => IrecError::decode("varint overflows u64"),
+        Some(_) if bytes.len() > MAX_VARINT_LEN => IrecError::decode("varint longer than 10 bytes"),
+        _ => IrecError::decode("truncated varint"),
+    }
 }
 
 #[cfg(test)]
