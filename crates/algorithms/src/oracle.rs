@@ -108,7 +108,7 @@ impl Scenario {
                     pcb.entries.push(entry(asn, egress, latency, bandwidth));
                 }
                 if flags & 0b100 != 0 {
-                    pcb.entries.push(pcb.entries[0].clone());
+                    pcb.entries.push(pcb.entries.first().unwrap().clone());
                 }
                 if flags & 0b011 == 0b011 {
                     pcb.entries.push(entry(LOCAL, IfId(1), latency, bandwidth));

@@ -7,7 +7,7 @@
 //! (the egress DB — "the egress database does not store the actual PCBs, but only their
 //! hashes").
 
-use irec_pcb::{Pcb, PcbId};
+use irec_pcb::{AsEntry, Pcb, PcbId};
 use irec_types::{AsId, IfId, InterfaceGroupId, SimTime};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -23,6 +23,87 @@ pub struct StoredBeacon {
     pub ingress: IfId,
     /// When it was received.
     pub received_at: SimTime,
+}
+
+// What the heap form of a stored beacon costs is a property of these layouts; a field
+// added to any of them is paid once per stored beacon, millions of times at paper scale
+// (see "What a stored beacon holds" in docs/ARCHITECTURE.md before raising a bound).
+const _: () = assert!(size_of::<AsEntry>() == 104);
+const _: () = assert!(size_of::<Pcb>() <= 152);
+const _: () = assert!(size_of::<StoredBeacon>() <= 168);
+
+/// The reference counts an [`Arc`] keeps in front of what it shares.
+const ARC_COUNTS: usize = 2 * size_of::<usize>();
+
+/// What stored beacons hold, in bytes, counted from the data structures themselves — so
+/// the same plane gives the same numbers on every run, which resident memory divided by
+/// occupancy does not. Allocator overhead and the dedup set are not part of it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreBytes {
+    /// Stored beacons, expired ones not yet evicted included.
+    pub beacons: usize,
+    /// The batches' slot vectors: an id and a pointer per beacon they have room for.
+    pub slot_bytes: usize,
+    /// The beacons themselves — header, extensions, chain handle, ingress, arrival time —
+    /// each behind its reference counts.
+    pub beacon_bytes: usize,
+    /// The entries beacons hold alone, spare capacity included.
+    pub owned_entry_bytes: usize,
+    /// Distinct upstream chains the beacons refer to.
+    pub shared_chains: usize,
+    /// The entries of those chains behind their reference counts, each chain counted once
+    /// however many beacons refer to it.
+    pub shared_chain_bytes: usize,
+}
+
+impl StoreBytes {
+    /// All of it.
+    pub fn total(&self) -> usize {
+        self.slot_bytes + self.beacon_bytes + self.owned_entry_bytes + self.shared_chain_bytes
+    }
+}
+
+/// A running [`StoreBytes`] over any number of databases. A chain is counted once per
+/// ledger, by the identity of its allocation: in a simulated plane the receivers of one
+/// fanned-out beacon are different ASes, so only a ledger that has seen all their
+/// databases says what the plane holds.
+#[derive(Debug, Default)]
+pub struct StoreLedger {
+    bytes: StoreBytes,
+    /// Addresses of the chains counted so far.
+    chains: HashSet<usize>,
+}
+
+impl StoreLedger {
+    /// Adds what `db` stores.
+    pub fn add(&mut self, db: &ShardedIngressDb) {
+        for shard in &db.shards {
+            for batch in shard.read().by_key.values() {
+                self.bytes.slot_bytes += batch.slots.capacity() * size_of::<Slot>();
+                for slot in &batch.slots {
+                    self.add_beacon(&slot.beacon);
+                }
+            }
+        }
+    }
+
+    fn add_beacon(&mut self, beacon: &StoredBeacon) {
+        let entries = &beacon.pcb.entries;
+        self.bytes.beacons += 1;
+        self.bytes.beacon_bytes += ARC_COUNTS + size_of::<StoredBeacon>();
+        self.bytes.owned_entry_bytes += entries.owned().capacity() * size_of::<AsEntry>();
+        if let Some(upstream) = entries.upstream() {
+            if self.chains.insert(upstream.as_ptr() as usize) {
+                self.bytes.shared_chains += 1;
+                self.bytes.shared_chain_bytes += ARC_COUNTS + upstream.len() * size_of::<AsEntry>();
+            }
+        }
+    }
+
+    /// The sums so far.
+    pub fn bytes(&self) -> StoreBytes {
+        self.bytes
+    }
 }
 
 /// The key the ingress DB groups candidates by: the parameters a RAC requests PCBs for
@@ -822,6 +903,14 @@ impl ShardedIngressDb {
     /// over shards in index order.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|shard| shard.read().len()).sum()
+    }
+
+    /// What this database's beacons hold, every chain they refer to counted in full (see
+    /// [`StoreLedger`] for a count over several databases).
+    pub fn store_bytes(&self) -> StoreBytes {
+        let mut ledger = StoreLedger::default();
+        ledger.add(self);
+        ledger.bytes()
     }
 
     /// Number of stored beacons still valid at `now` (see [`IngressDb::live_len`]).

@@ -356,8 +356,8 @@ impl EgressGateway {
                     link.metrics.bandwidth,
                     Some(interface.location),
                 );
-                // The receiver stores this very vector: room for the one entry, not for four.
-                pcb.entries.reserve_exact(1);
+                // The receiver stores this very beacon: room for the one entry, not for four.
+                pcb.entries.to_mut().reserve_exact(1);
                 pcb.extend(IfId::NONE, egress, info, &self.signer)?;
                 let neighbor = self.topology.neighbor_of(self.local_as, egress)?;
                 *self.stats.sent_per_interface.entry(egress).or_default() += 1;
@@ -736,7 +736,7 @@ mod tests {
         // while the first beacon stays deduplicated.
         let mut second = received_beacon(&registry, 1, 1, 1).pcb;
         second.sequence = 1;
-        second.entries.clear();
+        second.entries.to_mut().clear();
         second
             .extend(
                 IfId::NONE,
@@ -917,7 +917,7 @@ mod tests {
     }
 
     #[test]
-    fn emitted_beacons_carry_no_spare_capacity() {
+    fn emitted_beacons_own_one_entry_and_share_the_rest() {
         let (mut gw, registry, topo) = gateway(PropagationPolicy::All);
         let spec = OriginationSpec::plain(
             topo.as_node(AsId(2))
@@ -936,7 +936,20 @@ mod tests {
         assert_eq!(messages.len(), 5);
         for message in &messages {
             let entries = &message.pcb.entries;
-            assert_eq!(entries.capacity(), entries.len(), "{entries:?}");
+            assert_eq!(entries.owned().len(), 1, "{entries:?}");
+            assert_eq!(entries.owned().capacity(), 1, "{entries:?}");
         }
+        // The three originations have nothing upstream; the two propagated copies of the
+        // one received beacon refer to one copy of its chain.
+        let (originated, propagated) = messages.split_at(3);
+        assert!(originated
+            .iter()
+            .all(|m| m.pcb.entries.upstream().is_none()));
+        let [left, right] = propagated else {
+            panic!("two propagated beacons")
+        };
+        let shared = left.pcb.entries.upstream().expect("a shared chain");
+        assert!(Arc::ptr_eq(shared, right.pcb.entries.upstream().unwrap()));
+        assert_eq!(shared.len(), 1);
     }
 }

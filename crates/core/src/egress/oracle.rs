@@ -589,7 +589,8 @@ fn run_script(seed: u64, policy: PropagationPolicy, shards: usize) {
         assert_eq!(messages.len(), expected_messages.len(), "round {round}");
         for (message, expected) in messages.iter().zip(&expected_messages) {
             assert_eq!(to_bytes(message), to_bytes(expected), "round {round}");
-            assert_eq!(message.pcb.entries.capacity(), message.pcb.entries.len());
+            let owned = message.pcb.entries.owned();
+            assert_eq!((owned.len(), owned.capacity()), (1, 1), "round {round}");
         }
         assert_eq!(returns.len(), expected_returns.len(), "round {round}");
         for (ret, expected) in returns.iter().zip(&expected_returns) {

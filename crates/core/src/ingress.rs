@@ -286,7 +286,7 @@ mod tests {
         let reg = registry();
         let gw = IngressGateway::new(AsId(10), Verifier::new(reg.clone()));
         let mut pcb = beacon(&reg, 1, &[2], 6);
-        pcb.entries[1].static_info.link_latency = Latency::from_millis(1);
+        pcb.entries.to_mut()[1].static_info.link_latency = Latency::from_millis(1);
         let err = gw.receive(pcb, IfId(7), SimTime::ZERO).unwrap_err();
         assert_eq!(err.category(), "verification");
     }
@@ -326,7 +326,7 @@ mod tests {
         let split = IngressGateway::new(AsId(10), Verifier::new(reg.clone()));
         let valid = beacon(&reg, 1, &[2, 3], 6);
         let mut tampered = beacon(&reg, 2, &[3], 6);
-        tampered.entries[0].static_info.link_latency = Latency::from_millis(1);
+        tampered.entries.to_mut()[0].static_info.link_latency = Latency::from_millis(1);
         let traffic = vec![valid.clone(), tampered, valid];
 
         for pcb in traffic {
@@ -366,7 +366,7 @@ mod tests {
             traffic.push(beacon(&reg, origin, &[], 6));
         }
         let mut tampered = beacon(&reg, 2, &[3], 6);
-        tampered.entries[0].static_info.link_latency = Latency::from_millis(1);
+        tampered.entries.to_mut()[0].static_info.link_latency = Latency::from_millis(1);
         traffic.push(tampered);
         traffic.push(traffic[0].clone());
 

@@ -50,7 +50,8 @@ pub mod path_service;
 pub mod rac;
 
 pub use beacon_db::{
-    BatchChange, BatchCursor, BatchView, EgressDb, IngressDb, ShardedIngressDb, StoredBeacon,
+    BatchChange, BatchCursor, BatchView, EgressDb, IngressDb, ShardedIngressDb, StoreBytes,
+    StoreLedger, StoredBeacon,
 };
 pub use config::{NodeConfig, PropagationPolicy, RacConfig, RacKind};
 pub use egress::{EgressGateway, OriginationSpec};

@@ -360,7 +360,7 @@ fn old_decode_pcb(reader: &mut OldReader<'_>) -> Result<Pcb> {
         created_at,
         expires_at,
         extensions,
-        entries,
+        entries: entries.into(),
     })
 }
 
@@ -491,15 +491,25 @@ fn agreed<T: PartialEq + std::fmt::Debug>(
     }
 }
 
-/// Both decoders over `bytes` as a top-level beacon: the same beacon — entry capacity
-/// included, and never beyond what `bounded_reservation` allows — or errors of the same
-/// category. Returns what they agreed on.
+/// Both decoders over `bytes` as a top-level beacon: the same beacon — owning every entry,
+/// entry capacity included, and never beyond what `bounded_reservation` allows — or errors
+/// of the same category. Returns what they agreed on.
 fn beacons_agree(bytes: &[u8]) -> Option<Pcb> {
     let old = old_from_bytes(bytes, old_decode_pcb);
     let (new, old) = agreed(bytes, from_bytes::<Pcb>(bytes), old)?;
-    assert_eq!(new.entries.capacity(), old.entries.capacity());
-    assert!(new.entries.capacity() <= bounded_reservation(new.entries.len(), bytes.len()));
+    owns_the_same_entries(&new, &old);
+    assert!(new.entries.owned().capacity() <= bounded_reservation(new.entries.len(), bytes.len()));
     Some(new)
+}
+
+/// A decoded beacon is one contiguous candidate: nothing shared, reserved as the oracle's.
+fn owns_the_same_entries(new: &Pcb, old: &Pcb) {
+    assert!(new.entries.upstream().is_none());
+    assert_eq!(new.entries.owned().len(), new.entries.len());
+    assert_eq!(
+        new.entries.owned().capacity(),
+        old.entries.owned().capacity()
+    );
 }
 
 /// [`beacons_agree`] for a candidate envelope.
@@ -508,7 +518,7 @@ fn envelopes_agree(bytes: &[u8]) -> Option<Vec<Candidate>> {
     let (new, old) = agreed(bytes, new, old_from_bytes(bytes, old_decode_candidates))?;
     assert_eq!(new.capacity(), old.capacity());
     for (new, old) in new.iter().zip(&old) {
-        assert_eq!(new.pcb.entries.capacity(), old.pcb.entries.capacity());
+        owns_the_same_entries(&new.pcb, &old.pcb);
     }
     Some(new)
 }
@@ -779,7 +789,7 @@ fn the_entry_count_cap_holds_with_every_entry_present() {
         signature: Signature::placeholder(AsId(1)),
     };
     let mut pcb = beacon(&mut TestRng::new(31), 0, true);
-    pcb.entries = vec![entry.clone(); 1024];
+    pcb.entries = vec![entry.clone(); 1024].into();
     let at_the_cap = beacons_agree(&to_bytes(&pcb)).expect("1 024 entries are accepted");
     assert_eq!(at_the_cap.entries.len(), 1024);
     pcb.entries.push(entry);

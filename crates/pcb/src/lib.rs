@@ -28,9 +28,13 @@
 #![warn(missing_docs)]
 
 pub mod beacon;
+pub mod chain;
 pub mod extensions;
+#[cfg(test)]
+mod flat;
 pub mod hop;
 
 pub use beacon::{bounded_reservation, HopExtender, Pcb, PcbId};
+pub use chain::HopChain;
 pub use extensions::{AlgorithmRef, PcbExtensions};
 pub use hop::{AsEntry, HopInfo, StaticInfo};

@@ -259,6 +259,7 @@ impl DeliveryPlane {
                 None => break,
             }
         }
+        self.queue.release_spare_capacity();
         due
     }
 
@@ -304,6 +305,7 @@ impl DeliveryPlane {
                     None => break,
                 }
             }
+            self.queue.release_spare_capacity();
             if epoch.is_empty() {
                 return;
             }
@@ -583,7 +585,7 @@ mod tests {
         )
         .unwrap();
         if tampered {
-            pcb.entries[0].static_info.link_latency = Latency::from_millis(1);
+            pcb.entries.to_mut()[0].static_info.link_latency = Latency::from_millis(1);
         }
         Event::DeliverPcb(PcbMessage {
             from_as: AsId(origin),
@@ -663,6 +665,38 @@ mod tests {
         assert_eq!(plane.pending(), 0);
         assert_eq!(plane.stats().delivered, count);
         assert_eq!(nodes[&AsId(1)].ingress().db().len() as u64, count);
+    }
+
+    #[test]
+    fn both_drain_loops_give_a_burst_its_room_back() {
+        let (mut nodes, registry) = nodes_with_registry();
+        let mut plane = DeliveryPlane::default();
+        let burst = |plane: &mut DeliveryPlane, first: u64| {
+            for seq in first..first + 3 * MAX_EPOCH_EVENTS as u64 {
+                plane.schedule(
+                    SimTime::from_micros(50),
+                    message(&registry, 3, seq, 1, false),
+                );
+            }
+            assert!(plane.queue.capacity() >= 3 * MAX_EPOCH_EVENTS);
+        };
+        burst(&mut plane, 0);
+        plane.deliver_until(&mut nodes, SimTime::MAX);
+        assert_eq!((plane.pending(), plane.queue.capacity()), (0, 0));
+
+        burst(&mut plane, 1 << 20);
+        let mut seqs = Vec::new();
+        loop {
+            let due = plane.drain_due(SimTime::MAX, MAX_EPOCH_EVENTS);
+            if due.is_empty() {
+                break;
+            }
+            seqs.extend(due.iter().map(|(_, seq, _)| *seq));
+        }
+        assert_eq!((plane.pending(), plane.queue.capacity()), (0, 0));
+        let first = 3 * MAX_EPOCH_EVENTS as u64;
+        assert!(seqs.iter().copied().eq(first..2 * first));
+        assert_eq!(plane.next_seq(), 2 * first);
     }
 
     #[test]

@@ -125,6 +125,24 @@ impl EventQueue {
         }
     }
 
+    /// Gives back the room of events long delivered: once the queue holds less than a
+    /// quarter of what it has room for, it keeps room for what it holds. A round's sends
+    /// arrive as one burst and leave within the round, and the largest burst of a run comes
+    /// early — rooms kept for it would stay allocated, unused, to the end of the run. For
+    /// the loop that drains the queue to call once per pass, not per pop; order, pending
+    /// events and the sequence counter are untouched.
+    pub fn release_spare_capacity(&mut self) {
+        if self.heap.len() < self.heap.capacity() / 4 {
+            self.heap.shrink_to_fit();
+        }
+    }
+
+    /// How many events the queue has room for without allocating.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.heap.capacity()
+    }
+
     /// Removes every pending event addressed to `asn` (PCB deliveries and pull returns
     /// alike) and returns them in `(SimTime, seq)` order. The sequence counter is left
     /// untouched, so surviving and future events keep their total order.
@@ -148,6 +166,7 @@ impl EventQueue {
             }
         }
         self.heap = BinaryHeap::from(kept);
+        self.release_spare_capacity();
         purged.sort_by_key(|s| (s.at, s.seq));
         purged.into_iter().map(|s| (s.at, s.seq, s.event)).collect()
     }
@@ -257,6 +276,74 @@ mod tests {
             _ => unreachable!(),
         }
         assert!(q.purge_addressed_to(AsId(2)).is_empty());
+    }
+
+    /// A burst leaves no room behind once it has drained, and releasing changes nothing a
+    /// reader of the queue can see: the events come out in `(at, seq)` order, the counter
+    /// goes on where it was, and a clone taken mid-drain replays the rest identically.
+    #[test]
+    fn a_drained_burst_gives_its_room_back() {
+        let burst = 10_000u64;
+        let mut q = EventQueue::new();
+        for i in 0..burst {
+            // Times repeat (FIFO tie-breaks matter) and are not scheduled in order.
+            q.schedule(SimTime::from_micros((i * 7919) % 1_000), event(i));
+        }
+        let room = q.capacity();
+        assert!(room >= burst as usize);
+
+        let mut popped = Vec::new();
+        let mut snapshot = None;
+        while !q.is_empty() {
+            // One pass of a drain loop: an epoch of pops, then one release.
+            for _ in 0..512 {
+                popped.extend(
+                    q.pop_entry_until(SimTime::MAX)
+                        .map(|(at, seq, _)| (at, seq)),
+                );
+            }
+            q.release_spare_capacity();
+            assert!(
+                q.capacity() <= 4 * q.len() + 3,
+                "{} for {}",
+                q.capacity(),
+                q.len()
+            );
+            if snapshot.is_none() && q.len() < burst as usize / 2 {
+                snapshot = Some((q.clone(), popped.len()));
+            }
+        }
+        assert_eq!(q.capacity(), 0);
+        assert_eq!(q.next_seq(), burst);
+        assert_eq!(popped.len(), burst as usize);
+        assert!(popped.windows(2).all(|pair| pair[0] < pair[1]));
+
+        let (mut replay, already) = snapshot.expect("taken mid-drain");
+        assert_eq!(replay.next_seq(), burst);
+        let rest: Vec<(SimTime, u64)> = std::iter::from_fn(|| replay.pop_entry_until(SimTime::MAX))
+            .map(|(at, seq, _)| (at, seq))
+            .collect();
+        assert_eq!(rest, popped[already..]);
+
+        // The next burst is scheduled after the last one, in a queue that grows again.
+        q.schedule(SimTime::ZERO, event(0));
+        assert_eq!(q.pop_entry_until(SimTime::MAX).map(|e| e.1), Some(burst));
+    }
+
+    #[test]
+    fn purging_gives_the_purged_room_back() {
+        let mut q = EventQueue::new();
+        for i in 0..4_096 {
+            q.schedule(SimTime::from_micros(i), event(i));
+        }
+        let Event::DeliverPcb(mut other) = event(7) else {
+            unreachable!()
+        };
+        other.to_as = AsId(9);
+        q.schedule(SimTime::from_micros(5), Event::DeliverPcb(other));
+        assert_eq!(q.purge_addressed_to(AsId(2)).len(), 4_096);
+        assert_eq!((q.len(), q.capacity()), (1, 1));
+        assert_eq!(q.next_seq(), 4_097);
     }
 
     #[test]

@@ -1275,6 +1275,17 @@ impl Simulation {
             .sum()
     }
 
+    /// What the ingress databases of all nodes hold, in bytes (see
+    /// [`irec_core::StoreBytes`]). One ledger over the whole plane: a hop chain the
+    /// receivers of a fanned-out beacon share is counted once, as it is held once.
+    pub fn store_bytes(&self) -> irec_core::StoreBytes {
+        let mut ledger = irec_core::StoreLedger::default();
+        for node in self.nodes.values() {
+            ledger.add(node.ingress().db());
+        }
+        ledger.bytes()
+    }
+
     /// Fraction of ordered AS pairs `(a, b)` for which `a` has at least one registered path
     /// towards `b`. A value of 1.0 means full control-plane connectivity.
     pub fn connectivity(&self) -> f64 {

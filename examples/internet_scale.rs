@@ -7,7 +7,9 @@
 //! Generates a tiered, geolocated AS topology (default 60 ASes; the paper uses the 500
 //! highest-degree CAIDA ASes), deploys the paper's RAC set in every AS (1SP, 5SP, HD, DO and
 //! an on-demand RAC), runs periodic beaconing, and prints connectivity, per-algorithm path
-//! statistics and control-plane overhead.
+//! statistics, control-plane overhead and what the run cost: wall-clock, the process's peak
+//! resident memory and the ingress databases' byte ledger. The last line of output is one
+//! JSON object with the figures of the scale table in ROADMAP.md.
 
 use irec_core::NodeConfig;
 use irec_metrics::delay::as_pair_delays;
@@ -41,16 +43,17 @@ fn main() {
 
     let start = std::time::Instant::now();
     sim.run_rounds(rounds).expect("beaconing rounds");
+    let wall_s = start.elapsed().as_secs_f64();
+    let connectivity = sim.connectivity();
     println!(
-        "ran {rounds} beaconing rounds in {:.1?}: {} messages delivered, {} dropped, connectivity {:.1}%",
-        start.elapsed(),
+        "ran {rounds} beaconing rounds in {wall_s:.1} s: {} messages delivered, {} dropped, connectivity {:.1}%",
         sim.delivered_messages(),
         sim.dropped_messages(),
-        sim.connectivity() * 100.0
+        connectivity * 100.0
     );
+    let live_beacons = sim.ingress_occupancy();
     println!(
-        "ingress databases hold {} live beacons across {} ASes",
-        sim.ingress_occupancy(),
+        "ingress databases hold {live_beacons} live beacons across {} ASes",
         sim.topology().num_ases()
     );
 
@@ -87,4 +90,37 @@ fn main() {
         overhead.median().unwrap_or(0.0),
         overhead.quantile(0.99).unwrap_or(0.0),
     );
+
+    // What the run cost. The peak is the whole process's, read last, so the statistics
+    // above are in it — as they are for anyone measuring the process from outside.
+    let peak_rss_mb = peak_rss_mb();
+    let bytes_per_beacon = peak_rss_mb * 1024.0 * 1024.0 / live_beacons.max(1) as f64;
+    let ledger = sim.store_bytes();
+    let ledger_bytes_per_beacon = ledger.total() as f64 / ledger.beacons.max(1) as f64;
+    println!(
+        "\npeak RSS {peak_rss_mb:.0} MB = {bytes_per_beacon:.0} B per live beacon, of which the stored beacons hold {ledger_bytes_per_beacon:.0} B each:\n  {} B of slots, {} B of beacons, {} B of owned entries, {} B in {} shared chains",
+        ledger.slot_bytes,
+        ledger.beacon_bytes,
+        ledger.owned_entry_bytes,
+        ledger.shared_chain_bytes,
+        ledger.shared_chains
+    );
+    println!(
+        "{{\"ases\":{},\"links\":{},\"rounds\":{rounds},\"wall_s\":{wall_s:.3},\"peak_rss_mb\":{peak_rss_mb:.1},\"live_beacons\":{live_beacons},\"bytes_per_beacon\":{bytes_per_beacon:.1},\"connectivity\":{connectivity:.4},\"messages_delivered\":{},\"ledger_bytes_per_beacon\":{ledger_bytes_per_beacon:.1}}}",
+        sim.topology().num_ases(),
+        sim.topology().num_links(),
+        sim.delivered_messages(),
+    );
+}
+
+/// Peak resident set size of this process (`VmHWM` of `/proc/self/status`) in MB; 0 where
+/// there is no `/proc`.
+fn peak_rss_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find(|line| line.starts_with("VmHWM:"))?;
+            line.split_whitespace().nth(1)?.parse::<f64>().ok()
+        })
+        .map_or(0.0, |kb| kb / 1024.0)
 }

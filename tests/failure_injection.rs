@@ -60,7 +60,7 @@ fn corrupted_beacons_are_dropped_without_poisoning_the_database() {
 
     let good = beacon(&registry, 1, PcbExtensions::none());
     let mut corrupted = beacon(&registry, 2, PcbExtensions::none());
-    corrupted.entries[0].static_info.link_bandwidth = Bandwidth::from_gbps(100_000);
+    corrupted.entries.to_mut()[0].static_info.link_bandwidth = Bandwidth::from_gbps(100_000);
 
     gateway.receive(good, IfId(1), SimTime::ZERO).unwrap();
     assert!(gateway.receive(corrupted, IfId(1), SimTime::ZERO).is_err());
