@@ -7,7 +7,8 @@
 //! (the egress DB — "the egress database does not store the actual PCBs, but only their
 //! hashes").
 
-use irec_pcb::{AsEntry, Pcb, PcbId};
+use irec_crypto::Digest;
+use irec_pcb::{AsEntry, Pcb, PcbExtensions, PcbId};
 use irec_types::{AsId, IfId, InterfaceGroupId, SimTime};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -29,21 +30,26 @@ pub struct StoredBeacon {
 // added to any of them is paid once per stored beacon, millions of times at paper scale
 // (see "What a stored beacon holds" in docs/ARCHITECTURE.md before raising a bound).
 const _: () = assert!(size_of::<AsEntry>() == 104);
-const _: () = assert!(size_of::<Pcb>() <= 152);
-const _: () = assert!(size_of::<StoredBeacon>() <= 168);
+const _: () = assert!(size_of::<PcbExtensions>() <= 56);
+const _: () = assert!(size_of::<Pcb>() <= 136);
+const _: () = assert!(size_of::<StoredBeacon>() <= 152);
 
 /// The reference counts an [`Arc`] keeps in front of what it shares.
 const ARC_COUNTS: usize = 2 * size_of::<usize>();
 
-/// What stored beacons hold, in bytes, counted from the data structures themselves — so
-/// the same plane gives the same numbers on every run, which resident memory divided by
-/// occupancy does not. Allocator overhead and the dedup set are not part of it.
+/// What stored beacons and the indexes beside them hold, in bytes, counted from the data
+/// structures themselves — so the same plane gives the same numbers on every run, which
+/// resident memory divided by occupancy does not. Allocator overhead is not part of it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreBytes {
     /// Stored beacons, expired ones not yet evicted included.
     pub beacons: usize,
-    /// The batches' slot vectors: an id and a pointer per beacon they have room for.
+    /// The batches' slot vectors: an id past its short word and a pointer per beacon they
+    /// have room for.
     pub slot_bytes: usize,
+    /// The ingress dedup index: the batches' short-id words, one per beacon they have room
+    /// for. Dedup reads nothing else until a word matches.
+    pub dedup_index_bytes: usize,
     /// The beacons themselves — header, extensions, chain handle, ingress, arrival time —
     /// each behind its reference counts.
     pub beacon_bytes: usize,
@@ -54,12 +60,20 @@ pub struct StoreBytes {
     /// The entries of those chains behind their reference counts, each chain counted once
     /// however many beacons refer to it.
     pub shared_chain_bytes: usize,
+    /// The egress dedup databases: each map at its capacity — id, marks and expiry per
+    /// tracked beacon — and the marks spilled beside it.
+    pub egress_bytes: usize,
 }
 
 impl StoreBytes {
     /// All of it.
     pub fn total(&self) -> usize {
-        self.slot_bytes + self.beacon_bytes + self.owned_entry_bytes + self.shared_chain_bytes
+        self.slot_bytes
+            + self.dedup_index_bytes
+            + self.beacon_bytes
+            + self.owned_entry_bytes
+            + self.shared_chain_bytes
+            + self.egress_bytes
     }
 }
 
@@ -80,11 +94,17 @@ impl StoreLedger {
         for shard in &db.shards {
             for batch in shard.read().by_key.values() {
                 self.bytes.slot_bytes += batch.slots.capacity() * size_of::<Slot>();
+                self.bytes.dedup_index_bytes += batch.shorts.capacity() * size_of::<u64>();
                 for slot in &batch.slots {
                     self.add_beacon(&slot.beacon);
                 }
             }
         }
+    }
+
+    /// Adds what the egress dedup database `db` holds.
+    pub fn add_egress(&mut self, db: &EgressDb) {
+        self.bytes.egress_bytes += db.bytes();
     }
 
     fn add_beacon(&mut self, beacon: &StoredBeacon) {
@@ -140,22 +160,25 @@ pub struct BatchView {
 }
 
 impl BatchView {
-    /// Snapshots the `live` slots (at most `capacity` of them, when the caller knows a
-    /// bound) under `key`; `None` when there are none.
+    /// Snapshots the `live` stored beacons (at most `capacity` of them, when the caller
+    /// knows a bound) under `key`; `None` when there are none.
     fn new<'a>(
         key: BatchKey,
         capacity: usize,
-        live: impl Iterator<Item = &'a Slot>,
+        live: impl Iterator<Item = Stored<'a>>,
     ) -> Option<BatchView> {
-        let mut slots = Vec::with_capacity(capacity);
-        slots.extend(live);
-        if slots.is_empty() {
+        let mut stored = Vec::with_capacity(capacity);
+        stored.extend(live);
+        if stored.is_empty() {
             return None;
         }
         Some(BatchView {
             key,
-            beacons: slots.iter().map(|slot| Arc::clone(&slot.beacon)).collect(),
-            ids: slots.iter().map(|slot| slot.id).collect(),
+            beacons: stored
+                .iter()
+                .map(|(_, slot)| Arc::clone(&slot.beacon))
+                .collect(),
+            ids: stored.iter().map(|&(short, slot)| slot.id(short)).collect(),
         })
     }
 
@@ -246,26 +269,132 @@ impl BatchView {
 /// The interface group a beacon is stored under.
 fn stored_group(pcb: &Pcb) -> InterfaceGroupId {
     pcb.extensions
-        .interface_group
+        .interface_group()
         .unwrap_or(InterfaceGroupId::DEFAULT)
 }
 
-/// One stored beacon and the id this AS computed for it on the way in.
+/// How many bytes of an id a batch keeps in its dedup index: the short-id word.
+const SHORT_ID: usize = size_of::<u64>();
+
+/// A stored beacon as a batch hands it out: the short-id word of its id, and its slot.
+type Stored<'a> = (u64, &'a Slot);
+
+/// One stored beacon and its id past the short-id word its batch keeps in `shorts`.
 #[derive(Debug, Clone)]
 struct Slot {
-    id: PcbId,
+    id_rest: [u8; irec_crypto::DIGEST_LEN - SHORT_ID],
     beacon: Arc<StoredBeacon>,
 }
 
+impl Slot {
+    /// The id this AS computed for the beacon on the way in, whose short-id word is `short`.
+    fn id(&self, short: u64) -> PcbId {
+        let mut id = [0; irec_crypto::DIGEST_LEN];
+        id[..SHORT_ID].copy_from_slice(&short.to_ne_bytes());
+        id[SHORT_ID..].copy_from_slice(&self.id_rest);
+        PcbId(Digest(id))
+    }
+}
+
+/// An id as a batch keeps it: its first eight bytes as one word, and the rest.
+fn split_id(id: &PcbId) -> (u64, [u8; irec_crypto::DIGEST_LEN - SHORT_ID]) {
+    let (short, rest) =
+        id.0 .0
+            .split_first_chunk::<SHORT_ID>()
+            .expect("ids are 32 bytes");
+    (
+        u64::from_ne_bytes(*short),
+        rest.try_into().expect("ids are 32 bytes"),
+    )
+}
+
 /// The beacons stored under one [`BatchKey`], in insertion order.
+///
+/// Every id is held once, in two parts at the same index: `shorts[i]` is the first eight
+/// bytes of the id of `slots[i]`, the slot holds the rest. `shorts` is the batch's dedup
+/// index — a duplicate has the same bytes as what it duplicates, so the same key, so it can
+/// only be in this batch — and a dedup check reads one contiguous word per stored beacon,
+/// and the rest of an id only where the word matches.
 #[derive(Debug, Clone)]
 struct Batch {
+    shorts: Vec<u64>,
     slots: Vec<Slot>,
     /// The change-clock reading of this batch's creation or of the latest sweep that
     /// removed a beacon from it, whichever came last: until the clock passes a reader's
     /// reading, `slots` has only grown at its end. A batch that empties is dropped with
     /// its stamp; if it comes back, its creation stamps it afresh.
     disturbed_at: u64,
+}
+
+impl Batch {
+    fn new(disturbed_at: u64) -> Batch {
+        Batch {
+            shorts: Vec::new(),
+            slots: Vec::new(),
+            disturbed_at,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether the beacon with id `id` is stored here.
+    fn holds(&self, id: &PcbId) -> bool {
+        let (short, rest) = split_id(id);
+        self.shorts
+            .iter()
+            .zip(&self.slots)
+            .any(|(&stored, slot)| stored == short && rest_matches(slot, &rest))
+    }
+
+    /// Appends a beacon. A full batch grows by an eighth, not by doubling: a stored
+    /// beacon stays for its validity, so spare room is carried as long as the batch is.
+    fn push(&mut self, id: &PcbId, beacon: Arc<StoredBeacon>) {
+        let (short, id_rest) = split_id(id);
+        reserve_an_eighth(&mut self.shorts);
+        reserve_an_eighth(&mut self.slots);
+        self.shorts.push(short);
+        self.slots.push(Slot { id_rest, beacon });
+    }
+
+    /// The stored beacons from index `from` on, in order.
+    fn stored_from(&self, from: usize) -> impl Iterator<Item = Stored<'_>> {
+        self.shorts[from..].iter().copied().zip(&self.slots[from..])
+    }
+
+    /// Removes every beacon matching `remove`, keeping the others in order; returns how
+    /// many went.
+    fn remove_where(&mut self, remove: impl Fn(&StoredBeacon) -> bool) -> usize {
+        let (mut at, mut kept) = (0, 0);
+        let shorts = &mut self.shorts;
+        self.slots.retain(|slot| {
+            let keep = !remove(&slot.beacon);
+            if keep {
+                shorts[kept] = shorts[at];
+                kept += 1;
+            }
+            at += 1;
+            keep
+        });
+        shorts.truncate(kept);
+        at - kept
+    }
+}
+
+/// Whether `slot` holds an id ending in `rest` — the second half of a dedup check, asked
+/// only where the short-id word matched.
+fn rest_matches(slot: &Slot, rest: &[u8; irec_crypto::DIGEST_LEN - SHORT_ID]) -> bool {
+    #[cfg(test)]
+    tests::REST_COMPARES.with(|count| count.set(count.get() + 1));
+    slot.id_rest == *rest
+}
+
+/// Makes room for one more element, by an eighth of the length (at least four).
+fn reserve_an_eighth<T>(vec: &mut Vec<T>) {
+    if vec.len() == vec.capacity() {
+        vec.reserve_exact((vec.len() / 8).max(4));
+    }
 }
 
 /// A reader's position in the candidate set it requested under one key — one stored batch,
@@ -311,7 +440,6 @@ pub enum BatchChange {
 #[derive(Debug, Clone)]
 pub struct IngressDb {
     by_key: BTreeMap<BatchKey, Batch>,
-    seen: HashSet<PcbId>,
     clock: u64,
     lineage: u64,
 }
@@ -322,7 +450,6 @@ impl Default for IngressDb {
         static NEXT_LINEAGE: AtomicU64 = AtomicU64::new(0);
         IngressDb {
             by_key: BTreeMap::new(),
-            seen: HashSet::new(),
             clock: 0,
             lineage: NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed),
         }
@@ -345,6 +472,10 @@ impl IngressDb {
     /// [`IngressDb::insert`] for a beacon whose id the caller already computed — `id` must
     /// be `pcb.digest()`, as returned by the verification this AS ran on the beacon. The id
     /// is stored beside the beacon and travels with it from here on.
+    ///
+    /// Dedup is a question for one batch: the id is a digest over every byte of the beacon,
+    /// the batch key is read from some of those bytes, so a beacon with this id can only be
+    /// stored under this beacon's key. The batch answers it from its short-id words.
     pub fn insert_with_id(
         &mut self,
         id: PcbId,
@@ -352,32 +483,26 @@ impl IngressDb {
         ingress: IfId,
         received_at: SimTime,
     ) -> bool {
-        if !self.seen.insert(id) {
-            return false;
-        }
         let key = BatchKey {
             origin: pcb.origin,
             group: stored_group(&pcb),
-            target: pcb.extensions.target,
+            target: pcb.extensions.target(),
         };
-        self.by_key
-            .entry(key)
-            .or_insert_with(|| {
-                self.clock += 1;
-                Batch {
-                    slots: Vec::new(),
-                    disturbed_at: self.clock,
-                }
-            })
-            .slots
-            .push(Slot {
-                id,
-                beacon: Arc::new(StoredBeacon {
-                    pcb,
-                    ingress,
-                    received_at,
-                }),
-            });
+        let batch = self.by_key.entry(key).or_insert_with(|| {
+            self.clock += 1;
+            Batch::new(self.clock)
+        });
+        if batch.holds(&id) {
+            return false;
+        }
+        batch.push(
+            &id,
+            Arc::new(StoredBeacon {
+                pcb,
+                ingress,
+                received_at,
+            }),
+        );
         true
     }
 
@@ -389,8 +514,8 @@ impl IngressDb {
     /// The stored beacons for one batch key (unexpired at `now`). Returned beacons are
     /// shared, not cloned.
     pub fn beacons_for(&self, key: &BatchKey, now: SimTime) -> Vec<Arc<StoredBeacon>> {
-        self.live_slots(*key, false, now)
-            .map(|slot| Arc::clone(&slot.beacon))
+        self.live(*key, false, now)
+            .map(|(_, slot)| Arc::clone(&slot.beacon))
             .collect()
     }
 
@@ -422,17 +547,17 @@ impl IngressDb {
             .map(|(_, batch)| batch)
     }
 
-    /// The slots of the candidate set requested under `key` (see
+    /// The stored beacons of the candidate set requested under `key` (see
     /// [`IngressDb::batches_of`]) that are unexpired at `now`, in batch order.
-    fn live_slots(
+    fn live(
         &self,
         key: BatchKey,
         merge_groups: bool,
         now: SimTime,
-    ) -> impl Iterator<Item = &Slot> {
+    ) -> impl Iterator<Item = Stored<'_>> {
         self.batches_of(key, merge_groups)
-            .flat_map(|batch| &batch.slots)
-            .filter(move |slot| !slot.beacon.pcb.is_expired(now))
+            .flat_map(|batch| batch.stored_from(0))
+            .filter(move |(_, slot)| !slot.beacon.pcb.is_expired(now))
     }
 
     /// The key a group-merged candidate set of `origin` is requested (and handed out)
@@ -454,8 +579,8 @@ impl IngressDb {
         target: Option<AsId>,
         now: SimTime,
     ) -> Vec<Arc<StoredBeacon>> {
-        self.live_slots(Self::merged_key(origin, target), true, now)
-            .map(|slot| Arc::clone(&slot.beacon))
+        self.live(Self::merged_key(origin, target), true, now)
+            .map(|(_, slot)| Arc::clone(&slot.beacon))
             .collect()
     }
 
@@ -490,13 +615,10 @@ impl IngressDb {
         let cursor = BatchCursor {
             lineage: self.lineage,
             clock: self.clock,
-            lengths: self
-                .batches_of(key, merge_groups)
-                .map(|batch| batch.slots.len())
-                .collect(),
+            lengths: self.batches_of(key, merge_groups).map(Batch::len).collect(),
         };
         let stored = cursor.lengths.iter().sum();
-        let view = BatchView::new(key, stored, self.live_slots(key, merge_groups, now));
+        let view = BatchView::new(key, stored, self.live(key, merge_groups, now));
         (view, cursor)
     }
 
@@ -505,7 +627,7 @@ impl IngressDb {
     /// cursor came from): costs one stamp comparison per stored batch of the set plus the
     /// arrivals themselves, never a walk over what was already there. While a batch's
     /// stamp has not passed the cursor's clock reading it has only been appended to, so
-    /// its arrivals are the slots beyond the length the cursor recorded.
+    /// its arrivals are the beacons beyond the length the cursor recorded.
     ///
     /// A batch that appeared since the cursor counts as a disturbance, not as arrivals:
     /// its stamp cannot tell a new interface group from one that emptied and came back.
@@ -525,18 +647,17 @@ impl IngressDb {
         for batch in self.batches_of(key, merge_groups) {
             // A batch of the set that went away shifts the ones behind it onto its
             // recorded length — possibly a longer one; the count check below settles it.
-            let Some(arrived) = known
+            let Some(&known) = known
                 .next()
-                .filter(|_| batch.disturbed_at <= cursor.clock)
-                .and_then(|&known| batch.slots.get(known..))
+                .filter(|&&known| batch.disturbed_at <= cursor.clock && known <= batch.len())
             else {
                 return BatchChange::Disturbed;
             };
-            lengths.push(batch.slots.len());
+            lengths.push(batch.len());
             arrivals.extend(
-                arrived
-                    .iter()
-                    .filter(|slot| !slot.beacon.pcb.is_expired(now)),
+                batch
+                    .stored_from(known)
+                    .filter(|(_, slot)| !slot.beacon.pcb.is_expired(now)),
             );
         }
         if known.next().is_some() {
@@ -551,7 +672,7 @@ impl IngressDb {
     /// Total number of stored beacons **including expired ones not yet evicted**. Use
     /// [`IngressDb::live_len`] for occupancy/overhead metrics.
     pub fn len(&self) -> usize {
-        self.by_key.values().map(|batch| batch.slots.len()).sum()
+        self.by_key.values().map(Batch::len).sum()
     }
 
     /// Number of stored beacons that are still valid at `now`. Unlike [`IngressDb::len`],
@@ -577,22 +698,15 @@ impl IngressDb {
         self.remove_where(|beacon| beacon.pcb.is_expired(horizon))
     }
 
-    /// Removes every stored beacon matching `remove`, keeping the others in order;
-    /// matched ids leave the dedup set, so such a beacon can be stored again. Every batch
+    /// Removes every stored beacon matching `remove`, keeping the others in order; a
+    /// removed beacon's id goes with it, so such a beacon can be stored again. Every batch
     /// that loses a beacon is stamped as disturbed; one that empties is dropped.
     fn remove_where(&mut self, remove: impl Fn(&StoredBeacon) -> bool) -> usize {
         let mut removed = 0;
         self.by_key.retain(|_, batch| {
-            let before = removed;
-            batch.slots.retain(|slot| {
-                let keep = !remove(&slot.beacon);
-                if !keep {
-                    removed += 1;
-                    self.seen.remove(&slot.id);
-                }
-                keep
-            });
-            if removed > before {
+            let gone = batch.remove_where(&remove);
+            if gone > 0 {
+                removed += gone;
                 self.clock += 1;
                 batch.disturbed_at = self.clock;
             }
@@ -611,7 +725,7 @@ impl IngressDb {
     }
 
     /// Removes every stored beacon matching `predicate` (a withdrawal sweep), returning
-    /// the count. Matched digests leave the dedup set — mirroring
+    /// the count. Matched beacons take their ids with them — mirroring
     /// [`IngressDb::evict_expired`] — so a withdrawn beacon could be re-learned if it were
     /// ever re-sent.
     pub fn purge_where(&mut self, predicate: impl Fn(&StoredBeacon) -> bool) -> usize {
@@ -704,8 +818,8 @@ impl Default for ShardedIngressDb {
 impl Clone for ShardedIngressDb {
     /// Deep-clones every shard's contents (the pre-snapshot behaviour, kept as the
     /// reference the COW path is benchmarked and tested against). Stored beacons stay
-    /// `Arc`-shared with the original — they are immutable — but the maps, dedup sets and
-    /// locks are fresh. Prefer [`ShardedIngressDb::cow_clone`] for snapshotting.
+    /// `Arc`-shared with the original — they are immutable — but the batches, their dedup
+    /// indexes and the locks are fresh. Prefer [`ShardedIngressDb::cow_clone`] for snapshotting.
     fn clone(&self) -> Self {
         ShardedIngressDb {
             shards: self
@@ -1120,8 +1234,7 @@ impl EgressMarks {
 }
 
 /// One tracked PCB hash in the egress database: the interfaces it was propagated on and the
-/// expiry time it was recorded under (so eviction can tell live entries from stale expiry-
-/// index rows).
+/// expiry time it was recorded under.
 #[derive(Debug, Clone)]
 struct EgressEntry {
     egresses: EgressMarks,
@@ -1135,19 +1248,42 @@ struct EgressEntry {
 /// Invariant (pinned by the proptest suite in `crates/core/tests/proptests.rs`): the
 /// `removed` count returned by [`EgressDb::evict_expired`] equals the number of hashes
 /// actually deleted from the database, i.e. `len()` always drops by exactly `removed`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct EgressDb {
     propagated: HashMap<PcbId, EgressEntry>,
-    /// Expiry index. May contain stale rows for a digest that was evicted and later
-    /// re-recorded under a different expiry time; eviction validates each row against the
-    /// expiry time stored in the live entry before deleting.
-    expiry: BTreeMap<SimTime, Vec<PcbId>>,
+    /// At or below the earliest `expires_at` of any entry (`SimTime::MAX` for none): exact
+    /// after every sweep, lowered by every new entry, left alone when an entry's expiry is
+    /// raised. Nothing has expired while `now` is below it.
+    earliest: SimTime,
+}
+
+impl Default for EgressDb {
+    fn default() -> Self {
+        EgressDb {
+            propagated: HashMap::new(),
+            earliest: SimTime::MAX,
+        }
+    }
 }
 
 impl EgressDb {
     /// Creates an empty database.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// What the database holds, in bytes: the map at its capacity and the marks spilled
+    /// beside it (see [`StoreBytes::egress_bytes`]).
+    pub fn bytes(&self) -> usize {
+        let spilled: usize = self
+            .propagated
+            .values()
+            .map(|entry| match &entry.egresses {
+                EgressMarks::Inline { .. } => 0,
+                EgressMarks::Spilled(ids) => ids.capacity() * size_of::<IfId>(),
+            })
+            .sum();
+        self.propagated.capacity() * size_of::<(PcbId, EgressEntry)>() + spilled
     }
 
     /// Records that the beacon with id `id`, expiring at `expires_at`, is about to be
@@ -1201,7 +1337,7 @@ impl EgressDb {
     /// and marks it as propagated on the interfaces `new`.
     pub fn record(&mut self, id: PcbId, expires_at: SimTime, new: &[IfId]) {
         let entry = self.propagated.entry(id).or_insert_with(|| {
-            self.expiry.entry(expires_at).or_default().push(id);
+            self.earliest = self.earliest.min(expires_at);
             EgressEntry {
                 egresses: EgressMarks::new(),
                 expires_at,
@@ -1210,10 +1346,9 @@ impl EgressDb {
         if expires_at > entry.expires_at {
             // Defensive: a digest re-recorded under a different expiry (cannot happen while
             // the digest covers the expiry field, but the bookkeeping must not silently
-            // drift if that ever changes). Track the later expiry and index it; the old
-            // index row becomes stale and is skipped at eviction.
+            // drift if that ever changes). Track the later expiry; the watermark stays
+            // below it, and the next sweep that reaches it finds nothing to remove.
             entry.expires_at = expires_at;
-            self.expiry.entry(expires_at).or_default().push(id);
         }
         entry.egresses.reserve(new.len());
         for &egress in new {
@@ -1229,8 +1364,8 @@ impl EgressDb {
     }
 
     /// Removes `egress` from every beacon's propagated-interface set, so each beacon's
-    /// next selection is re-sent on that interface. Entries (and their expiry-index rows)
-    /// stay in place — only the per-interface marks are dropped. Returns how many marks
+    /// next selection is re-sent on that interface. Entries stay in place — only the
+    /// per-interface marks are dropped. Returns how many marks
     /// were removed. This is the dedup half of node-rejoin hygiene (see
     /// `Simulation::add_node`).
     pub fn forget_egress(&mut self, egress: IfId) -> usize {
@@ -1261,48 +1396,36 @@ impl EgressDb {
         self.propagated.is_empty()
     }
 
-    /// Whether a sweep at `now` would remove anything: true when the earliest expiry-index
-    /// bucket is at or before `now`. A cheap read-only probe — the egress gateway checks it
-    /// before [`EgressDb::evict_expired`] so routine per-round sweeps don't materialize a
-    /// copy-on-write-shared database that has nothing to evict. May report true on a purely
-    /// stale bucket (digest re-recorded under a later expiry); the subsequent sweep then
-    /// removes zero entries, which is correct, just not free.
+    /// Whether a sweep at `now` may remove anything: true when the watermark is at or
+    /// before `now`. A constant-time read-only probe — the egress gateway checks it before
+    /// [`EgressDb::evict_expired`] so routine per-round sweeps don't materialize a
+    /// copy-on-write-shared database that has nothing to evict. May report true when an
+    /// entry's expiry was raised after it was recorded; the subsequent sweep then removes
+    /// zero entries, which is correct, just not free.
     pub fn has_expired_entries(&self, now: SimTime) -> bool {
-        self.expiry.keys().next().is_some_and(|&t| t <= now)
+        !self.propagated.is_empty() && self.earliest <= now
     }
 
-    /// Evicts entries whose beacons expired at or before `now`. Returns how many hashes were
-    /// removed; the count is exact — stale expiry-index rows (a digest evicted earlier and
-    /// re-recorded since) are skipped, never double-counted.
+    /// Evicts entries whose beacons expired at or before `now`, in one pass over the map
+    /// that also puts the watermark on the earliest expiry left. Returns how many hashes
+    /// were removed.
     pub fn evict_expired(&mut self, now: SimTime) -> usize {
-        let mut removed = 0;
-        // A sweep at `SimTime::MAX` drains every bucket (including one at exactly `MAX`,
-        // which `split_off(MAX + 1)` could neither express nor reach without overflowing).
-        let drained = if now == SimTime::MAX {
-            std::mem::take(&mut self.expiry)
-        } else {
-            let still_valid = self
-                .expiry
-                .split_off(&SimTime::from_micros(now.as_micros() + 1));
-            std::mem::replace(&mut self.expiry, still_valid)
-        };
-        for (_, ids) in drained {
-            for id in ids {
-                // Only delete when the live entry is recorded under an expiry that has
-                // actually passed; a later-expiring re-record keeps the entry alive (it has
-                // its own index row in a future bucket).
-                let expired = self
-                    .propagated
-                    .get(&id)
-                    .is_some_and(|e| e.expires_at <= now);
-                if expired && self.propagated.remove(&id).is_some() {
-                    removed += 1;
-                }
+        let before = self.propagated.len();
+        let mut earliest = SimTime::MAX;
+        self.propagated.retain(|_, entry| {
+            let keep = entry.expires_at > now;
+            if keep {
+                earliest = earliest.min(entry.expires_at);
             }
-        }
-        removed
+            keep
+        });
+        self.earliest = earliest;
+        before - self.propagated.len()
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1310,6 +1433,84 @@ mod tests {
     use irec_crypto::{KeyRegistry, Signer};
     use irec_pcb::{PcbExtensions, StaticInfo};
     use irec_types::{Bandwidth, Latency, SimDuration};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// How many times this thread's dedup checks read past a short-id word.
+        pub(super) static REST_COMPARES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// The dedup checks `insert` runs, in rest-of-id comparisons.
+    fn rest_compares(insert: impl FnOnce() -> bool) -> (bool, usize) {
+        REST_COMPARES.with(|count| count.set(0));
+        let inserted = insert();
+        (inserted, REST_COMPARES.with(Cell::get))
+    }
+
+    #[test]
+    fn dedup_in_a_4096_slot_batch_reads_short_ids_only_until_one_matches() {
+        let beacon = |seq| {
+            Pcb::originate(
+                AsId(1),
+                seq,
+                SimTime::ZERO,
+                SimTime::MAX,
+                PcbExtensions::none(),
+            )
+        };
+        let mut db = IngressDb::new();
+        let ids: Vec<PcbId> = (0..4096).map(|seq| beacon(seq).digest()).collect();
+        for (seq, id) in ids.iter().enumerate() {
+            assert!(db.insert_with_id(*id, beacon(seq as u64), IfId(1), SimTime::ZERO));
+        }
+        let batch = db.by_key.values().next().expect("one batch");
+        assert_eq!(db.by_key.len(), 1);
+        assert_eq!((batch.shorts.len(), batch.slots.len()), (4096, 4096));
+        // Grown by an eighth at a time: at most an eighth (or four) of room to spare.
+        assert!(
+            batch.slots.capacity() <= 4096 + 4096 / 8 && batch.shorts.capacity() <= 4096 + 4096 / 8
+        );
+        let sharing_a_short = |id: &PcbId| {
+            ids.iter()
+                .filter(|stored| stored.short() == id.short())
+                .count()
+        };
+        assert!(
+            ids.iter().all(|id| sharing_a_short(id) == 1),
+            "4 096 digests, no short collision"
+        );
+
+        // A new id reads 4 096 words and nothing else; a duplicate one word's worth of rest.
+        let fresh = beacon(5000);
+        let inserted = rest_compares(|| db.insert(fresh.clone(), IfId(1), SimTime::ZERO));
+        assert_eq!(inserted, (true, sharing_a_short(&fresh.digest())));
+        assert_eq!(
+            rest_compares(|| db.insert(beacon(2000), IfId(2), SimTime::ZERO)),
+            (false, 1)
+        );
+        assert_eq!(
+            rest_compares(|| db.insert(fresh, IfId(2), SimTime::ZERO)),
+            (false, 1)
+        );
+
+        // An id that agrees with a stored one in its short word only is a new id; one that
+        // agrees with it everywhere but the short word is too, found without reading a rest.
+        let mut same_short = ids[3000];
+        same_short.0 .0[31] ^= 1;
+        let mut same_rest = ids[3000];
+        same_rest.0 .0[0] ^= 1;
+        for (id, compares) in [(same_short, 1), (same_rest, 0)] {
+            let inserted =
+                rest_compares(|| db.insert_with_id(id, beacon(6000), IfId(1), SimTime::ZERO));
+            assert_eq!(inserted, (true, compares), "{id:?}");
+        }
+        assert!(!db.insert_with_id(same_short, beacon(6000), IfId(1), SimTime::ZERO));
+        let key = db.batch_keys()[0];
+        let view = db.batch_view(&key, SimTime::ZERO).expect("view");
+        assert_eq!(view.len(), 4096 + 3);
+        assert_eq!(&view.ids()[..4096], &ids[..]);
+        assert_eq!(&view.ids()[4097..], &[same_short, same_rest]);
+    }
 
     fn pcb(origin: u64, seq: u64, extensions: PcbExtensions, validity_h: u64) -> Pcb {
         let registry = KeyRegistry::with_ases(3, 64);

@@ -287,6 +287,11 @@ impl EgressGateway {
         &self.path_service
     }
 
+    /// The propagation dedup database.
+    pub fn db(&self) -> &EgressDb {
+        &self.db
+    }
+
     /// The gateway counters.
     pub fn stats(&self) -> &EgressStats {
         &self.stats
@@ -341,7 +346,7 @@ impl EgressGateway {
                 let interface = self.topology.interface(self.local_as, egress)?;
                 let mut extensions = spec.extensions;
                 if spec.tag_groups {
-                    extensions.interface_group = Some(*group);
+                    extensions = extensions.with_interface_group(*group);
                 }
                 let mut pcb = Pcb::originate(
                     self.local_as,
@@ -423,7 +428,7 @@ impl EgressGateway {
                 let beacon = &*selected.beacon;
                 // Pull-based beacon reaching its target: return it to the origin instead
                 // of propagating it further.
-                if beacon.pcb.extensions.target == Some(self.local_as) {
+                if beacon.pcb.extensions.target() == Some(self.local_as) {
                     self.stats.pull_returns += 1;
                     returns.push(PullReturn {
                         from_as: self.local_as,
@@ -635,7 +640,7 @@ mod tests {
             .unwrap();
         assert_eq!(messages.len(), 3);
         for m in &messages {
-            let group = m.pcb.extensions.interface_group.unwrap();
+            let group = m.pcb.extensions.interface_group().unwrap();
             if m.from_if == IfId(1) {
                 assert_eq!(group, InterfaceGroupId(1));
             } else {

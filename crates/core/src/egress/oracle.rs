@@ -210,7 +210,7 @@ impl ReferenceGateway {
             for selected in &batch.selected {
                 self.register_path(batch, selected, now);
                 let beacon = &selected.beacon;
-                if beacon.pcb.extensions.target == Some(LOCAL) {
+                if beacon.pcb.extensions.target() == Some(LOCAL) {
                     self.stats.pull_returns += 1;
                     returns.push(PullReturn {
                         from_as: LOCAL,

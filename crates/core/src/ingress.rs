@@ -147,7 +147,7 @@ impl IngressGateway {
     /// the database or the statistics.
     ///
     /// This is the expensive per-message work, and it is deliberately independent of all
-    /// mutable gateway state (the ingress database, dedup set and counters): the parallel
+    /// mutable gateway state (the ingress database, dedup index and counters): the parallel
     /// delivery plane verifies a whole epoch of messages concurrently against a `&self`
     /// snapshot **before** any of them commits, so a verdict must not depend on the order
     /// other messages of the same epoch are applied in.
@@ -174,7 +174,7 @@ impl IngressGateway {
     /// The apply stage: accounts a precomputed `verdict` and, on success, stores the beacon
     /// under the id the verdict carries (deduplicating by it — the beacon is not hashed
     /// again). `verdict` must be what [`IngressGateway::verify`] returned for this `pcb`.
-    /// Messages of one origin must commit in delivery order — this is where the dedup set
+    /// Messages of one origin must commit in delivery order — this is where the dedup index
     /// and the statistics of the origin's shard mutate; commits for *different* shards are
     /// independent and may interleave freely.
     pub fn commit(&self, pcb: Pcb, ingress: IfId, now: SimTime, verdict: Verdict) -> Result<()> {

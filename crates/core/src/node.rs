@@ -164,6 +164,11 @@ impl IrecNode {
         &self.ingress
     }
 
+    /// The egress gateway (exposed for the simulator's byte ledger).
+    pub fn egress(&self) -> &EgressGateway {
+        &self.egress
+    }
+
     /// Number of beaconing rounds executed so far.
     pub fn rounds(&self) -> u64 {
         self.round
@@ -287,7 +292,7 @@ impl IrecNode {
                 algorithm: "PD".to_string(),
                 group: pcb
                     .extensions
-                    .interface_group
+                    .interface_group()
                     .unwrap_or(irec_types::InterfaceGroupId::DEFAULT),
                 metrics: pcb.path_metrics(),
                 links: pcb.link_keys(),
@@ -595,16 +600,16 @@ mod tests {
         let tagged: Vec<_> = out
             .messages
             .iter()
-            .filter(|m| m.pcb.extensions.target == Some(AsId(3)))
+            .filter(|m| m.pcb.extensions.target() == Some(AsId(3)))
             .collect();
         assert_eq!(tagged.len(), 1);
-        assert!(tagged[0].pcb.extensions.algorithm.is_some());
+        assert!(tagged[0].pcb.extensions.algorithm().is_some());
         node.clear_extra_originations();
         let out2 = node.beaconing_round(SimTime::from_micros(1)).unwrap();
         assert!(out2
             .messages
             .iter()
-            .all(|m| m.pcb.extensions.target.is_none()));
+            .all(|m| m.pcb.extensions.target().is_none()));
     }
 
     #[test]
@@ -617,7 +622,7 @@ mod tests {
         let groups: std::collections::HashSet<_> = out
             .messages
             .iter()
-            .filter_map(|m| m.pcb.extensions.interface_group)
+            .filter_map(|m| m.pcb.extensions.interface_group())
             .collect();
         assert_eq!(groups.len(), 3);
     }

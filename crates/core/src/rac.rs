@@ -478,7 +478,7 @@ impl Rac {
                 // All candidates of an on-demand batch carry the same origin; the algorithm
                 // reference must be present and identical (the ingress DB already groups by
                 // origin, and an origin uses one algorithm per PCB).
-                let Some(reference) = candidates.iter().find_map(|c| c.pcb.extensions.algorithm)
+                let Some(reference) = candidates.iter().find_map(|c| c.pcb.extensions.algorithm())
                 else {
                     // Nothing to do for plain beacons — an on-demand RAC only runs algorithms
                     // shipped in PCBs.
@@ -493,7 +493,7 @@ impl Rac {
         // carrying the algorithm and remembers where they sat among `beacons`; every
         // other RAC runs the batch as it was decoded.
         let index_map = (self.is_on_demand() && !self.ignore_extensions).then(|| {
-            let carries = |c: &Candidate| c.pcb.extensions.algorithm.is_some();
+            let carries = |c: &Candidate| c.pcb.extensions.algorithm().is_some();
             let kept: Vec<usize> = (0..candidates.len())
                 .filter(|&index| carries(&candidates[index]))
                 .collect();
@@ -841,7 +841,7 @@ mod tests {
         assert_eq!(outputs.len(), 2);
         assert!(outputs
             .iter()
-            .all(|o| o.beacon.pcb.extensions.algorithm.is_some()));
+            .all(|o| o.beacon.pcb.extensions.algorithm().is_some()));
         assert_eq!(rac.cached_algorithms(), 1);
         assert!(timing.setup > Duration::ZERO);
 

@@ -206,14 +206,14 @@ fn decode_coord(raw: u64) -> Result<f64> {
 }
 
 fn old_encode_extensions(extensions: &PcbExtensions, w: &mut OldWriter) {
-    match extensions.target {
+    match extensions.target() {
         None => w.put_bool(false),
         Some(t) => {
             w.put_bool(true);
             w.put_varint(t.value());
         }
     }
-    match &extensions.algorithm {
+    match &extensions.algorithm() {
         None => w.put_bool(false),
         Some(a) => {
             w.put_bool(true);
@@ -221,7 +221,7 @@ fn old_encode_extensions(extensions: &PcbExtensions, w: &mut OldWriter) {
             w.put_raw(a.code_hash.as_bytes());
         }
     }
-    match extensions.interface_group {
+    match extensions.interface_group() {
         None => w.put_bool(false),
         Some(g) => {
             w.put_bool(true);
@@ -293,11 +293,7 @@ fn old_decode_extensions(reader: &mut OldReader<'_>) -> Result<PcbExtensions> {
     } else {
         None
     };
-    Ok(PcbExtensions {
-        target,
-        algorithm,
-        interface_group,
-    })
+    Ok(PcbExtensions::new(target, algorithm, interface_group))
 }
 
 fn old_decode_entry(reader: &mut OldReader<'_>) -> Result<AsEntry> {

@@ -2,8 +2,8 @@
 //!
 //! * `RacTiming`, `PcbMessage` and `PullReturn` survive a wire encode/decode round-trip
 //!   unchanged (the delivery plane's message types are wire-clean);
-//! * the ingress database never hands out an expired beacon, its dedup set (`seen`) always
-//!   matches the stored digests, and `live_len` agrees with what queries can observe;
+//! * the ingress database never hands out an expired beacon, its dedup always matches the
+//!   stored digests, and `live_len` agrees with what queries can observe;
 //! * the egress database's `evict_expired` count equals the number of hashes actually
 //!   deleted, for any interleaving of insertions and (even non-monotonic) eviction sweeps.
 
@@ -150,8 +150,8 @@ proptest! {
         );
     }
 
-    /// The dedup set always matches the stored digests: while a beacon is stored its digest
-    /// is refused, and once evicted it can be inserted again.
+    /// Dedup always matches the stored digests: while a beacon is stored its digest is
+    /// refused, and once evicted it can be inserted again.
     #[test]
     fn ingress_db_seen_matches_stored_digests(
         beacons in proptest::collection::vec((1u64..4, 0u64..5, 1u64..8), 1..20),
@@ -170,7 +170,7 @@ proptest! {
             prop_assert!(!db.insert(pcb.clone(), IfId(2), SimTime::ZERO));
         }
         prop_assert_eq!(db.len(), stored.len());
-        // Evict everything: the dedup set must be cleared alongside the beacons.
+        // Evict everything: the ids must go with the beacons.
         let evicted = db.evict_expired(SimTime::MAX, SimDuration::ZERO);
         prop_assert_eq!(evicted, stored.len());
         prop_assert!(db.is_empty());

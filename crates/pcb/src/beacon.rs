@@ -983,16 +983,20 @@ mod tests {
                         SimTime::from_micros(pcb.expires_at.as_micros() ^ (1 << (bit % 40)))
                 }
                 5 => {
-                    pcb.extensions.target = match pcb.extensions.target {
+                    let e = pcb.extensions;
+                    let target = match e.target() {
                         None => Some(AsId(u64::from(bit))),
                         Some(_) => None,
-                    }
+                    };
+                    pcb.extensions = PcbExtensions::new(target, e.algorithm(), e.interface_group());
                 }
                 _ => {
-                    pcb.extensions.interface_group = match pcb.extensions.interface_group {
-                        None => Some(InterfaceGroupId(bit)),
-                        Some(g) => Some(InterfaceGroupId(g.value() ^ (1 << (bit % 32)))),
-                    }
+                    let e = pcb.extensions;
+                    let group = match e.interface_group() {
+                        None => InterfaceGroupId(bit),
+                        Some(g) => InterfaceGroupId(g.value() ^ (1 << (bit % 32))),
+                    };
+                    pcb.extensions = e.with_interface_group(group);
                 }
             }
             return;

@@ -3,6 +3,8 @@
 //! All three extensions are added by the *origin* AS when it originates a PCB and are covered
 //! by the origin's signature; on-path ASes never modify them.
 
+use core::fmt;
+use core::hash::{Hash, Hasher};
 use irec_crypto::Digest;
 use irec_types::{AlgorithmId, AsId, InterfaceGroupId, Result};
 use irec_wire::{Decode, Encode, WireReader, WireWriter};
@@ -58,6 +60,11 @@ impl Decode for AlgorithmRef {
     }
 }
 
+/// Presence bits of a [`PcbExtensions`].
+const TARGET: u8 = 1;
+const ALGORITHM: u8 = 2;
+const INTERFACE_GROUP: u8 = 4;
+
 /// The origin-controlled PCB extensions introduced by IREC (§IV-F).
 ///
 /// Each extension is optional and appears at most once per PCB:
@@ -67,71 +74,148 @@ impl Decode for AlgorithmRef {
 /// * `algorithm` enables on-demand routing: every participating AS runs the referenced
 ///   algorithm on the PCBs carrying it.
 /// * `interface_group` sets the optimization granularity for this beacon's origin interface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+///
+/// Every stored beacon carries one, so it is packed: the three values side by side and one
+/// byte of presence bits, 56 bytes where three `Option`s took 72. An absent value is held
+/// as zero, so the derived `==` compares what is present; `Debug` and `Hash` read through
+/// the accessors and are those of the three `Option`s.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct PcbExtensions {
-    /// Target AS for pull-based routing (§IV-B).
-    pub target: Option<AsId>,
-    /// On-demand routing algorithm reference (§IV-C).
-    pub algorithm: Option<AlgorithmRef>,
-    /// Origin interface group (§IV-D).
-    pub interface_group: Option<InterfaceGroupId>,
+    target: AsId,
+    algorithm_id: AlgorithmId,
+    code_hash: Digest,
+    interface_group: InterfaceGroupId,
+    present: u8,
 }
 
 impl PcbExtensions {
     /// Extensions of a plain (legacy-style) beacon: none set.
+    #[inline]
     pub const fn none() -> Self {
         PcbExtensions {
-            target: None,
-            algorithm: None,
-            interface_group: None,
+            target: AsId(0),
+            algorithm_id: AlgorithmId(0),
+            code_hash: Digest([0; irec_crypto::DIGEST_LEN]),
+            interface_group: InterfaceGroupId(0),
+            present: 0,
         }
+    }
+
+    /// Extensions with exactly the given values present.
+    #[inline]
+    pub fn new(
+        target: Option<AsId>,
+        algorithm: Option<AlgorithmRef>,
+        interface_group: Option<InterfaceGroupId>,
+    ) -> Self {
+        let mut extensions = PcbExtensions::none();
+        if let Some(target) = target {
+            extensions = extensions.with_target(target);
+        }
+        if let Some(algorithm) = algorithm {
+            extensions = extensions.with_algorithm(algorithm);
+        }
+        if let Some(group) = interface_group {
+            extensions = extensions.with_interface_group(group);
+        }
+        extensions
+    }
+
+    /// Target AS for pull-based routing (§IV-B).
+    #[inline]
+    pub fn target(&self) -> Option<AsId> {
+        (self.present & TARGET != 0).then_some(self.target)
+    }
+
+    /// On-demand routing algorithm reference (§IV-C).
+    #[inline]
+    pub fn algorithm(&self) -> Option<AlgorithmRef> {
+        (self.present & ALGORITHM != 0)
+            .then_some(AlgorithmRef::new(self.algorithm_id, self.code_hash))
+    }
+
+    /// Origin interface group (§IV-D).
+    #[inline]
+    pub fn interface_group(&self) -> Option<InterfaceGroupId> {
+        (self.present & INTERFACE_GROUP != 0).then_some(self.interface_group)
     }
 
     /// Whether no extension is present (the PCB is processable by legacy control services).
     pub fn is_empty(&self) -> bool {
-        self.target.is_none() && self.algorithm.is_none() && self.interface_group.is_none()
+        self.present == 0
     }
 
     /// Builder-style: sets the pull-based routing target.
+    #[inline]
     #[must_use]
     pub fn with_target(mut self, target: AsId) -> Self {
-        self.target = Some(target);
+        self.target = target;
+        self.present |= TARGET;
         self
     }
 
     /// Builder-style: sets the on-demand algorithm.
+    #[inline]
     #[must_use]
     pub fn with_algorithm(mut self, algorithm: AlgorithmRef) -> Self {
-        self.algorithm = Some(algorithm);
+        self.algorithm_id = algorithm.id;
+        self.code_hash = algorithm.code_hash;
+        self.present |= ALGORITHM;
         self
     }
 
     /// Builder-style: sets the interface group.
+    #[inline]
     #[must_use]
     pub fn with_interface_group(mut self, group: InterfaceGroupId) -> Self {
-        self.interface_group = Some(group);
+        self.interface_group = group;
+        self.present |= INTERFACE_GROUP;
         self
+    }
+}
+
+impl Default for PcbExtensions {
+    fn default() -> Self {
+        PcbExtensions::none()
+    }
+}
+
+impl fmt::Debug for PcbExtensions {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PcbExtensions")
+            .field("target", &self.target())
+            .field("algorithm", &self.algorithm())
+            .field("interface_group", &self.interface_group())
+            .finish()
+    }
+}
+
+impl Hash for PcbExtensions {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.target().hash(state);
+        self.algorithm().hash(state);
+        self.interface_group().hash(state);
     }
 }
 
 impl Encode for PcbExtensions {
     #[inline]
     fn encode(&self, writer: &mut WireWriter) {
-        match self.target {
+        match self.target() {
             None => writer.put_bool(false),
             Some(t) => {
                 writer.put_bool(true);
                 writer.put_varint(t.value());
             }
         }
-        match &self.algorithm {
+        match &self.algorithm() {
             None => writer.put_bool(false),
             Some(a) => {
                 writer.put_bool(true);
                 a.encode(writer);
             }
         }
-        match self.interface_group {
+        match self.interface_group() {
             None => writer.put_bool(false),
             Some(g) => {
                 writer.put_bool(true);
@@ -159,11 +243,7 @@ impl Decode for PcbExtensions {
         } else {
             None
         };
-        Ok(PcbExtensions {
-            target,
-            algorithm,
-            interface_group,
-        })
+        Ok(PcbExtensions::new(target, algorithm, interface_group))
     }
 }
 
@@ -189,9 +269,9 @@ mod tests {
             .with_algorithm(alg)
             .with_interface_group(InterfaceGroupId(3));
         assert!(!e.is_empty());
-        assert_eq!(e.target, Some(AsId(42)));
-        assert_eq!(e.algorithm, Some(alg));
-        assert_eq!(e.interface_group, Some(InterfaceGroupId(3)));
+        assert_eq!(e.target(), Some(AsId(42)));
+        assert_eq!(e.algorithm(), Some(alg));
+        assert_eq!(e.interface_group(), Some(InterfaceGroupId(3)));
     }
 
     #[test]
@@ -217,6 +297,108 @@ mod tests {
         let r = AlgorithmRef::for_code(AlgorithmId(5), code);
         assert!(r.matches(code));
         assert!(!r.matches(b"tampered algorithm"));
+    }
+
+    /// The type the packed one replaced, as it was: three public `Option`s, every trait
+    /// derived, the same encoder.
+    mod derived {
+        use super::{AlgorithmRef, AsId, Encode, InterfaceGroupId, WireWriter};
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub struct PcbExtensions {
+            pub target: Option<AsId>,
+            pub algorithm: Option<AlgorithmRef>,
+            pub interface_group: Option<InterfaceGroupId>,
+        }
+
+        impl Encode for PcbExtensions {
+            fn encode(&self, writer: &mut WireWriter) {
+                writer.put_bool(self.target.is_some());
+                if let Some(t) = self.target {
+                    writer.put_varint(t.value());
+                }
+                writer.put_bool(self.algorithm.is_some());
+                if let Some(a) = &self.algorithm {
+                    a.encode(writer);
+                }
+                writer.put_bool(self.interface_group.is_some());
+                if let Some(g) = self.interface_group {
+                    writer.put_u32v(g.value());
+                }
+            }
+        }
+    }
+
+    /// A hasher that keeps every byte it is fed, so two `Hash` impls compare write for write.
+    #[derive(Default)]
+    struct Recorder(Vec<u8>);
+
+    impl Hasher for Recorder {
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.extend_from_slice(bytes);
+        }
+        fn finish(&self) -> u64 {
+            0
+        }
+    }
+
+    fn hashed(value: &impl Hash) -> Vec<u8> {
+        let mut recorder = Recorder::default();
+        value.hash(&mut recorder);
+        recorder.0
+    }
+
+    #[test]
+    fn packed_extensions_read_like_the_derived_ones_in_every_presence_combination() {
+        assert_eq!(size_of::<PcbExtensions>(), 56);
+        assert_eq!(size_of::<derived::PcbExtensions>(), 72);
+        // Two value sets, one of them all zeros — what the packed form holds for an absent
+        // value — so "present with value 0" must still differ from "absent".
+        let values = [
+            (
+                AsId(0),
+                AlgorithmRef::new(AlgorithmId(0), Digest([0; 32])),
+                InterfaceGroupId(0),
+            ),
+            (
+                AsId(300),
+                AlgorithmRef::for_code(AlgorithmId(7), b"module"),
+                InterfaceGroupId(70_000),
+            ),
+        ];
+        let mut cases = Vec::new();
+        for (target, algorithm, group) in values {
+            for presence in 0..8u8 {
+                let target = (presence & 1 != 0).then_some(target);
+                let algorithm = (presence & 2 != 0).then_some(algorithm);
+                let interface_group = (presence & 4 != 0).then_some(group);
+                let packed = PcbExtensions::new(target, algorithm, interface_group);
+                let old = derived::PcbExtensions {
+                    target,
+                    algorithm,
+                    interface_group,
+                };
+                assert_eq!(format!("{packed:?}"), format!("{old:?}"));
+                assert_eq!(format!("{packed:#?}"), format!("{old:#?}"));
+                assert_eq!(hashed(&packed), hashed(&old), "{old:?}");
+                assert_eq!(to_bytes(&packed), to_bytes(&old), "{old:?}");
+                assert_eq!(
+                    from_bytes::<PcbExtensions>(&to_bytes(&old)).unwrap(),
+                    packed
+                );
+                assert_eq!(packed.is_empty(), presence == 0);
+                cases.push((packed, old));
+            }
+        }
+        for (packed, old) in &cases {
+            for (other_packed, other_old) in &cases {
+                assert_eq!(
+                    packed == other_packed,
+                    old == other_old,
+                    "{old:?} / {other_old:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!
 //! **Determinism.** The apply stage preserves `(SimTime, seq)` order *within* each
 //! `(node, shard)` inbox, and commits across different inboxes touch disjoint state: the
-//! dedup set and the statistics both live in the origin's shard, every beacon of one
+//! dedup index and the statistics both live in the origin's shard, every beacon of one
 //! origin lands in the same shard, and every pull return for one destination lands in the
 //! same path shard (registrations for different path-service keys commute observably —
 //! the map is key-sorted — and same-key registrations keep epoch order). The verify stage
@@ -374,7 +374,7 @@ impl DeliveryPlane {
     /// inboxes, pull returns into per-`(destination AS, path shard)` inboxes; all inboxes
     /// then commit concurrently over one scoped worker pool. Each inbox preserves epoch
     /// order internally, and different inboxes touch disjoint node state (the origin's
-    /// ingress shard owns the dedup set and stats; the destination's path shard owns the
+    /// ingress shard owns the dedup index and stats; the destination's path shard owns the
     /// registrations), so the result is byte-identical to the sequential walk for any
     /// worker count and any shard count.
     ///
@@ -472,7 +472,7 @@ impl DeliveryPlane {
                     let items = std::mem::take(&mut *inbox.items.lock());
                     for (at, message, verdict) in items {
                         // The outcome was already accounted; the commit mutates only
-                        // the shard's dedup set, storage and gateway counters.
+                        // the shard's dedup index, storage and gateway counters.
                         let _ = node.apply_message_in_shard(inbox.shard, message, at, verdict);
                     }
                 } else {

@@ -774,7 +774,7 @@ impl Simulation {
                 for message in &output.messages {
                     acct.overhead
                         .record(message.from_as, message.from_if, round, 1);
-                    if message.pcb.extensions.target.is_some() {
+                    if message.pcb.extensions.target().is_some() {
                         acct.overhead_pull
                             .record(message.from_as, message.from_if, round, 1);
                     }
@@ -995,7 +995,7 @@ impl Simulation {
         for message in &output.messages {
             self.overhead
                 .record(message.from_as, message.from_if, self.round, 1);
-            if message.pcb.extensions.target.is_some() {
+            if message.pcb.extensions.target().is_some() {
                 self.overhead_pull
                     .record(message.from_as, message.from_if, self.round, 1);
             }
@@ -1275,13 +1275,14 @@ impl Simulation {
             .sum()
     }
 
-    /// What the ingress databases of all nodes hold, in bytes (see
+    /// What the ingress and egress dedup databases of all nodes hold, in bytes (see
     /// [`irec_core::StoreBytes`]). One ledger over the whole plane: a hop chain the
     /// receivers of a fanned-out beacon share is counted once, as it is held once.
     pub fn store_bytes(&self) -> irec_core::StoreBytes {
         let mut ledger = irec_core::StoreLedger::default();
         for node in self.nodes.values() {
             ledger.add(node.ingress().db());
+            ledger.add_egress(node.egress().db());
         }
         ledger.bytes()
     }
@@ -1389,7 +1390,7 @@ fn apply_pcb_inbox(node: &IrecNode, prep: &DeliveryPrep, shard: usize, indices: 
             .clone()
             .expect("the destination's verify item precedes its applies");
         // The outcome is accounted by the accounting item; the commit mutates only the
-        // shard's dedup set, storage and gateway counters.
+        // shard's dedup index, storage and gateway counters.
         let _ = node.apply_message_in_shard(shard, message, prep.ats[index], verdict);
     }
 }

@@ -8,7 +8,7 @@
 //! highest-degree CAIDA ASes), deploys the paper's RAC set in every AS (1SP, 5SP, HD, DO and
 //! an on-demand RAC), runs periodic beaconing, and prints connectivity, per-algorithm path
 //! statistics, control-plane overhead and what the run cost: wall-clock, the process's peak
-//! resident memory and the ingress databases' byte ledger. The last line of output is one
+//! resident memory and the dedup databases' byte ledger. The last line of output is one
 //! JSON object with the figures of the scale table in ROADMAP.md.
 
 use irec_core::NodeConfig;
@@ -98,12 +98,14 @@ fn main() {
     let ledger = sim.store_bytes();
     let ledger_bytes_per_beacon = ledger.total() as f64 / ledger.beacons.max(1) as f64;
     println!(
-        "\npeak RSS {peak_rss_mb:.0} MB = {bytes_per_beacon:.0} B per live beacon, of which the stored beacons hold {ledger_bytes_per_beacon:.0} B each:\n  {} B of slots, {} B of beacons, {} B of owned entries, {} B in {} shared chains",
+        "\npeak RSS {peak_rss_mb:.0} MB = {bytes_per_beacon:.0} B per live beacon, of which the stored beacons and their indexes hold {ledger_bytes_per_beacon:.0} B each:\n  {} B of slots, {} B of dedup index, {} B of beacons, {} B of owned entries, {} B in {} shared chains, {} B of egress dedup",
         ledger.slot_bytes,
+        ledger.dedup_index_bytes,
         ledger.beacon_bytes,
         ledger.owned_entry_bytes,
         ledger.shared_chain_bytes,
-        ledger.shared_chains
+        ledger.shared_chains,
+        ledger.egress_bytes
     );
     println!(
         "{{\"ases\":{},\"links\":{},\"rounds\":{rounds},\"wall_s\":{wall_s:.3},\"peak_rss_mb\":{peak_rss_mb:.1},\"live_beacons\":{live_beacons},\"bytes_per_beacon\":{bytes_per_beacon:.1},\"connectivity\":{connectivity:.4},\"messages_delivered\":{},\"ledger_bytes_per_beacon\":{ledger_bytes_per_beacon:.1}}}",

@@ -217,5 +217,8 @@ fn the_store_ledger_is_below_the_flat_layout_and_pinned() {
     assert_eq!((ledger.beacons, chained, flat), PINNED);
 }
 
-/// `(beacons, ledger total, flat total)` of the converged 12-AS fixture.
-const PINNED: (usize, usize, usize) = (4364, 1_587_184, 2_029_408);
+/// `(beacons, ledger total, flat total)` of the converged 12-AS fixture. PR 25: slot
+/// vectors grow by an eighth (6 304 → 4 576 slots of room, 252 160 → 183 040 B with the
+/// dedup index), a stored beacon is 16 B smaller (802 976 → 733 152 B), and the egress dedup
+/// maps joined the ledger (+115 732 B) — 1 587 184 → 1 563 972 B.
+const PINNED: (usize, usize, usize) = (4364, 1_563_972, 2_006_196);
