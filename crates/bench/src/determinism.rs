@@ -185,36 +185,44 @@ pub fn render(args: &BenchArgs) -> String {
         dump_state(&mut out, "churn-final", &sim);
     }
 
-    // Scenario 5 (only with `--algorithm`): every AS runs a single RAC with the requested
-    // catalog spec on the generated topology. Like the churn knobs this is a *workload*
-    // knob — `--algorithm 5YEN` or `--algorithm aco` (seeded via `--aco-seed`/
-    // `--aco-budget`) changes the selection plane deliberately, but for a fixed spec the
-    // output must stay byte-identical across every parallelism/shard/scheduler knob: ACO's
-    // randomness comes entirely from seeded per-(origin, group, egress, iteration, ant)
-    // streams, never from execution order. The CI algorithm rows diff runs with the same
-    // spec across parallelism planes. Appended last so enabling it leaves every other
-    // scenario's bytes untouched.
-    if let Some(spec) = args.algorithm_spec() {
-        let parallelism = args.parallelism;
-        let rac_spec = spec.clone();
-        let config = GeneratorConfig {
-            num_ases: args.ases,
-            seed: args.seed,
-            ..Default::default()
-        };
-        let sim = Simulation::new(
-            Arc::new(TopologyGenerator::new(config).generate()),
-            args.to_sim_config(),
-            move |_| {
-                NodeConfig::default()
-                    .with_policy(PropagationPolicy::All)
-                    .with_racs(vec![RacConfig::static_rac(&rac_spec, &rac_spec)])
-                    .with_parallelism(parallelism)
-            },
-        )
-        .expect("algorithm scenario setup");
-        dump(&mut out, &format!("algorithm {spec}"), sim, args.rounds);
-    }
+    // Scenario 5 (only with `--algorithm`), appended last so enabling it leaves every
+    // other scenario's bytes untouched.
+    out.push_str(&render_algorithm(args));
+    out
+}
+
+/// Scenario 5 alone, as [`render`] appends it — empty without `--algorithm`: every AS runs
+/// a single RAC with the requested catalog spec on the generated topology. Like the churn
+/// knobs this is a *workload* knob — `--algorithm 5YEN` or `--algorithm aco` (seeded via
+/// `--aco-seed`/`--aco-budget`) changes the selection plane deliberately, but for a fixed
+/// spec the output must stay byte-identical across every parallelism/shard/scheduler knob:
+/// ACO's randomness comes entirely from seeded per-(origin, group, egress, iteration, ant)
+/// streams, never from execution order. The CI algorithm rows diff runs with the same spec
+/// across parallelism planes.
+pub fn render_algorithm(args: &BenchArgs) -> String {
+    let mut out = String::new();
+    let Some(spec) = args.algorithm_spec() else {
+        return out;
+    };
+    let parallelism = args.parallelism;
+    let rac_spec = spec.clone();
+    let config = GeneratorConfig {
+        num_ases: args.ases,
+        seed: args.seed,
+        ..Default::default()
+    };
+    let sim = Simulation::new(
+        Arc::new(TopologyGenerator::new(config).generate()),
+        args.to_sim_config(),
+        move |_| {
+            NodeConfig::default()
+                .with_policy(PropagationPolicy::All)
+                .with_racs(vec![RacConfig::static_rac(&rac_spec, &rac_spec)])
+                .with_parallelism(parallelism)
+        },
+    )
+    .expect("algorithm scenario setup");
+    dump(&mut out, &format!("algorithm {spec}"), sim, args.rounds);
     out
 }
 

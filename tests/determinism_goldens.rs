@@ -8,17 +8,22 @@
 //!
 //! The fixtures are the probe's small named scenarios: `figure1` (the paper's Fig. 1
 //! topology under DO + widest), `generated` (12 ASes, seed 5, 3 rounds of
-//! 1SP/5SP/HD/DON), the PD campaign on Fig. 1, and the churn timelines of seeds 2 and 7
-//! (7 exercises a node re-join). To re-record after an intended change:
+//! 1SP/5SP/HD/DON), the PD campaign on Fig. 1, the churn timelines of seeds 2 and 7
+//! (7 exercises a node re-join), and `algorithm 5SP` (12 ASes, seed 5, 10 rounds of 5SP),
+//! the one fixture that runs long enough to converge: about a third of its `(RAC, batch)`
+//! selections are served verbatim from the selection tables. To re-record after an
+//! intended change:
 //!
 //! ```text
 //! cargo run --release -p irec_bench --bin determinism -- --ases 12 --rounds 3 --seed 5 \
 //!     [--churn-rate 1.5 --churn-seed N]
+//! cargo run --release -p irec_bench --bin determinism -- --ases 12 --rounds 10 --seed 5 \
+//!     --algorithm 5SP
 //! ```
 //!
 //! and split the output at its `## scenario:` headers into `tests/goldens/`.
 
-use irec_bench::determinism::render;
+use irec_bench::determinism::{render, render_algorithm};
 use irec_bench::BenchArgs;
 
 const FIGURE1: &str = include_str!("goldens/figure1.txt");
@@ -26,13 +31,35 @@ const GENERATED: &str = include_str!("goldens/generated-a12-r3-s5.txt");
 const PD_CAMPAIGN: &str = include_str!("goldens/pd-campaign-figure1.txt");
 const CHURN_SEED_2: &str = include_str!("goldens/churn-a12-r3-s5-cs2.txt");
 const CHURN_SEED_7: &str = include_str!("goldens/churn-a12-r3-s5-cs7.txt");
+const ALGORITHM_5SP: &str = include_str!("goldens/algorithm-5sp-a12-r10-s5.txt");
+
+/// The execution knobs stacked as wide as they go: the DAG scheduler over both parallel
+/// planes and both shardings.
+const STACKED: [&str; 12] = [
+    "--round-scheduler",
+    "dag",
+    "--parallelism",
+    "4",
+    "--delivery-parallelism",
+    "2",
+    "--ingress-shards",
+    "4",
+    "--path-shards",
+    "7",
+    "--pd-parallelism",
+    "4",
+];
+
+fn args(base: &[&str], extra: &[&str]) -> BenchArgs {
+    let args = base.iter().chain(extra).map(|arg| arg.to_string());
+    BenchArgs::parse(args).expect("probe arguments parse")
+}
 
 fn probe(extra: &[&str]) -> String {
-    let args = ["--ases", "12", "--rounds", "3", "--seed", "5"]
-        .iter()
-        .chain(extra)
-        .map(|arg| arg.to_string());
-    render(&BenchArgs::parse(args).expect("probe arguments parse"))
+    render(&args(
+        &["--ases", "12", "--rounds", "3", "--seed", "5"],
+        extra,
+    ))
 }
 
 /// Compares scenario by scenario, so a mismatch names the fixture instead of dumping
@@ -80,23 +107,25 @@ fn determinism_probe_matches_committed_goldens() {
     // (the CI determinism job diffs each knob alone).
     let mut goldens = fixed.to_vec();
     goldens.push(("churn", CHURN_SEED_7));
-    let stacked = probe(&[
-        "--churn-rate",
-        "1.5",
-        "--churn-seed",
-        "7",
-        "--round-scheduler",
-        "dag",
-        "--parallelism",
-        "4",
-        "--delivery-parallelism",
-        "2",
-        "--ingress-shards",
-        "4",
-        "--path-shards",
-        "7",
-        "--pd-parallelism",
-        "4",
-    ]);
+    let churn = ["--churn-rate", "1.5", "--churn-seed", "7"];
+    let stacked = probe(&[&churn[..], &STACKED].concat());
     assert_matches(&stacked, &goldens);
+}
+
+#[test]
+fn converged_5sp_plane_matches_its_golden_on_the_barrier_and_the_stacked_plane() {
+    let base = [
+        "--ases",
+        "12",
+        "--rounds",
+        "10",
+        "--seed",
+        "5",
+        "--algorithm",
+        "5SP",
+    ];
+    for extra in [&[][..], &STACKED] {
+        let output = render_algorithm(&args(&base, extra));
+        assert_matches(&output, &[("algorithm 5SP", ALGORITHM_5SP)]);
+    }
 }
