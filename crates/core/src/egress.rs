@@ -1,11 +1,11 @@
 //! The egress gateway (§V-D): PCB origination, deduplication, extension with the local hop
 //! entry, propagation to neighbors, pull-based returns, and path registration.
 
-use crate::beacon_db::{AscendingIfIds, EgressDb};
+use crate::beacon_db::{AscendingIfIds, EgressDb, StoredBeacon};
 use crate::config::PropagationPolicy;
-use crate::engine::BatchSelection;
+use crate::engine::{BatchOutputs, BatchSelection};
 use crate::messages::{PcbMessage, PullReturn};
-use crate::path_service::ShardedPathService;
+use crate::path_service::{KeyVersion, ShardedPathService};
 use irec_crypto::Signer;
 use irec_pcb::{HopExtender, Pcb, PcbExtensions, StaticInfo};
 use irec_topology::{LinkEnd, Topology};
@@ -13,7 +13,7 @@ use irec_types::{
     AsId, GeoCoord, IfId, InterfaceGroupId, Latency, LinkMetrics, Result, SimDuration, SimTime,
 };
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// What an AS originates each beaconing round: for every interface group, the member
 /// interfaces to send fresh beacons on, plus the extensions to attach (the same `extensions`
@@ -70,6 +70,11 @@ pub struct EgressStats {
     pub pull_returns: u64,
     /// Paths registered at the path service.
     pub registered: u64,
+    /// Selections the gateway recognised as last round's and did not walk again for
+    /// propagation (see [`EgressGateway::process_outputs`]).
+    pub selections_replayed: u64,
+    /// Of `registered`, the registrations refreshed by replaying last round's walk.
+    pub registrations_replayed: u64,
 }
 
 impl EgressStats {
@@ -188,6 +193,58 @@ impl LocalInterfaces {
     }
 }
 
+/// What processing one selection left behind that lets the gateway process it again without
+/// walking it (see [`EgressGateway::process_outputs`]).
+#[derive(Debug, Clone)]
+struct Replay {
+    /// The selection, held weakly: its allocation — and so its address, under which the
+    /// record is found — cannot be taken by another selection while the record lives, and
+    /// its beacons are not kept alive for it.
+    selection: Weak<BatchSelection>,
+    /// The earliest expiry among the winners the gateway propagates: until then no expiry
+    /// sweep removes a dedup mark of theirs.
+    valid_until: SimTime,
+    /// The version the registration walk left the selection's key at, when a replay can
+    /// stand in for walking it again; `None` walks it.
+    registered: Option<KeyVersion>,
+    /// In [`Memory::indices`]: `start..returns` are the positions that walk refreshed,
+    /// `returns..end` the winners returned to their origin instead of propagated.
+    start: u32,
+    returns: u32,
+    end: u32,
+}
+
+impl Replay {
+    fn address(&self) -> usize {
+        self.selection.as_ptr() as usize
+    }
+}
+
+/// A winner index or an offset into [`Memory::indices`], as the records store it.
+fn narrow(value: usize) -> u32 {
+    u32::try_from(value).expect("a call processes fewer than 2^32 winners")
+}
+
+/// One [`EgressGateway::process_outputs`] call's records, in two allocations.
+#[derive(Debug, Default)]
+struct Memory {
+    /// One per selection, ascending by address.
+    records: Vec<Replay>,
+    /// What the records' ranges refer to.
+    indices: Vec<u32>,
+}
+
+/// What the last [`EgressGateway::process_outputs`] call remembers, and what has happened
+/// to the dedup database since.
+#[derive(Debug, Clone, Default)]
+struct Replays {
+    /// `None` before the first call. Shared by clones of the gateway, which replace it with
+    /// their next call rather than write to it.
+    last: Option<Arc<Memory>>,
+    /// The latest instant an expiry sweep removed dedup entries at since the call.
+    swept: SimTime,
+}
+
 /// The egress gateway of one AS.
 pub struct EgressGateway {
     local_as: AsId,
@@ -203,6 +260,9 @@ pub struct EgressGateway {
     sequence: u64,
     /// See [`LocalInterfaces`]; clones share what is already built.
     interfaces: OnceLock<Arc<LocalInterfaces>>,
+    /// See [`EgressGateway::process_outputs`]. Never stored on the selections themselves:
+    /// copy-on-write snapshots share selections, but not path services or dedup marks.
+    replays: Replays,
 }
 
 impl Clone for EgressGateway {
@@ -221,6 +281,7 @@ impl Clone for EgressGateway {
             stats: self.stats.clone(),
             sequence: self.sequence,
             interfaces: self.interfaces.clone(),
+            replays: self.replays.clone(),
         }
     }
 }
@@ -243,6 +304,7 @@ impl EgressGateway {
             stats: self.stats.clone(),
             sequence: self.sequence,
             interfaces: self.interfaces.clone(),
+            replays: self.replays.clone(),
         }
     }
 
@@ -277,6 +339,7 @@ impl EgressGateway {
             stats: EgressStats::default(),
             sequence: 0,
             interfaces: OnceLock::new(),
+            replays: Replays::default(),
         }
     }
 
@@ -312,11 +375,19 @@ impl EgressGateway {
     /// beacons expire. Returns the number of per-beacon records dropped. Probes under a
     /// shared reference first, like [`EgressGateway::evict_expired`], so a no-op reset
     /// leaves a copy-on-write-shared database unmaterialized.
+    ///
+    /// A reset that drops a mark also drops what the gateway remembers of last round's
+    /// selections: the next round walks every selection again, and re-sends where the
+    /// marks are gone.
     pub fn forget_egress(&mut self, egress: IfId) -> usize {
         if !self.db.has_egress_records(egress) {
             return 0;
         }
-        Arc::make_mut(&mut self.db).forget_egress(egress)
+        let forgotten = Arc::make_mut(&mut self.db).forget_egress(egress);
+        if forgotten > 0 {
+            self.replays = Replays::default();
+        }
+        forgotten
     }
 
     /// Evicts expired entries from the egress dedup database. Probes under a shared
@@ -327,7 +398,11 @@ impl EgressGateway {
         if !self.db.has_expired_entries(now) {
             return 0;
         }
-        Arc::make_mut(&mut self.db).evict_expired(now)
+        let evicted = Arc::make_mut(&mut self.db).evict_expired(now);
+        if evicted > 0 {
+            self.replays.swept = self.replays.swept.max(now);
+        }
+        evicted
     }
 
     /// Originates fresh beacons according to `spec` ("PCB Initialization", §V-D): one beacon
@@ -383,18 +458,39 @@ impl EgressGateway {
     /// and propagates the rest (deduplicated per egress interface, extended with the local
     /// signed hop entry, filtered by the export policy).
     ///
-    /// Every selection of every round takes this one path, whether it was made this round
-    /// or kept from an earlier one, and what it costs follows what it has to say. A kept
-    /// winner costs lookups: its registration is found and refreshed in place (one key
-    /// lookup and shard lock per batch, see [`ShardedPathService::register_selected`]),
+    /// A selection takes one of two paths, with the same outcome.
+    ///
+    /// **The walk** — every winner registered, returned or filtered and sent — is the only
+    /// path for a selection made this round, and what it costs follows what it has to say.
+    /// A kept winner costs lookups: its registration is found and refreshed in place (one
+    /// key lookup and shard lock per batch, see [`ShardedPathService::register_selected`]),
     /// and the dedup database is probed under a shared reference and written — which
     /// copies it when it is shared with a snapshot — only for a mark or an id it does not
     /// hold yet. A beacon that does go out is checked, encoded and absorbed into the MAC
     /// once for all its interfaces ([`HopExtender`]). Every selection comes with the id
     /// its batch view carried, so nothing here hashes a beacon.
+    ///
+    /// **The replay** is for a selection the engine served verbatim: the very allocation
+    /// this gateway processed in its last call, which the engine hands back only while its
+    /// batch is untouched and unexpired. It does what walking it again would do, and no
+    /// more:
+    /// * *no dedup walk, nothing sent.* The last call left a mark for every winner on every
+    ///   interface the walk could send it on. Marks only grow, but for two removals: a
+    ///   [`EgressGateway::forget_egress`] that drops one also drops this memory, and an
+    ///   expiry sweep removes only entries expiring at or before its instant — so the
+    ///   replay requires the winners' earliest expiry to lie after both that instant and
+    ///   `now`;
+    /// * *registrations replayed* — `registered_at` set at the positions the last walk
+    ///   refreshed, while that walk left its key as it found it and the key has not moved
+    ///   since ([`ShardedPathService::replay_selected`]); otherwise they are walked;
+    /// * *pull returns* for the winners recorded as returned to their origin.
+    ///
+    /// What the gateway remembers is rebuilt by every call, for the selections of that
+    /// call; a selection failing a guard takes the walk. Counters:
+    /// [`EgressStats::selections_replayed`], [`EgressStats::registrations_replayed`].
     pub fn process_outputs<'a>(
         &mut self,
-        batches: impl IntoIterator<Item = &'a BatchSelection>,
+        batches: impl IntoIterator<Item = &'a BatchOutputs>,
         now: SimTime,
     ) -> Result<(Vec<PcbMessage>, Vec<PullReturn>)> {
         let interfaces = Arc::clone(
@@ -403,97 +499,238 @@ impl EgressGateway {
         );
         let mut messages = Vec::new();
         let mut returns = Vec::new();
-        let mut new_egresses = Vec::new();
 
+        let Replays { last, swept } = std::mem::take(&mut self.replays);
+        let last = last.unwrap_or_default();
+        // Whatever expires after this instant kept its dedup marks since the last call.
+        let horizon = now.max(swept);
+        let mut memory = Memory {
+            records: Vec::with_capacity(last.records.len()),
+            indices: Vec::with_capacity(last.indices.len()),
+        };
         for batch in batches {
-            // Path registration happens for every selection — these are the paths
-            // endpoints can use, whether or not the beacon is propagated further. A batch
-            // holds one origin's beacons, so its winners are one run.
-            let mut winners = batch.selected.iter().peekable();
-            while let Some(first) = winners.peek() {
-                let destination = first.beacon.pcb.origin;
-                let run = std::iter::from_fn(|| {
-                    winners.next_if(|winner| winner.beacon.pcb.origin == destination)
-                });
-                self.stats.registered += self.path_service.register_selected(
+            // The record's weak reference keeps this address from being reused: a record
+            // found under it belongs to this very selection.
+            let address = Arc::as_ptr(batch) as usize;
+            let found = last
+                .records
+                .binary_search_by_key(&address, Replay::address)
+                .ok()
+                .map(|at| &last.records[at])
+                .filter(|record| horizon < record.valid_until);
+            let record = match found {
+                Some(record) => self.replay(
+                    batch,
+                    record,
+                    &last.indices,
+                    now,
+                    &mut returns,
+                    &mut memory.indices,
+                ),
+                None => self.walk(
+                    batch,
+                    &interfaces,
+                    now,
+                    &mut messages,
+                    &mut returns,
+                    &mut memory.indices,
+                ),
+            };
+            memory.records.push(record);
+        }
+        memory.records.sort_unstable_by_key(Replay::address);
+        self.replays = Replays {
+            last: Some(Arc::new(memory)),
+            swept: SimTime::ZERO,
+        };
+        Ok((messages, returns))
+    }
+
+    /// Processes a selection the way [`EgressGateway::walk`] last did, from its `record`
+    /// and the `indices` it refers to; records the same in `memory`.
+    fn replay(
+        &mut self,
+        batch: &BatchSelection,
+        record: &Replay,
+        indices: &[u32],
+        now: SimTime,
+        returns: &mut Vec<PullReturn>,
+        memory: &mut Vec<u32>,
+    ) -> Replay {
+        self.stats.selections_replayed += 1;
+        let start = narrow(memory.len());
+        let positions = &indices[record.start as usize..record.returns as usize];
+        let registered = match record.registered {
+            Some(version)
+                if self.path_service.replay_selected(
                     &batch.rac_name,
-                    destination,
+                    batch.origin,
                     batch.group,
                     now,
-                    run.map(|winner| (winner.pcb_id, &winner.beacon.pcb, winner.beacon.ingress)),
-                );
+                    positions,
+                    version,
+                ) =>
+            {
+                self.stats.registered += positions.len() as u64;
+                self.stats.registrations_replayed += positions.len() as u64;
+                memory.extend_from_slice(positions);
+                Some(version)
+            }
+            _ => self.register(batch, now, memory),
+        };
+        let returns_at = narrow(memory.len());
+        for &index in &indices[record.returns as usize..record.end as usize] {
+            self.return_to_origin(&batch.selected[index as usize].beacon, returns);
+            memory.push(index);
+        }
+        Replay {
+            selection: record.selection.clone(),
+            valid_until: record.valid_until,
+            registered,
+            start,
+            returns: returns_at,
+            end: narrow(memory.len()),
+        }
+    }
+
+    /// Processes every winner of a selection and records, in `memory`, what a replay of it
+    /// needs.
+    fn walk(
+        &mut self,
+        batch: &BatchOutputs,
+        interfaces: &LocalInterfaces,
+        now: SimTime,
+        messages: &mut Vec<PcbMessage>,
+        returns: &mut Vec<PullReturn>,
+        memory: &mut Vec<u32>,
+    ) -> Replay {
+        let mut new_egresses = Vec::new();
+        let start = narrow(memory.len());
+        // Path registration happens for every selection — these are the paths endpoints
+        // can use, whether or not the beacon is propagated further.
+        let registered = self.register(batch, now, memory);
+        let returns_at = narrow(memory.len());
+        let mut valid_until = SimTime::MAX;
+        for (index, selected) in batch.selected.iter().enumerate() {
+            let beacon = &*selected.beacon;
+            // Pull-based beacon reaching its target: return it to the origin instead of
+            // propagating it further.
+            if beacon.pcb.extensions.target() == Some(self.local_as) {
+                memory.push(narrow(index));
+                self.return_to_origin(beacon, returns);
+                continue;
+            }
+            valid_until = valid_until.min(beacon.pcb.expires_at);
+
+            // Export-policy and dedup filtering; the policy is asked only about interfaces
+            // the beacon has not gone out on yet.
+            let mut exportable = self
+                .exportable_from(interfaces, beacon.ingress)
+                .map(AscendingIfIds::new);
+            let unrecorded = self.db.unmarked_egresses(
+                &selected.pcb_id,
+                beacon.pcb.expires_at,
+                &selected.egress_ifs,
+                |egress| {
+                    egress != beacon.ingress
+                        && exportable
+                            .as_mut()
+                            .is_none_or(|exportable| exportable.contains(egress))
+                },
+                &mut new_egresses,
+            );
+            if !unrecorded {
+                continue;
+            }
+            Arc::make_mut(&mut self.db).record(
+                selected.pcb_id,
+                beacon.pcb.expires_at,
+                &new_egresses,
+            );
+            if new_egresses.is_empty() {
+                continue;
             }
 
-            for selected in &batch.selected {
-                let beacon = &*selected.beacon;
-                // Pull-based beacon reaching its target: return it to the origin instead
-                // of propagating it further.
-                if beacon.pcb.extensions.target() == Some(self.local_as) {
-                    self.stats.pull_returns += 1;
-                    returns.push(PullReturn {
-                        from_as: self.local_as,
-                        to_as: beacon.pcb.origin,
-                        target_ingress: beacon.ingress,
-                        pcb: beacon.pcb.clone(),
-                    });
-                    continue;
-                }
-
-                // Export-policy and dedup filtering; the policy is asked only about
-                // interfaces the beacon has not gone out on yet.
-                let mut exportable = self
-                    .exportable_from(&interfaces, beacon.ingress)
-                    .map(AscendingIfIds::new);
-                let unrecorded = self.db.unmarked_egresses(
-                    &selected.pcb_id,
-                    beacon.pcb.expires_at,
-                    &selected.egress_ifs,
-                    |egress| {
-                        egress != beacon.ingress
-                            && exportable
-                                .as_mut()
-                                .is_none_or(|exportable| exportable.contains(egress))
-                    },
-                    &mut new_egresses,
-                );
-                if !unrecorded {
-                    continue;
-                }
-                Arc::make_mut(&mut self.db).record(
-                    selected.pcb_id,
-                    beacon.pcb.expires_at,
-                    &new_egresses,
-                );
-                if new_egresses.is_empty() {
-                    continue;
-                }
-
-                // A single unpropagatable (e.g. topology-inconsistent) selection must not
-                // abort the whole round, nor must a single unusable interface.
-                let Ok(mut extender) = HopExtender::new(&beacon.pcb, beacon.ingress, &self.signer)
-                else {
+            // A single unpropagatable (e.g. topology-inconsistent) selection must not abort
+            // the whole round, nor must a single unusable interface.
+            let Ok(mut extender) = HopExtender::new(&beacon.pcb, beacon.ingress, &self.signer)
+            else {
+                continue;
+            };
+            let ingress = interfaces.get(beacon.ingress);
+            for &egress in &new_egresses {
+                let Some((info, neighbor)) = interfaces.hop_towards(ingress, egress) else {
                     continue;
                 };
-                let ingress = interfaces.get(beacon.ingress);
-                for &egress in &new_egresses {
-                    let Some((info, neighbor)) = interfaces.hop_towards(ingress, egress) else {
-                        continue;
-                    };
-                    let Ok(pcb) = extender.extended(egress, info) else {
-                        continue;
-                    };
-                    *self.stats.sent_per_interface.entry(egress).or_default() += 1;
-                    messages.push(PcbMessage {
-                        from_as: self.local_as,
-                        from_if: egress,
-                        to_as: neighbor.asn,
-                        to_if: neighbor.interface,
-                        pcb,
-                    });
-                }
+                let Ok(pcb) = extender.extended(egress, info) else {
+                    continue;
+                };
+                *self.stats.sent_per_interface.entry(egress).or_default() += 1;
+                messages.push(PcbMessage {
+                    from_as: self.local_as,
+                    from_if: egress,
+                    to_as: neighbor.asn,
+                    to_if: neighbor.interface,
+                    pcb,
+                });
             }
         }
-        Ok((messages, returns))
+        Replay {
+            selection: Arc::downgrade(batch),
+            valid_until,
+            registered,
+            start,
+            returns: returns_at,
+            end: narrow(memory.len()),
+        }
+    }
+
+    /// Registers a selection's winners by walking them. Returns the version the walk left
+    /// their key at, with their positions appended to `positions`, when a replay can stand
+    /// in for the next walk: a batch holds one origin's beacons, so its winners are one run
+    /// towards the batch's origin, and only such a selection is replayed.
+    fn register(
+        &mut self,
+        batch: &BatchSelection,
+        now: SimTime,
+        positions: &mut Vec<u32>,
+    ) -> Option<KeyVersion> {
+        let start = positions.len();
+        let mut winners = batch.selected.iter().peekable();
+        let (mut runs, mut version) = (0, None);
+        while let Some(first) = winners.peek() {
+            let destination = first.beacon.pcb.origin;
+            let run = std::iter::from_fn(|| {
+                winners.next_if(|winner| winner.beacon.pcb.origin == destination)
+            });
+            let (registered, walked) = self.path_service.register_selected(
+                &batch.rac_name,
+                destination,
+                batch.group,
+                now,
+                run.map(|winner| (winner.pcb_id, &winner.beacon.pcb, winner.beacon.ingress)),
+                positions,
+            );
+            self.stats.registered += registered;
+            runs += 1;
+            version = walked.filter(|_| destination == batch.origin);
+        }
+        if runs != 1 || version.is_none() {
+            positions.truncate(start);
+            return None;
+        }
+        version
+    }
+
+    /// Hands a pull-based beacon that reached its target back to its origin.
+    fn return_to_origin(&mut self, beacon: &StoredBeacon, returns: &mut Vec<PullReturn>) {
+        self.stats.pull_returns += 1;
+        returns.push(PullReturn {
+            from_as: self.local_as,
+            to_as: beacon.pcb.origin,
+            target_ingress: beacon.ingress,
+            pcb: beacon.pcb.clone(),
+        });
     }
 
     /// Where a beacon that arrived on `ingress` may be exported, the ingress interface
@@ -586,8 +823,8 @@ mod tests {
     }
 
     /// One RAC's selection of one beacon, the way the engine hands it over.
-    fn output(name: &str, beacon: StoredBeacon, egress_ifs: Vec<IfId>) -> BatchSelection {
-        BatchSelection {
+    fn output(name: &str, beacon: StoredBeacon, egress_ifs: Vec<IfId>) -> BatchOutputs {
+        Arc::new(BatchSelection {
             rac_name: name.into(),
             origin: beacon.pcb.origin,
             group: InterfaceGroupId::DEFAULT,
@@ -596,7 +833,7 @@ mod tests {
                 beacon: Arc::new(beacon),
                 egress_ifs: egress_ifs.into(),
             }],
-        }
+        })
     }
 
     #[test]
@@ -727,14 +964,14 @@ mod tests {
         assert_eq!(outputs.selected.len(), 1);
         assert_eq!(outputs.selected[0].pcb_id, first.digest());
         assert!(outputs.selected[0].beacon.pcb == first);
-        let (messages, _) = gw.process_outputs([&*outputs], SimTime::ZERO).unwrap();
+        let (messages, _) = gw.process_outputs([&outputs], SimTime::ZERO).unwrap();
         assert_eq!(messages.len(), 2);
         for egress in [IfId(2), IfId(3)] {
             assert!(gw.db.contains(&first.digest(), egress));
         }
 
         // Re-selected next round: nothing new to send.
-        let (messages, _) = gw.process_outputs([&*outputs], SimTime::ZERO).unwrap();
+        let (messages, _) = gw.process_outputs([&outputs], SimTime::ZERO).unwrap();
         assert!(messages.is_empty());
 
         // The origin re-originates (next sequence number): a different id, sent afresh,
@@ -755,7 +992,7 @@ mod tests {
             .unwrap();
         let outputs = select(&ingress);
         assert_eq!(outputs.selected.len(), 2);
-        let (messages, _) = gw.process_outputs([&*outputs], SimTime::ZERO).unwrap();
+        let (messages, _) = gw.process_outputs([&outputs], SimTime::ZERO).unwrap();
         assert_eq!(messages.len(), 2);
         assert!(messages.iter().all(|m| m.pcb.sequence == 1));
         assert_eq!(gw.db.len(), 2);
@@ -764,7 +1001,7 @@ mod tests {
         assert_eq!(gw.forget_egress(IfId(3)), 2);
         assert!(!gw.db.contains(&second.digest(), IfId(3)));
         assert!(gw.db.contains(&second.digest(), IfId(2)));
-        let (messages, _) = gw.process_outputs([&*outputs], SimTime::ZERO).unwrap();
+        let (messages, _) = gw.process_outputs([&outputs], SimTime::ZERO).unwrap();
         assert_eq!(messages.len(), 2);
         assert!(messages.iter().all(|m| m.from_if == IfId(3)));
 

@@ -1,22 +1,27 @@
 //! The oracle of the egress gateway: the gateway as it was before its cost followed what it
-//! had to say — every winner of every round registered through a freshly built
-//! [`RegisteredPath`], filtered through the export policy with topology lookups, recorded
-//! in a hash-set dedup database and extended by cloning the beacon per interface — kept
-//! here as a reference with its own path-service and dedup models, so that it shares with
-//! the gateway under test nothing but `Pcb::extend` (which has its own oracle in
-//! `irec_pcb`).
+//! had to say — every winner of every selection of every round registered through a
+//! freshly built [`RegisteredPath`], filtered through the export policy with topology
+//! lookups, recorded in a hash-set dedup database and extended by cloning the beacon per
+//! interface, with no memory of earlier rounds — kept here as a reference with its own
+//! path-service and dedup models, so that it shares with the gateway under test nothing
+//! but `Pcb::extend` (which has its own oracle in `irec_pcb`).
 //!
 //! The property drives both through scripts of several rounds and, after every round and
 //! every operation between rounds, compares what they emitted (wire bytes, in order), what
 //! they returned, every registration (id, time and metrics included), the eviction
-//! counter, the dedup marks of every known beacon on every interface, and the counters.
-//! Every script holds the situations the gateway's shortcuts could get wrong: two winners
-//! of one batch over the same links under different ids, round after round; a key driven
-//! past its limit and an evicted path selected again; one beacon selected by two RACs;
-//! pull-based beacons at their target, kept; marks forgotten and entries expired between
-//! rounds; both export policies; beacons that cannot be extended; interfaces the topology
-//! does not know or has no usable link for; and a copy-on-write clone that takes over
-//! mid-script while the gateway it was cloned from must not change.
+//! counter, the dedup marks of every known beacon on every interface, and the counters;
+//! and it checks the number of selections the gateway replayed against a model of when it
+//! must. Every script holds the situations the gateway's shortcuts could get wrong: two
+//! winners of one batch over the same links under different ids, round after round; a key
+//! driven past its limit — by one selection on its own, too — and an evicted path selected
+//! again; a second, pull-based batch registering under another batch's key; one beacon
+//! selected by two RACs; pull-based beacons at their target, kept; selections carried to
+//! the next round as the same `Arc` (replayed) and as an equal-content fresh one (walked);
+//! marks forgotten and entries expired between rounds, with expiries on and just after
+//! round instants; both export policies; beacons that cannot be extended; interfaces the
+//! topology does not know or has no usable link for; and a copy-on-write clone that takes
+//! over mid-script, with what its gateway remembers, while the gateway it was cloned from
+//! must not change.
 
 use super::*;
 use crate::beacon_db::StoredBeacon;
@@ -348,13 +353,18 @@ impl Draw {
     }
 }
 
-/// The beacons a script selects from, each as the ingress gateway would hand it on.
+/// The beacons a script selects from, each as the ingress gateway would hand it on. Every
+/// beacon is originated at time zero, and validities are multiples of five minutes, so
+/// that expiries fall on round instants and just after them.
 struct Pool {
     /// Origin 1: two originations of one path — same links, different ids and metadata —
     /// and a third over other links.
     flip: Vec<SelectedBeacon>,
     /// Origin 3: 26 paths, more than one key registers.
     crowd: Vec<SelectedBeacon>,
+    /// Origin 3 again, pull-based — for another AS and for this one: a second batch whose
+    /// winners register under the crowd's key.
+    pulled: Vec<SelectedBeacon>,
     /// Origin 4: pull-based beacons for this AS and for another, one that already crossed
     /// this AS, one without entries.
     odd: Vec<SelectedBeacon>,
@@ -362,7 +372,11 @@ struct Pool {
 
 impl Pool {
     fn all(&self) -> impl Iterator<Item = &SelectedBeacon> {
-        self.flip.iter().chain(&self.crowd).chain(&self.odd)
+        self.flip
+            .iter()
+            .chain(&self.crowd)
+            .chain(&self.pulled)
+            .chain(&self.odd)
     }
 }
 
@@ -376,7 +390,7 @@ fn beacon(
     first_egress: u32,
     via: &[u64],
     latency_ms: u64,
-    validity_h: u64,
+    validity_min: u64,
     target: Option<AsId>,
     ingress: u32,
 ) -> SelectedBeacon {
@@ -388,7 +402,7 @@ fn beacon(
         AsId(origin),
         sequence,
         SimTime::ZERO,
-        SimTime::ZERO + SimDuration::from_hours(validity_h),
+        SimTime::ZERO + SimDuration::from_minutes(validity_min),
         extensions,
     );
     let info = |ms| {
@@ -432,14 +446,14 @@ fn selection(pcb: Pcb, ingress: u32) -> SelectedBeacon {
 fn pool(registry: &KeyRegistry, draw: &mut Draw) -> Pool {
     let ingress = |draw: &mut Draw| INTERFACES.start() + draw.below(9) as u32;
     let flip = vec![
-        beacon(registry, 1, 0, 4, &[5], 10, 6, None, ingress(draw)),
-        beacon(registry, 1, 1, 4, &[5], 30, 6, None, ingress(draw)),
-        beacon(registry, 1, 2, 6, &[5], 20, 1, None, ingress(draw)),
+        beacon(registry, 1, 0, 4, &[5], 10, 360, None, ingress(draw)),
+        beacon(registry, 1, 1, 4, &[5], 30, 360, None, ingress(draw)),
+        beacon(registry, 1, 2, 6, &[5], 20, 65, None, ingress(draw)),
     ];
     let crowd = (0..26)
         .map(|i| {
             let via: &[u64] = if i % 3 == 0 { &[6, 7] } else { &[6] };
-            let validity = 1 + u64::from(i % 4 == 0) * 5;
+            let validity = [20, 30, 65, 120, 360, 360][i as usize % 6];
             beacon(
                 registry,
                 3,
@@ -453,9 +467,36 @@ fn pool(registry: &KeyRegistry, draw: &mut Draw) -> Pool {
             )
         })
         .collect();
+    let pulled = (0..6)
+        .map(|i| {
+            let target = if i % 2 == 0 { LOCAL } else { AsId(77) };
+            let validity = [75, 360, 120, 360, 30, 360][i as usize];
+            beacon(
+                registry,
+                3,
+                200 + u64::from(i),
+                40 + i,
+                &[6],
+                9 + u64::from(i),
+                validity,
+                Some(target),
+                ingress(draw),
+            )
+        })
+        .collect();
     let odd = vec![
-        beacon(registry, 4, 0, 1, &[8], 7, 6, Some(LOCAL), ingress(draw)),
-        beacon(registry, 4, 1, 1, &[8], 7, 6, Some(AsId(77)), ingress(draw)),
+        beacon(registry, 4, 0, 1, &[8], 7, 360, Some(LOCAL), ingress(draw)),
+        beacon(
+            registry,
+            4,
+            1,
+            1,
+            &[8],
+            7,
+            360,
+            Some(AsId(77)),
+            ingress(draw),
+        ),
         beacon(
             registry,
             4,
@@ -463,7 +504,7 @@ fn pool(registry: &KeyRegistry, draw: &mut Draw) -> Pool {
             2,
             &[LOCAL.value()],
             9,
-            6,
+            360,
             None,
             ingress(draw),
         ),
@@ -472,13 +513,18 @@ fn pool(registry: &KeyRegistry, draw: &mut Draw) -> Pool {
                 AsId(4),
                 3,
                 SimTime::ZERO,
-                SimTime::ZERO + SimDuration::from_hours(2),
+                SimTime::ZERO + SimDuration::from_minutes(120),
                 PcbExtensions::none(),
             ),
             ingress(draw),
         ),
     ];
-    Pool { flip, crowd, odd }
+    Pool {
+        flip,
+        crowd,
+        pulled,
+        odd,
+    }
 }
 
 /// `winners` as one RAC's selection for `origin`, each for a drawn set of egress interfaces
@@ -509,25 +555,36 @@ fn batch(rac: &str, origin: u64, winners: &[&SelectedBeacon], draw: &mut Draw) -
     }
 }
 
-/// One round's selections: the flip pair every round, a window sliding over the crowd and
-/// back to its start, the first flip beacon again under the second RAC, and a drawn subset
-/// of the odd beacons.
+/// One round's selections, freshly drawn: the flip pair every round, a window sliding over
+/// the crowd and back to its start — now and then 23 wide, so that one selection drives
+/// its key past the limit on its own — a drawn subset of the pulled beacons, a drawn subset
+/// of the odd beacons, the first flip beacon again under the second RAC, and half the
+/// crowd's window under the second RAC.
 fn round_selections(pool: &Pool, round: usize, draw: &mut Draw) -> Vec<BatchSelection> {
     let mut flip: Vec<&SelectedBeacon> = pool.flip[..2].iter().collect();
     if draw.chance(50) {
         flip.insert(draw.below(3) as usize, &pool.flip[2]);
     }
-    let window = match round % 4 {
+    let window = match round % 5 {
         0 => 0..14,
         1 => 8..22,
         2 => 16..26,
-        _ => 0..8,
+        3 => 0..8,
+        _ => 0..23,
     };
     let crowd: Vec<&SelectedBeacon> = pool.crowd[window]
         .iter()
         .chain(pool.crowd.iter().filter(|_| draw.chance(10)))
         .collect();
-    // The pull-based beacon for this AS is a kept winner: selected every round.
+    // The first pulled beacon and the pull-based beacon for this AS among the odd ones are
+    // kept winners: selected every round.
+    let pulled: Vec<&SelectedBeacon> = pool
+        .pulled
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| *i == 0 || draw.chance(60))
+        .map(|(_, beacon)| beacon)
+        .collect();
     let odd: Vec<&SelectedBeacon> = pool
         .odd
         .iter()
@@ -538,10 +595,82 @@ fn round_selections(pool: &Pool, round: usize, draw: &mut Draw) -> Vec<BatchSele
     vec![
         batch(RACS[0], 1, &flip, draw),
         batch(RACS[0], 3, &crowd, draw),
+        batch(RACS[0], 3, &pulled, draw),
         batch(RACS[0], 4, &odd, draw),
         batch(RACS[1], 1, &[&pool.flip[0]], draw),
         batch(RACS[1], 3, &crowd[..crowd.len() / 2], draw),
     ]
+}
+
+/// Rounds whose every selection is the one of the round before, served verbatim. No marks
+/// are forgotten right before them, so that each script replays selections, and
+/// registrations from the second one on.
+fn carries_all(round: usize) -> bool {
+    matches!(round, 1 | 2 | 5 | 6)
+}
+
+/// Rounds whose every selection is drawn afresh — the fourth one with the 23-wide window.
+fn draws_all(round: usize) -> bool {
+    matches!(round, 3 | 4)
+}
+
+/// This round's selections, slot by slot: last round's selection served verbatim (the same
+/// `Arc`), last round's selection in a fresh `Arc` (the same content, not served
+/// verbatim), or a freshly drawn one.
+fn next_selections(
+    pool: &Pool,
+    round: usize,
+    draw: &mut Draw,
+    last: &[BatchOutputs],
+) -> Vec<BatchOutputs> {
+    let drawn = round_selections(pool, round, draw);
+    drawn
+        .into_iter()
+        .enumerate()
+        .map(
+            |(slot, fresh)| match last.get(slot).filter(|_| !draws_all(round)) {
+                Some(last) if carries_all(round) || draw.chance(40) => Arc::clone(last),
+                Some(last) if draw.chance(33) => Arc::new(BatchSelection {
+                    rac_name: Arc::clone(&last.rac_name),
+                    origin: last.origin,
+                    group: last.group,
+                    selected: last.selected.clone(),
+                }),
+                _ => Arc::new(fresh),
+            },
+        )
+        .collect()
+}
+
+/// When a selection must be replayed, stated without the gateway: it is the very `Arc` the
+/// gateway processed in its last call, no mark was forgotten since, and every winner not
+/// returned to its origin expires after `now` and after every expiry sweep since that
+/// removed anything.
+#[derive(Clone, Default)]
+struct ReplayModel {
+    last: Vec<BatchOutputs>,
+    forgotten: bool,
+    swept: SimTime,
+}
+
+impl ReplayModel {
+    fn replayed(&self, selections: &[BatchOutputs], now: SimTime) -> u64 {
+        if self.forgotten {
+            return 0;
+        }
+        let horizon = now.max(self.swept);
+        selections
+            .iter()
+            .filter(|selection| self.last.iter().any(|last| Arc::ptr_eq(last, selection)))
+            .filter(|selection| {
+                selection
+                    .selected
+                    .iter()
+                    .filter(|winner| winner.beacon.pcb.extensions.target() != Some(LOCAL))
+                    .all(|winner| winner.beacon.pcb.expires_at > horizon)
+            })
+            .count() as u64
+    }
 }
 
 /// Everything observable about the two gateways must agree.
@@ -560,7 +689,15 @@ fn assert_same_state(gateway: &EgressGateway, reference: &ReferenceGateway, pool
             );
         }
     }
-    assert_eq!(gateway.stats(), &reference.stats);
+    // The reference walks every selection: it counts no replays.
+    let stats = gateway.stats();
+    assert!(stats.registrations_replayed <= stats.registered);
+    let walked = EgressStats {
+        selections_replayed: 0,
+        registrations_replayed: 0,
+        ..stats.clone()
+    };
+    assert_eq!(walked, reference.stats);
 }
 
 fn run_script(seed: u64, policy: PropagationPolicy, shards: usize) {
@@ -577,15 +714,19 @@ fn run_script(seed: u64, policy: PropagationPolicy, shards: usize) {
         shards,
     );
     let mut reference = ReferenceGateway::new(topology, signer, policy);
+    let mut model = ReplayModel::default();
     // The gateways a clone took over from, with the state they must keep.
     let mut left_behind: Vec<(EgressGateway, ReferenceGateway)> = Vec::new();
 
-    let rounds = 6 + draw.below(3) as usize;
+    let rounds = 8 + draw.below(3) as usize;
     let mut now = SimTime::ZERO;
+    let mut selections = Vec::new();
     for round in 0..rounds {
-        let selections = round_selections(&pool, round, &mut draw);
+        selections = next_selections(&pool, round, &mut draw, &selections);
+        let replayed_before = gateway.stats().selections_replayed;
         let (messages, returns) = gateway.process_outputs(&selections, now).unwrap();
-        let (expected_messages, expected_returns) = reference.process_outputs(&selections, now);
+        let (expected_messages, expected_returns) =
+            reference.process_outputs(selections.iter().map(|s| &**s), now);
         assert_eq!(messages.len(), expected_messages.len(), "round {round}");
         for (message, expected) in messages.iter().zip(&expected_messages) {
             assert_eq!(to_bytes(message), to_bytes(expected), "round {round}");
@@ -597,20 +738,32 @@ fn run_script(seed: u64, policy: PropagationPolicy, shards: usize) {
             assert_eq!(to_bytes(ret), to_bytes(expected), "round {round}");
         }
         assert_same_state(&gateway, &reference, &pool);
+        assert_eq!(
+            gateway.stats().selections_replayed - replayed_before,
+            model.replayed(&selections, now),
+            "selections replayed in round {round}"
+        );
+        model = ReplayModel {
+            last: selections.clone(),
+            ..ReplayModel::default()
+        };
 
-        // Between rounds: time passes — sometimes past the short validities — marks are
+        // Between rounds: time passes — onto and past the validities — marks are
         // forgotten, expired entries evicted, per-period counters drained, and a
         // copy-on-write clone takes over.
         now += SimDuration::from_minutes(10 + 45 * draw.below(2));
-        if round == 1 || draw.chance(40) {
+        if round == 3 || (!carries_all(round + 1) && draw.chance(40)) {
             let egress = IfId(INTERFACES.start() + draw.below(9) as u32);
-            assert_eq!(
-                gateway.forget_egress(egress),
-                reference.db.forget_egress(egress)
-            );
+            let forgotten = gateway.forget_egress(egress);
+            assert_eq!(forgotten, reference.db.forget_egress(egress));
+            model.forgotten |= forgotten > 0;
         }
         if round == 3 || draw.chance(50) {
-            assert_eq!(gateway.evict_expired(now), reference.db.evict_expired(now));
+            let evicted = gateway.evict_expired(now);
+            assert_eq!(evicted, reference.db.evict_expired(now));
+            if evicted > 0 {
+                model.swept = model.swept.max(now);
+            }
         }
         if draw.chance(20) {
             let drained = std::mem::take(&mut reference.stats.sent_per_interface);
@@ -630,6 +783,11 @@ fn run_script(seed: u64, policy: PropagationPolicy, shards: usize) {
         "a key must have been driven past its limit"
     );
     assert!(reference.stats.pull_returns >= rounds as u64);
+    let stats = gateway.stats();
+    assert!(
+        stats.selections_replayed > 0 && stats.registrations_replayed > 0,
+        "{stats:?}"
+    );
 }
 
 proptest! {

@@ -80,7 +80,9 @@ pub struct BatchSelection {
 }
 
 /// A [`BatchSelection`], shared — not copied — between the round that consumes it and the
-/// [`SelectionTables`] entry that serves it again next round.
+/// [`SelectionTables`] entry that serves it again next round. The same allocation coming
+/// back is what tells the egress gateway that it processed this very selection last round
+/// (see [`crate::egress::EgressGateway::process_outputs`]).
 pub type BatchOutputs = Arc<BatchSelection>;
 
 /// A RAC output paired with the id its view carried: the merge's working form, which

@@ -379,10 +379,10 @@ impl IrecNode {
         output.timing.accumulate(&timing);
 
         // 3. Egress processing (§V-D) — of every selection, every round: registrations
-        // refresh the paths' `registered_at`, which drives the path service's eviction.
-        let (messages, returns) = self
-            .egress
-            .process_outputs(batches.iter().map(|batch| &**batch), now)?;
+        // refresh the paths' `registered_at`, which drives the path service's eviction. A
+        // selection the engine served verbatim is the same `Arc` the gateway processed last
+        // round, which it recognises and replays instead of walking it again.
+        let (messages, returns) = self.egress.process_outputs(&batches, now)?;
         output.messages.extend(messages);
         output.pull_returns = returns;
         Ok(output)
@@ -669,6 +669,118 @@ mod tests {
             .messages
             .iter()
             .any(|m| m.pcb.origin == AsId(3) && m.pcb.len() == 2));
+    }
+
+    #[test]
+    fn a_converged_node_replays_and_after_a_forgotten_mark_sends_what_a_walk_sends() {
+        use irec_topology::{GeneratorConfig, TopologyGenerator};
+        let topology = Arc::new(
+            TopologyGenerator::new(GeneratorConfig {
+                num_ases: 12,
+                seed: 5,
+                ..Default::default()
+            })
+            .generate(),
+        );
+        let registry = KeyRegistry::new(1);
+        for asn in topology.as_ids() {
+            registry.register(asn);
+        }
+        let store = SharedAlgorithmStore::new();
+        let config = NodeConfig::default().with_racs(vec![RacConfig::static_rac("5SP", "5SP")]);
+        let mut nodes: BTreeMap<AsId, IrecNode> = topology
+            .as_ids()
+            .into_iter()
+            .map(|asn| {
+                let node = IrecNode::new(
+                    asn,
+                    config.clone(),
+                    Arc::clone(&topology),
+                    registry.clone(),
+                    store.clone(),
+                );
+                (asn, node.unwrap())
+            })
+            .collect();
+        let at = |round: u64| SimTime::ZERO + SimDuration::from_minutes(10 * round);
+        // One round of the plane: every node runs, then every message arrives. Returns what
+        // each node sent and how many selections it replayed.
+        let run = |nodes: &mut BTreeMap<AsId, IrecNode>, round: u64| {
+            let mut sent = BTreeMap::new();
+            for (asn, node) in nodes.iter_mut() {
+                let replayed = node.egress().stats().selections_replayed;
+                let out = node.beaconing_round(at(round)).unwrap();
+                let replayed = node.egress().stats().selections_replayed - replayed;
+                sent.insert(*asn, (out, replayed));
+            }
+            for (out, _) in sent.values() {
+                for message in &out.messages {
+                    if let Some(node) = nodes.get_mut(&message.to_as) {
+                        let _ = node.handle_message(message.clone(), at(round));
+                    }
+                }
+            }
+            sent
+        };
+
+        let mut last = BTreeMap::new();
+        for round in 0..10 {
+            last = run(&mut nodes, round);
+        }
+        // Converged: the last round replays, registrations included — on a node that
+        // propagates, too.
+        let propagates = |asn: &AsId| {
+            let interfaces = topology.as_node(*asn).unwrap().interfaces.keys();
+            interfaces
+                .copied()
+                .any(|egress| nodes[asn].egress().db().has_egress_records(egress))
+        };
+        let (&asn, _) = last
+            .iter()
+            .filter(|(asn, _)| propagates(asn))
+            .max_by_key(|(_, (_, replayed))| *replayed)
+            .unwrap();
+        assert!(last[&asn].1 > 0, "nothing replayed on a converged plane");
+        let stats = nodes[&asn].egress().stats().clone();
+        assert!(stats.registrations_replayed > 0, "{stats:?}");
+
+        // A twin of that node whose engine never serves a selection verbatim, so that its
+        // gateway walks every selection, every round.
+        let mut twin = nodes[&asn].clone();
+        let egress = topology.as_node(asn).unwrap().interfaces.keys().copied();
+        let forgotten: Vec<IfId> = egress
+            .filter(|&egress| nodes.get_mut(&asn).unwrap().forget_egress(egress) > 0)
+            .collect();
+        assert!(!forgotten.is_empty());
+        for &egress in &forgotten {
+            assert!(twin.forget_egress(egress) > 0);
+        }
+        for round in 10..14 {
+            twin.selection_tables.clear();
+            let expected = twin.beaconing_round(at(round)).unwrap();
+            last = run(&mut nodes, round);
+            let (out, replayed) = &last[&asn];
+            if round == 10 {
+                assert_eq!(*replayed, 0, "the round after a forgotten mark replays");
+            }
+            assert_eq!(out.messages, expected.messages, "round {round}");
+            assert_eq!(out.pull_returns, expected.pull_returns);
+            assert_eq!(out.sent_per_interface, expected.sent_per_interface);
+            assert_eq!(
+                twin.egress().stats().selections_replayed,
+                stats.selections_replayed
+            );
+            assert_eq!(nodes[&asn].path_service().all(), twin.path_service().all());
+            // The twin hears what the node heard, in the same order.
+            let inbox = last.values().flat_map(|(out, _)| &out.messages);
+            for message in inbox.filter(|message| message.to_as == asn) {
+                let _ = twin.handle_message(message.clone(), at(round));
+            }
+        }
+        assert!(
+            nodes[&asn].egress().stats().selections_replayed > stats.selections_replayed,
+            "replays resume once the marks are back"
+        );
     }
 
     #[test]

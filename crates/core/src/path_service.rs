@@ -59,13 +59,19 @@ struct Registrations {
     /// [`link_hash`] of `paths[i].links`, kept beside the paths so that looking for a link
     /// sequence reads no link vector but the one it finds.
     link_hashes: Vec<u64>,
+    /// Moves on every insert, every eviction and every refresh that changes a
+    /// registration's id or metrics — on everything but a refreshed `registered_at`. What
+    /// a registration walk does depends on nothing else, so a walk recorded under this
+    /// version can be replayed while it stands (see [`KeyVersion`]).
+    version: u64,
 }
 
 impl Registrations {
     /// The registration a new one for the same key refreshes instead of being added beside
-    /// it: the first, in registration order, that has the same beacon id **or** the same
-    /// link sequence (a re-originated beacon over the same inter-domain path) — `hash` is
-    /// the new sequence's [`link_hash`], `same_links` compares it with a registered one.
+    /// it: the position of the first, in registration order, that has the same beacon id
+    /// **or** the same link sequence (a re-originated beacon over the same inter-domain
+    /// path) — `hash` is the new sequence's [`link_hash`], `same_links` compares it with a
+    /// registered one.
     ///
     /// The rule has this one home because [`PathService::register`] and
     /// [`PathService::register_selected`] must agree on it registration for registration.
@@ -74,19 +80,53 @@ impl Registrations {
     /// the last one leaves its id there — so next round the others find their
     /// registration by its links, not by their id.
     fn first_match(
-        &mut self,
+        &self,
         pcb_id: &PcbId,
         hash: u64,
         same_links: impl Fn(&[(AsId, IfId)]) -> bool,
-    ) -> Option<&mut RegisteredPath> {
-        let at = self
-            .paths
+    ) -> Option<usize> {
+        self.paths
             .iter()
             .zip(&self.link_hashes)
-            .position(|(p, &h)| p.pcb_id == *pcb_id || (h == hash && same_links(&p.links)))?;
-        Some(&mut self.paths[at])
+            .position(|(p, &h)| p.pcb_id == *pcb_id || (h == hash && same_links(&p.links)))
+    }
+
+    /// Refreshes the registration at `at` with a beacon's id, metrics and registration
+    /// time; returns its id and metrics from before when they changed.
+    fn refresh(
+        &mut self,
+        at: usize,
+        pcb_id: PcbId,
+        metrics: PathMetrics,
+        now: SimTime,
+    ) -> Option<(PcbId, PathMetrics)> {
+        let existing = &mut self.paths[at];
+        existing.registered_at = now;
+        if existing.pcb_id == pcb_id && existing.metrics == metrics {
+            return None;
+        }
+        self.version += 1;
+        let before = (existing.pcb_id, existing.metrics);
+        existing.pcb_id = pcb_id;
+        existing.metrics = metrics;
+        Some(before)
     }
 }
+
+/// The version of one key's registrations that a [`PathService::register_selected`] walk
+/// left behind when all it did was refresh `registered_at`: no registration was added or
+/// evicted, and every registration it refreshed ended the walk with the id and metrics it
+/// had before — a winner may hand a registration over to another winner over the same
+/// links, as long as the last one hands it back.
+///
+/// A later walk of the same winners over a key still at this version takes the same steps
+/// — which registration a winner refreshes depends only on the ids, link sequences and
+/// order of the key's registrations, and none of them moves without moving the version —
+/// and so ends where the recorded one ended, with `registered_at` refreshed at the
+/// positions it recorded. [`PathService::replay_selected`] does exactly that, and nothing
+/// else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyVersion(u64);
 
 /// The default per-key registration limit of the paper's evaluation.
 const DEFAULT_LIMIT_PER_KEY: usize = 20;
@@ -132,14 +172,13 @@ impl PathService {
         );
         let entry = self.paths.entry(key).or_default();
         let hash = link_hash(path.links.iter().copied());
-        if let Some(existing) = entry.first_match(&path.pcb_id, hash, |links| links == path.links) {
+        if let Some(at) = entry.first_match(&path.pcb_id, hash, |links| links == path.links) {
             // Refresh: update the registration time and metrics (the beacon may carry fresher
             // metadata after re-origination).
-            existing.pcb_id = path.pcb_id;
-            existing.registered_at = path.registered_at;
-            existing.metrics = path.metrics;
+            entry.refresh(at, path.pcb_id, path.metrics, path.registered_at);
             return;
         }
+        entry.version += 1;
         if entry.paths.len() >= self.limit_per_key {
             // Evict the stalest registration.
             if let Some((idx, _)) = entry
@@ -164,8 +203,13 @@ impl PathService {
     /// exists (every kept winner, every round), of finding it: the link sequence is
     /// compared straight off the beacon's entries and a [`RegisteredPath`] is built only
     /// for a beacon that matches nothing, which then goes through `register` itself.
-    /// Beacons without entries describe no path and are skipped; returns how many were
-    /// registered.
+    /// Beacons without entries describe no path and are skipped.
+    ///
+    /// Returns how many were registered and, when the walk left the key as it found it
+    /// but for `registered_at`, the version it left the key at: then `positions` got,
+    /// per registered winner, the position in the key of the registration it refreshed,
+    /// which [`PathService::replay_selected`] can refresh again for the same beacons.
+    /// Otherwise `positions` is left as it was.
     pub fn register_selected<'a>(
         &mut self,
         algorithm: &Arc<str>,
@@ -173,24 +217,32 @@ impl PathService {
         group: InterfaceGroupId,
         now: SimTime,
         selected: impl IntoIterator<Item = (PcbId, &'a Pcb, IfId)>,
-    ) -> u64 {
+        positions: &mut Vec<u32>,
+    ) -> (u64, Option<KeyVersion>) {
         let key = (Arc::clone(algorithm), destination, group);
         let mut known = self.paths.get_mut(&key);
+        let start = positions.len();
         let mut registered = 0;
+        // Every registration the walk changed, with its id and metrics from before.
+        let mut changed: Vec<(usize, PcbId, PathMetrics)> = Vec::new();
         for (pcb_id, pcb, local_interface) in selected {
             let Some(destination_interface) = pcb.origin_interface() else {
                 continue;
             };
             registered += 1;
             let refreshed = known.as_deref_mut().and_then(|known| {
-                known.first_match(&pcb_id, link_hash(pcb.links()), |links| {
+                let at = known.first_match(&pcb_id, link_hash(pcb.links()), |links| {
                     links.iter().copied().eq(pcb.links())
-                })
+                })?;
+                Some((at, known.refresh(at, pcb_id, pcb.path_metrics(), now)))
             });
-            if let Some(existing) = refreshed {
-                existing.pcb_id = pcb_id;
-                existing.registered_at = now;
-                existing.metrics = pcb.path_metrics();
+            if let Some((at, before)) = refreshed {
+                positions.push(u32::try_from(at).expect("a key holds fewer than 2^32 paths"));
+                if let Some((id, metrics)) = before {
+                    if !changed.iter().any(|&(position, ..)| position == at) {
+                        changed.push((at, id, metrics));
+                    }
+                }
                 continue;
             }
             self.register(RegisteredPath {
@@ -206,7 +258,47 @@ impl PathService {
             });
             known = self.paths.get_mut(&key);
         }
-        registered
+        // A registration added (and perhaps one evicted) is a walk that did not end where
+        // it started.
+        let version = known
+            .filter(|known| {
+                positions.len() - start == registered as usize
+                    && changed.iter().all(|&(at, id, metrics)| {
+                        known.paths[at].pcb_id == id && known.paths[at].metrics == metrics
+                    })
+            })
+            .map(|known| KeyVersion(known.version));
+        if version.is_none() {
+            positions.truncate(start);
+        }
+        (registered, version)
+    }
+
+    /// Repeats a [`PathService::register_selected`] walk of the key `(algorithm,
+    /// destination, group)` that recorded `positions` and left the key at `version`: sets
+    /// `registered_at` to `now` at those positions, exactly as walking the same beacons
+    /// again would. Returns `false`, touching nothing, when the key moved since the walk.
+    pub fn replay_selected(
+        &mut self,
+        algorithm: &Arc<str>,
+        destination: AsId,
+        group: InterfaceGroupId,
+        now: SimTime,
+        positions: &[u32],
+        version: KeyVersion,
+    ) -> bool {
+        let key = (Arc::clone(algorithm), destination, group);
+        let Some(known) = self
+            .paths
+            .get_mut(&key)
+            .filter(|known| KeyVersion(known.version) == version)
+        else {
+            return false;
+        };
+        for &at in positions {
+            known.paths[at as usize].registered_at = now;
+        }
+        true
     }
 
     /// All paths towards `destination`, across all RACs and groups.
@@ -389,7 +481,7 @@ impl ShardedPathService {
 
     /// [`PathService::register_selected`] in `destination`'s shard, under one lock. A
     /// selection with nothing to register leaves the shard untouched (and, if it is shared
-    /// with a snapshot, shared).
+    /// with a snapshot, shared), and records no walk.
     pub fn register_selected<'a>(
         &self,
         algorithm: &Arc<str>,
@@ -397,16 +489,47 @@ impl ShardedPathService {
         group: InterfaceGroupId,
         now: SimTime,
         selected: impl IntoIterator<Item = (PcbId, &'a Pcb, IfId)>,
-    ) -> u64 {
+        positions: &mut Vec<u32>,
+    ) -> (u64, Option<KeyVersion>) {
         let mut selected = selected
             .into_iter()
             .filter(|(_, pcb, _)| !pcb.is_empty())
             .peekable();
         if selected.peek().is_none() {
-            return 0;
+            return (0, None);
         }
         let mut shard = self.shards[self.shard_of(destination)].write();
-        Arc::make_mut(&mut *shard).register_selected(algorithm, destination, group, now, selected)
+        Arc::make_mut(&mut *shard).register_selected(
+            algorithm,
+            destination,
+            group,
+            now,
+            selected,
+            positions,
+        )
+    }
+
+    /// [`PathService::replay_selected`] in `destination`'s shard. It copies a shard shared
+    /// with a snapshot just as walking the same beacons again would: a walk worth replaying
+    /// registered something.
+    pub fn replay_selected(
+        &self,
+        algorithm: &Arc<str>,
+        destination: AsId,
+        group: InterfaceGroupId,
+        now: SimTime,
+        positions: &[u32],
+        version: KeyVersion,
+    ) -> bool {
+        let mut shard = self.shards[self.shard_of(destination)].write();
+        Arc::make_mut(&mut *shard).replay_selected(
+            algorithm,
+            destination,
+            group,
+            now,
+            positions,
+            version,
+        )
     }
 
     /// All paths towards `destination`, across all RACs and groups — entirely within the
@@ -583,21 +706,24 @@ mod tests {
         let (second_id, second) = beacon(1, 1, 4, 30);
         let (other_id, other) = beacon(1, 2, 5, 20);
         let algorithm: Arc<str> = "5SP".into();
+        let group = InterfaceGroupId::DEFAULT;
+        let selected = [
+            (first_id, &first, IfId(2)),
+            (other_id, &other, IfId(2)),
+            (second_id, &second, IfId(3)),
+        ];
         let mut ps = PathService::new();
         for round in 0..3u64 {
             let now = SimTime::from_micros(round * 600_000_000);
-            let registered = ps.register_selected(
-                &algorithm,
-                AsId(1),
-                InterfaceGroupId::DEFAULT,
-                now,
-                [
-                    (first_id, &first, IfId(2)),
-                    (other_id, &other, IfId(2)),
-                    (second_id, &second, IfId(3)),
-                ],
-            );
+            let mut positions = Vec::new();
+            let (registered, version) =
+                ps.register_selected(&algorithm, AsId(1), group, now, selected, &mut positions);
             assert_eq!(registered, 3);
+            // The first walk adds the registrations; every later one hands the first
+            // registration from `first` to `second` and so ends where it started.
+            assert_eq!(version.is_some(), round > 0);
+            let expected: &[u32] = if round > 0 { &[0, 1, 0] } else { &[] };
+            assert_eq!(positions, expected);
             let paths = ps.paths_to(AsId(1));
             assert_eq!(paths.len(), 2, "round {round}");
             assert_eq!(paths[0].pcb_id, second_id);
@@ -631,6 +757,30 @@ mod tests {
         }
         assert_eq!(ps.all(), one_by_one.all());
         assert_eq!(ps.evictions(), 0);
+
+        // Replaying the last walk is walking the same beacons again...
+        let later = SimTime::from_micros(1_800_000_000);
+        let mut positions = Vec::new();
+        let (_, version) =
+            ps.register_selected(&algorithm, AsId(1), group, later, selected, &mut positions);
+        let version = version.expect("the walk ended where it started");
+        let mut walked = ps.clone();
+        let mut again = Vec::new();
+        let (_, same) =
+            walked.register_selected(&algorithm, AsId(1), group, later, selected, &mut again);
+        // (The walk hands a registration over and back, which moves the version twice.)
+        assert!(same.is_some_and(|same| same != version));
+        assert_eq!(again, positions);
+        assert!(ps.replay_selected(&algorithm, AsId(1), group, later, &positions, version));
+        assert_eq!(ps.all(), walked.all());
+        // ...until the key moves: a registration whose id changes refuses the replay.
+        ps.register(RegisteredPath {
+            pcb_id: first_id,
+            ..ps.paths_to(AsId(1))[0].clone()
+        });
+        let before: Vec<RegisteredPath> = ps.all().into_iter().cloned().collect();
+        assert!(!ps.replay_selected(&algorithm, AsId(1), group, later, &positions, version));
+        assert_eq!(ps.all().into_iter().cloned().collect::<Vec<_>>(), before);
     }
 
     #[test]
@@ -648,12 +798,30 @@ mod tests {
         );
         let group = InterfaceGroupId::DEFAULT;
         assert_eq!(
-            snapshot.register_selected(&algorithm, AsId(1), group, SimTime::ZERO, []),
+            snapshot
+                .register_selected(
+                    &algorithm,
+                    AsId(1),
+                    group,
+                    SimTime::ZERO,
+                    [],
+                    &mut Vec::new()
+                )
+                .0,
             0
         );
         let entryless = [(empty.digest(), &empty, IfId(1))];
         assert_eq!(
-            snapshot.register_selected(&algorithm, AsId(1), group, SimTime::ZERO, entryless),
+            snapshot
+                .register_selected(
+                    &algorithm,
+                    AsId(1),
+                    group,
+                    SimTime::ZERO,
+                    entryless,
+                    &mut Vec::new()
+                )
+                .0,
             0
         );
         assert!(snapshot.shares_shard_with(&base, 0));
@@ -662,7 +830,16 @@ mod tests {
         let (id, pcb) = beacon(2, 0, 1, 5);
         let selected = [(id, &pcb, IfId(1))];
         assert_eq!(
-            snapshot.register_selected(&algorithm, AsId(2), group, SimTime::ZERO, selected),
+            snapshot
+                .register_selected(
+                    &algorithm,
+                    AsId(2),
+                    group,
+                    SimTime::ZERO,
+                    selected,
+                    &mut Vec::new()
+                )
+                .0,
             1
         );
         assert!(!snapshot.shares_shard_with(&base, 0));

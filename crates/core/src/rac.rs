@@ -105,8 +105,9 @@ impl AlgorithmFetcher for SharedAlgorithmStore {
 /// way (see [`crate::engine::SelectedBeacon`]).
 #[derive(Debug, Clone)]
 pub struct RacOutput {
-    /// The RAC that produced this selection (used to tag registered paths).
-    pub rac_name: String,
+    /// The RAC that produced this selection (used to tag registered paths), shared with
+    /// the RAC ([`Rac::shared_name`]) rather than copied per output.
+    pub rac_name: Arc<str>,
     /// The batch the beacon came from.
     pub origin: AsId,
     /// Interface group of the batch.
@@ -320,7 +321,7 @@ impl Rac {
     }
 
     /// The display name in the form kept selections share.
-    pub(crate) fn shared_name(&self) -> Arc<str> {
+    pub fn shared_name(&self) -> Arc<str> {
         Arc::clone(&self.name)
     }
 
@@ -547,7 +548,7 @@ impl Rac {
             .map(|group| {
                 let candidate_index = index_map.map_or(group[0].0, |map| map[group[0].0]);
                 RacOutput {
-                    rac_name: self.config.name.clone(),
+                    rac_name: self.shared_name(),
                     origin: key.origin,
                     group: key.group,
                     beacon: Arc::clone(&beacons[candidate_index]),
@@ -710,7 +711,7 @@ mod tests {
             .find(|o| o.beacon.pcb.path_metrics().hops == 2)
             .unwrap();
         assert_eq!(long.egress_ifs, vec![IfId(2)]);
-        assert_eq!(short.rac_name, "1SP");
+        assert_eq!(&*short.rac_name, "1SP");
         assert!(timing.candidates >= 2);
         assert!(timing.total() >= timing.execute);
     }
