@@ -22,7 +22,7 @@
 
 use crate::BenchArgs;
 use irec_core::{NodeConfig, PropagationPolicy, RacConfig};
-use irec_sim::{ChurnConfig, ChurnEngine, PdCampaign, Simulation};
+use irec_sim::{ChurnConfig, ChurnEngine, PdCampaign, PdPairResult, Simulation};
 use irec_topology::builder::{figure1, figure1_topology};
 use irec_topology::{GeneratorConfig, TopologyGenerator};
 use std::fmt::Write;
@@ -103,35 +103,7 @@ pub fn render(args: &BenchArgs) -> String {
     .with_parallelism(args.pd_parallelism)
     .run(&base)
     .expect("PD campaign run");
-    assert!(
-        results
-            .iter()
-            .any(|pair| pair.result.iterations > 0 && !pair.pull_overhead.is_empty()),
-        "PD scenario ran zero pull iterations — the probe no longer exercises the pull pipeline"
-    );
-    outln!(out, "## scenario: pd-campaign");
-    for (index, pair) in results.iter().enumerate() {
-        outln!(
-            out,
-            "pd-pair\t{index}\t{}\t{}\titerations={}\tempty={}\tpull_overhead={:?}",
-            pair.origin,
-            pair.target,
-            pair.result.iterations,
-            pair.result.empty_iterations,
-            pair.pull_overhead
-        );
-        for p in &pair.result.paths {
-            outln!(
-                out,
-                "pd-path\t{index}\t{}\t{}\t{}\t{}\t{:?}",
-                p.algorithm,
-                p.metrics.latency,
-                p.metrics.bandwidth,
-                p.metrics.hops,
-                p.links
-            );
-        }
-    }
+    dump_pd_campaign(&mut out, "pd-campaign", &results);
 
     // Scenario 4 (only with `--churn-rate > 0`): the churn engine on a generated
     // topology. Churn knobs are *workload* knobs — they change this scenario's output
@@ -224,6 +196,98 @@ pub fn render_algorithm(args: &BenchArgs) -> String {
     .expect("algorithm scenario setup");
     dump(&mut out, &format!("algorithm {spec}"), sim, args.rounds);
     out
+}
+
+/// A PD campaign on a generated topology, shaped like the benchmark's `pd_pull`: HD plus
+/// an on-demand RAC on every AS, `args.rounds` warm-up rounds, then the first two pairs in
+/// AS-id order whose origin holds fewer than 20 HD paths to the target, each pulling for
+/// up to 20 paths at 3 rounds per iteration. Where the Fig. 1 campaign of [`render`] pins
+/// five ASes, this one pins the on-demand path over origins that carry several pull
+/// iterations' algorithms at once. Not part of [`render`] and no knob of its own: it is
+/// compared by `tests/determinism_goldens.rs`, on every execution plane `args` describes.
+pub fn render_pd_generated(args: &BenchArgs) -> String {
+    const MAX_PATHS: usize = 20;
+    const PAIRS: usize = 2;
+    let config = GeneratorConfig {
+        num_ases: args.ases,
+        seed: args.seed,
+        ..Default::default()
+    };
+    let parallelism = args.parallelism;
+    let mut base = Simulation::new(
+        Arc::new(TopologyGenerator::new(config).generate()),
+        args.to_sim_config(),
+        move |_| {
+            NodeConfig::default()
+                .with_racs(vec![
+                    RacConfig::static_rac("HD", "HD"),
+                    RacConfig::on_demand_rac("on-demand"),
+                ])
+                .with_parallelism(parallelism)
+        },
+    )
+    .expect("generated PD base simulation setup");
+    base.run_rounds(args.rounds)
+        .expect("generated PD warm-up rounds");
+    let ids = base.topology().as_ids();
+    let pairs: Vec<_> = ids
+        .iter()
+        .flat_map(|&origin| ids.iter().map(move |&target| (origin, target)))
+        .filter(|&(origin, target)| {
+            origin != target
+                && base
+                    .node(origin)
+                    .expect("every AS has a node")
+                    .path_service()
+                    .paths_to_by(target, "HD")
+                    .len()
+                    < MAX_PATHS
+        })
+        .take(PAIRS)
+        .collect();
+    let results = PdCampaign::new(pairs, MAX_PATHS)
+        .with_rounds_per_iteration(3)
+        .with_parallelism(args.pd_parallelism)
+        .run(&base)
+        .expect("generated PD campaign run");
+    let mut out = String::new();
+    dump_pd_campaign(&mut out, "pd-campaign generated", &results);
+    out
+}
+
+/// Writes every pair of a PD campaign — iteration counts, pull overhead, every path —
+/// after asserting that some pair actually pulled: a campaign that finishes on its HD
+/// seeds alone would pin nothing of the pull pipeline.
+fn dump_pd_campaign(out: &mut String, label: &str, results: &[PdPairResult]) {
+    assert!(
+        results
+            .iter()
+            .any(|pair| pair.result.iterations > 0 && !pair.pull_overhead.is_empty()),
+        "PD scenario {label} ran zero pull iterations — it no longer exercises the pull pipeline"
+    );
+    outln!(out, "## scenario: {label}");
+    for (index, pair) in results.iter().enumerate() {
+        outln!(
+            out,
+            "pd-pair\t{index}\t{}\t{}\titerations={}\tempty={}\tpull_overhead={:?}",
+            pair.origin,
+            pair.target,
+            pair.result.iterations,
+            pair.result.empty_iterations,
+            pair.pull_overhead
+        );
+        for p in &pair.result.paths {
+            outln!(
+                out,
+                "pd-path\t{index}\t{}\t{}\t{}\t{}\t{:?}",
+                p.algorithm,
+                p.metrics.latency,
+                p.metrics.bandwidth,
+                p.metrics.hops,
+                p.links
+            );
+        }
+    }
 }
 
 /// Runs `rounds` beaconing rounds and writes every observable output of the simulation in

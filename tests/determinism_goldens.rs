@@ -11,8 +11,10 @@
 //! 1SP/5SP/HD/DON), the PD campaign on Fig. 1, the churn timelines of seeds 2 and 7
 //! (7 exercises a node re-join), and `algorithm 5SP` (12 ASes, seed 5, 10 rounds of 5SP),
 //! the one fixture that runs long enough to converge: about a third of its `(RAC, batch)`
-//! selections are served verbatim from the selection tables. To re-record after an
-//! intended change:
+//! selections are served verbatim from the selection tables. `pd-campaign generated` is a
+//! PD campaign on 8 generated ASes (seed 5, 4 warm-up rounds, two pairs pulling for up to
+//! 20 paths), where on-demand batches hold carriers of several pull iterations at once. To
+//! re-record after an intended change:
 //!
 //! ```text
 //! cargo run --release -p irec_bench --bin determinism -- --ases 12 --rounds 3 --seed 5 \
@@ -21,9 +23,12 @@
 //!     --algorithm 5SP
 //! ```
 //!
-//! and split the output at its `## scenario:` headers into `tests/goldens/`.
+//! and split the output at its `## scenario:` headers into `tests/goldens/`; the generated
+//! PD campaign has no flag of its own — write what
+//! `irec_bench::determinism::render_pd_generated` returns for `--ases 8 --rounds 4 --seed 5`
+//! to `tests/goldens/pd-campaign-a8-s5.txt`.
 
-use irec_bench::determinism::{render, render_algorithm};
+use irec_bench::determinism::{render, render_algorithm, render_pd_generated};
 use irec_bench::BenchArgs;
 
 const FIGURE1: &str = include_str!("goldens/figure1.txt");
@@ -32,6 +37,7 @@ const PD_CAMPAIGN: &str = include_str!("goldens/pd-campaign-figure1.txt");
 const CHURN_SEED_2: &str = include_str!("goldens/churn-a12-r3-s5-cs2.txt");
 const CHURN_SEED_7: &str = include_str!("goldens/churn-a12-r3-s5-cs7.txt");
 const ALGORITHM_5SP: &str = include_str!("goldens/algorithm-5sp-a12-r10-s5.txt");
+const PD_GENERATED: &str = include_str!("goldens/pd-campaign-a8-s5.txt");
 
 /// The execution knobs stacked as wide as they go: the DAG scheduler over both parallel
 /// planes and both shardings.
@@ -127,5 +133,14 @@ fn converged_5sp_plane_matches_its_golden_on_the_barrier_and_the_stacked_plane()
     for extra in [&[][..], &STACKED] {
         let output = render_algorithm(&args(&base, extra));
         assert_matches(&output, &[("algorithm 5SP", ALGORITHM_5SP)]);
+    }
+}
+
+#[test]
+fn generated_pd_campaign_matches_its_golden_on_the_barrier_and_the_stacked_plane() {
+    let base = ["--ases", "8", "--rounds", "4", "--seed", "5"];
+    for extra in [&[][..], &STACKED] {
+        let output = render_pd_generated(&args(&base, extra));
+        assert_matches(&output, &[("pd-campaign generated", PD_GENERATED)]);
     }
 }
