@@ -45,11 +45,6 @@ pub struct BenchArgs {
     /// next power of two of `--parallelism`). Threaded into every simulation the binaries
     /// build; the simulation output is byte-identical for every value.
     pub path_shards: usize,
-    /// Use the deep-`Clone` reference implementation for per-pair PD campaign snapshots
-    /// instead of the default copy-on-write snapshots (`--pd-deep-clone`, default false).
-    /// Campaign output is byte-identical either way — this knob exists for A/B-ing the
-    /// snapshot cost (see `docs/KNOBS.md`).
-    pub pd_deep_clone: bool,
     /// Round scheduler of every simulation the binaries build (`--round-scheduler
     /// {barrier,dag}`, default barrier). Under `dag` the rounds run as a work-item DAG on
     /// one pool of `max(parallelism, delivery-parallelism)` workers; the simulation output
@@ -97,7 +92,6 @@ impl Default for BenchArgs {
             ingress_shards: 0,
             pd_parallelism: 1,
             path_shards: 0,
-            pd_deep_clone: false,
             round_scheduler: RoundScheduler::Barrier,
             churn_rate: 0.0,
             churn_seed: 11,
@@ -111,10 +105,9 @@ impl Default for BenchArgs {
 
 impl BenchArgs {
     /// Parses `--key value` pairs from an iterator of arguments. Every argument must be
-    /// a known `--key` followed by its value (only `--pd-deep-clone` may stand alone);
-    /// anything else — an unknown key, a missing or unparsable value, a stray word — is
-    /// an error naming the offender. Out-of-range numbers are still clamped, as
-    /// [`BenchArgs::help_text`] documents per knob.
+    /// a known `--key` followed by its value; anything else — an unknown key, a missing
+    /// or unparsable value, a stray word — is an error naming the offender. Out-of-range
+    /// numbers are still clamped, as [`BenchArgs::help_text`] documents per knob.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self> {
         let mut parsed = BenchArgs::default();
         let mut iter = args.into_iter().peekable();
@@ -130,7 +123,8 @@ impl BenchArgs {
         Ok(parsed)
     }
 
-    /// Applies one `--key [value]` pair.
+    /// Applies one `--key value` pair (`value` is `None` where the key stood last or
+    /// before another `--key`).
     fn set(&mut self, key: &str, value: Option<&str>) -> Result<()> {
         /// The value of `--key`, parsed; missing and unparsable values are errors.
         fn parsed<T: std::str::FromStr>(key: &str, value: Option<&str>) -> Result<T>
@@ -155,17 +149,6 @@ impl BenchArgs {
             "ingress-shards" => self.ingress_shards = parsed::<usize>(key, value)?.min(256),
             "pd-parallelism" => self.pd_parallelism = parsed::<usize>(key, value)?.clamp(1, 64),
             "path-shards" => self.path_shards = parsed::<usize>(key, value)?.min(256),
-            "pd-deep-clone" => {
-                self.pd_deep_clone = match value {
-                    None | Some("true" | "1" | "yes") => true,
-                    Some("false" | "0" | "no") => false,
-                    Some(other) => {
-                        return Err(IrecError::config(format!(
-                            "--{key}: cannot parse {other:?} (expected true or false)"
-                        )))
-                    }
-                };
-            }
             "round-scheduler" => self.round_scheduler = parsed(key, value)?,
             "churn-rate" => {
                 let rate: f64 = parsed(key, value)?;
@@ -241,7 +224,6 @@ impl BenchArgs {
          \x20 --pd-parallelism N        concurrent PD campaign pairs (default 1)\n\
          \x20 --ingress-shards N        ingress-DB shards per node (default 0 = auto)\n\
          \x20 --path-shards N           path-service shards per node (default 0 = auto)\n\
-         \x20 --pd-deep-clone           use deep-Clone PD snapshots instead of copy-on-write\n\
          \x20 --round-scheduler S       round scheduler: barrier (default) or dag\n\
          \x20 --churn-rate R            expected churn deltas per step (default 0 = off)\n\
          \x20 --churn-seed N            churn-timeline PRNG seed (default 11)\n\
@@ -279,6 +261,7 @@ impl BenchArgs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn try_parse(s: &[&str]) -> Result<BenchArgs> {
         BenchArgs::parse(s.iter().map(|s| s.to_string()))
@@ -328,6 +311,9 @@ mod tests {
         assert!(message.contains("--retired-knob"), "{message}");
         assert!(rejection(&["--bogus", "x"]).contains("--bogus"));
         assert!(rejection(&["--verbose"]).contains("--verbose"));
+        for args in [&["--pd-deep-clone"][..], &["--pd-deep-clone", "true"]] {
+            assert!(rejection(args).contains("unknown argument --pd-deep-clone"));
+        }
         // So must a stray word that is no `--key` at all.
         assert!(rejection(&["rounds", "3"]).contains("\"rounds\""));
     }
@@ -344,7 +330,6 @@ mod tests {
             ("--ases", "twelve"),
             ("--seed", "-1"),
             ("--parallelism", "4.5"),
-            ("--pd-deep-clone", "maybe"),
             ("--churn-rate", "fast"),
             ("--churn-rate", "inf"),
             ("--churn-kinds", "bogus-kind"),
@@ -439,15 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn pd_deep_clone_parses_as_bare_flag_and_with_value() {
-        assert!(!parse(&[]).pd_deep_clone);
-        // A bare `--pd-deep-clone` (no value) is recorded as "true" by the parser.
-        assert!(parse(&["--pd-deep-clone"]).pd_deep_clone);
-        assert!(parse(&["--pd-deep-clone", "1"]).pd_deep_clone);
-        assert!(!parse(&["--pd-deep-clone", "false"]).pd_deep_clone);
-    }
-
-    #[test]
     fn churn_knobs_parse_clamp_and_default_to_off() {
         let a = parse(&[]);
         assert_eq!(a.churn_rate, 0.0);
@@ -502,31 +478,62 @@ mod tests {
         assert_eq!(parse(&["--aco-budget", "90000"]).aco_budget, 1024);
     }
 
+    /// The keys [`BenchArgs::set`] matches, read off this file's own source: every line
+    /// of the non-test part that opens with a string literal followed by `=>`.
+    fn parsed_keys() -> BTreeSet<&'static str> {
+        let source = include_str!("args.rs");
+        let code = &source[..source
+            .find("#[cfg(test)]")
+            .expect("the tests follow the code")];
+        let keys: BTreeSet<&str> = code
+            .lines()
+            .filter_map(|line| line.trim_start().strip_prefix('"')?.split_once("\" =>"))
+            .map(|(key, _)| key)
+            .collect();
+        for key in &keys {
+            // Whatever a dummy value makes of it, the parser knows the key.
+            if let Err(err) = try_parse(&[&format!("--{key}"), "1"]) {
+                assert!(
+                    !err.to_string().contains("unknown argument"),
+                    "{key}: {err}"
+                );
+            }
+        }
+        keys
+    }
+
+    /// Every `--key` `docs/KNOBS.md` names in the first cell of a table row.
+    fn documented_keys() -> BTreeSet<&'static str> {
+        include_str!("../../../docs/KNOBS.md")
+            .lines()
+            .filter_map(|line| line.strip_prefix("| "))
+            .filter_map(|row| row.split(" |").next())
+            .flat_map(|cell| cell.split("`--").skip(1))
+            .map(|knob| {
+                knob.split([' ', '`'])
+                    .next()
+                    .expect("split yields a first part")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_knobs_table_lists_exactly_the_keys_the_parser_takes() {
+        let parsed = parsed_keys();
+        assert!(parsed.len() >= 18 && parsed.contains("ases") && parsed.contains("aco-budget"));
+        // A knob deleted from the parser cannot linger in the docs, and a new one must be
+        // documented.
+        assert_eq!(documented_keys(), parsed);
+    }
+
     #[test]
     fn help_text_covers_every_knob_and_points_at_the_docs_table() {
         let help = BenchArgs::help_text();
-        for knob in [
-            "--ases",
-            "--rounds",
-            "--seed",
-            "--reps",
-            "--pd-pairs",
-            "--max-racs",
-            "--parallelism",
-            "--delivery-parallelism",
-            "--pd-parallelism",
-            "--ingress-shards",
-            "--path-shards",
-            "--pd-deep-clone",
-            "--round-scheduler",
-            "--churn-rate",
-            "--churn-seed",
-            "--churn-kinds",
-            "--algorithm",
-            "--aco-seed",
-            "--aco-budget",
-        ] {
-            assert!(help.contains(knob), "help text is missing {knob}");
+        for key in parsed_keys() {
+            assert!(
+                help.contains(&format!("--{key} ")),
+                "help text is missing --{key}"
+            );
         }
         assert!(help.contains("docs/KNOBS.md"));
         assert!(help.contains("IREC_CRITERION_"));

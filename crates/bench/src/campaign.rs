@@ -185,7 +185,6 @@ impl Fig8Campaign {
         let results = PdCampaign::new(self.pd_pairs(), 20)
             .with_rounds_per_iteration(3)
             .with_parallelism(self.args.pd_parallelism)
-            .with_deep_clone(self.args.pd_deep_clone)
             .run(&sim)?;
         data.pd_campaign_elapsed = campaign_start.elapsed();
         // The PD series of Fig. 8c: the pairs' pull-overhead samples, concatenated in
@@ -298,7 +297,6 @@ pub fn test_campaign(seed: u64) -> Fig8Campaign {
         ingress_shards: 0,
         pd_parallelism: 1,
         path_shards: 0,
-        pd_deep_clone: false,
         round_scheduler: irec_sim::RoundScheduler::Barrier,
         ..BenchArgs::default()
     })

@@ -697,9 +697,8 @@ pub fn pd_campaign_pass(
 }
 
 /// One per-pair snapshot-setup operation of the PD campaign over `base`: the
-/// copy-on-write path ([`Simulation::snapshot_reachable_from`], the campaign default)
-/// when `deep` is false, or the deep-`Clone` reference implementation when `deep` is
-/// true. Returns the constructed simulation so callers (and `black_box`) keep the setup
+/// copy-on-write path ([`Simulation::snapshot_reachable_from`], what the campaign runs)
+/// when `deep` is false, or the deep `Clone` it replaced when `deep` is true. Returns the constructed simulation so callers (and `black_box`) keep the setup
 /// work observable. Shared by the `pd_snapshot_cost` criterion bench and the COW speedup
 /// regression test.
 pub fn pd_snapshot_setup(base: &Simulation, origin: AsId, deep: bool) -> Simulation {

@@ -188,8 +188,8 @@ const CANDIDATE_WIRE_HINT: usize = 384;
 /// Encodes a shared candidate set directly into wire bytes, without first deep-copying the
 /// beacons into an owned envelope (the decode side still materializes owned candidates — that
 /// is the unmarshalling cost the Fig. 6 "marshal" component measures). The buffer is
-/// reserved once for the whole set.
-fn encode_candidates(beacons: &[Arc<StoredBeacon>]) -> Vec<u8> {
+/// reserved once for the whole set, which may be any selection of a batch's beacons.
+fn encode_candidates<'a>(beacons: impl ExactSizeIterator<Item = &'a Arc<StoredBeacon>>) -> Vec<u8> {
     let mut writer = WireWriter::with_capacity(16 + beacons.len() * CANDIDATE_WIRE_HINT);
     writer.put_varint(beacons.len() as u64);
     for beacon in beacons {
@@ -197,6 +197,16 @@ fn encode_candidates(beacons: &[Arc<StoredBeacon>]) -> Vec<u8> {
         writer.put_u32v(beacon.ingress.value());
     }
     writer.into_bytes()
+}
+
+/// The positions of the beacons that name an on-demand algorithm, in batch order — `None`
+/// when every beacon of a non-empty batch does, so the batch is handed over as it is.
+fn carrier_indices(beacons: &[Arc<StoredBeacon>]) -> Option<Vec<usize>> {
+    let carries = |index: &usize| beacons[*index].pcb.extensions.algorithm().is_some();
+    if !beacons.is_empty() && (0..beacons.len()).all(|index| carries(&index)) {
+        return None;
+    }
+    Some((0..beacons.len()).filter(carries).collect())
 }
 
 impl Decode for CandidateEnvelope {
@@ -237,10 +247,12 @@ pub struct Rac {
     static_algorithm: Option<Arc<dyn RoutingAlgorithm>>,
     /// Fetcher for on-demand executables.
     fetcher: Option<Arc<dyn AlgorithmFetcher>>,
-    /// Cache of instantiated on-demand algorithms, keyed by (origin, algorithm id); the
-    /// paper: "by caching the executable, the RAC only needs to do this once for all PCBs
-    /// with the same origin AS and algorithm ID".
-    cache: RwLock<HashMap<(AsId, AlgorithmId), Arc<IrvmAlgorithm>>>,
+    /// Cache of instantiated on-demand algorithms, keyed by origin and the whole reference;
+    /// the paper: "by caching the executable, the RAC only needs to do this once for all PCBs
+    /// with the same origin AS and algorithm ID". The pinned hash is part of the key, so a
+    /// PCB pinning other bytes under a cached id is fetched and verified, never served the
+    /// cached module.
+    cache: RwLock<HashMap<(AsId, AlgorithmRef), Arc<IrvmAlgorithm>>>,
     /// When true, IREC extensions are ignored and every beacon is treated as plain (the
     /// behaviour of a legacy control service, used by the backward-compatibility setup).
     ignore_extensions: bool,
@@ -447,6 +459,11 @@ impl Rac {
     /// so the parallel execution engine can run batches of one RAC concurrently). Exposed
     /// publicly because the Fig. 6 and Fig. 7 benchmarks drive a RAC directly with synthetic
     /// candidate sets of a given size |Φ|.
+    ///
+    /// An on-demand RAC that honours extensions runs only the algorithm the PCBs it
+    /// processes reference, so it is handed only the beacons that name one: a batch without
+    /// such a beacon never crosses the marshal boundary, and [`RacTiming::candidates`]
+    /// counts what did cross.
     pub fn process_candidates(
         &self,
         key: &BatchKey,
@@ -454,15 +471,30 @@ impl Rac {
         local_as: &AsNode,
         egress_ifs: &[IfId],
     ) -> Result<(Vec<RacOutput>, RacTiming)> {
+        // Which beacons are handed over: for an on-demand RAC that honours extensions the
+        // carriers, with their positions among `beacons` to map selections back through
+        // (none when every beacon carries); for every other RAC the whole batch.
+        let index_map = if self.is_on_demand() && !self.ignore_extensions {
+            let kept = carrier_indices(beacons);
+            if kept.as_ref().is_some_and(Vec::is_empty) {
+                return Ok((Vec::new(), RacTiming::default()));
+            }
+            kept
+        } else {
+            None
+        };
         let mut timing = RacTiming {
-            candidates: beacons.len(),
+            candidates: index_map.as_ref().map_or(beacons.len(), Vec::len),
             ..RacTiming::default()
         };
 
         // -- Marshal: the candidate set crosses the gateway -> RAC process boundary. --
         let marshal_start = std::time::Instant::now();
-        let wire_bytes = encode_candidates(beacons);
-        let CandidateEnvelope { mut candidates } = irec_wire::from_bytes(&wire_bytes)?;
+        let wire_bytes = match &index_map {
+            Some(kept) => encode_candidates(kept.iter().map(|&index| &beacons[index])),
+            None => encode_candidates(beacons.iter()),
+        };
+        let CandidateEnvelope { candidates } = irec_wire::from_bytes(&wire_bytes)?;
         timing.marshal = marshal_start.elapsed();
 
         // -- Setup: instantiate the algorithm (sandbox creation for on-demand RACs). --
@@ -476,13 +508,16 @@ impl Rac {
                 Arc::clone(alg)
             }
             RacKind::OnDemand => {
-                // All candidates of an on-demand batch carry the same origin; the algorithm
-                // reference must be present and identical (the ingress DB already groups by
-                // origin, and an origin uses one algorithm per PCB).
+                // The module is the one the first candidate carrying a reference names, in
+                // batch order, and every candidate handed over runs under it — also carriers
+                // that name another algorithm: a batch is keyed by origin, group and target,
+                // not by algorithm, so one can hold the references of several pull
+                // iterations of one origin (docs/ARCHITECTURE.md, *What the marshal step
+                // still does*).
                 let Some(reference) = candidates.iter().find_map(|c| c.pcb.extensions.algorithm())
                 else {
-                    // Nothing to do for plain beacons — an on-demand RAC only runs algorithms
-                    // shipped in PCBs.
+                    // Only a RAC that ignores extensions is handed a batch without a
+                    // carrier, and an on-demand RAC runs nothing but shipped algorithms.
                     return Ok((Vec::new(), timing));
                 };
                 self.instantiate_on_demand(key.origin, &reference)? as Arc<dyn RoutingAlgorithm>
@@ -490,17 +525,6 @@ impl Rac {
         };
         timing.setup = setup_start.elapsed();
 
-        // An on-demand RAC that honours extensions runs only the candidates actually
-        // carrying the algorithm and remembers where they sat among `beacons`; every
-        // other RAC runs the batch as it was decoded.
-        let index_map = (self.is_on_demand() && !self.ignore_extensions).then(|| {
-            let carries = |c: &Candidate| c.pcb.extensions.algorithm().is_some();
-            let kept: Vec<usize> = (0..candidates.len())
-                .filter(|&index| carries(&candidates[index]))
-                .collect();
-            candidates.retain(carries);
-            kept
-        });
         if candidates.is_empty() {
             return Ok((Vec::new(), timing));
         }
@@ -564,20 +588,21 @@ impl Rac {
     /// The cache lives behind an `RwLock` so concurrent batches of the same RAC can share
     /// instantiations. The cold path holds the write lock across fetch + verify +
     /// instantiation: that is what actually keeps the paper's "instantiate once per
-    /// (origin, algorithm ID)" property under contention — a worker racing past the
-    /// read-side check re-checks under the write lock and finds the winner's entry instead
-    /// of redoing the expensive sandbox setup. (Lock order is strictly `cache` →
-    /// fetcher-internal locks; nothing locks in the reverse direction.)
+    /// (origin, algorithm ID)" property — per pinned hash — under contention: a worker
+    /// racing past the read-side check re-checks under the write lock and finds the
+    /// winner's entry instead of redoing the expensive sandbox setup. (Lock order is strictly
+    /// `cache` → fetcher-internal locks; nothing locks in the reverse direction.)
     fn instantiate_on_demand(
         &self,
         origin: AsId,
         reference: &AlgorithmRef,
     ) -> Result<Arc<IrvmAlgorithm>> {
-        if let Some(cached) = self.cache.read().get(&(origin, reference.id)) {
+        let key = (origin, *reference);
+        if let Some(cached) = self.cache.read().get(&key) {
             return Ok(Arc::clone(cached));
         }
         let mut cache = self.cache.write();
-        if let Some(cached) = cache.get(&(origin, reference.id)) {
+        if let Some(cached) = cache.get(&key) {
             return Ok(Arc::clone(cached));
         }
         let fetcher = self
@@ -600,7 +625,7 @@ impl Rac {
             &bytes,
             irec_irvm::ExecutionLimits::ON_DEMAND_RAC,
         )?);
-        cache.insert((origin, reference.id), Arc::clone(&algorithm));
+        cache.insert(key, Arc::clone(&algorithm));
         Ok(algorithm)
     }
 }
@@ -845,10 +870,21 @@ mod tests {
             .all(|o| o.beacon.pcb.extensions.algorithm().is_some()));
         assert_eq!(rac.cached_algorithms(), 1);
         assert!(timing.setup > Duration::ZERO);
+        // Only the two carriers crossed the marshal boundary.
+        assert_eq!(timing.candidates, 2);
 
         // Second run hits the cache (still exactly one cached instantiation).
         let (_, _) = rac.process(&db, &node, &[IfId(2)], SimTime::ZERO).unwrap();
         assert_eq!(rac.cached_algorithms(), 1);
+
+        // A batch of plain beacons is not marshalled at all.
+        let plain_only =
+            ingress_db_with(vec![(beacon(&reg, 1, &[(1, 1)], PcbExtensions::none()), 1)]);
+        let (outputs, timing) = rac
+            .process(&plain_only, &node, &[IfId(2)], SimTime::ZERO)
+            .unwrap();
+        assert!(outputs.is_empty());
+        assert_eq!(timing, RacTiming::default());
     }
 
     #[test]
@@ -873,6 +909,96 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.category(), "verification");
         assert_eq!(rac.cached_algorithms(), 0);
+    }
+
+    /// One beacon of origin 1 per `(latency, bandwidth)`, each carrying `reference`, as
+    /// stored on interface 1.
+    fn carriers(
+        reg: &KeyRegistry,
+        reference: AlgorithmRef,
+        hops: &[(u64, u64)],
+    ) -> Vec<Arc<StoredBeacon>> {
+        hops.iter()
+            .map(|&hop| {
+                Arc::new(StoredBeacon {
+                    pcb: beacon(
+                        reg,
+                        1,
+                        &[hop],
+                        PcbExtensions::none().with_algorithm(reference),
+                    ),
+                    ingress: IfId(1),
+                    received_at: SimTime::ZERO,
+                })
+            })
+            .collect()
+    }
+
+    const ORIGIN_1: BatchKey = BatchKey {
+        origin: AsId(1),
+        group: InterfaceGroupId::DEFAULT,
+        target: None,
+    };
+
+    #[test]
+    fn a_warm_cache_still_checks_the_pinned_hash() {
+        let reg = registry();
+        let store = SharedAlgorithmStore::new();
+        let module = irec_irvm::programs::widest_path(5).to_module_bytes();
+        let published = store.publish(AsId(1), AlgorithmId(7), module);
+        let bogus = AlgorithmRef::new(AlgorithmId(7), irec_crypto::sha256(b"no such module"));
+        let node = local_as();
+        let fetcher: Arc<dyn AlgorithmFetcher> = Arc::new(store);
+        let on_demand = || Rac::new_on_demand(RacConfig::on_demand_rac("od"), Arc::clone(&fetcher));
+        let (cold, warm) = (on_demand().unwrap(), on_demand().unwrap());
+        warm.process_candidates(
+            &ORIGIN_1,
+            &carriers(&reg, published, &[(10, 10)]),
+            &node,
+            &[IfId(2)],
+        )
+        .unwrap();
+        assert_eq!(warm.cached_algorithms(), 1);
+        // A cached `(origin, id)` is no licence: the bytes the PCB pins are what runs, or
+        // nothing does.
+        for rac in [&cold, &warm] {
+            let err = rac
+                .process_candidates(
+                    &ORIGIN_1,
+                    &carriers(&reg, bogus, &[(10, 10)]),
+                    &node,
+                    &[IfId(2)],
+                )
+                .unwrap_err();
+            assert_eq!(err.category(), "verification");
+        }
+        assert_eq!((cold.cached_algorithms(), warm.cached_algorithms()), (0, 1));
+    }
+
+    #[test]
+    fn a_module_republished_under_the_same_id_runs_as_the_new_module() {
+        let reg = registry();
+        let store = SharedAlgorithmStore::new();
+        let rac =
+            Rac::new_on_demand(RacConfig::on_demand_rac("od"), Arc::new(store.clone())).unwrap();
+        let node = local_as();
+        // A fast thin beacon and a slow wide one: the widest-path module keeps the second,
+        // the lowest-latency module the first.
+        let picked = |reference| -> Vec<usize> {
+            let batch = carriers(&reg, reference, &[(5, 10), (50, 1000)]);
+            let (outputs, _) = rac
+                .process_candidates(&ORIGIN_1, &batch, &node, &[IfId(2)])
+                .unwrap();
+            outputs
+                .iter()
+                .map(|output| output.candidate_index)
+                .collect()
+        };
+        let widest = irec_irvm::programs::widest_path(1).to_module_bytes();
+        assert_eq!(picked(store.publish(AsId(1), AlgorithmId(7), widest)), [1]);
+        let fastest = irec_irvm::programs::lowest_latency(1).to_module_bytes();
+        assert_eq!(picked(store.publish(AsId(1), AlgorithmId(7), fastest)), [0]);
+        assert_eq!(rac.cached_algorithms(), 2);
     }
 
     #[test]
@@ -991,7 +1117,7 @@ mod tests {
                 })
             })
             .collect();
-        let bytes = encode_candidates(&beacons);
+        let bytes = encode_candidates(beacons.iter());
         let envelope: CandidateEnvelope = irec_wire::from_bytes(&bytes).unwrap();
         assert_eq!(envelope.candidates.len(), beacons.len());
         for (candidate, stored) in envelope.candidates.iter().zip(&beacons) {

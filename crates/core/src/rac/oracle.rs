@@ -17,14 +17,21 @@
 //! One thing is shared on purpose: a coordinate is converted the way `irec_pcb` converts it
 //! now (offset subtracted in integers, one division). That conversion is a fix this codec
 //! change carries, not part of how bytes are moved; `irec_pcb::hop` pins it on its own.
+//!
+//! The same old codec carries the oracle of the on-demand filter at the end of this file:
+//! [`Rac::process_candidates`] as it was when every beacon crossed the marshal boundary and
+//! an on-demand RAC dropped the plain ones only after decoding them. It shares the RAC's
+//! instantiation cache — what the cache holds is compared — and nothing else.
 
 use super::*;
 use irec_crypto::{Digest, Signature, DIGEST_LEN};
 use irec_pcb::{bounded_reservation, AsEntry, HopInfo, Pcb, PcbExtensions, StaticInfo};
-use irec_types::{Bandwidth, GeoCoord, IsdId, Latency};
+use irec_topology::{Interface, Tier};
+use irec_types::{Bandwidth, GeoCoord, IsdId, Latency, LinkId, SimDuration};
 use irec_wire::{from_bytes, to_bytes, write_varint, MAX_VARINT_LEN};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
+use std::collections::BTreeMap;
 
 /// What a span of the oracle's output holds, for the splices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -639,7 +646,7 @@ proptest! {
         let beacons = stored(&mut rng, count, on_grid);
         let mut w = OldWriter::default();
         old_encode_candidates(&beacons, &mut w);
-        let bytes = encode_candidates(&beacons);
+        let bytes = encode_candidates(beacons.iter());
         prop_assert_eq!(&bytes, &w.buf);
         let candidates = envelopes_agree(&bytes).expect("a valid envelope decodes");
         prop_assert_eq!(candidates.len(), beacons.len());
@@ -790,4 +797,283 @@ fn the_entry_count_cap_holds_with_every_entry_present() {
     assert_eq!(at_the_cap.entries.len(), 1024);
     pcb.entries.push(entry);
     assert!(beacons_agree(&to_bytes(&pcb)).is_none());
+}
+
+/// [`Rac::process_candidates`] before the on-demand filter moved in front of the marshal
+/// boundary: every beacon of the batch is encoded and decoded (by the old codec above),
+/// the module is picked by the first decoded carrier, and only then does an on-demand RAC
+/// that honours extensions drop the plain candidates, remembering where the rest sat.
+/// Outputs are assembled here too, candidate by candidate in index order.
+fn old_process_candidates(
+    rac: &Rac,
+    key: &BatchKey,
+    beacons: &[Arc<StoredBeacon>],
+    local_as: &AsNode,
+    egress_ifs: &[IfId],
+) -> Result<Vec<RacOutput>> {
+    let mut w = OldWriter::default();
+    old_encode_candidates(beacons, &mut w);
+    let mut candidates = old_from_bytes(&w.buf, old_decode_candidates)?;
+    let algorithm: Arc<dyn RoutingAlgorithm> = match &rac.config.kind {
+        RacKind::Static { .. } => Arc::clone(rac.static_algorithm.as_ref().expect("static")),
+        RacKind::OnDemand => {
+            let Some(reference) = candidates.iter().find_map(|c| c.pcb.extensions.algorithm())
+            else {
+                return Ok(Vec::new());
+            };
+            rac.instantiate_on_demand(key.origin, &reference)?
+        }
+    };
+    let index_map = (rac.is_on_demand() && !rac.ignore_extensions).then(|| {
+        let carries = |c: &Candidate| c.pcb.extensions.algorithm().is_some();
+        let kept: Vec<usize> = (0..candidates.len())
+            .filter(|&index| carries(&candidates[index]))
+            .collect();
+        candidates.retain(carries);
+        kept
+    });
+    if candidates.is_empty() {
+        return Ok(Vec::new());
+    }
+    let batch = CandidateBatch {
+        origin: key.origin,
+        group: key.group,
+        target: key.target,
+        candidates,
+    };
+    let ctx = AlgorithmContext::new(local_as, egress_ifs.to_vec(), rac.config.max_selected)
+        .with_extended_paths(rac.config.extend_paths);
+    let selection = algorithm.select(&batch, &ctx)?;
+    let mut per_candidate: BTreeMap<usize, Vec<IfId>> = BTreeMap::new();
+    for (egress, selected) in &selection.per_egress {
+        for &index in selected {
+            per_candidate.entry(index).or_default().push(*egress);
+        }
+    }
+    Ok(per_candidate
+        .into_iter()
+        .map(|(index, egress_ifs)| {
+            let candidate_index = index_map.as_ref().map_or(index, |kept| kept[index]);
+            RacOutput {
+                rac_name: rac.shared_name(),
+                origin: key.origin,
+                group: key.group,
+                beacon: Arc::clone(&beacons[candidate_index]),
+                candidate_index,
+                egress_ifs,
+            }
+        })
+        .collect())
+}
+
+/// The origin of every batch of the filter property.
+const FILTER_ORIGIN: AsId = AsId(1);
+
+/// The references the property's carriers draw from: three modules `FILTER_ORIGIN`
+/// published, an id it never published, and a published id pinned to other bytes.
+fn filter_references(store: &SharedAlgorithmStore) -> [AlgorithmRef; 5] {
+    let publish = |id, program: irec_irvm::Program| {
+        store.publish(FILTER_ORIGIN, AlgorithmId(id), program.to_module_bytes())
+    };
+    [
+        publish(1, irec_irvm::programs::widest_path(2)),
+        publish(2, irec_irvm::programs::lowest_latency(3)),
+        publish(3, irec_irvm::programs::shortest_path(1)),
+        AlgorithmRef::new(AlgorithmId(9), irec_crypto::sha256(b"never published")),
+        AlgorithmRef::new(AlgorithmId(1), irec_crypto::sha256(b"other bytes")),
+    ]
+}
+
+/// A RAC of the property: on-demand honouring extensions (`kind` 0), on-demand ignoring
+/// them (1), or static 1SP (2).
+fn filter_rac(kind: u64, store: &SharedAlgorithmStore) -> Rac {
+    let fetcher: Arc<dyn AlgorithmFetcher> = Arc::new(store.clone());
+    match kind {
+        0 | 1 => {
+            let mut rac =
+                Rac::new_on_demand(RacConfig::on_demand_rac("od"), fetcher).expect("on-demand RAC");
+            rac.set_ignore_extensions(kind == 1);
+            rac
+        }
+        _ => Rac::new_static(RacConfig::static_rac("1SP", "1SP")).expect("static RAC"),
+    }
+}
+
+/// The AS the property's RACs run in, with interfaces 1–3.
+fn filter_local_as() -> AsNode {
+    let mut node = AsNode::new(AsId(50), Tier::Tier2);
+    for i in 1..=3u32 {
+        node.interfaces.insert(
+            IfId(i),
+            Interface {
+                id: IfId(i),
+                owner: node.id,
+                location: GeoCoord::new(47.0 + f64::from(i), 8.0),
+                link: LinkId(u64::from(i)),
+            },
+        );
+    }
+    node
+}
+
+/// A batch of 0–10 unsigned beacons of `FILTER_ORIGIN`, 1–3 hops each, arriving on
+/// interfaces 1–3: no beacon carries an algorithm, every one does, or each one with even
+/// odds — a carrier names one of 1–3 references drawn for the batch from `pool`, mostly
+/// the published ones.
+fn filter_batch(rng: &mut TestRng, pool: &[AlgorithmRef; 5]) -> Vec<Arc<StoredBeacon>> {
+    let references: Vec<AlgorithmRef> = (0..=rng.below(3))
+        .map(|_| pool[[0, 0, 1, 1, 2, 2, 3, 4][rng.below(8) as usize]])
+        .collect();
+    let shape = rng.below(4);
+    (0..rng.below(11))
+        .map(|_| {
+            let carries = match shape {
+                0 => false,
+                1 => true,
+                _ => rng.below(2) == 0,
+            };
+            let mut extensions = PcbExtensions::none();
+            if carries {
+                let reference = references[rng.below(references.len() as u64) as usize];
+                extensions = extensions.with_algorithm(reference);
+            }
+            let entries = (0..=rng.below(3))
+                .map(|hop| {
+                    let asn = if hop == 0 {
+                        FILTER_ORIGIN
+                    } else {
+                        AsId(100 + rng.below(20))
+                    };
+                    let ingress = if hop == 0 {
+                        IfId::NONE
+                    } else {
+                        IfId(1 + rng.below(3) as u32)
+                    };
+                    AsEntry {
+                        hop: HopInfo {
+                            asn,
+                            ingress,
+                            egress: IfId(1 + rng.below(3) as u32),
+                        },
+                        static_info: StaticInfo {
+                            link_latency: Latency::from_millis(1 + rng.below(50)),
+                            link_bandwidth: Bandwidth::from_mbps(1 + rng.below(1_000)),
+                            intra_latency: Latency::ZERO,
+                            egress_location: None,
+                        },
+                        signature: Signature::placeholder(asn),
+                    }
+                })
+                .collect();
+            Arc::new(StoredBeacon {
+                pcb: Pcb {
+                    origin_isd: IsdId(1),
+                    origin: FILTER_ORIGIN,
+                    sequence: rng.next_u64(),
+                    created_at: SimTime::ZERO,
+                    expires_at: SimTime::ZERO + SimDuration::from_hours(6),
+                    extensions,
+                    entries,
+                },
+                ingress: IfId(1 + rng.below(3) as u32),
+                received_at: SimTime::ZERO,
+            })
+        })
+        .collect()
+}
+
+proptest! {
+    /// Batch after batch through one pair of RACs — the first cold, the later ones warm —
+    /// the filtered path does what decode-then-retain did: the same outputs (the stored
+    /// beacon itself, its index in the batch, its egress interfaces) or an error of the
+    /// same category, and the same instantiations cached. It hands over only carriers when
+    /// honouring extensions, and a batch without one never crosses the boundary.
+    #[test]
+    fn prop_the_on_demand_filter_runs_what_decode_then_retain_ran(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let store = SharedAlgorithmStore::new();
+        let pool = filter_references(&store);
+        let kind = rng.below(3);
+        let (rac, oracle) = (filter_rac(kind, &store), filter_rac(kind, &store));
+        let node = filter_local_as();
+        let egress = [IfId(1), IfId(2), IfId(3)];
+        let key = BatchKey {
+            origin: FILTER_ORIGIN,
+            group: InterfaceGroupId::DEFAULT,
+            target: None,
+        };
+        for batch in 0..=rng.below(4) {
+            let beacons = filter_batch(&mut rng, &pool);
+            let honours = kind == 0;
+            let carriers = beacons
+                .iter()
+                .filter(|b| b.pcb.extensions.algorithm().is_some())
+                .count();
+            let handed = if honours { carriers } else { beacons.len() };
+            let new = rac.process_candidates(&key, &beacons, &node, &egress);
+            let old = old_process_candidates(&oracle, &key, &beacons, &node, &egress);
+            match (new, old) {
+                (Ok((outputs, timing)), Ok(expected)) => {
+                    prop_assert_eq!(
+                        timing.candidates,
+                        handed,
+                        "candidates handed, batch {}",
+                        batch
+                    );
+                    if honours && carriers == 0 {
+                        prop_assert_eq!(
+                            timing,
+                            RacTiming::default(),
+                            "a batch without a carrier crossed, batch {}",
+                            batch
+                        );
+                    }
+                    prop_assert_eq!(outputs.len(), expected.len(), "output count, batch {}", batch);
+                    for (output, expected) in outputs.iter().zip(&expected) {
+                        prop_assert_eq!(
+                            output.candidate_index,
+                            expected.candidate_index,
+                            "candidate index, batch {}",
+                            batch
+                        );
+                        prop_assert!(
+                            Arc::ptr_eq(&output.beacon, &expected.beacon)
+                                && Arc::ptr_eq(&output.beacon, &beacons[output.candidate_index]),
+                            "output shares another beacon, batch {}",
+                            batch
+                        );
+                        prop_assert_eq!(
+                            &output.egress_ifs,
+                            &expected.egress_ifs,
+                            "egress interfaces, batch {}",
+                            batch
+                        );
+                        prop_assert_eq!(
+                            (&*output.rac_name, output.origin, output.group),
+                            (&*expected.rac_name, expected.origin, expected.group)
+                        );
+                    }
+                }
+                (Err(new), Err(old)) => {
+                    prop_assert_eq!(
+                        new.category(),
+                        old.category(),
+                        "error category, batch {}",
+                        batch
+                    );
+                }
+                (new, old) => panic!(
+                    "batch {batch}: filtered {:?}, oracle {:?}",
+                    new.map(|(outputs, _)| outputs.len()),
+                    old.map(|outputs| outputs.len())
+                ),
+            }
+            prop_assert_eq!(
+                rac.cached_algorithms(),
+                oracle.cached_algorithms(),
+                "cached instantiations, batch {}",
+                batch
+            );
+        }
+    }
 }

@@ -13,7 +13,7 @@ use irec_wire::{Decode, Encode, WireReader, WireWriter};
 /// collision-resistant hash of its executable code (the integrity anchor).
 ///
 /// An on-demand RAC fetches the executable from the origin AS, verifies that its hash equals
-/// `code_hash`, caches it by `(origin, id)`, and executes it in a sandbox (§V-C).
+/// `code_hash`, caches it by `(origin, id, code_hash)`, and executes it in a sandbox (§V-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AlgorithmRef {
     /// Identifier chosen by the origin AS.

@@ -25,7 +25,7 @@
 //! over a scoped worker pool — each on its own copy-on-write [`SimSnapshot`] (restricted
 //! to the origin's reachable component; see [`Simulation::snapshot_reachable_from`]) —
 //! with results merged in pair order, byte-identical to the sequential loop and to the
-//! deep-clone reference implementation.
+//! deep-clone loop `tests/pd_determinism.rs` keeps as its oracle.
 //!
 //! [`churn::ChurnEngine`] layers live reconfiguration on top: a seeded generator emits a
 //! deterministic timeline of topology deltas (link flaps, AS leaves/joins, RAC-catalog

@@ -252,18 +252,19 @@ pub struct PdPairResult {
 /// each on its own snapshot of a warmed-up base simulation, fanned out over an
 /// engine-style scoped worker pool.
 ///
-/// **Snapshots.** By default each pair runs on a copy-on-write
+/// **Snapshots.** Each pair runs on a copy-on-write
 /// [`Simulation::snapshot_reachable_from`] of the base — O(shards) pointer copies at
 /// setup, restricted to the origin's connected component, with shards materialized only
-/// as the pair's own pull traffic touches them. [`PdCampaign::with_deep_clone`] switches
-/// back to the full per-pair `Simulation::clone`; the two modes produce byte-identical
-/// campaign output (pinned by `tests/pd_determinism.rs`), differing only in setup cost —
-/// the `pd_snapshot_cost` benchmark tracks the gap.
+/// as the pair's own pull traffic touches them. The output is byte-identical to running
+/// each pair's [`PdWorkflow`] on a full `Simulation::clone` of the base (pinned by
+/// `tests/pd_determinism.rs`, which keeps that loop as its oracle); the
+/// `pd_snapshot_cost` benchmark tracks what the snapshot saves over the clone.
 ///
 /// **Determinism.** Pairs never share mutable state: each workflow owns a full
 /// [`Simulation`] snapshot, and the only shared structure — the on-demand algorithm
 /// store — is partitioned by giving every pair a disjoint algorithm-id range
-/// ([`PdWorkflow::with_algorithm_id_base`]). Results land in per-pair slots and are
+/// ([`PdCampaign::ALGORITHM_ID_BASE`] + index × [`PdCampaign::ALGORITHM_IDS_PER_PAIR`],
+/// through [`PdWorkflow::with_algorithm_id_base`]). Results land in per-pair slots and are
 /// merged in pair order, so a run with any `parallelism` value is byte-identical to the
 /// sequential pair-by-pair loop; errors surface deterministically (first failing pair in
 /// pair order wins). `tests/pd_determinism.rs` and the CI determinism job enforce this
@@ -311,10 +312,20 @@ pub struct PdCampaign {
     max_paths: usize,
     rounds_per_iteration: usize,
     parallelism: usize,
-    deep_clone: bool,
 }
 
 impl PdCampaign {
+    /// The first algorithm id pair 0 publishes its per-iteration programs under.
+    pub const ALGORITHM_ID_BASE: u64 = 1_000;
+
+    /// The size of every pair's algorithm-id range: pair `index` starts at
+    /// [`PdCampaign::ALGORITHM_ID_BASE`] + `index` × this. Ranges are disjoint across pairs
+    /// (orders of magnitude beyond any plausible iteration count), which keeps
+    /// concurrently-running workflows of the same origin from overwriting each other in the
+    /// shared algorithm store. The ids end up inside signed PCBs, so a loop that is to
+    /// reproduce a campaign must use the same ranges.
+    pub const ALGORITHM_IDS_PER_PAIR: u64 = 1_000_000;
+
     /// Creates a campaign discovering up to `max_paths` disjoint paths for every pair.
     pub fn new(pairs: Vec<(AsId, AsId)>, max_paths: usize) -> Self {
         PdCampaign {
@@ -322,20 +333,7 @@ impl PdCampaign {
             max_paths,
             rounds_per_iteration: 6,
             parallelism: 1,
-            deep_clone: false,
         }
-    }
-
-    /// Switches the per-pair snapshot strategy back to the deep `Simulation::clone`
-    /// (`true`) instead of the default copy-on-write
-    /// [`Simulation::snapshot_reachable_from`] (`false`). Campaign output is
-    /// byte-identical in both modes; deep cloning only costs more setup time per pair.
-    /// Kept as the reference implementation for the determinism suite and the
-    /// `pd_snapshot_cost` benchmark.
-    #[must_use]
-    pub fn with_deep_clone(mut self, deep_clone: bool) -> Self {
-        self.deep_clone = deep_clone;
-        self
     }
 
     /// Overrides the number of beaconing rounds each workflow runs per pull iteration.
@@ -358,12 +356,9 @@ impl PdCampaign {
         &self.pairs
     }
 
-    /// The algorithm-id range pair `index` publishes its per-iteration programs under.
-    /// Ranges are disjoint across pairs (1M ids apiece — orders of magnitude beyond any
-    /// plausible iteration count), which keeps concurrently-running workflows of the same
-    /// origin from overwriting each other in the shared algorithm store.
+    /// The first algorithm id of pair `index`'s range.
     fn algorithm_id_base(index: usize) -> u64 {
-        1_000 + index as u64 * 1_000_000
+        Self::ALGORITHM_ID_BASE + index as u64 * Self::ALGORITHM_IDS_PER_PAIR
     }
 
     /// Runs every pair's workflow against its own snapshot of `base` and returns the
@@ -385,11 +380,7 @@ impl PdCampaign {
                     elapsed: start.elapsed(),
                 });
             }
-            let mut sim = if self.deep_clone {
-                base.clone()
-            } else {
-                base.snapshot_reachable_from(origin).into_simulation()
-            };
+            let mut sim = base.snapshot_reachable_from(origin).into_simulation();
             let mut workflow = PdWorkflow::new(origin, target, self.max_paths)
                 .with_rounds_per_iteration(self.rounds_per_iteration)
                 .with_algorithm_id_base(Self::algorithm_id_base(index));
@@ -704,32 +695,6 @@ mod tests {
         // The base simulation is a read-only template: no clock movement, no new paths.
         assert_eq!(base.rounds_run(), base_rounds);
         assert_eq!(base.registered_paths(), base_paths);
-    }
-
-    #[test]
-    fn cow_and_deep_clone_campaigns_are_byte_identical() {
-        let mut base = sim_with_hd_and_on_demand();
-        base.run_rounds(6).unwrap();
-        let pairs = vec![(figure1::SRC, figure1::DST), (figure1::DST, figure1::SRC)];
-        for parallelism in [1usize, 4] {
-            let cow = PdCampaign::new(pairs.clone(), 6)
-                .with_rounds_per_iteration(3)
-                .with_parallelism(parallelism)
-                .run(&base)
-                .unwrap();
-            let deep = PdCampaign::new(pairs.clone(), 6)
-                .with_rounds_per_iteration(3)
-                .with_parallelism(parallelism)
-                .with_deep_clone(true)
-                .run(&base)
-                .unwrap();
-            assert_eq!(
-                pair_fingerprint(&cow),
-                pair_fingerprint(&deep),
-                "COW and deep-clone campaigns diverged at parallelism {parallelism}"
-            );
-            assert!(cow.iter().any(|r| r.result.iterations > 0));
-        }
     }
 
     /// Regression: self-pairs must be short-circuited with explicit accounting instead of

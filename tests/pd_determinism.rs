@@ -1,8 +1,9 @@
 //! Acceptance tests for the parallel PD campaign engine and the destination-sharded path
 //! service: campaign results for `--pd-parallelism {1,4}` × `--path-shards {1,4,7}` must
 //! be byte-identical to the sequential unsharded run — same per-pair paths in the same
-//! order, same iteration counts, same pull-overhead samples — and the campaign facade must
-//! equal a hand-rolled sequential workflow-per-snapshot loop.
+//! order, same iteration counts, same pull-overhead samples — and the campaign, copy-on-write
+//! snapshots and all, must equal its oracle: a sequential loop of one workflow per pair on a
+//! deep clone of the base.
 
 use irec_core::{NodeConfig, RacConfig};
 use irec_metrics::RegisteredPath;
@@ -66,23 +67,54 @@ fn run_campaign(
     pd_parallelism: usize,
     delivery_parallelism: usize,
 ) -> CampaignFingerprint {
-    run_campaign_mode(path_shards, pd_parallelism, delivery_parallelism, false)
+    let base = warm_base(path_shards, delivery_parallelism);
+    campaign(&base, pairs(&base), pd_parallelism)
 }
 
-fn run_campaign_mode(
-    path_shards: usize,
+fn campaign(
+    base: &Simulation,
+    pairs: Vec<(AsId, AsId)>,
     pd_parallelism: usize,
-    delivery_parallelism: usize,
-    deep_clone: bool,
 ) -> CampaignFingerprint {
-    let base = warm_base(path_shards, delivery_parallelism);
-    let results = PdCampaign::new(pairs(&base), MAX_PATHS)
+    let results = PdCampaign::new(pairs, MAX_PATHS)
         .with_rounds_per_iteration(ROUNDS_PER_ITERATION)
         .with_parallelism(pd_parallelism)
-        .with_deep_clone(deep_clone)
-        .run(&base)
+        .run(base)
         .expect("campaign run");
     fingerprint(results)
+}
+
+/// The campaign's reference: one `PdWorkflow` per pair, in pair order, each on a deep
+/// `Simulation::clone` of the whole base (what the campaign ran before copy-on-write
+/// snapshots), publishing under the campaign's per-pair algorithm-id range — the ids end
+/// up inside signed PCBs. A self-pair has nothing to discover and runs nothing.
+fn deep_clone_loop(base: &Simulation, pairs: &[(AsId, AsId)]) -> CampaignFingerprint {
+    pairs
+        .iter()
+        .enumerate()
+        .map(|(index, &(origin, target))| {
+            if origin == target {
+                return (origin, target, Vec::new(), 0, 0, Vec::new());
+            }
+            let mut sim = base.clone();
+            let result = PdWorkflow::new(origin, target, MAX_PATHS)
+                .with_rounds_per_iteration(ROUNDS_PER_ITERATION)
+                .with_algorithm_id_base(
+                    PdCampaign::ALGORITHM_ID_BASE
+                        + index as u64 * PdCampaign::ALGORITHM_IDS_PER_PAIR,
+                )
+                .run(&mut sim)
+                .expect("workflow run");
+            (
+                origin,
+                target,
+                result.paths,
+                result.iterations,
+                result.empty_iterations,
+                sim.overhead_pull().nonzero_samples(),
+            )
+        })
+        .collect()
 }
 
 fn fingerprint(results: Vec<irec_sim::PdPairResult>) -> CampaignFingerprint {
@@ -139,53 +171,18 @@ fn pd_campaign_matrix_is_byte_identical_to_sequential_unsharded() {
 }
 
 /// The campaign facade equals the hand-rolled sequential loop it replaces: one
-/// `PdWorkflow` per pair, each on its own snapshot of the warm base, harvested in pair
-/// order. (Disjoint per-pair algorithm-id ranges mirror what the campaign does
-/// internally — concurrent publishers into the shared store must not collide, and the
-/// sequential reference must publish the same ids to fetch the same modules.)
+/// `PdWorkflow` per pair, each on its own copy of the warm base, harvested in pair order.
+/// (Disjoint per-pair algorithm-id ranges mirror what the campaign does internally —
+/// concurrent publishers into the shared store must not collide, and the sequential
+/// reference must publish the same ids to fetch the same modules.)
 #[test]
 fn pd_campaign_equals_manual_sequential_snapshot_loop() {
     let base = warm_base(1, 1);
     let pairs = pairs(&base);
-
-    let manual: CampaignFingerprint = pairs
-        .iter()
-        .enumerate()
-        .map(|(index, &(origin, target))| {
-            let mut sim = base.clone();
-            let mut workflow = PdWorkflow::new(origin, target, MAX_PATHS)
-                .with_rounds_per_iteration(ROUNDS_PER_ITERATION)
-                .with_algorithm_id_base(1_000 + index as u64 * 1_000_000);
-            let result = workflow.run(&mut sim).expect("workflow run");
-            (
-                origin,
-                target,
-                result.paths,
-                result.iterations,
-                result.empty_iterations,
-                sim.overhead_pull().nonzero_samples(),
-            )
-        })
-        .collect();
-
-    let campaign: CampaignFingerprint = PdCampaign::new(pairs, MAX_PATHS)
-        .with_rounds_per_iteration(ROUNDS_PER_ITERATION)
-        .with_parallelism(4)
-        .run(&base)
-        .expect("campaign run")
-        .into_iter()
-        .map(|pair| {
-            (
-                pair.origin,
-                pair.target,
-                pair.result.paths,
-                pair.result.iterations,
-                pair.result.empty_iterations,
-                pair.pull_overhead,
-            )
-        })
-        .collect();
-    assert_eq!(campaign, manual);
+    assert_eq!(
+        campaign(&base, pairs.clone(), 4),
+        deep_clone_loop(&base, &pairs)
+    );
 }
 
 /// Campaign runs never mutate the shared base: registered paths, clock and delivery
@@ -209,17 +206,18 @@ fn pd_campaign_leaves_the_base_simulation_untouched() {
     assert_eq!(base.delivery_stats(), before_stats);
 }
 
-/// The copy-on-write snapshot path (the campaign default) reproduces the deep-clone
-/// reference implementation byte for byte across the whole acceptance matrix:
-/// `--pd-parallelism {1,4}` × `--path-shards {1,4,7}`.
+/// The campaign's copy-on-write snapshots reproduce the deep-clone loop byte for byte
+/// across the whole acceptance matrix: `--pd-parallelism {1,4}` × `--path-shards {1,4,7}`.
 #[test]
 fn cow_snapshots_match_deep_clone_across_the_matrix() {
     for path_shards in [1usize, 4, 7] {
+        let base = warm_base(path_shards, 1);
+        let pairs = pairs(&base);
+        let deep = deep_clone_loop(&base, &pairs);
         for pd_parallelism in [1usize, 4] {
-            let cow = run_campaign_mode(path_shards, pd_parallelism, 1, false);
-            let deep = run_campaign_mode(path_shards, pd_parallelism, 1, true);
             assert_eq!(
-                cow, deep,
+                campaign(&base, pairs.clone(), pd_parallelism),
+                deep,
                 "COW and deep-clone campaigns diverged at pd-parallelism \
                  {pd_parallelism}, path-shards {path_shards}"
             );
@@ -229,7 +227,7 @@ fn cow_snapshots_match_deep_clone_across_the_matrix() {
 
 /// On a disconnected topology, the reachability pre-pass restricts each pair's snapshot
 /// to the origin's connected component — and the campaign output still matches the
-/// deep-clone run, which keeps every node. The other component's ASes can never exchange
+/// deep-clone loop, which keeps every node. The other component's ASes can never exchange
 /// a message with the origin's component, so leaving them out is unobservable in the
 /// campaign fingerprint.
 #[test]
@@ -280,22 +278,9 @@ fn reachability_restricted_snapshots_match_deep_clone_on_disconnected_topology()
         (AsId(10), AsId(11)),
         (AsId(1), AsId(11)), // unreachable target: must converge empty in both modes
     ];
+    let deep = deep_clone_loop(&base, &pairs);
     for pd_parallelism in [1usize, 4] {
-        let cow = fingerprint(
-            PdCampaign::new(pairs.clone(), MAX_PATHS)
-                .with_rounds_per_iteration(ROUNDS_PER_ITERATION)
-                .with_parallelism(pd_parallelism)
-                .run(&base)
-                .expect("COW campaign run"),
-        );
-        let deep = fingerprint(
-            PdCampaign::new(pairs.clone(), MAX_PATHS)
-                .with_rounds_per_iteration(ROUNDS_PER_ITERATION)
-                .with_parallelism(pd_parallelism)
-                .with_deep_clone(true)
-                .run(&base)
-                .expect("deep-clone campaign run"),
-        );
+        let cow = campaign(&base, pairs.clone(), pd_parallelism);
         assert_eq!(
             cow, deep,
             "restricted COW snapshot diverged from deep clone at pd-parallelism \
