@@ -7,13 +7,12 @@
 //! between them; and the seeded ant colony (`aco:<seed>:<iters>`) scales with its
 //! iteration budget times the ant count, dominating the sweep. Outside the timed loop
 //! this bench asserts the catalog determinism guarantee: every family's fingerprint is
-//! byte-identical between the barrier and DAG schedulers and across worker/shard counts —
+//! byte-identical across worker/shard counts —
 //! ACO's stochasticity comes from seeded streams, never from execution order.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use irec_bench::regression::calibration_pass;
 use irec_bench::workload::algorithm_pass;
-use irec_sim::RoundScheduler;
 use std::time::Duration;
 
 const ASES: usize = 12;
@@ -32,35 +31,19 @@ fn bench_alg_catalog_scaling(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
 
     for &algorithm in ALGORITHMS {
-        // Outside the timed loop: the determinism probes. One sequential barrier pass
-        // pins the fingerprint; the DAG scheduler and the parallelism/shard planes must
-        // reproduce it byte for byte for this algorithm.
-        let reference = algorithm_pass(
-            algorithm,
-            ASES,
-            ROUNDS,
-            RoundScheduler::Barrier,
-            1,
-            1,
-            1,
-            SEED,
-        );
+        // Outside the timed loop: the determinism probes. One sequential pass pins the
+        // fingerprint; the parallelism/shard planes must reproduce it byte for byte for
+        // this algorithm.
+        let reference = algorithm_pass(algorithm, ASES, ROUNDS, 1, 1, 1, SEED);
         assert!(
             !reference.0.is_empty(),
             "the {algorithm} kernel must register paths"
         );
-        for (scheduler, width, ingress, path) in [
-            (RoundScheduler::Dag, 1, 1, 1),
-            (RoundScheduler::Dag, 4, 4, 7),
-            (RoundScheduler::Barrier, 4, 7, 4),
-        ] {
-            let fingerprint = algorithm_pass(
-                algorithm, ASES, ROUNDS, scheduler, width, ingress, path, SEED,
-            );
+        for (width, ingress, path) in [(4, 4, 7), (4, 7, 4)] {
+            let fingerprint = algorithm_pass(algorithm, ASES, ROUNDS, width, ingress, path, SEED);
             assert_eq!(
                 fingerprint, reference,
-                "{algorithm} fingerprint diverged under {scheduler} x{width} \
-                 ingress={ingress} path={path}"
+                "{algorithm} fingerprint diverged at x{width} ingress={ingress} path={path}"
             );
         }
 
@@ -69,18 +52,7 @@ fn bench_alg_catalog_scaling(c: &mut Criterion) {
             BenchmarkId::from_parameter(algorithm),
             &algorithm,
             |b, &algorithm| {
-                b.iter(|| {
-                    algorithm_pass(
-                        algorithm,
-                        ASES,
-                        ROUNDS,
-                        RoundScheduler::Barrier,
-                        1,
-                        1,
-                        1,
-                        SEED,
-                    )
-                });
+                b.iter(|| algorithm_pass(algorithm, ASES, ROUNDS, 1, 1, 1, SEED));
             },
         );
     }

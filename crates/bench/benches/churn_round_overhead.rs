@@ -8,14 +8,14 @@
 //! pays one settle round per step, so its gap to a plain `run_rounds` loop is the price of
 //! the convergence/no-blackhole bookkeeping itself. Outside the timed loop this bench
 //! asserts the churn determinism guarantee: the fingerprint at every rate is
-//! byte-identical between the barrier and DAG schedulers and across worker/shard counts —
+//! byte-identical across worker/shard counts —
 //! and that the rounds kept part of their selections even while the timeline's deltas
 //! kept dropping them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use irec_bench::regression::calibration_pass;
 use irec_bench::workload::{churn_pass, churn_pass_with_stats};
-use irec_sim::{ChurnConfig, RoundScheduler};
+use irec_sim::ChurnConfig;
 use std::time::Duration;
 
 const ASES: usize = 14;
@@ -37,60 +37,27 @@ fn bench_churn_round_overhead(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
 
     for rate in [0.0, 1.0, 2.0] {
-        // Outside the timed loop: the determinism probes. One sequential barrier pass
-        // pins the fingerprint; the DAG scheduler and the parallelism/shard planes must
-        // reproduce it byte for byte at this rate.
-        let (reference, stats) = churn_pass_with_stats(
-            ASES,
-            STEPS,
-            config_at(rate),
-            RoundScheduler::Barrier,
-            1,
-            1,
-            1,
-            SEED,
-        );
+        // Outside the timed loop: the determinism probes. One sequential pass pins the
+        // fingerprint; the parallelism/shard planes must reproduce it byte for byte at
+        // this rate.
+        let (reference, stats) = churn_pass_with_stats(ASES, STEPS, config_at(rate), 1, 1, 1, SEED);
         // `reused + extended + recomputed` is what from-scratch rounds would compute.
         assert!(
             stats.reused + stats.extended > 0,
             "churn rounds at rate {rate} recomputed every selection ({stats:?})"
         );
-        for (scheduler, width, ingress, path) in [
-            (RoundScheduler::Dag, 1, 1, 1),
-            (RoundScheduler::Dag, 4, 4, 7),
-            (RoundScheduler::Barrier, 4, 7, 4),
-        ] {
-            let fingerprint = churn_pass(
-                ASES,
-                STEPS,
-                config_at(rate),
-                scheduler,
-                width,
-                ingress,
-                path,
-                SEED,
-            );
+        for (width, ingress, path) in [(4, 4, 7), (4, 7, 4)] {
+            let fingerprint = churn_pass(ASES, STEPS, config_at(rate), width, ingress, path, SEED);
             assert_eq!(
                 fingerprint, reference,
-                "churn fingerprint diverged at rate {rate} under {scheduler} x{width} \
-                 ingress={ingress} path={path}"
+                "churn fingerprint diverged at rate {rate} x{width} ingress={ingress} \
+                 path={path}"
             );
         }
 
         group.throughput(Throughput::Elements(STEPS as u64));
         group.bench_with_input(BenchmarkId::from_parameter(rate), &rate, |b, &rate| {
-            b.iter(|| {
-                churn_pass(
-                    ASES,
-                    STEPS,
-                    config_at(rate),
-                    RoundScheduler::Barrier,
-                    1,
-                    1,
-                    1,
-                    SEED,
-                )
-            });
+            b.iter(|| churn_pass(ASES, STEPS, config_at(rate), 1, 1, 1, SEED));
         });
     }
     group.finish();

@@ -4,7 +4,7 @@
 //! passes a removed knob, or misspells a value, must not run (and pass its diff)
 //! vacuously.
 
-use irec_sim::{ChurnKinds, RoundScheduler, SimulationConfig};
+use irec_sim::{ChurnKinds, SimulationConfig};
 use irec_types::{IrecError, Result};
 
 /// Parsed benchmark arguments with defaults suitable for a laptop-scale run.
@@ -45,11 +45,6 @@ pub struct BenchArgs {
     /// next power of two of `--parallelism`). Threaded into every simulation the binaries
     /// build; the simulation output is byte-identical for every value.
     pub path_shards: usize,
-    /// Round scheduler of every simulation the binaries build (`--round-scheduler
-    /// {barrier,dag}`, default barrier). Under `dag` the rounds run as a work-item DAG on
-    /// one pool of `max(parallelism, delivery-parallelism)` workers; the simulation output
-    /// is byte-identical either way.
-    pub round_scheduler: RoundScheduler,
     /// Expected churn deltas per step of the churn engine (`--churn-rate`, default 0 =
     /// churn disabled). A *workload* knob: it changes what is simulated — deterministically
     /// for a fixed `--churn-seed` — unlike the parallelism/shard knobs, which never change
@@ -92,7 +87,6 @@ impl Default for BenchArgs {
             ingress_shards: 0,
             pd_parallelism: 1,
             path_shards: 0,
-            round_scheduler: RoundScheduler::Barrier,
             churn_rate: 0.0,
             churn_seed: 11,
             churn_kinds: ChurnKinds::default(),
@@ -149,7 +143,6 @@ impl BenchArgs {
             "ingress-shards" => self.ingress_shards = parsed::<usize>(key, value)?.min(256),
             "pd-parallelism" => self.pd_parallelism = parsed::<usize>(key, value)?.clamp(1, 64),
             "path-shards" => self.path_shards = parsed::<usize>(key, value)?.min(256),
-            "round-scheduler" => self.round_scheduler = parsed(key, value)?,
             "churn-rate" => {
                 let rate: f64 = parsed(key, value)?;
                 if !rate.is_finite() {
@@ -200,7 +193,6 @@ impl BenchArgs {
         SimulationConfig::default()
             .with_parallelism(self.parallelism)
             .with_delivery_parallelism(self.delivery_parallelism)
-            .with_round_scheduler(self.round_scheduler)
             .with_ingress_shards(self.ingress_shards)
             .with_path_shards(self.path_shards)
     }
@@ -224,7 +216,6 @@ impl BenchArgs {
          \x20 --pd-parallelism N        concurrent PD campaign pairs (default 1)\n\
          \x20 --ingress-shards N        ingress-DB shards per node (default 0 = auto)\n\
          \x20 --path-shards N           path-service shards per node (default 0 = auto)\n\
-         \x20 --round-scheduler S       round scheduler: barrier (default) or dag\n\
          \x20 --churn-rate R            expected churn deltas per step (default 0 = off)\n\
          \x20 --churn-seed N            churn-timeline PRNG seed (default 11)\n\
          \x20 --churn-kinds K           delta kinds, e.g. all or link-down=3,node-leave\n\
@@ -292,27 +283,19 @@ mod tests {
     }
 
     #[test]
-    fn round_scheduler_parses_and_defaults_to_barrier() {
-        assert_eq!(parse(&[]).round_scheduler, RoundScheduler::Barrier);
-        assert_eq!(
-            parse(&["--round-scheduler", "dag"]).round_scheduler,
-            RoundScheduler::Dag
-        );
-        assert_eq!(
-            parse(&["--round-scheduler", "barrier"]).round_scheduler,
-            RoundScheduler::Barrier
-        );
-    }
-
-    #[test]
     fn unknown_keys_are_errors_naming_the_key() {
         // A script still passing a knob that was removed must fail, not run vacuously.
         let message = rejection(&["--rounds", "3", "--retired-knob", "on"]);
         assert!(message.contains("--retired-knob"), "{message}");
         assert!(rejection(&["--bogus", "x"]).contains("--bogus"));
         assert!(rejection(&["--verbose"]).contains("--verbose"));
-        for args in [&["--pd-deep-clone"][..], &["--pd-deep-clone", "true"]] {
-            assert!(rejection(args).contains("unknown argument --pd-deep-clone"));
+        for args in [
+            &["--pd-deep-clone"][..],
+            &["--pd-deep-clone", "true"],
+            &["--round-scheduler", "dag"],
+        ] {
+            let key = args[0];
+            assert!(rejection(args).contains(&format!("unknown argument {key}")));
         }
         // So must a stray word that is no `--key` at all.
         assert!(rejection(&["rounds", "3"]).contains("\"rounds\""));
@@ -320,12 +303,6 @@ mod tests {
 
     #[test]
     fn unparsable_and_missing_values_are_errors_naming_the_key() {
-        // `dga` used to fall back to the barrier scheduler and pass its CI diff vacuously.
-        let message = rejection(&["--round-scheduler", "dga"]);
-        assert!(
-            message.contains("--round-scheduler") && message.contains("dga"),
-            "{message}"
-        );
         for (key, value) in [
             ("--ases", "twelve"),
             ("--seed", "-1"),
@@ -351,8 +328,6 @@ mod tests {
             "4",
             "--delivery-parallelism",
             "3",
-            "--round-scheduler",
-            "dag",
             "--ingress-shards",
             "7",
             "--path-shards",
@@ -361,7 +336,6 @@ mod tests {
         let config = a.to_sim_config();
         assert_eq!(config.parallelism, 4);
         assert_eq!(config.delivery_parallelism, 3);
-        assert_eq!(config.round_scheduler, RoundScheduler::Dag);
         assert_eq!(config.ingress_shards, 7);
         assert_eq!(config.path_shards, 5);
         // Defaults translate to the default simulation config.
@@ -520,7 +494,7 @@ mod tests {
     #[test]
     fn the_knobs_table_lists_exactly_the_keys_the_parser_takes() {
         let parsed = parsed_keys();
-        assert!(parsed.len() >= 18 && parsed.contains("ases") && parsed.contains("aco-budget"));
+        assert!(parsed.len() >= 17 && parsed.contains("ases") && parsed.contains("aco-budget"));
         // A knob deleted from the parser cannot linger in the docs, and a new one must be
         // documented.
         assert_eq!(documented_keys(), parsed);

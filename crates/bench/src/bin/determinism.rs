@@ -2,10 +2,10 @@
 //! scenarios with every registered path, overhead counter and PD result in full.
 //!
 //! ```text
-//! cargo run -p irec_bench --bin determinism --release -- [--parallelism N] [--delivery-parallelism N] [--ingress-shards N] [--pd-parallelism N] [--path-shards N] [--round-scheduler S] [--churn-rate R] [--churn-seed N] [--churn-kinds K] [--algorithm A] [--aco-seed N] [--aco-budget N] [--ases 12] [--rounds 3] [--seed 5]
+//! cargo run -p irec_bench --bin determinism --release -- [--parallelism N] [--delivery-parallelism N] [--ingress-shards N] [--pd-parallelism N] [--path-shards N] [--churn-rate R] [--churn-seed N] [--churn-kinds K] [--algorithm A] [--aco-seed N] [--aco-budget N] [--ases 12] [--rounds 3] [--seed 5]
 //! ```
 //!
-//! The output is byte-identical for every parallelism, shard and scheduler value, which
+//! The output is byte-identical for every parallelism and shard value, which
 //! the CI determinism job enforces by diffing a sequential run against each knob alone
 //! and all of them stacked; the selection-table counters go to stderr.
 

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p irec_bench --bin fig_alg --release -- [--ases 60] [--rounds 8] \
 //!     [--algorithm A] [--aco-seed N] [--aco-budget N] \
-//!     [--round-scheduler S] [--parallelism N] [--ingress-shards N] [--path-shards N]
+//!     [--parallelism N] [--ingress-shards N] [--path-shards N]
 //! ```
 //!
 //! Deploys one selection algorithm fleet-wide per run — the fixed sweep `5SP` (truncation
@@ -19,8 +19,8 @@
 //! ant colony lands between the extremes with its spread controlled by the iteration
 //! budget.
 //!
-//! The tables are byte-identical for every `--round-scheduler`, `--parallelism`,
-//! `--ingress-shards` and `--path-shards` value; the algorithm knobs are *workload* knobs
+//! The tables are byte-identical for every `--parallelism`, `--ingress-shards` and
+//! `--path-shards` value; the algorithm knobs are *workload* knobs
 //! and deliberately move the tables.
 
 use irec_bench::campaign::{print_cdf, print_summary};
@@ -60,7 +60,6 @@ fn main() {
             spec,
             args.ases,
             args.rounds,
-            args.round_scheduler,
             width,
             args.ingress_shards,
             args.path_shards,

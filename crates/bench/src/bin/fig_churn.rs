@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p irec_bench --bin fig_churn --release -- [--ases 60] [--rounds 8] \
 //!     [--churn-rate R] [--churn-seed N] [--churn-kinds K] \
-//!     [--round-scheduler S] [--parallelism N] [--ingress-shards N] [--path-shards N]
+//!     [--parallelism N] [--ingress-shards N] [--path-shards N]
 //! ```
 //!
 //! Runs one seeded churn campaign per rate — the fixed sweep `0.5, 1.0, 2.0` deltas per
@@ -19,8 +19,8 @@
 //! more settle rounds per step and more dropped messages — while rate-independent floors
 //! stay visible (a catalog swap settles in one round and drops nothing).
 //!
-//! The tables are byte-identical for every `--round-scheduler`, `--parallelism`,
-//! `--ingress-shards` and `--path-shards` value; the churn knobs are *workload* knobs and
+//! The tables are byte-identical for every `--parallelism`, `--ingress-shards` and
+//! `--path-shards` value; the churn knobs are *workload* knobs and
 //! deliberately move the tables. The per-rate selection counters (reused / extended /
 //! recomputed / invalidated) go to stderr.
 
@@ -58,7 +58,6 @@ fn main() {
             args.ases,
             args.rounds,
             churn,
-            args.round_scheduler,
             width,
             args.ingress_shards,
             args.path_shards,

@@ -297,7 +297,6 @@ pub fn test_campaign(seed: u64) -> Fig8Campaign {
         ingress_shards: 0,
         pd_parallelism: 1,
         path_shards: 0,
-        round_scheduler: irec_sim::RoundScheduler::Barrier,
         ..BenchArgs::default()
     })
 }

@@ -6,10 +6,10 @@
 //! (e.g. `5YEN` or a seeded `aco` family).
 //!
 //! The text is **byte-identical for every `--parallelism`, `--delivery-parallelism`,
-//! `--ingress-shards`, `--pd-parallelism`, `--path-shards` and `--round-scheduler` value**
-//! — that is the determinism guarantee of the parallel execution engine, of the
-//! message-delivery plane, of the sharded ingress database, of the sharded path service,
-//! of the PD campaign engine and of the work-item DAG round scheduler. The `determinism`
+//! `--ingress-shards`, `--pd-parallelism` and `--path-shards` value** — that is the
+//! determinism guarantee of the parallel execution engine, of the message-delivery plane,
+//! of the sharded ingress database, of the sharded path service and of the PD campaign
+//! engine. The `determinism`
 //! binary prints it so CI can diff a sequential run against each knob alone and all of
 //! them stacked; `tests/determinism_goldens.rs` compares it with the outputs committed
 //! under `tests/goldens/`, which pin the bytes across commits as well: a change that only

@@ -4,8 +4,8 @@
 //! ## How it works
 //!
 //! 1. CI runs the criterion benches (`rac_engine_scaling`, `delivery_scaling`,
-//!    `ingress_sharding`, `pd_campaign_scaling`, `pd_snapshot_cost`,
-//!    `dag_scheduler_scaling`) with `IREC_CRITERION_QUICK=1` and
+//!    `ingress_sharding`, `pd_campaign_scaling`, `pd_snapshot_cost`) with
+//!    `IREC_CRITERION_QUICK=1` and
 //!    `IREC_CRITERION_JSON=<path>`; the vendored criterion shim appends one JSON line per
 //!    benchmark (`{"bench":"group/id","mean_ns":…,"iters":…}`). Every suite also registers
 //!    the **calibration kernel** ([`calibration_pass`]) as the `calibration/mix` bench, so
@@ -350,7 +350,7 @@ pub fn calibration_from_samples(samples: &[BenchSample]) -> Option<f64> {
 /// One pass of the calibration kernel: a fixed, deterministic workload whose operation mix
 /// mirrors the benched kernels — `BTreeMap` entry/push churn over 512 keys (ordered-map
 /// walks plus allocator traffic from the growing/drained buckets), a mutex hand-off every
-/// 7th operation (the delivery plane's and DAG executor's lock cadence), and splitmix64
+/// 7th operation (the delivery plane's lock cadence), and splitmix64
 /// mixing between them. Returns the accumulated checksum so callers (and `black_box`) keep
 /// the work observable.
 ///

@@ -13,8 +13,7 @@ use irec_crypto::{KeyRegistry, Signer};
 use irec_metrics::RegisteredPath;
 use irec_pcb::{Pcb, PcbExtensions, StaticInfo};
 use irec_sim::{
-    ChurnConfig, ChurnEngine, ChurnStep, DeliveryStats, PdCampaign, RoundScheduler, SchedulerStats,
-    Simulation, SimulationConfig,
+    ChurnConfig, ChurnEngine, ChurnStep, DeliveryStats, PdCampaign, Simulation, SimulationConfig,
 };
 use irec_topology::{AsNode, GeneratorConfig, Interface, Tier, TopologyGenerator};
 use irec_types::{
@@ -377,69 +376,10 @@ pub fn measure_delivery_point(
     (sim.delivery_stats(), start.elapsed())
 }
 
-/// The deterministic fingerprint of one round-scheduler run: registered paths, delivery
-/// accounting, ingress occupancy and per-round overhead samples — everything the
-/// `--round-scheduler` knob must leave byte-identical.
+/// The deterministic fingerprint of one simulation run: registered paths, delivery
+/// accounting, ingress occupancy and per-round overhead samples — everything the worker
+/// and shard knobs must leave byte-identical.
 pub type RoundFingerprint = (Vec<RegisteredPath>, DeliveryStats, usize, Vec<u64>);
-
-/// Builds the round-scheduler workload: a generated-topology simulation with the paper's
-/// static RAC mix, running under `scheduler` with `width` workers on both the node phase
-/// and the delivery plane (so the round pool width `max(parallelism,
-/// delivery_parallelism)` equals `width`). Shared by the `dag_scheduler_scaling`
-/// criterion bench and the DAG determinism integration tests.
-pub fn round_scheduler_workload(
-    ases: usize,
-    scheduler: RoundScheduler,
-    width: usize,
-    seed: u64,
-) -> Simulation {
-    let config = GeneratorConfig {
-        num_ases: ases,
-        seed,
-        ..Default::default()
-    };
-    let topology = Arc::new(TopologyGenerator::new(config).generate());
-    Simulation::new(
-        topology,
-        SimulationConfig::default()
-            .with_round_scheduler(scheduler)
-            .with_parallelism(width)
-            .with_delivery_parallelism(width),
-        |_| {
-            NodeConfig::default().with_racs(vec![
-                RacConfig::static_rac("5SP", "5SP"),
-                RacConfig::static_rac("HD", "HD"),
-            ])
-        },
-    )
-    .expect("round-scheduler workload simulation setup")
-}
-
-/// One full run of the round-scheduler workload: `rounds` beaconing rounds from a fresh
-/// simulation. Returns the deterministic fingerprint plus the scheduler's timing stats —
-/// the stats are deliberately *not* part of the fingerprint (busy/idle wall-clock varies
-/// run to run), but their idle counter is what the `dag_scheduler_scaling` bench compares
-/// across schedulers to show speculative verify overlapping the node phase.
-pub fn round_scheduler_pass(
-    ases: usize,
-    rounds: usize,
-    scheduler: RoundScheduler,
-    width: usize,
-    seed: u64,
-) -> (RoundFingerprint, SchedulerStats) {
-    let mut sim = round_scheduler_workload(ases, scheduler, width, seed);
-    sim.run_rounds(rounds.max(1))
-        .expect("round-scheduler workload rounds succeed");
-    (
-        (
-            sim.registered_paths(),
-            sim.delivery_stats(),
-            sim.ingress_occupancy(),
-            sim.overhead().samples(),
-        ),
-        sim.scheduler_stats(),
-    )
-}
 
 /// The node config of the algorithm-catalog workload: every AS runs one static RAC
 /// instantiated from a catalog name (`5YEN`, `aco:7:8`, …). Propagation is pinned to
@@ -453,14 +393,12 @@ fn algorithm_node_config(algorithm: &str) -> NodeConfig {
 }
 
 /// Builds the algorithm-catalog workload: a generated-topology simulation where every AS
-/// runs the named catalog algorithm, under `scheduler` with `width` workers and the given
-/// per-node shard counts. Shared by the `alg_catalog_scaling` criterion bench, the
+/// runs the named catalog algorithm, with `width` workers and the given per-node shard
+/// counts. Shared by the `alg_catalog_scaling` criterion bench, the
 /// algorithm determinism integration tests and the `fig_alg` binary.
-#[allow(clippy::too_many_arguments)]
 pub fn algorithm_workload(
     algorithm: &str,
     ases: usize,
-    scheduler: RoundScheduler,
     width: usize,
     ingress_shards: usize,
     path_shards: usize,
@@ -476,7 +414,6 @@ pub fn algorithm_workload(
     Simulation::new(
         topology,
         SimulationConfig::default()
-            .with_round_scheduler(scheduler)
             .with_parallelism(width)
             .with_delivery_parallelism(width)
             .with_ingress_shards(ingress_shards)
@@ -487,30 +424,19 @@ pub fn algorithm_workload(
 }
 
 /// One full run of the algorithm-catalog workload: `rounds` beaconing rounds from a fresh
-/// simulation. The fingerprint must be byte-identical across schedulers and worker/shard
-/// counts for a fixed `(algorithm, ases, rounds, seed)` tuple — stochastic algorithms
+/// simulation. The fingerprint must be byte-identical across worker/shard counts for a fixed `(algorithm, ases, rounds, seed)` tuple — stochastic algorithms
 /// (ACO) included, because their randomness comes from seeded per-batch streams, never
 /// from execution order.
-#[allow(clippy::too_many_arguments)]
 pub fn algorithm_pass(
     algorithm: &str,
     ases: usize,
     rounds: usize,
-    scheduler: RoundScheduler,
     width: usize,
     ingress_shards: usize,
     path_shards: usize,
     seed: u64,
 ) -> RoundFingerprint {
-    let mut sim = algorithm_workload(
-        algorithm,
-        ases,
-        scheduler,
-        width,
-        ingress_shards,
-        path_shards,
-        seed,
-    );
+    let mut sim = algorithm_workload(algorithm, ases, width, ingress_shards, path_shards, seed);
     sim.run_rounds(rounds.max(1))
         .expect("algorithm workload rounds succeed");
     (
@@ -523,8 +449,7 @@ pub fn algorithm_pass(
 
 /// The deterministic fingerprint of one churn run: the per-step churn report plus the
 /// final registered paths, delivery accounting and ingress occupancy — everything that
-/// must stay byte-identical across `--round-scheduler` and every parallelism/shard knob
-/// for a fixed churn config.
+/// must stay byte-identical across every parallelism/shard knob for a fixed churn config.
 pub type ChurnFingerprint = (Vec<ChurnStep>, Vec<RegisteredPath>, DeliveryStats, usize);
 
 /// The node config of the churn workload. Propagation is pinned to `All` (not the
@@ -540,13 +465,11 @@ fn churn_node_config() -> NodeConfig {
         .with_racs(vec![RacConfig::static_rac("5SP", "5SP")])
 }
 
-/// Builds the churn workload: a generated-topology simulation under `scheduler` with
-/// `width` workers on the node phase and delivery plane plus the given per-node shard
+/// Builds the churn workload: a generated-topology simulation with `width` workers on the node phase and delivery plane plus the given per-node shard
 /// counts. Shared by the `churn_round_overhead` criterion bench, the churn determinism
 /// integration tests and the `fig_churn` binary.
 pub fn churn_workload(
     ases: usize,
-    scheduler: RoundScheduler,
     width: usize,
     ingress_shards: usize,
     path_shards: usize,
@@ -561,7 +484,6 @@ pub fn churn_workload(
     Simulation::new(
         topology,
         SimulationConfig::default()
-            .with_round_scheduler(scheduler)
             .with_parallelism(width)
             .with_delivery_parallelism(width)
             .with_ingress_shards(ingress_shards)
@@ -573,49 +495,35 @@ pub fn churn_workload(
 
 /// One full churn run over the [`churn_workload`]: `steps` churn steps of the seeded
 /// timeline in `churn`, applied and settled by a [`ChurnEngine`]. Returns the
-/// deterministic fingerprint — byte-identical across schedulers and worker/shard counts
+/// deterministic fingerprint — byte-identical across worker/shard counts
 /// for a fixed `(ases, steps, churn, seed)` tuple, which the `churn_round_overhead`
 /// bench and the churn determinism proptest matrix re-assert.
-#[allow(clippy::too_many_arguments)]
 pub fn churn_pass(
     ases: usize,
     steps: usize,
     churn: ChurnConfig,
-    scheduler: RoundScheduler,
     width: usize,
     ingress_shards: usize,
     path_shards: usize,
     seed: u64,
 ) -> ChurnFingerprint {
-    churn_pass_with_stats(
-        ases,
-        steps,
-        churn,
-        scheduler,
-        width,
-        ingress_shards,
-        path_shards,
-        seed,
-    )
-    .0
+    churn_pass_with_stats(ases, steps, churn, width, ingress_shards, path_shards, seed).0
 }
 
 /// [`churn_pass`], additionally returning the run's accumulated [`IncrementalStats`]:
 /// how many `(RAC, batch)` selections its rounds reused, extended and recomputed, and how
 /// many kept selections the timeline's catalog swaps dropped. Counters, not output —
 /// the fingerprint is what must agree across planes.
-#[allow(clippy::too_many_arguments)]
 pub fn churn_pass_with_stats(
     ases: usize,
     steps: usize,
     churn: ChurnConfig,
-    scheduler: RoundScheduler,
     width: usize,
     ingress_shards: usize,
     path_shards: usize,
     seed: u64,
 ) -> (ChurnFingerprint, IncrementalStats) {
-    let mut sim = churn_workload(ases, scheduler, width, ingress_shards, path_shards, seed);
+    let mut sim = churn_workload(ases, width, ingress_shards, path_shards, seed);
     let mut engine = ChurnEngine::new(churn, move |_| churn_node_config());
     let report = engine.run(&mut sim, steps).expect("churn pass converges");
     (
@@ -825,51 +733,24 @@ mod tests {
     }
 
     #[test]
-    fn round_scheduler_pass_is_scheduler_and_width_invariant() {
-        let (reference, _) = round_scheduler_pass(8, 2, RoundScheduler::Barrier, 1, 5);
-        assert!(reference.1.delivered > 0);
-        assert!(!reference.0.is_empty());
-        for (scheduler, width) in [
-            (RoundScheduler::Barrier, 4),
-            (RoundScheduler::Dag, 1),
-            (RoundScheduler::Dag, 4),
-        ] {
-            let (fingerprint, stats) = round_scheduler_pass(8, 2, scheduler, width, 5);
-            assert_eq!(
-                fingerprint, reference,
-                "diverged under {scheduler} x{width}"
-            );
-            assert_eq!(stats.rounds, 2);
-            if scheduler == RoundScheduler::Dag {
-                assert!(stats.items > 0, "DAG runs must account executed items");
-            }
-        }
-    }
-
-    #[test]
-    fn churn_pass_is_scheduler_and_width_invariant() {
+    fn churn_pass_is_width_and_shard_invariant() {
         let churn = ChurnConfig::default()
             .with_rate(1.0)
             .with_seed(13)
             .with_warmup_rounds(3);
-        let (steps, paths, stats, occupancy) =
-            churn_pass(10, 3, churn, RoundScheduler::Barrier, 1, 1, 1, 5);
+        let (steps, paths, stats, occupancy) = churn_pass(10, 3, churn, 1, 1, 1, 5);
         assert_eq!(steps.len(), 3);
         assert!(
             steps.iter().any(|step| !step.deltas.is_empty()),
             "a rate-1 timeline must apply deltas"
         );
         assert!(!paths.is_empty());
-        for (scheduler, width, ingress, path) in [
-            (RoundScheduler::Barrier, 4, 4, 7),
-            (RoundScheduler::Dag, 1, 7, 4),
-            (RoundScheduler::Dag, 4, 4, 4),
-        ] {
-            let fingerprint = churn_pass(10, 3, churn, scheduler, width, ingress, path, 5);
+        for (width, ingress, path) in [(4, 4, 7), (1, 7, 4), (4, 4, 4)] {
+            let fingerprint = churn_pass(10, 3, churn, width, ingress, path, 5);
             assert_eq!(
                 fingerprint,
                 (steps.clone(), paths.clone(), stats, occupancy),
-                "diverged under {scheduler} x{width} ingress={ingress} path={path}"
+                "diverged at x{width} ingress={ingress} path={path}"
             );
         }
     }
@@ -880,10 +761,8 @@ mod tests {
             .with_rate(1.0)
             .with_seed(13)
             .with_warmup_rounds(3);
-        let (reference, sequential) =
-            churn_pass_with_stats(10, 3, churn, RoundScheduler::Barrier, 1, 1, 1, 5);
-        let (fingerprint, stacked) =
-            churn_pass_with_stats(10, 3, churn, RoundScheduler::Dag, 4, 4, 4, 5);
+        let (reference, sequential) = churn_pass_with_stats(10, 3, churn, 1, 1, 1, 5);
+        let (fingerprint, stacked) = churn_pass_with_stats(10, 3, churn, 4, 4, 4, 5);
         assert_eq!(fingerprint, reference);
         // What a round reuses is decided per node from its own database, so the counters
         // are as plane-independent as the output.

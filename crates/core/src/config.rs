@@ -213,33 +213,6 @@ impl NodeConfig {
         self
     }
 
-    /// Builder-style: set the ingress-database shard count (`0` = derive from
-    /// `parallelism`).
-    #[deprecated(
-        since = "0.10.0",
-        note = "set shard counts at the simulation level via \
-                `irec_sim::SimulationConfig::with_ingress_shards` (or set the \
-                `ingress_shards` field directly when building a bare node)"
-    )]
-    #[must_use]
-    pub fn with_ingress_shards(mut self, shards: usize) -> Self {
-        self.ingress_shards = shards;
-        self
-    }
-
-    /// Builder-style: set the path-service shard count (`0` = derive from `parallelism`).
-    #[deprecated(
-        since = "0.10.0",
-        note = "set shard counts at the simulation level via \
-                `irec_sim::SimulationConfig::with_path_shards` (or set the `path_shards` \
-                field directly when building a bare node)"
-    )]
-    #[must_use]
-    pub fn with_path_shards(mut self, shards: usize) -> Self {
-        self.path_shards = shards;
-        self
-    }
-
     /// The effective ingress shard count: the configured value, or — when left at the `0`
     /// auto default — the next power of two of the RAC engine's worker count. Clamped to
     /// [`crate::beacon_db::MAX_INGRESS_SHARDS`], matching the database's own clamp, so the
@@ -321,8 +294,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn ingress_shard_count_follows_parallelism_unless_pinned() {
+    fn ingress_shard_count_follows_parallelism() {
         // Auto default: next power of two of the worker budget.
         assert_eq!(NodeConfig::default().ingress_shard_count(), 1);
         assert_eq!(
@@ -337,44 +309,14 @@ mod tests {
                 .ingress_shard_count(),
             8
         );
-        // An explicit count wins, including non-powers of two.
-        assert_eq!(
-            NodeConfig::default()
-                .with_parallelism(4)
-                .with_ingress_shards(7)
-                .ingress_shard_count(),
-            7
-        );
-        // Oversized values clamp to the database's own shard cap, so the config-level
-        // count always matches the built node's actual shard count.
-        assert_eq!(
-            NodeConfig::default()
-                .with_ingress_shards(100_000)
-                .ingress_shard_count(),
-            crate::beacon_db::MAX_INGRESS_SHARDS
-        );
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn path_shard_count_follows_parallelism_unless_pinned() {
+    fn path_shard_count_follows_parallelism() {
         assert_eq!(NodeConfig::default().path_shard_count(), 1);
         assert_eq!(
             NodeConfig::default().with_parallelism(6).path_shard_count(),
             8
-        );
-        assert_eq!(
-            NodeConfig::default()
-                .with_parallelism(4)
-                .with_path_shards(7)
-                .path_shard_count(),
-            7
-        );
-        assert_eq!(
-            NodeConfig::default()
-                .with_path_shards(100_000)
-                .path_shard_count(),
-            crate::path_service::MAX_PATH_SHARDS
         );
     }
 }

@@ -610,9 +610,8 @@ fn process_item(
 /// [`execute_racs`] does.
 ///
 /// When `busy_nanos` is given, each unit's execution time accumulates into it; the
-/// simulator's barrier scheduler uses this to compute its per-round worker idle time with
-/// the same formula as the DAG executor (`idle = workers × wall − Σ busy`), which is what
-/// makes the two schedulers' idle counters comparable.
+/// simulator uses this to compute its per-round worker idle time
+/// (`idle = workers × wall − Σ busy`).
 pub fn run_claimed<F>(count: usize, workers: usize, busy_nanos: Option<&AtomicU64>, work: F)
 where
     F: Fn(usize) + Sync,

@@ -311,9 +311,7 @@ impl IrecNode {
     /// housekeeping.
     ///
     /// Equivalent to [`IrecNode::beaconing_round_core`] followed by
-    /// [`IrecNode::round_housekeeping`]; the simulator's DAG scheduler runs the two halves
-    /// as separate work items so eviction sweeps overlap other nodes' work instead of
-    /// extending the round's critical path.
+    /// [`IrecNode::round_housekeeping`], for drivers that time the two halves apart.
     pub fn beaconing_round(&mut self, now: SimTime) -> Result<RoundOutput> {
         let mut output = self.beaconing_round_core(now)?;
         output.sent_per_interface = self.round_housekeeping(now);

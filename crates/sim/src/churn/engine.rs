@@ -142,10 +142,7 @@ where
     ///
     /// Returns the [`SelectionDelta`] describing the delta's blast radius on kept
     /// selections, for callers that keep selection state of their own. Nothing inside the
-    /// simulation depends on this return: every structural hook the arms below call
-    /// ([`Simulation::set_link_down`], [`Simulation::remove_node`], ...) announces the same
-    /// delta to [`crate::SelectionInvalidation`] observers itself, and the nodes need no
-    /// telling.
+    /// simulation depends on this return: the nodes need no telling.
     pub fn apply_delta(
         &mut self,
         sim: &mut Simulation,

@@ -4,7 +4,7 @@
 //! Every other scenario in the repo runs a fixed topology; real control planes must absorb
 //! link flaps, AS joins/leaves and staged configuration migrations without blackholing
 //! traffic. This module turns the ad-hoc failure-injection tests into a first-class
-//! subsystem, mirroring the [`crate::dag`] layout:
+//! subsystem:
 //!
 //! * [`generator::ChurnGenerator`] — a seeded generator emitting a deterministic timeline
 //!   of [`ChurnDelta`]s from a [`ChurnConfig`] (rate, seed, per-kind weights, warmup). It
@@ -25,11 +25,10 @@
 //! generator's PRNG is a self-contained splitmix64 stream seeded from the config; its
 //! draws consume only the stream and the simulation's *deterministic* observables (live
 //! ASes in `AsId` order, downed links in `LinkId` order, topology link ids in sorted
-//! order). The engine applies deltas between rounds — where both schedulers quiesce with
-//! identical state — and its settle loop advances on registered-path equality, itself a
-//! deterministic output. Therefore the whole timeline, and everything downstream of it, is
-//! byte-identical across `--round-scheduler {barrier,dag}` and all parallelism/shard
-//! knobs, like every other plane: `tests/churn_determinism.rs` and the CI determinism
+//! order). The engine applies deltas between rounds — where every worker has joined —
+//! and its settle loop advances on registered-path equality, itself a deterministic
+//! output. Therefore the whole timeline, and everything downstream of it, is
+//! byte-identical across all parallelism/shard knobs, like every other plane: `tests/churn_determinism.rs` and the CI determinism
 //! matrix enforce the bar.
 
 pub mod engine;

@@ -39,22 +39,12 @@
 //! any `parallelism` value — and any ingress/path shard count — is therefore
 //! byte-identical to a sequential run, which `tests/delivery_determinism.rs`,
 //! `tests/pd_determinism.rs` and the CI determinism job all enforce.
-//!
-//! **DAG scheduler mode.** Under `--round-scheduler dag` (see [`crate::dag`]) the plane is
-//! not drained by `deliver_until` at all: the round driver pops the due epoch via
-//! [`DeliveryPlane::drain_due`], turns the same verify/apply inboxes into work-DAG nodes
-//! executed by a shared work-stealing pool, and merges the outcome back through
-//! [`DeliveryPlane::add_stats`]. The plane additionally carries a speculative-verdict
-//! cache ([`DeliveryPlane::cache_verdicts`]): verdicts for *next* round's events, computed
-//! while the current round's node phase still runs (verify purity makes them valid early),
-//! keyed by event sequence number and consumed when the event is drained. Barrier-mode
-//! paths never populate or read the cache.
 
 use crate::event::{Event, EventQueue};
 use irec_core::{engine::run_claimed, IrecNode, PcbMessage, PullReturn, Verdict};
 use irec_types::{AsId, IfId, LinkId, SimTime};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -112,12 +102,6 @@ pub struct DeliveryPlane {
     /// Worker threads for the verify stage; `<= 1` verifies inline during the apply walk.
     parallelism: usize,
     stats: DeliveryStats,
-    /// Verdicts precomputed by the DAG scheduler's speculative-verify items, keyed by the
-    /// event's queue sequence number (unique per plane lifetime, so a verdict can never be
-    /// applied to the wrong event). Entries are consumed when their event is drained.
-    /// Always empty under the barrier scheduler. Cloned with the plane: a snapshot's
-    /// in-flight events replay with the same precomputed verdicts.
-    verdict_cache: HashMap<u64, Verdict>,
     /// Links currently down (churn injection), with the two `(AS, interface)` endpoints
     /// each was resolved to when it was taken down. A PCB whose `(from_as, from_if)`
     /// endpoint belongs to a downed link is dropped at delivery time — evaluated against
@@ -146,7 +130,6 @@ impl DeliveryPlane {
             queue: EventQueue::new(),
             parallelism: parallelism.clamp(1, MAX_WORKERS),
             stats: DeliveryStats::default(),
-            verdict_cache: HashMap::new(),
             down_links: BTreeMap::new(),
             down_endpoints: BTreeSet::new(),
         }
@@ -190,20 +173,14 @@ impl DeliveryPlane {
         self.down_links.keys().copied().collect()
     }
 
-    /// Node-removal hygiene: purges every pending event addressed to `asn`, accounts each
-    /// as [`DeliveryStats::dropped_no_node`], and drops any speculative verdicts cached
-    /// for the purged events (they will never be drained, so the entries would leak).
-    /// Returns the number of events purged.
+    /// Node-removal hygiene: purges every pending event addressed to `asn` and accounts
+    /// each as [`DeliveryStats::dropped_no_node`]. Returns the number of events purged.
     ///
     /// Called by `Simulation::remove_node` (messages in flight towards the removed AS)
     /// and by `Simulation::add_node` (messages sent while the AS had no node), so a node
     /// re-added under the same `AsId` can never observe pre-removal traffic.
     pub fn purge_addressed_to(&mut self, asn: AsId) -> u64 {
-        let purged = self.queue.purge_addressed_to(asn);
-        let count = purged.len() as u64;
-        for (_, seq, _) in &purged {
-            self.verdict_cache.remove(seq);
-        }
+        let count = self.queue.purge_addressed_to(asn).len() as u64;
         self.stats.dropped_no_node += count;
         count
     }
@@ -211,13 +188,6 @@ impl DeliveryPlane {
     /// Schedules `event` for delivery at time `at`.
     pub fn schedule(&mut self, at: SimTime, event: Event) {
         self.queue.schedule(at, event);
-    }
-
-    /// Schedules `event` at `at` under a caller-assigned sequence number (see
-    /// [`EventQueue::schedule_preassigned`]); the DAG scheduler's post-round push of its
-    /// staged events.
-    pub fn schedule_preassigned(&mut self, at: SimTime, seq: u64, event: Event) {
-        self.queue.schedule_preassigned(at, seq, event);
     }
 
     /// The sequence number the next scheduled event will be assigned.
@@ -235,9 +205,8 @@ impl DeliveryPlane {
         self.stats
     }
 
-    /// Folds a delivery-outcome delta into the accounting — the DAG scheduler computes
-    /// each epoch's outcomes in its own work items and merges them here after the round's
-    /// scope joins.
+    /// Folds a delivery-outcome delta into the accounting, for a driver that drains the
+    /// plane with [`DeliveryPlane::drain_due`] and delivers the events itself.
     pub fn add_stats(&mut self, delta: DeliveryStats) {
         self.stats.merge(delta);
     }
@@ -248,9 +217,8 @@ impl DeliveryPlane {
     }
 
     /// Pops every event due at or before `until` — at most `max_events` of them — in
-    /// `(SimTime, seq)` order, *without* delivering. The DAG scheduler drains the due
-    /// epoch through this, partitions it into work items, and merges the outcome back via
-    /// [`DeliveryPlane::add_stats`] / [`DeliveryPlane::schedule_preassigned`].
+    /// `(SimTime, seq)` order, *without* delivering; the caller delivers them and folds
+    /// the outcome back via [`DeliveryPlane::add_stats`].
     pub fn drain_due(&mut self, until: SimTime, max_events: usize) -> Vec<(SimTime, u64, Event)> {
         let mut due = Vec::new();
         while due.len() < max_events {
@@ -263,23 +231,6 @@ impl DeliveryPlane {
         due
     }
 
-    /// Removes and returns the speculatively-computed verdict for the event with queue
-    /// sequence number `seq`, if one was cached.
-    pub fn take_cached_verdict(&mut self, seq: u64) -> Option<Verdict> {
-        self.verdict_cache.remove(&seq)
-    }
-
-    /// Caches speculatively-computed verdicts keyed by event sequence number, to be
-    /// consumed by the epoch that drains those events.
-    pub fn cache_verdicts(&mut self, verdicts: impl IntoIterator<Item = (u64, Verdict)>) {
-        self.verdict_cache.extend(verdicts);
-    }
-
-    /// Number of speculative verdicts currently cached (diagnostics and tests).
-    pub fn cached_verdicts(&self) -> usize {
-        self.verdict_cache.len()
-    }
-
     /// Delivers every event due at or before `until` to `nodes`, in `(SimTime, seq)` order.
     pub fn deliver_until(&mut self, nodes: &mut BTreeMap<AsId, IrecNode>, until: SimTime) {
         let busy = AtomicU64::new(0);
@@ -288,8 +239,7 @@ impl DeliveryPlane {
 
     /// [`DeliveryPlane::deliver_until`] with a busy-time probe: every verify, apply and
     /// serial-walk payload unit's execution time accumulates into `busy_nanos`, feeding
-    /// the barrier scheduler's per-round idle accounting (see
-    /// [`crate::dag::SchedulerStats`]).
+    /// the round's idle accounting (see [`crate::SchedulerStats`]).
     pub fn deliver_until_probed(
         &mut self,
         nodes: &mut BTreeMap<AsId, IrecNode>,

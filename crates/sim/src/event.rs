@@ -66,19 +66,6 @@ impl EventQueue {
         self.heap.push(Scheduled { at, seq, event });
     }
 
-    /// Schedules `event` for time `at` under a caller-assigned sequence number, bumping
-    /// the internal counter past it.
-    ///
-    /// The DAG round scheduler assigns sequence numbers inside its accounting chain (in
-    /// `AsId` order, from [`EventQueue::next_seq`]) and pushes the staged events after the
-    /// round's scope joins — the queue contents end up identical to the barrier
-    /// scheduler's inline [`EventQueue::schedule`] calls. Callers must keep assigned
-    /// sequence numbers unique; reuse would break the FIFO tiebreak's totality.
-    pub fn schedule_preassigned(&mut self, at: SimTime, seq: u64, event: Event) {
-        self.next_seq = self.next_seq.max(seq + 1);
-        self.heap.push(Scheduled { at, seq, event });
-    }
-
     /// The sequence number the next scheduled event will be assigned.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
@@ -114,8 +101,7 @@ impl EventQueue {
         self.heap.pop().map(|s| (s.at, s.event))
     }
 
-    /// Like [`EventQueue::pop_until`], but also yields the event's sequence number — the
-    /// key the DAG scheduler's speculative-verdict cache is indexed by.
+    /// Like [`EventQueue::pop_until`], but also yields the event's sequence number.
     pub fn pop_entry_until(&mut self, until: SimTime) -> Option<(SimTime, u64, Event)> {
         if self.next_time()? <= until {
             let s = self.heap.pop().expect("peeked element exists");
@@ -235,19 +221,6 @@ mod tests {
         assert!(q.pop_until(SimTime::from_micros(20)).is_none());
         assert_eq!(q.len(), 1);
         assert_eq!(q.next_time(), Some(SimTime::from_micros(50)));
-    }
-
-    #[test]
-    fn preassigned_seqs_interleave_with_assigned_ones() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_micros(100), event(1)); // seq 0
-        q.schedule_preassigned(SimTime::from_micros(100), 5, event(2));
-        assert_eq!(q.next_seq(), 6);
-        q.schedule(SimTime::from_micros(100), event(3)); // seq 6
-        let seqs: Vec<u64> = std::iter::from_fn(|| q.pop_entry_until(SimTime::MAX))
-            .map(|(_, seq, _)| seq)
-            .collect();
-        assert_eq!(seqs, vec![0, 5, 6]);
     }
 
     #[test]

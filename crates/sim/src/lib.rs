@@ -32,22 +32,16 @@
 //! swaps) applied between rounds, with convergence and no-blackhole invariants checked
 //! after every step (see [`churn`]). Node rounds keep the previous round's RAC selections
 //! and re-select only where their ingress database changed (see
-//! [`irec_core::SelectionTables`]), so structural mutations need no invalidation protocol;
-//! each is still announced as a [`irec_algorithms::incremental::SelectionDelta`] to
-//! subscribed [`SelectionInvalidation`] observers.
+//! [`irec_core::SelectionTables`]), so structural mutations need no invalidation protocol.
 //!
-//! Rounds execute under one of two schedulers ([`simulation::RoundScheduler`]): the
-//! **barrier** reference path (deliver → node phase → housekeeping, each a strict phase)
-//! or the **dependency-DAG** scheduler ([`dag`]), which dissolves the phase barriers into
-//! a work-item graph — verifies, shard applies, node rounds, accounting, speculative
-//! next-round verification and housekeeping all run the moment their inputs are ready on
-//! a work-stealing pool, with byte-identical output.
+//! Every round runs as three strict phases — deliver, node phase, account and schedule in
+//! `AsId` order — on one driver; the worker counts only change how wide each phase fans
+//! out, never the output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod churn;
-pub mod dag;
 pub mod delivery;
 pub mod event;
 pub mod pd;
@@ -57,10 +51,7 @@ pub use churn::{
     ChurnConfig, ChurnDelta, ChurnEngine, ChurnGenerator, ChurnKinds, ChurnReport, ChurnStep,
     InvariantChecker,
 };
-pub use dag::{Dag, DagExecutor, ExecReport, RoundDagBuilder, RoundItem, SchedulerStats};
 pub use delivery::{DeliveryPlane, DeliveryStats};
 pub use event::{Event, EventQueue};
 pub use pd::{PdCampaign, PdPairResult, PdResult, PdWorkflow};
-pub use simulation::{
-    RoundScheduler, SelectionInvalidation, SimSnapshot, Simulation, SimulationConfig,
-};
+pub use simulation::{SchedulerStats, SimSnapshot, Simulation, SimulationConfig};

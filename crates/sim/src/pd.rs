@@ -10,6 +10,7 @@
 
 use crate::simulation::Simulation;
 use irec_algorithms::disjoint::pd_round_program;
+use irec_core::engine::run_claimed;
 use irec_core::OriginationSpec;
 use irec_metrics::RegisteredPath;
 use irec_pcb::PcbExtensions;
@@ -405,18 +406,13 @@ impl PdCampaign {
                 .collect();
         }
 
-        // Fan the pairs out over the shared work-stealing executor: an edgeless DAG with
-        // one node per pair makes every pair immediately ready, and work stealing keeps
-        // all workers busy even when pair runtimes are skewed (a long pull workflow no
-        // longer starves the tail as the old strict claim-order cursor could). Results
-        // land in slots indexed by pair, so the merge order is independent of scheduling.
-        let mut dag = crate::dag::Dag::with_capacity(self.pairs.len());
-        for _ in &self.pairs {
-            dag.add_node();
-        }
+        // Fan the pairs out over the claim-cursor pool: an idle worker claims the next
+        // unstarted pair, so a long pull workflow does not hold up the pairs behind it.
+        // Results land in slots indexed by pair, so the merge order is independent of
+        // scheduling.
         let slots: Vec<Mutex<Option<Result<PdPairResult>>>> =
             self.pairs.iter().map(|_| Mutex::new(None)).collect();
-        crate::dag::DagExecutor::new(workers).run(&dag, |index| {
+        run_claimed(self.pairs.len(), workers, None, |index| {
             let (origin, target) = self.pairs[index];
             *slots[index].lock() = Some(run_pair(index, origin, target));
         });

@@ -1,56 +1,44 @@
 //! The simulation driver: periodic beaconing over a topology with event-based message
 //! delivery.
 
-use crate::dag::{DagExecutor, RoundDagBuilder, RoundItem, RoundPlan, SchedulerStats};
-use crate::delivery::{DeliveryPlane, DeliveryStats, MAX_EPOCH_EVENTS};
+use crate::delivery::{DeliveryPlane, DeliveryStats};
 use crate::event::Event;
-use irec_algorithms::incremental::{IncrementalStats, SelectionDelta};
-use irec_core::{IrecNode, NodeConfig, RacConfig, RoundOutput, SharedAlgorithmStore, Verdict};
+use irec_algorithms::incremental::IncrementalStats;
+use irec_core::{IrecNode, NodeConfig, RacConfig, RoundOutput, SharedAlgorithmStore};
 use irec_crypto::KeyRegistry;
 use irec_metrics::overhead::OverheadCounter;
 use irec_metrics::RegisteredPath;
 use irec_topology::{GroupingConfig, InterfaceGroups, Topology};
 use irec_types::{AsId, IrecError, LinkId, Result, SimDuration, SimTime};
-use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Which scheduler drives each beaconing round.
+/// Scheduler-quality accounting, accumulated per round: `idle = workers × round_wall −
+/// Σ busy`, where `busy` sums the instrumented payload work (node rounds, verifies,
+/// applies) and `workers` is the round pool width (`max(parallelism,
+/// delivery_parallelism)`). Serial sections therefore count `workers − 1` idle lanes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum RoundScheduler {
-    /// The reference implementation: strict deliver → node phase → housekeeping barriers.
-    /// Every worker joins at each phase boundary before the next phase starts.
-    #[default]
-    Barrier,
-    /// The work-item DAG scheduler (see [`crate::dag`]): the same work, decomposed into
-    /// items executed by one work-stealing pool the moment their dependency edges are
-    /// satisfied — a node with no due traffic starts its round while other inboxes still
-    /// verify, and freshly scheduled messages are verified speculatively while the node
-    /// phase is still running. Output is byte-identical to [`RoundScheduler::Barrier`].
-    Dag,
+pub struct SchedulerStats {
+    /// Rounds accounted.
+    pub rounds: u64,
+    /// Wall-clock nanoseconds spent inside accounted rounds.
+    pub wall_nanos: u64,
+    /// Worker-nanoseconds spent executing payload work.
+    pub busy_nanos: u64,
+    /// Worker-nanoseconds not spent executing payload work while a round was in progress.
+    pub idle_nanos: u64,
 }
 
-impl std::str::FromStr for RoundScheduler {
-    type Err = IrecError;
-    fn from_str(s: &str) -> Result<Self> {
-        match s {
-            "barrier" => Ok(RoundScheduler::Barrier),
-            "dag" => Ok(RoundScheduler::Dag),
-            other => Err(IrecError::config(format!(
-                "unknown round scheduler {other:?} (expected \"barrier\" or \"dag\")"
-            ))),
-        }
-    }
-}
-
-impl std::fmt::Display for RoundScheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            RoundScheduler::Barrier => "barrier",
-            RoundScheduler::Dag => "dag",
-        })
+impl SchedulerStats {
+    /// Folds one round into the totals: `wall_nanos` elapsed on the driving thread with
+    /// `workers` nominal lanes, of which `busy_nanos` worker-nanoseconds did payload work.
+    pub fn record_round(&mut self, workers: usize, wall_nanos: u64, busy_nanos: u64) {
+        self.rounds += 1;
+        self.wall_nanos += wall_nanos;
+        self.busy_nanos += busy_nanos;
+        self.idle_nanos += (workers as u64 * wall_nanos).saturating_sub(busy_nanos);
     }
 }
 
@@ -71,11 +59,6 @@ pub struct SimulationConfig {
     /// fans per-destination inboxes out over that many workers. Either way the apply order
     /// is `(SimTime, seq)` and the simulation output is byte-identical.
     pub delivery_parallelism: usize,
-    /// Which scheduler drives each round. Under [`RoundScheduler::Dag`] the two worker
-    /// counts above fold into one shared pool of width
-    /// `max(parallelism, delivery_parallelism)` — there are no phases left to give each
-    /// knob its own pool.
-    pub round_scheduler: RoundScheduler,
     /// Ingress-database shard count applied to every node's
     /// [`NodeConfig::ingress_shards`]. `0` (the default) leaves each node's own setting
     /// alone, which normally means "follow the node's `parallelism`".
@@ -92,7 +75,6 @@ impl Default for SimulationConfig {
             processing_delay: SimDuration::from_millis(5),
             parallelism: 1,
             delivery_parallelism: 1,
-            round_scheduler: RoundScheduler::Barrier,
             ingress_shards: 0,
             path_shards: 0,
         }
@@ -112,13 +94,6 @@ impl SimulationConfig {
     #[must_use]
     pub fn with_delivery_parallelism(mut self, delivery_parallelism: usize) -> Self {
         self.delivery_parallelism = delivery_parallelism.max(1);
-        self
-    }
-
-    /// Builder-style: select the round scheduler.
-    #[must_use]
-    pub fn with_round_scheduler(mut self, round_scheduler: RoundScheduler) -> Self {
-        self.round_scheduler = round_scheduler;
         self
     }
 
@@ -153,50 +128,6 @@ impl SimulationConfig {
     }
 }
 
-/// Observer of selection-invalidation events: every structural mutation of the simulation
-/// (link state change, node churn, RAC catalog swap) is translated into a
-/// [`SelectionDelta`] and fanned out to each subscribed observer, in subscription order —
-/// for callers that keep selection-derived state of their own. Subscribe with
-/// [`Simulation::subscribe_invalidations`].
-///
-/// Observers are deliberately *not* carried across [`Simulation::clone`] or
-/// [`Simulation::snapshot`]: a snapshot evolves independently and an observer boxed into
-/// the base cannot be duplicated (nor would routing one clone's events into another's
-/// observer make sense).
-///
-/// ```
-/// use irec_algorithms::incremental::SelectionDelta;
-/// use irec_core::{NodeConfig, PropagationPolicy, RacConfig};
-/// use irec_sim::{SelectionInvalidation, Simulation, SimulationConfig};
-/// use irec_topology::builder::{figure1, figure1_topology};
-/// use std::sync::Arc;
-///
-/// #[derive(Default)]
-/// struct DeltaLog(Vec<SelectionDelta>);
-/// impl SelectionInvalidation for DeltaLog {
-///     fn on_invalidation(&mut self, delta: &SelectionDelta) {
-///         self.0.push(delta.clone());
-///     }
-/// }
-///
-/// let mut sim = Simulation::new(
-///     Arc::new(figure1_topology()),
-///     SimulationConfig::default(),
-///     |_| {
-///         NodeConfig::default()
-///             .with_policy(PropagationPolicy::All)
-///             .with_racs(vec![RacConfig::static_rac("1SP", "1SP")])
-///     },
-/// ).unwrap();
-/// sim.subscribe_invalidations(Box::new(DeltaLog::default()));
-/// let link = sim.topology().links_of(figure1::SRC)[0];
-/// sim.set_link_down(link).unwrap();  // fans a SelectionDelta::Link to the observer
-/// ```
-pub trait SelectionInvalidation: Send + Sync {
-    /// Called once per structural mutation.
-    fn on_invalidation(&mut self, delta: &SelectionDelta);
-}
-
 /// The discrete-event simulation of an IREC deployment.
 pub struct Simulation {
     topology: Arc<Topology>,
@@ -215,10 +146,6 @@ pub struct Simulation {
     registry: KeyRegistry,
     /// The shared on-demand algorithm store, retained for the same reason.
     store: SharedAlgorithmStore,
-    /// Selection-invalidation observers (see [`SelectionInvalidation`]). Not part of the
-    /// simulation state proper: deliberately dropped by [`Clone`] and
-    /// [`Simulation::snapshot`], and never consulted by the deterministic round paths.
-    observers: Vec<Box<dyn SelectionInvalidation>>,
 }
 
 impl Clone for Simulation {
@@ -245,9 +172,6 @@ impl Clone for Simulation {
             scheduler: self.scheduler,
             registry: self.registry.clone(),
             store: self.store.clone(),
-            // Observers watch one simulation; a clone starts with none (see
-            // [`SelectionInvalidation`]).
-            observers: Vec::new(),
         }
     }
 }
@@ -331,30 +255,7 @@ impl Simulation {
             scheduler: SchedulerStats::default(),
             registry,
             store,
-            observers: Vec::new(),
         })
-    }
-
-    /// Subscribes a [`SelectionInvalidation`] observer: from now on every structural
-    /// mutation's [`SelectionDelta`] is delivered to it.
-    pub fn subscribe_invalidations(&mut self, observer: Box<dyn SelectionInvalidation>) {
-        self.observers.push(observer);
-    }
-
-    /// Tells every subscribed observer, in subscription order, that the selections `delta`
-    /// describes are stale. The structural-mutation hooks ([`Simulation::set_link_down`],
-    /// [`Simulation::set_link_up`], [`Simulation::remove_node`], [`Simulation::add_node`],
-    /// [`Simulation::swap_rac_catalog`]) call this themselves; call it directly only for
-    /// out-of-band mutations the simulation cannot see.
-    ///
-    /// The nodes are not among the listeners. A node re-selects where its own ingress
-    /// database changed (see [`irec_core::SelectionTables`]), and every structural change
-    /// that matters to a node gets there as exactly that: a withdrawal sweep, an eviction,
-    /// the fresh database of a node that re-joined.
-    pub fn invalidate_selections(&mut self, delta: &SelectionDelta) {
-        for observer in &mut self.observers {
-            observer.on_invalidation(delta);
-        }
     }
 
     /// Sum of every live node's [`irec_core::SelectionTables`] counters, in `AsId` order:
@@ -527,8 +428,6 @@ impl Simulation {
             scheduler: self.scheduler,
             registry: self.registry.clone(),
             store: self.store.clone(),
-            // Snapshots evolve independently; the base's observers stay with the base.
-            observers: Vec::new(),
         }
     }
 
@@ -559,19 +458,17 @@ impl Simulation {
         &self.overhead_pull
     }
 
-    /// The width of the shared round pool: the two phase-specific worker knobs folded into
-    /// one (the DAG scheduler has no phases to give each knob its own pool, and the
-    /// barrier's idle accounting uses the same width so the two numbers compare).
+    /// The width of the round's worker pool, for the idle accounting: the larger of the
+    /// node-phase and delivery worker counts.
     fn round_pool_width(&self) -> usize {
         self.config
             .parallelism
             .max(self.config.delivery_parallelism)
-            .clamp(1, crate::dag::MAX_WORKERS)
+            .clamp(1, crate::delivery::MAX_WORKERS)
     }
 
     /// Scheduler-quality accounting accumulated over the rounds run so far (see
-    /// [`SchedulerStats`]). Both schedulers use the same idle formula, so barrier and DAG
-    /// figures are directly comparable. Not part of the deterministic simulation output.
+    /// [`SchedulerStats`]). Not part of the deterministic simulation output.
     pub fn scheduler_stats(&self) -> SchedulerStats {
         self.scheduler
     }
@@ -583,21 +480,13 @@ impl Simulation {
         }
         // Deliver whatever is still in flight so the final round's beacons are visible in the
         // receivers' databases (and path services at the next query).
-        match self.config.round_scheduler {
-            RoundScheduler::Barrier => self.deliver_until(SimTime::MAX),
-            RoundScheduler::Dag => self.run_delivery_dag(SimTime::MAX),
-        }
+        self.plane.deliver_until(&mut self.nodes, SimTime::MAX);
         Ok(())
     }
 
+    /// One beaconing round as three strict phases: deliver what is due, run every node's
+    /// round, account and schedule the outputs in `AsId` order.
     fn run_single_round(&mut self) -> Result<()> {
-        match self.config.round_scheduler {
-            RoundScheduler::Barrier => self.run_single_round_barrier(),
-            RoundScheduler::Dag => self.run_single_round_dag(),
-        }
-    }
-
-    fn run_single_round_barrier(&mut self) -> Result<()> {
         let wall = Instant::now();
         let busy = AtomicU64::new(0);
         let now = SimTime::from_micros(self.round * self.config.beacon_interval.as_micros());
@@ -640,353 +529,6 @@ impl Simulation {
             busy.into_inner(),
         );
         Ok(())
-    }
-
-    /// One beaconing round under [`RoundScheduler::Dag`]: the round's due delivery epoch
-    /// and the node phase become one work-item DAG executed by a single work-stealing pool
-    /// (see [`crate::dag`]). On top of overlapping delivery with node rounds, each node's
-    /// freshly scheduled messages are **speculatively verified** the moment its accounting
-    /// item fixes their delivery times and sequence numbers — verification is pure, so the
-    /// verdicts are valid before the destination ever sees the message — and cached on the
-    /// plane for the round that drains them.
-    ///
-    /// Byte-identical to the barrier round for any pool width: apply order per
-    /// `(destination, shard)` inbox is `(SimTime, seq)` (edge rule 3), node rounds start
-    /// only after their ingress shards committed (edge rule 1), outcome counters accumulate
-    /// in epoch order inside the single accounting item, and the per-node accounting chain
-    /// reproduces the barrier's `AsId`-order merge — including its event sequence numbers,
-    /// via [`DeliveryPlane::schedule_preassigned`] — and its first-error semantics.
-    fn run_single_round_dag(&mut self) -> Result<()> {
-        let wall = Instant::now();
-        let now = SimTime::from_micros(self.round * self.config.beacon_interval.as_micros());
-        self.clock = now;
-        let round = self.round;
-        let width = self.round_pool_width();
-
-        // Drain the whole due epoch up front; delivery never schedules new events, so one
-        // pass is exact, and a round's due traffic bounds the drained set naturally.
-        let prep = self.prepare_delivery(now, usize::MAX);
-
-        // Build the round plan in canonical order: item ids are a stable function of the
-        // round's inputs, so error propagation and all merges are order-independent.
-        let mut builder = RoundDagBuilder::new();
-        for dest in prep.verify_inboxes.keys() {
-            builder.add_verify(*dest);
-        }
-        builder.add_account();
-        for (dest, shard) in prep.commit_inboxes.keys() {
-            builder.add_apply_pcb(*dest, *shard);
-        }
-        for (dest, shard) in prep.return_inboxes.keys() {
-            builder.add_apply_return(*dest, *shard);
-        }
-        let as_ids: Vec<AsId> = self.nodes.keys().copied().collect();
-        for &asn in &as_ids {
-            builder.add_node_round(asn);
-        }
-        for &asn in &as_ids {
-            builder.add_account_round(asn);
-        }
-        for &asn in &as_ids {
-            builder.add_speculative_verify(asn);
-        }
-        for &asn in &as_ids {
-            builder.add_housekeeping(asn);
-        }
-        let plan = builder.build();
-
-        // Move the nodes into per-AS cells so items can lock exactly the node they touch:
-        // verify/apply items read-lock (they use the `&self` shard entry points), node
-        // rounds and housekeeping write-lock. The cells are restored unconditionally after
-        // the pool joins.
-        let cells: Vec<(AsId, RwLock<IrecNode>)> = std::mem::take(&mut self.nodes)
-            .into_iter()
-            .map(|(asn, node)| (asn, RwLock::new(node)))
-            .collect();
-        let index_of: BTreeMap<AsId, usize> = cells
-            .iter()
-            .enumerate()
-            .map(|(position, (asn, _))| (*asn, position))
-            .collect();
-
-        let outputs: Vec<Mutex<Option<Result<RoundOutput>>>> =
-            cells.iter().map(|_| Mutex::new(None)).collect();
-        let core_ok: Vec<AtomicBool> = cells.iter().map(|_| AtomicBool::new(false)).collect();
-        let staged: Vec<Mutex<Vec<(SimTime, u64, Event)>>> =
-            cells.iter().map(|_| Mutex::new(Vec::new())).collect();
-        let spec_verdicts: Mutex<Vec<(u64, Verdict)>> = Mutex::new(Vec::new());
-        let topology = &self.topology;
-        let processing_delay = self.config.processing_delay;
-        let acct = Mutex::new(RoundAccounting {
-            overhead: &mut self.overhead,
-            overhead_pull: &mut self.overhead_pull,
-            delta: prep.base_delta,
-            next_seq: self.plane.next_seq(),
-            error: None,
-        });
-
-        let prep = &prep;
-        let report = DagExecutor::new(width).run(&plan.dag, |id| match plan.items[id] {
-            RoundItem::Verify { dest } => {
-                let node = cells[index_of[&dest]].1.read();
-                verify_inbox(&node, prep, &prep.verify_inboxes[&dest]);
-            }
-            RoundItem::Account => {
-                let epoch_delta = account_epoch(prep);
-                acct.lock().delta.merge(epoch_delta);
-            }
-            RoundItem::ApplyPcb { dest, shard } => {
-                let node = cells[index_of[&dest]].1.read();
-                apply_pcb_inbox(&node, prep, shard, &prep.commit_inboxes[&(dest, shard)]);
-            }
-            RoundItem::ApplyReturn { dest, shard } => {
-                let node = cells[index_of[&dest]].1.read();
-                apply_return_inbox(&node, prep, shard, &prep.return_inboxes[&(dest, shard)]);
-            }
-            RoundItem::NodeRound { asn } => {
-                let position = index_of[&asn];
-                let result = cells[position].1.write().beaconing_round_core(now);
-                if result.is_ok() {
-                    core_ok[position].store(true, Ordering::Release);
-                }
-                *outputs[position].lock() = Some(result);
-            }
-            RoundItem::AccountRound { asn } => {
-                let position = index_of[&asn];
-                let output = outputs[position]
-                    .lock()
-                    .take()
-                    .expect("node round precedes its accounting item");
-                let mut acct = acct.lock();
-                if acct.error.is_some() {
-                    // A lower-AsId node already failed this round: discard this output,
-                    // exactly as the barrier's merge loop stops accounting at the first
-                    // error.
-                    return;
-                }
-                let output = match output {
-                    Ok(output) => output,
-                    Err(error) => {
-                        acct.error = Some((position, error));
-                        return;
-                    }
-                };
-                for message in &output.messages {
-                    acct.overhead
-                        .record(message.from_as, message.from_if, round, 1);
-                    if message.pcb.extensions.target().is_some() {
-                        acct.overhead_pull
-                            .record(message.from_as, message.from_if, round, 1);
-                    }
-                }
-                let mut events = staged[position].lock();
-                for message in output.messages {
-                    let delay = topology
-                        .link_at(message.from_as, message.from_if)
-                        .map(|l| l.metrics.latency)
-                        .unwrap_or_default();
-                    let at = now + SimDuration::from_micros(delay.as_micros()) + processing_delay;
-                    let seq = acct.next_seq;
-                    acct.next_seq += 1;
-                    events.push((at, seq, Event::DeliverPcb(message)));
-                }
-                for ret in output.pull_returns {
-                    // The return travels over the discovered path itself.
-                    let delay = ret.pcb.path_metrics().latency;
-                    let at = now + SimDuration::from_micros(delay.as_micros()) + processing_delay;
-                    let seq = acct.next_seq;
-                    acct.next_seq += 1;
-                    events.push((at, seq, Event::DeliverPullReturn(ret)));
-                }
-            }
-            RoundItem::SpeculativeVerify { asn } => {
-                let position = index_of[&asn];
-                let events = staged[position].lock();
-                let mut local: Vec<(u64, Verdict)> = Vec::new();
-                for (at, seq, event) in events.iter() {
-                    if let Event::DeliverPcb(message) = event {
-                        // Verification is pure (verdict = f(message, delivery time,
-                        // immutable keys/policy)), so reading the destination's cell
-                        // concurrently with other rounds is safe — the verdict cannot
-                        // depend on any state those rounds mutate.
-                        if let Some(&target) = index_of.get(&message.to_as) {
-                            let verdict = cells[target].1.read().verify_message(message, *at);
-                            local.push((*seq, verdict));
-                        }
-                    }
-                }
-                drop(events);
-                if !local.is_empty() {
-                    spec_verdicts.lock().extend(local);
-                }
-            }
-            RoundItem::Housekeeping { asn } => {
-                let position = index_of[&asn];
-                // Housekeeping runs only for nodes whose round core succeeded, matching
-                // `IrecNode::beaconing_round` which never reaches it on error. The evicted
-                // send counters are discarded exactly as `account_and_schedule` does.
-                if core_ok[position].load(Ordering::Acquire) {
-                    let _ = cells[position].1.write().round_housekeeping(now);
-                }
-            }
-        });
-
-        // Restore the nodes unconditionally before surfacing any error.
-        self.nodes = cells
-            .into_iter()
-            .map(|(asn, cell)| (asn, cell.into_inner()))
-            .collect();
-
-        let acct = acct.into_inner();
-        self.plane.add_stats(acct.delta);
-        // Push the staged events in cell (= AsId) order: together with the preassigned
-        // sequence numbers this leaves the queue byte-identical to the barrier's inline
-        // scheduling. On error, only outputs before the failing node were accounted, so
-        // only their events exist — later accounting items staged nothing.
-        let error_position = acct
-            .error
-            .as_ref()
-            .map(|(position, _)| *position)
-            .unwrap_or(usize::MAX);
-        for (position, events) in staged.into_iter().enumerate() {
-            if position >= error_position {
-                break;
-            }
-            for (at, seq, event) in events.into_inner() {
-                self.plane.schedule_preassigned(at, seq, event);
-            }
-        }
-        self.plane.cache_verdicts(spec_verdicts.into_inner());
-        if let Some((_, error)) = acct.error {
-            return Err(error);
-        }
-        self.round += 1;
-        self.scheduler
-            .record_round(width, wall.elapsed().as_nanos() as u64, report.busy_nanos);
-        self.scheduler.record_items(report.executed, report.steals);
-        Ok(())
-    }
-
-    /// Drains and partitions the due epoch into [`DeliveryPrep`] work-item inboxes,
-    /// consuming cached speculative verdicts and accounting everything knowable at drain
-    /// time (missing-node drops, pull-return deliveries) into the base delta — the same
-    /// figures, in the same epoch order, as the barrier's serial accounting pass.
-    fn prepare_delivery(&mut self, until: SimTime, max_events: usize) -> DeliveryPrep {
-        let due = self.plane.drain_due(until, max_events);
-        let mut prep = DeliveryPrep {
-            ats: Vec::with_capacity(due.len()),
-            events: Vec::with_capacity(due.len()),
-            verdicts: Vec::with_capacity(due.len()),
-            verify_inboxes: BTreeMap::new(),
-            commit_inboxes: BTreeMap::new(),
-            return_inboxes: BTreeMap::new(),
-            pcb_outcomes: Vec::new(),
-            base_delta: DeliveryStats::default(),
-        };
-        for (at, seq, event) in due {
-            let index = prep.ats.len();
-            prep.ats.push(at);
-            let mut verdict = None;
-            match &event {
-                Event::DeliverPcb(message)
-                    if self
-                        .plane
-                        .is_endpoint_down(message.from_as, message.from_if) =>
-                {
-                    // The downed-link check precedes the missing-node check in every
-                    // delivery path, so the counter split is scheduler-independent.
-                    // Consume any cached verdict so the cache never leaks entries for
-                    // events that will never be applied.
-                    let _ = self.plane.take_cached_verdict(seq);
-                    prep.base_delta.dropped_link_down += 1;
-                }
-                Event::DeliverPcb(message) => match self.nodes.get(&message.to_as) {
-                    Some(node) => {
-                        prep.pcb_outcomes.push(index);
-                        let shard = node.ingress_shard_of(message.pcb.origin);
-                        prep.commit_inboxes
-                            .entry((message.to_as, shard))
-                            .or_default()
-                            .push(index);
-                        verdict = self.plane.take_cached_verdict(seq);
-                        if verdict.is_none() {
-                            prep.verify_inboxes
-                                .entry(message.to_as)
-                                .or_default()
-                                .push(index);
-                        }
-                    }
-                    None => {
-                        // Consume any cached verdict so the cache never leaks entries for
-                        // events that will never be applied.
-                        let _ = self.plane.take_cached_verdict(seq);
-                        prep.base_delta.dropped_no_node += 1;
-                    }
-                },
-                Event::DeliverPullReturn(ret) => match self.nodes.get(&ret.to_as) {
-                    Some(node) => {
-                        prep.base_delta.delivered += 1;
-                        // The registered path's destination is the AS the return came
-                        // from; that AS determines the path-service shard.
-                        let shard = node.path_shard_of(ret.from_as);
-                        prep.return_inboxes
-                            .entry((ret.to_as, shard))
-                            .or_default()
-                            .push(index);
-                    }
-                    None => prep.base_delta.dropped_no_node += 1,
-                },
-            }
-            prep.verdicts.push(Mutex::new(verdict));
-            prep.events.push(Mutex::new(Some(event)));
-        }
-        prep
-    }
-
-    /// The DAG scheduler's replacement for [`Simulation::deliver_until`]: drains the due
-    /// events in bounded epochs and runs each epoch's verify/account/apply items — the
-    /// delivery-only subset of the round plan — over the shared pool. Used for the final
-    /// in-flight flush; in-round delivery goes through [`Simulation::run_single_round_dag`]
-    /// so it can overlap with the node phase.
-    fn run_delivery_dag(&mut self, until: SimTime) {
-        loop {
-            let prep = self.prepare_delivery(until, MAX_EPOCH_EVENTS);
-            if prep.ats.is_empty() {
-                return;
-            }
-            let mut builder = RoundDagBuilder::new();
-            for dest in prep.verify_inboxes.keys() {
-                builder.add_verify(*dest);
-            }
-            builder.add_account();
-            for (dest, shard) in prep.commit_inboxes.keys() {
-                builder.add_apply_pcb(*dest, *shard);
-            }
-            for (dest, shard) in prep.return_inboxes.keys() {
-                builder.add_apply_return(*dest, *shard);
-            }
-            let plan: RoundPlan = builder.build();
-            let delta = Mutex::new(prep.base_delta);
-            let nodes = &self.nodes;
-            let prep = &prep;
-            DagExecutor::new(self.round_pool_width()).run(&plan.dag, |id| match plan.items[id] {
-                RoundItem::Verify { dest } => {
-                    let node = nodes.get(&dest).expect("verify inboxes target live nodes");
-                    verify_inbox(node, prep, &prep.verify_inboxes[&dest]);
-                }
-                RoundItem::Account => delta.lock().merge(account_epoch(prep)),
-                RoundItem::ApplyPcb { dest, shard } => {
-                    let node = nodes.get(&dest).expect("commit inboxes target live nodes");
-                    apply_pcb_inbox(node, prep, shard, &prep.commit_inboxes[&(dest, shard)]);
-                }
-                RoundItem::ApplyReturn { dest, shard } => {
-                    let node = nodes.get(&dest).expect("return inboxes target live nodes");
-                    apply_return_inbox(node, prep, shard, &prep.return_inboxes[&(dest, shard)]);
-                }
-                other => unreachable!("delivery-only plan holds no {other:?}"),
-            });
-            self.plane.add_stats(delta.into_inner());
-        }
     }
 
     /// Records one node's round output in the overhead counters and schedules its message
@@ -1061,10 +603,6 @@ impl Simulation {
         collected
     }
 
-    fn deliver_until(&mut self, until: SimTime) {
-        self.plane.deliver_until(&mut self.nodes, until);
-    }
-
     /// Removes an AS's node from the simulation (failure injection: the AS goes offline).
     /// Every queued event addressed to it is purged immediately and counted as
     /// `dropped_no_node` — so a later [`Simulation::add_node`] of the same `AsId` cannot
@@ -1074,7 +612,6 @@ impl Simulation {
     pub fn remove_node(&mut self, asn: AsId) -> Option<IrecNode> {
         let node = self.nodes.remove(&asn)?;
         self.plane.purge_addressed_to(asn);
-        self.invalidate_selections(&SelectionDelta::As(asn));
         Some(node)
     }
 
@@ -1119,7 +656,6 @@ impl Simulation {
             }
         }
         self.nodes.insert(asn, node);
-        self.invalidate_selections(&SelectionDelta::As(asn));
         Ok(())
     }
 
@@ -1155,7 +691,6 @@ impl Simulation {
         let l = self.topology.link(link)?;
         let endpoints = [(l.a.asn, l.a.interface), (l.b.asn, l.b.interface)];
         self.plane.set_link_down(link, endpoints);
-        self.invalidate_selections(&SelectionDelta::Link(endpoints.to_vec()));
         Ok(())
     }
 
@@ -1163,22 +698,15 @@ impl Simulation {
     pub fn set_link_up(&mut self, link: LinkId) -> Result<()> {
         // Resolve the id even though the plane keeps the endpoints, so an unknown link id
         // errors instead of silently doing nothing.
-        let l = self.topology.link(link)?;
-        let endpoints = [(l.a.asn, l.a.interface), (l.b.asn, l.b.interface)];
+        self.topology.link(link)?;
         self.plane.set_link_up(link);
-        self.invalidate_selections(&SelectionDelta::Link(endpoints.to_vec()));
         Ok(())
     }
 
     /// Replaces one node's RAC catalog live (see [`IrecNode::swap_rac_catalog`]; the
-    /// node's kept selections go with the catalog they were made under) and tells the
-    /// subscribed observers with a
-    /// [`SelectionDelta::All`] — a catalog swap is the one churn event whose blast radius
-    /// the delta language cannot narrow.
+    /// node's kept selections go with the catalog they were made under).
     pub fn swap_rac_catalog(&mut self, asn: AsId, catalog: Vec<RacConfig>) -> Result<()> {
-        self.node_mut(asn)?.swap_rac_catalog(catalog)?;
-        self.invalidate_selections(&SelectionDelta::All);
-        Ok(())
+        self.node_mut(asn)?.swap_rac_catalog(catalog)
     }
 
     /// Whether `link` is currently marked down.
@@ -1300,112 +828,6 @@ impl Simulation {
             reachable += destinations.iter().filter(|d| *d != asn).count();
         }
         reachable as f64 / (n * (n - 1)) as f64
-    }
-}
-
-/// One drained delivery epoch, partitioned into the DAG round's work-item inboxes. All
-/// index vectors hold epoch positions (indices into `ats`/`events`/`verdicts`), in epoch
-/// (= `(SimTime, seq)`) order.
-struct DeliveryPrep {
-    /// Delivery time of each drained event, by epoch position.
-    ats: Vec<SimTime>,
-    /// The drained events; taken (once) by the apply item that commits them.
-    events: Vec<Mutex<Option<Event>>>,
-    /// Verdict slots, one per event, prefilled from the speculative-verdict cache. Apply
-    /// items clone (never take) so the epoch's accounting item can read every slot
-    /// regardless of execution order.
-    verdicts: Vec<Mutex<Option<Verdict>>>,
-    /// Positions needing verification, grouped per destination AS.
-    verify_inboxes: BTreeMap<AsId, Vec<usize>>,
-    /// PCB commits, grouped per `(destination AS, ingress shard)`.
-    commit_inboxes: BTreeMap<(AsId, usize), Vec<usize>>,
-    /// Pull-return commits, grouped per `(destination AS, path shard)`.
-    return_inboxes: BTreeMap<(AsId, usize), Vec<usize>>,
-    /// Positions of PCBs with a live destination, whose delivered/rejected outcome the
-    /// accounting item reads off the verdict slots in epoch order.
-    pcb_outcomes: Vec<usize>,
-    /// Outcomes already known at drain time: missing-node drops and pull-return
-    /// deliveries.
-    base_delta: DeliveryStats,
-}
-
-/// The DAG round's serially-chained accounting state, guarded by one mutex and visited in
-/// `AsId` order by the accounting-chain items.
-struct RoundAccounting<'a> {
-    overhead: &'a mut OverheadCounter,
-    overhead_pull: &'a mut OverheadCounter,
-    /// Delivery outcomes of the round's epoch (base delta plus the accounting item's
-    /// verdict counts).
-    delta: DeliveryStats,
-    /// Next event sequence number to assign; starts at the plane's counter so the staged
-    /// events replicate the barrier's inline assignment exactly.
-    next_seq: u64,
-    /// First error in `AsId` order, with the failing node's cell position. Later
-    /// accounting items discard their outputs, as the barrier's merge loop does.
-    error: Option<(usize, IrecError)>,
-}
-
-/// Verifies one destination's due inbox, writing verdicts into the epoch's slots.
-fn verify_inbox(node: &IrecNode, prep: &DeliveryPrep, indices: &[usize]) {
-    for &index in indices {
-        let guard = prep.events[index].lock();
-        let Some(Event::DeliverPcb(message)) = guard.as_ref() else {
-            unreachable!("verify inboxes hold only undelivered PCB events");
-        };
-        let verdict = node.verify_message(message, prep.ats[index]);
-        drop(guard);
-        *prep.verdicts[index].lock() = Some(verdict);
-    }
-}
-
-/// Counts the epoch's delivered/rejected PCB outcomes off the (complete) verdict slots,
-/// in epoch order — the DAG equivalent of the barrier's serial accounting pass.
-fn account_epoch(prep: &DeliveryPrep) -> DeliveryStats {
-    let mut delta = DeliveryStats::default();
-    for &index in &prep.pcb_outcomes {
-        match prep.verdicts[index]
-            .lock()
-            .as_ref()
-            .expect("every verify item precedes the accounting item")
-        {
-            Ok(_) => delta.delivered += 1,
-            Err(_) => delta.rejected += 1,
-        }
-    }
-    delta
-}
-
-/// Commits one `(destination, ingress shard)` PCB inbox in epoch order.
-fn apply_pcb_inbox(node: &IrecNode, prep: &DeliveryPrep, shard: usize, indices: &[usize]) {
-    for &index in indices {
-        let event = prep.events[index]
-            .lock()
-            .take()
-            .expect("each event is committed exactly once");
-        let Event::DeliverPcb(message) = event else {
-            unreachable!("commit inboxes hold only PCB events");
-        };
-        let verdict = prep.verdicts[index]
-            .lock()
-            .clone()
-            .expect("the destination's verify item precedes its applies");
-        // The outcome is accounted by the accounting item; the commit mutates only the
-        // shard's dedup index, storage and gateway counters.
-        let _ = node.apply_message_in_shard(shard, message, prep.ats[index], verdict);
-    }
-}
-
-/// Commits one `(destination, path shard)` pull-return inbox in epoch order.
-fn apply_return_inbox(node: &IrecNode, prep: &DeliveryPrep, shard: usize, indices: &[usize]) {
-    for &index in indices {
-        let event = prep.events[index]
-            .lock()
-            .take()
-            .expect("each event is committed exactly once");
-        let Event::DeliverPullReturn(ret) = event else {
-            unreachable!("return inboxes hold only pull-return events");
-        };
-        node.handle_pull_return_in_shard(shard, ret, prep.ats[index]);
     }
 }
 
@@ -1548,13 +970,12 @@ mod tests {
     }
 
     #[test]
-    fn dag_scheduler_matches_barrier_output() {
-        let run = |scheduler: RoundScheduler, parallelism: usize, delivery: usize| {
+    fn node_failure_is_width_independent() {
+        let run = |parallelism: usize, delivery: usize| {
             let topology = Arc::new(figure1_topology());
             let mut sim = Simulation::new(
                 topology,
                 SimulationConfig::default()
-                    .with_round_scheduler(scheduler)
                     .with_parallelism(parallelism)
                     .with_delivery_parallelism(delivery),
                 |_| {
@@ -1565,8 +986,7 @@ mod tests {
             )
             .unwrap();
             sim.run_rounds(3).unwrap();
-            // Fail an AS mid-run: in-flight messages to it must drop identically, and the
-            // DAG plan must shrink cleanly to the surviving cells.
+            // Fail an AS mid-run: in-flight messages to it must drop identically.
             sim.remove_node(figure1::X);
             sim.run_rounds(2).unwrap();
             (
@@ -1576,131 +996,79 @@ mod tests {
                 sim.overhead().samples(),
             )
         };
-        let reference = run(RoundScheduler::Barrier, 1, 1);
+        let reference = run(1, 1);
         assert!(reference.1.delivered > 0);
         assert!(reference.1.dropped_no_node > 0);
-        for (parallelism, delivery) in [(1, 1), (2, 4), (4, 2), (8, 8)] {
-            let dag = run(RoundScheduler::Dag, parallelism, delivery);
-            assert_eq!(dag.0, reference.0, "paths at {parallelism}x{delivery}");
-            assert_eq!(dag.1, reference.1, "stats at {parallelism}x{delivery}");
-            assert_eq!(dag.2, reference.2, "occupancy at {parallelism}x{delivery}");
-            assert_eq!(dag.3, reference.3, "overhead at {parallelism}x{delivery}");
+        for (parallelism, delivery) in [(2, 4), (4, 2), (8, 8)] {
+            let parallel = run(parallelism, delivery);
+            assert_eq!(parallel.0, reference.0, "paths at {parallelism}x{delivery}");
+            assert_eq!(parallel.1, reference.1, "stats at {parallelism}x{delivery}");
+            assert_eq!(
+                parallel.2, reference.2,
+                "occupancy at {parallelism}x{delivery}"
+            );
+            assert_eq!(
+                parallel.3, reference.3,
+                "overhead at {parallelism}x{delivery}"
+            );
         }
-    }
-
-    #[test]
-    fn dag_scheduler_caches_and_consumes_speculative_verdicts() {
-        let topology = Arc::new(figure1_topology());
-        let mut sim = Simulation::new(
-            topology,
-            SimulationConfig::default()
-                .with_round_scheduler(RoundScheduler::Dag)
-                .with_parallelism(2),
-            |_| {
-                NodeConfig::default()
-                    .with_policy(PropagationPolicy::All)
-                    .with_racs(vec![RacConfig::static_rac("1SP", "1SP")])
-            },
-        )
-        .unwrap();
-        sim.run_rounds(4).unwrap();
-        // Every cached verdict was keyed to a scheduled event; the final flush must have
-        // consumed them all (no leaks for events that were actually delivered or dropped).
-        assert_eq!(
-            sim.plane.cached_verdicts(),
-            0,
-            "verdict cache leaked entries"
-        );
-        assert!(sim.scheduler_stats().rounds >= 4);
-        assert!(sim.scheduler_stats().items > 0);
-        assert!((sim.connectivity() - 1.0).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn round_scheduler_parses_and_displays() {
-        assert_eq!(
-            "barrier".parse::<RoundScheduler>().unwrap(),
-            RoundScheduler::Barrier
-        );
-        assert_eq!(
-            "dag".parse::<RoundScheduler>().unwrap(),
-            RoundScheduler::Dag
-        );
-        assert!("eager".parse::<RoundScheduler>().is_err());
-        assert_eq!(RoundScheduler::Barrier.to_string(), "barrier");
-        assert_eq!(RoundScheduler::Dag.to_string(), "dag");
     }
 
     #[test]
     fn sim_level_knobs_reach_every_node_including_mid_run_joins() {
-        let topology = Arc::new(figure1_topology());
-        let config = SimulationConfig::default()
-            .with_ingress_shards(3)
-            .with_path_shards(2);
-        let mut sim = Simulation::new(topology, config, |_| {
-            NodeConfig::default()
-                .with_policy(PropagationPolicy::All)
-                .with_racs(vec![RacConfig::static_rac("1SP", "1SP")])
-        })
-        .unwrap();
-        for asn in sim.live_ases() {
-            let node_config = sim.node(asn).unwrap().config();
-            assert_eq!(node_config.ingress_shards, 3);
-            assert_eq!(node_config.path_shards, 2);
+        // Non-powers of two are kept; oversized counts clamp to the stores' own caps, so
+        // the config-level count always equals the built node's shard count.
+        for (ingress, path, want_ingress, want_path) in [
+            (3, 2, 3, 2),
+            (7, 7, 7, 7),
+            (
+                100_000,
+                100_000,
+                irec_core::beacon_db::MAX_INGRESS_SHARDS,
+                irec_core::MAX_PATH_SHARDS,
+            ),
+        ] {
+            let topology = Arc::new(figure1_topology());
+            let config = SimulationConfig::default()
+                .with_ingress_shards(ingress)
+                .with_path_shards(path);
+            let mut sim = Simulation::new(topology, config, |_| {
+                NodeConfig::default()
+                    .with_policy(PropagationPolicy::All)
+                    .with_racs(vec![RacConfig::static_rac("1SP", "1SP")])
+            })
+            .unwrap();
+            let assert_knobs = |node: &IrecNode| {
+                assert_eq!(node.config().ingress_shard_count(), want_ingress);
+                assert_eq!(node.config().path_shard_count(), want_path);
+                assert_eq!(node.ingress_shard_count(), want_ingress);
+                assert_eq!(node.path_service().shard_count(), want_path);
+            };
+            for asn in sim.live_ases() {
+                assert_knobs(sim.node(asn).unwrap());
+            }
+            // A node added mid-run gets the same knobs applied to its (plain) config.
+            sim.remove_node(figure1::X).unwrap();
+            sim.add_node(figure1::X, NodeConfig::default()).unwrap();
+            assert_knobs(sim.node(figure1::X).unwrap());
+            // The selection tables are not a knob: a few rounds of any simulation compute,
+            // then keep, selections.
+            sim.run_rounds(3).unwrap();
+            let stats = sim.incremental_stats();
+            assert!(stats.recomputed > 0 && stats.reused + stats.extended > 0);
         }
-        // A node added mid-run gets the same knobs applied to its (plain) config.
-        sim.remove_node(figure1::X).unwrap();
-        sim.add_node(figure1::X, NodeConfig::default()).unwrap();
-        let rejoined = sim.node(figure1::X).unwrap().config();
-        assert_eq!(rejoined.ingress_shards, 3);
-        assert_eq!(rejoined.path_shards, 2);
-        // The selection tables are not a knob: a few rounds of any simulation compute,
-        // then keep, selections.
-        sim.run_rounds(3).unwrap();
-        let stats = sim.incremental_stats();
-        assert!(stats.recomputed > 0 && stats.reused + stats.extended > 0);
     }
 
     #[test]
-    fn structural_hooks_fan_deltas_out_to_observers() {
-        use irec_algorithms::incremental::SelectionDelta;
-        use std::sync::Mutex as StdMutex;
-
-        #[derive(Default)]
-        struct DeltaLog(Arc<StdMutex<Vec<SelectionDelta>>>);
-        impl SelectionInvalidation for DeltaLog {
-            fn on_invalidation(&mut self, delta: &SelectionDelta) {
-                self.0.lock().unwrap().push(delta.clone());
-            }
-        }
-
-        let mut sim = figure1_sim(vec![RacConfig::static_rac("1SP", "1SP")]);
-        let log = Arc::new(StdMutex::new(Vec::new()));
-        sim.subscribe_invalidations(Box::new(DeltaLog(Arc::clone(&log))));
-        sim.run_rounds(2).unwrap();
-
-        let link = sim.topology().links_of(figure1::X)[0];
-        sim.set_link_down(link).unwrap();
-        sim.set_link_up(link).unwrap();
-        sim.remove_node(figure1::X).unwrap();
-        sim.add_node(figure1::X, NodeConfig::default()).unwrap();
-        sim.swap_rac_catalog(figure1::X, vec![RacConfig::static_rac("5SP", "5SP")])
-            .unwrap();
-
-        let deltas = log.lock().unwrap().clone();
-        assert_eq!(deltas.len(), 5, "one delta per structural mutation");
-        assert!(matches!(deltas[0], SelectionDelta::Link(ref e) if e.len() == 2));
-        assert!(matches!(deltas[1], SelectionDelta::Link(_)));
-        assert_eq!(deltas[2], SelectionDelta::As(figure1::X));
-        assert_eq!(deltas[3], SelectionDelta::As(figure1::X));
-        assert_eq!(deltas[4], SelectionDelta::All);
-        // Observers watch one simulation: clones and snapshots start with none, so the
-        // base's log sees nothing from mutations on the copies.
-        let mut copy = sim.clone();
-        let mut snap = sim.snapshot().into_simulation();
-        copy.set_link_down(link).unwrap();
-        snap.set_link_down(link).unwrap();
-        assert_eq!(log.lock().unwrap().len(), 5);
+    fn idle_is_wall_minus_busy_over_the_pool() {
+        let mut stats = SchedulerStats::default();
+        stats.record_round(4, 1_000, 2_500);
+        assert_eq!(stats.rounds, 1);
+        assert_eq!(stats.idle_nanos, 4 * 1_000 - 2_500);
+        // Busy exceeding workers × wall (clock skew across cores) saturates to zero idle.
+        stats.record_round(1, 100, 1_000);
+        assert_eq!(stats.idle_nanos, 4 * 1_000 - 2_500);
+        assert_eq!(stats.wall_nanos, 1_100);
     }
 
     #[test]
@@ -1761,13 +1129,12 @@ mod tests {
     }
 
     #[test]
-    fn link_down_drops_are_scheduler_independent() {
-        let run = |scheduler: RoundScheduler, parallelism: usize, delivery: usize| {
+    fn link_down_drops_are_width_independent() {
+        let run = |parallelism: usize, delivery: usize| {
             let topology = Arc::new(figure1_topology());
             let mut sim = Simulation::new(
                 topology,
                 SimulationConfig::default()
-                    .with_round_scheduler(scheduler)
                     .with_parallelism(parallelism)
                     .with_delivery_parallelism(delivery),
                 |_| {
@@ -1787,16 +1154,17 @@ mod tests {
                 sim.ingress_occupancy(),
             )
         };
-        let reference = run(RoundScheduler::Barrier, 1, 1);
+        let reference = run(1, 1);
         assert!(reference.1.dropped_link_down > 0);
-        for (parallelism, delivery) in [(1, 1), (2, 4), (4, 2)] {
-            let dag = run(RoundScheduler::Dag, parallelism, delivery);
-            assert_eq!(dag.0, reference.0, "paths at {parallelism}x{delivery}");
-            assert_eq!(dag.1, reference.1, "stats at {parallelism}x{delivery}");
-            assert_eq!(dag.2, reference.2, "occupancy at {parallelism}x{delivery}");
+        for (parallelism, delivery) in [(2, 4), (4, 2), (1, 4)] {
+            let parallel = run(parallelism, delivery);
+            assert_eq!(parallel.0, reference.0, "paths at {parallelism}x{delivery}");
+            assert_eq!(parallel.1, reference.1, "stats at {parallelism}x{delivery}");
+            assert_eq!(
+                parallel.2, reference.2,
+                "occupancy at {parallelism}x{delivery}"
+            );
         }
-        let barrier_parallel = run(RoundScheduler::Barrier, 1, 4);
-        assert_eq!(barrier_parallel.1, reference.1);
     }
 
     #[test]

@@ -1,97 +1,64 @@
 //! Acceptance tests for the stochastic + k-shortest algorithm families: a deployment
 //! running `5YEN` (exact Yen's k-shortest enumeration) or `aco:<seed>:<iters>` (seeded
 //! ant-colony selection) must produce byte-identical registered paths, delivery
-//! accounting and overhead samples across `--round-scheduler {barrier,dag}`, every
-//! worker count and every ingress/path shard mix. Yen's is deterministic by
-//! construction; ACO is *stochastic by design* but all of its randomness comes from
-//! seeded per-(origin, group, egress, iteration, ant) splitmix64 streams, so no
-//! execution-order or thread-count knob may leak into the outcome.
+//! accounting and overhead samples across every worker count and every ingress/path
+//! shard mix. Yen's is deterministic by construction; ACO is *stochastic by design* but
+//! all of its randomness comes from seeded per-(origin, group, egress, iteration, ant)
+//! splitmix64 streams, so no execution-order or thread-count knob may leak into the
+//! outcome.
 
-use irec_bench::workload::{algorithm_pass, RoundFingerprint};
-use irec_sim::RoundScheduler;
-use proptest::prelude::*;
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use irec_bench::workload::algorithm_pass;
 
 const ASES: usize = 8;
 const ROUNDS: usize = 3;
 
 /// The algorithm family matrix: one exact enumerator, one stochastic selector with a
 /// non-default spec (so the seed/iteration plumbing is exercised, not just defaults).
-/// Kept deliberately small — ant-colony iterations are the dominant per-case cost and
-/// the property replays ~200 cases.
+/// Kept deliberately small — ant-colony iterations are the dominant per-point cost.
 const ALGORITHMS: &[&str] = &["5YEN", "aco:7:3"];
 
-/// The sequential barrier run every other configuration must reproduce, memoized per
-/// (algorithm, topology seed) — the property revisits the same deployment under many
-/// scheduler settings, and re-deriving the reference each time would dominate the
-/// suite's runtime.
-fn barrier_reference(algorithm: &'static str, seed: u64) -> RoundFingerprint {
-    static CACHE: OnceLock<Mutex<HashMap<(&'static str, u64), RoundFingerprint>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut cache = cache.lock().expect("reference cache lock");
-    cache
-        .entry((algorithm, seed))
-        .or_insert_with(|| {
-            algorithm_pass(
-                algorithm,
-                ASES,
-                ROUNDS,
-                RoundScheduler::Barrier,
-                1,
-                1,
-                1,
-                seed,
-            )
-        })
-        .clone()
-}
-
-proptest! {
-    /// The headline property: for either algorithm family and any topology seed, the
-    /// deployment replayed under the DAG or barrier scheduler with any worker count in
-    /// {1, 4} and any ingress/path shard mix over {1, 4, 7} reproduces the sequential
-    /// barrier run byte for byte.
-    #[test]
-    fn algorithm_families_are_byte_identical_across_schedulers_and_shards(
-        algorithm_index in 0usize..2,
-        seed in 0u64..2,
-        use_dag in any::<bool>(),
-        worker_index in 0usize..2,
-        ingress_index in 0usize..3,
-        path_index in 0usize..3,
-    ) {
-        let algorithm = ALGORITHMS[algorithm_index];
-        let scheduler = if use_dag { RoundScheduler::Dag } else { RoundScheduler::Barrier };
-        let workers = [1usize, 4][worker_index];
-        let ingress_shards = [1usize, 4, 7][ingress_index];
-        let path_shards = [1usize, 4, 7][path_index];
-        let reference = barrier_reference(algorithm, seed);
-        prop_assert!(!reference.0.is_empty(), "the reference run must register paths");
-        let fingerprint = algorithm_pass(
-            algorithm,
-            ASES,
-            ROUNDS,
-            scheduler,
-            workers,
-            ingress_shards,
-            path_shards,
-            seed,
-        );
-        prop_assert_eq!(
-            &fingerprint, &reference,
-            "{} diverged under {} x{} workers, ingress-shards {}, path-shards {}, seed {}",
-            algorithm, scheduler, workers, ingress_shards, path_shards, seed
-        );
+/// The headline check, over every point of its finite space (2 algorithms × 2 topology
+/// seeds × workers {1, 4} × ingress shards {1, 4, 7} × path shards {1, 4, 7} = 72 runs):
+/// each reproduces the sequential run of its `(algorithm, seed)` byte for byte.
+#[test]
+fn algorithm_families_are_byte_identical_across_schedulers_and_shards() {
+    for algorithm in ALGORITHMS {
+        for seed in 0u64..2 {
+            let reference = algorithm_pass(algorithm, ASES, ROUNDS, 1, 1, 1, seed);
+            assert!(
+                !reference.0.is_empty(),
+                "the reference run must register paths"
+            );
+            for workers in [1usize, 4] {
+                for ingress_shards in [1usize, 4, 7] {
+                    for path_shards in [1usize, 4, 7] {
+                        let fingerprint = algorithm_pass(
+                            algorithm,
+                            ASES,
+                            ROUNDS,
+                            workers,
+                            ingress_shards,
+                            path_shards,
+                            seed,
+                        );
+                        assert_eq!(
+                            fingerprint, reference,
+                            "{algorithm} diverged at x{workers} workers, ingress-shards \
+                             {ingress_shards}, path-shards {path_shards}, seed {seed}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 
 /// Different ACO seeds are allowed — and expected — to explore differently: the knob is
-/// real, not decorative. (Contrast with the property above, which pins each seed.)
+/// real, not decorative. (Contrast with the check above, which pins each seed.)
 #[test]
 fn aco_seed_changes_outcomes() {
-    let a = algorithm_pass("aco:1:3", ASES, ROUNDS, RoundScheduler::Barrier, 1, 1, 1, 0);
-    let b = algorithm_pass("aco:2:3", ASES, ROUNDS, RoundScheduler::Barrier, 1, 1, 1, 0);
+    let a = algorithm_pass("aco:1:3", ASES, ROUNDS, 1, 1, 1, 0);
+    let b = algorithm_pass("aco:2:3", ASES, ROUNDS, 1, 1, 1, 0);
     assert!(!a.0.is_empty() && !b.0.is_empty());
     // Registered paths may coincide on tiny topologies round for round; overhead samples
     // include per-round selection work and are the most sensitive probe. If even those
@@ -107,8 +74,8 @@ fn aco_seed_changes_outcomes() {
 /// baseline the heuristic is measured against, not an alias for it.
 #[test]
 fn yens_and_ksp_run_independently() {
-    let yen = algorithm_pass("5YEN", ASES, ROUNDS, RoundScheduler::Barrier, 1, 1, 1, 0);
-    let ksp = algorithm_pass("5SP", ASES, ROUNDS, RoundScheduler::Barrier, 1, 1, 1, 0);
+    let yen = algorithm_pass("5YEN", ASES, ROUNDS, 1, 1, 1, 0);
+    let ksp = algorithm_pass("5SP", ASES, ROUNDS, 1, 1, 1, 0);
     assert!(!yen.0.is_empty() && !ksp.0.is_empty());
     for path in &yen.0 {
         assert_eq!(

@@ -1,21 +1,18 @@
 //! Acceptance tests for the churn engine: a seeded churn timeline must be byte-identical
 //! — same per-step deltas, same settle rounds, same drop accounting, same final
-//! registered paths — across `--round-scheduler {barrier,dag}`, every worker count and
-//! every ingress/path shard mix. Churn knobs change the workload deliberately; the
-//! parallelism knobs must never change what that workload produces. Plus the
-//! staged-migration scenario: live algorithm-catalog swaps rolled across the topology one
-//! AS at a time, with the no-blackhole invariant asserted between every step.
+//! registered paths — across every worker count and every ingress/path shard mix. Churn
+//! knobs change the workload deliberately; the parallelism knobs must never change what
+//! that workload produces. Plus the staged-migration scenario: live algorithm-catalog
+//! swaps rolled across the topology one AS at a time, with the no-blackhole invariant
+//! asserted between every step.
 
-use irec_bench::workload::{churn_pass, ChurnFingerprint};
+use irec_bench::workload::churn_pass;
 use irec_core::{NodeConfig, PropagationPolicy, RacConfig};
 use irec_sim::{
-    ChurnConfig, ChurnDelta, ChurnEngine, InvariantChecker, RoundScheduler, Simulation,
-    SimulationConfig,
+    ChurnConfig, ChurnDelta, ChurnEngine, InvariantChecker, Simulation, SimulationConfig,
 };
 use irec_topology::builder::figure1_topology;
-use proptest::prelude::*;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 const ASES: usize = 10;
 const STEPS: usize = 2;
@@ -27,65 +24,34 @@ fn churn_config(churn_seed: u64) -> ChurnConfig {
         .with_warmup_rounds(2)
 }
 
-/// The sequential barrier run every other configuration must reproduce, memoized per
-/// churn seed — the property below revisits the same timeline under many scheduler
-/// settings, and re-deriving the authoritative reference each time would dominate the
-/// suite's runtime.
-fn barrier_reference(churn_seed: u64) -> ChurnFingerprint {
-    static CACHE: OnceLock<Mutex<HashMap<u64, ChurnFingerprint>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut cache = cache.lock().expect("reference cache lock");
-    cache
-        .entry(churn_seed)
-        .or_insert_with(|| {
-            churn_pass(
-                ASES,
-                STEPS,
-                churn_config(churn_seed),
-                RoundScheduler::Barrier,
-                1,
-                1,
-                1,
-                churn_seed,
-            )
-        })
-        .clone()
-}
-
-proptest! {
-    /// The headline property: for any churn seed, the timeline replayed under the DAG or
-    /// barrier scheduler with any worker count in {1, 4} and any ingress/path shard mix
-    /// over {1, 4, 7} reproduces the sequential barrier run byte for byte.
-    #[test]
-    fn churn_timelines_are_byte_identical_across_schedulers_and_shards(
-        churn_seed in 0u64..3,
-        use_dag in any::<bool>(),
-        worker_index in 0usize..2,
-        ingress_index in 0usize..3,
-        path_index in 0usize..3,
-    ) {
-        let scheduler = if use_dag { RoundScheduler::Dag } else { RoundScheduler::Barrier };
-        let workers = [1usize, 4][worker_index];
-        let ingress_shards = [1usize, 4, 7][ingress_index];
-        let path_shards = [1usize, 4, 7][path_index];
-        let reference = barrier_reference(churn_seed);
-        prop_assert_eq!(reference.0.len(), STEPS, "every step must be recorded");
-        let fingerprint = churn_pass(
-            ASES,
-            STEPS,
-            churn_config(churn_seed),
-            scheduler,
-            workers,
-            ingress_shards,
-            path_shards,
-            churn_seed,
-        );
-        prop_assert_eq!(
-            &fingerprint, &reference,
-            "churn diverged under {} x{} workers, ingress-shards {}, path-shards {}, \
-             churn seed {}",
-            scheduler, workers, ingress_shards, path_shards, churn_seed
-        );
+/// The headline check, over every point of its finite space (churn seeds {0, 1, 2} ×
+/// workers {1, 4} × ingress shards {1, 4, 7} × path shards {1, 4, 7} = 54 runs): each
+/// replays its seed's timeline exactly as the sequential run does.
+#[test]
+fn churn_timelines_are_byte_identical_across_schedulers_and_shards() {
+    for churn_seed in 0u64..3 {
+        let reference = churn_pass(ASES, STEPS, churn_config(churn_seed), 1, 1, 1, churn_seed);
+        assert_eq!(reference.0.len(), STEPS, "every step must be recorded");
+        for workers in [1usize, 4] {
+            for ingress_shards in [1usize, 4, 7] {
+                for path_shards in [1usize, 4, 7] {
+                    let fingerprint = churn_pass(
+                        ASES,
+                        STEPS,
+                        churn_config(churn_seed),
+                        workers,
+                        ingress_shards,
+                        path_shards,
+                        churn_seed,
+                    );
+                    assert_eq!(
+                        fingerprint, reference,
+                        "churn diverged at x{workers} workers, ingress-shards \
+                         {ingress_shards}, path-shards {path_shards}, churn seed {churn_seed}"
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -39,11 +39,9 @@ const CHURN_SEED_7: &str = include_str!("goldens/churn-a12-r3-s5-cs7.txt");
 const ALGORITHM_5SP: &str = include_str!("goldens/algorithm-5sp-a12-r10-s5.txt");
 const PD_GENERATED: &str = include_str!("goldens/pd-campaign-a8-s5.txt");
 
-/// The execution knobs stacked as wide as they go: the DAG scheduler over both parallel
-/// planes and both shardings.
-const STACKED: [&str; 12] = [
-    "--round-scheduler",
-    "dag",
+/// The execution knobs stacked as wide as they go: both parallel planes, both shardings
+/// and the parallel PD campaign.
+const STACKED: [&str; 10] = [
     "--parallelism",
     "4",
     "--delivery-parallelism",

@@ -238,11 +238,10 @@ fn messages_to_an_offline_as_are_counted_as_dropped() {
 /// rejoined AS must regain full reachability (its neighbors' propagation-dedup marks for
 /// the interfaces facing it are reset, or steady-state selections would never be re-sent
 /// to it), and the whole flap — paths, accounting, occupancy — must be byte-identical
-/// across the round schedulers and every parallelism/shard plane.
+/// across every parallelism/shard plane.
 #[test]
 fn node_flap_restores_reachability_with_exact_accounting() {
-    use irec_sim::RoundScheduler;
-    let run = |scheduler: RoundScheduler, width: usize, ingress: usize, path: usize| {
+    let run = |width: usize, ingress: usize, path: usize| {
         let node_config = move |_| {
             NodeConfig::default()
                 .with_policy(PropagationPolicy::All)
@@ -251,7 +250,6 @@ fn node_flap_restores_reachability_with_exact_accounting() {
         let mut sim = Simulation::new(
             Arc::new(figure1_topology()),
             SimulationConfig::default()
-                .with_round_scheduler(scheduler)
                 .with_parallelism(width)
                 .with_delivery_parallelism(width)
                 .with_ingress_shards(ingress)
@@ -279,7 +277,7 @@ fn node_flap_restores_reachability_with_exact_accounting() {
         )
     };
 
-    let reference = run(irec_sim::RoundScheduler::Barrier, 1, 1, 1);
+    let reference = run(1, 1, 1);
     assert!(
         (reference.3 - 1.0).abs() < f64::EPSILON,
         "re-beaconing must restore full reachability, got connectivity {}",
@@ -289,15 +287,11 @@ fn node_flap_restores_reachability_with_exact_accounting() {
         reference.1.dropped_no_node > 0,
         "the offline window must drop messages"
     );
-    for (scheduler, width, ingress, path) in [
-        (irec_sim::RoundScheduler::Barrier, 4, 4, 7),
-        (irec_sim::RoundScheduler::Dag, 1, 7, 4),
-        (irec_sim::RoundScheduler::Dag, 4, 4, 4),
-    ] {
+    for (width, ingress, path) in [(4, 4, 7), (1, 7, 4), (4, 4, 4)] {
         assert_eq!(
-            run(scheduler, width, ingress, path),
+            run(width, ingress, path),
             reference,
-            "node flap diverged under {scheduler} x{width} ingress={ingress} path={path}"
+            "node flap diverged at x{width} ingress={ingress} path={path}"
         );
     }
 }
@@ -306,15 +300,13 @@ fn node_flap_restores_reachability_with_exact_accounting() {
 /// endpoint counts as `dropped_link_down` even when its addressee is *also* gone (the
 /// downed-link check precedes the missing-node check in every delivery path), while
 /// messages to the missing node over up links count as `dropped_no_node` — and the split
-/// is identical under both schedulers and all parallelism planes.
+/// is identical across all parallelism planes.
 #[test]
 fn link_down_and_node_removal_split_drop_counters_deterministically() {
-    use irec_sim::RoundScheduler;
-    let run = |scheduler: RoundScheduler, width: usize| {
+    let run = |width: usize| {
         let mut sim = Simulation::new(
             Arc::new(figure1_topology()),
             SimulationConfig::default()
-                .with_round_scheduler(scheduler)
                 .with_parallelism(width)
                 .with_delivery_parallelism(width),
             |_| {
@@ -338,7 +330,7 @@ fn link_down_and_node_removal_split_drop_counters_deterministically() {
         (sim.delivery_stats(), sim.registered_paths())
     };
 
-    let (stats, paths) = run(RoundScheduler::Barrier, 1);
+    let (stats, paths) = run(1);
     assert!(
         stats.dropped_link_down > 0,
         "the downed link must account drops"
@@ -347,18 +339,12 @@ fn link_down_and_node_removal_split_drop_counters_deterministically() {
         stats.dropped_no_node > 0,
         "the removed node must account drops"
     );
-    for (scheduler, width) in [
-        (RoundScheduler::Barrier, 4),
-        (RoundScheduler::Dag, 1),
-        (RoundScheduler::Dag, 4),
-    ] {
-        let (other_stats, other_paths) = run(scheduler, width);
-        assert_eq!(
-            (other_stats, other_paths.len()),
-            (stats, paths.len()),
-            "drop-counter split diverged under {scheduler} x{width}"
-        );
-    }
+    let (other_stats, other_paths) = run(4);
+    assert_eq!(
+        (other_stats, other_paths.len()),
+        (stats, paths.len()),
+        "drop-counter split diverged at x4"
+    );
 }
 
 /// Expired beacons are evicted from the databases and do not linger in path computation.

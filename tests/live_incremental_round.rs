@@ -4,8 +4,8 @@
 //! (`tests/determinism_goldens.rs`), selection for selection against the from-scratch
 //! engine (`tests/incremental_reselection.rs`, the oracle proptest in `irec_core`). What
 //! is pinned here is that the tables actually carry the rounds: over a seeded churn
-//! timeline every execution plane — both round schedulers, every worker count and
-//! ingress/path shard mix — produces the same fingerprint *and the same counters*, with
+//! timeline every execution plane — every worker count and ingress/path shard mix —
+//! produces the same fingerprint *and the same counters*, with
 //! work reused and extended although the timeline's withdrawal sweeps keep disturbing
 //! batches; and on a plane without churn the per-round recompute count dies away while
 //! extensions carry the steady state.
@@ -13,7 +13,7 @@
 use irec_algorithms::incremental::IncrementalStats;
 use irec_bench::workload::{churn_pass_with_stats, ChurnFingerprint};
 use irec_core::{NodeConfig, PropagationPolicy, RacConfig};
-use irec_sim::{ChurnConfig, RoundScheduler, Simulation, SimulationConfig};
+use irec_sim::{ChurnConfig, Simulation, SimulationConfig};
 use irec_topology::{GeneratorConfig, TopologyGenerator};
 use std::sync::{Arc, OnceLock};
 
@@ -29,28 +29,18 @@ fn churn_config(rate: f64) -> ChurnConfig {
         .with_warmup_rounds(3)
 }
 
-/// The sequential barrier run every plane must reproduce, memoized per churn rate index
+/// The sequential run every plane must reproduce, memoized per churn rate index
 /// (0 → rate 1.0, 1 → rate 2.0).
 fn reference(rate: f64) -> &'static (ChurnFingerprint, IncrementalStats) {
     static REFERENCE: [OnceLock<(ChurnFingerprint, IncrementalStats)>; 2] =
         [OnceLock::new(), OnceLock::new()];
     let slot = if rate == 1.0 { 0 } else { 1 };
-    REFERENCE[slot].get_or_init(|| {
-        churn_pass_with_stats(
-            ASES,
-            STEPS,
-            churn_config(rate),
-            RoundScheduler::Barrier,
-            1,
-            1,
-            1,
-            SEED,
-        )
-    })
+    REFERENCE[slot]
+        .get_or_init(|| churn_pass_with_stats(ASES, STEPS, churn_config(rate), 1, 1, 1, SEED))
 }
 
-/// The full plane matrix: fingerprint and counters agree on every combination of
-/// scheduler, worker count and shard mix, and at a nonzero churn rate the rounds compute
+/// The full plane matrix: fingerprint and counters agree on every combination of worker
+/// count and shard mix, and at a nonzero churn rate the rounds compute
 /// strictly fewer selections from scratch than there were to make
 /// (`reused + extended + recomputed` is what from-scratch rounds would compute).
 #[test]
@@ -61,55 +51,40 @@ fn delta_rounds_agree_across_scheduler_worker_shard_planes() {
             expected_stats.reused > 0 && expected_stats.extended > 0,
             "churn rounds at rate {rate} neither reused nor extended: {expected_stats:?}"
         );
-        for scheduler in [RoundScheduler::Barrier, RoundScheduler::Dag] {
-            for workers in [1, 4] {
-                for shards in [1, 4, 7] {
-                    let (fingerprint, stats) = churn_pass_with_stats(
-                        ASES,
-                        STEPS,
-                        churn_config(rate),
-                        scheduler,
-                        workers,
-                        shards,
-                        shards,
-                        SEED,
-                    );
-                    assert_eq!(
-                        &fingerprint, expected,
-                        "run diverged at rate {rate} under {scheduler} x{workers} \
-                         shards={shards}"
-                    );
-                    assert_eq!(
-                        &stats, expected_stats,
-                        "counters diverged at rate {rate} under {scheduler} x{workers} \
-                         shards={shards}"
-                    );
-                }
+        for workers in [1, 4] {
+            for shards in [1, 4, 7] {
+                let (fingerprint, stats) = churn_pass_with_stats(
+                    ASES,
+                    STEPS,
+                    churn_config(rate),
+                    workers,
+                    shards,
+                    shards,
+                    SEED,
+                );
+                assert_eq!(
+                    &fingerprint, expected,
+                    "run diverged at rate {rate} x{workers} shards={shards}"
+                );
+                assert_eq!(
+                    &stats, expected_stats,
+                    "counters diverged at rate {rate} x{workers} shards={shards}"
+                );
             }
         }
     }
 }
 
-/// Asymmetric shard mixes — ingress and path shard counts that disagree — through both
-/// schedulers, pinned against the same reference.
+/// Asymmetric shard mixes — ingress and path shard counts that disagree — pinned against
+/// the same reference.
 #[test]
 fn delta_rounds_agree_under_asymmetric_shard_mixes() {
     let expected = reference(1.0);
-    for (scheduler, ingress, path) in [(RoundScheduler::Barrier, 4, 7), (RoundScheduler::Dag, 7, 4)]
-    {
-        let run = churn_pass_with_stats(
-            ASES,
-            STEPS,
-            churn_config(1.0),
-            scheduler,
-            4,
-            ingress,
-            path,
-            SEED,
-        );
+    for (ingress, path) in [(4, 7), (7, 4)] {
+        let run = churn_pass_with_stats(ASES, STEPS, churn_config(1.0), 4, ingress, path, SEED);
         assert_eq!(
             &run, expected,
-            "run diverged under {scheduler} ingress={ingress} path={path}"
+            "run diverged at ingress={ingress} path={path}"
         );
     }
 }
