@@ -9,9 +9,10 @@
 //! The fixtures are the probe's small named scenarios: `figure1` (the paper's Fig. 1
 //! topology under DO + widest), `generated` (12 ASes, seed 5, 3 rounds of
 //! 1SP/5SP/HD/DON), the PD campaign on Fig. 1, the churn timelines of seeds 2 and 7
-//! (7 exercises a node re-join), and `algorithm 5SP` (12 ASes, seed 5, 10 rounds of 5SP),
-//! the one fixture that runs long enough to converge: about a third of its `(RAC, batch)`
-//! selections are served verbatim from the selection tables. `pd-campaign generated` is a
+//! (7 exercises a node re-join), and `algorithm 5SP` and `algorithm HD` (12 ASes, seed 5,
+//! 10 rounds of one algorithm), the fixtures that run long enough to converge: part of
+//! their `(RAC, batch)` selections are served verbatim from the selection tables, and the
+//! HD one re-selects batches that only grew over last round's winners plus the arrivals. `pd-campaign generated` is a
 //! PD campaign on 8 generated ASes (seed 5, 4 warm-up rounds, two pairs pulling for up to
 //! 20 paths), where on-demand batches hold carriers of several pull iterations at once. To
 //! re-record after an intended change:
@@ -20,7 +21,7 @@
 //! cargo run --release -p irec_bench --bin determinism -- --ases 12 --rounds 3 --seed 5 \
 //!     [--churn-rate 1.5 --churn-seed N]
 //! cargo run --release -p irec_bench --bin determinism -- --ases 12 --rounds 10 --seed 5 \
-//!     --algorithm 5SP
+//!     --algorithm 5SP    # and --algorithm HD
 //! ```
 //!
 //! and split the output at its `## scenario:` headers into `tests/goldens/`; the generated
@@ -37,6 +38,7 @@ const PD_CAMPAIGN: &str = include_str!("goldens/pd-campaign-figure1.txt");
 const CHURN_SEED_2: &str = include_str!("goldens/churn-a12-r3-s5-cs2.txt");
 const CHURN_SEED_7: &str = include_str!("goldens/churn-a12-r3-s5-cs7.txt");
 const ALGORITHM_5SP: &str = include_str!("goldens/algorithm-5sp-a12-r10-s5.txt");
+const ALGORITHM_HD: &str = include_str!("goldens/algorithm-hd-a12-r10-s5.txt");
 const PD_GENERATED: &str = include_str!("goldens/pd-campaign-a8-s5.txt");
 
 /// The execution knobs stacked as wide as they go: both parallel planes, both shardings
@@ -116,8 +118,9 @@ fn determinism_probe_matches_committed_goldens() {
     assert_matches(&stacked, &goldens);
 }
 
-#[test]
-fn converged_5sp_plane_matches_its_golden_on_the_barrier_and_the_stacked_plane() {
+/// Ten rounds of one algorithm on 12 generated ASes, seed 5, on the barrier plane and the
+/// stacked one.
+fn assert_converged_plane(algorithm: &str, golden: &str) {
     let base = [
         "--ases",
         "12",
@@ -126,12 +129,23 @@ fn converged_5sp_plane_matches_its_golden_on_the_barrier_and_the_stacked_plane()
         "--seed",
         "5",
         "--algorithm",
-        "5SP",
+        algorithm,
     ];
     for extra in [&[][..], &STACKED] {
         let output = render_algorithm(&args(&base, extra));
-        assert_matches(&output, &[("algorithm 5SP", ALGORITHM_5SP)]);
+        let label = format!("algorithm {algorithm}");
+        assert_matches(&output, &[(label.as_str(), golden)]);
     }
+}
+
+#[test]
+fn converged_5sp_plane_matches_its_golden_on_the_barrier_and_the_stacked_plane() {
+    assert_converged_plane("5SP", ALGORITHM_5SP);
+}
+
+#[test]
+fn converged_hd_plane_matches_its_golden_on_the_barrier_and_the_stacked_plane() {
+    assert_converged_plane("HD", ALGORITHM_HD);
 }
 
 #[test]
