@@ -12,6 +12,20 @@ use std::collections::HashSet;
 /// Greedy selection maximizing inter-domain link disjointness: starting from the shortest
 /// candidate, repeatedly add the candidate that shares the fewest links with the already
 /// selected set (ties broken by hop count, then candidate order), up to the selection budget.
+///
+/// **Re-selection under a certificate.** HD is not union-composable, yet a batch that only
+/// grew can often be re-selected over last round's winners ∪ the arrivals. The greedy is an
+/// argmin over `key(c, U) = (|links(c) ∩ U|, hops(c))`, then position, where `U` is the set
+/// of links used so far, and a key only grows with `U`. Let `p₁…p_k` be last round's picks
+/// for an interface and `Uⱼ` the links of `p₁…pⱼ`. Every candidate of the old batch that was
+/// not picked had a key above `(key(pⱼ₊₁, Uⱼ), pⱼ₊₁)` at every step `j`, so it still has at
+/// any `U ⊇ Uⱼ`. The greedy over winners ∪ arrivals is therefore the greedy over the whole
+/// grown batch as long as each pick `q` it makes at used set `U` stays at or below
+/// `(key(pⱼ₊₁, Uⱼ), pⱼ₊₁)` for the largest `j < k` with `Uⱼ ⊆ U` — those bounds rise with
+/// `j`, so the largest is the loosest. With `k` below the budget the old greedy ran out of
+/// candidates, no old candidate was left unpicked and every pick passes.
+/// [`RoutingAlgorithm::reselect`] checks exactly this at every pick and declines on the
+/// first that fails.
 pub struct HeuristicDisjointness {
     k: usize,
 }
@@ -83,26 +97,77 @@ impl RoutingAlgorithm for HeuristicDisjointness {
         let mut kernel = DisjointnessKernel::new(batch, frame.usable());
         Ok(frame.per_egress(EgressUse::FilterOnly, |egress| {
             let members = frame.eligible_at(egress).map(|(position, _)| position);
-            kernel.greedy(members, budget)
+            kernel
+                .greedy(members, budget, None)
+                .expect("an unchecked greedy always answers")
         }))
+    }
+
+    fn reselect(
+        &self,
+        batch: &CandidateBatch,
+        ctx: &AlgorithmContext<'_>,
+        previous: &SelectionResult,
+    ) -> Result<Option<SelectionResult>> {
+        let budget = self.k.min(ctx.max_selected);
+        let frame = Frame::new(batch, ctx);
+        let mut kernel = DisjointnessKernel::new(batch, frame.usable());
+        // The open class shares its members, but each interface brings last round's picks
+        // of its own: an interface shares the greedy of another only where those match.
+        let mut open: Option<(&[usize], Vec<usize>)> = None;
+        let mut refused = false;
+        let result = frame.per_egress(EgressUse::Identity, |egress| {
+            let last = previous.per_egress.get(&egress).map(Vec::as_slice);
+            let (Some(last), false) = (last, refused) else {
+                refused = true;
+                return Vec::new();
+            };
+            let is_open = frame.is_open(egress);
+            if let Some((shared, picks)) = open.as_ref().filter(|_| is_open) {
+                if *shared == last {
+                    return picks.clone();
+                }
+            }
+            let members = frame.eligible_at(egress).map(|(position, _)| position);
+            match kernel.greedy(members, budget, Some(last)) {
+                Some(picks) => {
+                    if is_open {
+                        open = Some((last, picks.clone()));
+                    }
+                    picks
+                }
+                None => {
+                    refused = true;
+                    Vec::new()
+                }
+            }
+        });
+        Ok((!refused).then_some(result))
+    }
+
+    fn reselect_reads_picks(&self) -> bool {
+        true
     }
 }
 
 /// HD's greedy over one batch with the links interned: the `(link, holder)` incidences of
 /// the usable candidates, sorted and deduplicated — a key a candidate repeats counts once
-/// — so that the holders of a link are one run, found by binary search, and the run's
-/// start is the link's dense id. The overlap of a candidate with the used links is then a
-/// counter — a link that *becomes* used bumps its holders, once — and a step is a flat
-/// scan for the minimum `(overlap, hops, position)`. That is the set formulation's
-/// `|links ∩ used|` at every step, so the picks are the same; what is gone is the set per
-/// candidate per interface and the intersection per remaining candidate per step.
-/// Candidates are addressed by position among the usable ones, which orders like the
-/// batch index. Sort-and-dedup rather than a hash map: a batch is a few hundred
+/// — so that the holders of a link are one run, and the run's start is the link's dense
+/// id; each candidate keeps the runs of its links. The overlap of a candidate with the
+/// used links is then a counter — a link that *becomes* used bumps its holders, once —
+/// and a step is a flat scan for the minimum `(overlap, hops, position)`. That is the set
+/// formulation's `|links ∩ used|` at every step, so the picks are the same; what is gone
+/// is the set per candidate per interface and the intersection per remaining candidate
+/// per step. Candidates are addressed by position among the usable ones, which orders
+/// like the batch index. Sort-and-dedup rather than a hash map: a batch is a few hundred
 /// incidences at most and a handful in the early rounds.
 struct DisjointnessKernel<'a> {
-    batch: &'a CandidateBatch,
     usable: &'a [Usable],
     incidences: Vec<((AsId, IfId), u32)>,
+    /// The runs of the links of the candidate at position `p`:
+    /// `runs[held[p] as usize..held[p + 1] as usize]`.
+    runs: Vec<u32>,
+    held: Vec<u32>,
     /// `(overlap << 32) | hops` per candidate: the scan compares one word, and a bump adds
     /// [`OVERLAP_ONE`].
     keys: Vec<u64>,
@@ -115,7 +180,7 @@ struct DisjointnessKernel<'a> {
 const OVERLAP_ONE: u64 = 1 << 32;
 
 impl<'a> DisjointnessKernel<'a> {
-    fn new(batch: &'a CandidateBatch, usable: &'a [Usable]) -> Self {
+    fn new(batch: &CandidateBatch, usable: &'a [Usable]) -> Self {
         let mut incidences = Vec::new();
         for (position, u) in usable.iter().enumerate() {
             let links = batch.candidates[u.index].pcb.links();
@@ -123,50 +188,128 @@ impl<'a> DisjointnessKernel<'a> {
         }
         incidences.sort_unstable();
         incidences.dedup();
+        // Counting sort of the incidences by holder, each carrying its run's start.
+        let mut held = vec![0; usable.len() + 1];
+        for &(_, holder) in &incidences {
+            held[holder as usize + 1] += 1;
+        }
+        for position in 0..usable.len() {
+            held[position + 1] += held[position];
+        }
+        let mut filled = held.clone();
+        let mut runs = vec![0; incidences.len()];
+        let mut run = 0;
+        for (at, &(link, holder)) in incidences.iter().enumerate() {
+            if incidences[run].0 != link {
+                run = at;
+            }
+            runs[filled[holder as usize] as usize] = run as u32;
+            filled[holder as usize] += 1;
+        }
         DisjointnessKernel {
-            batch,
             usable,
             keys: usable.iter().map(|u| u64::from(u.received.hops)).collect(),
             used: vec![false; incidences.len()],
             incidences,
+            runs,
+            held,
             remaining: Vec::with_capacity(usable.len()),
         }
     }
 
-    /// The greedy over `members` (positions, ascending): up to `budget` picks as batch
-    /// indices, in pick order.
-    fn greedy(&mut self, members: impl Iterator<Item = usize>, budget: usize) -> Vec<usize> {
+    /// The runs of the links of the candidate at `position`.
+    fn runs_of(&self, position: u32) -> std::ops::Range<usize> {
+        self.held[position as usize] as usize..self.held[position as usize + 1] as usize
+    }
+
+    /// Forgets every used link.
+    fn reset(&mut self) {
         for key in &mut self.keys {
             *key &= OVERLAP_ONE - 1;
         }
         self.used.fill(false);
+    }
+
+    /// Uses the links of the candidate at `position`: each link that was not used yet
+    /// bumps its holders.
+    fn take(&mut self, position: u32) {
+        for at in self.runs_of(position) {
+            let run = self.runs[at] as usize;
+            if !std::mem::replace(&mut self.used[run], true) {
+                let link = self.incidences[run].0;
+                let holders = self.incidences[run..].iter();
+                for &(_, holder) in holders.take_while(|(held, _)| *held == link) {
+                    self.keys[holder as usize] += OVERLAP_ONE;
+                }
+            }
+        }
+    }
+
+    /// Whether every link of the candidate at `position` is used.
+    fn covered(&self, position: u32) -> bool {
+        let links = self.runs_of(position).len() as u64;
+        self.keys[position as usize] >> 32 == links
+    }
+
+    /// The greedy over `members` (positions, ascending): up to `budget` picks as batch
+    /// indices, in pick order.
+    ///
+    /// With `last` — last round's picks for the same interface, as batch indices, when
+    /// `members` are that round's winners and the arrivals since — every pick is checked
+    /// against the certificate of [`HeuristicDisjointness`], and `None` is returned on the
+    /// first that fails: some candidate left out of `members` might have been picked.
+    fn greedy(
+        &mut self,
+        members: impl Iterator<Item = usize>,
+        budget: usize,
+        last: Option<&[usize]>,
+    ) -> Option<Vec<usize>> {
+        // Last round's picks as positions, each with the (key, position) it was picked at
+        // — replayed, since the keys depend only on the links used before — when the
+        // budget was filled; below it there was no candidate left to bound.
+        let mut bounds = Vec::new();
+        if let Some(last) = last.filter(|last| last.len() >= budget) {
+            self.reset();
+            for &index in last {
+                let found = self.usable.binary_search_by_key(&index, |u| u.index);
+                let position = found.ok()? as u32;
+                bounds.push((position, self.keys[position as usize]));
+                self.take(position);
+            }
+        }
+        self.reset();
         self.remaining.clear();
         self.remaining
             .extend(members.map(|position| position as u32));
 
+        // `bounds[covered]` is the bound of the largest `j` with `Uⱼ` used: the links of
+        // the first `covered` old picks are, and `covered` stays below `k`.
+        let mut covered = 0;
         let mut picked = Vec::with_capacity(budget.min(self.remaining.len()));
         while picked.len() < budget && !self.remaining.is_empty() {
             // Fewest shared links, then fewest hops, then — `remaining` is ascending and
             // only a strictly smaller key displaces the incumbent — lowest position.
-            let mut best = 0;
-            for (at, &position) in self.remaining.iter().enumerate() {
-                if self.keys[position as usize] < self.keys[self.remaining[best] as usize] {
-                    best = at;
+            let (mut best, mut best_key) = (0, self.keys[self.remaining[0] as usize]);
+            for (at, &position) in self.remaining.iter().enumerate().skip(1) {
+                let key = self.keys[position as usize];
+                if key < best_key {
+                    (best, best_key) = (at, key);
                 }
             }
-            let index = self.usable[self.remaining.remove(best) as usize].index;
-            for link in self.batch.candidates[index].pcb.links() {
-                let run = self.incidences.partition_point(|&(held, _)| held < link);
-                if !std::mem::replace(&mut self.used[run], true) {
-                    let holders = self.incidences[run..].iter();
-                    for &(_, holder) in holders.take_while(|(held, _)| *held == link) {
-                        self.keys[holder as usize] += OVERLAP_ONE;
-                    }
+            let position = self.remaining.remove(best);
+            if !bounds.is_empty() {
+                while covered + 1 < bounds.len() && self.covered(bounds[covered].0) {
+                    covered += 1;
+                }
+                let (bound_position, bound_key) = bounds[covered];
+                if (self.keys[position as usize], position) > (bound_key, bound_position) {
+                    return None;
                 }
             }
-            picked.push(index);
+            self.take(position);
+            picked.push(self.usable[position as usize].index);
         }
-        picked
+        Some(picked)
     }
 }
 

@@ -99,6 +99,11 @@ impl<'a> Frame<'a> {
             .extend_to_egress(candidate.received, candidate.ingress, egress)
     }
 
+    /// Whether `egress` belongs to the open class: no usable candidate arrived on it.
+    pub fn is_open(&self, egress: IfId) -> bool {
+        self.usable.iter().all(|u| u.may_leave_on(egress))
+    }
+
     /// Whether the selection made for one interface of the open class holds for all of
     /// them: only when the interface enters it through the filter alone.
     fn shares_open_class(&self, egress_use: EgressUse) -> bool {
@@ -124,7 +129,7 @@ impl<'a> Frame<'a> {
             let Entry::Vacant(slot) = result.per_egress.entry(egress) else {
                 continue;
             };
-            let open = share && self.usable.iter().all(|u| u.may_leave_on(egress));
+            let open = share && self.is_open(egress);
             let selected = if open {
                 open_class.get_or_insert_with(|| select(egress)).clone()
             } else {

@@ -6,9 +6,9 @@
 //! pieces of that vocabulary the layers above and below the engine share: the
 //! [`SelectionDelta`] a structural change of the simulated network is announced as — to
 //! observers that keep selection-derived state of their own; the engine's tables need no
-//! telling — and the [`IncrementalStats`] counters the selection tables report. Which algorithms
-//! may be fed *winners ∪ arrivals* at all is declared by
-//! [`RoutingAlgorithm::union_composable`](crate::RoutingAlgorithm::union_composable).
+//! telling — and the [`IncrementalStats`] counters the selection tables report. Whether
+//! *winners ∪ arrivals* is enough is each algorithm's answer to
+//! [`RoutingAlgorithm::reselect`](crate::RoutingAlgorithm::reselect).
 
 use irec_types::{AsId, IfId};
 
@@ -28,7 +28,8 @@ pub enum SelectionDelta {
 
 /// Counters exposing how the selection tables behaved, one count per `(RAC, batch)` pair
 /// and round: served verbatim, re-selected over *winners ∪ arrivals*, or computed from
-/// scratch — plus how many kept entries were dropped outright.
+/// scratch — plus how many kept entries were dropped outright, and how many of the
+/// from-scratch passes followed a re-selection the algorithm declined.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
     /// Selections served from the table unchanged.
@@ -39,6 +40,9 @@ pub struct IncrementalStats {
     pub invalidated: usize,
     /// Selections re-run over the previous winners plus the batch's new arrivals only.
     pub extended: usize,
+    /// Re-selections over *winners ∪ arrivals* the algorithm declined (an HD certificate
+    /// that failed), each followed by the full pass — so also counted in `recomputed`.
+    pub refused: usize,
 }
 
 impl IncrementalStats {
@@ -48,6 +52,7 @@ impl IncrementalStats {
         self.recomputed += other.recomputed;
         self.invalidated += other.invalidated;
         self.extended += other.extended;
+        self.refused += other.refused;
     }
 }
 
@@ -63,12 +68,14 @@ mod tests {
             recomputed: 2,
             invalidated: 3,
             extended: 4,
+            refused: 5,
         });
         total.accumulate(IncrementalStats {
             reused: 10,
             recomputed: 20,
             invalidated: 30,
             extended: 40,
+            refused: 50,
         });
         assert_eq!(
             total,
@@ -77,6 +84,7 @@ mod tests {
                 recomputed: 22,
                 invalidated: 33,
                 extended: 44,
+                refused: 55,
             }
         );
     }

@@ -32,9 +32,11 @@
 //! *eligibility class* where the interface matters only as a filter — and the ranked
 //! selection every individually-scoring selector reduces to live there, once.
 //!
-//! [`RoutingAlgorithm::union_composable`] declares which of them may be re-run over
-//! *previous winners ∪ new arrivals* instead of the whole batch; [`incremental`] holds the
-//! vocabulary the delta-driven RAC engine shares with the layers around it.
+//! [`RoutingAlgorithm::reselect`] is how a batch that only grew is re-selected over
+//! *previous winners ∪ new arrivals* instead of the whole batch: the union-composable
+//! selectors answer it with `select`, HD under a certificate its own greedy checks;
+//! [`incremental`] holds the vocabulary the delta-driven RAC engine shares with the layers
+//! around it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -231,11 +233,48 @@ pub trait RoutingAlgorithm: Send + Sync {
     /// default) for set-valued or stochastic objectives, whose choice of one candidate
     /// depends on which others are present.
     ///
-    /// The RAC engine relies on it twice: a batch that only *grew* since the last round is
-    /// re-selected over the previous winners plus the arrivals, and an oversized batch is
-    /// split into sub-ranges whose winners are reduced by one more `select` pass. Every
-    /// other algorithm always sees its whole batch in one pass.
+    /// The RAC engine relies on it twice: [`RoutingAlgorithm::reselect`] answers with
+    /// `select` for such a selector, and an oversized batch is split into sub-ranges whose
+    /// winners are reduced by one more `select` pass. No other algorithm is ever split.
     fn union_composable(&self) -> bool {
+        false
+    }
+
+    /// Re-selects a batch that only *grew* since the last round, or declines to.
+    ///
+    /// `batch` is not the whole batch but last round's winners — every candidate selected
+    /// for at least one interface — plus the candidates that arrived since, in batch order.
+    /// `previous` is last round's selection in `batch`'s indices: per egress interface,
+    /// the picks in the order they were made. It is filled only for an algorithm that
+    /// [reads it](RoutingAlgorithm::reselect_reads_picks), and empty otherwise.
+    ///
+    /// An answer must be exactly what [`RoutingAlgorithm::select`] returns over the whole
+    /// grown batch, in `batch`'s indices. `None` declines, and the engine selects over the
+    /// whole batch instead. The default answers with `select` for a
+    /// [union-composable](RoutingAlgorithm::union_composable) selector — a candidate that
+    /// lost against the old batch loses against any batch that contains it — and declines
+    /// for everything else (`<k>YEN`, ACO, on-demand modules). HD answers when a
+    /// certificate built from `previous` proves that no candidate outside `batch` could
+    /// have been picked (see [`disjoint::HeuristicDisjointness`]).
+    fn reselect(
+        &self,
+        batch: &CandidateBatch,
+        ctx: &AlgorithmContext<'_>,
+        previous: &SelectionResult,
+    ) -> Result<Option<SelectionResult>> {
+        let _ = previous;
+        if self.union_composable() {
+            self.select(batch, ctx).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// Whether [`RoutingAlgorithm::reselect`] reads its `previous` picks — and may answer
+    /// although the algorithm is not union-composable. The engine keeps last round's pick
+    /// order only for such an algorithm, and hands a batch that only grew to `reselect`
+    /// only when this or [`RoutingAlgorithm::union_composable`] holds.
+    fn reselect_reads_picks(&self) -> bool {
         false
     }
 }

@@ -76,6 +76,38 @@ fn entry(asn: AsId, egress: IfId, latency_ms: u64, bandwidth_mbps: u64) -> AsEnt
     }
 }
 
+/// The candidate of a [`CandidateSpec`]: link `l` is `(AS 10 + l / 2, interface 1 + l % 2)`.
+fn build_candidate(
+    seq: usize,
+    links: &[u8],
+    ingress: IfId,
+    (latency, bandwidth): (u8, u8),
+    flags: u8,
+) -> Candidate {
+    let (latency, bandwidth) = ([5, 10][latency as usize], [10, 100][bandwidth as usize]);
+    let mut pcb = Pcb::originate(
+        AsId(1),
+        seq as u64,
+        SimTime::ZERO,
+        SimTime::MAX,
+        PcbExtensions::none(),
+    );
+    for &link in links {
+        let (asn, egress) = (
+            AsId(10 + u64::from(link / 2)),
+            IfId(1 + u32::from(link % 2)),
+        );
+        pcb.entries.push(entry(asn, egress, latency, bandwidth));
+    }
+    if flags & 0b100 != 0 {
+        pcb.entries.push(pcb.entries.first().unwrap().clone());
+    }
+    if flags & 0b011 == 0b011 {
+        pcb.entries.push(entry(LOCAL, IfId(1), latency, bandwidth));
+    }
+    Candidate::new(pcb, ingress)
+}
+
 struct Scenario {
     node: AsNode,
     batch: CandidateBatch,
@@ -91,29 +123,8 @@ impl Scenario {
             .into_iter()
             .enumerate()
             .map(|(seq, (links, ingress, latency, bandwidth, flags))| {
-                let (latency, bandwidth) =
-                    ([5, 10][latency as usize], [10, 100][bandwidth as usize]);
-                let mut pcb = Pcb::originate(
-                    AsId(1),
-                    seq as u64,
-                    SimTime::ZERO,
-                    SimTime::MAX,
-                    PcbExtensions::none(),
-                );
-                for link in links {
-                    let (asn, egress) = (
-                        AsId(10 + u64::from(link / 2)),
-                        IfId(1 + u32::from(link % 2)),
-                    );
-                    pcb.entries.push(entry(asn, egress, latency, bandwidth));
-                }
-                if flags & 0b100 != 0 {
-                    pcb.entries.push(pcb.entries.first().unwrap().clone());
-                }
-                if flags & 0b011 == 0b011 {
-                    pcb.entries.push(entry(LOCAL, IfId(1), latency, bandwidth));
-                }
-                Candidate::new(pcb, IfId(1 + u32::from(ingress % ingresses)))
+                let ingress = IfId(1 + u32::from(ingress % ingresses));
+                build_candidate(seq, &links, ingress, (latency, bandwidth), flags)
             })
             .collect();
         Scenario {
@@ -297,4 +308,118 @@ proptest! {
             }
         }
     }
+}
+
+/// A splitmix64 stream: the seeded draws of the exhaustive loops below.
+struct Draws(u64);
+
+impl Draws {
+    fn below(&mut self, bound: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut x = self.0;
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (x ^ (x >> 31)) % bound
+    }
+
+    /// Links, ingress, metric picks and flags of one candidate over one to four links of
+    /// `universe`.
+    fn candidate(&mut self, universe: std::ops::Range<u8>) -> (Vec<u8>, IfId, (u8, u8), u8) {
+        let width = u64::from(universe.end - universe.start);
+        let hops = 1 + self.below(4);
+        let links = (0..hops)
+            .map(|_| universe.start + self.below(width) as u8)
+            .collect();
+        let ingress = IfId(1 + self.below(3) as u32);
+        let metrics = (self.below(2) as u8, self.below(2) as u8);
+        (links, ingress, metrics, self.below(8) as u8)
+    }
+}
+
+/// A batch, one round of HD over it, then arrivals; HD's [`RoutingAlgorithm::reselect`] over
+/// last round's winners ∪ the arrivals, given last round's picks. Seeded and exhaustive
+/// over budgets 1–6 and four egress sets — one open interface, a mix, every interface
+/// including the ingresses, an unordered list naming an interface the local AS lacks.
+/// Arrivals repeat an old candidate's links, take a path disjoint from everything before,
+/// draw from the old links, or contain the local AS. Wherever the re-selection answers,
+/// it must be what `select` and the set formulation return over the whole grown batch,
+/// pick order included; both answers and refusals must occur.
+#[test]
+fn hd_reselection_answers_only_with_the_whole_batch_selection() {
+    let mut draws = Draws(0x5eed);
+    let egress_sets: [&[u32]; 4] = [&[4], &[2, 4, 5], &[1, 2, 3, 4, 5], &[5, 9, 3]];
+    let node = local_as();
+    let (mut answered, mut refused) = (0, 0);
+    for budget in 1..=6 {
+        let hd = HeuristicDisjointness::new(budget);
+        for egress in egress_sets {
+            let egress: Vec<IfId> = egress.iter().map(|&e| IfId(e)).collect();
+            let ctx = AlgorithmContext::new(&node, egress.clone(), 20);
+            for _ in 0..60 {
+                let old = 1 + draws.below(10) as usize;
+                let mut specs: Vec<_> = (0..old).map(|_| draws.candidate(0..8)).collect();
+                for _ in 0..1 + draws.below(4) {
+                    let (mut links, ingress, metrics, flags) = draws.candidate(0..8);
+                    // Only the last kind contains the local AS; the others stay usable.
+                    let flags = match draws.below(4) {
+                        0 => {
+                            links = specs[draws.below(old as u64) as usize].0.clone();
+                            0
+                        }
+                        1 => {
+                            links.iter_mut().for_each(|link| *link += 8);
+                            0
+                        }
+                        2 => flags & 0b100,
+                        _ => 0b011,
+                    };
+                    specs.push((links, ingress, metrics, flags));
+                }
+                let candidates: Vec<Candidate> = specs
+                    .iter()
+                    .enumerate()
+                    .map(|(seq, (links, ingress, metrics, flags))| {
+                        build_candidate(seq, links, *ingress, *metrics, *flags)
+                    })
+                    .collect();
+                let batch = |members: &[usize]| {
+                    let members = members.iter().map(|&i| candidates[i].clone()).collect();
+                    CandidateBatch::new(AsId(1), InterfaceGroupId::DEFAULT, members)
+                };
+                let everything: Vec<usize> = (0..candidates.len()).collect();
+                let last_round = hd.select(&batch(&everything[..old]), &ctx).unwrap();
+
+                // Winners ∪ arrivals, in batch order, and last round's picks in its indices.
+                let mut view = last_round.distinct_candidates();
+                let winners = view.len();
+                view.extend(old..candidates.len());
+                let in_view = |index: &usize| view[..winners].binary_search(index).unwrap();
+                let mut previous = SelectionResult::empty();
+                for (&e, picks) in &last_round.per_egress {
+                    previous.insert(e, picks.iter().map(in_view).collect());
+                }
+
+                let whole = batch(&everything);
+                let expected = hd.select(&whole, &ctx).unwrap();
+                match hd.reselect(&batch(&view), &ctx, &previous).unwrap() {
+                    Some(mut answer) => {
+                        answered += 1;
+                        for picks in answer.per_egress.values_mut() {
+                            picks.iter_mut().for_each(|pick| *pick = view[*pick]);
+                        }
+                        assert_eq!(answer, expected, "budget {budget}, egress {egress:?}");
+                        for e in &egress {
+                            let oracle = hd.select_for_egress(&whole, &ctx, *e);
+                            assert_eq!(answer.per_egress[e], oracle);
+                        }
+                    }
+                    None => refused += 1,
+                }
+            }
+        }
+    }
+    assert!(
+        answered > 0 && refused > 0,
+        "{answered} answered, {refused} refused"
+    );
 }

@@ -173,9 +173,16 @@ pub fn render(args: &BenchArgs) -> String {
 /// across parallelism planes.
 pub fn render_algorithm(args: &BenchArgs) -> String {
     let mut out = String::new();
-    let Some(spec) = args.algorithm_spec() else {
-        return out;
-    };
+    if let Some((label, sim)) = algorithm_simulation(args) {
+        dump(&mut out, &label, sim, args.rounds);
+    }
+    out
+}
+
+/// The simulation [`render_algorithm`] runs, not yet run, with its scenario label; `None`
+/// without `--algorithm`.
+pub fn algorithm_simulation(args: &BenchArgs) -> Option<(String, Simulation)> {
+    let spec = args.algorithm_spec()?;
     let parallelism = args.parallelism;
     let rac_spec = spec.clone();
     let config = GeneratorConfig {
@@ -194,8 +201,7 @@ pub fn render_algorithm(args: &BenchArgs) -> String {
         },
     )
     .expect("algorithm scenario setup");
-    dump(&mut out, &format!("algorithm {spec}"), sim, args.rounds);
-    out
+    Some((format!("algorithm {spec}"), sim))
 }
 
 /// A PD campaign on a generated topology, shaped like the benchmark's `pd_pull`: HD plus
@@ -337,7 +343,7 @@ fn dump_state(out: &mut String, label: &str, sim: &Simulation) {
     // compared text.
     let inc = sim.incremental_stats();
     eprintln!(
-        "selections\tscenario={label}\treused={}\textended={}\trecomputed={}\tinvalidated={}",
-        inc.reused, inc.extended, inc.recomputed, inc.invalidated
+        "selections\tscenario={label}\treused={}\textended={}\trecomputed={}\trefused={}\tinvalidated={}",
+        inc.reused, inc.extended, inc.recomputed, inc.refused, inc.invalidated
     );
 }

@@ -204,33 +204,40 @@ impl BatchView {
     /// (the database only appended), so the two interleave by interface group alone —
     /// which matters for group-merged batches, whose arrivals land in the middle of the
     /// merged list, and keeps index tie-breaks resolving as they would over the whole
-    /// batch.
+    /// batch. Beside the view: where each winner landed in it.
     pub(crate) fn of_winners_and_arrivals(
         winners: &[crate::engine::SelectedBeacon],
         arrivals: &BatchView,
-    ) -> BatchView {
+    ) -> (BatchView, Vec<u32>) {
         let total = winners.len() + arrivals.len();
         let mut beacons = Vec::with_capacity(total);
         let mut ids = Vec::with_capacity(total);
+        let mut winner_at = Vec::with_capacity(winners.len());
+        let mut push_winner = |winner: &crate::engine::SelectedBeacon,
+                               beacons: &mut Vec<Arc<StoredBeacon>>,
+                               ids: &mut Vec<PcbId>| {
+            winner_at.push(beacons.len() as u32);
+            beacons.push(Arc::clone(&winner.beacon));
+            ids.push(winner.pcb_id);
+        };
         let mut winners = winners.iter().peekable();
         for (arrival, id) in arrivals.beacons.iter().zip(arrivals.ids()) {
             let group = stored_group(&arrival.pcb);
             while let Some(winner) = winners.next_if(|w| stored_group(&w.beacon.pcb) <= group) {
-                beacons.push(Arc::clone(&winner.beacon));
-                ids.push(winner.pcb_id);
+                push_winner(winner, &mut beacons, &mut ids);
             }
             beacons.push(Arc::clone(arrival));
             ids.push(*id);
         }
         for winner in winners {
-            beacons.push(Arc::clone(&winner.beacon));
-            ids.push(winner.pcb_id);
+            push_winner(winner, &mut beacons, &mut ids);
         }
-        BatchView {
+        let view = BatchView {
             key: arrivals.key,
             beacons: beacons.into(),
             ids: ids.into(),
-        }
+        };
+        (view, winner_at)
     }
 
     /// The earliest expiry among the view's beacons: from this instant on a snapshot of
@@ -324,6 +331,14 @@ struct Batch {
     /// reading, `slots` has only grown at its end. A batch that empties is dropped with
     /// its stamp; if it comes back, its creation stamps it afresh.
     disturbed_at: u64,
+    /// How many stored beacons name an on-demand algorithm: the only ones an on-demand
+    /// RAC is handed, so a batch without one is never snapshotted for it.
+    carriers: usize,
+}
+
+/// Whether `beacon` names an on-demand algorithm.
+fn carries(beacon: &StoredBeacon) -> bool {
+    beacon.pcb.extensions.algorithm().is_some()
 }
 
 impl Batch {
@@ -332,6 +347,7 @@ impl Batch {
             shorts: Vec::new(),
             slots: Vec::new(),
             disturbed_at,
+            carriers: 0,
         }
     }
 
@@ -354,6 +370,7 @@ impl Batch {
         let (short, id_rest) = split_id(id);
         reserve_an_eighth(&mut self.shorts);
         reserve_an_eighth(&mut self.slots);
+        self.carriers += usize::from(carries(&beacon));
         self.shorts.push(short);
         self.slots.push(Slot { id_rest, beacon });
     }
@@ -368,11 +385,14 @@ impl Batch {
     fn remove_where(&mut self, remove: impl Fn(&StoredBeacon) -> bool) -> usize {
         let (mut at, mut kept) = (0, 0);
         let shorts = &mut self.shorts;
+        let carriers = &mut self.carriers;
         self.slots.retain(|slot| {
             let keep = !remove(&slot.beacon);
             if keep {
                 shorts[kept] = shorts[at];
                 kept += 1;
+            } else {
+                *carriers -= usize::from(carries(&slot.beacon));
             }
             at += 1;
             keep
@@ -620,6 +640,14 @@ impl IngressDb {
         let stored = cursor.lengths.iter().sum();
         let view = BatchView::new(key, stored, self.live(key, merge_groups, now));
         (view, cursor)
+    }
+
+    /// Whether a beacon of the candidate set requested under `key` (see
+    /// [`IngressDb::snapshot`]) names an on-demand algorithm — expired or not: a set
+    /// without one holds nothing an on-demand RAC would be handed.
+    pub fn holds_carriers(&self, key: BatchKey, merge_groups: bool) -> bool {
+        self.batches_of(key, merge_groups)
+            .any(|batch| batch.carriers > 0)
     }
 
     /// What happened since `cursor` to the candidate set requested under `key` (same
@@ -996,6 +1024,13 @@ impl ShardedIngressDb {
         self.shards[self.shard_of(key.origin)]
             .read()
             .snapshot(key, merge_groups, now)
+    }
+
+    /// [`IngressDb::holds_carriers`] on the shard `key`'s origin lives in.
+    pub fn holds_carriers(&self, key: BatchKey, merge_groups: bool) -> bool {
+        self.shards[self.shard_of(key.origin)]
+            .read()
+            .holds_carriers(key, merge_groups)
     }
 
     /// [`IngressDb::changes_since`] on the shard `key`'s origin lives in. Copy-on-write

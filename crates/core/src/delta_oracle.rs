@@ -7,11 +7,13 @@
 //! The property drives one set of [`SelectionTables`] through arbitrary interleavings of
 //! inserts, duplicate and repeated inserts, eviction sweeps, withdrawal purges, clock
 //! advances past expiries, batches emptied and refilled and catalog swaps, and compares
-//! after most steps (so that changes also pile up between two rounds). The catalog holds every algorithm family — the union-composable
-//! scored ones that extend, HD / `<k>YEN` / ACO that never do, and an on-demand IRVM RAC
-//! that is never kept — each with and without interface-group processing over origins
-//! that use groups, at one and four workers, with the production split threshold and
-//! with one small enough that extended views are split and reduced.
+//! after most steps (so that changes also pile up between two rounds). The catalog holds
+//! every algorithm family — the union-composable scored ones that always extend, HD that
+//! extends under its certificate or is refused back to the full pass, `<k>YEN` / ACO that
+//! never extend, and an on-demand IRVM RAC that is never kept — each with and without
+//! interface-group processing over origins that use groups, at one and four workers, with
+//! the production split threshold and with one small enough that extended views are split
+//! and reduced.
 
 use crate::beacon_db::ShardedIngressDb;
 use crate::config::RacConfig;
@@ -273,6 +275,61 @@ fn the_oracle_workload_reaches_reuse_extend_and_full() {
     assert!(third.extended > 0, "scored RACs extend over the arrivals");
     assert!(
         third.recomputed > second.recomputed,
-        "HD, YEN and ACO start over"
+        "YEN and ACO start over"
     );
+}
+
+/// HD's refusals are reached, and come out as the full pass would: one beacon at a time
+/// into the batches of three origins, a round after each, HD with budgets one to three, with
+/// and without interface groups, at one and four workers. A small budget over few links
+/// is where an arrival most often lets a candidate the last round left out back in.
+#[test]
+fn hd_refusals_fall_back_to_the_from_scratch_selection() {
+    let registry = KeyRegistry::with_ases(11, 512);
+    let reference = AlgorithmRef::new(AlgorithmId(7), irec_crypto::sha256(b"unused"));
+    let (node, egress) = (local_as(), [IfId(1), IfId(2), IfId(3)]);
+    let mut racs = Vec::new();
+    for budget in 1..=3 {
+        for grouped in [false, true] {
+            let config = RacConfig::static_rac(format!("HD/{budget}/{grouped}"), "HD")
+                .with_interface_groups(grouped)
+                .with_max_selected(budget);
+            racs.push(Rac::new_static(config).unwrap());
+        }
+    }
+    for parallelism in [1, 4] {
+        let db = ShardedIngressDb::new(2);
+        let mut tables = SelectionTables::new();
+        for seq in 0..48u64 {
+            let draw = seq.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17);
+            // Origins 1 and 2 only: none of these beacons names an algorithm.
+            let pcb = beacon(&registry, reference, seq, 1 + seq % 2, draw, SimTime::ZERO);
+            db.insert(pcb, IfId(1 + ((draw >> 26) % 3) as u32), SimTime::ZERO);
+            let (expected, _) =
+                execute_racs_with(&racs, &db, &node, &egress, SimTime::ZERO, 1, 512).unwrap();
+            let (delta_round, _) = execute_racs_delta(
+                &racs,
+                &db,
+                &node,
+                &egress,
+                SimTime::ZERO,
+                parallelism,
+                512,
+                &mut tables,
+            )
+            .unwrap();
+            let actual: Vec<_> = delta_round.iter().flat_map(|b| &b.selected).collect();
+            assert_eq!(expected.len(), actual.len());
+            for (want, got) in expected.iter().zip(actual) {
+                assert!(Arc::ptr_eq(&want.beacon, &got.beacon));
+                assert_eq!(&want.egress_ifs[..], &got.egress_ifs[..]);
+            }
+        }
+        let stats = tables.stats();
+        assert!(
+            stats.extended > 0 && stats.refused > 0,
+            "HD neither extends nor refuses: {stats:?}"
+        );
+        assert!(stats.refused <= stats.recomputed);
+    }
 }

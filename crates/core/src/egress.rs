@@ -472,8 +472,9 @@ impl EgressGateway {
     ///
     /// **The replay** is for a selection the engine served verbatim: the very allocation
     /// this gateway processed in its last call, which the engine hands back only while its
-    /// batch is untouched and unexpired. It does what walking it again would do, and no
-    /// more:
+    /// batch is untouched and unexpired, or when a re-selection over the batch's arrivals
+    /// selected the same beacons for the same interfaces. It does what walking it again
+    /// would do, and no more:
     /// * *no dedup walk, nothing sent.* The last call left a mark for every winner on every
     ///   interface the walk could send it on. Marks only grow, but for two removals: a
     ///   [`EgressGateway::forget_egress`] that drops one also drops this memory, and an

@@ -25,8 +25,9 @@ use crate::beacon_db::{
     BatchChange, BatchCursor, BatchKey, BatchView, ShardedIngressDb, StoredBeacon,
 };
 use crate::config::RacConfig;
-use crate::rac::{Rac, RacOutput, RacTiming};
+use crate::rac::{Picked, Rac, RacOutput, RacTiming};
 use irec_algorithms::incremental::IncrementalStats;
+use irec_algorithms::SelectionResult;
 use irec_pcb::PcbId;
 use irec_topology::AsNode;
 use irec_types::{AsId, IfId, InterfaceGroupId, Result, SimTime};
@@ -80,9 +81,10 @@ pub struct BatchSelection {
 }
 
 /// A [`BatchSelection`], shared — not copied — between the round that consumes it and the
-/// [`SelectionTables`] entry that serves it again next round. The same allocation coming
-/// back is what tells the egress gateway that it processed this very selection last round
-/// (see [`crate::egress::EgressGateway::process_outputs`]).
+/// [`SelectionTables`] entry that serves it again next round — verbatim, or after a
+/// re-selection over the arrivals that selected the same beacons for the same interfaces.
+/// The same allocation coming back is what tells the egress gateway that it processed
+/// this very selection last round (see [`crate::egress::EgressGateway::process_outputs`]).
 pub type BatchOutputs = Arc<BatchSelection>;
 
 /// A RAC output paired with the id its view carried: the merge's working form, which
@@ -107,12 +109,14 @@ fn identify(view: &BatchView, outputs: Vec<RacOutput>) -> Vec<Identified> {
 enum Merged {
     /// Last round's selection, served verbatim.
     Reused(BatchOutputs),
-    /// A selection computed this round and, for a RAC with a table, what to record with it.
+    /// A selection computed this round, the per-egress pick order it was inverted from
+    /// and, for a RAC with a table, what to record with it.
     Computed {
         rac_index: usize,
         key: BatchKey,
         record: Option<Record>,
         outputs: Vec<Identified>,
+        picks: SelectionResult,
     },
 }
 
@@ -123,6 +127,11 @@ struct WorkItem {
     rac_index: usize,
     /// The immutable candidate batch to process.
     view: BatchView,
+    /// For a re-selection over *winners ∪ arrivals*: last round's picks in `view`'s
+    /// indices (empty unless the RAC [keeps them](Rac::keeps_picks)). Only an unsplit
+    /// view carries picks that mean anything; the sub-ranges of a split one belong to a
+    /// union-composable selector, whose re-selection is `select` and reads none.
+    previous: Option<SelectionResult>,
 }
 
 /// One logical `(RAC, batch)` pair and the contiguous range of work items it was split
@@ -140,18 +149,108 @@ struct BatchGroup {
     record: Option<Record>,
 }
 
-/// The bookkeeping half of a [`SelectionTables`] entry, fixed in the snapshot phase.
+/// The bookkeeping half of a [`SelectionTables`] entry, fixed in the snapshot phase — or
+/// in the merge, when the algorithm declined a re-selection.
 struct Record {
     /// Whether the items run over *winners ∪ arrivals* rather than the whole batch.
     extended: bool,
+    /// For an extension: last round's selection, handed on again where the new one
+    /// selects the same beacons for the same interfaces.
+    previous: Option<BatchOutputs>,
+    /// Whether the full pass follows a re-selection the algorithm declined.
+    refused: bool,
     cursor: BatchCursor,
     valid_until: SimTime,
+}
+
+/// Last round's picks of one `(RAC, batch)` pair, per egress interface in the order they
+/// were made, as positions into the entry's [`BatchSelection::selected`] — what the next
+/// [reselect](irec_algorithms::RoutingAlgorithm::reselect) of a RAC that
+/// [keeps picks](Rac::keeps_picks) reads. Interfaces with the same picks — the whole open
+/// class, typically — share one list.
+///
+/// One allocation, kept for every such entry across rounds: the number of interfaces `n`,
+/// then per interface, ascending, its id and the start and end of its list among the
+/// positions that follow.
+#[derive(Debug, Clone)]
+struct PickOrder(Box<[u32]>);
+
+impl PickOrder {
+    /// `picks`, made over a batch whose selected candidates are `selected`, ascending.
+    fn new(picks: &SelectionResult, selected: &[usize]) -> PickOrder {
+        let interfaces = picks.per_egress.len();
+        let mut words = vec![interfaces as u32];
+        words.resize(1 + 3 * interfaces, 0);
+        let mut lists: Vec<(&[usize], u32, u32)> = Vec::new();
+        for (at, (&egress, list)) in picks.per_egress.iter().enumerate() {
+            let (start, end) = match lists.iter().find(|(known, ..)| *known == list.as_slice()) {
+                Some(&(_, start, end)) => (start, end),
+                None => {
+                    let start = (words.len() - 1 - 3 * interfaces) as u32;
+                    words.extend(list.iter().map(|index| {
+                        let position = selected.binary_search(index);
+                        position.expect("every pick is a selected candidate") as u32
+                    }));
+                    let end = (words.len() - 1 - 3 * interfaces) as u32;
+                    lists.push((list, start, end));
+                    (start, end)
+                }
+            };
+            words[1 + 3 * at..4 + 3 * at].copy_from_slice(&[egress.value(), start, end]);
+        }
+        PickOrder(words.into())
+    }
+
+    /// The picks in the indices of a view in which the `w`-th selected candidate sits at
+    /// `winner_at[w]`.
+    fn in_view(&self, winner_at: &[u32]) -> SelectionResult {
+        let interfaces = self.0[0] as usize;
+        let (table, positions) = self.0[1..].split_at(3 * interfaces);
+        let mut picks = SelectionResult::empty();
+        for entry in table.chunks_exact(3) {
+            let list = &positions[entry[1] as usize..entry[2] as usize];
+            picks.insert(
+                IfId(entry[0]),
+                list.iter()
+                    .map(|&w| winner_at[w as usize] as usize)
+                    .collect(),
+            );
+        }
+        picks
+    }
+}
+
+/// Whether `outputs` select exactly the beacons of `kept`, for the same interfaces.
+fn selects_the_same(kept: &[SelectedBeacon], outputs: &[Identified]) -> bool {
+    kept.len() == outputs.len()
+        && kept.iter().zip(outputs).all(|(kept, new)| {
+            Arc::ptr_eq(&kept.beacon, &new.output.beacon)
+                && *kept.egress_ifs == new.output.egress_ifs
+        })
+}
+
+/// `outputs` in the form selections are kept in — sized exactly: collecting straight out
+/// of `outputs` would reuse its allocation, which is twice as large.
+fn kept_form(outputs: Vec<Identified>) -> Vec<SelectedBeacon> {
+    let mut selected = Vec::with_capacity(outputs.len());
+    selected.extend(
+        outputs
+            .into_iter()
+            .map(|Identified { pcb_id, output }| SelectedBeacon {
+                pcb_id,
+                beacon: output.beacon,
+                egress_ifs: output.egress_ifs.into_boxed_slice(),
+            }),
+    );
+    selected
 }
 
 /// Last round's selections of one `(RAC, batch)` pair and what proves them current.
 #[derive(Debug, Clone)]
 struct Entry {
     outputs: BatchOutputs,
+    /// For a RAC that [keeps picks](Rac::keeps_picks): the order `outputs` were picked in.
+    picks: Option<PickOrder>,
     /// Where the database stood when the outputs were computed.
     cursor: BatchCursor,
     /// When they were computed. A snapshot at an earlier instant could contain beacons
@@ -189,8 +288,8 @@ struct Context {
 /// | the ingress database says | pass |
 /// |---|---|
 /// | untouched | **reuse**: the outputs verbatim — exact for every deterministic algorithm |
-/// | only grew, and the algorithm is [union-composable](irec_algorithms::RoutingAlgorithm::union_composable) | **extend**: select over *winners ∪ arrivals*, in batch order |
-/// | anything else — a removal, an expiry, an arrival for HD / `<k>YEN` / ACO, no entry yet | **full**: snapshot and select from scratch |
+/// | only grew, and the RAC reselects (`Rac::reselects`: union-composable, or HD) | **extend**: [reselect](irec_algorithms::RoutingAlgorithm::reselect) over *winners ∪ arrivals*, in batch order; where the algorithm declines (an HD certificate fails), the merge runs the full pass inline; where it selects what it selected last round, last round's outputs are handed on |
+/// | anything else — a removal, an expiry, an arrival for `<k>YEN` / ACO, no entry yet | **full**: snapshot and select from scratch |
 ///
 /// One invariant carries correctness: an entry is used only while the database proves its
 /// batch append-only since the entry was written *and* no beacon the entry was computed
@@ -231,8 +330,9 @@ impl SelectionTables {
         dropped
     }
 
-    /// How many `(RAC, batch)` selections were reused, extended and recomputed, and how
-    /// many entries were dropped by [`SelectionTables::clear`].
+    /// How many `(RAC, batch)` selections were reused, extended and recomputed, how many
+    /// of the recomputations followed a declined re-selection, and how many entries were
+    /// dropped by [`SelectionTables::clear`].
     pub fn stats(&self) -> IncrementalStats {
         self.stats
     }
@@ -281,11 +381,15 @@ impl SelectionTables {
         record: Record,
         now: SimTime,
         outputs: &BatchOutputs,
+        picks: Option<PickOrder>,
     ) {
         if record.extended {
             self.stats.extended += 1;
         } else {
             self.stats.recomputed += 1;
+        }
+        if record.refused {
+            self.stats.refused += 1;
         }
         self.table_mut(rac_index)
             .expect("only RACs with a table record")
@@ -293,6 +397,7 @@ impl SelectionTables {
                 key,
                 Entry {
                     outputs: Arc::clone(outputs),
+                    picks,
                     cursor: record.cursor,
                     computed_at: now,
                     valid_until: record.valid_until,
@@ -301,7 +406,8 @@ impl SelectionTables {
     }
 }
 
-type ItemResult = Result<(Vec<RacOutput>, RacTiming)>;
+/// What a work item produced: `None` where the algorithm declined a re-selection.
+type ItemResult = Result<(Option<Picked>, RacTiming)>;
 
 /// Runs every RAC over its relevant candidate batches from `db` and returns the merged
 /// selections plus accumulated timing — always from scratch, reading nothing but `db`.
@@ -334,7 +440,7 @@ pub fn execute_racs(
 /// last written (see [`SelectionTables`]). Batches the ingress database reports untouched
 /// are served from the tables — no snapshot, no work item, no algorithm run, zero timing;
 /// batches that only grew are re-selected over the previous winners plus the arrivals,
-/// where the algorithm allows; everything else is snapshotted and computed as
+/// where the algorithm answers; everything else is snapshotted and computed as
 /// [`execute_racs`] would. The selections are those of a from-scratch pass, in its order.
 ///
 /// They come back per `(RAC, batch)` pair ([`BatchSelection`]) — shared with the tables,
@@ -393,25 +499,31 @@ pub(crate) fn execute_racs_delta(
                 key,
                 record,
                 outputs,
+                picks,
             } => {
-                // Kept across rounds, so sized exactly: collecting straight out of
-                // `outputs` would reuse its allocation, which is twice as large.
-                let mut selected = Vec::with_capacity(outputs.len());
-                selected.extend(outputs.into_iter().map(|Identified { pcb_id, output }| {
-                    SelectedBeacon {
-                        pcb_id,
-                        beacon: output.beacon,
-                        egress_ifs: output.egress_ifs.into_boxed_slice(),
-                    }
-                }));
-                let outputs = Arc::new(BatchSelection {
-                    rac_name: racs[rac_index].shared_name(),
-                    origin: key.origin,
-                    group: key.group,
-                    selected,
+                let picks = (record.is_some() && racs[rac_index].keeps_picks()).then(|| {
+                    let selected: Vec<usize> =
+                        outputs.iter().map(|o| o.output.candidate_index).collect();
+                    PickOrder::new(&picks, &selected)
                 });
+                // An extension that selected what last round selected hands on last
+                // round's allocation: the egress gateway recognises it and replays it,
+                // which does what walking an equal selection does.
+                let unchanged = record
+                    .as_ref()
+                    .and_then(|record| record.previous.as_ref())
+                    .filter(|previous| selects_the_same(&previous.selected, &outputs));
+                let outputs = match unchanged {
+                    Some(previous) => Arc::clone(previous),
+                    None => Arc::new(BatchSelection {
+                        rac_name: racs[rac_index].shared_name(),
+                        origin: key.origin,
+                        group: key.group,
+                        selected: kept_form(outputs),
+                    }),
+                };
                 if let Some(record) = record {
-                    tables.keep(rac_index, key, record, now, &outputs);
+                    tables.keep(rac_index, key, record, now, &outputs, picks);
                 }
                 outputs
             }
@@ -481,7 +593,7 @@ fn execute_racs_inner(
     }
     // Snapshot phase: materialize the work list in deterministic order. The tables are
     // probed here, on the coordinating thread: a reused batch is never snapshotted and
-    // gets no work item, an extended one only its arrivals are read.
+    // gets no work item, of an extended one only the arrivals are read.
     let mut items = Vec::new();
     let mut groups = Vec::new();
     for (rac_index, rac) in racs.iter().enumerate() {
@@ -505,7 +617,7 @@ fn execute_racs_inner(
             let change = entry
                 .as_ref()
                 .map(|entry| db.changes_since(key, merge_groups, &entry.cursor, now));
-            let (view, record) = match (entry, change) {
+            let (view, previous, record) = match (entry, change) {
                 (Some(entry), Some(BatchChange::Unchanged)) => {
                     let tables = tables.as_deref_mut().expect("entries come from tables");
                     tables.stats.reused += 1;
@@ -522,16 +634,23 @@ fn execute_racs_inner(
                         .insert(key, entry);
                     continue;
                 }
-                (Some(entry), Some(BatchChange::Appended(arrivals, cursor)))
-                    if rac.extends_selections() =>
-                {
+                (Some(entry), Some(BatchChange::Appended(arrivals, cursor))) if rac.reselects() => {
                     let arrived_until = arrivals
                         .earliest_expiry()
                         .expect("arrivals are reported only when there are some");
+                    let (view, winner_at) =
+                        BatchView::of_winners_and_arrivals(&entry.outputs.selected, &arrivals);
+                    let previous = entry
+                        .picks
+                        .as_ref()
+                        .map_or_else(SelectionResult::empty, |picks| picks.in_view(&winner_at));
                     (
-                        BatchView::of_winners_and_arrivals(&entry.outputs.selected, &arrivals),
+                        view,
+                        Some(previous),
                         Some(Record {
                             extended: true,
+                            previous: Some(Arc::clone(&entry.outputs)),
+                            refused: false,
                             cursor,
                             valid_until: entry.valid_until.min(arrived_until),
                         }),
@@ -543,12 +662,14 @@ fn execute_racs_inner(
                     };
                     let record = previous.is_some().then(|| Record {
                         extended: false,
+                        previous: None,
+                        refused: false,
                         cursor,
                         valid_until: view
                             .earliest_expiry()
                             .expect("a snapshot without beacons is no view"),
                     });
-                    (view, record)
+                    (view, None, record)
                 }
             };
             if view.len() > threshold && rac.splits_batches() {
@@ -558,11 +679,16 @@ fn execute_racs_inner(
                     items.push(WorkItem {
                         rac_index,
                         view: view.subrange(offset..end),
+                        previous: previous.clone(),
                     });
                     offset = end;
                 }
             } else {
-                items.push(WorkItem { rac_index, view });
+                items.push(WorkItem {
+                    rac_index,
+                    view,
+                    previous,
+                });
             }
             groups.push(BatchGroup {
                 rac_index,
@@ -584,7 +710,14 @@ fn execute_racs_inner(
         execute_parallel(racs, &items, local_as, egress_ifs, workers)
     };
 
-    merge_results(racs, groups, &items, results, local_as, egress_ifs)
+    let context = MergeContext {
+        racs,
+        db,
+        local_as,
+        egress_ifs,
+        now,
+    };
+    merge_results(&context, groups, &items, results)
 }
 
 /// Processes one work item (on whatever thread it was claimed by).
@@ -594,11 +727,12 @@ fn process_item(
     local_as: &AsNode,
     egress_ifs: &[IfId],
 ) -> ItemResult {
-    racs[item.rac_index].process_candidates(
+    racs[item.rac_index].run(
         &item.view.key,
         &item.view.beacons,
         local_as,
         egress_ifs,
+        item.previous.as_ref(),
     )
 }
 
@@ -667,11 +801,23 @@ fn execute_parallel(
         .collect()
 }
 
+/// What the merge reads besides the work: the RACs and the inputs of the round, for the
+/// reduce pass of a split group and the full pass behind a declined re-selection.
+struct MergeContext<'a> {
+    racs: &'a [Rac],
+    db: &'a ShardedIngressDb,
+    local_as: &'a AsNode,
+    egress_ifs: &'a [IfId],
+    now: SimTime,
+}
+
 /// Merges per-item results in group order: first error in item order wins and timings
 /// accumulate in item order, exactly as a sequential loop would. Groups that were split
 /// into sub-range items additionally run the deterministic sub-merge: one reduce selection
 /// pass of the owning RAC over the union of the sub-range selections (whose timing also
-/// accumulates, at the group's position).
+/// accumulates, at the group's position). A group whose re-selection the algorithm
+/// declined runs the full pass here, inline, the same way: snapshot and select from
+/// scratch, at the group's position.
 ///
 /// No content-keyed re-sort is applied: item order — RAC configuration order, then batch
 /// keys ascending, then candidate index within a batch — already is the canonical
@@ -680,12 +826,10 @@ fn execute_parallel(
 /// egress gateway's first-selection dedup (and thereby path attribution) whenever operators
 /// configure RACs in non-alphabetical order.
 fn merge_results(
-    racs: &[Rac],
+    context: &MergeContext<'_>,
     groups: Vec<BatchGroup>,
     items: &[WorkItem],
     results: Vec<ItemResult>,
-    local_as: &AsNode,
-    egress_ifs: &[IfId],
 ) -> Result<(Vec<Merged>, RacTiming)> {
     let mut results: Vec<Option<ItemResult>> = results.into_iter().map(Some).collect();
     let mut merged = Vec::with_capacity(groups.len());
@@ -695,66 +839,100 @@ fn merge_results(
             merged.push(Merged::Reused(reused));
             continue;
         }
-        let outputs = merge_group(
-            racs,
-            &group,
-            items,
-            &mut results,
-            local_as,
-            egress_ifs,
-            &mut timing,
-        )?;
+        let mut record = group.record.take();
+        let (outputs, picks) = match merge_group(context, &group, items, &mut results, &mut timing)?
+        {
+            Some(merged) => merged,
+            None => {
+                let (view, cursor) = context.db.snapshot(
+                    group.key,
+                    context.racs[group.rac_index].merges_groups(),
+                    context.now,
+                );
+                let view = view.expect("a batch with live arrivals has a view");
+                record = Some(Record {
+                    extended: false,
+                    previous: None,
+                    refused: true,
+                    cursor,
+                    valid_until: view
+                        .earliest_expiry()
+                        .expect("a snapshot without beacons is no view"),
+                });
+                select_over(context, group.rac_index, &view, &mut timing)?
+            }
+        };
         merged.push(Merged::Computed {
             rac_index: group.rac_index,
             key: group.key,
-            record: group.record,
+            record,
             outputs,
+            picks,
         });
     }
     Ok((merged, timing))
 }
 
-/// Produces one computed group's final output vector: the single item's outputs for
-/// unsplit groups, or the deterministic sub-merge for split ones. Timings accumulate into
-/// `timing` in item order, exactly as a sequential loop would. Every output is paired with
-/// the id carried by the view it was selected from.
+/// One selection pass of a RAC over `view`, on the coordinating thread.
+fn select_over(
+    context: &MergeContext<'_>,
+    rac_index: usize,
+    view: &BatchView,
+    timing: &mut RacTiming,
+) -> Result<(Vec<Identified>, SelectionResult)> {
+    let (picked, pass_timing) = context.racs[rac_index].run(
+        &view.key,
+        &view.beacons,
+        context.local_as,
+        context.egress_ifs,
+        None,
+    )?;
+    timing.accumulate(&pass_timing);
+    let (outputs, picks) = picked.expect("a selection always answers");
+    Ok((identify(view, outputs), picks))
+}
+
+/// Produces one computed group's final output vector and pick order: the single item's for
+/// unsplit groups, or the deterministic sub-merge for split ones; `None` when the item was
+/// a re-selection the algorithm declined. Timings accumulate into `timing` in item order,
+/// exactly as a sequential loop would. Every output is paired with the id carried by the
+/// view it was selected from.
 fn merge_group(
-    racs: &[Rac],
+    context: &MergeContext<'_>,
     group: &BatchGroup,
     items: &[WorkItem],
     results: &mut [Option<ItemResult>],
-    local_as: &AsNode,
-    egress_ifs: &[IfId],
     timing: &mut RacTiming,
-) -> Result<Vec<Identified>> {
+) -> Result<Option<(Vec<Identified>, SelectionResult)>> {
     // Collect each item's selections in item order (within a sub-range selections are
     // already ordered by candidate index, and sub-ranges are ascending, so the union is
     // in ascending original candidate order)...
-    let mut sub_selections: Vec<Vec<Identified>> = Vec::with_capacity(group.items.len());
+    let mut sub_selections = Vec::with_capacity(group.items.len());
     for index in group.items.clone() {
-        let (sub_outputs, sub_timing) = results[index]
+        let (picked, sub_timing) = results[index]
             .take()
             .expect("each item is consumed by exactly one group")?;
         timing.accumulate(&sub_timing);
-        sub_selections.push(identify(&items[index].view, sub_outputs));
+        // Only an unsplit group's algorithm can decline: splitting is for the
+        // union-composable selectors, whose re-selection always answers.
+        let Some((sub_outputs, picks)) = picked else {
+            return Ok(None);
+        };
+        sub_selections.push((identify(&items[index].view, sub_outputs), picks));
     }
     if sub_selections.len() == 1 {
-        return Ok(sub_selections.remove(0));
+        return Ok(sub_selections.pop());
     }
-    let winners = BatchView::of_selected(group.key, sub_selections.iter().flatten());
+    let winners = BatchView::of_selected(
+        group.key,
+        sub_selections.iter().flat_map(|(outputs, _)| outputs),
+    );
     if winners.is_empty() {
-        return Ok(Vec::new());
+        return Ok(Some((Vec::new(), SelectionResult::empty())));
     }
     // ...then reduce: one final selection pass of the owning RAC over the union of the
     // sub-range winners — exact for the union-composable selectors, the only ones split.
-    let (reduced, reduce_timing) = racs[group.rac_index].process_candidates(
-        &group.key,
-        &winners.beacons,
-        local_as,
-        egress_ifs,
-    )?;
-    timing.accumulate(&reduce_timing);
-    Ok(identify(&winners, reduced))
+    select_over(context, group.rac_index, &winners, timing).map(Some)
 }
 
 #[cfg(test)]
@@ -1116,6 +1294,7 @@ mod tests {
                 recomputed: after.recomputed - before.recomputed,
                 invalidated: after.invalidated - before.invalidated,
                 extended: after.extended - before.extended,
+                refused: after.refused - before.refused,
             },
             timing.candidates,
         )
@@ -1127,6 +1306,7 @@ mod tests {
             recomputed,
             invalidated: 0,
             extended,
+            refused: 0,
         }
     }
 
@@ -1149,11 +1329,12 @@ mod tests {
         }
         assert_eq!(tables.len(), racs.len() * 6);
 
-        // One arrival at origin 1: the four scored RACs re-select over their winners plus
-        // the arrival, HD goes back to the whole batch, the other five origins stand.
+        // One arrival at origin 1: every RAC re-selects over its winners plus the arrival
+        // — HD too, its budget exceeds the batch, so its certificate holds trivially — and
+        // the other five origins stand.
         insert_arrival(&db, 1, 99, SimDuration::from_hours(6));
         let (third, candidates) = delta_pass(&racs, &db, SimTime::ZERO, 1, &mut tables);
-        assert_eq!(third, counts(racs.len() * 5, 4, 1));
+        assert_eq!(third, counts(racs.len() * 5, 5, 0));
         // 1SP keeps one winner per egress, the budgets of the others exceed the batch.
         assert!(candidates < 5 * 5, "{candidates} candidates evaluated");
         let fourth = delta_pass(&racs, &db, SimTime::ZERO, 1, &mut tables);
@@ -1205,7 +1386,7 @@ mod tests {
         let store = crate::rac::SharedAlgorithmStore::new();
         let od =
             Rac::new_on_demand(RacConfig::on_demand_rac("od"), std::sync::Arc::new(store)).unwrap();
-        assert!(!od.is_cacheable() && !od.extends_selections() && !od.splits_batches());
+        assert!(!od.is_cacheable() && !od.reselects() && !od.splits_batches());
         let racs = vec![od];
         let db = db_with_origins(2, 2);
         let mut tables = SelectionTables::new();
@@ -1214,6 +1395,101 @@ mod tests {
         }
         assert!(tables.is_empty());
         assert_eq!(tables.stats(), IncrementalStats::default());
+    }
+
+    /// A beacon of origin 1 over the given `(AS, egress interface)` links, received on
+    /// interface 1.
+    fn insert_path(db: &ShardedIngressDb, seq: u64, links: &[(u64, u32)]) {
+        let registry = KeyRegistry::with_ases(11, 512);
+        let mut pcb = Pcb::originate(
+            AsId(1),
+            seq,
+            SimTime::ZERO,
+            SimTime::ZERO + SimDuration::from_hours(6),
+            PcbExtensions::none(),
+        );
+        for (hop, &(asn, egress)) in links.iter().enumerate() {
+            let ingress = if hop == 0 { IfId::NONE } else { IfId(1) };
+            let info = StaticInfo::origin(Latency::from_millis(5), Bandwidth::from_mbps(100), None);
+            let signer = Signer::new(AsId(asn), registry.clone());
+            pcb.extend(ingress, IfId(egress), info, &signer).unwrap();
+        }
+        assert!(db.insert(pcb, IfId(1), SimTime::ZERO));
+    }
+
+    #[test]
+    fn a_disjoint_arrival_that_lets_a_former_loser_in_is_refused_and_recomputed() {
+        // HD with a budget of two over c0 = {B, A}, c1 = {C, A}, c2 = {D, E, F}: it picks
+        // c0, then c2, which shares nothing with c0, over c1, which shares A.
+        let config = RacConfig::static_rac("HD", "HD").with_max_selected(2);
+        let racs = vec![Rac::new_static(config).unwrap()];
+        let (a, b, c) = ((2, 1), (1, 1), (1, 2));
+        for parallelism in [1, 4] {
+            let db = ShardedIngressDb::new(4);
+            insert_path(&db, 0, &[b, a]);
+            insert_path(&db, 1, &[c, a]);
+            insert_path(&db, 2, &[(1, 3), (4, 1), (5, 1)]);
+            let mut tables = SelectionTables::new();
+            let (first, _) = delta_pass(&racs, &db, SimTime::ZERO, parallelism, &mut tables);
+            assert_eq!(first, counts(0, 0, 1));
+
+            // A one-hop arrival over B, disjoint from c1: it is picked first, and with only
+            // B used c1 beats c2 — but c1 is not among the winners the re-selection sees.
+            // The certificate fails on c2, and the full pass picks c1.
+            insert_path(&db, 3, &[b]);
+            let (second, _) = delta_pass(&racs, &db, SimTime::ZERO, parallelism, &mut tables);
+            assert_eq!(
+                second,
+                IncrementalStats {
+                    refused: 1,
+                    ..counts(0, 0, 1)
+                }
+            );
+            let (batches, _) = execute_racs_cached(
+                &racs,
+                &db,
+                &local_as(),
+                &[IfId(1), IfId(2), IfId(3)],
+                SimTime::ZERO,
+                parallelism,
+                &mut tables,
+            )
+            .unwrap();
+            let sequences: Vec<u64> = batches[0]
+                .selected
+                .iter()
+                .map(|s| s.beacon.pcb.sequence)
+                .collect();
+            assert_eq!(sequences, [1, 3], "c1 and the arrival");
+
+            // A third arrival that changes nothing: certified over the kept picks, and
+            // last round's selection is handed on as it was — the same allocation, which
+            // the egress gateway replays.
+            insert_path(&db, 4, &[(1, 3), (4, 1), (6, 1), (7, 1)]);
+            let (third, _) = delta_pass(&racs, &db, SimTime::ZERO, parallelism, &mut tables);
+            assert_eq!(third, counts(0, 1, 0));
+            let round = |tables: &mut SelectionTables| {
+                let egress = [IfId(1), IfId(2), IfId(3)];
+                let node = local_as();
+                execute_racs_cached(&racs, &db, &node, &egress, SimTime::ZERO, 1, tables)
+                    .unwrap()
+                    .0
+            };
+            assert!(Arc::ptr_eq(&batches[0], &round(&mut tables)[0]));
+
+            // A short disjoint arrival displaces c1, under the certificate: a new selection.
+            insert_path(&db, 5, &[(1, 4)]);
+            let (fourth, _) = delta_pass(&racs, &db, SimTime::ZERO, parallelism, &mut tables);
+            assert_eq!(fourth, counts(0, 1, 0));
+            let now_selected = round(&mut tables);
+            assert!(!Arc::ptr_eq(&batches[0], &now_selected[0]));
+            let sequences: Vec<u64> = now_selected[0]
+                .selected
+                .iter()
+                .map(|s| s.beacon.pcb.sequence)
+                .collect();
+            assert_eq!(sequences, [3, 5]);
+        }
     }
 
     #[test]

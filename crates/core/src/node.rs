@@ -412,7 +412,8 @@ impl IrecNode {
     }
 
     /// Snapshot of the node's selection-table counters: `(RAC, batch)` selections reused,
-    /// extended and recomputed so far, and kept selections dropped by catalog swaps.
+    /// extended and recomputed so far, how many of the recomputations followed a declined
+    /// re-selection, and kept selections dropped by catalog swaps.
     ///
     /// There is no way to *tell* a node that the network changed, and no need: what a link
     /// flap, a neighbour's departure or a withdrawal sweep does to this node's candidates

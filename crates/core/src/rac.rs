@@ -18,7 +18,8 @@
 use crate::beacon_db::{BatchKey, BatchView, ShardedIngressDb, StoredBeacon};
 use crate::config::{RacConfig, RacKind};
 use irec_algorithms::{
-    catalog, ondemand::IrvmAlgorithm, AlgorithmContext, Candidate, CandidateBatch, RoutingAlgorithm,
+    catalog, ondemand::IrvmAlgorithm, AlgorithmContext, Candidate, CandidateBatch,
+    RoutingAlgorithm, SelectionResult,
 };
 use irec_pcb::AlgorithmRef;
 use irec_topology::AsNode;
@@ -93,6 +94,11 @@ impl AlgorithmFetcher for SharedAlgorithmStore {
             })
     }
 }
+
+/// What one run of a RAC's algorithm produced: the outputs, and the selection they were
+/// inverted from — per egress interface, candidate indices in pick order — for a RAC that
+/// [keeps picks](Rac::keeps_picks).
+pub(crate) type Picked = (Vec<RacOutput>, SelectionResult);
 
 /// One selected beacon produced by a RAC: the stored beacon, the egress interfaces it was
 /// optimized for, and bookkeeping for registration.
@@ -365,15 +371,24 @@ impl Rac {
         self.static_algorithm.is_some()
     }
 
-    /// Whether a batch that only grew may be re-selected over *previous winners ∪
-    /// arrivals*: a static RAC whose algorithm is
-    /// [union-composable](RoutingAlgorithm::union_composable). HD, `<k>YEN` and ACO pick
-    /// candidates in relation to each other, on-demand modules are opaque — an arrival
-    /// sends all of them back to the full batch.
-    pub fn extends_selections(&self) -> bool {
+    /// Whether a batch that only grew is handed to the algorithm's
+    /// [reselect](RoutingAlgorithm::reselect) hook, over *previous winners ∪ arrivals*: a
+    /// static RAC whose algorithm is [union-composable](RoutingAlgorithm::union_composable)
+    /// or [reads its picks](RoutingAlgorithm::reselect_reads_picks) (HD). `<k>YEN` and ACO
+    /// would only decline, and on-demand modules are opaque — an arrival sends them back
+    /// to the full batch without asking.
+    pub(crate) fn reselects(&self) -> bool {
+        self.static_algorithm.as_ref().is_some_and(|algorithm| {
+            algorithm.union_composable() || algorithm.reselect_reads_picks()
+        })
+    }
+
+    /// Whether the selection tables keep this RAC's per-egress pick order for its next
+    /// [reselect](RoutingAlgorithm::reselect): only where the algorithm reads it.
+    pub(crate) fn keeps_picks(&self) -> bool {
         self.static_algorithm
             .as_ref()
-            .is_some_and(|algorithm| algorithm.union_composable())
+            .is_some_and(|algorithm| algorithm.reselect_reads_picks())
     }
 
     /// Whether the execution engine may split an oversized batch of this RAC into
@@ -382,7 +397,9 @@ impl Rac {
     /// [union-composable](RoutingAlgorithm::union_composable) declares. Everything else —
     /// HD, `<k>YEN`, ACO, on-demand modules — gets its whole batch in one pass.
     pub fn splits_batches(&self) -> bool {
-        self.extends_selections()
+        self.static_algorithm
+            .as_ref()
+            .is_some_and(|algorithm| algorithm.union_composable())
     }
 
     /// Whether this RAC requests all interface groups of an origin as one merged batch
@@ -432,7 +449,8 @@ impl Rac {
     /// The keys this RAC requests candidate batches under, ascending, honouring its
     /// pull-based / interface-group / on-demand configuration: one per stored batch, or —
     /// when it [merges groups](Rac::merges_groups) — one per `(origin, target)` under the
-    /// default group.
+    /// default group. An on-demand RAC that honours extensions is handed only the beacons
+    /// that name an algorithm, so it skips the keys whose batches hold none.
     pub(crate) fn relevant_batch_keys(&self, db: &ShardedIngressDb) -> Vec<BatchKey> {
         let mut keys: Vec<BatchKey> = db
             .batch_keys()
@@ -451,6 +469,10 @@ impl Rac {
             for k in &mut keys {
                 k.group = InterfaceGroupId::DEFAULT;
             }
+        }
+        if self.is_on_demand() && !self.ignore_extensions {
+            let merge_groups = self.merges_groups();
+            keys.retain(|&key| db.holds_carriers(key, merge_groups));
         }
         keys
     }
@@ -471,13 +493,33 @@ impl Rac {
         local_as: &AsNode,
         egress_ifs: &[IfId],
     ) -> Result<(Vec<RacOutput>, RacTiming)> {
+        let (picked, timing) = self.run(key, beacons, local_as, egress_ifs, None)?;
+        let (outputs, _) = picked.expect("a selection always answers");
+        Ok((outputs, timing))
+    }
+
+    /// [`Rac::process_candidates`] as the execution engine runs it: the outputs come with
+    /// the selection they were inverted from (per egress interface, candidate indices in
+    /// pick order) where the RAC [keeps picks](Rac::keeps_picks), and with an empty one
+    /// otherwise. With `previous` — last round's picks in the indices of `beacons`,
+    /// which are then last round's winners plus the arrivals since — the algorithm is
+    /// asked to [reselect](RoutingAlgorithm::reselect), and `None` means it declined.
+    pub(crate) fn run(
+        &self,
+        key: &BatchKey,
+        beacons: &[Arc<StoredBeacon>],
+        local_as: &AsNode,
+        egress_ifs: &[IfId],
+        previous: Option<&SelectionResult>,
+    ) -> Result<(Option<Picked>, RacTiming)> {
+        let nothing = || Some((Vec::new(), SelectionResult::empty()));
         // Which beacons are handed over: for an on-demand RAC that honours extensions the
         // carriers, with their positions among `beacons` to map selections back through
         // (none when every beacon carries); for every other RAC the whole batch.
         let index_map = if self.is_on_demand() && !self.ignore_extensions {
             let kept = carrier_indices(beacons);
             if kept.as_ref().is_some_and(Vec::is_empty) {
-                return Ok((Vec::new(), RacTiming::default()));
+                return Ok((nothing(), RacTiming::default()));
             }
             kept
         } else {
@@ -518,7 +560,7 @@ impl Rac {
                 else {
                     // Only a RAC that ignores extensions is handed a batch without a
                     // carrier, and an on-demand RAC runs nothing but shipped algorithms.
-                    return Ok((Vec::new(), timing));
+                    return Ok((nothing(), timing));
                 };
                 self.instantiate_on_demand(key.origin, &reference)? as Arc<dyn RoutingAlgorithm>
             }
@@ -526,7 +568,7 @@ impl Rac {
         timing.setup = setup_start.elapsed();
 
         if candidates.is_empty() {
-            return Ok((Vec::new(), timing));
+            return Ok((nothing(), timing));
         }
         let batch = CandidateBatch {
             origin: key.origin,
@@ -539,11 +581,24 @@ impl Rac {
         let ctx = AlgorithmContext::new(local_as, egress_ifs.to_vec(), self.config.max_selected)
             .with_extended_paths(self.config.extend_paths);
         let execute_start = std::time::Instant::now();
-        let selection = algorithm.select(&batch, &ctx)?;
+        let selection = match previous {
+            None => Some(algorithm.select(&batch, &ctx)?),
+            Some(previous) => algorithm.reselect(&batch, &ctx, previous)?,
+        };
         timing.execute = execute_start.elapsed();
 
-        let outputs = self.outputs_from_selection(key, beacons, index_map.as_deref(), selection);
-        Ok((outputs, timing))
+        let picked = selection.map(|selection| {
+            let outputs =
+                self.outputs_from_selection(key, beacons, index_map.as_deref(), &selection);
+            // Only picks that will be kept travel on to the merge.
+            let picks = if self.keeps_picks() {
+                selection
+            } else {
+                SelectionResult::empty()
+            };
+            (outputs, picks)
+        });
+        Ok((picked, timing))
     }
 
     /// Inverts a per-egress selection into per-beacon [`RacOutput`]s, ordered by candidate
@@ -555,7 +610,7 @@ impl Rac {
         key: &BatchKey,
         beacons: &[Arc<StoredBeacon>],
         index_map: Option<&[usize]>,
-        selection: irec_algorithms::SelectionResult,
+        selection: &SelectionResult,
     ) -> Vec<RacOutput> {
         // (candidate, egress) pairs, grouped by candidate. The sort is stable and the
         // selection lists egress interfaces in ascending order, so each candidate's
@@ -939,6 +994,38 @@ mod tests {
         group: InterfaceGroupId::DEFAULT,
         target: None,
     };
+
+    #[test]
+    fn an_on_demand_rac_skips_batches_without_a_carrier() {
+        let reg = registry();
+        let reference = AlgorithmRef::new(AlgorithmId(7), irec_crypto::sha256(b"module"));
+        let carrying = || PcbExtensions::none().with_algorithm(reference);
+        // Origin 1 carries nothing, origin 2 only carriers, origin 3 one of each.
+        let db = ingress_db_with(vec![
+            (beacon(&reg, 1, &[(10, 10)], PcbExtensions::none()), 1),
+            (beacon(&reg, 2, &[(10, 10)], carrying()), 1),
+            (beacon(&reg, 3, &[(10, 10)], PcbExtensions::none()), 1),
+            (beacon(&reg, 3, &[(20, 10)], carrying()), 1),
+        ]);
+        let origins = |rac: &Rac| -> Vec<u64> {
+            let keys = rac.relevant_batch_keys(&db);
+            keys.iter().map(|key| key.origin.value()).collect()
+        };
+        let store: Arc<dyn AlgorithmFetcher> = Arc::new(SharedAlgorithmStore::new());
+        let mut on_demand = Rac::new_on_demand(RacConfig::on_demand_rac("od"), store).unwrap();
+        let static_rac = Rac::new_static(RacConfig::static_rac("1SP", "1SP")).unwrap();
+        assert_eq!(origins(&on_demand), [2, 3]);
+        assert_eq!(origins(&static_rac), [1, 2, 3]);
+        // The count follows removals: origin 3's carrier withdrawn, its batch is skipped.
+        assert_eq!(
+            db.purge_where(|b| b.pcb.origin == AsId(3) && b.pcb.extensions.algorithm().is_some()),
+            1
+        );
+        assert_eq!(origins(&on_demand), [2]);
+        // A RAC that ignores extensions is handed every beacon as plain.
+        on_demand.set_ignore_extensions(true);
+        assert_eq!(origins(&on_demand), [1, 2, 3]);
+    }
 
     #[test]
     fn a_warm_cache_still_checks_the_pinned_hash() {

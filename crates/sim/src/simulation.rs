@@ -260,8 +260,8 @@ impl Simulation {
 
     /// Sum of every live node's [`irec_core::SelectionTables`] counters, in `AsId` order:
     /// how many `(RAC, batch)` selections the rounds so far reused, extended over their
-    /// arrivals or recomputed from scratch, and how many kept selections catalog swaps
-    /// dropped. Like [`SchedulerStats`], this is reporting about how the run
+    /// arrivals or recomputed from scratch — `refused` of them after the algorithm declined
+    /// a re-selection — and how many kept selections catalog swaps dropped. Like [`SchedulerStats`], this is reporting about how the run
     /// executed, not part of the deterministic output.
     pub fn incremental_stats(&self) -> IncrementalStats {
         let mut stats = IncrementalStats::default();

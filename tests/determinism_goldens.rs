@@ -29,7 +29,10 @@
 //! `irec_bench::determinism::render_pd_generated` returns for `--ases 8 --rounds 4 --seed 5`
 //! to `tests/goldens/pd-campaign-a8-s5.txt`.
 
-use irec_bench::determinism::{render, render_algorithm, render_pd_generated};
+use irec_algorithms::incremental::IncrementalStats;
+use irec_bench::determinism::{
+    algorithm_simulation, render, render_algorithm, render_pd_generated,
+};
 use irec_bench::BenchArgs;
 
 const FIGURE1: &str = include_str!("goldens/figure1.txt");
@@ -121,6 +124,14 @@ fn determinism_probe_matches_committed_goldens() {
 /// Ten rounds of one algorithm on 12 generated ASes, seed 5, on the barrier plane and the
 /// stacked one.
 fn assert_converged_plane(algorithm: &str, golden: &str) {
+    for extra in [&[][..], &STACKED] {
+        let output = render_algorithm(&converged_args(algorithm, extra));
+        let label = format!("algorithm {algorithm}");
+        assert_matches(&output, &[(label.as_str(), golden)]);
+    }
+}
+
+fn converged_args(algorithm: &str, extra: &[&str]) -> BenchArgs {
     let base = [
         "--ases",
         "12",
@@ -131,11 +142,7 @@ fn assert_converged_plane(algorithm: &str, golden: &str) {
         "--algorithm",
         algorithm,
     ];
-    for extra in [&[][..], &STACKED] {
-        let output = render_algorithm(&args(&base, extra));
-        let label = format!("algorithm {algorithm}");
-        assert_matches(&output, &[(label.as_str(), golden)]);
-    }
+    args(&base, extra)
 }
 
 #[test]
@@ -146,6 +153,29 @@ fn converged_5sp_plane_matches_its_golden_on_the_barrier_and_the_stacked_plane()
 #[test]
 fn converged_hd_plane_matches_its_golden_on_the_barrier_and_the_stacked_plane() {
     assert_converged_plane("HD", ALGORITHM_HD);
+}
+
+/// How the HD fixture's selections were made — not part of its bytes, which are the same
+/// whichever pass made them, but pinned so a change in how often the certificate holds
+/// shows: most batches that only grew are re-selected over winners ∪ arrivals, and the
+/// refusals fall back to the full pass, counted among the recomputations.
+#[test]
+fn converged_hd_plane_extends_under_its_certificate_and_refuses_the_rest() {
+    for extra in [&[][..], &STACKED] {
+        let args = converged_args("HD", extra);
+        let (_, mut sim) = algorithm_simulation(&args).expect("an algorithm scenario");
+        sim.run_rounds(args.rounds).expect("beaconing rounds");
+        assert_eq!(
+            sim.incremental_stats(),
+            IncrementalStats {
+                reused: 138,
+                extended: 800,
+                recomputed: 154,
+                refused: 22,
+                invalidated: 0,
+            }
+        );
+    }
 }
 
 #[test]
