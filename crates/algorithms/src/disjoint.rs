@@ -117,8 +117,10 @@ impl RoutingAlgorithm for HeuristicDisjointness {
         let mut open: Option<(&[usize], Vec<usize>)> = None;
         let mut refused = false;
         let result = frame.per_egress(EgressUse::Identity, |egress| {
-            let last = previous.per_egress.get(&egress).map(Vec::as_slice);
-            let (Some(last), false) = (last, refused) else {
+            if refused {
+                return Vec::new();
+            }
+            let Some(last) = previous.per_egress.get(&egress).map(Vec::as_slice) else {
                 refused = true;
                 return Vec::new();
             };
