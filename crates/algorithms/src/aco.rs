@@ -10,8 +10,8 @@
 //! Determinism is load-bearing (the engine's byte-identity guarantee must hold for every
 //! catalog algorithm): all randomness flows through splitmix64 streams seeded from
 //! `(algorithm seed, origin, group, egress, iteration, ant)`, all arithmetic is integer, and
-//! `select` takes `&self` — no state survives a call, so worker count, shard count and
-//! scheduler choice cannot reorder anything the sampler observes.
+//! `select` takes `&self` — no state survives a call, so the worker count cannot reorder
+//! anything the sampler observes.
 
 use crate::frame::{EgressUse, Frame};
 use crate::{AlgorithmContext, CandidateBatch, RoutingAlgorithm, SelectionResult};

@@ -7,8 +7,8 @@
 //! between them; and the seeded ant colony (`aco:<seed>:<iters>`) scales with its
 //! iteration budget times the ant count, dominating the sweep. Outside the timed loop
 //! this bench asserts the catalog determinism guarantee: every family's fingerprint is
-//! byte-identical across worker/shard counts —
-//! ACO's stochasticity comes from seeded streams, never from execution order.
+//! byte-identical across worker counts — ACO's stochasticity comes from seeded streams,
+//! never from execution order.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use irec_bench::regression::calibration_pass;
@@ -32,27 +32,25 @@ fn bench_alg_catalog_scaling(c: &mut Criterion) {
 
     for &algorithm in ALGORITHMS {
         // Outside the timed loop: the determinism probes. One sequential pass pins the
-        // fingerprint; the parallelism/shard planes must reproduce it byte for byte for
-        // this algorithm.
-        let reference = algorithm_pass(algorithm, ASES, ROUNDS, 1, 1, 1, SEED);
+        // fingerprint; the parallel plane must reproduce it byte for byte for this
+        // algorithm.
+        let reference = algorithm_pass(algorithm, ASES, ROUNDS, 1, SEED);
         assert!(
             !reference.0.is_empty(),
             "the {algorithm} kernel must register paths"
         );
-        for (width, ingress, path) in [(4, 4, 7), (4, 7, 4)] {
-            let fingerprint = algorithm_pass(algorithm, ASES, ROUNDS, width, ingress, path, SEED);
-            assert_eq!(
-                fingerprint, reference,
-                "{algorithm} fingerprint diverged at x{width} ingress={ingress} path={path}"
-            );
-        }
+        assert_eq!(
+            algorithm_pass(algorithm, ASES, ROUNDS, 4, SEED),
+            reference,
+            "{algorithm} fingerprint diverged at x4"
+        );
 
         group.throughput(Throughput::Elements(ROUNDS as u64));
         group.bench_with_input(
             BenchmarkId::from_parameter(algorithm),
             &algorithm,
             |b, &algorithm| {
-                b.iter(|| algorithm_pass(algorithm, ASES, ROUNDS, 1, 1, 1, SEED));
+                b.iter(|| algorithm_pass(algorithm, ASES, ROUNDS, 1, SEED));
             },
         );
     }

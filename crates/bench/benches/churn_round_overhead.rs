@@ -8,9 +8,8 @@
 //! pays one settle round per step, so its gap to a plain `run_rounds` loop is the price of
 //! the convergence/no-blackhole bookkeeping itself. Outside the timed loop this bench
 //! asserts the churn determinism guarantee: the fingerprint at every rate is
-//! byte-identical across worker/shard counts —
-//! and that the rounds kept part of their selections even while the timeline's deltas
-//! kept dropping them.
+//! byte-identical across worker counts — and that the rounds kept part of their
+//! selections even while the timeline's deltas kept dropping them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use irec_bench::regression::calibration_pass;
@@ -38,26 +37,22 @@ fn bench_churn_round_overhead(c: &mut Criterion) {
 
     for rate in [0.0, 1.0, 2.0] {
         // Outside the timed loop: the determinism probes. One sequential pass pins the
-        // fingerprint; the parallelism/shard planes must reproduce it byte for byte at
-        // this rate.
-        let (reference, stats) = churn_pass_with_stats(ASES, STEPS, config_at(rate), 1, 1, 1, SEED);
+        // fingerprint; the parallel plane must reproduce it byte for byte at this rate.
+        let (reference, stats) = churn_pass_with_stats(ASES, STEPS, config_at(rate), 1, SEED);
         // `reused + extended + recomputed` is what from-scratch rounds would compute.
         assert!(
             stats.reused + stats.extended > 0,
             "churn rounds at rate {rate} recomputed every selection ({stats:?})"
         );
-        for (width, ingress, path) in [(4, 4, 7), (4, 7, 4)] {
-            let fingerprint = churn_pass(ASES, STEPS, config_at(rate), width, ingress, path, SEED);
-            assert_eq!(
-                fingerprint, reference,
-                "churn fingerprint diverged at rate {rate} x{width} ingress={ingress} \
-                 path={path}"
-            );
-        }
+        assert_eq!(
+            churn_pass(ASES, STEPS, config_at(rate), 4, SEED),
+            reference,
+            "churn fingerprint diverged at rate {rate} x4"
+        );
 
         group.throughput(Throughput::Elements(STEPS as u64));
         group.bench_with_input(BenchmarkId::from_parameter(rate), &rate, |b, &rate| {
-            b.iter(|| churn_pass(ASES, STEPS, config_at(rate), 1, 1, 1, SEED));
+            b.iter(|| churn_pass(ASES, STEPS, config_at(rate), 1, SEED));
         });
     }
     group.finish();

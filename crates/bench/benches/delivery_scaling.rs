@@ -14,10 +14,6 @@ use std::time::Duration;
 const ASES: usize = 24;
 const ROUNDS: usize = 3;
 const SEED: u64 = 7;
-/// Fixed ingress shard count across every row: this bench measures the verify-stage worker
-/// count, so the shard knob must not vary with it (the `ingress_sharding` bench owns that
-/// axis).
-const INGRESS_SHARDS: usize = 4;
 
 fn bench_delivery_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("delivery_scaling");
@@ -26,7 +22,7 @@ fn bench_delivery_scaling(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
 
     // One throwaway run pins the message volume the throughput figure is based on.
-    let (stats, _) = measure_delivery_point(ASES, ROUNDS, 1, INGRESS_SHARDS, SEED);
+    let (stats, _) = measure_delivery_point(ASES, ROUNDS, 1, SEED);
     let total_messages = stats.delivered + stats.rejected + stats.dropped_no_node;
 
     let max_workers = std::thread::available_parallelism()
@@ -47,7 +43,7 @@ fn bench_delivery_scaling(c: &mut Criterion) {
                 b.iter(|| {
                     // The simulation is stateful, so each pass builds and runs a fresh one;
                     // the build cost is identical across rows and cancels in comparisons.
-                    let mut sim = delivery_workload(ASES, workers, INGRESS_SHARDS, SEED);
+                    let mut sim = delivery_workload(ASES, workers, SEED);
                     sim.run_rounds(ROUNDS).expect("benchmark rounds succeed");
                     sim.delivered_messages()
                 });

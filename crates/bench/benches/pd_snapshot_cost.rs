@@ -3,7 +3,7 @@
 //! against the deep-`Clone` reference implementation, on the same warmed fig8-style
 //! workload the `pd_campaign_scaling` bench uses.
 //!
-//! The expected shape: the COW row pays O(nodes × shards) `Arc` clones plus the
+//! The expected shape: the COW row pays O(nodes) `Arc` clones plus the
 //! reachability BFS, the deep row pays a full copy of every node's ingress database and
 //! path service — so the COW setup should be at least an order of magnitude cheaper
 //! (the `cow_snapshot_setup_is_an_order_of_magnitude_cheaper_than_deep_clone` unit test

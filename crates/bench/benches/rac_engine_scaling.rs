@@ -19,7 +19,7 @@ fn bench_engine_scaling(c: &mut Criterion) {
 
     let phi = 256usize;
     let local_as = workload_local_as();
-    let (racs, db) = engine_workload(phi, 4, 7, 4);
+    let (racs, db) = engine_workload(phi, 4, 7);
     let egress: Vec<IfId> = local_as.interfaces.keys().copied().collect();
     let total_candidates = (phi * 4 * racs.len()) as u64;
 

@@ -32,22 +32,13 @@ pub struct BenchArgs {
     /// (`--delivery-parallelism`, default 1 = sequential). Threaded into every simulation
     /// the binaries build and into the delivery-scaling sections of fig6/fig7.
     pub delivery_parallelism: usize,
-    /// Shard count of every node's ingress database (`--ingress-shards`, default 0 = auto:
-    /// the next power of two of `--parallelism`). Threaded into every simulation the
-    /// binaries build, the engine workloads and the `ingress_sharding` criterion bench;
-    /// the simulation output is byte-identical for every value.
-    pub ingress_shards: usize,
     /// Worker threads of the PD campaign (`--pd-parallelism`, default 1 = sequential):
     /// how many `(origin, target)` pull workflows run concurrently, each on its own
     /// simulation snapshot. Campaign results are byte-identical for every value.
     pub pd_parallelism: usize,
-    /// Shard count of every node's path service (`--path-shards`, default 0 = auto: the
-    /// next power of two of `--parallelism`). Threaded into every simulation the binaries
-    /// build; the simulation output is byte-identical for every value.
-    pub path_shards: usize,
     /// Expected churn deltas per step of the churn engine (`--churn-rate`, default 0 =
     /// churn disabled). A *workload* knob: it changes what is simulated — deterministically
-    /// for a fixed `--churn-seed` — unlike the parallelism/shard knobs, which never change
+    /// for a fixed `--churn-seed` — unlike the parallelism knobs, which never change
     /// the output.
     pub churn_rate: f64,
     /// PRNG seed of the churn timeline (`--churn-seed`, default 11), deliberately separate
@@ -84,9 +75,7 @@ impl Default for BenchArgs {
             max_racs: cores.min(16),
             parallelism: 1,
             delivery_parallelism: 1,
-            ingress_shards: 0,
             pd_parallelism: 1,
-            path_shards: 0,
             churn_rate: 0.0,
             churn_seed: 11,
             churn_kinds: ChurnKinds::default(),
@@ -140,9 +129,7 @@ impl BenchArgs {
             "delivery-parallelism" => {
                 self.delivery_parallelism = parsed::<usize>(key, value)?.clamp(1, 64);
             }
-            "ingress-shards" => self.ingress_shards = parsed::<usize>(key, value)?.min(256),
             "pd-parallelism" => self.pd_parallelism = parsed::<usize>(key, value)?.clamp(1, 64),
-            "path-shards" => self.path_shards = parsed::<usize>(key, value)?.min(256),
             "churn-rate" => {
                 let rate: f64 = parsed(key, value)?;
                 if !rate.is_finite() {
@@ -185,16 +172,11 @@ impl BenchArgs {
 
     /// The [`SimulationConfig`] these arguments describe: the one place the figure
     /// binaries and campaign runner translate knobs into a simulation, so no caller
-    /// hand-rolls the plumbing (or misses a knob added later). Node-level shard counts
-    /// ride along — [`SimulationConfig::with_ingress_shards`] /
-    /// [`SimulationConfig::with_path_shards`] push them into every node the simulation
-    /// builds, including mid-run churn joins.
+    /// hand-rolls the plumbing (or misses a knob added later).
     pub fn to_sim_config(&self) -> SimulationConfig {
         SimulationConfig::default()
             .with_parallelism(self.parallelism)
             .with_delivery_parallelism(self.delivery_parallelism)
-            .with_ingress_shards(self.ingress_shards)
-            .with_path_shards(self.path_shards)
     }
 
     /// One-screen summary of every `--key value` knob shared by the figure binaries.
@@ -214,8 +196,6 @@ impl BenchArgs {
          \x20 --parallelism N           node-phase + RAC-engine workers (default 1 = sequential)\n\
          \x20 --delivery-parallelism N  delivery-plane verify/apply workers (default 1)\n\
          \x20 --pd-parallelism N        concurrent PD campaign pairs (default 1)\n\
-         \x20 --ingress-shards N        ingress-DB shards per node (default 0 = auto)\n\
-         \x20 --path-shards N           path-service shards per node (default 0 = auto)\n\
          \x20 --churn-rate R            expected churn deltas per step (default 0 = off)\n\
          \x20 --churn-seed N            churn-timeline PRNG seed (default 11)\n\
          \x20 --churn-kinds K           delta kinds, e.g. all or link-down=3,node-leave\n\
@@ -226,7 +206,7 @@ impl BenchArgs {
          \x20 --aco-budget N            ant-colony iteration budget for a bare\n\
          \x20                           --algorithm aco (default 16, cap 1024)\n\
          \n\
-         Every parallelism/shard value yields byte-identical simulation output.\n\
+         Every parallelism value yields byte-identical simulation output.\n\
          Churn knobs are workload knobs: they change the timeline, deterministically.\n\
          So is --algorithm: it changes the selection plane, deterministically per spec.\n\
          Full table with auto-default rules and IREC_CRITERION_* env hooks: docs/KNOBS.md\n"
@@ -277,9 +257,7 @@ mod tests {
         assert!(a.max_racs >= 1);
         assert_eq!(a.parallelism, 1);
         assert_eq!(a.delivery_parallelism, 1);
-        assert_eq!(a.ingress_shards, 0);
         assert_eq!(a.pd_parallelism, 1);
-        assert_eq!(a.path_shards, 0);
     }
 
     #[test]
@@ -293,6 +271,8 @@ mod tests {
             &["--pd-deep-clone"][..],
             &["--pd-deep-clone", "true"],
             &["--round-scheduler", "dag"],
+            &["--ingress-shards", "4"],
+            &["--path-shards", "4"],
         ] {
             let key = args[0];
             assert!(rejection(args).contains(&format!("unknown argument {key}")));
@@ -323,21 +303,10 @@ mod tests {
 
     #[test]
     fn to_sim_config_carries_every_simulation_knob() {
-        let a = parse(&[
-            "--parallelism",
-            "4",
-            "--delivery-parallelism",
-            "3",
-            "--ingress-shards",
-            "7",
-            "--path-shards",
-            "5",
-        ]);
+        let a = parse(&["--parallelism", "4", "--delivery-parallelism", "3"]);
         let config = a.to_sim_config();
         assert_eq!(config.parallelism, 4);
         assert_eq!(config.delivery_parallelism, 3);
-        assert_eq!(config.ingress_shards, 7);
-        assert_eq!(config.path_shards, 5);
         // Defaults translate to the default simulation config.
         assert_eq!(parse(&[]).to_sim_config(), SimulationConfig::default());
     }
@@ -361,12 +330,8 @@ mod tests {
             "6",
             "--delivery-parallelism",
             "3",
-            "--ingress-shards",
-            "7",
             "--pd-parallelism",
             "5",
-            "--path-shards",
-            "9",
         ]);
         assert_eq!(a.ases, 120);
         assert_eq!(a.rounds, 12);
@@ -376,9 +341,7 @@ mod tests {
         assert_eq!(a.max_racs, 4);
         assert_eq!(a.parallelism, 6);
         assert_eq!(a.delivery_parallelism, 3);
-        assert_eq!(a.ingress_shards, 7);
         assert_eq!(a.pd_parallelism, 5);
-        assert_eq!(a.path_shards, 9);
     }
 
     #[test]
@@ -390,11 +353,8 @@ mod tests {
         assert_eq!(p.parallelism, 1);
         let d = parse(&["--delivery-parallelism", "500"]);
         assert_eq!(d.delivery_parallelism, 64);
-        let i = parse(&["--ingress-shards", "9000"]);
-        assert_eq!(i.ingress_shards, 256);
-        let p = parse(&["--pd-parallelism", "0", "--path-shards", "9000"]);
+        let p = parse(&["--pd-parallelism", "0"]);
         assert_eq!(p.pd_parallelism, 1);
-        assert_eq!(p.path_shards, 256);
     }
 
     #[test]
@@ -494,7 +454,7 @@ mod tests {
     #[test]
     fn the_knobs_table_lists_exactly_the_keys_the_parser_takes() {
         let parsed = parsed_keys();
-        assert!(parsed.len() >= 17 && parsed.contains("ases") && parsed.contains("aco-budget"));
+        assert!(parsed.len() >= 15 && parsed.contains("ases") && parsed.contains("aco-budget"));
         // A knob deleted from the parser cannot linger in the docs, and a new one must be
         // documented.
         assert_eq!(documented_keys(), parsed);

@@ -77,13 +77,7 @@ fn main() {
     // measured twice).
     let mut base_wall = None;
     for workers in worker_counts {
-        let (timing, wall) = measure_engine_point(
-            engine_phi,
-            workers,
-            args.reps,
-            args.seed,
-            args.ingress_shards,
-        );
+        let (timing, wall) = measure_engine_point(engine_phi, workers, args.reps, args.seed);
         let base = *base_wall.get_or_insert(wall);
         let speedup = base.as_secs_f64() / wall.as_secs_f64().max(f64::EPSILON);
         println!(
@@ -117,13 +111,7 @@ fn main() {
     ]);
     let mut delivery_base = None;
     for workers in delivery_counts {
-        let (stats, wall) = measure_delivery_point(
-            args.ases,
-            args.rounds,
-            workers,
-            args.ingress_shards,
-            args.seed,
-        );
+        let (stats, wall) = measure_delivery_point(args.ases, args.rounds, workers, args.seed);
         let base = *delivery_base.get_or_insert(wall);
         let speedup = base.as_secs_f64() / wall.as_secs_f64().max(f64::EPSILON);
         println!(

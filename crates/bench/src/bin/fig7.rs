@@ -62,13 +62,7 @@ fn main() {
     );
     header(&["workers", "delivered", "messages_per_second"]);
     for workers in delivery_counts {
-        let (stats, wall) = measure_delivery_point(
-            args.ases,
-            args.rounds,
-            workers,
-            args.ingress_shards,
-            args.seed,
-        );
+        let (stats, wall) = measure_delivery_point(args.ases, args.rounds, workers, args.seed);
         println!(
             "{}\t{}\t{}",
             workers,

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run -p irec_bench --bin fig8c --release -- [--ases 60] [--rounds 8] \
-//!     [--pd-pairs 10] [--pd-parallelism N] [--path-shards N]
+//!     [--pd-pairs 10] [--pd-parallelism N]
 //! ```
 //!
 //! The counts are per egress interface and per 10-simulated-minute period (non-zero cells,
@@ -15,7 +15,7 @@
 //!
 //! The PD campaign fans its `(origin, target)` pairs out over `--pd-parallelism` workers
 //! (each pair on its own simulation snapshot); the CDF data is byte-identical for every
-//! worker and `--path-shards` value — only the per-pair wall-clock column moves.
+//! worker count — only the per-pair wall-clock column moves.
 
 use irec_bench::campaign::{print_cdf, print_summary, Fig8Campaign};
 use irec_bench::report::{fmt_ms, fmt_pcbs_per_sec};
@@ -25,8 +25,8 @@ fn main() {
     let args = BenchArgs::from_env();
     eprintln!(
         "# Fig. 8c — building topology with {} ASes (seed {}), {} rounds, \
-         pd-parallelism {}, path-shards {}",
-        args.ases, args.seed, args.rounds, args.pd_parallelism, args.path_shards
+         pd-parallelism {}",
+        args.ases, args.seed, args.rounds, args.pd_parallelism
     );
     let campaign = Fig8Campaign::new(args);
     let data = campaign.run().expect("campaign run succeeds");

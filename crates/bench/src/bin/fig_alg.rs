@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p irec_bench --bin fig_alg --release -- [--ases 60] [--rounds 8] \
 //!     [--algorithm A] [--aco-seed N] [--aco-budget N] \
-//!     [--parallelism N] [--ingress-shards N] [--path-shards N]
+//!     [--parallelism N]
 //! ```
 //!
 //! Deploys one selection algorithm fleet-wide per run — the fixed sweep `5SP` (truncation
@@ -19,9 +19,8 @@
 //! ant colony lands between the extremes with its spread controlled by the iteration
 //! budget.
 //!
-//! The tables are byte-identical for every `--parallelism`, `--ingress-shards` and
-//! `--path-shards` value; the algorithm knobs are *workload* knobs
-//! and deliberately move the tables.
+//! The tables are byte-identical for every `--parallelism` value; the algorithm knobs are
+//! *workload* knobs and deliberately move the tables.
 
 use irec_bench::campaign::{print_cdf, print_summary};
 use irec_bench::workload::algorithm_pass;
@@ -56,15 +55,8 @@ fn main() {
 
     let mut summaries = Vec::new();
     for spec in &specs {
-        let (paths, _, _, overhead) = algorithm_pass(
-            spec,
-            args.ases,
-            args.rounds,
-            width,
-            args.ingress_shards,
-            args.path_shards,
-            args.seed,
-        );
+        let (paths, _, _, overhead) =
+            algorithm_pass(spec, args.ases, args.rounds, width, args.seed);
         assert!(!paths.is_empty(), "the {spec} run must register paths");
         let coverage: BTreeSet<(AsId, IfId)> =
             paths.iter().flat_map(|p| p.links.iter().copied()).collect();

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p irec_bench --bin fig_churn --release -- [--ases 60] [--rounds 8] \
 //!     [--churn-rate R] [--churn-seed N] [--churn-kinds K] \
-//!     [--parallelism N] [--ingress-shards N] [--path-shards N]
+//!     [--parallelism N]
 //! ```
 //!
 //! Runs one seeded churn campaign per rate — the fixed sweep `0.5, 1.0, 2.0` deltas per
@@ -19,9 +19,8 @@
 //! more settle rounds per step and more dropped messages — while rate-independent floors
 //! stay visible (a catalog swap settles in one round and drops nothing).
 //!
-//! The tables are byte-identical for every `--parallelism`, `--ingress-shards` and
-//! `--path-shards` value; the churn knobs are *workload* knobs and
-//! deliberately move the tables. The per-rate selection counters (reused / extended /
+//! The tables are byte-identical for every `--parallelism` value; the churn knobs are
+//! *workload* knobs and deliberately move the tables. The per-rate selection counters (reused / extended /
 //! recomputed / invalidated) go to stderr.
 
 use irec_bench::campaign::{print_cdf, print_summary};
@@ -54,15 +53,8 @@ fn main() {
             .with_rate(rate)
             .with_seed(args.churn_seed)
             .with_kinds(args.churn_kinds);
-        let ((steps, _, _, _), inc) = churn_pass_with_stats(
-            args.ases,
-            args.rounds,
-            churn,
-            width,
-            args.ingress_shards,
-            args.path_shards,
-            args.seed,
-        );
+        let ((steps, _, _, _), inc) =
+            churn_pass_with_stats(args.ases, args.rounds, churn, width, args.seed);
         let deltas: usize = steps.iter().map(|s| s.deltas.len()).sum();
         eprintln!(
             "# rate {rate}: {deltas} deltas over {} steps, all invariants held",

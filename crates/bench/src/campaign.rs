@@ -294,9 +294,7 @@ pub fn test_campaign(seed: u64) -> Fig8Campaign {
         max_racs: 2,
         parallelism: 1,
         delivery_parallelism: 1,
-        ingress_shards: 0,
         pd_parallelism: 1,
-        path_shards: 0,
         ..BenchArgs::default()
     })
 }

@@ -5,12 +5,10 @@
 //! `--algorithm` a fifth appends a run where every AS deploys the requested catalog spec
 //! (e.g. `5YEN` or a seeded `aco` family).
 //!
-//! The text is **byte-identical for every `--parallelism`, `--delivery-parallelism`,
-//! `--ingress-shards`, `--pd-parallelism` and `--path-shards` value** — that is the
-//! determinism guarantee of the parallel execution engine, of the message-delivery plane,
-//! of the sharded ingress database, of the sharded path service and of the PD campaign
-//! engine. The `determinism`
-//! binary prints it so CI can diff a sequential run against each knob alone and all of
+//! The text is **byte-identical for every `--parallelism`, `--delivery-parallelism` and
+//! `--pd-parallelism` value** — that is the determinism guarantee of the parallel
+//! execution engine, of the message-delivery plane and of the PD campaign engine. The
+//! `determinism` binary prints it so CI can diff a sequential run against each knob alone and all of
 //! them stacked; `tests/determinism_goldens.rs` compares it with the outputs committed
 //! under `tests/goldens/`, which pin the bytes across commits as well: a change that only
 //! makes the simulator faster must leave them alone. The churn and algorithm knobs are
@@ -76,7 +74,7 @@ pub fn render(args: &BenchArgs) -> String {
     dump(&mut out, "generated", generated, args.rounds);
 
     // Scenario 3: the PD campaign on Fig. 1 — exercises the `--pd-parallelism` worker
-    // pool and the sharded path service's concurrent pull-return commits end to end.
+    // pool and the delivery plane's concurrent pull-return commits end to end.
     let mut base = Simulation::new(Arc::new(figure1_topology()), args.to_sim_config(), |_| {
         NodeConfig::default()
             .with_policy(PropagationPolicy::All)
@@ -107,7 +105,7 @@ pub fn render(args: &BenchArgs) -> String {
 
     // Scenario 4 (only with `--churn-rate > 0`): the churn engine on a generated
     // topology. Churn knobs are *workload* knobs — they change this scenario's output
-    // deliberately (and deterministically), unlike the parallelism/shard/scheduler knobs,
+    // deliberately (and deterministically), unlike the parallelism knobs,
     // which must leave it byte-identical. The CI churn rows therefore diff churn runs
     // against each other (same churn knobs, different parallelism planes), never against
     // a churn-free run. The scenario is appended after the three fixed ones so enabling
@@ -167,7 +165,7 @@ pub fn render(args: &BenchArgs) -> String {
 /// a single RAC with the requested catalog spec on the generated topology. Like the churn
 /// knobs this is a *workload* knob — `--algorithm 5YEN` or `--algorithm aco` (seeded via
 /// `--aco-seed`/`--aco-budget`) changes the selection plane deliberately, but for a fixed
-/// spec the output must stay byte-identical across every parallelism/shard/scheduler knob:
+/// spec the output must stay byte-identical across every parallelism knob:
 /// ACO's randomness comes entirely from seeded per-(origin, group, egress, iteration, ant)
 /// streams, never from execution order. The CI algorithm rows diff runs with the same spec
 /// across parallelism planes.

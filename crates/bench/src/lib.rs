@@ -30,6 +30,5 @@ pub use campaign::{Fig8Campaign, Fig8Data};
 pub use workload::{
     candidate_set, delivery_workload, engine_workload, legacy_selection_latency,
     measure_delivery_point, measure_engine_point, measure_snapshot_setup, pd_campaign_pairs,
-    pd_campaign_pass, pd_campaign_workload, pd_snapshot_setup, rac_processing_latency,
-    sharded_ingress_pass, Measurement,
+    pd_campaign_pass, pd_campaign_workload, pd_snapshot_setup, rac_processing_latency, Measurement,
 };

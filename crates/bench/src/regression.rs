@@ -4,8 +4,7 @@
 //! ## How it works
 //!
 //! 1. CI runs the criterion benches (`rac_engine_scaling`, `delivery_scaling`,
-//!    `ingress_sharding`, `pd_campaign_scaling`, `pd_snapshot_cost`) with
-//!    `IREC_CRITERION_QUICK=1` and
+//!    `pd_campaign_scaling`, `pd_snapshot_cost`) with `IREC_CRITERION_QUICK=1` and
 //!    `IREC_CRITERION_JSON=<path>`; the vendored criterion shim appends one JSON line per
 //!    benchmark (`{"bench":"group/id","mean_ns":…,"iters":…}`). Every suite also registers
 //!    the **calibration kernel** ([`calibration_pass`]) as the `calibration/mix` bench, so

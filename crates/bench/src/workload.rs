@@ -231,20 +231,14 @@ pub fn legacy_selection_latency(candidates: &[Arc<StoredBeacon>], local_as: &AsN
 }
 
 /// A multi-batch, multi-RAC workload for the parallel execution engine: `origins` candidate
-/// batches of `phi` beacons each in one ingress database of `ingress_shards` shards
-/// (`0` = single shard), processed by four static RACs (1SP, 5SP, DO, widest) — the ≥4-RAC
-/// workload the engine-scaling measurements run on.
-pub fn engine_workload(
-    phi: usize,
-    origins: u64,
-    seed: u64,
-    ingress_shards: usize,
-) -> (Vec<Rac>, ShardedIngressDb) {
+/// batches of `phi` beacons each in one ingress database, processed by four static RACs
+/// (1SP, 5SP, DO, widest) — the ≥4-RAC workload the engine-scaling measurements run on.
+pub fn engine_workload(phi: usize, origins: u64, seed: u64) -> (Vec<Rac>, ShardedIngressDb) {
     let racs: Vec<Rac> = ["1SP", "5SP", "DO", "widest"]
         .iter()
         .map(|name| Rac::new_static(RacConfig::static_rac(*name, *name)).expect("catalog name"))
         .collect();
-    let db = ShardedIngressDb::new(ingress_shards.max(1));
+    let db = ShardedIngressDb::default();
     for index in 0..origins.max(1) {
         let origin = AsId(WORKLOAD_ORIGIN.value() + index * 100);
         for stored in candidate_set_for(origin, phi, seed.wrapping_add(index)) {
@@ -252,52 +246,6 @@ pub fn engine_workload(
         }
     }
     (racs, db)
-}
-
-/// One insert + evict pass of the ingress-sharding workload: inserts every beacon into a
-/// fresh `shards`-shard database from `workers` scoped threads (each thread owns the
-/// origins that hash to its claimed shards, so per-shard insertion order stays
-/// deterministic), then runs one parallel eviction sweep at `evict_at`. Returns
-/// `(stored, evicted)` — both independent of the shard and worker counts, which the
-/// `ingress_sharding` criterion bench and the sharding stress test rely on.
-pub fn sharded_ingress_pass(
-    beacons: &[Arc<StoredBeacon>],
-    shards: usize,
-    workers: usize,
-    evict_at: SimTime,
-) -> (usize, usize) {
-    let db = ShardedIngressDb::new(shards);
-    let workers = workers.clamp(1, db.shard_count());
-    // Partition once, O(beacons): rescanning the whole slice per shard would add an
-    // O(shards × beacons) overhead term that grows with the very shard count the
-    // `ingress_sharding` bench is meant to show winning.
-    let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); db.shard_count()];
-    for (index, stored) in beacons.iter().enumerate() {
-        by_shard[db.shard_of(stored.pcb.origin)].push(index);
-    }
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let shard = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(indices) = by_shard.get(shard) else {
-                    break;
-                };
-                for &index in indices {
-                    let stored = &beacons[index];
-                    db.insert_in_shard(
-                        shard,
-                        stored.pcb.clone(),
-                        stored.ingress,
-                        stored.received_at,
-                    );
-                }
-            });
-        }
-    });
-    let stored = db.len();
-    let evicted = db.evict_expired_parallel(evict_at, SimDuration::ZERO, workers);
-    (stored, evicted)
 }
 
 /// One engine-scaling measurement point: the **mean per-pass** setup/marshal/execute
@@ -309,10 +257,9 @@ pub fn measure_engine_point(
     workers: usize,
     repetitions: usize,
     seed: u64,
-    ingress_shards: usize,
 ) -> (RacTiming, Duration) {
     let local_as = workload_local_as();
-    let (racs, db) = engine_workload(phi, 4, seed, ingress_shards);
+    let (racs, db) = engine_workload(phi, 4, seed);
     let egress: Vec<IfId> = local_as.interfaces.keys().copied().collect();
     let reps = repetitions.max(1);
     let mut timing = RacTiming::default();
@@ -334,12 +281,7 @@ pub fn measure_engine_point(
 /// Builds the delivery-plane workload: a generated-topology simulation with the paper's
 /// 5SP deployment and the given delivery-plane worker count. Shared by the fig6/fig7
 /// delivery-scaling sections and the `delivery_scaling` criterion bench.
-pub fn delivery_workload(
-    ases: usize,
-    delivery_workers: usize,
-    ingress_shards: usize,
-    seed: u64,
-) -> Simulation {
+pub fn delivery_workload(ases: usize, delivery_workers: usize, seed: u64) -> Simulation {
     let config = GeneratorConfig {
         num_ases: ases,
         seed,
@@ -348,9 +290,7 @@ pub fn delivery_workload(
     let topology = Arc::new(TopologyGenerator::new(config).generate());
     Simulation::new(
         topology,
-        SimulationConfig::default()
-            .with_delivery_parallelism(delivery_workers)
-            .with_ingress_shards(ingress_shards),
+        SimulationConfig::default().with_delivery_parallelism(delivery_workers),
         move |_| NodeConfig::default().with_racs(vec![RacConfig::static_rac("5SP", "5SP")]),
     )
     .expect("delivery workload simulation setup")
@@ -366,10 +306,9 @@ pub fn measure_delivery_point(
     ases: usize,
     rounds: usize,
     delivery_workers: usize,
-    ingress_shards: usize,
     seed: u64,
 ) -> (DeliveryStats, Duration) {
-    let mut sim = delivery_workload(ases, delivery_workers, ingress_shards, seed);
+    let mut sim = delivery_workload(ases, delivery_workers, seed);
     let start = Instant::now();
     sim.run_rounds(rounds.max(1))
         .expect("delivery workload rounds succeed");
@@ -378,14 +317,13 @@ pub fn measure_delivery_point(
 
 /// The deterministic fingerprint of one simulation run: registered paths, delivery
 /// accounting, ingress occupancy and per-round overhead samples — everything the worker
-/// and shard knobs must leave byte-identical.
+/// knobs must leave byte-identical.
 pub type RoundFingerprint = (Vec<RegisteredPath>, DeliveryStats, usize, Vec<u64>);
 
 /// The node config of the algorithm-catalog workload: every AS runs one static RAC
 /// instantiated from a catalog name (`5YEN`, `aco:7:8`, …). Propagation is pinned to
 /// `All` so the catalog algorithm — not the propagation policy — decides what gets
-/// registered. Shard counts ride on the simulation config
-/// ([`SimulationConfig::with_ingress_shards`]), not here.
+/// registered.
 fn algorithm_node_config(algorithm: &str) -> NodeConfig {
     NodeConfig::default()
         .with_policy(PropagationPolicy::All)
@@ -393,17 +331,10 @@ fn algorithm_node_config(algorithm: &str) -> NodeConfig {
 }
 
 /// Builds the algorithm-catalog workload: a generated-topology simulation where every AS
-/// runs the named catalog algorithm, with `width` workers and the given per-node shard
-/// counts. Shared by the `alg_catalog_scaling` criterion bench, the
-/// algorithm determinism integration tests and the `fig_alg` binary.
-pub fn algorithm_workload(
-    algorithm: &str,
-    ases: usize,
-    width: usize,
-    ingress_shards: usize,
-    path_shards: usize,
-    seed: u64,
-) -> Simulation {
+/// runs the named catalog algorithm, with `width` workers. Shared by the
+/// `alg_catalog_scaling` criterion bench, the algorithm determinism integration tests and
+/// the `fig_alg` binary.
+pub fn algorithm_workload(algorithm: &str, ases: usize, width: usize, seed: u64) -> Simulation {
     let config = GeneratorConfig {
         num_ases: ases,
         seed,
@@ -415,28 +346,24 @@ pub fn algorithm_workload(
         topology,
         SimulationConfig::default()
             .with_parallelism(width)
-            .with_delivery_parallelism(width)
-            .with_ingress_shards(ingress_shards)
-            .with_path_shards(path_shards),
+            .with_delivery_parallelism(width),
         move |_| algorithm_node_config(&algorithm),
     )
     .expect("algorithm workload simulation setup")
 }
 
 /// One full run of the algorithm-catalog workload: `rounds` beaconing rounds from a fresh
-/// simulation. The fingerprint must be byte-identical across worker/shard counts for a fixed `(algorithm, ases, rounds, seed)` tuple — stochastic algorithms
-/// (ACO) included, because their randomness comes from seeded per-batch streams, never
-/// from execution order.
+/// simulation. The fingerprint must be byte-identical across worker counts for a fixed
+/// `(algorithm, ases, rounds, seed)` tuple — stochastic algorithms (ACO) included, because
+/// their randomness comes from seeded per-batch streams, never from execution order.
 pub fn algorithm_pass(
     algorithm: &str,
     ases: usize,
     rounds: usize,
     width: usize,
-    ingress_shards: usize,
-    path_shards: usize,
     seed: u64,
 ) -> RoundFingerprint {
-    let mut sim = algorithm_workload(algorithm, ases, width, ingress_shards, path_shards, seed);
+    let mut sim = algorithm_workload(algorithm, ases, width, seed);
     sim.run_rounds(rounds.max(1))
         .expect("algorithm workload rounds succeed");
     (
@@ -449,32 +376,24 @@ pub fn algorithm_pass(
 
 /// The deterministic fingerprint of one churn run: the per-step churn report plus the
 /// final registered paths, delivery accounting and ingress occupancy — everything that
-/// must stay byte-identical across every parallelism/shard knob for a fixed churn config.
+/// must stay byte-identical across every parallelism knob for a fixed churn config.
 pub type ChurnFingerprint = (Vec<ChurnStep>, Vec<RegisteredPath>, DeliveryStats, usize);
 
 /// The node config of the churn workload. Propagation is pinned to `All` (not the
 /// generated-topology default of valley-free) so a random link-down can only sever pairs
 /// *physically* — which the no-blackhole checker excuses — never policy-blackhole them;
 /// shipped churn scenarios therefore converge by construction, and the genuine
-/// valley-free blackhole case stays covered by the churn invariants unit tests. Shard
-/// counts ride on the simulation config — mid-run churn joins pick them up through
-/// [`Simulation::add_node`]'s knob injection.
+/// valley-free blackhole case stays covered by the churn invariants unit tests.
 fn churn_node_config() -> NodeConfig {
     NodeConfig::default()
         .with_policy(PropagationPolicy::All)
         .with_racs(vec![RacConfig::static_rac("5SP", "5SP")])
 }
 
-/// Builds the churn workload: a generated-topology simulation with `width` workers on the node phase and delivery plane plus the given per-node shard
-/// counts. Shared by the `churn_round_overhead` criterion bench, the churn determinism
-/// integration tests and the `fig_churn` binary.
-pub fn churn_workload(
-    ases: usize,
-    width: usize,
-    ingress_shards: usize,
-    path_shards: usize,
-    seed: u64,
-) -> Simulation {
+/// Builds the churn workload: a generated-topology simulation with `width` workers on the
+/// node phase and delivery plane. Shared by the `churn_round_overhead` criterion bench,
+/// the churn determinism integration tests and the `fig_churn` binary.
+pub fn churn_workload(ases: usize, width: usize, seed: u64) -> Simulation {
     let config = GeneratorConfig {
         num_ases: ases,
         seed,
@@ -485,9 +404,7 @@ pub fn churn_workload(
         topology,
         SimulationConfig::default()
             .with_parallelism(width)
-            .with_delivery_parallelism(width)
-            .with_ingress_shards(ingress_shards)
-            .with_path_shards(path_shards),
+            .with_delivery_parallelism(width),
         move |_| churn_node_config(),
     )
     .expect("churn workload simulation setup")
@@ -495,19 +412,17 @@ pub fn churn_workload(
 
 /// One full churn run over the [`churn_workload`]: `steps` churn steps of the seeded
 /// timeline in `churn`, applied and settled by a [`ChurnEngine`]. Returns the
-/// deterministic fingerprint — byte-identical across worker/shard counts
-/// for a fixed `(ases, steps, churn, seed)` tuple, which the `churn_round_overhead`
-/// bench and the churn determinism proptest matrix re-assert.
+/// deterministic fingerprint — byte-identical across worker counts for a fixed
+/// `(ases, steps, churn, seed)` tuple, which the `churn_round_overhead` bench and the
+/// churn determinism matrix re-assert.
 pub fn churn_pass(
     ases: usize,
     steps: usize,
     churn: ChurnConfig,
     width: usize,
-    ingress_shards: usize,
-    path_shards: usize,
     seed: u64,
 ) -> ChurnFingerprint {
-    churn_pass_with_stats(ases, steps, churn, width, ingress_shards, path_shards, seed).0
+    churn_pass_with_stats(ases, steps, churn, width, seed).0
 }
 
 /// [`churn_pass`], additionally returning the run's accumulated [`IncrementalStats`]:
@@ -519,11 +434,9 @@ pub fn churn_pass_with_stats(
     steps: usize,
     churn: ChurnConfig,
     width: usize,
-    ingress_shards: usize,
-    path_shards: usize,
     seed: u64,
 ) -> (ChurnFingerprint, IncrementalStats) {
-    let mut sim = churn_workload(ases, width, ingress_shards, path_shards, seed);
+    let mut sim = churn_workload(ases, width, seed);
     let mut engine = ChurnEngine::new(churn, move |_| churn_node_config());
     let report = engine.run(&mut sim, steps).expect("churn pass converges");
     (
@@ -694,11 +607,11 @@ mod tests {
 
     #[test]
     fn engine_workload_scales_and_stays_deterministic() {
-        let (racs, db) = engine_workload(8, 4, 11, 4);
+        let (racs, db) = engine_workload(8, 4, 11);
         assert_eq!(racs.len(), 4);
         assert_eq!(db.batch_keys().len(), 4);
-        let (timing_seq, _) = measure_engine_point(8, 1, 1, 11, 1);
-        let (timing_par, _) = measure_engine_point(8, 4, 1, 11, 4);
+        let (timing_seq, _) = measure_engine_point(8, 1, 1, 11);
+        let (timing_par, _) = measure_engine_point(8, 4, 1, 11);
         // 4 RACs x 4 batches x 8 candidates, identical under any worker count.
         assert_eq!(timing_seq.candidates, 4 * 4 * 8);
         assert_eq!(timing_par.candidates, timing_seq.candidates);
@@ -706,53 +619,30 @@ mod tests {
 
     #[test]
     fn delivery_point_counters_are_worker_independent() {
-        let (sequential, _) = measure_delivery_point(8, 2, 1, 1, 5);
+        let (sequential, _) = measure_delivery_point(8, 2, 1, 5);
         assert!(sequential.delivered > 0);
-        let (parallel, _) = measure_delivery_point(8, 2, 4, 4, 5);
+        let (parallel, _) = measure_delivery_point(8, 2, 4, 5);
         assert_eq!(parallel, sequential);
     }
 
     #[test]
-    fn sharded_ingress_pass_is_shard_and_worker_invariant() {
-        // Beacons from several origins so the passes actually cross shard boundaries.
-        let beacons: Vec<_> = (0..6u64)
-            .flat_map(|index| {
-                // Origins spaced like `engine_workload` so the synthetic hop ASes of one
-                // origin never collide with another origin (which would be a loop).
-                candidate_set_for(AsId(1 + index * 100), 4, 9 + index)
-            })
-            .collect();
-        let far = SimTime::ZERO + SimDuration::from_hours(12);
-        let (stored_ref, evicted_ref) = sharded_ingress_pass(&beacons, 1, 1, far);
-        assert_eq!(stored_ref, 24);
-        assert_eq!(evicted_ref, 24, "every synthetic beacon expires within 6h");
-        for (shards, workers) in [(2, 2), (4, 4), (7, 3), (16, 8)] {
-            let (stored, evicted) = sharded_ingress_pass(&beacons, shards, workers, far);
-            assert_eq!((stored, evicted), (stored_ref, evicted_ref));
-        }
-    }
-
-    #[test]
-    fn churn_pass_is_width_and_shard_invariant() {
+    fn churn_pass_is_width_invariant() {
         let churn = ChurnConfig::default()
             .with_rate(1.0)
             .with_seed(13)
             .with_warmup_rounds(3);
-        let (steps, paths, stats, occupancy) = churn_pass(10, 3, churn, 1, 1, 1, 5);
+        let (steps, paths, stats, occupancy) = churn_pass(10, 3, churn, 1, 5);
         assert_eq!(steps.len(), 3);
         assert!(
             steps.iter().any(|step| !step.deltas.is_empty()),
             "a rate-1 timeline must apply deltas"
         );
         assert!(!paths.is_empty());
-        for (width, ingress, path) in [(4, 4, 7), (1, 7, 4), (4, 4, 4)] {
-            let fingerprint = churn_pass(10, 3, churn, width, ingress, path, 5);
-            assert_eq!(
-                fingerprint,
-                (steps.clone(), paths.clone(), stats, occupancy),
-                "diverged at x{width} ingress={ingress} path={path}"
-            );
-        }
+        assert_eq!(
+            churn_pass(10, 3, churn, 4, 5),
+            (steps, paths, stats, occupancy),
+            "diverged at x4"
+        );
     }
 
     #[test]
@@ -761,8 +651,8 @@ mod tests {
             .with_rate(1.0)
             .with_seed(13)
             .with_warmup_rounds(3);
-        let (reference, sequential) = churn_pass_with_stats(10, 3, churn, 1, 1, 1, 5);
-        let (fingerprint, stacked) = churn_pass_with_stats(10, 3, churn, 4, 4, 4, 5);
+        let (reference, sequential) = churn_pass_with_stats(10, 3, churn, 1, 5);
+        let (fingerprint, stacked) = churn_pass_with_stats(10, 3, churn, 4, 5);
         assert_eq!(fingerprint, reference);
         // What a round reuses is decided per node from its own database, so the counters
         // are as plane-independent as the output.
@@ -796,7 +686,7 @@ mod tests {
     #[test]
     fn cow_snapshot_setup_is_an_order_of_magnitude_cheaper_than_deep_clone() {
         // Warmed a little past the criterion bench's 4 rounds: the deep clone's cost
-        // grows with database content while the COW setup stays O(nodes x shards), so
+        // grows with database content while the COW setup stays O(nodes), so
         // the extra warm-up widens the measured gap well clear of the 10x bar even on
         // noisy debug-mode CI runners. 28 ASes, not 14, since the deep clone stopped
         // copying a dedup set and an expiry index (PR 25): at 14 it read 7-8x, at 28 14x.

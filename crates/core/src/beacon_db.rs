@@ -91,13 +91,11 @@ pub struct StoreLedger {
 impl StoreLedger {
     /// Adds what `db` stores.
     pub fn add(&mut self, db: &ShardedIngressDb) {
-        for shard in &db.shards {
-            for batch in shard.read().by_key.values() {
-                self.bytes.slot_bytes += batch.slots.capacity() * size_of::<Slot>();
-                self.bytes.dedup_index_bytes += batch.shorts.capacity() * size_of::<u64>();
-                for slot in &batch.slots {
-                    self.add_beacon(&slot.beacon);
-                }
+        for batch in db.store.read().by_key.values() {
+            self.bytes.slot_bytes += batch.slots.capacity() * size_of::<Slot>();
+            self.bytes.dedup_index_bytes += batch.shorts.capacity() * size_of::<u64>();
+            for slot in &batch.slots {
+                self.add_beacon(&slot.beacon);
             }
         }
     }
@@ -743,8 +741,9 @@ impl IngressDb {
         removed
     }
 
-    /// True when any stored beacon matches `predicate` — the read-only probe the sharded
-    /// facade uses to keep withdrawal sweeps from materializing untouched CoW shards.
+    /// True when any stored beacon matches `predicate` — the read-only probe
+    /// [`ShardedIngressDb::purge_where`] uses to keep a withdrawal sweep that matches
+    /// nothing from materializing a CoW-shared map.
     pub fn any_where(&self, predicate: impl Fn(&StoredBeacon) -> bool) -> bool {
         self.by_key
             .values()
@@ -761,43 +760,23 @@ impl IngressDb {
     }
 }
 
-/// Hard cap on ingress shards; beyond this the per-shard maps are so small that the
-/// fan-out bookkeeping dominates any insert/evict win.
-pub const MAX_INGRESS_SHARDS: usize = 256;
-
-/// The finalizer of `splitmix64` — a fixed, platform-independent avalanche mix. Shard
-/// placement must be deterministic across runs and builds (the determinism probe diffs
-/// byte-identical output across shard counts), so the std `RandomState` hasher is not an
-/// option here. Shared with the path service's destination-AS sharding.
-pub(crate) const fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// A sharded ingress database: `N` independent [`IngressDb`] shards keyed by origin-AS
-/// hash, each an `Arc`-wrapped map behind its own `parking_lot::RwLock`.
+/// The ingress database of one AS: one [`IngressDb`], `Arc`-wrapped behind a
+/// `parking_lot::RwLock`.
 ///
-/// Every beacon of one origin lands in the same shard (the batch key's origin determines
-/// placement), so inserts, evictions and dedup decisions for *different* shards are
-/// independent and can proceed concurrently — including concurrently with the engine's
-/// read-side batch snapshotting, which only takes short per-shard read locks. The facade
-/// preserves the single-map API with **deterministic, shard-merged iteration order**:
-/// [`ShardedIngressDb::batch_keys`] returns the global ascending `BatchKey` order (shards
-/// partition by origin, so sorting the merged keys reproduces exactly what one `BTreeMap`
-/// would iterate), counters reduce over shards in fixed index order, and a database with
-/// any shard count is observably byte-identical to the unsharded reference — pinned by the
-/// proptest suite in `crates/core/tests/proptests.rs`.
+/// Inserts, evictions and purges take `&self`, so the RAC engine's workers read batches
+/// while nothing else writes, and writers that share the database (a benchmark, a stress
+/// test) need no outer lock. Every method delegates to the one map.
 ///
 /// # Copy-on-write snapshots
 ///
-/// Each shard is an `Arc<IngressDb>`: [`ShardedIngressDb::cow_clone`] produces a
-/// structurally shared snapshot in O(shards) reference-count bumps, and every write path
-/// goes through [`Arc::make_mut`] — a shard is deep-copied only the first time a database
-/// that still shares it mutates it (in either direction: a write to the *base* after a
-/// snapshot was taken copies too, leaving the snapshot untouched). This is what makes
-/// per-pair simulation snapshots in the PD campaign nearly free to set up.
+/// [`ShardedIngressDb::cow_clone`] produces a structurally shared snapshot in one
+/// reference-count bump, and every write path goes through [`Arc::make_mut`] — the map is
+/// deep-copied only the first time a database that still shares it mutates it (in either
+/// direction: a write to the *base* after a snapshot was taken copies too, leaving the
+/// snapshot untouched). This is what makes per-pair simulation snapshots in the PD
+/// campaign nearly free to set up.
+///
+/// The name is kept because the standalone benchmark in `benchmark/` names the type.
 ///
 /// ```
 /// use irec_core::ShardedIngressDb;
@@ -816,188 +795,106 @@ pub(crate) const fn splitmix64(mut x: u64) -> u64 {
 ///     &signer,
 /// ).unwrap();
 ///
-/// let base = ShardedIngressDb::new(4);
+/// let base = ShardedIngressDb::default();
 /// assert!(base.insert(pcb.clone(), IfId(2), SimTime::ZERO));
 ///
-/// // A COW snapshot shares every shard with the base: O(shards) pointer copies.
+/// // A COW snapshot shares the store with the base: one pointer copy.
 /// let snapshot = base.cow_clone();
 /// assert_eq!(snapshot.len(), 1);
-/// assert!((0..4).all(|s| snapshot.shares_shard_with(&base, s)));
+/// assert!(snapshot.shares_store_with(&base));
 ///
-/// // The first write to a shard materializes a private copy; the base is untouched.
+/// // The first write materializes a private copy; the base is untouched.
 /// let mut other = pcb;
 /// other.sequence = 1;
 /// snapshot.insert(other, IfId(2), SimTime::ZERO);
 /// assert_eq!((snapshot.len(), base.len()), (2, 1));
-/// assert!(!snapshot.shares_shard_with(&base, snapshot.shard_of(AsId(1))));
+/// assert!(!snapshot.shares_store_with(&base));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ShardedIngressDb {
-    shards: Vec<RwLock<Arc<IngressDb>>>,
-}
-
-impl Default for ShardedIngressDb {
-    /// A single-shard database — observably identical to a plain [`IngressDb`].
-    fn default() -> Self {
-        ShardedIngressDb::new(1)
-    }
+    store: RwLock<Arc<IngressDb>>,
 }
 
 impl Clone for ShardedIngressDb {
-    /// Deep-clones every shard's contents (the pre-snapshot behaviour, kept as the
-    /// reference the COW path is benchmarked and tested against). Stored beacons stay
-    /// `Arc`-shared with the original — they are immutable — but the batches, their dedup
-    /// indexes and the locks are fresh. Prefer [`ShardedIngressDb::cow_clone`] for snapshotting.
+    /// Deep-clones the map (the pre-snapshot behaviour, kept as the reference the COW path
+    /// is benchmarked and tested against). Stored beacons stay `Arc`-shared with the
+    /// original — they are immutable — but the batches, their dedup indexes and the lock
+    /// are fresh. Prefer [`ShardedIngressDb::cow_clone`] for snapshotting.
     fn clone(&self) -> Self {
         ShardedIngressDb {
-            shards: self
-                .shards
-                .iter()
-                .map(|shard| RwLock::new(Arc::new(shard.read().as_ref().clone())))
-                .collect(),
+            store: RwLock::new(Arc::new(self.store.read().as_ref().clone())),
         }
     }
 }
 
 impl ShardedIngressDb {
-    /// Creates an empty database with `shards` shards (clamped to
-    /// `1..=`[`MAX_INGRESS_SHARDS`]). Any shard count — powers of two or not — yields the
-    /// same observable contents; the count only changes how concurrent mutation can get.
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.clamp(1, MAX_INGRESS_SHARDS);
-        ShardedIngressDb {
-            shards: (0..shards)
-                .map(|_| RwLock::new(Arc::new(IngressDb::new())))
-                .collect(),
-        }
+    /// Creates an empty database. The argument is ignored: the standalone benchmark in
+    /// `benchmark/` calls the constructor with it.
+    pub fn new(_: usize) -> Self {
+        ShardedIngressDb::default()
     }
 
-    /// A structurally shared copy-on-write snapshot: O(shards) reference-count bumps, no
-    /// map copies. Both databases keep full read access to the shared shards; whichever
-    /// side writes to a still-shared shard first materializes its own copy of just that
-    /// shard ([`Arc::make_mut`] semantics), so neither can observe the other's subsequent
-    /// writes.
+    /// A structurally shared copy-on-write snapshot: one reference-count bump, no map copy.
+    /// Whichever side writes first materializes its own copy ([`Arc::make_mut`]
+    /// semantics), so neither can observe the other's subsequent writes.
     pub fn cow_clone(&self) -> Self {
         ShardedIngressDb {
-            shards: self
-                .shards
-                .iter()
-                .map(|shard| RwLock::new(Arc::clone(&shard.read())))
-                .collect(),
+            store: RwLock::new(Arc::clone(&self.store.read())),
         }
     }
 
-    /// Whether shard `shard` is still the same allocation in `self` and `other` —
-    /// i.e. neither side has written to it since a [`ShardedIngressDb::cow_clone`] tied
-    /// them together. Introspection for the COW isolation tests and the snapshot-cost
-    /// benchmark.
-    pub fn shares_shard_with(&self, other: &ShardedIngressDb, shard: usize) -> bool {
-        Arc::ptr_eq(&self.shards[shard].read(), &other.shards[shard].read())
+    /// Whether `self` and `other` still hold the same allocation — i.e. neither side has
+    /// written since a [`ShardedIngressDb::cow_clone`] tied them together. Introspection
+    /// for the COW isolation tests and the snapshot-cost benchmark.
+    pub fn shares_store_with(&self, other: &ShardedIngressDb) -> bool {
+        Arc::ptr_eq(&self.store.read(), &other.store.read())
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// Runs `write` on the (copy-on-write materialized) map.
+    fn write<R>(&self, write: impl FnOnce(&mut IngressDb) -> R) -> R {
+        write(Arc::make_mut(&mut *self.store.write()))
     }
 
-    /// The shard index `origin`'s beacons live in.
-    pub fn shard_of(&self, origin: AsId) -> usize {
-        (splitmix64(origin.value()) % self.shards.len() as u64) as usize
-    }
-
-    /// Inserts a received beacon into its origin's shard. Returns `false` when an identical
-    /// beacon (same digest) is already stored (duplicate suppression). Takes `&self`:
-    /// concurrent inserts into different shards do not contend.
+    /// Inserts a received beacon. Returns `false` when an identical beacon (same digest)
+    /// is already stored (duplicate suppression).
     pub fn insert(&self, pcb: Pcb, ingress: IfId, received_at: SimTime) -> bool {
-        let shard = self.shard_of(pcb.origin);
-        self.insert_in_shard(shard, pcb, ingress, received_at)
+        self.write(|db| db.insert(pcb, ingress, received_at))
     }
 
-    /// [`ShardedIngressDb::insert`] with the shard precomputed by the caller (the delivery
-    /// plane partitions a whole epoch by shard before fanning the commits out).
-    pub fn insert_in_shard(
-        &self,
-        shard: usize,
-        pcb: Pcb,
-        ingress: IfId,
-        received_at: SimTime,
-    ) -> bool {
-        self.write_shard(shard, pcb.origin, |db| db.insert(pcb, ingress, received_at))
+    /// [`ShardedIngressDb::insert`] for a beacon whose id the caller already computed (see
+    /// [`IngressDb::insert_with_id`]) — the ingress gateway's commit path, which hands over
+    /// the id its verification produced.
+    pub fn insert_with_id(&self, id: PcbId, pcb: Pcb, ingress: IfId, received_at: SimTime) -> bool {
+        self.write(|db| db.insert_with_id(id, pcb, ingress, received_at))
     }
 
-    /// [`ShardedIngressDb::insert_in_shard`] for a beacon whose id the caller already
-    /// computed (see [`IngressDb::insert_with_id`]) — the ingress gateway's commit path,
-    /// which hands over the id its verification produced.
-    pub fn insert_with_id_in_shard(
-        &self,
-        shard: usize,
-        id: PcbId,
-        pcb: Pcb,
-        ingress: IfId,
-        received_at: SimTime,
-    ) -> bool {
-        self.write_shard(shard, pcb.origin, |db| {
-            db.insert_with_id(id, pcb, ingress, received_at)
-        })
-    }
-
-    /// Runs `write` on the (copy-on-write materialized) shard `origin`'s beacons live in.
-    fn write_shard<R>(
-        &self,
-        shard: usize,
-        origin: AsId,
-        write: impl FnOnce(&mut IngressDb) -> R,
-    ) -> R {
-        debug_assert_eq!(
-            shard,
-            self.shard_of(origin),
-            "beacon committed to a foreign shard"
-        );
-        write(Arc::make_mut(&mut *self.shards[shard].write()))
-    }
-
-    /// All batch keys currently present, in global ascending order — identical to what the
-    /// unsharded database iterates.
+    /// All batch keys currently present, in ascending order.
     pub fn batch_keys(&self) -> Vec<BatchKey> {
-        let mut keys: Vec<BatchKey> = self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.read().batch_keys())
-            .collect();
-        // Shards partition keys by origin, so this sort is a pure merge (no ties across
-        // shards) reproducing the single-map BTreeMap order.
-        keys.sort_unstable();
-        keys
+        self.store.read().batch_keys()
     }
 
     /// The stored beacons for one batch key (unexpired at `now`). Returned beacons are
     /// shared, not cloned.
     pub fn beacons_for(&self, key: &BatchKey, now: SimTime) -> Vec<Arc<StoredBeacon>> {
-        self.shards[self.shard_of(key.origin)]
-            .read()
-            .beacons_for(key, now)
+        self.store.read().beacons_for(key, now)
     }
 
     /// The stored beacons for one origin across all its interface groups, merged into one
-    /// list — entirely within the origin's shard.
+    /// list.
     pub fn beacons_for_origin(
         &self,
         origin: AsId,
         target: Option<AsId>,
         now: SimTime,
     ) -> Vec<Arc<StoredBeacon>> {
-        self.shards[self.shard_of(origin)]
-            .read()
-            .beacons_for_origin(origin, target, now)
+        self.store.read().beacons_for_origin(origin, target, now)
     }
 
     /// Snapshots the batch for `key` into an immutable view, or `None` when no unexpired
     /// beacon is stored under it. The read lock is held only for the duration of the
     /// snapshot; the returned view shares the stored beacons.
     pub fn batch_view(&self, key: &BatchKey, now: SimTime) -> Option<BatchView> {
-        self.shards[self.shard_of(key.origin)]
-            .read()
-            .batch_view(key, now)
+        self.store.read().batch_view(key, now)
     }
 
     /// Snapshots the group-merged batch of one origin (under the default group id), or
@@ -1008,34 +905,28 @@ impl ShardedIngressDb {
         target: Option<AsId>,
         now: SimTime,
     ) -> Option<BatchView> {
-        self.shards[self.shard_of(origin)]
-            .read()
-            .origin_view(origin, target, now)
+        self.store.read().origin_view(origin, target, now)
     }
 
-    /// [`IngressDb::snapshot`] on the shard `key`'s origin lives in: the candidate set
-    /// requested under `key`, and the cursor to ask that shard about it later.
+    /// [`IngressDb::snapshot`]: the candidate set requested under `key`, and the cursor to
+    /// ask about it later.
     pub fn snapshot(
         &self,
         key: BatchKey,
         merge_groups: bool,
         now: SimTime,
     ) -> (Option<BatchView>, BatchCursor) {
-        self.shards[self.shard_of(key.origin)]
-            .read()
-            .snapshot(key, merge_groups, now)
+        self.store.read().snapshot(key, merge_groups, now)
     }
 
-    /// [`IngressDb::holds_carriers`] on the shard `key`'s origin lives in.
+    /// [`IngressDb::holds_carriers`].
     pub fn holds_carriers(&self, key: BatchKey, merge_groups: bool) -> bool {
-        self.shards[self.shard_of(key.origin)]
-            .read()
-            .holds_carriers(key, merge_groups)
+        self.store.read().holds_carriers(key, merge_groups)
     }
 
-    /// [`IngressDb::changes_since`] on the shard `key`'s origin lives in. Copy-on-write
-    /// snapshots carry the stamps with the shards, so a cursor read from a database stays
-    /// valid against that database across [`ShardedIngressDb::cow_clone`]s on either side.
+    /// [`IngressDb::changes_since`]. Copy-on-write snapshots carry the stamps with the
+    /// map, so a cursor read from a database stays valid against that database across
+    /// [`ShardedIngressDb::cow_clone`]s on either side.
     pub fn changes_since(
         &self,
         key: BatchKey,
@@ -1043,15 +934,14 @@ impl ShardedIngressDb {
         cursor: &BatchCursor,
         now: SimTime,
     ) -> BatchChange {
-        self.shards[self.shard_of(key.origin)]
+        self.store
             .read()
             .changes_since(key, merge_groups, cursor, now)
     }
 
-    /// Total number of stored beacons **including expired ones not yet evicted**, reduced
-    /// over shards in index order.
+    /// Total number of stored beacons **including expired ones not yet evicted**.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|shard| shard.read().len()).sum()
+        self.store.read().len()
     }
 
     /// What this database's beacons hold, every chain they refer to counted in full (see
@@ -1064,10 +954,7 @@ impl ShardedIngressDb {
 
     /// Number of stored beacons still valid at `now` (see [`IngressDb::live_len`]).
     pub fn live_len(&self, now: SimTime) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| shard.read().live_len(now))
-            .sum()
+        self.store.read().live_len(now)
     }
 
     /// Whether the database is empty.
@@ -1075,88 +962,27 @@ impl ShardedIngressDb {
         self.len() == 0
     }
 
-    /// Number of beacons stored in one shard (occupancy introspection for tests and the
-    /// sharding benchmark).
-    pub fn shard_len(&self, shard: usize) -> usize {
-        self.shards[shard].read().len()
-    }
-
-    /// Removes beacons that are expired at `now` (or expire within `grace`), sweeping the
-    /// shards serially in index order. Returns how many were evicted in total; the count is
-    /// the shard-count-independent figure the unsharded database would report.
+    /// Removes beacons that are expired at `now` (or expire within `grace`) and returns
+    /// how many. A read-only probe first skips the copy-on-write materialization when
+    /// nothing would be evicted — routine housekeeping sweeps must not un-share the map of
+    /// an otherwise read-only snapshot.
     pub fn evict_expired(&self, now: SimTime, grace: irec_types::SimDuration) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| Self::evict_shard(shard, now, grace))
-            .sum()
-    }
-
-    /// Evicts one shard, skipping the copy-on-write materialization when a read-only probe
-    /// shows nothing would be evicted — routine housekeeping sweeps must not un-share the
-    /// shards of an otherwise read-only snapshot.
-    fn evict_shard(
-        shard: &RwLock<Arc<IngressDb>>,
-        now: SimTime,
-        grace: irec_types::SimDuration,
-    ) -> usize {
-        let horizon = now + grace;
         {
-            let guard = shard.read();
-            if guard.len() == guard.live_len(horizon) {
+            let db = self.store.read();
+            if db.len() == db.live_len(now + grace) {
                 return 0;
             }
         }
-        Arc::make_mut(&mut *shard.write()).evict_expired(now, grace)
+        self.write(|db| db.evict_expired(now, grace))
     }
 
-    /// [`IngressDb::purge_where`] across every shard (a withdrawal sweep), with a
-    /// read-only probe per shard so sweeps that match nothing leave CoW-shared shards
-    /// untouched. The count is a sum of per-shard counts in fixed index order, so it is
-    /// identical for any shard count.
+    /// [`IngressDb::purge_where`] (a withdrawal sweep), with a read-only probe so sweeps
+    /// that match nothing leave a CoW-shared map shared.
     pub fn purge_where(&self, predicate: impl Fn(&StoredBeacon) -> bool) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                {
-                    let guard = shard.read();
-                    if !guard.any_where(&predicate) {
-                        return 0;
-                    }
-                }
-                Arc::make_mut(&mut *shard.write()).purge_where(&predicate)
-            })
-            .sum()
-    }
-
-    /// [`ShardedIngressDb::evict_expired`] with the per-shard sweeps fanned out over up to
-    /// `workers` scoped threads. Eviction decisions are per-beacon and shards are disjoint,
-    /// so the total — a sum of per-shard counts — is identical to the serial sweep for any
-    /// worker count.
-    pub fn evict_expired_parallel(
-        &self,
-        now: SimTime,
-        grace: irec_types::SimDuration,
-        workers: usize,
-    ) -> usize {
-        if workers <= 1 || self.shards.len() <= 1 {
-            return self.evict_expired(now, grace);
+        if !self.store.read().any_where(&predicate) {
+            return 0;
         }
-        let workers = workers.min(self.shards.len());
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        let evicted = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let index = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(shard) = self.shards.get(index) else {
-                        break;
-                    };
-                    let count = Self::evict_shard(shard, now, grace);
-                    evicted.fetch_add(count, std::sync::atomic::Ordering::Relaxed);
-                });
-            }
-        });
-        evicted.load(std::sync::atomic::Ordering::Relaxed)
+        self.write(|db| db.purge_where(&predicate))
     }
 }
 
@@ -1655,52 +1481,30 @@ mod tests {
         let short = pcb(1, 0, PcbExtensions::none(), 1);
         let long = pcb(2, 0, PcbExtensions::none(), 10);
         let later = SimTime::ZERO + SimDuration::from_hours(2);
-        for shards in [1usize, 4] {
-            let db = ShardedIngressDb::new(shards);
-            for p in [&short, &long] {
-                let shard = db.shard_of(p.origin);
-                assert!(db.insert_with_id_in_shard(
-                    shard,
-                    p.digest(),
-                    p.clone(),
-                    IfId(1),
-                    SimTime::ZERO
-                ));
-                // Both paths dedup against the carried id.
-                assert!(!db.insert_with_id_in_shard(
-                    shard,
-                    p.digest(),
-                    p.clone(),
-                    IfId(1),
-                    SimTime::ZERO
-                ));
-                assert!(!db.insert(p.clone(), IfId(1), SimTime::ZERO));
-            }
-            assert_eq!(db.evict_expired(later, SimDuration::ZERO), 1);
-            assert!(db.insert(short.clone(), IfId(1), SimTime::ZERO));
-            assert_eq!(db.purge_where(|b| b.pcb.origin == AsId(2)), 1);
-            let shard = db.shard_of(long.origin);
-            assert!(db.insert_with_id_in_shard(
-                shard,
-                long.digest(),
-                long.clone(),
-                IfId(1),
-                SimTime::ZERO
-            ));
-            assert_eq!(db.len(), 2);
-            // What the views carry is what went in.
-            for p in [&short, &long] {
-                let key = BatchKey {
-                    origin: p.origin,
-                    group: InterfaceGroupId::DEFAULT,
-                    target: None,
-                };
-                let view = db.batch_view(&key, SimTime::ZERO).unwrap();
-                assert_eq!(view.ids(), &[p.digest()]);
-                assert_eq!(view.subrange(0..1).ids(), view.ids());
-                let merged = db.origin_view(p.origin, None, SimTime::ZERO).unwrap();
-                assert_eq!(merged.ids(), view.ids());
-            }
+        let db = ShardedIngressDb::default();
+        for p in [&short, &long] {
+            assert!(db.insert_with_id(p.digest(), p.clone(), IfId(1), SimTime::ZERO));
+            // Both paths dedup against the carried id.
+            assert!(!db.insert_with_id(p.digest(), p.clone(), IfId(1), SimTime::ZERO));
+            assert!(!db.insert(p.clone(), IfId(1), SimTime::ZERO));
+        }
+        assert_eq!(db.evict_expired(later, SimDuration::ZERO), 1);
+        assert!(db.insert(short.clone(), IfId(1), SimTime::ZERO));
+        assert_eq!(db.purge_where(|b| b.pcb.origin == AsId(2)), 1);
+        assert!(db.insert_with_id(long.digest(), long.clone(), IfId(1), SimTime::ZERO));
+        assert_eq!(db.len(), 2);
+        // What the views carry is what went in.
+        for p in [&short, &long] {
+            let key = BatchKey {
+                origin: p.origin,
+                group: InterfaceGroupId::DEFAULT,
+                target: None,
+            };
+            let view = db.batch_view(&key, SimTime::ZERO).unwrap();
+            assert_eq!(view.ids(), &[p.digest()]);
+            assert_eq!(view.subrange(0..1).ids(), view.ids());
+            let merged = db.origin_view(p.origin, None, SimTime::ZERO).unwrap();
+            assert_eq!(merged.ids(), view.ids());
         }
     }
 
@@ -2042,88 +1846,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_db_clamps_shard_count_and_places_origins_stably() {
-        assert_eq!(ShardedIngressDb::new(0).shard_count(), 1);
-        assert_eq!(
-            ShardedIngressDb::new(100_000).shard_count(),
-            MAX_INGRESS_SHARDS
-        );
-        let db = ShardedIngressDb::new(7);
-        for origin in 1..200u64 {
-            let shard = db.shard_of(AsId(origin));
-            assert!(shard < 7);
-            // Placement is a pure function of the origin.
-            assert_eq!(db.shard_of(AsId(origin)), shard);
-        }
-        // The hash actually spreads origins (not everything in one shard).
-        let used: HashSet<usize> = (1..200u64).map(|o| db.shard_of(AsId(o))).collect();
-        assert!(used.len() > 1);
-    }
-
-    #[test]
-    fn sharded_db_matches_single_map_for_any_shard_count() {
-        for shards in [1usize, 2, 4, 7, 16] {
-            let mut reference = IngressDb::new();
-            let sharded = ShardedIngressDb::new(shards);
-            for origin in 1..=6u64 {
-                for seq in 0..4u64 {
-                    let p = pcb(origin, seq, PcbExtensions::none(), 1 + (seq % 3));
-                    assert_eq!(
-                        sharded.insert(p.clone(), IfId(1), SimTime::ZERO),
-                        reference.insert(p, IfId(1), SimTime::ZERO),
-                        "insert verdicts diverged at {shards} shards"
-                    );
-                }
-            }
-            assert_eq!(sharded.batch_keys(), reference.batch_keys());
-            assert_eq!(sharded.len(), reference.len());
-            let probe = SimTime::ZERO + SimDuration::from_hours(2);
-            assert_eq!(sharded.live_len(probe), reference.live_len(probe));
-            for key in reference.batch_keys() {
-                assert_eq!(
-                    sharded.beacons_for(&key, probe),
-                    reference.beacons_for(&key, probe)
-                );
-            }
-            assert_eq!(
-                sharded.evict_expired(probe, SimDuration::ZERO),
-                reference.evict_expired(probe, SimDuration::ZERO),
-                "eviction counts diverged at {shards} shards"
-            );
-            assert_eq!(sharded.len(), reference.len());
-        }
-    }
-
-    #[test]
-    fn sharded_db_parallel_eviction_matches_serial() {
-        let build = || {
-            let db = ShardedIngressDb::new(8);
-            for origin in 1..=16u64 {
-                for seq in 0..3u64 {
-                    db.insert(
-                        pcb(origin, seq, PcbExtensions::none(), 1 + seq),
-                        IfId(1),
-                        SimTime::ZERO,
-                    );
-                }
-            }
-            db
-        };
-        let probe = SimTime::ZERO + SimDuration::from_hours(2);
-        let serial_db = build();
-        let serial = serial_db.evict_expired(probe, SimDuration::ZERO);
-        assert!(serial > 0);
-        for workers in [2usize, 4, 16] {
-            let db = build();
-            assert_eq!(
-                db.evict_expired_parallel(probe, SimDuration::ZERO, workers),
-                serial
-            );
-            assert_eq!(db.len(), serial_db.len());
-        }
-    }
-
-    #[test]
     fn ingress_eviction_at_exact_expiry_instant() {
         // `is_expired` is inclusive: a beacon expiring exactly at `now` is expired at `now`,
         // with no grace window needed — the eviction count must reflect that boundary.
@@ -2136,27 +1858,17 @@ mod tests {
         assert_eq!(db.evict_expired(exactly, SimDuration::ZERO), 1);
         assert!(db.is_empty());
 
-        // Same boundary through the sharded facade, and via a grace window that lands the
-        // horizon exactly on the expiry instant.
-        for shards in [1usize, 4] {
-            let sharded = ShardedIngressDb::new(shards);
-            sharded.insert(pcb(1, 0, PcbExtensions::none(), 2), IfId(1), SimTime::ZERO);
-            assert_eq!(
-                sharded.evict_expired(
-                    SimTime::ZERO + SimDuration::from_hours(1),
-                    SimDuration::ZERO
-                ),
-                0
-            );
-            assert_eq!(
-                sharded.evict_expired(
-                    SimTime::ZERO + SimDuration::from_hours(1),
-                    SimDuration::from_hours(1)
-                ),
-                1,
-                "grace horizon exactly at expiry must evict ({shards} shards)"
-            );
-        }
+        // Same boundary through the shared database, and via a grace window that lands
+        // the horizon exactly on the expiry instant.
+        let shared = ShardedIngressDb::default();
+        shared.insert(pcb(1, 0, PcbExtensions::none(), 2), IfId(1), SimTime::ZERO);
+        let at = SimTime::ZERO + SimDuration::from_hours(1);
+        assert_eq!(shared.evict_expired(at, SimDuration::ZERO), 0);
+        assert_eq!(
+            shared.evict_expired(at, SimDuration::from_hours(1)),
+            1,
+            "grace horizon exactly at expiry must evict"
+        );
     }
 
     #[test]
@@ -2169,24 +1881,21 @@ mod tests {
         assert_eq!(evicted, 1);
         assert!(db.is_empty());
 
-        let sharded = ShardedIngressDb::new(7);
+        let shared = ShardedIngressDb::default();
         for origin in 1..=5u64 {
-            sharded.insert(
+            shared.insert(
                 pcb(origin, 0, PcbExtensions::none(), 9),
                 IfId(1),
                 SimTime::ZERO,
             );
         }
-        assert_eq!(
-            sharded.evict_expired(SimTime::MAX, SimDuration(u64::MAX)),
-            5
-        );
-        assert!(sharded.is_empty());
+        assert_eq!(shared.evict_expired(SimTime::MAX, SimDuration(u64::MAX)), 5);
+        assert!(shared.is_empty());
     }
 
     #[test]
-    fn cow_clone_shares_shards_until_first_write_in_either_direction() {
-        let base = ShardedIngressDb::new(7);
+    fn cow_clone_shares_the_store_until_first_write_in_either_direction() {
+        let base = ShardedIngressDb::default();
         for origin in 1..=10u64 {
             base.insert(
                 pcb(origin, 0, PcbExtensions::none(), 6),
@@ -2195,24 +1904,20 @@ mod tests {
             );
         }
         let snap = base.cow_clone();
-        assert!((0..7).all(|s| snap.shares_shard_with(&base, s)));
+        assert!(snap.shares_store_with(&base));
         assert_eq!(snap.len(), base.len());
 
-        // Snapshot write: only the written origin's shard un-shares; base contents hold.
+        // Snapshot write: the snapshot copies; base contents hold.
         let before = base.len();
         snap.insert(pcb(1, 9, PcbExtensions::none(), 6), IfId(2), SimTime::ZERO);
-        let touched = snap.shard_of(AsId(1));
-        for s in 0..7 {
-            assert_eq!(snap.shares_shard_with(&base, s), s != touched);
-        }
+        assert!(!snap.shares_store_with(&base));
         assert_eq!(base.len(), before);
         assert_eq!(snap.len(), before + 1);
 
-        // Base write after the snapshot: copies on the base side, snapshot unaffected.
-        let other = base.shard_of(AsId(2));
-        assert_ne!(other, touched, "test topology must spread origins 1 and 2");
+        // Base write after a snapshot: copies on the base side, snapshot unaffected.
+        let snap = base.cow_clone();
         base.insert(pcb(2, 9, PcbExtensions::none(), 6), IfId(2), SimTime::ZERO);
-        assert!(!snap.shares_shard_with(&base, other));
+        assert!(!snap.shares_store_with(&base));
         assert_eq!(
             snap.beacons_for_origin(AsId(2), None, SimTime::ZERO).len(),
             1
@@ -2224,8 +1929,8 @@ mod tests {
     }
 
     #[test]
-    fn cow_clone_eviction_probe_keeps_untouched_shards_shared() {
-        let base = ShardedIngressDb::new(4);
+    fn cow_clone_eviction_probe_keeps_an_untouched_store_shared() {
+        let base = ShardedIngressDb::default();
         for origin in 1..=8u64 {
             base.insert(
                 pcb(origin, 0, PcbExtensions::none(), 6),
@@ -2234,15 +1939,13 @@ mod tests {
             );
         }
         let snap = base.cow_clone();
-        // Nothing expires this early: the sweep must not materialize any shard.
+        // Nothing expires this early: the sweep must not materialize a copy.
         assert_eq!(snap.evict_expired(SimTime::ZERO, SimDuration::ZERO), 0);
-        assert_eq!(
-            snap.evict_expired_parallel(SimTime::ZERO, SimDuration::ZERO, 4),
-            0
-        );
-        assert!((0..4).all(|s| snap.shares_shard_with(&base, s)));
+        assert_eq!(snap.purge_where(|_| false), 0);
+        assert!(snap.shares_store_with(&base));
         // Once beacons actually expire, the sweep works and matches the deep-clone count.
         let deep = base.clone();
+        assert!(!deep.shares_store_with(&base));
         let later = SimTime::ZERO + SimDuration::from_hours(7);
         assert_eq!(
             snap.evict_expired(later, SimDuration::ZERO),

@@ -240,9 +240,8 @@ proptest! {
     #[test]
     fn batch_local_dedup_matches_the_seen_set_model(
         ops in proptest::collection::vec((0u8..12, 0u64..36, 0u64..10, 0usize..4), 1..80),
-        shards in 1usize..4,
     ) {
-        let mut sides = vec![(ShardedIngressDb::new(shards), SeenSetIngressDb::default())];
+        let mut sides = vec![(ShardedIngressDb::default(), SeenSetIngressDb::default())];
         for (kind, index, draw, side) in ops {
             let side = side % sides.len();
             let (db, model) = &mut sides[side];
@@ -257,8 +256,7 @@ proptest! {
                     let inserted = if kind % 2 == 0 {
                         db.insert(pcb.clone(), IfId(1), received)
                     } else {
-                        let shard = db.shard_of(pcb.origin);
-                        db.insert_with_id_in_shard(shard, id, pcb.clone(), IfId(1), received)
+                        db.insert_with_id(id, pcb.clone(), IfId(1), received)
                     };
                     prop_assert_eq!(inserted, model.insert_with_id(id, pcb, IfId(1), received));
                 }

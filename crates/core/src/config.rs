@@ -129,20 +129,6 @@ pub struct NodeConfig {
     /// scoped worker threads with a deterministic merge, so results are byte-identical
     /// either way.
     pub parallelism: usize,
-    /// Number of shards of the ingress database (see
-    /// [`crate::beacon_db::ShardedIngressDb`]). `0` (the default) derives the count from
-    /// the worker budget — the next power of two of `parallelism` — so parallel
-    /// deployments shard automatically and sequential ones keep a single map. Any value
-    /// produces byte-identical observable behaviour; the count only changes how much
-    /// insert/evict concurrency the database admits.
-    pub ingress_shards: usize,
-    /// Number of shards of the path service (see
-    /// [`crate::path_service::ShardedPathService`]), keyed by destination AS. `0` (the
-    /// default) derives the count from the worker budget like `ingress_shards` does. Any
-    /// value produces byte-identical observable behaviour; the count only changes how much
-    /// registration concurrency — RAC selections and pull-return commits — the service
-    /// admits.
-    pub path_shards: usize,
 }
 
 impl Default for NodeConfig {
@@ -155,8 +141,6 @@ impl Default for NodeConfig {
             local_crossing_latency: Latency::from_micros(200),
             irec_enabled: true,
             parallelism: 1,
-            ingress_shards: 0,
-            path_shards: 0,
         }
     }
 }
@@ -213,29 +197,18 @@ impl NodeConfig {
         self
     }
 
-    /// The effective ingress shard count: the configured value, or — when left at the `0`
-    /// auto default — the next power of two of the RAC engine's worker count. Clamped to
-    /// [`crate::beacon_db::MAX_INGRESS_SHARDS`], matching the database's own clamp, so the
-    /// figure always equals the shard count of the node this config builds.
+    /// Always `1`: a node holds one ingress database. Kept for the standalone benchmark,
+    /// which sizes its kernel databases with it.
+    #[doc(hidden)]
     pub fn ingress_shard_count(&self) -> usize {
-        let count = if self.ingress_shards == 0 {
-            self.parallelism.max(1).next_power_of_two()
-        } else {
-            self.ingress_shards
-        };
-        count.min(crate::beacon_db::MAX_INGRESS_SHARDS)
+        1
     }
 
-    /// The effective path-service shard count, derived exactly like
-    /// [`NodeConfig::ingress_shard_count`] (auto default: next power of two of
-    /// `parallelism`) and clamped to [`crate::path_service::MAX_PATH_SHARDS`].
+    /// Always `1`: a node holds one path service. Kept for the standalone benchmark, like
+    /// [`NodeConfig::ingress_shard_count`].
+    #[doc(hidden)]
     pub fn path_shard_count(&self) -> usize {
-        let count = if self.path_shards == 0 {
-            self.parallelism.max(1).next_power_of_two()
-        } else {
-            self.path_shards
-        };
-        count.min(crate::path_service::MAX_PATH_SHARDS)
+        1
     }
 }
 
@@ -291,32 +264,5 @@ mod tests {
         let cfg = NodeConfig::legacy();
         assert!(!cfg.irec_enabled);
         assert_eq!(cfg.racs.len(), 1);
-    }
-
-    #[test]
-    fn ingress_shard_count_follows_parallelism() {
-        // Auto default: next power of two of the worker budget.
-        assert_eq!(NodeConfig::default().ingress_shard_count(), 1);
-        assert_eq!(
-            NodeConfig::default()
-                .with_parallelism(4)
-                .ingress_shard_count(),
-            4
-        );
-        assert_eq!(
-            NodeConfig::default()
-                .with_parallelism(6)
-                .ingress_shard_count(),
-            8
-        );
-    }
-
-    #[test]
-    fn path_shard_count_follows_parallelism() {
-        assert_eq!(NodeConfig::default().path_shard_count(), 1);
-        assert_eq!(
-            NodeConfig::default().with_parallelism(6).path_shard_count(),
-            8
-        );
     }
 }

@@ -132,7 +132,6 @@ proptest! {
     #[test]
     fn delta_round_equals_from_scratch_round(
         steps in proptest::collection::vec((0u8..13, any::<u64>()), 4..32),
-        shards in 1usize..4,
         wide in any::<bool>(),
         split_small in any::<bool>(),
     ) {
@@ -145,7 +144,7 @@ proptest! {
         let parallelism = if wide { 4 } else { 1 };
         let threshold = if split_small { 3 } else { crate::engine::BATCH_SPLIT_THRESHOLD };
 
-        let db = ShardedIngressDb::new(shards);
+        let db = ShardedIngressDb::default();
         let mut tables = SelectionTables::new();
         let mut budget = 2;
         let mut racs = catalog(budget, &store);
@@ -241,7 +240,7 @@ fn the_oracle_workload_reaches_reuse_extend_and_full() {
     let reference = store.publish(AsId(ON_DEMAND_ORIGIN), AlgorithmId(7), module);
     let (node, egress) = (local_as(), [IfId(1), IfId(2), IfId(3)]);
     let racs = catalog(2, &store);
-    let db = ShardedIngressDb::new(2);
+    let db = ShardedIngressDb::default();
     let mut tables = SelectionTables::new();
     let mut round = |db: &ShardedIngressDb| {
         execute_racs_delta(&racs, db, &node, &egress, SimTime::ZERO, 1, 3, &mut tables).unwrap();
@@ -298,7 +297,7 @@ fn hd_refusals_fall_back_to_the_from_scratch_selection() {
         }
     }
     for parallelism in [1, 4] {
-        let db = ShardedIngressDb::new(2);
+        let db = ShardedIngressDb::default();
         let mut tables = SelectionTables::new();
         for seq in 0..48u64 {
             let draw = seq.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17);

@@ -266,7 +266,7 @@ pub struct EgressGateway {
 }
 
 impl Clone for EgressGateway {
-    /// A **deep** clone: the dedup database and path-service shards are fully copied, so
+    /// A **deep** clone: the dedup database and the path service are fully copied, so
     /// the clone shares no mutable state with the original. This is the reference
     /// implementation the copy-on-write [`EgressGateway::cow_clone`] must stay
     /// byte-equivalent to.
@@ -287,9 +287,9 @@ impl Clone for EgressGateway {
 }
 
 impl EgressGateway {
-    /// A copy-on-write clone: the path-service shards are structurally shared via
-    /// [`ShardedPathService::cow_clone`] (O(shards) pointer copies; a shard is
-    /// materialized only when one side registers into it) and the propagation dedup
+    /// A copy-on-write clone: the path service is structurally shared via
+    /// [`ShardedPathService::cow_clone`] (one pointer copy; it is materialized only when
+    /// one side registers into it) and the propagation dedup
     /// database is shared via one `Arc` bump (copied in whole by whichever side first
     /// records a propagation or evicts an expired entry). The counters are copied
     /// eagerly. Used by `Simulation::snapshot` for the PD campaign's per-pair snapshots.
@@ -308,26 +308,12 @@ impl EgressGateway {
         }
     }
 
-    /// Creates an egress gateway with a single-shard path service — observably identical
-    /// to the pre-sharding gateway.
+    /// Creates an egress gateway with an empty path service and dedup database.
     pub fn new(
         local_as: AsId,
         topology: Arc<Topology>,
         signer: Signer,
         policy: PropagationPolicy,
-    ) -> Self {
-        Self::with_path_shards(local_as, topology, signer, policy, 1)
-    }
-
-    /// Creates an egress gateway whose path service is split into `path_shards`
-    /// destination-keyed shards (clamped to `1..=`
-    /// [`crate::path_service::MAX_PATH_SHARDS`]).
-    pub fn with_path_shards(
-        local_as: AsId,
-        topology: Arc<Topology>,
-        signer: Signer,
-        policy: PropagationPolicy,
-        path_shards: usize,
     ) -> Self {
         EgressGateway {
             local_as,
@@ -335,7 +321,7 @@ impl EgressGateway {
             signer,
             policy,
             db: Arc::new(EgressDb::new()),
-            path_service: ShardedPathService::new(path_shards),
+            path_service: ShardedPathService::default(),
             stats: EgressStats::default(),
             sequence: 0,
             interfaces: OnceLock::new(),
@@ -343,9 +329,9 @@ impl EgressGateway {
         }
     }
 
-    /// The local path service. Registration goes through `&self` (the service is sharded
-    /// per destination behind interior locks), so pull-return commits no longer need
-    /// mutable gateway access.
+    /// The local path service. Registration goes through `&self` (the service keeps its
+    /// map behind an interior lock), so pull-return commits need no mutable gateway
+    /// access.
     pub fn path_service(&self) -> &ShardedPathService {
         &self.path_service
     }
@@ -463,7 +449,7 @@ impl EgressGateway {
     /// **The walk** — every winner registered, returned or filtered and sent — is the only
     /// path for a selection made this round, and what it costs follows what it has to say.
     /// A kept winner costs lookups: its registration is found and refreshed in place (one
-    /// key lookup and shard lock per batch, see [`ShardedPathService::register_selected`]),
+    /// key lookup and lock per batch, see [`ShardedPathService::register_selected`]),
     /// and the dedup database is probed under a shared reference and written — which
     /// copies it when it is shared with a snapshot — only for a mark or an id it does not
     /// hold yet. A beacon that does go out is checked, encoded and absorbed into the MAC

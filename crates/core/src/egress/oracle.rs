@@ -341,7 +341,7 @@ struct Draw(u64);
 impl Draw {
     fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        crate::beacon_db::splitmix64(self.0)
+        crate::path_service::splitmix64(self.0)
     }
 
     fn below(&mut self, bound: u64) -> u64 {
@@ -700,19 +700,13 @@ fn assert_same_state(gateway: &EgressGateway, reference: &ReferenceGateway, pool
     assert_eq!(walked, reference.stats);
 }
 
-fn run_script(seed: u64, policy: PropagationPolicy, shards: usize) {
+fn run_script(seed: u64, policy: PropagationPolicy) {
     let mut draw = Draw(seed);
     let registry = KeyRegistry::with_ases(11, 96);
     let topology = topology();
     let signer = Signer::new(LOCAL, registry.clone());
     let pool = pool(&registry, &mut draw);
-    let mut gateway = EgressGateway::with_path_shards(
-        LOCAL,
-        Arc::clone(&topology),
-        signer.clone(),
-        policy,
-        shards,
-    );
+    let mut gateway = EgressGateway::new(LOCAL, Arc::clone(&topology), signer.clone(), policy);
     let mut reference = ReferenceGateway::new(topology, signer, policy);
     let mut model = ReplayModel::default();
     // The gateways a clone took over from, with the state they must keep.
@@ -795,13 +789,12 @@ proptest! {
     fn gateway_matches_the_reference_over_multi_round_scripts(
         seed in any::<u64>(),
         valley_free in any::<bool>(),
-        shards in 1usize..4,
     ) {
         let policy = if valley_free {
             PropagationPolicy::ValleyFree
         } else {
             PropagationPolicy::All
         };
-        run_script(seed, policy, shards);
+        run_script(seed, policy);
     }
 }

@@ -963,8 +963,7 @@ mod tests {
 
     fn db_with_origins(origins: u64, beacons_per_origin: u64) -> ShardedIngressDb {
         let registry = KeyRegistry::with_ases(11, 512);
-        // Several shards so parallel runs actually cross shard boundaries.
-        let db = ShardedIngressDb::new(4);
+        let db = ShardedIngressDb::default();
         for origin in 1..=origins {
             for seq in 0..beacons_per_origin {
                 let mut pcb = Pcb::originate(
@@ -1039,7 +1038,7 @@ mod tests {
     #[test]
     fn engine_handles_empty_database_and_no_racs() {
         let node = local_as();
-        let db = ShardedIngressDb::new(4);
+        let db = ShardedIngressDb::default();
         let racs = rac_set();
         let (outputs, timing) =
             execute_racs(&racs, &db, &node, &[IfId(1)], SimTime::ZERO, 4).unwrap();
@@ -1112,7 +1111,7 @@ mod tests {
     /// objective actually discriminates between them.
     fn db_link_diverse(count: u64) -> ShardedIngressDb {
         let registry = KeyRegistry::with_ases(11, 512);
-        let db = ShardedIngressDb::new(4);
+        let db = ShardedIngressDb::default();
         for seq in 0..count {
             let mut pcb = Pcb::originate(
                 AsId(1),
@@ -1205,7 +1204,7 @@ mod tests {
             irec_crypto::sha256(b"never published"),
         );
         let registry = KeyRegistry::with_ases(11, 512);
-        let db = ShardedIngressDb::new(2);
+        let db = ShardedIngressDb::default();
         let mut pcb = Pcb::originate(
             AsId(1),
             0,
@@ -1425,7 +1424,7 @@ mod tests {
         let racs = vec![Rac::new_static(config).unwrap()];
         let (a, b, c) = ((2, 1), (1, 1), (1, 2));
         for parallelism in [1, 4] {
-            let db = ShardedIngressDb::new(4);
+            let db = ShardedIngressDb::default();
             insert_path(&db, 0, &[b, a]);
             insert_path(&db, 1, &[c, a]);
             insert_path(&db, 2, &[(1, 3), (4, 1), (5, 1)]);

@@ -23,106 +23,67 @@ pub struct IngressStats {
     pub duplicates: u64,
 }
 
-impl IngressStats {
-    /// Adds another stats record into this one (the per-shard reduction).
-    fn accumulate(&mut self, other: &IngressStats) {
-        self.accepted += other.accepted;
-        self.rejected += other.rejected;
-        self.duplicates += other.duplicates;
-    }
-}
-
 /// The ingress gateway of one AS.
 ///
 /// "When receiving a PCB from a neighboring AS, the ingress gateway verifies the included
 /// signatures and whether the path constructed by the PCB complies with the local AS'
 /// policies. The ingress gateway then stores the PCB in its ingress database."
 ///
-/// The database is sharded by origin-AS hash ([`ShardedIngressDb`]) and the statistics are
-/// kept per shard, so commits targeting different shards can proceed concurrently through
-/// the `&self` [`IngressGateway::commit_in_shard`] entry point (the delivery plane's
-/// sharded apply stage). [`IngressGateway::stats`] reduces the per-shard counters in fixed
-/// shard order, which — with commutative `u64` sums — makes the aggregate independent of
-/// shard count and commit interleaving.
+/// Commits take `&self`: the database keeps its map behind an interior lock and the
+/// statistics behind a mutex, so the gateway is shared the way its database is.
 pub struct IngressGateway {
     local_as: AsId,
     db: ShardedIngressDb,
     verifier: Verifier,
-    /// Per-shard statistics, indexed like the database's shards. A rejected beacon never
-    /// touches the database but is still attributed to its origin's shard so concurrent
-    /// shard commits account without contending.
-    stats: Vec<Mutex<IngressStats>>,
+    stats: Mutex<IngressStats>,
 }
 
 impl Clone for IngressGateway {
-    /// Deep-clones the gateway: database shards and per-shard statistics are copied, so
-    /// the clone evolves independently (used by `Simulation`'s snapshot clone).
+    /// Deep-clones the gateway: the database and the statistics are copied, so the clone
+    /// evolves independently (used by `Simulation`'s snapshot clone).
     fn clone(&self) -> Self {
         IngressGateway {
             local_as: self.local_as,
             db: self.db.clone(),
             verifier: self.verifier.clone(),
-            stats: self
-                .stats
-                .iter()
-                .map(|shard| Mutex::new(*shard.lock()))
-                .collect(),
+            stats: Mutex::new(self.stats()),
         }
     }
 }
 
 impl IngressGateway {
-    /// A copy-on-write clone: the database shards are structurally shared via
-    /// [`ShardedIngressDb::cow_clone`] (O(shards) pointer copies; a shard is materialized
-    /// only when one side writes to it), while the small per-shard statistics are copied
-    /// eagerly. Used by `Simulation::snapshot` for the PD campaign's per-pair snapshots.
+    /// A copy-on-write clone: the database is structurally shared via
+    /// [`ShardedIngressDb::cow_clone`] (one pointer copy; it is materialized only when one
+    /// side writes to it), while the small statistics are copied eagerly. Used by
+    /// `Simulation::snapshot` for the PD campaign's per-pair snapshots.
     pub fn cow_clone(&self) -> Self {
         IngressGateway {
             local_as: self.local_as,
             db: self.db.cow_clone(),
             verifier: self.verifier.clone(),
-            stats: self
-                .stats
-                .iter()
-                .map(|shard| Mutex::new(*shard.lock()))
-                .collect(),
+            stats: Mutex::new(self.stats()),
         }
     }
 
-    /// Creates a single-shard ingress gateway for `local_as` using `verifier` for signature
-    /// checks — observably identical to the pre-sharding gateway.
+    /// Creates an ingress gateway for `local_as` using `verifier` for signature checks.
     pub fn new(local_as: AsId, verifier: Verifier) -> Self {
-        Self::with_shards(local_as, verifier, 1)
-    }
-
-    /// Creates an ingress gateway whose database is split into `shards` shards (clamped to
-    /// `1..=`[`crate::beacon_db::MAX_INGRESS_SHARDS`]).
-    pub fn with_shards(local_as: AsId, verifier: Verifier, shards: usize) -> Self {
-        let db = ShardedIngressDb::new(shards);
-        let stats = (0..db.shard_count())
-            .map(|_| Mutex::new(IngressStats::default()))
-            .collect();
         IngressGateway {
             local_as,
-            db,
+            db: ShardedIngressDb::default(),
             verifier,
-            stats,
+            stats: Mutex::default(),
         }
     }
 
     /// Access to the ingress database (RACs read candidate batches from here; eviction and
-    /// insertion go through the shards' interior locks).
+    /// insertion go through its interior lock).
     pub fn db(&self) -> &ShardedIngressDb {
         &self.db
     }
 
-    /// The gateway statistics, reduced over the shards in fixed index order.
+    /// The gateway statistics.
     pub fn stats(&self) -> IngressStats {
-        let mut total = IngressStats::default();
-        for shard in &self.stats {
-            total.accumulate(&shard.lock());
-        }
-        total
+        *self.stats.lock()
     }
 
     /// Number of stored beacons still valid at `now` — the occupancy figure to report
@@ -175,38 +136,21 @@ impl IngressGateway {
     /// under the id the verdict carries (deduplicating by it — the beacon is not hashed
     /// again). `verdict` must be what [`IngressGateway::verify`] returned for this `pcb`.
     /// Messages of one origin must commit in delivery order — this is where the dedup index
-    /// and the statistics of the origin's shard mutate; commits for *different* shards are
-    /// independent and may interleave freely.
+    /// and the statistics mutate.
     pub fn commit(&self, pcb: Pcb, ingress: IfId, now: SimTime, verdict: Verdict) -> Result<()> {
-        let shard = self.db.shard_of(pcb.origin);
-        self.commit_in_shard(shard, pcb, ingress, now, verdict)
-    }
-
-    /// [`IngressGateway::commit`] with the shard precomputed by the caller (the delivery
-    /// plane partitions whole epochs into per-shard inboxes before fanning the commits out
-    /// over worker threads).
-    pub fn commit_in_shard(
-        &self,
-        shard: usize,
-        pcb: Pcb,
-        ingress: IfId,
-        now: SimTime,
-        verdict: Verdict,
-    ) -> Result<()> {
         let id = match verdict {
             Ok(id) => id,
             Err(e) => {
-                self.stats[shard].lock().rejected += 1;
+                self.stats.lock().rejected += 1;
                 return Err(e);
             }
         };
-        if self
-            .db
-            .insert_with_id_in_shard(shard, id, pcb, ingress, now)
-        {
-            self.stats[shard].lock().accepted += 1;
+        let stored = self.db.insert_with_id(id, pcb, ingress, now);
+        let mut stats = self.stats.lock();
+        if stored {
+            stats.accepted += 1;
         } else {
-            self.stats[shard].lock().duplicates += 1;
+            stats.duplicates += 1;
         }
         Ok(())
     }
@@ -353,42 +297,6 @@ mod tests {
         }
         assert_eq!(gw.stats(), IngressStats::default());
         assert!(gw.db().is_empty());
-    }
-
-    #[test]
-    fn sharded_gateway_matches_single_shard_for_any_shard_count() {
-        let reg = registry();
-        // The same traffic — valid beacons from several origins, one tampered, one
-        // duplicate — through gateways with different shard counts: aggregate stats and
-        // database contents must be identical.
-        let mut traffic = Vec::new();
-        for origin in 1..=4u64 {
-            traffic.push(beacon(&reg, origin, &[], 6));
-        }
-        let mut tampered = beacon(&reg, 2, &[3], 6);
-        tampered.entries.to_mut()[0].static_info.link_latency = Latency::from_millis(1);
-        traffic.push(tampered);
-        traffic.push(traffic[0].clone());
-
-        let reference = IngressGateway::new(AsId(10), Verifier::new(reg.clone()));
-        for pcb in &traffic {
-            let _ = reference.receive(pcb.clone(), IfId(7), SimTime::ZERO);
-        }
-        for shards in [2usize, 4, 7, 16] {
-            let gw = IngressGateway::with_shards(AsId(10), Verifier::new(reg.clone()), shards);
-            assert_eq!(gw.db().shard_count(), shards);
-            for pcb in &traffic {
-                let shard = gw.db().shard_of(pcb.origin);
-                let verdict = gw.verify(pcb, SimTime::ZERO);
-                let _ = gw.commit_in_shard(shard, pcb.clone(), IfId(7), SimTime::ZERO, verdict);
-            }
-            assert_eq!(gw.stats(), reference.stats(), "stats at {shards} shards");
-            assert_eq!(gw.db().len(), reference.db().len());
-            assert_eq!(gw.db().batch_keys(), reference.db().batch_keys());
-        }
-        assert_eq!(reference.stats().accepted, 4);
-        assert_eq!(reference.stats().rejected, 1);
-        assert_eq!(reference.stats().duplicates, 1);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! * [`egress::EgressGateway`] originates new PCBs (with IREC extensions), deduplicates RAC
 //!   selections ([`beacon_db::EgressDb`]), appends the local signed hop entry, propagates
 //!   PCBs to neighbors, returns pull-based PCBs to their origin, and registers paths at the
-//!   [`path_service::ShardedPathService`] (sharded per destination AS).
+//!   [`path_service::ShardedPathService`] (one per AS).
 //! * [`node::IrecNode`] ties all components of one AS together; the discrete-event simulator
 //!   (`irec-sim`) drives a collection of nodes.
 //!
@@ -62,5 +62,5 @@ pub use engine::{
 pub use ingress::{IngressGateway, IngressStats, Verdict};
 pub use messages::{PcbMessage, PullReturn};
 pub use node::{IrecNode, RoundOutput};
-pub use path_service::{PathService, RegisteredPath, ShardedPathService, MAX_PATH_SHARDS};
+pub use path_service::{PathService, RegisteredPath, ShardedPathService};
 pub use rac::{AlgorithmFetcher, Rac, RacOutput, RacTiming, SharedAlgorithmStore};

@@ -17,10 +17,6 @@ use irec_types::{AlgorithmId, AsId, IfId, Result, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Minimum ingress-database occupancy before the per-round eviction sweep fans out over
-/// shard worker threads; below this the serial sweep is faster than the thread spawns.
-const PARALLEL_EVICTION_MIN_OCCUPANCY: usize = 1024;
-
 /// Everything one beaconing round of a node produces, for the simulator to deliver and
 /// account.
 #[derive(Debug, Default)]
@@ -84,9 +80,9 @@ impl Clone for IrecNode {
 }
 
 impl IrecNode {
-    /// A copy-on-write clone of the node: the ingress database and path service share
-    /// their shards structurally with the original (O(shards) pointer copies each, via
-    /// [`IngressGateway::cow_clone`] / [`EgressGateway::cow_clone`]), and a shard is
+    /// A copy-on-write clone of the node: the ingress database and path service are
+    /// shared structurally with the original (one pointer copy each, via
+    /// [`IngressGateway::cow_clone`] / [`EgressGateway::cow_clone`]), and each is
     /// materialized only when one side writes to it. The small remaining state — RAC
     /// caches, counters, origination specs — is copied eagerly, and the topology and
     /// algorithm store stay shared exactly as in [`Clone`]. This is the per-node building
@@ -121,14 +117,8 @@ impl IrecNode {
         let signer = Signer::new(asn, registry.clone());
         let verifier = Verifier::new(registry);
         let racs = build_racs(&config.racs, config.irec_enabled, &store)?;
-        let ingress = IngressGateway::with_shards(asn, verifier, config.ingress_shard_count());
-        let egress = EgressGateway::with_path_shards(
-            asn,
-            Arc::clone(&topology),
-            signer,
-            config.policy,
-            config.path_shard_count(),
-        );
+        let ingress = IngressGateway::new(asn, verifier);
+        let egress = EgressGateway::new(asn, Arc::clone(&topology), signer, config.policy);
         Ok(IrecNode {
             asn,
             config,
@@ -221,8 +211,7 @@ impl IrecNode {
 
     /// The apply stage of message handling: accounts the precomputed `verdict` and, on
     /// success, commits the beacon to the ingress database. Messages of one origin must be
-    /// applied in delivery order; messages whose origins hash to different ingress shards
-    /// are independent.
+    /// applied in delivery order.
     pub fn apply_message(
         &mut self,
         message: PcbMessage,
@@ -233,47 +222,11 @@ impl IrecNode {
             .commit(message.pcb, message.to_if, now, verdict)
     }
 
-    /// Number of shards of this node's ingress database.
-    pub fn ingress_shard_count(&self) -> usize {
-        self.ingress.db().shard_count()
-    }
-
-    /// The ingress shard a beacon from `origin` commits to.
-    pub fn ingress_shard_of(&self, origin: irec_types::AsId) -> usize {
-        self.ingress.db().shard_of(origin)
-    }
-
-    /// [`IrecNode::apply_message`] with the shard precomputed by the caller, through
-    /// `&self`: the delivery plane's sharded apply stage commits per-shard inboxes of a
-    /// whole epoch concurrently — different `(node, shard)` pairs never contend, and the
-    /// per-shard delivery order is preserved by the caller.
-    pub fn apply_message_in_shard(
-        &self,
-        shard: usize,
-        message: PcbMessage,
-        now: SimTime,
-        verdict: Verdict,
-    ) -> Result<()> {
-        self.ingress
-            .commit_in_shard(shard, message.pcb, message.to_if, now, verdict)
-    }
-
     /// Handles a pull-based beacon returned by its target (§IV-B): the completed path is
     /// registered at the local path service, tagged as pull-based. Takes `&self` — the
-    /// path service is sharded per destination behind interior locks, so pull-return
-    /// commits for different destinations can run concurrently (the delivery plane's
-    /// sharded apply stage relies on this).
+    /// path service registers through an interior lock. Returns for one destination must
+    /// be handled in delivery order.
     pub fn handle_pull_return(&self, ret: PullReturn, now: SimTime) {
-        let shard = self.path_shard_of(ret.from_as);
-        self.handle_pull_return_in_shard(shard, ret, now);
-    }
-
-    /// [`IrecNode::handle_pull_return`] with the path-service shard precomputed by the
-    /// caller (the delivery plane partitions a whole epoch's pull returns into
-    /// per-`(destination AS, path shard)` inboxes before fanning the commits out).
-    /// Registrations for the same shard must be applied in delivery order; different
-    /// shards never contend.
-    pub fn handle_pull_return_in_shard(&self, shard: usize, ret: PullReturn, now: SimTime) {
         let pcb = &ret.pcb;
         let Some(origin_interface) = pcb.origin_interface() else {
             return;
@@ -282,28 +235,20 @@ impl IrecNode {
         // target; register it with the target as the destination. A returned beacon is
         // not stored, so this is the one place its id is needed — hashed here, by the AS
         // that registers it, not taken from the sender.
-        self.egress.path_service().register_in_shard(
-            shard,
-            RegisteredPath {
-                pcb_id: pcb.digest(),
-                destination: ret.from_as,
-                destination_interface: ret.target_ingress,
-                local_interface: origin_interface,
-                algorithm: "PD".to_string(),
-                group: pcb
-                    .extensions
-                    .interface_group()
-                    .unwrap_or(irec_types::InterfaceGroupId::DEFAULT),
-                metrics: pcb.path_metrics(),
-                links: pcb.link_keys(),
-                registered_at: now,
-            },
-        );
-    }
-
-    /// The path-service shard a path towards `destination` registers in.
-    pub fn path_shard_of(&self, destination: irec_types::AsId) -> usize {
-        self.egress.path_service().shard_of(destination)
+        self.egress.path_service().register(RegisteredPath {
+            pcb_id: pcb.digest(),
+            destination: ret.from_as,
+            destination_interface: ret.target_ingress,
+            local_interface: origin_interface,
+            algorithm: "PD".to_string(),
+            group: pcb
+                .extensions
+                .interface_group()
+                .unwrap_or(irec_types::InterfaceGroupId::DEFAULT),
+            metrics: pcb.path_metrics(),
+            links: pcb.link_keys(),
+            registered_at: now,
+        });
     }
 
     /// Runs one beaconing round: originate fresh beacons, run every RAC over the ingress
@@ -387,26 +332,14 @@ impl IrecNode {
     }
 
     /// The round's housekeeping (phase 4 of [`IrecNode::beaconing_round`]): expiry
-    /// eviction and the per-round send counters. The eviction sweep fans out over the
-    /// ingress shards with the same worker budget as the RAC engine — but only when the
-    /// database is large enough for per-shard threads to beat their spawn cost: this runs
-    /// once per node per round, possibly already inside a node-phase worker, and a
-    /// near-empty sweep is a cheap map walk. The eviction outcome is shard- and
-    /// worker-count independent either way.
+    /// eviction and the per-round send counters.
     ///
     /// Returns — and resets — the per-interface send counters accumulated since the last
     /// call; skipped entirely (counters left accumulating) when the round core failed.
     pub fn round_housekeeping(&mut self, now: SimTime) -> BTreeMap<IfId, u64> {
-        let eviction_workers = if self.ingress.db().len() >= PARALLEL_EVICTION_MIN_OCCUPANCY {
-            self.config.parallelism
-        } else {
-            1
-        };
-        self.ingress.db().evict_expired_parallel(
-            now,
-            irec_types::SimDuration::ZERO,
-            eviction_workers,
-        );
+        self.ingress
+            .db()
+            .evict_expired(now, irec_types::SimDuration::ZERO);
         self.egress.evict_expired(now);
         self.egress.take_sent_counters()
     }

@@ -1,15 +1,11 @@
 //! The path service: where the egress gateway registers discovered paths so that endpoints
 //! can query them (§III "Endpoint Path Selection", §V-D "Path Registration").
 //!
-//! The service is sharded **per destination AS** behind the [`ShardedPathService`] facade —
-//! the same recipe as [`crate::beacon_db::ShardedIngressDb`], which shards per origin AS.
-//! Every registration for one destination lands in the same shard (deterministic
-//! `splitmix64` placement), so pull returns and RAC registrations targeting *different*
-//! destinations commit concurrently through `&self`, while the facade preserves the
-//! single-map API with iteration order byte-identical to an unsharded [`PathService`] for
-//! any shard count.
+//! Each AS holds one [`PathService`], kept behind a lock and an `Arc` by
+//! [`ShardedPathService`] — the same recipe as [`crate::beacon_db::ShardedIngressDb`] — so
+//! pull returns and RAC registrations commit through `&self` and copy-on-write snapshots
+//! share the map until one side registers.
 
-use crate::beacon_db::splitmix64;
 use irec_pcb::{Pcb, PcbId};
 use irec_types::{AsId, IfId, InterfaceGroupId, PathMetrics, SimTime};
 use parking_lot::RwLock;
@@ -38,6 +34,15 @@ pub struct RegisteredPath {
     pub links: Vec<(AsId, IfId)>,
     /// When the path was (last) registered.
     pub registered_at: SimTime,
+}
+
+/// The finalizer of `splitmix64` — a fixed, platform-independent avalanche mix, so link
+/// hashes are the same on every run and build.
+pub(crate) const fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 /// Key limiting registrations: the paper caps registered paths "per RAC, origin AS, and
@@ -131,8 +136,7 @@ pub struct KeyVersion(u64);
 /// The default per-key registration limit of the paper's evaluation.
 const DEFAULT_LIMIT_PER_KEY: usize = 20;
 
-/// The path service of one AS (one shard of a [`ShardedPathService`], or a standalone
-/// unsharded reference).
+/// The path service of one AS (the map a [`ShardedPathService`] holds).
 #[derive(Debug, Clone, Default)]
 pub struct PathService {
     limit_per_key: usize,
@@ -346,142 +350,84 @@ impl PathService {
     pub fn evictions(&self) -> u64 {
         self.evicted
     }
-
-    /// Owned snapshots of every `(key, registrations)` entry, in key order (the sharded
-    /// facade merges these across shards).
-    fn entries(&self) -> Vec<(RegistrationKey, Vec<RegisteredPath>)> {
-        self.paths
-            .iter()
-            .map(|(k, v)| (k.clone(), v.paths.clone()))
-            .collect()
-    }
 }
 
-/// Hard cap on path-service shards, matching the ingress database's cap: beyond this the
-/// per-shard maps are so small that the fan-out bookkeeping dominates any concurrency win.
-pub const MAX_PATH_SHARDS: usize = 256;
-
-/// A sharded path service: `N` independent [`PathService`] shards keyed by
-/// **destination-AS** hash, each an `Arc`-wrapped map behind its own `parking_lot::RwLock`.
+/// The path service of one AS: one [`PathService`], `Arc`-wrapped behind a
+/// `parking_lot::RwLock`.
 ///
-/// Every registration towards one destination lands in the same shard (the registered
-/// path's `destination` determines placement via the same deterministic `splitmix64`
-/// finalizer the ingress database uses), so registrations — RAC selections and pull
-/// returns alike — for *different* destinations are independent and can commit
-/// concurrently through `&self`. The facade preserves the single-map API with
-/// **deterministic, shard-merged iteration order**: [`ShardedPathService::all`] returns
-/// the global ascending `(algorithm, destination, group)` key order (keys are globally
-/// unique and each lives in exactly one shard, so sorting the merged entries reproduces
-/// exactly what one `BTreeMap` would iterate), per-destination queries stay entirely
-/// within the destination's shard (whose relative key order already matches the single
-/// map), and counters reduce over shards in fixed index order. A service with any shard
-/// count is observably byte-identical to the unsharded reference — pinned by the proptest
-/// suite in `crates/core/tests/proptests.rs`.
+/// Registrations — RAC selections and pull returns alike — take `&self`, and
+/// [`ShardedPathService::cow_clone`] hands out a structurally shared copy-on-write
+/// snapshot in one reference-count bump; the map is deep-copied only when a service that
+/// still shares it registers a path ([`Arc::make_mut`] semantics). Every method delegates
+/// to the one map.
 ///
-/// Like the ingress database, each shard is an `Arc<PathService>` so
-/// [`ShardedPathService::cow_clone`] can hand out structurally shared copy-on-write
-/// snapshots in O(shards) reference-count bumps; a shard is deep-copied only when a
-/// service that still shares it registers a path into it ([`Arc::make_mut`] semantics).
+/// The name is kept because the standalone benchmark in `benchmark/` names the type.
 #[derive(Debug)]
 pub struct ShardedPathService {
-    shards: Vec<RwLock<Arc<PathService>>>,
+    store: RwLock<Arc<PathService>>,
 }
 
 impl Default for ShardedPathService {
-    /// A single-shard service — observably identical to a plain [`PathService`].
+    /// An empty service with the paper's default per-key limit.
     fn default() -> Self {
-        ShardedPathService::new(1)
+        ShardedPathService::with_limit(DEFAULT_LIMIT_PER_KEY)
     }
 }
 
 impl Clone for ShardedPathService {
-    /// Deep-clones every shard's contents (the pre-snapshot behaviour, kept as the
-    /// reference the COW path is benchmarked and tested against). The clone shares nothing
-    /// with the original. Prefer [`ShardedPathService::cow_clone`] for snapshotting.
+    /// Deep-clones the map (the pre-snapshot behaviour, kept as the reference the COW path
+    /// is benchmarked and tested against). The clone shares nothing with the original.
+    /// Prefer [`ShardedPathService::cow_clone`] for snapshotting.
     fn clone(&self) -> Self {
         ShardedPathService {
-            shards: self
-                .shards
-                .iter()
-                .map(|shard| RwLock::new(Arc::new(shard.read().as_ref().clone())))
-                .collect(),
+            store: RwLock::new(Arc::new(self.store.read().as_ref().clone())),
         }
     }
 }
 
 impl ShardedPathService {
-    /// Creates an empty service with `shards` shards (clamped to `1..=`
-    /// [`MAX_PATH_SHARDS`]) and the paper's default per-key limit. Any shard count —
-    /// powers of two or not — yields the same observable contents; the count only changes
-    /// how concurrent registration can get.
-    pub fn new(shards: usize) -> Self {
-        Self::with_limit(DEFAULT_LIMIT_PER_KEY, shards)
+    /// Creates an empty service with the paper's default per-key limit. The argument is
+    /// ignored: the standalone benchmark in `benchmark/` calls the constructor with it.
+    pub fn new(_: usize) -> Self {
+        ShardedPathService::default()
     }
 
-    /// Creates an empty service with a custom per-key limit and shard count.
-    pub fn with_limit(limit_per_key: usize, shards: usize) -> Self {
-        let shards = shards.clamp(1, MAX_PATH_SHARDS);
+    /// Creates an empty service with a custom per-key limit.
+    pub fn with_limit(limit_per_key: usize) -> Self {
         ShardedPathService {
-            shards: (0..shards)
-                .map(|_| RwLock::new(Arc::new(PathService::with_limit(limit_per_key))))
-                .collect(),
+            store: RwLock::new(Arc::new(PathService::with_limit(limit_per_key))),
         }
     }
 
-    /// A structurally shared copy-on-write snapshot: O(shards) reference-count bumps, no
-    /// map copies. Both services keep full read access to the shared shards; whichever
-    /// side registers into a still-shared shard first materializes its own copy of just
-    /// that shard, so neither can observe the other's subsequent registrations.
+    /// A structurally shared copy-on-write snapshot: one reference-count bump, no map copy.
+    /// Whichever side registers first materializes its own copy, so neither can observe
+    /// the other's subsequent registrations.
     pub fn cow_clone(&self) -> Self {
         ShardedPathService {
-            shards: self
-                .shards
-                .iter()
-                .map(|shard| RwLock::new(Arc::clone(&shard.read())))
-                .collect(),
+            store: RwLock::new(Arc::clone(&self.store.read())),
         }
     }
 
-    /// Whether shard `shard` is still the same allocation in `self` and `other` —
-    /// i.e. neither side has registered into it since a [`ShardedPathService::cow_clone`]
-    /// tied them together. Introspection for the COW isolation tests and the
-    /// snapshot-cost benchmark.
-    pub fn shares_shard_with(&self, other: &ShardedPathService, shard: usize) -> bool {
-        Arc::ptr_eq(&self.shards[shard].read(), &other.shards[shard].read())
+    /// Whether `self` and `other` still hold the same allocation — i.e. neither side has
+    /// registered since a [`ShardedPathService::cow_clone`] tied them together.
+    /// Introspection for the COW isolation tests and the snapshot-cost benchmark.
+    pub fn shares_store_with(&self, other: &ShardedPathService) -> bool {
+        Arc::ptr_eq(&self.store.read(), &other.store.read())
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// Runs `write` on the (copy-on-write materialized) map.
+    fn write<R>(&self, write: impl FnOnce(&mut PathService) -> R) -> R {
+        write(Arc::make_mut(&mut *self.store.write()))
     }
 
-    /// The shard index paths towards `destination` live in.
-    pub fn shard_of(&self, destination: AsId) -> usize {
-        (splitmix64(destination.value()) % self.shards.len() as u64) as usize
-    }
-
-    /// Registers (or refreshes) a path in its destination's shard. Takes `&self`:
-    /// concurrent registrations for different destinations' shards do not contend.
+    /// Registers (or refreshes) a path (see [`PathService::register`]).
     pub fn register(&self, path: RegisteredPath) {
-        let shard = self.shard_of(path.destination);
-        self.register_in_shard(shard, path);
+        self.write(|paths| paths.register(path));
     }
 
-    /// [`ShardedPathService::register`] with the shard precomputed by the caller (the
-    /// delivery plane partitions a whole epoch's pull returns by shard before fanning the
-    /// commits out).
-    pub fn register_in_shard(&self, shard: usize, path: RegisteredPath) {
-        debug_assert_eq!(
-            shard,
-            self.shard_of(path.destination),
-            "path registered in a foreign shard"
-        );
-        Arc::make_mut(&mut *self.shards[shard].write()).register(path);
-    }
-
-    /// [`PathService::register_selected`] in `destination`'s shard, under one lock. A
-    /// selection with nothing to register leaves the shard untouched (and, if it is shared
-    /// with a snapshot, shared), and records no walk.
+    /// [`PathService::register_selected`] under one lock. A selection with nothing to
+    /// register leaves the map untouched (and, if it is shared with a snapshot, shared),
+    /// and records no walk.
     pub fn register_selected<'a>(
         &self,
         algorithm: &Arc<str>,
@@ -498,20 +444,13 @@ impl ShardedPathService {
         if selected.peek().is_none() {
             return (0, None);
         }
-        let mut shard = self.shards[self.shard_of(destination)].write();
-        Arc::make_mut(&mut *shard).register_selected(
-            algorithm,
-            destination,
-            group,
-            now,
-            selected,
-            positions,
-        )
+        self.write(|paths| {
+            paths.register_selected(algorithm, destination, group, now, selected, positions)
+        })
     }
 
-    /// [`PathService::replay_selected`] in `destination`'s shard. It copies a shard shared
-    /// with a snapshot just as walking the same beacons again would: a walk worth replaying
-    /// registered something.
+    /// [`PathService::replay_selected`]. It copies a map shared with a snapshot just as
+    /// walking the same beacons again would: a walk worth replaying registered something.
     pub fn replay_selected(
         &self,
         algorithm: &Arc<str>,
@@ -521,21 +460,14 @@ impl ShardedPathService {
         positions: &[u32],
         version: KeyVersion,
     ) -> bool {
-        let mut shard = self.shards[self.shard_of(destination)].write();
-        Arc::make_mut(&mut *shard).replay_selected(
-            algorithm,
-            destination,
-            group,
-            now,
-            positions,
-            version,
-        )
+        self.write(|paths| {
+            paths.replay_selected(algorithm, destination, group, now, positions, version)
+        })
     }
 
-    /// All paths towards `destination`, across all RACs and groups — entirely within the
-    /// destination's shard, in the same `(algorithm, group)` order as the unsharded map.
+    /// All paths towards `destination`, across all RACs and groups.
     pub fn paths_to(&self, destination: AsId) -> Vec<RegisteredPath> {
-        self.shards[self.shard_of(destination)]
+        self.store
             .read()
             .paths_to(destination)
             .into_iter()
@@ -545,7 +477,7 @@ impl ShardedPathService {
 
     /// All paths towards `destination` registered by a specific RAC.
     pub fn paths_to_by(&self, destination: AsId, algorithm: &str) -> Vec<RegisteredPath> {
-        self.shards[self.shard_of(destination)]
+        self.store
             .read()
             .paths_to_by(destination, algorithm)
             .into_iter()
@@ -553,23 +485,20 @@ impl ShardedPathService {
             .collect()
     }
 
-    /// Every registered path, in the global ascending `(algorithm, destination, group)`
-    /// key order — byte-identical to what the unsharded map iterates, for any shard count.
+    /// Every registered path, in ascending `(algorithm, destination, group)` key order.
     pub fn all(&self) -> Vec<RegisteredPath> {
-        let mut entries: Vec<(RegistrationKey, Vec<RegisteredPath>)> = self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.read().entries())
+        // Cloned key by key, then flattened. One flat clone gives the same paths, but on
+        // the benchmark's `beacon_mix` (2-core Linux box, glibc malloc) it left the heap
+        // fragmented so that peak RSS read 86 MB instead of 78.6 MB, in every run.
+        let per_key: Vec<Vec<RegisteredPath>> = (self.store.read().paths.values())
+            .map(|registrations| registrations.paths.clone())
             .collect();
-        // Keys are globally unique (each destination lives in exactly one shard), so this
-        // sort is a pure merge reproducing the single-map BTreeMap order.
-        entries.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-        entries.into_iter().flat_map(|(_, paths)| paths).collect()
+        per_key.into_iter().flatten().collect()
     }
 
-    /// Total number of registered paths, reduced over shards in index order.
+    /// Total number of registered paths.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|shard| shard.read().len()).sum()
+        self.store.read().len()
     }
 
     /// Whether nothing is registered.
@@ -577,31 +506,14 @@ impl ShardedPathService {
         self.len() == 0
     }
 
-    /// Number of paths registered in one shard (occupancy introspection for tests and the
-    /// sharding stress suite).
-    pub fn shard_len(&self, shard: usize) -> usize {
-        self.shards[shard].read().len()
-    }
-
     /// The distinct destination ASes reachable through registered paths, ascending.
     pub fn destinations(&self) -> Vec<AsId> {
-        let mut v: Vec<AsId> = self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.read().destinations())
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+        self.store.read().destinations()
     }
 
-    /// Total number of limit evictions, reduced over shards in index order — the
-    /// shard-count-independent figure the unsharded service would report.
+    /// Number of registrations evicted so far because their key hit the per-key limit.
     pub fn evictions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|shard| shard.read().evictions())
-            .sum()
+        self.store.read().evictions()
     }
 }
 
@@ -784,8 +696,8 @@ mod tests {
     }
 
     #[test]
-    fn a_selection_with_nothing_to_register_leaves_a_shared_shard_shared() {
-        let base = ShardedPathService::new(1);
+    fn a_selection_with_nothing_to_register_leaves_a_shared_store_shared() {
+        let base = ShardedPathService::default();
         base.register(path(1, "1SP", 1, 0));
         let snapshot = base.cow_clone();
         let algorithm: Arc<str> = "1SP".into();
@@ -824,7 +736,7 @@ mod tests {
                 .0,
             0
         );
-        assert!(snapshot.shares_shard_with(&base, 0));
+        assert!(snapshot.shares_store_with(&base));
         assert_eq!(snapshot.destinations(), vec![AsId(1)]);
 
         let (id, pcb) = beacon(2, 0, 1, 5);
@@ -842,7 +754,7 @@ mod tests {
                 .0,
             1
         );
-        assert!(!snapshot.shares_shard_with(&base, 0));
+        assert!(!snapshot.shares_store_with(&base));
         assert_eq!((snapshot.len(), base.len()), (2, 1));
     }
 
@@ -877,103 +789,38 @@ mod tests {
     }
 
     #[test]
-    fn sharded_service_clamps_shard_count_and_places_destinations_stably() {
-        assert_eq!(ShardedPathService::new(0).shard_count(), 1);
-        assert_eq!(
-            ShardedPathService::new(100_000).shard_count(),
-            MAX_PATH_SHARDS
-        );
-        let ps = ShardedPathService::new(7);
-        for destination in 1..200u64 {
-            let shard = ps.shard_of(AsId(destination));
-            assert!(shard < 7);
-            // Placement is a pure function of the destination.
-            assert_eq!(ps.shard_of(AsId(destination)), shard);
-        }
-        // The hash actually spreads destinations (not everything in one shard).
-        let used: std::collections::HashSet<usize> =
-            (1..200u64).map(|d| ps.shard_of(AsId(d))).collect();
-        assert!(used.len() > 1);
-    }
-
-    #[test]
-    fn sharded_service_matches_single_map_for_any_shard_count() {
-        for shards in [1usize, 2, 4, 7, 16] {
-            let mut reference = PathService::with_limit(2);
-            let sharded = ShardedPathService::with_limit(2, shards);
-            for destination in 1..=6u64 {
-                for (id_byte, alg) in [(1u8, "1SP"), (2, "HD"), (3, "HD"), (4, "HD"), (2, "PD")] {
-                    let p = path(destination, alg, id_byte, u64::from(id_byte));
-                    reference.register(p.clone());
-                    sharded.register(p);
-                }
-            }
-            assert_eq!(sharded.len(), reference.len(), "len at {shards} shards");
-            assert_eq!(
-                sharded.all(),
-                reference.all().into_iter().cloned().collect::<Vec<_>>()
-            );
-            assert_eq!(sharded.destinations(), reference.destinations());
-            assert_eq!(sharded.evictions(), reference.evictions());
-            for destination in 1..=6u64 {
-                assert_eq!(
-                    sharded.paths_to(AsId(destination)),
-                    reference
-                        .paths_to(AsId(destination))
-                        .into_iter()
-                        .cloned()
-                        .collect::<Vec<_>>()
-                );
-                assert_eq!(
-                    sharded.paths_to_by(AsId(destination), "HD"),
-                    reference
-                        .paths_to_by(AsId(destination), "HD")
-                        .into_iter()
-                        .cloned()
-                        .collect::<Vec<_>>()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_service_clone_shares_nothing() {
-        let ps = ShardedPathService::new(4);
+    fn deep_clone_shares_nothing() {
+        let ps = ShardedPathService::default();
         ps.register(path(1, "1SP", 1, 0));
         let cloned = ps.clone();
         assert_eq!(cloned.len(), 1);
         cloned.register(path(2, "1SP", 2, 0));
         assert_eq!(cloned.len(), 2);
         assert_eq!(ps.len(), 1, "clone mutations must not leak back");
-        // A deep clone shares no shard allocation even before any write.
-        let fresh = ps.clone();
-        assert!((0..4).all(|s| !fresh.shares_shard_with(&ps, s)));
+        // A deep clone shares no allocation even before any write.
+        assert!(!ps.clone().shares_store_with(&ps));
     }
 
     #[test]
-    fn cow_clone_shares_shards_until_first_registration_in_either_direction() {
-        let base = ShardedPathService::new(7);
+    fn cow_clone_shares_the_store_until_first_registration_in_either_direction() {
+        let base = ShardedPathService::default();
         for destination in 1..=10u64 {
             base.register(path(destination, "1SP", 1, 0));
         }
         let snap = base.cow_clone();
-        assert!((0..7).all(|s| snap.shares_shard_with(&base, s)));
+        assert!(snap.shares_store_with(&base));
         assert_eq!(snap.all(), base.all());
 
-        // Snapshot registration: only the destination's shard un-shares.
+        // Snapshot registration: the snapshot copies, the base keeps its paths.
         snap.register(path(1, "PD", 2, 5));
-        let touched = snap.shard_of(AsId(1));
-        for s in 0..7 {
-            assert_eq!(snap.shares_shard_with(&base, s), s != touched);
-        }
+        assert!(!snap.shares_store_with(&base));
         assert_eq!(base.paths_to(AsId(1)).len(), 1);
         assert_eq!(snap.paths_to(AsId(1)).len(), 2);
 
-        // Base registration after the snapshot: copies on the base side only.
-        let other = base.shard_of(AsId(2));
-        assert_ne!(other, touched, "test destinations 1 and 2 must spread");
+        // Base registration after a snapshot: copies on the base side only.
+        let snap = base.cow_clone();
         base.register(path(2, "PD", 3, 5));
-        assert!(!snap.shares_shard_with(&base, other));
+        assert!(!snap.shares_store_with(&base));
         assert_eq!(snap.paths_to(AsId(2)).len(), 1);
         assert_eq!(base.paths_to(AsId(2)).len(), 2);
     }

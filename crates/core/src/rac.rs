@@ -755,7 +755,7 @@ mod tests {
     }
 
     fn ingress_db_with(beacons: Vec<(Pcb, u32)>) -> ShardedIngressDb {
-        let db = ShardedIngressDb::new(3);
+        let db = ShardedIngressDb::default();
         for (pcb, ingress) in beacons {
             db.insert(pcb, IfId(ingress), SimTime::ZERO);
         }

@@ -9,8 +9,8 @@
 
 use irec_core::beacon_db::BatchKey;
 use irec_core::{
-    EgressDb, IngressDb, PathService, PcbMessage, PullReturn, RacTiming, RegisteredPath,
-    ShardedIngressDb, ShardedPathService,
+    EgressDb, IngressDb, PcbMessage, PullReturn, RacTiming, RegisteredPath, ShardedIngressDb,
+    ShardedPathService,
 };
 use irec_pcb::{Pcb, PcbExtensions, PcbId};
 use irec_types::{
@@ -179,145 +179,11 @@ proptest! {
         }
     }
 
-    /// The sharded ingress database is observably byte-identical to the single-map
-    /// reference for **any** shard count: for a random sequence of inserts, evictions and
-    /// queries, shard counts 1, 2, 4, 7 and 16 all produce the same insert verdicts, the
-    /// same `batch_keys()` *order*, the same `len`/`live_len`, the same per-key query
-    /// results and the same eviction counts as one `IngressDb`.
-    #[test]
-    fn sharded_ingress_db_matches_single_map_reference(
-        ops in proptest::collection::vec(
-            // kind 0/1 = insert (different ingress interfaces), 2 = eviction sweep.
-            (0u8..3, 1u64..9, 0u64..6, 1u64..10, 0u64..12),
-            1..40,
-        ),
-        probe_hours in 0u64..12,
-    ) {
-        for shards in [1usize, 2, 4, 7, 16] {
-            let mut reference = IngressDb::new();
-            let sharded = ShardedIngressDb::new(shards);
-            prop_assert_eq!(sharded.shard_count(), shards);
-            for (kind, origin, seq, validity, hours) in &ops {
-                if *kind == 2 {
-                    // Eviction sweep at an arbitrary (not necessarily monotonic) time,
-                    // with the hours doubling as a grace window every other sweep.
-                    let now = SimTime::ZERO + SimDuration::from_hours(*hours);
-                    let grace = if hours % 2 == 0 {
-                        SimDuration::ZERO
-                    } else {
-                        SimDuration::from_hours(*validity)
-                    };
-                    prop_assert_eq!(
-                        sharded.evict_expired(now, grace),
-                        reference.evict_expired(now, grace),
-                        "eviction counts diverged at {} shards", shards
-                    );
-                } else {
-                    let pcb = test_pcb(*origin, *seq, *validity);
-                    let ingress = IfId(*kind as u32 + 1);
-                    let received = SimTime::ZERO + SimDuration::from_hours(*hours);
-                    prop_assert_eq!(
-                        sharded.insert(pcb.clone(), ingress, received),
-                        reference.insert(pcb, ingress, received),
-                        "insert verdicts diverged at {} shards", shards
-                    );
-                }
-                prop_assert_eq!(sharded.len(), reference.len());
-            }
-            // Deterministic, shard-merged iteration order: the exact key sequence of the
-            // single map, not just the same set.
-            prop_assert_eq!(sharded.batch_keys(), reference.batch_keys());
-            let probe = SimTime::ZERO + SimDuration::from_hours(probe_hours);
-            prop_assert_eq!(sharded.live_len(probe), reference.live_len(probe));
-            for key in reference.batch_keys() {
-                prop_assert_eq!(
-                    sharded.beacons_for(&key, probe),
-                    reference.beacons_for(&key, probe)
-                );
-                prop_assert_eq!(
-                    sharded.beacons_for_origin(key.origin, key.target, probe),
-                    reference.beacons_for_origin(key.origin, key.target, probe)
-                );
-                prop_assert_eq!(
-                    sharded.batch_view(&key, probe).map(|v| v.beacons),
-                    reference.batch_view(&key, probe).map(|v| v.beacons)
-                );
-            }
-            // Final drain: the counts agree all the way to empty.
-            prop_assert_eq!(
-                sharded.evict_expired(SimTime::MAX, SimDuration::ZERO),
-                reference.evict_expired(SimTime::MAX, SimDuration::ZERO)
-            );
-            prop_assert!(sharded.is_empty());
-        }
-    }
-
-    /// The destination-sharded path service is observably byte-identical to the
-    /// single-map reference for **any** shard count: for a random registration sequence —
-    /// fresh paths, refreshes and limit evictions included — shard counts 1, 2, 4, 7 and
-    /// 16 all produce the same `all()` *order*, the same per-destination lookups, the
-    /// same destination list and the same limit-eviction counts as one `PathService`.
-    #[test]
-    fn sharded_path_service_matches_single_map_reference(
-        ops in proptest::collection::vec(
-            // (destination, algorithm index, path id, registration hour)
-            (1u64..8, 0usize..4, 0u64..24, 0u64..10),
-            1..60,
-        ),
-        limit in 1usize..5,
-    ) {
-        for shards in [1usize, 2, 4, 7, 16] {
-            let mut reference = PathService::with_limit(limit);
-            let sharded = ShardedPathService::with_limit(limit, shards);
-            prop_assert_eq!(sharded.shard_count(), shards);
-            for (destination, alg, id, hour) in &ops {
-                let path = test_path(*destination, *alg, *id, *hour);
-                reference.register(path.clone());
-                sharded.register(path);
-                prop_assert_eq!(sharded.len(), reference.len());
-                prop_assert_eq!(
-                    sharded.evictions(),
-                    reference.evictions(),
-                    "eviction counts diverged at {} shards", shards
-                );
-            }
-            // Deterministic, shard-merged iteration order: the exact registration
-            // sequence of the single map, not just the same set.
-            prop_assert_eq!(
-                sharded.all(),
-                reference.all().into_iter().cloned().collect::<Vec<_>>()
-            );
-            prop_assert_eq!(sharded.destinations(), reference.destinations());
-            prop_assert_eq!(sharded.is_empty(), reference.is_empty());
-            for destination in 1u64..8 {
-                prop_assert_eq!(
-                    sharded.paths_to(AsId(destination)),
-                    reference
-                        .paths_to(AsId(destination))
-                        .into_iter()
-                        .cloned()
-                        .collect::<Vec<_>>(),
-                    "paths_to({}) diverged at {} shards", destination, shards
-                );
-                for algorithm in PATH_ALGORITHMS {
-                    prop_assert_eq!(
-                        sharded.paths_to_by(AsId(destination), algorithm),
-                        reference
-                            .paths_to_by(AsId(destination), algorithm)
-                            .into_iter()
-                            .cloned()
-                            .collect::<Vec<_>>()
-                    );
-                }
-            }
-        }
-    }
-
     /// Copy-on-write isolation, model-checked: for any base contents and any per-snapshot
     /// write sequences, a `cow_clone` mutated by one "campaign pair" never leaks writes
-    /// into the base database or into sibling snapshots — at every shard count the PD
-    /// campaign can run under. Each snapshot must end up observably identical to an
-    /// independently built deep copy that replayed the same writes.
+    /// into the base database or into sibling snapshots. Each snapshot must end up
+    /// observably identical to an independently built deep copy that replayed the same
+    /// writes.
     #[test]
     fn cow_snapshots_isolate_writes_from_base_and_siblings(
         base_ops in proptest::collection::vec((1u64..9, 0u64..6, 1u64..10), 0..15),
@@ -326,73 +192,71 @@ proptest! {
             1..4,
         ),
     ) {
-        for shards in [1usize, 4, 7, 16] {
-            // --- Ingress side -------------------------------------------------------
-            let base = ShardedIngressDb::new(shards);
-            for (origin, seq, validity) in &base_ops {
-                base.insert(test_pcb(*origin, *seq, *validity), IfId(1), SimTime::ZERO);
+        // --- Ingress side ---------------------------------------------------------------
+        let base = ShardedIngressDb::default();
+        for (origin, seq, validity) in &base_ops {
+            base.insert(test_pcb(*origin, *seq, *validity), IfId(1), SimTime::ZERO);
+        }
+        let base_reference = base.clone(); // deep: pins the base's expected contents
+        let snapshots: Vec<ShardedIngressDb> =
+            snapshot_ops.iter().map(|_| base.cow_clone()).collect();
+        let mut references: Vec<ShardedIngressDb> =
+            snapshot_ops.iter().map(|_| base.clone()).collect();
+        for ((snapshot, reference), ops) in
+            snapshots.iter().zip(references.iter_mut()).zip(&snapshot_ops)
+        {
+            for (origin, seq, validity) in ops {
+                // Distinct ingress interface per side, so a leaked write is visible
+                // even when base and snapshot insert the same beacon.
+                let pcb = test_pcb(*origin, *seq, *validity);
+                snapshot.insert(pcb.clone(), IfId(7), SimTime::ZERO);
+                reference.insert(pcb, IfId(7), SimTime::ZERO);
             }
-            let base_reference = base.clone(); // deep: pins the base's expected contents
-            let snapshots: Vec<ShardedIngressDb> =
-                snapshot_ops.iter().map(|_| base.cow_clone()).collect();
-            let mut references: Vec<ShardedIngressDb> =
-                snapshot_ops.iter().map(|_| base.clone()).collect();
-            for ((snapshot, reference), ops) in
-                snapshots.iter().zip(references.iter_mut()).zip(&snapshot_ops)
-            {
-                for (origin, seq, validity) in ops {
-                    // Distinct ingress interface per side, so a leaked write is visible
-                    // even when base and snapshot insert the same beacon.
-                    let pcb = test_pcb(*origin, *seq, *validity);
-                    snapshot.insert(pcb.clone(), IfId(7), SimTime::ZERO);
-                    reference.insert(pcb, IfId(7), SimTime::ZERO);
-                }
-            }
-            // The base saw nothing.
-            prop_assert_eq!(base.batch_keys(), base_reference.batch_keys());
-            prop_assert_eq!(base.len(), base_reference.len());
-            // Every snapshot equals its own deep-copy replay — writes of siblings (which
-            // may target the very same shards) are invisible to it.
-            for (snapshot, reference) in snapshots.iter().zip(&references) {
-                prop_assert_eq!(snapshot.len(), reference.len());
-                prop_assert_eq!(snapshot.batch_keys(), reference.batch_keys());
-                for key in reference.batch_keys() {
-                    prop_assert_eq!(
-                        snapshot.beacons_for(&key, SimTime::ZERO),
-                        reference.beacons_for(&key, SimTime::ZERO),
-                        "snapshot contents diverged at {} shards", shards
-                    );
-                }
-            }
-
-            // --- Path-service side --------------------------------------------------
-            let base = ShardedPathService::new(shards);
-            for (destination, alg, id) in &base_ops {
-                base.register(test_path(*destination, (*alg % 4) as usize, *id, 0));
-            }
-            let base_reference = base.clone();
-            let snapshots: Vec<ShardedPathService> =
-                snapshot_ops.iter().map(|_| base.cow_clone()).collect();
-            let mut references: Vec<ShardedPathService> =
-                snapshot_ops.iter().map(|_| base.clone()).collect();
-            for ((snapshot, reference), ops) in
-                snapshots.iter().zip(references.iter_mut()).zip(&snapshot_ops)
-            {
-                for (destination, alg, id) in ops {
-                    // Offset ids keep snapshot registrations distinct from base ones.
-                    let path = test_path(*destination, (*alg % 4) as usize, 1_000 + *id, 1);
-                    snapshot.register(path.clone());
-                    reference.register(path);
-                }
-            }
-            prop_assert_eq!(base.all(), base_reference.all());
-            for (snapshot, reference) in snapshots.iter().zip(&references) {
+        }
+        // The base saw nothing.
+        prop_assert_eq!(base.batch_keys(), base_reference.batch_keys());
+        prop_assert_eq!(base.len(), base_reference.len());
+        // Every snapshot equals its own deep-copy replay — writes of siblings are invisible
+        // to it.
+        for (snapshot, reference) in snapshots.iter().zip(&references) {
+            prop_assert_eq!(snapshot.len(), reference.len());
+            prop_assert_eq!(snapshot.batch_keys(), reference.batch_keys());
+            for key in reference.batch_keys() {
                 prop_assert_eq!(
-                    snapshot.all(),
-                    reference.all(),
-                    "snapshot registrations diverged at {} shards", shards
+                    snapshot.beacons_for(&key, SimTime::ZERO),
+                    reference.beacons_for(&key, SimTime::ZERO),
+                    "snapshot contents diverged"
                 );
             }
+        }
+
+        // --- Path-service side ----------------------------------------------------------
+        let base = ShardedPathService::default();
+        for (destination, alg, id) in &base_ops {
+            base.register(test_path(*destination, (*alg % 4) as usize, *id, 0));
+        }
+        let base_reference = base.clone();
+        let snapshots: Vec<ShardedPathService> =
+            snapshot_ops.iter().map(|_| base.cow_clone()).collect();
+        let mut references: Vec<ShardedPathService> =
+            snapshot_ops.iter().map(|_| base.clone()).collect();
+        for ((snapshot, reference), ops) in
+            snapshots.iter().zip(references.iter_mut()).zip(&snapshot_ops)
+        {
+            for (destination, alg, id) in ops {
+                // Offset ids keep snapshot registrations distinct from base ones.
+                let path = test_path(*destination, (*alg % 4) as usize, 1_000 + *id, 1);
+                snapshot.register(path.clone());
+                reference.register(path);
+            }
+        }
+        prop_assert_eq!(base.all(), base_reference.all());
+        for (snapshot, reference) in snapshots.iter().zip(&references) {
+            prop_assert_eq!(
+                snapshot.all(),
+                reference.all(),
+                "snapshot registrations diverged"
+            );
         }
     }
 
@@ -509,38 +373,36 @@ fn extended_pcb(
     )
 }
 
-/// Hot-shard stress: many concurrent snapshots (one per "campaign pair") all write paths
-/// for the **same destination**, i.e. the same path-service shard, while the base keeps
-/// serving reads. Every snapshot must materialize its own copy of the contended shard
-/// exactly once and end up with base + its own registrations; the base must stay
-/// untouched throughout.
+/// Hot-destination stress: many concurrent snapshots (one per "campaign pair") all write
+/// paths for the **same destination** while the base keeps serving reads. Every snapshot
+/// must materialize its own copy of the shared service exactly once and end up with
+/// base + its own registrations; the base must stay untouched throughout.
 #[test]
-fn hot_shard_snapshot_writes_stay_isolated_under_contention() {
+fn hot_destination_snapshot_writes_stay_isolated_under_contention() {
     const SNAPSHOTS: usize = 16;
     const WRITES_PER_SNAPSHOT: u64 = 50;
     let hot_destination = 3u64;
 
     // Limit high enough that nothing is evicted: the test asserts exact contents, and
     // per-key limit eviction would otherwise drop the stalest of the hot key's paths.
-    let base = ShardedPathService::with_limit(2_000, 4);
+    let base = ShardedPathService::with_limit(2_000);
     for id in 0..10 {
         base.register(test_path(hot_destination, 0, id, 0));
     }
     let base_before = base.all();
-    let hot_shard = base.shard_of(AsId(hot_destination));
 
     let results: Vec<(usize, Vec<RegisteredPath>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..SNAPSHOTS)
             .map(|index| {
                 let snapshot = base.cow_clone();
                 assert!(
-                    snapshot.shares_shard_with(&base, hot_shard),
-                    "fresh snapshots share the hot shard"
+                    snapshot.shares_store_with(&base),
+                    "fresh snapshots share the base's store"
                 );
                 scope.spawn(move || {
                     for id in 0..WRITES_PER_SNAPSHOT {
-                        // Every snapshot hammers the same destination — the same shard —
-                        // with ids disjoint from every sibling's.
+                        // Every snapshot hammers the same destination with ids disjoint
+                        // from every sibling's.
                         let id = 1_000 + index as u64 * WRITES_PER_SNAPSHOT + id;
                         snapshot.register(test_path(hot_destination, 1, id, 1));
                     }

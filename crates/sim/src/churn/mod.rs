@@ -28,8 +28,8 @@
 //! order). The engine applies deltas between rounds — where every worker has joined —
 //! and its settle loop advances on registered-path equality, itself a deterministic
 //! output. Therefore the whole timeline, and everything downstream of it, is
-//! byte-identical across all parallelism/shard knobs, like every other plane: `tests/churn_determinism.rs` and the CI determinism
-//! matrix enforce the bar.
+//! byte-identical across all parallelism knobs, like every other plane:
+//! `tests/churn_determinism.rs` and the CI determinism matrix enforce the bar.
 
 pub mod engine;
 pub mod generator;

@@ -14,31 +14,22 @@
 //!    inbox per work item, claimed through an atomic cursor exactly like the RAC execution
 //!    engine (`irec_core::engine`). Verdicts land in per-event slots indexed by the event's
 //!    epoch position, so the merge order is independent of scheduling.
-//! 3. **Apply (sharded).** Verdicts are committed through the receiving nodes' ingress
+//! 3. **Apply (per node).** Verdicts are committed through the receiving nodes' ingress
 //!    gateways: accepted beacons enter the destination's ingress database, rejects and
 //!    missing-destination drops are accounted. With one worker the walk is fully serial in
-//!    `(SimTime, seq)` order; with more, a serial accounting pass partitions the epoch's
-//!    commits into per-`(destination AS, ingress shard)` inboxes — the ingress database is
-//!    sharded by origin-AS hash (`irec_core::ShardedIngressDb`) — and the inboxes commit
-//!    concurrently over scoped workers via [`IrecNode::apply_message_in_shard`]. Pull
-//!    returns commit the same way: the path service is sharded by **destination-AS** hash
-//!    (`irec_core::ShardedPathService`), so the accounting pass partitions them into
-//!    per-`(destination AS, path shard)` inboxes committed concurrently via
-//!    [`IrecNode::handle_pull_return_in_shard`] instead of serializing in the accounting
-//!    pass.
+//!    `(SimTime, seq)` order; with more, a serial accounting pass builds one inbox per
+//!    receiving AS holding its PCB commits and pull returns in epoch order, and the
+//!    inboxes commit concurrently over scoped workers, each through the same
+//!    [`IrecNode::apply_message`] / [`IrecNode::handle_pull_return`] the serial walk calls.
 //!
-//! **Determinism.** The apply stage preserves `(SimTime, seq)` order *within* each
-//! `(node, shard)` inbox, and commits across different inboxes touch disjoint state: the
-//! dedup index and the statistics both live in the origin's shard, every beacon of one
-//! origin lands in the same shard, and every pull return for one destination lands in the
-//! same path shard (registrations for different path-service keys commute observably —
-//! the map is key-sorted — and same-key registrations keep epoch order). The verify stage
-//! is pure: a verdict depends only on the message, its delivery time, and immutable node
-//! state (keys, policy) — never on what other in-flight messages of the same epoch
-//! commit. Delivery counters are accounted in the serial pass in epoch order. A run with
-//! any `parallelism` value — and any ingress/path shard count — is therefore
-//! byte-identical to a sequential run, which `tests/delivery_determinism.rs`,
-//! `tests/pd_determinism.rs` and the CI determinism job all enforce.
+//! **Determinism.** The apply stage preserves `(SimTime, seq)` order *within* each node's
+//! inbox, and different inboxes belong to different nodes, so they touch disjoint state.
+//! The verify stage is pure: a verdict depends only on the message, its delivery time,
+//! and immutable node state (keys, policy) — never on what other in-flight messages of the
+//! same epoch commit. Delivery counters are accounted in the serial pass in epoch order.
+//! A run with any `parallelism` value is therefore byte-identical to a sequential run,
+//! which `tests/delivery_determinism.rs`, `tests/pd_determinism.rs` and the CI
+//! determinism job all enforce.
 
 use crate::event::{Event, EventQueue};
 use irec_core::{engine::run_claimed, IrecNode, PcbMessage, PullReturn, Verdict};
@@ -275,7 +266,7 @@ impl DeliveryPlane {
             };
 
             if self.parallelism > 1 {
-                self.apply_epoch_sharded(nodes, epoch, verdicts, busy_nanos);
+                self.apply_epoch_per_node(nodes, epoch, verdicts, busy_nanos);
                 continue;
             }
 
@@ -318,47 +309,30 @@ impl DeliveryPlane {
         }
     }
 
-    /// The sharded apply stage: one serial pass over the epoch in `(SimTime, seq)` order
-    /// accounts every outcome (exactly as the sequential walk would) and partitions the
-    /// commits into shard inboxes — PCB commits into per-`(destination AS, ingress shard)`
-    /// inboxes, pull returns into per-`(destination AS, path shard)` inboxes; all inboxes
-    /// then commit concurrently over one scoped worker pool. Each inbox preserves epoch
-    /// order internally, and different inboxes touch disjoint node state (the origin's
-    /// ingress shard owns the dedup index and stats; the destination's path shard owns the
-    /// registrations), so the result is byte-identical to the sequential walk for any
-    /// worker count and any shard count.
+    /// The parallel apply stage: one serial pass over the epoch in `(SimTime, seq)` order
+    /// accounts every outcome (exactly as the sequential walk would) and collects each
+    /// receiving node's commits — PCB commits and pull returns alike — into one inbox in
+    /// epoch order; the inboxes then commit concurrently over one scoped worker pool, each
+    /// holding its node's `&mut IrecNode`. Different inboxes belong to different nodes, so
+    /// the result is byte-identical to the sequential walk for any worker count.
     ///
     /// Outcome accounting needs no commit result: `IrecNode::apply_message` fails exactly
     /// when the precomputed verdict is an error (duplicates commit as `Ok`), and pull
     /// returns count as delivered whether or not the beacon yields a registrable path, so
     /// delivered/rejected are known in the serial pass.
-    fn apply_epoch_sharded(
+    fn apply_epoch_per_node(
         &mut self,
         nodes: &mut BTreeMap<AsId, IrecNode>,
         epoch: Vec<(SimTime, Event)>,
         mut verdicts: Vec<Option<Verdict>>,
         busy_nanos: &AtomicU64,
     ) {
-        /// One pending PCB commit: delivery time, message, precomputed verdict.
-        type Commit = (SimTime, PcbMessage, Verdict);
-        /// One pending pull-return registration.
-        type ReturnCommit = (SimTime, PullReturn);
-        struct ShardInbox<T> {
-            asn: AsId,
-            shard: usize,
-            items: Mutex<Vec<T>>,
+        /// One pending commit of a node's inbox.
+        enum Commit {
+            Pcb(SimTime, PcbMessage, Verdict),
+            PullReturn(SimTime, PullReturn),
         }
-        fn into_inboxes<T>(map: BTreeMap<(AsId, usize), Vec<T>>) -> Vec<ShardInbox<T>> {
-            map.into_iter()
-                .map(|((asn, shard), items)| ShardInbox {
-                    asn,
-                    shard,
-                    items: Mutex::new(items),
-                })
-                .collect()
-        }
-        let mut commits: BTreeMap<(AsId, usize), Vec<Commit>> = BTreeMap::new();
-        let mut returns: BTreeMap<(AsId, usize), Vec<ReturnCommit>> = BTreeMap::new();
+        let mut inboxes: BTreeMap<AsId, Vec<Commit>> = BTreeMap::new();
         for (index, (at, event)) in epoch.into_iter().enumerate() {
             match event {
                 // Same check order as the sequential walk: downed link before missing
@@ -378,65 +352,44 @@ impl DeliveryPlane {
                             Ok(_) => self.stats.delivered += 1,
                             Err(_) => self.stats.rejected += 1,
                         }
-                        let shard = node.ingress_shard_of(message.pcb.origin);
-                        commits
-                            .entry((message.to_as, shard))
+                        inboxes
+                            .entry(message.to_as)
                             .or_default()
-                            .push((at, message, verdict));
+                            .push(Commit::Pcb(at, message, verdict));
                     }
                     None => self.stats.dropped_no_node += 1,
                 },
                 Event::DeliverPullReturn(ret) => match nodes.get(&ret.to_as) {
-                    Some(node) => {
+                    Some(_) => {
                         self.stats.delivered += 1;
-                        // The registered path's destination is the AS the return came
-                        // from; that AS determines the path-service shard.
-                        let shard = node.path_shard_of(ret.from_as);
-                        returns
-                            .entry((ret.to_as, shard))
+                        inboxes
+                            .entry(ret.to_as)
                             .or_default()
-                            .push((at, ret));
+                            .push(Commit::PullReturn(at, ret));
                     }
                     None => self.stats.dropped_no_node += 1,
                 },
             }
         }
-        if commits.is_empty() && returns.is_empty() {
-            return;
-        }
-        let commits = into_inboxes(commits);
-        let returns = into_inboxes(returns);
-        let total_inboxes = commits.len() + returns.len();
-        let nodes = &*nodes;
-        // One claim space over both inbox kinds: PCB-commit inboxes first, then
-        // pull-return inboxes.
-        run_claimed(
-            total_inboxes,
-            self.parallelism,
-            Some(busy_nanos),
-            |claimed| {
-                if let Some(inbox) = commits.get(claimed) {
-                    let node = nodes
-                        .get(&inbox.asn)
-                        .expect("inbox destinations checked in the accounting pass");
-                    let items = std::mem::take(&mut *inbox.items.lock());
-                    for (at, message, verdict) in items {
-                        // The outcome was already accounted; the commit mutates only
-                        // the shard's dedup index, storage and gateway counters.
-                        let _ = node.apply_message_in_shard(inbox.shard, message, at, verdict);
+        // Pair every inbox with its node's disjoint `&mut` borrow, in `AsId` order.
+        let work: Vec<Mutex<(&mut IrecNode, Vec<Commit>)>> = nodes
+            .iter_mut()
+            .filter_map(|(asn, node)| inboxes.remove(asn).map(|items| Mutex::new((node, items))))
+            .collect();
+        run_claimed(work.len(), self.parallelism, Some(busy_nanos), |claimed| {
+            let mut guard = work[claimed].lock();
+            let (node, items) = &mut *guard;
+            for commit in std::mem::take(items) {
+                match commit {
+                    // The outcome was already accounted; the commit mutates only the
+                    // node's dedup index, storage and gateway counters.
+                    Commit::Pcb(at, message, verdict) => {
+                        let _ = node.apply_message(message, at, verdict);
                     }
-                } else {
-                    let inbox = &returns[claimed - commits.len()];
-                    let node = nodes
-                        .get(&inbox.asn)
-                        .expect("inbox destinations checked in the accounting pass");
-                    let items = std::mem::take(&mut *inbox.items.lock());
-                    for (at, ret) in items {
-                        node.handle_pull_return_in_shard(inbox.shard, ret, at);
-                    }
+                    Commit::PullReturn(at, ret) => node.handle_pull_return(ret, at),
                 }
-            },
-        );
+            }
+        });
     }
 }
 

@@ -181,7 +181,7 @@ impl PdWorkflow {
     }
 
     /// The PD paths currently registered at the origin towards the target: a targeted
-    /// single-shard query on the origin node's path service — not a sim-wide
+    /// query on the origin node's path service — not a sim-wide
     /// `registered_paths()` walk, which would clone every path of every node once per
     /// pull iteration. The per-group order matches what the sim-wide walk filtered down
     /// to, so the harvest sees candidates in the identical sequence.
@@ -254,9 +254,9 @@ pub struct PdPairResult {
 /// engine-style scoped worker pool.
 ///
 /// **Snapshots.** Each pair runs on a copy-on-write
-/// [`Simulation::snapshot_reachable_from`] of the base — O(shards) pointer copies at
-/// setup, restricted to the origin's connected component, with shards materialized only
-/// as the pair's own pull traffic touches them. The output is byte-identical to running
+/// [`Simulation::snapshot_reachable_from`] of the base — two pointer copies per node at
+/// setup, restricted to the origin's connected component, with a node's stores
+/// materialized only as the pair's own pull traffic writes to them. The output is byte-identical to running
 /// each pair's [`PdWorkflow`] on a full `Simulation::clone` of the base (pinned by
 /// `tests/pd_determinism.rs`, which keeps that loop as its oracle); the
 /// `pd_snapshot_cost` benchmark tracks what the snapshot saves over the clone.

@@ -59,13 +59,6 @@ pub struct SimulationConfig {
     /// fans per-destination inboxes out over that many workers. Either way the apply order
     /// is `(SimTime, seq)` and the simulation output is byte-identical.
     pub delivery_parallelism: usize,
-    /// Ingress-database shard count applied to every node's
-    /// [`NodeConfig::ingress_shards`]. `0` (the default) leaves each node's own setting
-    /// alone, which normally means "follow the node's `parallelism`".
-    pub ingress_shards: usize,
-    /// Path-service shard count applied to every node's [`NodeConfig::path_shards`].
-    /// `0` (the default) leaves each node's own setting alone.
-    pub path_shards: usize,
 }
 
 impl Default for SimulationConfig {
@@ -75,8 +68,6 @@ impl Default for SimulationConfig {
             processing_delay: SimDuration::from_millis(5),
             parallelism: 1,
             delivery_parallelism: 1,
-            ingress_shards: 0,
-            path_shards: 0,
         }
     }
 }
@@ -95,36 +86,6 @@ impl SimulationConfig {
     pub fn with_delivery_parallelism(mut self, delivery_parallelism: usize) -> Self {
         self.delivery_parallelism = delivery_parallelism.max(1);
         self
-    }
-
-    /// Builder-style: pin every node's ingress-database shard count (`0` = leave each
-    /// node's own setting alone).
-    #[must_use]
-    pub fn with_ingress_shards(mut self, ingress_shards: usize) -> Self {
-        self.ingress_shards = ingress_shards;
-        self
-    }
-
-    /// Builder-style: pin every node's path-service shard count (`0` = leave each node's
-    /// own setting alone).
-    #[must_use]
-    pub fn with_path_shards(mut self, path_shards: usize) -> Self {
-        self.path_shards = path_shards;
-        self
-    }
-
-    /// Applies the simulation-level node knobs to one node's config: nonzero shard counts
-    /// override the node's own. Used wherever the simulation builds a node
-    /// ([`Simulation::new`] and [`Simulation::add_node`]), so mid-run joins get the same
-    /// knobs as the initial population.
-    fn apply_node_knobs(&self, mut config: NodeConfig) -> NodeConfig {
-        if self.ingress_shards != 0 {
-            config.ingress_shards = self.ingress_shards;
-        }
-        if self.path_shards != 0 {
-            config.path_shards = self.path_shards;
-        }
-        config
     }
 }
 
@@ -179,17 +140,17 @@ impl Clone for Simulation {
 /// A structurally shared copy-on-write snapshot of a [`Simulation`].
 ///
 /// Produced by [`Simulation::snapshot`] / [`Simulation::snapshot_reachable_from`]: every
-/// node's ingress database and path service share their shards with the base simulation
-/// (O(total shards) reference-count bumps instead of deep map copies), and a shard is
-/// materialized lazily, only when the snapshot — or the base — first writes to it. The
+/// node's ingress database and path service are shared with the base simulation (two
+/// reference-count bumps per node instead of deep map copies), and each is materialized
+/// lazily, only when the snapshot — or the base — first writes to it. The
 /// remaining per-pair state (event queue, counters, RAC caches) is copied eagerly; it is
 /// small compared to the beacon and path maps.
 ///
 /// The snapshot wraps a full [`Simulation`] and dereferences to it, so everything that
 /// works on a simulation — `run_rounds`, `node_mut`, the PD workflow — works on a
 /// snapshot. The base simulation is never observably affected by anything the snapshot
-/// does (and vice versa): whichever side touches a shared shard first pays for its own
-/// private copy of just that shard. This is what makes the all-pairs PD campaign's
+/// does (and vice versa): whichever side writes to a shared store first pays for its own
+/// private copy of just that store. This is what makes the all-pairs PD campaign's
 /// per-pair setup nearly free (see [`crate::pd::PdCampaign`]).
 pub struct SimSnapshot {
     sim: Simulation,
@@ -233,7 +194,7 @@ impl Simulation {
         for asn in topology.as_ids() {
             let node = IrecNode::new(
                 asn,
-                config.apply_node_knobs(node_config(asn)),
+                node_config(asn),
                 Arc::clone(&topology),
                 registry.clone(),
                 store.clone(),
@@ -329,9 +290,9 @@ impl Simulation {
             .ok_or_else(|| IrecError::not_found(format!("no node for {asn}")))
     }
 
-    /// A structurally shared copy-on-write snapshot of the whole simulation: O(total
-    /// shards) pointer copies instead of the deep per-node map copies [`Clone`] performs.
-    /// Shards are materialized lazily on first write — by either side — so the base and
+    /// A structurally shared copy-on-write snapshot of the whole simulation: two pointer
+    /// copies per node instead of the deep per-node map copies [`Clone`] performs. Each
+    /// store is materialized lazily on first write — by either side — so the base and
     /// the snapshot can never observe each other's subsequent mutations (see
     /// [`SimSnapshot`]).
     ///
@@ -352,7 +313,7 @@ impl Simulation {
     /// ).unwrap();
     /// base.run_rounds(3).unwrap();
     ///
-    /// // Snapshot setup is O(shards) pointer copies; the snapshot then evolves
+    /// // Snapshot setup is O(nodes) pointer copies; the snapshot then evolves
     /// // independently — the base never observes its rounds.
     /// let mut snap = base.snapshot();
     /// snap.run_rounds(2).unwrap();
@@ -632,7 +593,7 @@ impl Simulation {
         self.registry.register(asn);
         let node = IrecNode::new(
             asn,
-            self.config.apply_node_knobs(config),
+            config,
             Arc::clone(&self.topology),
             self.registry.clone(),
             self.store.clone(),
@@ -1011,51 +972,6 @@ mod tests {
                 parallel.3, reference.3,
                 "overhead at {parallelism}x{delivery}"
             );
-        }
-    }
-
-    #[test]
-    fn sim_level_knobs_reach_every_node_including_mid_run_joins() {
-        // Non-powers of two are kept; oversized counts clamp to the stores' own caps, so
-        // the config-level count always equals the built node's shard count.
-        for (ingress, path, want_ingress, want_path) in [
-            (3, 2, 3, 2),
-            (7, 7, 7, 7),
-            (
-                100_000,
-                100_000,
-                irec_core::beacon_db::MAX_INGRESS_SHARDS,
-                irec_core::MAX_PATH_SHARDS,
-            ),
-        ] {
-            let topology = Arc::new(figure1_topology());
-            let config = SimulationConfig::default()
-                .with_ingress_shards(ingress)
-                .with_path_shards(path);
-            let mut sim = Simulation::new(topology, config, |_| {
-                NodeConfig::default()
-                    .with_policy(PropagationPolicy::All)
-                    .with_racs(vec![RacConfig::static_rac("1SP", "1SP")])
-            })
-            .unwrap();
-            let assert_knobs = |node: &IrecNode| {
-                assert_eq!(node.config().ingress_shard_count(), want_ingress);
-                assert_eq!(node.config().path_shard_count(), want_path);
-                assert_eq!(node.ingress_shard_count(), want_ingress);
-                assert_eq!(node.path_service().shard_count(), want_path);
-            };
-            for asn in sim.live_ases() {
-                assert_knobs(sim.node(asn).unwrap());
-            }
-            // A node added mid-run gets the same knobs applied to its (plain) config.
-            sim.remove_node(figure1::X).unwrap();
-            sim.add_node(figure1::X, NodeConfig::default()).unwrap();
-            assert_knobs(sim.node(figure1::X).unwrap());
-            // The selection tables are not a knob: a few rounds of any simulation compute,
-            // then keep, selections.
-            sim.run_rounds(3).unwrap();
-            let stats = sim.incremental_stats();
-            assert!(stats.recomputed > 0 && stats.reused + stats.extended > 0);
         }
     }
 

@@ -3,12 +3,29 @@
 //! registered paths in the same order, same delivered/dropped/rejected counters, same
 //! ingress occupancy — on the fig6-scale workload (generated topology, the paper's
 //! five-RAC deployment) and under failure injection.
+//!
+//! The stores the parallel apply stage commits into — each AS's ingress database, ingress
+//! gateway and path service — take their writes through `&self`. The second half hammers
+//! them from scoped threads: no insert or registration may be lost, limit evictions must
+//! be counted exactly, and concurrent commits must equal a serial reference.
 
-use irec_core::{NodeConfig, PropagationPolicy, RacConfig};
+use irec_core::beacon_db::BatchKey;
+use irec_core::path_service::{RegisteredPath as StoredPath, ShardedPathService};
+use irec_core::{
+    IngressGateway, IrecNode, NodeConfig, PropagationPolicy, PullReturn, RacConfig,
+    ShardedIngressDb, SharedAlgorithmStore,
+};
+use irec_crypto::{Digest, KeyRegistry, Signer, Verifier};
 use irec_metrics::RegisteredPath;
+use irec_pcb::{Pcb, PcbExtensions, PcbId, StaticInfo};
 use irec_sim::{DeliveryStats, Simulation, SimulationConfig};
 use irec_topology::builder::{figure1, figure1_topology};
 use irec_topology::{GeneratorConfig, TopologyGenerator};
+use irec_types::{
+    AsId, Bandwidth, IfId, InterfaceGroupId, Latency, PathMetrics, SimDuration, SimTime,
+};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Everything observable about a finished run, for exact comparison.
@@ -31,7 +48,7 @@ fn fingerprint(sim: &Simulation) -> RunFingerprint {
 
 /// The fig6 smoke workload: a 12-AS generated topology beaconing for 3 rounds with the
 /// paper's static RAC set.
-fn run_fig6_workload(delivery_parallelism: usize, ingress_shards: usize) -> RunFingerprint {
+fn run_fig6_workload(delivery_parallelism: usize) -> RunFingerprint {
     let topology = Arc::new(
         TopologyGenerator::new(GeneratorConfig {
             num_ases: 12,
@@ -42,9 +59,7 @@ fn run_fig6_workload(delivery_parallelism: usize, ingress_shards: usize) -> RunF
     );
     let mut sim = Simulation::new(
         topology,
-        SimulationConfig::default()
-            .with_delivery_parallelism(delivery_parallelism)
-            .with_ingress_shards(ingress_shards),
+        SimulationConfig::default().with_delivery_parallelism(delivery_parallelism),
         move |_| {
             NodeConfig::default().with_racs(vec![
                 RacConfig::static_rac("1SP", "1SP"),
@@ -60,26 +75,21 @@ fn run_fig6_workload(delivery_parallelism: usize, ingress_shards: usize) -> RunF
 }
 
 /// The headline acceptance criterion: `--delivery-parallelism 4` is byte-identical to
-/// `--delivery-parallelism 1` on the fig6 workload — for ingress shard counts 1 and 4
-/// alike (the parallel case drives the sharded apply stage across real shard boundaries).
+/// `--delivery-parallelism 1` on the fig6 workload (the parallel case drives the
+/// per-node apply stage over scoped workers).
 #[test]
 fn delivery_parallelism_is_byte_identical_on_fig6_workload() {
-    let sequential = run_fig6_workload(1, 1);
+    let sequential = run_fig6_workload(1);
     assert!(
         !sequential.paths.is_empty(),
         "the scenario must register paths"
     );
     assert!(sequential.stats.delivered > 0);
-    for ingress_shards in [1usize, 4] {
-        for parallelism in [2, 4, 8] {
-            let parallel = run_fig6_workload(parallelism, ingress_shards);
-            assert_eq!(
-                parallel, sequential,
-                "delivery-parallelism {parallelism} with {ingress_shards} ingress shards \
-                 diverged from sequential"
-            );
-        }
-    }
+    assert_eq!(
+        run_fig6_workload(4),
+        sequential,
+        "delivery-parallelism 4 diverged from sequential"
+    );
 }
 
 /// Same guarantee with failure injection: a removed node exercises the `dropped_no_node`
@@ -112,19 +122,17 @@ fn delivery_parallelism_is_byte_identical_under_failure_injection() {
 }
 
 /// Both delivery-plane and node-phase/RAC-engine parallelism stacked together still
-/// reproduce the sequential output — for any ingress shard count. With
-/// `delivery_parallelism > 1` this exercises the delivery plane's *sharded apply stage*
-/// (per-`(node, shard)` commit inboxes over scoped workers), which must be byte-identical
-/// to the serial apply walk.
+/// reproduce the sequential output. With `delivery_parallelism > 1` this exercises the
+/// delivery plane's per-node apply stage (one commit inbox per receiving AS over scoped
+/// workers), which must be byte-identical to the serial apply walk.
 #[test]
 fn stacked_parallelism_is_byte_identical() {
-    let run = |parallelism: usize, delivery_parallelism: usize, ingress_shards: usize| {
+    let run = |parallelism: usize, delivery_parallelism: usize| {
         let mut sim = Simulation::new(
             Arc::new(figure1_topology()),
             SimulationConfig::default()
                 .with_parallelism(parallelism)
-                .with_delivery_parallelism(delivery_parallelism)
-                .with_ingress_shards(ingress_shards),
+                .with_delivery_parallelism(delivery_parallelism),
             move |_| {
                 NodeConfig::paper_simulation(false)
                     .with_policy(PropagationPolicy::All)
@@ -135,17 +143,310 @@ fn stacked_parallelism_is_byte_identical() {
         sim.run_rounds(4).expect("beaconing rounds");
         fingerprint(&sim)
     };
-    let sequential = run(1, 1, 1);
+    let sequential = run(1, 1);
     assert!(!sequential.paths.is_empty());
-    let parallel = run(4, 4, 1);
-    assert_eq!(parallel, sequential);
-    // The headline stacked-shards criterion: `--ingress-shards {1, 4}` (plus a
-    // non-power-of-two) stacked with `--parallelism 4 --delivery-parallelism 4`.
-    for ingress_shards in [4usize, 7] {
-        let sharded = run(4, 4, ingress_shards);
+    assert_eq!(run(4, 4), sequential);
+}
+
+/// The hot origin: one |Φ| well above `irec_core::BATCH_SPLIT_THRESHOLD` (512), next to
+/// background origins with small batches.
+const HOT_ORIGIN: AsId = AsId(7);
+const HOT_BATCH: u64 = 600;
+const BACKGROUND_ORIGINS: u64 = 7;
+const BACKGROUND_BATCH: u64 = 24;
+
+/// `HOT_BATCH` distinct beacons from the hot origin plus `BACKGROUND_BATCH` from each
+/// other background origin. Origination-only PCBs — the database never verifies
+/// signatures, digests vary by `(origin, seq)`.
+fn beacon_workload() -> Vec<Pcb> {
+    let expiry = SimTime::ZERO + SimDuration::from_hours(6);
+    let originate = |origin: AsId, seq| {
+        Pcb::originate(origin, seq, SimTime::ZERO, expiry, PcbExtensions::none())
+    };
+    let mut beacons: Vec<Pcb> = (0..HOT_BATCH)
+        .map(|seq| originate(HOT_ORIGIN, seq))
+        .collect();
+    for origin in (1..=BACKGROUND_ORIGINS).filter(|&o| o != HOT_ORIGIN.value()) {
+        beacons.extend((0..BACKGROUND_BATCH).map(|seq| originate(AsId(origin), seq)));
+    }
+    beacons
+}
+
+fn distinct_beacons() -> usize {
+    (HOT_BATCH + (BACKGROUND_ORIGINS - 1) * BACKGROUND_BATCH) as usize
+}
+
+/// Scoped threads hammer `insert` — every beacon is raced by **two** threads, so exactly
+/// one of each pair must win the dedup — while another thread runs eviction sweeps (no-ops
+/// at t=0, but they take the same lock). No insert may be lost and the occupancy must be
+/// exact.
+#[test]
+fn hot_origin_hammering_loses_no_inserts() {
+    let db = ShardedIngressDb::default();
+    let beacons = beacon_workload();
+    let accepted = AtomicUsize::new(0);
+    let duplicates = AtomicUsize::new(0);
+    let writers = 8usize;
+    std::thread::scope(|scope| {
+        for writer in 0..writers {
+            let (db, beacons, accepted, duplicates) = (&db, &beacons, &accepted, &duplicates);
+            scope.spawn(move || {
+                // Writers w and w+4 insert the same quarter of the workload: every beacon
+                // is attempted exactly twice, by two different threads.
+                for (index, pcb) in beacons.iter().enumerate() {
+                    if index % (writers / 2) != writer % (writers / 2) {
+                        continue;
+                    }
+                    if db.insert(pcb.clone(), IfId(1), SimTime::ZERO) {
+                        accepted.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        duplicates.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+        let db = &db;
+        scope.spawn(move || {
+            for _ in 0..50 {
+                assert_eq!(db.evict_expired(SimTime::ZERO, SimDuration::ZERO), 0);
+            }
+        });
+    });
+
+    let distinct = distinct_beacons();
+    assert_eq!(
+        accepted.load(Ordering::Relaxed),
+        distinct,
+        "lost or double-counted inserts"
+    );
+    assert_eq!(duplicates.load(Ordering::Relaxed), distinct);
+    assert_eq!(db.len(), distinct);
+    assert_eq!(db.live_len(SimTime::ZERO), distinct);
+    // The hot batch is complete and still one batch (oversized batches split into engine
+    // work items, not into storage fragments).
+    let hot_key = BatchKey {
+        origin: HOT_ORIGIN,
+        group: InterfaceGroupId::DEFAULT,
+        target: None,
+    };
+    assert_eq!(
+        db.beacons_for(&hot_key, SimTime::ZERO).len(),
+        HOT_BATCH as usize
+    );
+    assert_eq!(db.batch_keys().len(), BACKGROUND_ORIGINS as usize);
+    // A final full sweep drains exactly what was stored.
+    assert_eq!(db.evict_expired(SimTime::MAX, SimDuration::ZERO), distinct);
+    assert!(db.is_empty());
+}
+
+/// The same workload through the ingress gateway's `&self` commit path, one thread per
+/// origin committing every beacon twice, so dedup races within an origin too: stats and
+/// contents must equal a serial run.
+#[test]
+fn gateway_commits_match_serial_reference() {
+    let registry = KeyRegistry::with_ases(3, 16);
+    let beacons = beacon_workload();
+    // Verdicts are precomputed `Ok` (carrying the beacon's id, as a real verdict does) —
+    // the stress targets the commit path, not signature verification.
+    let commit_twice = |gateway: &IngressGateway, pcb: &Pcb| {
+        for _ in 0..2 {
+            let _ = gateway.commit(pcb.clone(), IfId(1), SimTime::ZERO, Ok(pcb.digest()));
+        }
+    };
+    let reference = IngressGateway::new(AsId(99), Verifier::new(registry.clone()));
+    for pcb in &beacons {
+        commit_twice(&reference, pcb);
+    }
+
+    let gateway = IngressGateway::new(AsId(99), Verifier::new(registry));
+    let mut by_origin: BTreeMap<AsId, Vec<&Pcb>> = BTreeMap::new();
+    for pcb in &beacons {
+        by_origin.entry(pcb.origin).or_default().push(pcb);
+    }
+    std::thread::scope(|scope| {
+        for inbox in by_origin.values() {
+            let gateway = &gateway;
+            scope.spawn(move || {
+                for pcb in inbox {
+                    commit_twice(gateway, pcb);
+                }
+            });
+        }
+    });
+    assert_eq!(gateway.stats(), reference.stats());
+    assert_eq!(gateway.db().len(), reference.db().len());
+    assert_eq!(gateway.db().batch_keys(), reference.db().batch_keys());
+    for key in reference.db().batch_keys() {
         assert_eq!(
-            sharded, sequential,
-            "ingress-shards {ingress_shards} diverged under stacked parallelism"
+            gateway.db().beacons_for(&key, SimTime::ZERO),
+            reference.db().beacons_for(&key, SimTime::ZERO)
         );
     }
+    assert_eq!(reference.stats().accepted as usize, distinct_beacons());
+    assert_eq!(reference.stats().duplicates as usize, distinct_beacons());
+    assert_eq!(reference.stats().rejected, 0);
+}
+
+/// Most registrations go towards one destination, next to a few background ones.
+const HOT_DEST: AsId = AsId(70);
+const HOT_PATHS: u64 = 600;
+const BACKGROUND_DESTS: u64 = 7;
+const BACKGROUND_PATHS: u64 = 24;
+
+fn path(destination: AsId, id: u64) -> StoredPath {
+    let mut digest = [0u8; 32];
+    digest[..8].copy_from_slice(&id.to_le_bytes());
+    digest[8..16].copy_from_slice(&destination.value().to_le_bytes());
+    StoredPath {
+        pcb_id: PcbId(Digest(digest)),
+        destination,
+        destination_interface: IfId(1),
+        local_interface: IfId(2),
+        algorithm: "PD".to_string(),
+        group: InterfaceGroupId::DEFAULT,
+        metrics: PathMetrics {
+            latency: Latency::from_millis(10 + id),
+            bandwidth: Bandwidth::from_mbps(100),
+            hops: 2,
+        },
+        // Distinct link sequences per (destination, id): registrations never refresh each
+        // other, so the expected occupancy is exact.
+        links: vec![(destination, IfId(id as u32)), (AsId(900 + id), IfId(1))],
+        registered_at: SimTime::ZERO,
+    }
+}
+
+/// Scoped threads hammer `register` so that **two** threads race every path — the second
+/// registration must refresh, not duplicate — while the limit stays out of reach. No
+/// registration may be lost and the occupancy must be exact.
+#[test]
+fn hot_destination_hammering_loses_no_registrations() {
+    let service = ShardedPathService::with_limit(2_000);
+    let mut paths: Vec<StoredPath> = (0..HOT_PATHS).map(|id| path(HOT_DEST, id)).collect();
+    for dest in 1..=BACKGROUND_DESTS {
+        paths.extend((0..BACKGROUND_PATHS).map(|id| path(AsId(dest), id)));
+    }
+    let writers = 8usize;
+    std::thread::scope(|scope| {
+        for writer in 0..writers {
+            let (service, paths) = (&service, &paths);
+            scope.spawn(move || {
+                // Writers w and w+4 register the same quarter of the workload: every path
+                // is attempted exactly twice, by two different threads.
+                for (index, p) in paths.iter().enumerate() {
+                    if index % (writers / 2) == writer % (writers / 2) {
+                        service.register(p.clone());
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(service.len(), paths.len());
+    assert_eq!(service.paths_to(HOT_DEST).len(), HOT_PATHS as usize);
+    assert_eq!(
+        service.paths_to_by(HOT_DEST, "PD").len(),
+        HOT_PATHS as usize
+    );
+    assert_eq!(service.destinations().len(), 1 + BACKGROUND_DESTS as usize);
+    assert_eq!(service.evictions(), 0, "no limit evictions expected");
+}
+
+/// The per-key limit under concurrent registration: inserting N distinct paths into one
+/// `(RAC, destination, group)` key evicts exactly `N - limit` registrations, no matter how
+/// the racing writers interleave.
+#[test]
+fn limit_eviction_count_is_exact_under_concurrency() {
+    const LIMIT: usize = 20;
+    let service = ShardedPathService::with_limit(LIMIT);
+    let paths: Vec<StoredPath> = (0..HOT_PATHS).map(|id| path(HOT_DEST, id)).collect();
+    let writers = 4usize;
+    std::thread::scope(|scope| {
+        for writer in 0..writers {
+            let (service, paths) = (&service, &paths);
+            scope.spawn(move || {
+                for (index, p) in paths.iter().enumerate() {
+                    if index % writers == writer {
+                        service.register(p.clone());
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(service.paths_to(HOT_DEST).len(), LIMIT);
+    assert_eq!(service.len(), LIMIT);
+    assert_eq!(service.evictions(), HOT_PATHS - LIMIT as u64);
+}
+
+/// The node-level commit path the delivery plane drives: pull returns committed through
+/// `&self` from one thread per destination must leave the path service byte-identical to
+/// a serial reference — same paths, same order.
+#[test]
+fn concurrent_pull_returns_match_serial_reference() {
+    let topology = Arc::new(figure1_topology());
+    let registry = KeyRegistry::with_ases(1, 16);
+    let store = SharedAlgorithmStore::new();
+    let node = || {
+        IrecNode::new(
+            AsId(1),
+            NodeConfig::default().with_policy(PropagationPolicy::All),
+            Arc::clone(&topology),
+            registry.clone(),
+            store.clone(),
+        )
+        .expect("node setup")
+    };
+
+    // For each of six target ASes, a fan of pull returns whose beacons traverse distinct
+    // egress interfaces (distinct link sequences, so every return registers its own path).
+    // The fan stays below the per-key registration limit (20), so nothing is evicted.
+    let signer = Signer::new(AsId(1), registry.clone());
+    let mut by_target: BTreeMap<u64, Vec<PullReturn>> = BTreeMap::new();
+    for target in 60..66u64 {
+        for seq in 0..18u64 {
+            let mut pcb = Pcb::originate(
+                AsId(1),
+                target * 1_000 + seq,
+                SimTime::ZERO,
+                SimTime::ZERO + SimDuration::from_hours(6),
+                PcbExtensions::none().with_target(AsId(target)),
+            );
+            pcb.extend(
+                IfId::NONE,
+                IfId(1 + seq as u32),
+                StaticInfo::origin(
+                    Latency::from_millis(5 + seq),
+                    Bandwidth::from_mbps(100),
+                    None,
+                ),
+                &signer,
+            )
+            .expect("beacon extension");
+            by_target.entry(target).or_default().push(PullReturn {
+                from_as: AsId(target),
+                to_as: AsId(1),
+                target_ingress: IfId(2),
+                pcb,
+            });
+        }
+    }
+
+    let reference = node();
+    for ret in by_target.values().flatten() {
+        reference.handle_pull_return(ret.clone(), SimTime::ZERO);
+    }
+    let reference_paths = reference.path_service().all();
+    assert_eq!(reference_paths.len(), 6 * 18);
+
+    let concurrent = node();
+    std::thread::scope(|scope| {
+        for returns in by_target.values() {
+            let concurrent = &concurrent;
+            scope.spawn(move || {
+                for ret in returns {
+                    concurrent.handle_pull_return(ret.clone(), SimTime::ZERO);
+                }
+            });
+        }
+    });
+    assert_eq!(concurrent.path_service().all(), reference_paths);
 }

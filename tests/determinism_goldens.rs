@@ -44,17 +44,13 @@ const ALGORITHM_5SP: &str = include_str!("goldens/algorithm-5sp-a12-r10-s5.txt")
 const ALGORITHM_HD: &str = include_str!("goldens/algorithm-hd-a12-r10-s5.txt");
 const PD_GENERATED: &str = include_str!("goldens/pd-campaign-a8-s5.txt");
 
-/// The execution knobs stacked as wide as they go: both parallel planes, both shardings
-/// and the parallel PD campaign.
-const STACKED: [&str; 10] = [
+/// The execution knobs stacked as wide as they go: both parallel planes and the parallel
+/// PD campaign.
+const STACKED: [&str; 6] = [
     "--parallelism",
     "4",
     "--delivery-parallelism",
     "2",
-    "--ingress-shards",
-    "4",
-    "--path-shards",
-    "7",
     "--pd-parallelism",
     "4",
 ];

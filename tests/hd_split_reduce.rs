@@ -112,7 +112,7 @@ fn adversarial_db(phi: usize) -> ShardedIngressDb {
     );
     assert!(phi >= 600, "needs at least two sub-ranges");
     let registry = KeyRegistry::with_ases(7, 64);
-    let db = ShardedIngressDb::new(4);
+    let db = ShardedIngressDb::default();
     let mut seq = 0u64;
     let mut push = |e0: u32, e1: u32| {
         let pcb = chain(&registry, seq, e0, e1);

@@ -20,15 +20,9 @@ struct RunFingerprint {
 }
 
 fn run_figure1(parallelism: usize, rounds: usize) -> RunFingerprint {
-    run_figure1_sharded(parallelism, rounds, 0)
-}
-
-fn run_figure1_sharded(parallelism: usize, rounds: usize, ingress_shards: usize) -> RunFingerprint {
     let mut sim = Simulation::new(
         Arc::new(figure1_topology()),
-        SimulationConfig::default()
-            .with_parallelism(parallelism)
-            .with_ingress_shards(ingress_shards),
+        SimulationConfig::default().with_parallelism(parallelism),
         move |_| {
             NodeConfig::paper_simulation(false)
                 .with_policy(PropagationPolicy::All)
@@ -76,25 +70,8 @@ fn parallel_figure1_run_is_byte_identical_to_sequential() {
         !sequential.paths.is_empty(),
         "the scenario must register paths"
     );
-    for parallelism in [2, 4, 8] {
-        let parallel = run_figure1(parallelism, 5);
-        assert_identical(&sequential, &parallel, parallelism);
-    }
-}
-
-/// Sharding the ingress database must not change a single observable byte either: explicit
-/// shard counts (including a non-power-of-two), stacked with engine parallelism, reproduce
-/// the sequential single-shard run exactly.
-#[test]
-fn ingress_sharding_is_byte_identical_across_shard_counts() {
-    let sequential = run_figure1_sharded(1, 5, 1);
-    assert!(!sequential.paths.is_empty());
-    for ingress_shards in [1usize, 4, 7] {
-        for parallelism in [1usize, 4] {
-            let sharded = run_figure1_sharded(parallelism, 5, ingress_shards);
-            assert_identical(&sequential, &sharded, parallelism);
-        }
-    }
+    let parallel = run_figure1(4, 5);
+    assert_identical(&sequential, &parallel, 4);
 }
 
 /// Same guarantee on a generated topology with valley-free policy (sparser selections,

@@ -1,9 +1,8 @@
-//! Acceptance tests for the parallel PD campaign engine and the destination-sharded path
-//! service: campaign results for `--pd-parallelism {1,4}` × `--path-shards {1,4,7}` must
-//! be byte-identical to the sequential unsharded run — same per-pair paths in the same
-//! order, same iteration counts, same pull-overhead samples — and the campaign, copy-on-write
-//! snapshots and all, must equal its oracle: a sequential loop of one workflow per pair on a
-//! deep clone of the base.
+//! Acceptance tests for the parallel PD campaign engine: campaign results for
+//! `--pd-parallelism {1,4}` × `--delivery-parallelism {1,4}` must be byte-identical to the
+//! sequential run — same per-pair paths in the same order, same iteration counts, same
+//! pull-overhead samples — and the campaign, copy-on-write snapshots and all, must equal
+//! its oracle: a sequential loop of one workflow per pair on a deep clone of the base.
 
 use irec_core::{NodeConfig, RacConfig};
 use irec_metrics::RegisteredPath;
@@ -20,9 +19,9 @@ const MAX_PATHS: usize = 8;
 
 /// The campaign workload: a 12-AS generated topology with the paper's HD + on-demand
 /// deployment, warmed so HD has seeded paths. `delivery_parallelism > 1` routes the
-/// per-pair simulations' pull returns through the delivery plane's concurrent
-/// per-`(destination, path shard)` commit inboxes.
-fn warm_base(path_shards: usize, delivery_parallelism: usize) -> Simulation {
+/// per-pair simulations' pull returns through the delivery plane's concurrent per-node
+/// commit inboxes.
+fn warm_base(delivery_parallelism: usize) -> Simulation {
     let topology = Arc::new(
         TopologyGenerator::new(GeneratorConfig {
             num_ases: 12,
@@ -33,9 +32,7 @@ fn warm_base(path_shards: usize, delivery_parallelism: usize) -> Simulation {
     );
     let mut sim = Simulation::new(
         topology,
-        SimulationConfig::default()
-            .with_delivery_parallelism(delivery_parallelism)
-            .with_path_shards(path_shards),
+        SimulationConfig::default().with_delivery_parallelism(delivery_parallelism),
         move |_| {
             NodeConfig::default().with_racs(vec![
                 RacConfig::static_rac("HD", "HD"),
@@ -62,12 +59,8 @@ fn pairs(base: &Simulation) -> Vec<(AsId, AsId)> {
 /// Everything deterministic about a campaign run (per-pair wall-clock excluded).
 type CampaignFingerprint = Vec<(AsId, AsId, Vec<RegisteredPath>, usize, usize, Vec<u64>)>;
 
-fn run_campaign(
-    path_shards: usize,
-    pd_parallelism: usize,
-    delivery_parallelism: usize,
-) -> CampaignFingerprint {
-    let base = warm_base(path_shards, delivery_parallelism);
+fn run_campaign(pd_parallelism: usize, delivery_parallelism: usize) -> CampaignFingerprint {
+    let base = warm_base(delivery_parallelism);
     campaign(&base, pairs(&base), pd_parallelism)
 }
 
@@ -133,13 +126,13 @@ fn fingerprint(results: Vec<irec_sim::PdPairResult>) -> CampaignFingerprint {
         .collect()
 }
 
-/// The headline acceptance criterion: every `--pd-parallelism {1,4}` × `--path-shards
-/// {1,4,7}` combination reproduces the sequential unsharded campaign byte for byte —
-/// including with the delivery plane's verify/apply pipeline parallel, which routes the
-/// pull returns through the concurrent per-`(destination, path shard)` commit inboxes.
+/// The headline acceptance criterion: every `--pd-parallelism {1,4}` ×
+/// `--delivery-parallelism {1,4}` combination reproduces the sequential campaign byte for
+/// byte — the parallel delivery plane routes the pull returns through its concurrent
+/// per-node commit inboxes.
 #[test]
 fn pd_campaign_matrix_is_byte_identical_to_sequential_unsharded() {
-    let sequential = run_campaign(1, 1, 1);
+    let sequential = run_campaign(1, 1);
     assert!(
         sequential.iter().any(|(_, _, paths, ..)| !paths.is_empty()),
         "the campaign must discover paths"
@@ -153,20 +146,13 @@ fn pd_campaign_matrix_is_byte_identical_to_sequential_unsharded() {
                 && !pull_overhead.is_empty()),
         "no pair ran a pull iteration — raise MAX_PATHS above the HD seed count"
     );
-    for path_shards in [1usize, 4, 7] {
-        for pd_parallelism in [1usize, 4] {
-            for delivery_parallelism in [1usize, 4] {
-                if (path_shards, pd_parallelism, delivery_parallelism) == (1, 1, 1) {
-                    continue;
-                }
-                let run = run_campaign(path_shards, pd_parallelism, delivery_parallelism);
-                assert_eq!(
-                    run, sequential,
-                    "campaign diverged at pd-parallelism {pd_parallelism}, \
-                     path-shards {path_shards}, delivery-parallelism {delivery_parallelism}"
-                );
-            }
-        }
+    for (pd_parallelism, delivery_parallelism) in [(1, 4), (4, 1), (4, 4)] {
+        assert_eq!(
+            run_campaign(pd_parallelism, delivery_parallelism),
+            sequential,
+            "campaign diverged at pd-parallelism {pd_parallelism}, \
+             delivery-parallelism {delivery_parallelism}"
+        );
     }
 }
 
@@ -177,7 +163,7 @@ fn pd_campaign_matrix_is_byte_identical_to_sequential_unsharded() {
 /// reference must publish the same ids to fetch the same modules.)
 #[test]
 fn pd_campaign_equals_manual_sequential_snapshot_loop() {
-    let base = warm_base(1, 1);
+    let base = warm_base(1);
     let pairs = pairs(&base);
     assert_eq!(
         campaign(&base, pairs.clone(), 4),
@@ -190,7 +176,7 @@ fn pd_campaign_equals_manual_sequential_snapshot_loop() {
 /// parallelism settings) in a row.
 #[test]
 fn pd_campaign_leaves_the_base_simulation_untouched() {
-    let base = warm_base(4, 4);
+    let base = warm_base(4);
     let before_paths = base.registered_paths();
     let before_rounds = base.rounds_run();
     let before_stats = base.delivery_stats();
@@ -206,22 +192,19 @@ fn pd_campaign_leaves_the_base_simulation_untouched() {
     assert_eq!(base.delivery_stats(), before_stats);
 }
 
-/// The campaign's copy-on-write snapshots reproduce the deep-clone loop byte for byte
-/// across the whole acceptance matrix: `--pd-parallelism {1,4}` × `--path-shards {1,4,7}`.
+/// The campaign's copy-on-write snapshots reproduce the deep-clone loop byte for byte at
+/// `--pd-parallelism {1,4}`.
 #[test]
 fn cow_snapshots_match_deep_clone_across_the_matrix() {
-    for path_shards in [1usize, 4, 7] {
-        let base = warm_base(path_shards, 1);
-        let pairs = pairs(&base);
-        let deep = deep_clone_loop(&base, &pairs);
-        for pd_parallelism in [1usize, 4] {
-            assert_eq!(
-                campaign(&base, pairs.clone(), pd_parallelism),
-                deep,
-                "COW and deep-clone campaigns diverged at pd-parallelism \
-                 {pd_parallelism}, path-shards {path_shards}"
-            );
-        }
+    let base = warm_base(1);
+    let pairs = pairs(&base);
+    let deep = deep_clone_loop(&base, &pairs);
+    for pd_parallelism in [1usize, 4] {
+        assert_eq!(
+            campaign(&base, pairs.clone(), pd_parallelism),
+            deep,
+            "COW and deep-clone campaigns diverged at pd-parallelism {pd_parallelism}"
+        );
     }
 }
 
