@@ -379,8 +379,12 @@ impl Batch {
     }
 
     /// Removes every beacon matching `remove`, keeping the others in order; returns how
-    /// many went.
-    fn remove_where(&mut self, remove: impl Fn(&StoredBeacon) -> bool) -> usize {
+    /// many went. Lowers `earliest` to the earliest expiry among the beacons kept.
+    fn remove_where(
+        &mut self,
+        remove: impl Fn(&StoredBeacon) -> bool,
+        earliest: &mut SimTime,
+    ) -> usize {
         let (mut at, mut kept) = (0, 0);
         let shorts = &mut self.shorts;
         let carriers = &mut self.carriers;
@@ -389,6 +393,7 @@ impl Batch {
             if keep {
                 shorts[kept] = shorts[at];
                 kept += 1;
+                *earliest = (*earliest).min(slot.beacon.pcb.expires_at);
             } else {
                 *carriers -= usize::from(carries(&slot.beacon));
             }
@@ -450,6 +455,12 @@ pub enum BatchChange {
 /// needs to learn, without snapshotting a batch, whether it is untouched, has only grown,
 /// or lost beacons since the reader last looked (see [`IngressDb::changes_since`]).
 ///
+/// Beside the stamps the database keeps the earliest expiry of any stored beacon, exact at
+/// all times: an insert lowers it, and every sweep — which visits every stored beacon
+/// anyway — puts it on the earliest expiry left. Whether anything is expired at an
+/// instant is then one comparison ([`IngressDb::has_expired_beacons`]), so a round's
+/// housekeeping reads no stored beacon when nothing expires.
+///
 /// The stamps are part of the database, so clones and copy-on-write snapshots carry them:
 /// a cursor stays meaningful against the database it was read from and against copies
 /// taken after it was read. Against any other database — say the fresh one of a node that
@@ -460,6 +471,8 @@ pub struct IngressDb {
     by_key: BTreeMap<BatchKey, Batch>,
     clock: u64,
     lineage: u64,
+    /// The earliest `expires_at` of any stored beacon (`SimTime::MAX` for none).
+    earliest: SimTime,
 }
 
 impl Default for IngressDb {
@@ -470,6 +483,7 @@ impl Default for IngressDb {
             by_key: BTreeMap::new(),
             clock: 0,
             lineage: NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed),
+            earliest: SimTime::MAX,
         }
     }
 }
@@ -513,6 +527,7 @@ impl IngressDb {
         if batch.holds(&id) {
             return false;
         }
+        self.earliest = self.earliest.min(pcb.expires_at);
         batch.push(
             &id,
             Arc::new(StoredBeacon {
@@ -668,9 +683,11 @@ impl IngressDb {
             return BatchChange::Disturbed;
         }
         let mut known = cursor.lengths.iter();
-        let mut lengths = Vec::with_capacity(cursor.lengths.len());
+        // Left unallocated until a batch turns out to have grown: then the lengths of the
+        // batches before it are the cursor's, and every batch from it on is recorded.
+        let mut lengths = Vec::new();
         let mut arrivals = Vec::new();
-        for batch in self.batches_of(key, merge_groups) {
+        for (index, batch) in self.batches_of(key, merge_groups).enumerate() {
             // A batch of the set that went away shifts the ones behind it onto its
             // recorded length — possibly a longer one; the count check below settles it.
             let Some(&known) = known
@@ -679,6 +696,13 @@ impl IngressDb {
             else {
                 return BatchChange::Disturbed;
             };
+            if lengths.is_empty() {
+                if known == batch.len() {
+                    continue;
+                }
+                lengths.reserve_exact(cursor.lengths.len());
+                lengths.extend_from_slice(&cursor.lengths[..index]);
+            }
             lengths.push(batch.len());
             arrivals.extend(
                 batch
@@ -716,6 +740,12 @@ impl IngressDb {
         self.len() == 0
     }
 
+    /// Whether a stored beacon is expired at `now` — `len() != live_len(now)` — answered
+    /// from the earliest-expiry watermark, reading no stored beacon.
+    pub fn has_expired_beacons(&self, now: SimTime) -> bool {
+        !self.by_key.is_empty() && now.is_at_or_after(self.earliest)
+    }
+
     /// Removes beacons that are expired at `now` (or expire within `grace`), mirroring the
     /// paper's "periodically removes (soon-to-be) expired PCBs". Returns how many were
     /// evicted.
@@ -726,11 +756,14 @@ impl IngressDb {
 
     /// Removes every stored beacon matching `remove`, keeping the others in order; a
     /// removed beacon's id goes with it, so such a beacon can be stored again. Every batch
-    /// that loses a beacon is stamped as disturbed; one that empties is dropped.
+    /// that loses a beacon is stamped as disturbed; one that empties is dropped. The walk
+    /// visits every stored beacon, so it also puts the expiry watermark on the earliest
+    /// expiry left.
     fn remove_where(&mut self, remove: impl Fn(&StoredBeacon) -> bool) -> usize {
         let mut removed = 0;
+        let mut earliest = SimTime::MAX;
         self.by_key.retain(|_, batch| {
-            let gone = batch.remove_where(&remove);
+            let gone = batch.remove_where(&remove, &mut earliest);
             if gone > 0 {
                 removed += gone;
                 self.clock += 1;
@@ -738,12 +771,13 @@ impl IngressDb {
             }
             !batch.slots.is_empty()
         });
+        self.earliest = earliest;
         removed
     }
 
     /// True when any stored beacon matches `predicate` — the read-only probe
     /// [`ShardedIngressDb::purge_where`] uses to keep a withdrawal sweep that matches
-    /// nothing from materializing a CoW-shared map.
+    /// nothing from materializing a map a copy-on-write snapshot shares.
     pub fn any_where(&self, predicate: impl Fn(&StoredBeacon) -> bool) -> bool {
         self.by_key
             .values()
@@ -962,27 +996,35 @@ impl ShardedIngressDb {
         self.len() == 0
     }
 
+    /// [`IngressDb::has_expired_beacons`].
+    pub fn has_expired_beacons(&self, now: SimTime) -> bool {
+        self.store.read().has_expired_beacons(now)
+    }
+
     /// Removes beacons that are expired at `now` (or expire within `grace`) and returns
-    /// how many. A read-only probe first skips the copy-on-write materialization when
-    /// nothing would be evicted — routine housekeeping sweeps must not un-share the map of
-    /// an otherwise read-only snapshot.
+    /// how many. The expiry watermark is asked first, so a sweep with nothing to evict
+    /// reads no stored beacon and leaves a map shared with a copy-on-write snapshot shared
+    /// — routine housekeeping must not un-share an otherwise read-only snapshot.
     pub fn evict_expired(&self, now: SimTime, grace: irec_types::SimDuration) -> usize {
-        {
-            let db = self.store.read();
-            if db.len() == db.live_len(now + grace) {
-                return 0;
-            }
+        if !self.has_expired_beacons(now + grace) {
+            return 0;
         }
         self.write(|db| db.evict_expired(now, grace))
     }
 
-    /// [`IngressDb::purge_where`] (a withdrawal sweep), with a read-only probe so sweeps
-    /// that match nothing leave a CoW-shared map shared.
+    /// [`IngressDb::purge_where`] (a withdrawal sweep). A map no snapshot shares is swept
+    /// in one walk — a sweep that matches nothing leaves the change clock, the stamps and
+    /// the expiry watermark as they were. A shared one is probed read-only first, so a
+    /// sweep that matches nothing leaves it shared.
     pub fn purge_where(&self, predicate: impl Fn(&StoredBeacon) -> bool) -> usize {
-        if !self.store.read().any_where(&predicate) {
+        let mut store = self.store.write();
+        if let Some(db) = Arc::get_mut(&mut store) {
+            return db.purge_where(&predicate);
+        }
+        if !store.any_where(&predicate) {
             return 0;
         }
-        self.write(|db| db.purge_where(&predicate))
+        Arc::make_mut(&mut store).purge_where(&predicate)
     }
 }
 
@@ -1952,6 +1994,58 @@ mod tests {
             deep.evict_expired(later, SimDuration::ZERO)
         );
         assert_eq!(snap.len(), deep.len());
+    }
+
+    #[test]
+    fn a_unique_store_is_swept_without_the_probe_and_ends_where_a_shared_one_does() {
+        // Two equal stores: one no snapshot shares, swept in one walk; one a snapshot
+        // shares, probed first. Sequence `s` beacons expire after `1 + s` hours.
+        let fill = |db: &ShardedIngressDb| {
+            for origin in 1..=4u64 {
+                for seq in 0..3 {
+                    db.insert(
+                        pcb(origin, seq, PcbExtensions::none(), 1 + seq),
+                        IfId(1),
+                        SimTime::ZERO,
+                    );
+                }
+            }
+        };
+        let state = |db: &ShardedIngressDb| {
+            let db = db.store.read();
+            let batches: Vec<_> = (db.by_key.iter())
+                .map(|(key, batch)| (*key, batch.shorts.clone(), batch.disturbed_at))
+                .collect();
+            (db.clock, db.earliest, batches)
+        };
+        let unique = ShardedIngressDb::default();
+        fill(&unique);
+        let shared = ShardedIngressDb::default();
+        fill(&shared);
+        let snapshot = shared.cow_clone();
+        let one_hour = SimTime::ZERO + SimDuration::from_hours(1);
+        let sweeps: [&dyn Fn(&StoredBeacon) -> bool; 4] = [
+            &|_| false,
+            &|b| b.pcb.origin == AsId(9),
+            &|b| b.pcb.sequence == 0,
+            &|b| b.pcb.origin == AsId(2),
+        ];
+        for (at, sweep) in sweeps.into_iter().enumerate() {
+            let before = state(&unique);
+            let removed = unique.purge_where(sweep);
+            assert_eq!(removed, shared.purge_where(sweep), "sweep {at}");
+            assert_eq!(state(&unique), state(&shared), "sweep {at}");
+            if removed == 0 {
+                // Clock, stamps and watermark as they were; a shared store stays shared.
+                assert_eq!(state(&unique), before, "sweep {at}");
+                assert!(snapshot.shares_store_with(&shared), "sweep {at}");
+            }
+        }
+        assert!(!snapshot.shares_store_with(&shared));
+        assert_eq!((unique.len(), snapshot.len()), (6, 12));
+        // The earliest beacons went with the sequence-0 sweep, and the watermark with them.
+        assert!(!unique.has_expired_beacons(one_hour));
+        assert!(snapshot.has_expired_beacons(one_hour));
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! types only and share nothing with the databases under test but `Pcb::is_expired`.
 //!
 //! The properties drive a database and its model through the same random operations and
-//! compare every return value and, after every operation, `len`, `live_len`, the batch keys
-//! and what each batch hands out, or `len`, the marks and `has_expired_entries`. The
+//! compare every return value and, after every operation, `len`, `live_len`, the expiry
+//! probe, the batch keys and what each batch hands out, or `len`, the marks and
+//! `has_expired_entries`. The
 //! operations cover what the indexes could get wrong: exact duplicates of stored beacons,
 //! duplicates after an eviction and re-inserts after a purge, in batches with neighbours
 //! (other groups and targets of one origin); sweeps with and without grace that land on
@@ -226,6 +227,12 @@ fn check_ingress(db: &ShardedIngressDb, model: &SeenSetIngressDb) {
     for at in 0..=8 {
         let now = instant(at);
         assert_eq!(db.live_len(now), model.live_len(now), "live_len at {now:?}");
+        // The expiry watermark is exact: its probe answers what counting would.
+        assert_eq!(
+            db.has_expired_beacons(now),
+            model.len() != model.live_len(now),
+            "expiry probe at {now:?}"
+        );
         for key in &keys {
             let ids = db
                 .batch_view(key, now)

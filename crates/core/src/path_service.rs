@@ -325,7 +325,13 @@ impl PathService {
 
     /// Every registered path.
     pub fn all(&self) -> Vec<&RegisteredPath> {
-        self.paths.values().flat_map(|v| v.paths.iter()).collect()
+        self.iter().collect()
+    }
+
+    /// Every registered path, in ascending `(algorithm, destination, group)` key order and
+    /// registration order within a key — [`PathService::all`] without the collection.
+    pub fn iter(&self) -> impl Iterator<Item = &RegisteredPath> {
+        self.paths.values().flat_map(|v| v.paths.iter())
     }
 
     /// Total number of registered paths.
@@ -494,6 +500,12 @@ impl ShardedPathService {
             .map(|registrations| registrations.paths.clone())
             .collect();
         per_key.into_iter().flatten().collect()
+    }
+
+    /// Runs `read` on the map under the read lock: [`PathService::iter`] walks what
+    /// [`ShardedPathService::all`] hands out, in the same order, borrowed instead of copied.
+    pub fn read<R>(&self, read: impl FnOnce(&PathService) -> R) -> R {
+        read(&self.store.read())
     }
 
     /// Total number of registered paths.
@@ -756,6 +768,18 @@ mod tests {
         );
         assert!(!snapshot.shares_store_with(&base));
         assert_eq!((snapshot.len(), base.len()), (2, 1));
+    }
+
+    #[test]
+    fn read_walks_what_all_copies_in_the_same_order() {
+        let service = ShardedPathService::default();
+        for (dst, alg, id_byte) in [(2, "DO", 1), (1, "1SP", 2), (1, "DO", 3), (1, "1SP", 4)] {
+            service.register(path(dst, alg, id_byte, 0));
+        }
+        let walked: Vec<RegisteredPath> = service.read(|paths| paths.iter().cloned().collect());
+        assert_eq!(walked, service.all());
+        let ids: Vec<u8> = walked.iter().map(|p| p.pcb_id.0 .0[0]).collect();
+        assert_eq!(ids, [2, 4, 3, 1], "key order, then registration order");
     }
 
     #[test]

@@ -6,7 +6,9 @@ use super::{ChurnConfig, ChurnDelta, ChurnGenerator};
 use crate::simulation::Simulation;
 use irec_algorithms::incremental::SelectionDelta;
 use irec_core::{NodeConfig, RacConfig};
+use irec_metrics::RegisteredPath;
 use irec_types::{AsId, IrecError, Result};
+use std::collections::BTreeMap;
 
 /// The outcome of one churn step: the deltas applied and how the plane absorbed them.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,6 +110,7 @@ where
         let config = *self.generator.config();
         sim.run_rounds(config.warmup_rounds)?;
         let checker = InvariantChecker::capture(sim);
+        let mut view = PlaneView::default();
         let mut report = ChurnReport { steps: Vec::new() };
         for step in 0..steps {
             let round = sim.rounds_run();
@@ -121,7 +124,7 @@ where
                 self.apply_delta(sim, delta)?;
                 deltas.push(delta);
             }
-            let settle_rounds = self.settle(sim, &checker, &config)?;
+            let settle_rounds = self.settle(sim, &checker, &config, &mut view)?;
             let stats_after = sim.delivery_stats();
             report.steps.push(ChurnStep {
                 step,
@@ -208,21 +211,23 @@ where
     /// rounds *and* the no-blackhole invariant holds, returning how many rounds that took.
     /// A plane that is stable but still blackholed keeps settling — stale paths age out
     /// and fresh propagation repairs it — until the budget declares the step failed.
+    ///
+    /// `view` holds the registrations the previous settle left behind; it is brought up to
+    /// date first (the step's deltas may have changed some nodes), then once per round.
     fn settle(
         &self,
         sim: &mut Simulation,
         checker: &InvariantChecker,
         config: &ChurnConfig,
+        view: &mut PlaneView,
     ) -> Result<usize> {
-        let mut previous = sim.registered_paths();
+        view.refresh(sim);
         for settle_round in 1..=config.convergence_budget {
             sim.run_rounds(1)?;
-            let current = sim.registered_paths();
-            let steady = current == previous;
+            let steady = !view.refresh(sim);
             if steady && checker.check_no_blackhole(sim).is_ok() {
                 return Ok(settle_round);
             }
-            previous = current;
         }
         // Distinguish the two failure modes in the error: a plane that never went steady
         // versus one that is steady but blackholed.
@@ -233,6 +238,84 @@ where
         )))
     }
 }
+
+/// The registered paths of the plane at the settle loop's last look, node by node: what
+/// [`Simulation::registered_paths`] returned then, split by holder.
+///
+/// Comparing node by node is exact: `registered_paths()` is the node-ordered concatenation
+/// of every node's paths and each path carries its holder, so two captures are equal
+/// exactly when every holder's paths are — a node that holds none, or has left, holding
+/// the same as one that holds none.
+#[derive(Debug, Default)]
+struct PlaneView {
+    by_node: BTreeMap<AsId, Vec<RegisteredPath>>,
+}
+
+impl PlaneView {
+    /// Brings the view up to `sim`'s registrations: compares every live node's path
+    /// service with its copy in place, under the service's read lock, re-copies the nodes
+    /// that differ and drops the nodes that left. Returns whether anything differed, i.e.
+    /// whether `registered_paths()` now differs from what it returned at the last refresh.
+    fn refresh(&mut self, sim: &Simulation) -> bool {
+        let mut changed = false;
+        self.by_node.retain(|&holder, copy| {
+            let live = sim.has_node(holder);
+            changed |= !live && !copy.is_empty();
+            live
+        });
+        for (holder, node) in sim.nodes() {
+            let copy = self.by_node.entry(holder).or_default();
+            changed |= node.path_service().read(|paths| {
+                let mut recorded = copy.iter();
+                let same = paths.iter().all(|path| {
+                    recorded
+                        .next()
+                        .is_some_and(|record| is_record_of(record, path))
+                }) && recorded.next().is_none();
+                if !same {
+                    copy.clear();
+                    copy.extend(paths.iter().map(|path| RegisteredPath {
+                        holder,
+                        origin: path.destination,
+                        algorithm: path.algorithm.clone(),
+                        group: path.group,
+                        origin_interface: path.destination_interface,
+                        holder_interface: path.local_interface,
+                        metrics: path.metrics,
+                        links: path.links.clone(),
+                    }));
+                }
+                !same
+            });
+        }
+        changed
+    }
+}
+
+/// Whether `record` is what [`Simulation::registered_paths`] makes of `path` for the node
+/// the record was copied from (the holder is the node's, not compared).
+fn is_record_of(record: &RegisteredPath, path: &irec_core::RegisteredPath) -> bool {
+    let RegisteredPath {
+        holder: _,
+        origin,
+        algorithm,
+        group,
+        origin_interface,
+        holder_interface,
+        metrics,
+        links,
+    } = record;
+    *origin == path.destination
+        && *algorithm == path.algorithm
+        && *group == path.group
+        && *origin_interface == path.destination_interface
+        && *holder_interface == path.local_interface
+        && *metrics == path.metrics
+        && *links == path.links
+}
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

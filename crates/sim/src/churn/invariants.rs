@@ -30,8 +30,9 @@ impl InvariantChecker {
     /// Captures the no-blackhole baseline: every ordered pair with a registered path.
     pub fn capture(sim: &Simulation) -> Self {
         let mut pairs: BTreeSet<(AsId, AsId)> = BTreeSet::new();
-        for path in sim.registered_paths() {
-            pairs.insert((path.holder, path.origin));
+        for (holder, node) in sim.nodes() {
+            node.path_service()
+                .read(|paths| pairs.extend(paths.iter().map(|path| (holder, path.destination))));
         }
         InvariantChecker {
             baseline: pairs.into_iter().collect(),
@@ -74,30 +75,24 @@ impl InvariantChecker {
     }
 
     /// Verifies the no-blackhole invariant, returning the first violated pair as an error.
+    ///
+    /// One walk over the plane's registrations collects the pairs that hold a usable path;
+    /// each baseline pair is then a lookup. Reachability over up links is symmetric, so an
+    /// AS reaches exactly the ASes of its component: one BFS serves every holder in it.
     pub fn check_no_blackhole(&self, sim: &Simulation) -> Result<()> {
-        let paths = sim.registered_paths();
-        let mut holder: Option<(AsId, BTreeSet<AsId>)> = None;
+        let usable = Self::usable_pairs(sim);
+        let mut component = BTreeSet::new();
         for &(a, b) in &self.baseline {
             if !sim.has_node(a) || !sim.has_node(b) {
                 continue;
             }
-            // The baseline is sorted by holder, so one BFS per holder suffices.
-            if holder.as_ref().map(|(cached, _)| *cached) != Some(a) {
-                holder = Some((a, Self::live_reachable(sim, a)));
+            if !component.contains(&a) {
+                component = Self::live_reachable(sim, a);
             }
-            let reachable = &holder.as_ref().expect("computed above").1;
-            if !reachable.contains(&b) {
+            if !component.contains(&b) {
                 continue;
             }
-            let usable = paths.iter().any(|path| {
-                path.holder == a
-                    && path.origin == b
-                    && path
-                        .links
-                        .iter()
-                        .all(|&(asn, ifid)| sim.has_node(asn) && !sim.is_endpoint_down(asn, ifid))
-            });
-            if !usable {
+            if !usable.contains(&(a, b)) {
                 return Err(IrecError::internal(format!(
                     "no-blackhole violated: {a} has no usable registered path to live, \
                      reachable {b}"
@@ -105,6 +100,28 @@ impl InvariantChecker {
             }
         }
         Ok(())
+    }
+
+    /// The `(holder, origin)` pairs holding at least one usable registered path: one whose
+    /// recorded links avoid every downed endpoint and whose traversed ASes are all live.
+    /// A pair already known usable reads no further path's links.
+    fn usable_pairs(sim: &Simulation) -> BTreeSet<(AsId, AsId)> {
+        let mut usable = BTreeSet::new();
+        for (holder, node) in sim.nodes() {
+            node.path_service().read(|paths| {
+                for path in paths.iter() {
+                    let pair = (holder, path.destination);
+                    if !usable.contains(&pair)
+                        && path.links.iter().all(|&(asn, ifid)| {
+                            sim.has_node(asn) && !sim.is_endpoint_down(asn, ifid)
+                        })
+                    {
+                        usable.insert(pair);
+                    }
+                }
+            });
+        }
+        usable
     }
 }
 

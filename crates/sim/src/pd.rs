@@ -98,12 +98,11 @@ impl PdWorkflow {
 
         // Seed with the HD paths already registered at the origin (paper: "starting from a
         // non-empty set of paths ... discovered by other algorithms; we use HD").
-        let seeds: Vec<RegisteredPath> = sim
-            .registered_paths_by("HD")
+        for seed in self
+            .paths_at_origin(sim, "HD")?
             .into_iter()
-            .filter(|p| p.holder == self.origin && p.origin == self.target)
-            .collect();
-        for seed in seeds.into_iter().take(self.max_paths) {
+            .take(self.max_paths)
+        {
             avoid.extend(seed.links.iter().copied());
             result.paths.push(seed);
         }
@@ -115,7 +114,7 @@ impl PdWorkflow {
         // zero-return iteration.
         let mut known: HashSet<Vec<(AsId, IfId)>> =
             result.paths.iter().map(|p| p.links.clone()).collect();
-        for p in self.pd_paths_at_origin(sim)? {
+        for p in self.paths_at_origin(sim, "PD")? {
             known.insert(p.links);
         }
 
@@ -157,7 +156,7 @@ impl PdWorkflow {
             // genuinely new one (lowest latency, deterministically) as the iteration's
             // contribution. Known link sequences — including re-registrations that only
             // refreshed an existing path — never count as progress.
-            let candidates = self.pd_paths_at_origin(sim)?;
+            let candidates = self.paths_at_origin(sim, "PD")?;
             let candidate_links: Vec<Vec<(AsId, IfId)>> =
                 candidates.iter().map(|p| p.links.clone()).collect();
             let selected = first_new_path(candidates, &known, &avoid);
@@ -180,16 +179,17 @@ impl PdWorkflow {
         Ok(result)
     }
 
-    /// The PD paths currently registered at the origin towards the target: a targeted
-    /// query on the origin node's path service — not a sim-wide
-    /// `registered_paths()` walk, which would clone every path of every node once per
-    /// pull iteration. The per-group order matches what the sim-wide walk filtered down
-    /// to, so the harvest sees candidates in the identical sequence.
-    fn pd_paths_at_origin(&self, sim: &Simulation) -> Result<Vec<RegisteredPath>> {
+    /// The paths `algorithm` currently has registered at the origin towards the target: a
+    /// targeted query on the origin node's path service — not a sim-wide
+    /// `registered_paths()` walk, which would clone every path of every node (once per
+    /// pull iteration, for the PD paths). The per-group order matches what the sim-wide
+    /// walk filtered down to, so the seeds and the harvest see paths in the identical
+    /// sequence.
+    fn paths_at_origin(&self, sim: &Simulation, algorithm: &str) -> Result<Vec<RegisteredPath>> {
         Ok(sim
             .node(self.origin)?
             .path_service()
-            .paths_to_by(self.target, "PD")
+            .paths_to_by(self.target, algorithm)
             .into_iter()
             .map(|p| RegisteredPath {
                 holder: self.origin,

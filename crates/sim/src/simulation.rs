@@ -630,6 +630,11 @@ impl Simulation {
         self.nodes.keys().copied().collect()
     }
 
+    /// The live nodes, in `AsId` order.
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = (AsId, &IrecNode)> {
+        self.nodes.iter().map(|(&asn, node)| (asn, node))
+    }
+
     /// Number of events still pending in the delivery plane's queue.
     pub fn pending_events(&self) -> usize {
         self.plane.pending()
