@@ -181,8 +181,8 @@ impl BenchArgs {
 
     /// One-screen summary of every `--key value` knob shared by the figure binaries.
     ///
-    /// The full table — auto-default rules, determinism guarantees, and the
-    /// `IREC_CRITERION_*` environment hooks — lives in `docs/KNOBS.md`.
+    /// The full table — auto-default rules and determinism guarantees — lives in
+    /// `docs/KNOBS.md`.
     pub fn help_text() -> &'static str {
         "Shared figure-binary knobs (all `--key value`; an unknown key or an unparsable\n\
          value is an error):\n\
@@ -209,7 +209,7 @@ impl BenchArgs {
          Every parallelism value yields byte-identical simulation output.\n\
          Churn knobs are workload knobs: they change the timeline, deterministically.\n\
          So is --algorithm: it changes the selection plane, deterministically per spec.\n\
-         Full table with auto-default rules and IREC_CRITERION_* env hooks: docs/KNOBS.md\n"
+         Full table with auto-default rules: docs/KNOBS.md\n"
     }
 
     /// Parses the current process arguments (skipping the binary name).
@@ -470,6 +470,5 @@ mod tests {
             );
         }
         assert!(help.contains("docs/KNOBS.md"));
-        assert!(help.contains("IREC_CRITERION_"));
     }
 }

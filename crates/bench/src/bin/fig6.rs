@@ -3,7 +3,7 @@
 //! control service, for candidate-set sizes |Φ| = 1 … 4096.
 //!
 //! ```text
-//! cargo run -p irec-bench --bin fig6 --release -- [--reps 5]
+//! cargo run -p irec_bench --bin fig6 --release -- [--reps 5]
 //! ```
 //!
 //! Output: one tab-separated row per |Φ| with the four latency series in milliseconds plus

@@ -2,7 +2,7 @@
 //! of parallel RACs, for candidate-set sizes |Φ| ∈ {16, 64, 256, 1024, 4096}.
 //!
 //! ```text
-//! cargo run -p irec-bench --bin fig7 --release -- [--max-racs 16]
+//! cargo run -p irec_bench --bin fig7 --release -- [--max-racs 16]
 //! ```
 //!
 //! Each RAC runs on its own thread and repeatedly processes the candidate set (the paper:

@@ -2,7 +2,7 @@
 //! delay achieved by 5SP, DON, DOB2000 and DOB300, relative to the 1SP baseline.
 //!
 //! ```text
-//! cargo run -p irec-bench --bin fig8a --release -- [--ases 60] [--rounds 8] [--seed 7]
+//! cargo run -p irec_bench --bin fig8a --release -- [--ases 60] [--rounds 8] [--seed 7]
 //! ```
 //!
 //! Use `--ases 500` for the paper-scale topology. PoP pairs for which 1SP finds a path but

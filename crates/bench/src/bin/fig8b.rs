@@ -2,7 +2,7 @@
 //! (TLF) for 1SP, 5SP, HD and PD.
 //!
 //! ```text
-//! cargo run -p irec-bench --bin fig8b --release -- [--ases 60] [--rounds 8] [--pd-pairs 10]
+//! cargo run -p irec_bench --bin fig8b --release -- [--ases 60] [--rounds 8] [--pd-pairs 10]
 //! ```
 //!
 //! TLF is the minimum number of inter-domain links that must fail to disconnect all

@@ -239,8 +239,9 @@ impl Fig8Campaign {
 
 /// Deterministically samples `(origin, target)` pairs from `as_ids`: `attempts` seeded
 /// draws, self-pairs skipped (so the result may hold fewer than `attempts` pairs). The
-/// single sampling recipe behind [`Fig8Campaign::pd_pairs`] and the bench workload's
-/// `pd_campaign_pairs` — one place to change if the sampling ever needs to get smarter.
+/// single sampling recipe behind [`Fig8Campaign::pd_pairs`] and the snapshot-cost unit
+/// test in [`crate::workload`] — one place to change if the sampling ever needs to get
+/// smarter.
 pub fn sample_pd_pairs(as_ids: &[AsId], attempts: usize, seed: u64) -> Vec<(AsId, AsId)> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5044);
     let mut pairs = Vec::new();

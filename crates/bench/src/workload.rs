@@ -12,9 +12,7 @@ use irec_core::{
 use irec_crypto::{KeyRegistry, Signer};
 use irec_metrics::RegisteredPath;
 use irec_pcb::{Pcb, PcbExtensions, StaticInfo};
-use irec_sim::{
-    ChurnConfig, ChurnEngine, ChurnStep, DeliveryStats, PdCampaign, Simulation, SimulationConfig,
-};
+use irec_sim::{ChurnConfig, ChurnEngine, ChurnStep, DeliveryStats, Simulation, SimulationConfig};
 use irec_topology::{AsNode, GeneratorConfig, Interface, Tier, TopologyGenerator};
 use irec_types::{
     AlgorithmId, AsId, Bandwidth, GeoCoord, IfId, InterfaceGroupId, Latency, LinkId, Result,
@@ -280,7 +278,7 @@ pub fn measure_engine_point(
 
 /// Builds the delivery-plane workload: a generated-topology simulation with the paper's
 /// 5SP deployment and the given delivery-plane worker count. Shared by the fig6/fig7
-/// delivery-scaling sections and the `delivery_scaling` criterion bench.
+/// delivery-scaling sections.
 pub fn delivery_workload(ases: usize, delivery_workers: usize, seed: u64) -> Simulation {
     let config = GeneratorConfig {
         num_ases: ases,
@@ -331,9 +329,8 @@ fn algorithm_node_config(algorithm: &str) -> NodeConfig {
 }
 
 /// Builds the algorithm-catalog workload: a generated-topology simulation where every AS
-/// runs the named catalog algorithm, with `width` workers. Shared by the
-/// `alg_catalog_scaling` criterion bench, the algorithm determinism integration tests and
-/// the `fig_alg` binary.
+/// runs the named catalog algorithm, with `width` workers. Shared by the algorithm
+/// determinism integration tests and the `fig_alg` binary.
 pub fn algorithm_workload(algorithm: &str, ases: usize, width: usize, seed: u64) -> Simulation {
     let config = GeneratorConfig {
         num_ases: ases,
@@ -391,8 +388,8 @@ fn churn_node_config() -> NodeConfig {
 }
 
 /// Builds the churn workload: a generated-topology simulation with `width` workers on the
-/// node phase and delivery plane. Shared by the `churn_round_overhead` criterion bench,
-/// the churn determinism integration tests and the `fig_churn` binary.
+/// node phase and delivery plane. Shared by the churn determinism integration tests and
+/// the `fig_churn` binary.
 pub fn churn_workload(ases: usize, width: usize, seed: u64) -> Simulation {
     let config = GeneratorConfig {
         num_ases: ases,
@@ -413,8 +410,7 @@ pub fn churn_workload(ases: usize, width: usize, seed: u64) -> Simulation {
 /// One full churn run over the [`churn_workload`]: `steps` churn steps of the seeded
 /// timeline in `churn`, applied and settled by a [`ChurnEngine`]. Returns the
 /// deterministic fingerprint — byte-identical across worker counts for a fixed
-/// `(ases, steps, churn, seed)` tuple, which the `churn_round_overhead` bench and the
-/// churn determinism matrix re-assert.
+/// `(ases, steps, churn, seed)` tuple, which the churn determinism matrix re-asserts.
 pub fn churn_pass(
     ases: usize,
     steps: usize,
@@ -448,105 +444,6 @@ pub fn churn_pass_with_stats(
         ),
         sim.incremental_stats(),
     )
-}
-
-/// Builds the PD campaign workload: a generated-topology simulation with the paper's
-/// HD + on-demand deployment, warmed for `rounds` beaconing rounds — the base every
-/// campaign pass snapshots per `(origin, target)` pair. Shared by the
-/// `pd_campaign_scaling` criterion bench and the CI bench-regression harness.
-pub fn pd_campaign_workload(ases: usize, rounds: usize, seed: u64) -> Simulation {
-    let config = GeneratorConfig {
-        num_ases: ases,
-        seed,
-        ..Default::default()
-    };
-    let topology = Arc::new(TopologyGenerator::new(config).generate());
-    let mut sim = Simulation::new(topology, SimulationConfig::default(), |_| {
-        NodeConfig::default().with_racs(vec![
-            RacConfig::static_rac("HD", "HD"),
-            RacConfig::on_demand_rac("on-demand"),
-        ])
-    })
-    .expect("PD campaign workload simulation setup");
-    sim.run_rounds(rounds.max(1))
-        .expect("PD campaign warm-up rounds succeed");
-    sim
-}
-
-/// Deterministically samples up to `count` `(origin, target)` pairs from the workload's
-/// topology, through the same seeded recipe as the Fig. 8 campaign
-/// ([`crate::campaign::sample_pd_pairs`]) with extra draw attempts so small topologies
-/// still fill the requested count.
-pub fn pd_campaign_pairs(base: &Simulation, count: usize, seed: u64) -> Vec<(AsId, AsId)> {
-    let count = count.max(1);
-    let mut pairs = crate::campaign::sample_pd_pairs(&base.topology().as_ids(), count * 4, seed);
-    pairs.truncate(count);
-    pairs
-}
-
-/// The deterministic fingerprint of one campaign pair: origin, target, discovered-path
-/// count, iteration count, empty-iteration count, total pull-beacon overhead.
-pub type PdPairFingerprint = (AsId, AsId, usize, usize, usize, u64);
-
-/// One PD campaign pass over `pairs` with `workers` campaign workers: every pair runs its
-/// pull workflow on a fresh snapshot of `base`. Returns the per-pair fingerprints in pair
-/// order — byte-identical for every worker count (the campaign determinism guarantee the
-/// `pd_campaign_scaling` bench re-asserts each iteration).
-pub fn pd_campaign_pass(
-    base: &Simulation,
-    pairs: &[(AsId, AsId)],
-    workers: usize,
-) -> Vec<PdPairFingerprint> {
-    let results = PdCampaign::new(pairs.to_vec(), 5)
-        .with_rounds_per_iteration(2)
-        .with_parallelism(workers)
-        .run(base)
-        .expect("campaign pass succeeds");
-    results
-        .iter()
-        .map(|pair| {
-            (
-                pair.origin,
-                pair.target,
-                pair.result.paths.len(),
-                pair.result.iterations,
-                pair.result.empty_iterations,
-                pair.pull_overhead.iter().sum(),
-            )
-        })
-        .collect()
-}
-
-/// One per-pair snapshot-setup operation of the PD campaign over `base`: the
-/// copy-on-write path ([`Simulation::snapshot_reachable_from`], what the campaign runs)
-/// when `deep` is false, or the deep `Clone` it replaced when `deep` is true. Returns the constructed simulation so callers (and `black_box`) keep the setup
-/// work observable. Shared by the `pd_snapshot_cost` criterion bench and the COW speedup
-/// regression test.
-pub fn pd_snapshot_setup(base: &Simulation, origin: AsId, deep: bool) -> Simulation {
-    if deep {
-        base.clone()
-    } else {
-        base.snapshot_reachable_from(origin).into_simulation()
-    }
-}
-
-/// Best-of-`reps` wall-clock of one [`pd_snapshot_setup`] operation. Teardown (dropping
-/// the snapshot) is excluded from the timed window, so the figure is the pure per-pair
-/// setup cost a campaign pays before its first pull iteration.
-pub fn measure_snapshot_setup(
-    base: &Simulation,
-    origin: AsId,
-    deep: bool,
-    reps: usize,
-) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let sim = std::hint::black_box(pd_snapshot_setup(base, origin, deep));
-        best = best.min(start.elapsed());
-        drop(sim);
-    }
-    best
 }
 
 /// Runs the complete Fig. 6 measurement for one |Φ| value, averaging over `repetitions`.
@@ -664,34 +561,60 @@ mod tests {
         assert!(stacked.recomputed > 0, "disturbed batches recompute");
     }
 
-    #[test]
-    fn pd_campaign_pass_is_worker_invariant() {
-        let base = pd_campaign_workload(10, 2, 5);
-        let pairs = pd_campaign_pairs(&base, 3, 5);
-        assert!(!pairs.is_empty());
-        assert!(pairs.iter().all(|(a, b)| a != b));
-        let sequential = pd_campaign_pass(&base, &pairs, 1);
-        assert_eq!(sequential.len(), pairs.len());
-        assert!(
-            sequential
-                .iter()
-                .any(|(_, _, _, iterations, _, pull)| *iterations > 0 && *pull > 0),
-            "no pair ran a pull iteration — the bench would measure snapshot cloning only"
-        );
-        for workers in [2usize, 4] {
-            assert_eq!(pd_campaign_pass(&base, &pairs, workers), sequential);
+    /// One per-pair snapshot setup of the PD campaign over `base`: the copy-on-write path
+    /// ([`Simulation::snapshot_reachable_from`], what the campaign runs) when `deep` is
+    /// false, or the deep `Clone` it replaced when `deep` is true.
+    fn pd_snapshot_setup(base: &Simulation, origin: AsId, deep: bool) -> Simulation {
+        if deep {
+            base.clone()
+        } else {
+            base.snapshot_reachable_from(origin).into_simulation()
         }
+    }
+
+    /// Best-of-`reps` wall-clock of one [`pd_snapshot_setup`]. Dropping the snapshot is
+    /// outside the timed window, so the figure is the pure per-pair setup cost.
+    fn measure_snapshot_setup(
+        base: &Simulation,
+        origin: AsId,
+        deep: bool,
+        reps: usize,
+    ) -> Duration {
+        let mut best = Duration::MAX;
+        for _ in 0..reps {
+            let start = Instant::now();
+            let sim = std::hint::black_box(pd_snapshot_setup(base, origin, deep));
+            best = best.min(start.elapsed());
+            drop(sim);
+        }
+        best
     }
 
     #[test]
     fn cow_snapshot_setup_is_an_order_of_magnitude_cheaper_than_deep_clone() {
-        // Warmed a little past the criterion bench's 4 rounds: the deep clone's cost
-        // grows with database content while the COW setup stays O(nodes), so
-        // the extra warm-up widens the measured gap well clear of the 10x bar even on
-        // noisy debug-mode CI runners. 28 ASes, not 14, since the deep clone stopped
-        // copying a dedup set and an expiry index (PR 25): at 14 it read 7-8x, at 28 14x.
-        let base = pd_campaign_workload(28, 6, 7);
-        let origin = pd_campaign_pairs(&base, 1, 7)[0].0;
+        // The only pin on COW setup cost (`sim.pd.snapshot_ns` in the benchmark's trace
+        // measures it without a bar). The base is the PD campaign's: HD + on-demand on a
+        // generated topology, warmed for 6 rounds. The deep clone's cost grows with
+        // database content while the COW setup stays O(nodes), so the warm-up keeps the
+        // gap well clear of the 10x bar even on noisy debug-mode CI runners. 28 ASes, not
+        // 14, since the deep clone stopped copying a dedup set and an expiry index: at 14
+        // it read 7-8x, at 28 14x.
+        let config = GeneratorConfig {
+            num_ases: 28,
+            seed: 7,
+            ..Default::default()
+        };
+        let topology = Arc::new(TopologyGenerator::new(config).generate());
+        let mut base = Simulation::new(topology, SimulationConfig::default(), |_| {
+            NodeConfig::default().with_racs(vec![
+                RacConfig::static_rac("HD", "HD"),
+                RacConfig::on_demand_rac("on-demand"),
+            ])
+        })
+        .expect("PD campaign workload simulation setup");
+        base.run_rounds(6).expect("warm-up rounds succeed");
+        // The first origin the Fig. 8 campaign's seeded recipe draws.
+        let origin = crate::campaign::sample_pd_pairs(&base.topology().as_ids(), 4, 7)[0].0;
         // Snapshots must behave like the deep clone they replace before their speed
         // matters: same topology view, same registered paths.
         let cow = pd_snapshot_setup(&base, origin, false);

@@ -258,8 +258,8 @@ pub struct PdPairResult {
 /// setup, restricted to the origin's connected component, with a node's stores
 /// materialized only as the pair's own pull traffic writes to them. The output is byte-identical to running
 /// each pair's [`PdWorkflow`] on a full `Simulation::clone` of the base (pinned by
-/// `tests/pd_determinism.rs`, which keeps that loop as its oracle); the
-/// `pd_snapshot_cost` benchmark tracks what the snapshot saves over the clone.
+/// `tests/pd_determinism.rs`, which keeps that loop as its oracle); a unit test in
+/// `irec_bench`'s `workload` module pins the snapshot at ≥ 10× cheaper than the clone.
 ///
 /// **Determinism.** Pairs never share mutable state: each workflow owns a full
 /// [`Simulation`] snapshot, and the only shared structure — the on-demand algorithm

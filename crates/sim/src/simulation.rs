@@ -781,8 +781,15 @@ impl Simulation {
         ledger.bytes()
     }
 
-    /// Fraction of ordered AS pairs `(a, b)` for which `a` has at least one registered path
-    /// towards `b`. A value of 1.0 means full control-plane connectivity.
+    /// Fraction of ordered pairs `(a, b)` of the simulated ASes, `a ≠ b`, for which `a`'s
+    /// path service holds at least one registration with destination `b`, under any
+    /// algorithm or interface group. Registrations carry no expiry, so one whose beacon
+    /// has lapsed still counts.
+    ///
+    /// 1.0 is not reachable on every topology. Selection runs per egress interface and a
+    /// candidate is never eligible for the interface it arrived on, so an AS with a single
+    /// link selects nothing and registers no path (`ROADMAP.md`, item 1). A generated
+    /// topology with a single-homed stub therefore stays below 1.0 however long it runs.
     pub fn connectivity(&self) -> f64 {
         let n = self.nodes.len();
         if n < 2 {

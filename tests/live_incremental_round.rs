@@ -28,22 +28,26 @@ fn churn_config(rate: f64) -> ChurnConfig {
         .with_warmup_rounds(3)
 }
 
-/// The sequential run every plane must reproduce, memoized per churn rate index
-/// (0 → rate 1.0, 1 → rate 2.0).
-fn reference(rate: f64) -> &'static (ChurnFingerprint, IncrementalStats) {
-    static REFERENCE: [OnceLock<(ChurnFingerprint, IncrementalStats)>; 2] =
-        [OnceLock::new(), OnceLock::new()];
-    let slot = if rate == 1.0 { 0 } else { 1 };
-    REFERENCE[slot].get_or_init(|| churn_pass_with_stats(ASES, STEPS, churn_config(rate), 1, SEED))
+/// The churn rates of the plane matrix. Rate 0 draws no delta, so its steps settle a
+/// plane that only keeps beaconing.
+const RATES: [f64; 3] = [0.0, 1.0, 2.0];
+
+/// The sequential run every plane must reproduce, memoized per index into [`RATES`].
+fn reference(slot: usize) -> &'static (ChurnFingerprint, IncrementalStats) {
+    static REFERENCE: [OnceLock<(ChurnFingerprint, IncrementalStats)>; RATES.len()] =
+        [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+    REFERENCE[slot]
+        .get_or_init(|| churn_pass_with_stats(ASES, STEPS, churn_config(RATES[slot]), 1, SEED))
 }
 
-/// The plane matrix: fingerprint and counters agree at 1 and 4 workers, and at a nonzero
-/// churn rate the rounds compute strictly fewer selections from scratch than there were
-/// to make (`reused + extended + recomputed` is what from-scratch rounds would compute).
+/// The plane matrix: fingerprint and counters agree at 1 and 4 workers, and at every
+/// churn rate, zero included, the rounds compute strictly fewer selections from scratch
+/// than there were to make (`reused + extended + recomputed` is what from-scratch rounds
+/// would compute).
 #[test]
 fn delta_rounds_agree_across_scheduler_worker_shard_planes() {
-    for rate in [1.0, 2.0] {
-        let (expected, expected_stats) = reference(rate);
+    for (slot, rate) in RATES.into_iter().enumerate() {
+        let (expected, expected_stats) = reference(slot);
         assert!(
             expected_stats.reused > 0 && expected_stats.extended > 0,
             "churn rounds at rate {rate} neither reused nor extended: {expected_stats:?}"
