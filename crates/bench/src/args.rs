@@ -28,9 +28,11 @@ pub struct BenchArgs {
     /// sequential). Threaded into the simulation's node phase, each node's RAC engine, and
     /// the Fig. 6 engine-scaling section.
     pub parallelism: usize,
-    /// Worker threads of the message-delivery plane's verify stage
-    /// (`--delivery-parallelism`, default 1 = sequential). Threaded into every simulation
-    /// the binaries build and into the delivery-scaling sections of fig6/fig7.
+    /// The verify width (`--delivery-parallelism`, default [`SimulationConfig`]'s: the
+    /// available parallelism, clamped to [1, 2]). `1` verifies every PCB inline at
+    /// delivery; `2` verifies a round's PCBs ahead on one helper thread while the node
+    /// phase runs, and wider values run as `2`. Threaded into every simulation the
+    /// binaries build and into the delivery-scaling sections of fig6/fig7.
     pub delivery_parallelism: usize,
     /// Worker threads of the PD campaign (`--pd-parallelism`, default 1 = sequential):
     /// how many `(origin, target)` pull workflows run concurrently, each on its own
@@ -74,7 +76,7 @@ impl Default for BenchArgs {
             reps: 5,
             max_racs: cores.min(16),
             parallelism: 1,
-            delivery_parallelism: 1,
+            delivery_parallelism: SimulationConfig::default().delivery_parallelism,
             pd_parallelism: 1,
             churn_rate: 0.0,
             churn_seed: 11,
@@ -194,7 +196,7 @@ impl BenchArgs {
          \x20 --pd-pairs N              (origin, target) pairs of the PD campaign (default 10)\n\
          \x20 --max-racs N              upper bound of the RAC-count scan (default cores, cap 16)\n\
          \x20 --parallelism N           node-phase + RAC-engine workers (default 1 = sequential)\n\
-         \x20 --delivery-parallelism N  delivery-plane verify/apply workers (default 1)\n\
+         \x20 --delivery-parallelism N  verify width; 1 = inline at delivery (default cores, cap 2)\n\
          \x20 --pd-parallelism N        concurrent PD campaign pairs (default 1)\n\
          \x20 --churn-rate R            expected churn deltas per step (default 0 = off)\n\
          \x20 --churn-seed N            churn-timeline PRNG seed (default 11)\n\
@@ -256,7 +258,10 @@ mod tests {
         assert_eq!(a.rounds, 8);
         assert!(a.max_racs >= 1);
         assert_eq!(a.parallelism, 1);
-        assert_eq!(a.delivery_parallelism, 1);
+        assert_eq!(
+            a.delivery_parallelism,
+            SimulationConfig::default().delivery_parallelism
+        );
         assert_eq!(a.pd_parallelism, 1);
     }
 

@@ -24,6 +24,7 @@
 use irec_bench::report::{fmt_ms, header, worker_ladder};
 use irec_bench::workload::{measure_delivery_point, measure_engine_point, measure_phi};
 use irec_bench::BenchArgs;
+use irec_sim::MAX_VERIFY_WIDTH;
 
 fn main() {
     let args = BenchArgs::from_env();
@@ -93,12 +94,13 @@ fn main() {
     }
 
     // Third table (`--delivery-parallelism N`): end-to-end simulation wall-clock against
-    // the delivery plane's verify-stage worker count. The delivery counters are identical
-    // for every row (the plane's determinism guarantee); only the wall-clock moves.
-    let delivery_counts = worker_ladder(args.delivery_parallelism);
+    // the verify width (1 = inline at delivery, 2 = verify ahead on one helper; wider
+    // widths run as 2). The delivery counters are identical for every row; only the
+    // wall-clock moves.
+    let delivery_counts = worker_ladder(args.delivery_parallelism.min(MAX_VERIFY_WIDTH));
     println!();
     println!(
-        "# Delivery-plane scaling — simulation wall-clock vs verify workers ({} ASes, {} rounds)",
+        "# Delivery-plane scaling — simulation wall-clock vs verify width ({} ASes, {} rounds)",
         args.ases, args.rounds
     );
     header(&[

@@ -17,6 +17,7 @@ use irec_bench::workload::{
     workload_local_as,
 };
 use irec_bench::BenchArgs;
+use irec_sim::MAX_VERIFY_WIDTH;
 use std::time::{Duration, Instant};
 
 /// How long each (|Φ|, #RACs) point runs.
@@ -53,11 +54,11 @@ fn main() {
     }
 
     // Second table (`--delivery-parallelism N`): control-plane message throughput of the
-    // simulation's delivery plane against its verify-stage worker count.
-    let delivery_counts = worker_ladder(args.delivery_parallelism);
+    // simulation against its verify width (wider widths than 2 run as 2).
+    let delivery_counts = worker_ladder(args.delivery_parallelism.min(MAX_VERIFY_WIDTH));
     println!();
     println!(
-        "# Delivery-plane throughput — delivered messages/s vs verify workers ({} ASes, {} rounds)",
+        "# Delivery-plane throughput — delivered messages/s vs verify width ({} ASes, {} rounds)",
         args.ases, args.rounds
     );
     header(&["workers", "delivered", "messages_per_second"]);
@@ -79,7 +80,7 @@ fn measure_point(phi: usize, racs: usize, seed: u64) -> String {
         for worker in 0..racs {
             handles.push(scope.spawn(move || {
                 let local_as = workload_local_as();
-                let (rac, _, store) = on_demand_rac();
+                let (rac, store) = on_demand_rac();
                 let base = candidate_set(phi, seed + worker as u64);
                 let tagged = tag_candidates(&base, &store);
                 let mut processed: u64 = 0;

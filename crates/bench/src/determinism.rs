@@ -74,7 +74,7 @@ pub fn render(args: &BenchArgs) -> String {
     dump(&mut out, "generated", generated, args.rounds);
 
     // Scenario 3: the PD campaign on Fig. 1 — exercises the `--pd-parallelism` worker
-    // pool and the delivery plane's concurrent pull-return commits end to end.
+    // pool and the delivery of pull returns end to end.
     let mut base = Simulation::new(Arc::new(figure1_topology()), args.to_sim_config(), |_| {
         NodeConfig::default()
             .with_policy(PropagationPolicy::All)

@@ -130,24 +130,16 @@ pub fn workload_local_as() -> AsNode {
 /// Builds the on-demand RAC used by the Fig. 6 / Fig. 7 measurements: it runs the legacy
 /// SCION selection (20 shortest paths), shipped as an IRVM module and fetched/verified like
 /// any on-demand algorithm — "our RAC implementation, configured as an on-demand RAC (i.e.,
-/// the one with higher overhead)".
-pub fn on_demand_rac() -> (
-    Rac,
-    Vec<Arc<StoredBeacon>>, /* template tagging */
-    SharedAlgorithmStore,
-) {
+/// the one with higher overhead)". The store starts empty: [`tag_candidates`] publishes the
+/// module when it tags the candidates with its reference.
+pub fn on_demand_rac() -> (Rac, SharedAlgorithmStore) {
     let store = SharedAlgorithmStore::new();
-    let program = irec_irvm::programs::shortest_path(20);
-    let reference = store.publish(WORKLOAD_ORIGIN, AlgorithmId(1), program.to_module_bytes());
     let rac = Rac::new_on_demand(
         RacConfig::on_demand_rac("bench-od"),
         std::sync::Arc::new(store.clone()),
     )
     .expect("on-demand RAC config is valid");
-    // Tag template: candidates must carry the algorithm reference so the on-demand RAC
-    // processes them. We return an empty vec here; `tag_candidates` applies the reference.
-    let _ = reference;
-    (rac, Vec::new(), store)
+    (rac, store)
 }
 
 /// Tags a candidate set with the on-demand algorithm reference so an on-demand RAC processes
@@ -277,8 +269,8 @@ pub fn measure_engine_point(
 }
 
 /// Builds the delivery-plane workload: a generated-topology simulation with the paper's
-/// 5SP deployment and the given delivery-plane worker count. Shared by the fig6/fig7
-/// delivery-scaling sections.
+/// 5SP deployment and the given verify width. Shared by the fig6/fig7 delivery-scaling
+/// sections.
 pub fn delivery_workload(ases: usize, delivery_workers: usize, seed: u64) -> Simulation {
     let config = GeneratorConfig {
         num_ases: ases,
@@ -295,8 +287,8 @@ pub fn delivery_workload(ases: usize, delivery_workers: usize, seed: u64) -> Sim
 }
 
 /// One delivery-scaling measurement point: runs `rounds` beaconing rounds of the
-/// [`delivery_workload`] with `delivery_workers` verify-stage workers and returns the
-/// delivery accounting plus the wall-clock time of the whole run.
+/// [`delivery_workload`] at verify width `delivery_workers` and returns the delivery
+/// accounting plus the wall-clock time of the whole run.
 ///
 /// The counters are byte-identical across worker counts (the delivery plane's determinism
 /// guarantee); only the wall-clock changes.
@@ -449,7 +441,7 @@ pub fn churn_pass_with_stats(
 /// Runs the complete Fig. 6 measurement for one |Φ| value, averaging over `repetitions`.
 pub fn measure_phi(phi: usize, repetitions: usize, seed: u64) -> Measurement {
     let local_as = workload_local_as();
-    let (rac, _, store) = on_demand_rac();
+    let (rac, store) = on_demand_rac();
     let base = candidate_set(phi, seed);
     let tagged = tag_candidates(&base, &store);
 
@@ -634,7 +626,7 @@ mod tests {
     #[test]
     fn on_demand_rac_processes_tagged_candidates() {
         let local_as = workload_local_as();
-        let (rac, _, store) = on_demand_rac();
+        let (rac, store) = on_demand_rac();
         let tagged = tag_candidates(&candidate_set(8, 5), &store);
         let timing = rac_processing_latency(&rac, &tagged, &local_as).unwrap();
         assert_eq!(timing.candidates, 8);

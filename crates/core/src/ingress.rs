@@ -12,6 +12,35 @@ use parking_lot::Mutex;
 /// beacon; it is never taken from the sender.
 pub type Verdict = Result<PcbId>;
 
+/// The one verification body of a received beacon: signature, expiry and policy checks
+/// for the receiving AS `local_as`, with the beacon received at `now`.
+///
+/// It is a function of what it reads and nothing else: the receiver, the key registry
+/// behind `verifier`, the beacon and its receipt time — no database, dedup index or
+/// counter. So a verdict can be computed anywhere, any time before the beacon commits:
+/// the simulator verifies a round's beacons on a helper thread while the node phase still
+/// runs, and the gateway commits the verdict on delivery.
+///
+/// Every check runs on every received beacon — nothing is cached across beacons, nodes
+/// or rounds. The beacon is encoded once for all its hop signatures, and the id of an
+/// accepted beacon is hashed from that same buffer ([`Pcb::verify_with_id`]). The
+/// simulator keeps only the acceptance of a beacon verified ahead and hashes its id again
+/// at delivery ([`Pcb::digest`], the same bytes); it is never taken from the sender.
+pub fn verify_received(local_as: AsId, verifier: &Verifier, pcb: &Pcb, now: SimTime) -> Verdict {
+    if pcb.is_empty() {
+        return Err(IrecError::policy("received beacon carries no AS entries"));
+    }
+    if pcb.is_expired(now) {
+        return Err(IrecError::policy("received beacon is expired"));
+    }
+    if pcb.contains_as(local_as) {
+        return Err(IrecError::policy(
+            "received beacon already contains the local AS (loop)",
+        ));
+    }
+    pcb.verify_with_id(verifier)
+}
+
 /// Statistics kept by the ingress gateway.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngressStats {
@@ -97,39 +126,17 @@ impl IngressGateway {
     ///
     /// Verification failures and policy violations reject the beacon; duplicates are counted
     /// but not an error. Equivalent to [`IngressGateway::verify`] followed by
-    /// [`IngressGateway::commit`] — the delivery plane runs the two stages separately so
-    /// verification can fan out over worker threads.
+    /// [`IngressGateway::commit`] — the simulator runs the two stages apart, so a beacon
+    /// can be verified ahead of its delivery.
     pub fn receive(&self, pcb: Pcb, ingress: IfId, now: SimTime) -> Result<()> {
         let verdict = self.verify(&pcb, now);
         self.commit(pcb, ingress, now, verdict)
     }
 
-    /// The pure verification stage: signature, expiry and policy checks, without touching
-    /// the database or the statistics.
-    ///
-    /// This is the expensive per-message work, and it is deliberately independent of all
-    /// mutable gateway state (the ingress database, dedup index and counters): the parallel
-    /// delivery plane verifies a whole epoch of messages concurrently against a `&self`
-    /// snapshot **before** any of them commits, so a verdict must not depend on the order
-    /// other messages of the same epoch are applied in.
-    ///
-    /// Every check runs on every received beacon — nothing is cached across beacons, nodes
-    /// or rounds. The beacon is encoded once for all its hop signatures, and the id of an
-    /// accepted beacon is hashed from that same buffer ([`Pcb::verify_with_id`]): this is
-    /// the only place the receiving AS computes it.
+    /// The pure verification stage: [`verify_received`] for this gateway's AS, without
+    /// touching the database or the statistics.
     pub fn verify(&self, pcb: &Pcb, now: SimTime) -> Verdict {
-        if pcb.is_empty() {
-            return Err(IrecError::policy("received beacon carries no AS entries"));
-        }
-        if pcb.is_expired(now) {
-            return Err(IrecError::policy("received beacon is expired"));
-        }
-        if pcb.contains_as(self.local_as) {
-            return Err(IrecError::policy(
-                "received beacon already contains the local AS (loop)",
-            ));
-        }
-        pcb.verify_with_id(&self.verifier)
+        verify_received(self.local_as, &self.verifier, pcb, now)
     }
 
     /// The apply stage: accounts a precomputed `verdict` and, on success, stores the beacon

@@ -59,7 +59,7 @@ pub use engine::{
     execute_racs, execute_racs_cached, execute_racs_with, run_claimed, BatchOutputs,
     BatchSelection, SelectedBeacon, SelectionTables, BATCH_SPLIT_THRESHOLD,
 };
-pub use ingress::{IngressGateway, IngressStats, Verdict};
+pub use ingress::{verify_received, IngressGateway, IngressStats, Verdict};
 pub use messages::{PcbMessage, PullReturn};
 pub use node::{IrecNode, RoundOutput};
 pub use path_service::{PathService, RegisteredPath, ShardedPathService};

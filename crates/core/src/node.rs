@@ -192,19 +192,19 @@ impl IrecNode {
     /// are not fatal to the node.
     ///
     /// Equivalent to [`IrecNode::verify_message`] followed by [`IrecNode::apply_message`];
-    /// the simulator's delivery plane runs the two stages separately so the expensive
-    /// verification fans out over worker threads while the commit stays serial.
+    /// the simulator runs the two stages apart, so the expensive verification can happen
+    /// on a helper thread ahead of delivery while the commit stays serial.
     pub fn handle_message(&mut self, message: PcbMessage, now: SimTime) -> Result<()> {
         let verdict = self.verify_message(&message, now);
         self.apply_message(message, now, verdict)
     }
 
-    /// The pure verification stage of message handling: signature, expiry and policy checks
-    /// against immutable node state. Safe to run concurrently for many messages — the
-    /// verdict must not depend on what other in-flight messages of the same delivery epoch
-    /// will commit (dedup and statistics live in [`IrecNode::apply_message`]). The verdict
-    /// of an accepted message carries the beacon's id (see [`Verdict`]); hand it to
-    /// [`IrecNode::apply_message`] together with the same message.
+    /// The pure verification stage of message handling: [`crate::verify_received`] for this
+    /// AS. Safe to run concurrently for many messages — the verdict does not depend on what
+    /// other in-flight messages will commit (dedup and statistics live in
+    /// [`IrecNode::apply_message`]). The verdict of an accepted message carries the
+    /// beacon's id (see [`Verdict`]); hand it to [`IrecNode::apply_message`] together with
+    /// the same message.
     pub fn verify_message(&self, message: &PcbMessage, now: SimTime) -> Verdict {
         self.ingress.verify(&message.pcb, now)
     }

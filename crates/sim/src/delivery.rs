@@ -1,50 +1,46 @@
-//! The parallel message-delivery plane.
+//! The message-delivery plane: the deterministic event queue, the walk that delivers it,
+//! and the verify-ahead pipeline that takes PCB verification off that walk.
 //!
-//! `Simulation::deliver_until` used to drain the whole event queue on one thread — the last
-//! big serial section on the round hot path after the RAC/node phase was parallelized. This
-//! module replaces that monolithic drain with **time-epoch scheduling** and a two-stage
-//! pipeline per epoch:
+//! 1. **Verify ahead.** A PCB's verdict — signature, expiry and policy checks, via
+//!    [`irec_core::verify_received`] — is a function of the PCB, its receipt time, the
+//!    receiver's AS number and the shared key registry, and of nothing else in flight. So
+//!    `Simulation::run_single_round` does not wait for delivery to verify: as each node
+//!    finishes its beaconing round, its output goes out as a *flight* that carries every
+//!    PCB's receipt time, computed once with the scheduling rule. At verify width 2 a
+//!    helper thread verifies the flights (`VerifyAhead`) while the main thread runs the
+//!    remaining nodes, and each verified flight is scheduled in `AsId` order, every
+//!    accepted PCB marked as such.
+//! 2. **Deliver.** Due events are popped in `(SimTime, seq)` order and delivered one by
+//!    one. A PCB over a downed link drops first, then one addressed to an AS without a node;
+//!    otherwise the receiver commits the verdict computed ahead
+//!    ([`IrecNode::apply_message`]). The queue carries only whether a PCB was accepted
+//!    ahead, in one bit of its entry, so an accepted PCB's id is hashed again here
+//!    ([`irec_pcb::Pcb::digest`]: the same bytes, a third of a verification); the id in
+//!    the entry would widen every in-flight event by 40 bytes. A PCB not accepted ahead —
+//!    rejected there, scheduled at verify width 1, or scheduled through the public
+//!    [`DeliveryPlane::schedule`] — is verified inline first
+//!    ([`IrecNode::verify_message`]), exactly as the reference walk does.
 //!
-//! 1. **Schedule.** Due events are popped from the deterministic [`EventQueue`] in
-//!    `(SimTime, seq)` order and collected into a bounded *epoch*. Within the epoch the PCB
-//!    messages are partitioned into **per-destination-AS inboxes** (one inbox per receiving
-//!    node, in `AsId` order).
-//! 2. **Verify (parallel).** The expensive per-message work — signature, expiry and policy
-//!    checks via [`IrecNode::verify_message`] — runs over `std::thread::scope` workers, one
-//!    inbox per work item, claimed through an atomic cursor exactly like the RAC execution
-//!    engine (`irec_core::engine`). Verdicts land in per-event slots indexed by the event's
-//!    epoch position, so the merge order is independent of scheduling.
-//! 3. **Apply (per node).** Verdicts are committed through the receiving nodes' ingress
-//!    gateways: accepted beacons enter the destination's ingress database, rejects and
-//!    missing-destination drops are accounted. With one worker the walk is fully serial in
-//!    `(SimTime, seq)` order; with more, a serial accounting pass builds one inbox per
-//!    receiving AS holding its PCB commits and pull returns in epoch order, and the
-//!    inboxes commit concurrently over scoped workers, each through the same
-//!    [`IrecNode::apply_message`] / [`IrecNode::handle_pull_return`] the serial walk calls.
-//!
-//! **Determinism.** The apply stage preserves `(SimTime, seq)` order *within* each node's
-//! inbox, and different inboxes belong to different nodes, so they touch disjoint state.
-//! The verify stage is pure: a verdict depends only on the message, its delivery time,
-//! and immutable node state (keys, policy) — never on what other in-flight messages of the
-//! same epoch commit. Delivery counters are accounted in the serial pass in epoch order.
-//! A run with any `parallelism` value is therefore byte-identical to a sequential run,
-//! which `tests/delivery_determinism.rs`, `tests/pd_determinism.rs` and the CI
+//! **Determinism.** A verdict computed ahead is the verdict inline verification computes
+//! at delivery, and the commits happen in `(SimTime, seq)` order on one thread either way.
+//! A run with any verify width is therefore byte-identical to the inline run at width 1,
+//! which `tests/delivery_determinism.rs`, `tests/determinism_goldens.rs` and the CI
 //! determinism job all enforce.
 
 use crate::event::{Event, EventQueue};
-use irec_core::{engine::run_claimed, IrecNode, PcbMessage, PullReturn, Verdict};
+use irec_core::{verify_received, IrecNode, RoundOutput};
+use irec_crypto::Verifier;
 use irec_types::{AsId, IfId, LinkId, SimTime};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::time::Instant;
 
-/// Hard cap on delivery workers, matching the RAC engine's cap.
+/// Hard cap on the verify width, matching the RAC engine's cap on its workers.
 pub const MAX_WORKERS: usize = 64;
 
-/// Upper bound on the number of events collected into one epoch, bounding the memory held
-/// outside the queue during a large drain (e.g. the final `deliver_until(SimTime::MAX)`
-/// flush). Delivery cannot schedule new events, so draining in bounded chunks is exact.
+/// Events delivered between two releases of the queue's spare room, and the most
+/// [`DeliveryPlane::drain_due`] hands out at once to the benchmark's traced round loop.
 pub const MAX_EPOCH_EVENTS: usize = 4096;
 
 /// Delivery accounting, split by outcome.
@@ -84,14 +80,12 @@ impl DeliveryStats {
     }
 }
 
-/// The message-delivery plane: the deterministic event queue plus the epoch pipeline that
-/// drains it. Cloning copies the pending events and accounting, so a cloned simulation
-/// snapshot delivers identically.
-#[derive(Debug, Clone)]
+/// The message-delivery plane: the deterministic event queue plus the walk that delivers
+/// it. Cloning copies the pending events — with the verdicts computed ahead for them — and
+/// the accounting, so a cloned simulation snapshot delivers identically.
+#[derive(Debug, Clone, Default)]
 pub struct DeliveryPlane {
     queue: EventQueue,
-    /// Worker threads for the verify stage; `<= 1` verifies inline during the apply walk.
-    parallelism: usize,
     stats: DeliveryStats,
     /// Links currently down (churn injection), with the two `(AS, interface)` endpoints
     /// each was resolved to when it was taken down. A PCB whose `(from_as, from_if)`
@@ -105,27 +99,7 @@ pub struct DeliveryPlane {
     down_endpoints: BTreeSet<(AsId, IfId)>,
 }
 
-impl Default for DeliveryPlane {
-    /// A sequential plane (one verify worker), honouring the same clamp as
-    /// [`DeliveryPlane::new`].
-    fn default() -> Self {
-        DeliveryPlane::new(1)
-    }
-}
-
 impl DeliveryPlane {
-    /// Creates an empty plane with the given verify-stage worker count (clamped to
-    /// [`MAX_WORKERS`]).
-    pub fn new(parallelism: usize) -> Self {
-        DeliveryPlane {
-            queue: EventQueue::new(),
-            parallelism: parallelism.clamp(1, MAX_WORKERS),
-            stats: DeliveryStats::default(),
-            down_links: BTreeMap::new(),
-            down_endpoints: BTreeSet::new(),
-        }
-    }
-
     /// Marks `link` down: from now until [`DeliveryPlane::set_link_up`], every PCB whose
     /// `(from_as, from_if)` matches either endpoint drops at delivery time (counted in
     /// [`DeliveryStats::dropped_link_down`]). Idempotent; the caller resolves the
@@ -176,9 +150,15 @@ impl DeliveryPlane {
         count
     }
 
-    /// Schedules `event` for delivery at time `at`.
+    /// Schedules `event` for delivery at time `at`; a PCB is verified when it is delivered.
     pub fn schedule(&mut self, at: SimTime, event: Event) {
         self.queue.schedule(at, event);
+    }
+
+    /// Schedules `event` for delivery at time `at`; `accepted` tells that a PCB passed
+    /// verification for its receiver at `at`, and otherwise it is verified when delivered.
+    pub(crate) fn schedule_verified(&mut self, at: SimTime, event: Event, accepted: bool) {
+        self.queue.schedule_verified(at, event, accepted);
     }
 
     /// The sequence number the next scheduled event will be assigned.
@@ -202,14 +182,9 @@ impl DeliveryPlane {
         self.stats.merge(delta);
     }
 
-    /// The configured verify-stage worker count.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
     /// Pops every event due at or before `until` — at most `max_events` of them — in
-    /// `(SimTime, seq)` order, *without* delivering; the caller delivers them and folds
-    /// the outcome back via [`DeliveryPlane::add_stats`].
+    /// `(SimTime, seq)` order, *without* delivering; the caller verifies and delivers them
+    /// and folds the outcome back via [`DeliveryPlane::add_stats`].
     pub fn drain_due(&mut self, until: SimTime, max_events: usize) -> Vec<(SimTime, u64, Event)> {
         let mut due = Vec::new();
         while due.len() < max_events {
@@ -228,218 +203,188 @@ impl DeliveryPlane {
         self.deliver_until_probed(nodes, until, &busy);
     }
 
-    /// [`DeliveryPlane::deliver_until`] with a busy-time probe: every verify, apply and
-    /// serial-walk payload unit's execution time accumulates into `busy_nanos`, feeding
-    /// the round's idle accounting (see [`crate::SchedulerStats`]).
+    /// [`DeliveryPlane::deliver_until`] with a busy-time probe: every delivery's execution
+    /// time accumulates into `busy_nanos`, feeding the round's idle accounting (see
+    /// [`crate::SchedulerStats`]).
     pub fn deliver_until_probed(
         &mut self,
         nodes: &mut BTreeMap<AsId, IrecNode>,
         until: SimTime,
         busy_nanos: &AtomicU64,
     ) {
-        loop {
-            // Epoch collection: due events in (at, seq) order, bounded per pass.
-            let mut epoch: Vec<(SimTime, Event)> = Vec::new();
-            while epoch.len() < MAX_EPOCH_EVENTS {
-                match self.queue.pop_until(until) {
-                    Some(entry) => epoch.push(entry),
-                    None => break,
-                }
-            }
-            self.queue.release_spare_capacity();
-            if epoch.is_empty() {
-                return;
-            }
-
-            // Verify stage: fan the per-node inboxes out over workers. With one worker the
-            // apply walk below verifies inline instead (identical verdicts either way).
-            let mut verdicts = if self.parallelism > 1 {
-                verify_epoch(
-                    nodes,
-                    &epoch,
-                    &self.down_endpoints,
-                    self.parallelism,
-                    busy_nanos,
-                )
-            } else {
-                Vec::new()
-            };
-
-            if self.parallelism > 1 {
-                self.apply_epoch_per_node(nodes, epoch, verdicts, busy_nanos);
-                continue;
-            }
-
-            // Sequential apply stage: commit in epoch (= delivery) order.
-            for (index, (at, event)) in epoch.into_iter().enumerate() {
-                let started = Instant::now();
-                match event {
-                    // The downed-link check precedes the missing-node check in every
-                    // delivery path, so the counter split is identical across them.
-                    Event::DeliverPcb(message)
-                        if self.is_endpoint_down(message.from_as, message.from_if) =>
-                    {
-                        self.stats.dropped_link_down += 1;
-                    }
-                    Event::DeliverPcb(message) => match nodes.get_mut(&message.to_as) {
-                        Some(node) => {
-                            let verdict = verdicts
-                                .get_mut(index)
-                                .and_then(Option::take)
-                                .unwrap_or_else(|| node.verify_message(&message, at));
-                            match node.apply_message(message, at, verdict) {
-                                Ok(()) => self.stats.delivered += 1,
-                                Err(_) => self.stats.rejected += 1,
-                            }
-                        }
-                        // The addressed AS has no node (e.g. removed by failure injection):
-                        // the message is lost and must be accounted, not silently discarded.
-                        None => self.stats.dropped_no_node += 1,
-                    },
-                    Event::DeliverPullReturn(ret) => match nodes.get_mut(&ret.to_as) {
-                        Some(node) => {
-                            node.handle_pull_return(ret, at);
-                            self.stats.delivered += 1;
-                        }
-                        None => self.stats.dropped_no_node += 1,
-                    },
-                }
-                busy_nanos.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let mut delivered = 0usize;
+        while let Some((at, event, accepted)) = self.queue.pop_verified_until(until) {
+            let started = Instant::now();
+            self.deliver(nodes, at, event, accepted);
+            busy_nanos.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            delivered += 1;
+            if delivered.is_multiple_of(MAX_EPOCH_EVENTS) {
+                self.queue.release_spare_capacity();
             }
         }
+        self.queue.release_spare_capacity();
     }
 
-    /// The parallel apply stage: one serial pass over the epoch in `(SimTime, seq)` order
-    /// accounts every outcome (exactly as the sequential walk would) and collects each
-    /// receiving node's commits — PCB commits and pull returns alike — into one inbox in
-    /// epoch order; the inboxes then commit concurrently over one scoped worker pool, each
-    /// holding its node's `&mut IrecNode`. Different inboxes belong to different nodes, so
-    /// the result is byte-identical to the sequential walk for any worker count.
-    ///
-    /// Outcome accounting needs no commit result: `IrecNode::apply_message` fails exactly
-    /// when the precomputed verdict is an error (duplicates commit as `Ok`), and pull
-    /// returns count as delivered whether or not the beacon yields a registrable path, so
-    /// delivered/rejected are known in the serial pass.
-    fn apply_epoch_per_node(
+    /// Delivers one event received at `at`: a PCB accepted ahead commits under its id,
+    /// hashed here; any other PCB is verified inline first.
+    fn deliver(
         &mut self,
         nodes: &mut BTreeMap<AsId, IrecNode>,
-        epoch: Vec<(SimTime, Event)>,
-        mut verdicts: Vec<Option<Verdict>>,
-        busy_nanos: &AtomicU64,
+        at: SimTime,
+        event: Event,
+        accepted: bool,
     ) {
-        /// One pending commit of a node's inbox.
-        enum Commit {
-            Pcb(SimTime, PcbMessage, Verdict),
-            PullReturn(SimTime, PullReturn),
-        }
-        let mut inboxes: BTreeMap<AsId, Vec<Commit>> = BTreeMap::new();
-        for (index, (at, event)) in epoch.into_iter().enumerate() {
-            match event {
-                // Same check order as the sequential walk: downed link before missing
-                // node, so the counter split matches byte for byte.
-                Event::DeliverPcb(message)
-                    if self.is_endpoint_down(message.from_as, message.from_if) =>
-                {
-                    self.stats.dropped_link_down += 1;
-                }
-                Event::DeliverPcb(message) => match nodes.get(&message.to_as) {
-                    Some(node) => {
-                        let verdict = verdicts
-                            .get_mut(index)
-                            .and_then(Option::take)
-                            .unwrap_or_else(|| node.verify_message(&message, at));
-                        match verdict {
-                            Ok(_) => self.stats.delivered += 1,
-                            Err(_) => self.stats.rejected += 1,
-                        }
-                        inboxes
-                            .entry(message.to_as)
-                            .or_default()
-                            .push(Commit::Pcb(at, message, verdict));
-                    }
-                    None => self.stats.dropped_no_node += 1,
-                },
-                Event::DeliverPullReturn(ret) => match nodes.get(&ret.to_as) {
-                    Some(_) => {
-                        self.stats.delivered += 1;
-                        inboxes
-                            .entry(ret.to_as)
-                            .or_default()
-                            .push(Commit::PullReturn(at, ret));
-                    }
-                    None => self.stats.dropped_no_node += 1,
-                },
+        match event {
+            // The downed-link check precedes the missing-node check and the verdict, so
+            // the counter split is the same however the PCB was verified.
+            Event::DeliverPcb(message)
+                if self.is_endpoint_down(message.from_as, message.from_if) =>
+            {
+                self.stats.dropped_link_down += 1;
             }
-        }
-        // Pair every inbox with its node's disjoint `&mut` borrow, in `AsId` order.
-        let work: Vec<Mutex<(&mut IrecNode, Vec<Commit>)>> = nodes
-            .iter_mut()
-            .filter_map(|(asn, node)| inboxes.remove(asn).map(|items| Mutex::new((node, items))))
-            .collect();
-        run_claimed(work.len(), self.parallelism, Some(busy_nanos), |claimed| {
-            let mut guard = work[claimed].lock();
-            let (node, items) = &mut *guard;
-            for commit in std::mem::take(items) {
-                match commit {
-                    // The outcome was already accounted; the commit mutates only the
-                    // node's dedup index, storage and gateway counters.
-                    Commit::Pcb(at, message, verdict) => {
-                        let _ = node.apply_message(message, at, verdict);
+            Event::DeliverPcb(message) => match nodes.get_mut(&message.to_as) {
+                Some(node) => {
+                    let verdict = if accepted {
+                        Ok(message.pcb.digest())
+                    } else {
+                        node.verify_message(&message, at)
+                    };
+                    match node.apply_message(message, at, verdict) {
+                        Ok(()) => self.stats.delivered += 1,
+                        Err(_) => self.stats.rejected += 1,
                     }
-                    Commit::PullReturn(at, ret) => node.handle_pull_return(ret, at),
                 }
-            }
-        });
+                // The addressed AS has no node (e.g. removed by failure injection): the
+                // message is lost and must be accounted, not silently discarded.
+                None => self.stats.dropped_no_node += 1,
+            },
+            Event::DeliverPullReturn(ret) => match nodes.get_mut(&ret.to_as) {
+                Some(node) => {
+                    node.handle_pull_return(ret, at);
+                    self.stats.delivered += 1;
+                }
+                None => self.stats.dropped_no_node += 1,
+            },
+        }
     }
 }
 
-/// Runs the parallel verify stage over one epoch: partitions the PCB messages into
-/// per-destination-AS inboxes and verifies each inbox on whatever worker claims it,
-/// writing verdicts into slots indexed by epoch position.
-///
-/// Returns one slot per epoch event; `None` for events that need no verification (pull
-/// returns, messages to missing nodes).
-fn verify_epoch(
-    nodes: &BTreeMap<AsId, IrecNode>,
-    epoch: &[(SimTime, Event)],
-    down_endpoints: &BTreeSet<(AsId, IfId)>,
-    parallelism: usize,
-    busy_nanos: &AtomicU64,
-) -> Vec<Option<Verdict>> {
-    // Inboxes in AsId order; each holds the epoch indices addressed to that node.
-    // Messages over downed links are skipped: the apply pass drops them unverified.
-    let mut by_destination: BTreeMap<AsId, Vec<usize>> = BTreeMap::new();
-    for (index, (_, event)) in epoch.iter().enumerate() {
-        if let Event::DeliverPcb(message) = event {
-            if nodes.contains_key(&message.to_as)
-                && !down_endpoints.contains(&(message.from_as, message.from_if))
-            {
-                by_destination.entry(message.to_as).or_default().push(index);
-            }
-        }
-    }
-    if by_destination.is_empty() {
-        // Nothing to verify (only pull returns / missing-node messages): skip the slot
-        // allocation and worker spawn; the apply walk verifies inline on empty slots.
-        return Vec::new();
-    }
-    let inboxes: Vec<(&IrecNode, Vec<usize>)> = by_destination
-        .into_iter()
-        .map(|(asn, indices)| (nodes.get(&asn).expect("destination checked above"), indices))
-        .collect();
+/// One node's round output on its way into the queue: every PCB's receipt time, computed
+/// once with the scheduling rule and used for the verdict and the schedule alike, and —
+/// once verified ahead — which PCBs were accepted.
+pub(crate) struct Flight {
+    pub(crate) output: RoundOutput,
+    /// Receipt time of each of `output.messages`, in order.
+    pub(crate) arrivals: Vec<SimTime>,
+    /// For each of `output.messages`, whether it was accepted. Empty until verified, and
+    /// then delivery verifies every PCB inline.
+    pub(crate) accepted: Vec<bool>,
+}
 
-    let slots: Vec<Mutex<Option<Verdict>>> = epoch.iter().map(|_| Mutex::new(None)).collect();
-    run_claimed(inboxes.len(), parallelism, Some(busy_nanos), |claimed| {
-        let (node, indices) = &inboxes[claimed];
-        for &index in indices {
-            let (at, event) = &epoch[index];
-            let Event::DeliverPcb(message) = event else {
-                unreachable!("inboxes hold only PCB deliveries");
-            };
-            *slots[index].lock() = Some(node.verify_message(message, *at));
+impl Flight {
+    /// A flight of `output`; `verify_ahead` reserves the verdict slots here, on the thread
+    /// that builds the flight, so the helper that verifies it allocates none.
+    pub(crate) fn new(output: RoundOutput, arrivals: Vec<SimTime>, verify_ahead: bool) -> Self {
+        let slots = if verify_ahead {
+            output.messages.len()
+        } else {
+            0
+        };
+        Flight {
+            output,
+            arrivals,
+            accepted: Vec::with_capacity(slots),
         }
-    });
-    slots.into_iter().map(Mutex::into_inner).collect()
+    }
+
+    /// Verifies every PCB for its receiver at its receipt time.
+    fn verify(&mut self, verifier: &Verifier) {
+        let verdicts = self
+            .output
+            .messages
+            .iter()
+            .zip(&self.arrivals)
+            .map(|(message, &at)| {
+                verify_received(message.to_as, verifier, &message.pcb, at).is_ok()
+            });
+        self.accepted.extend(verdicts);
+    }
+}
+
+/// A flight and its node's position in the round's `AsId` order.
+pub(crate) type Handed = (usize, Flight);
+
+/// The verify-ahead pipeline of one round. The node phase hands each finished node's
+/// [`Flight`] over with [`VerifyAhead::hand_over`]; one helper thread running
+/// [`VerifyAhead::help`] verifies the flights in the order they were handed over, and
+/// every flight comes back on the receiver [`VerifyAhead::new`] returns. At most one
+/// flight waits for the helper: while one does, the node phase verifies the next flight
+/// itself. That bounds the outputs held outside the queue, and it shares the work when
+/// verification outruns the node rounds. Both channels are allocated up front, so neither
+/// a hand-over nor a return allocates.
+pub(crate) struct VerifyAhead<'a> {
+    verifier: &'a Verifier,
+    busy_nanos: &'a AtomicU64,
+    verified: SyncSender<Handed>,
+}
+
+impl<'a> VerifyAhead<'a> {
+    /// A pipeline for a round of up to `flights` flights, with the receiver they come
+    /// back on.
+    pub(crate) fn new(
+        verifier: &'a Verifier,
+        busy_nanos: &'a AtomicU64,
+        flights: usize,
+    ) -> (Self, Receiver<Handed>) {
+        let (verified, returned) = sync_channel(flights);
+        let pipeline = VerifyAhead {
+            verifier,
+            busy_nanos,
+            verified,
+        };
+        (pipeline, returned)
+    }
+
+    /// The channel that hands flights to the helper: it holds the one that may wait.
+    pub(crate) fn helper_channel() -> (SyncSender<Handed>, Receiver<Handed>) {
+        sync_channel(1)
+    }
+
+    /// Hands a finished node's flight to the helper on `helper`, or verifies it here when
+    /// one already waits there. Without a helper the flight goes back unverified, and
+    /// delivery verifies its PCBs inline.
+    pub(crate) fn hand_over(&self, helper: Option<&SyncSender<Handed>>, flight: Handed) {
+        match helper {
+            Some(helper) => {
+                if let Err(TrySendError::Full(flight)) = helper.try_send(flight) {
+                    self.verify(flight);
+                }
+            }
+            None => self.send_back(flight),
+        }
+    }
+
+    /// Verifies the flights handed over on `handed` until its sender hangs up.
+    pub(crate) fn help(&self, handed: Receiver<Handed>) {
+        for flight in handed {
+            self.verify(flight);
+        }
+    }
+
+    /// Verifies one flight and sends it back.
+    fn verify(&self, (index, mut flight): Handed) {
+        let started = Instant::now();
+        flight.verify(self.verifier);
+        self.busy_nanos
+            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.send_back((index, flight));
+    }
+
+    fn send_back(&self, flight: Handed) {
+        // The channel has room for every flight of the round: this never blocks. It only
+        // fails once the round has unwound, and then the flight is moot.
+        let _ = self.verified.send(flight);
+    }
 }
 
 #[cfg(test)]
@@ -499,25 +444,41 @@ mod tests {
         })
     }
 
-    fn run_plane(parallelism: usize) -> (DeliveryStats, Vec<(AsId, usize)>) {
-        let (mut nodes, registry) = nodes_with_registry();
-        let mut plane = DeliveryPlane::new(parallelism);
-        // A mix of valid, tampered and undeliverable messages across several epochs'
-        // worth of timestamps. Origin AS5 never receives, so no loop rejections interfere
-        // with the tampered-count assertion.
-        for seq in 0..20u64 {
-            let to = 1 + (seq % 4); // delivered round-robin to AS1..AS4
-            let tampered = seq % 5 == 0;
-            plane.schedule(
-                SimTime::from_micros(100 + seq * 7),
-                message(&registry, 5, seq, to, tampered),
-            );
-        }
+    /// A mix of valid, tampered and undeliverable messages across several epochs' worth
+    /// of timestamps. Origin AS5 never receives, so no loop rejections interfere with the
+    /// tampered-count assertion.
+    fn traffic(registry: &KeyRegistry) -> Vec<(SimTime, Event)> {
+        let mut traffic: Vec<(SimTime, Event)> = (0..20u64)
+            .map(|seq| {
+                let to = 1 + (seq % 4); // delivered round-robin to AS1..AS4
+                let tampered = seq % 5 == 0;
+                let at = SimTime::from_micros(100 + seq * 7);
+                (at, message(registry, 5, seq, to, tampered))
+            })
+            .collect();
         // A message to an AS that has no node.
-        plane.schedule(
+        traffic.push((
             SimTime::from_micros(130),
-            message(&registry, 5, 100, 99, false),
-        );
+            message(registry, 5, 100, 99, false),
+        ));
+        traffic
+    }
+
+    /// Delivers [`traffic`], each PCB carrying the verdict computed ahead for it when
+    /// `verify_ahead`, and none (inline verification at delivery) otherwise.
+    fn run_plane(verify_ahead: bool) -> (DeliveryStats, Vec<(AsId, usize)>) {
+        let (mut nodes, registry) = nodes_with_registry();
+        let verifier = Verifier::new(registry.clone());
+        let mut plane = DeliveryPlane::default();
+        for (at, event) in traffic(&registry) {
+            let accepted = match &event {
+                Event::DeliverPcb(m) if verify_ahead => {
+                    verify_received(m.to_as, &verifier, &m.pcb, at).is_ok()
+                }
+                _ => false,
+            };
+            plane.schedule_verified(at, event, accepted);
+        }
         plane.deliver_until(&mut nodes, SimTime::MAX);
         let occupancy: Vec<(AsId, usize)> = nodes
             .iter()
@@ -528,7 +489,7 @@ mod tests {
 
     #[test]
     fn plane_accounts_outcomes_separately() {
-        let (stats, _) = run_plane(1);
+        let (stats, _) = run_plane(false);
         assert_eq!(stats.rejected, 4, "tampered messages rejected");
         assert_eq!(stats.dropped_no_node, 1);
         assert_eq!(stats.delivered, 16);
@@ -536,25 +497,59 @@ mod tests {
     }
 
     #[test]
-    fn parallel_delivery_is_byte_identical_to_sequential() {
-        let (sequential_stats, sequential_occupancy) = run_plane(1);
-        for parallelism in [2, 4, 8] {
-            let (stats, occupancy) = run_plane(parallelism);
-            assert_eq!(
-                stats, sequential_stats,
-                "stats at parallelism {parallelism}"
-            );
-            assert_eq!(
-                occupancy, sequential_occupancy,
-                "ingress occupancy at parallelism {parallelism}"
-            );
+    fn verdicts_computed_ahead_deliver_like_inline_verification() {
+        let inline = run_plane(false);
+        assert_eq!(run_plane(true), inline);
+        assert_eq!(inline.0.rejected, 4);
+    }
+
+    /// Flights handed to the pipeline come back verified, each exactly once, whether the
+    /// helper or the hand-over side verified it; a tampered PCB is not accepted.
+    #[test]
+    fn the_pipeline_returns_every_flight_verified() {
+        let (_, registry) = nodes_with_registry();
+        let verifier = Verifier::new(registry.clone());
+        let busy = AtomicU64::new(0);
+        let flights = 6;
+        let (pipeline, returned) = VerifyAhead::new(&verifier, &busy, flights);
+        std::thread::scope(|scope| {
+            let (helper, handed) = VerifyAhead::helper_channel();
+            scope.spawn(|| pipeline.help(handed));
+            for index in 0..flights {
+                let (arrivals, messages) = traffic(&registry)
+                    .into_iter()
+                    .filter_map(|(at, event)| match event {
+                        Event::DeliverPcb(message) => Some((at, message)),
+                        Event::DeliverPullReturn(_) => None,
+                    })
+                    .unzip();
+                let output = RoundOutput {
+                    messages,
+                    ..RoundOutput::default()
+                };
+                pipeline.hand_over(Some(&helper), (index, Flight::new(output, arrivals, true)));
+            }
+        });
+        let mut back: Vec<Handed> = returned.try_iter().collect();
+        back.sort_by_key(|(index, _)| *index);
+        assert_eq!(back.len(), flights);
+        for (position, (index, flight)) in back.iter().enumerate() {
+            assert_eq!(*index, position);
+            assert_eq!(flight.accepted.len(), flight.output.messages.len());
+            let rejected = flight
+                .accepted
+                .iter()
+                .filter(|accepted| !**accepted)
+                .count();
+            assert_eq!(rejected, 4, "the tampered PCBs");
         }
+        assert!(busy.into_inner() > 0);
     }
 
     #[test]
     fn epoch_bound_does_not_lose_events() {
         let (mut nodes, registry) = nodes_with_registry();
-        let mut plane = DeliveryPlane::new(2);
+        let mut plane = DeliveryPlane::default();
         // More events than one epoch holds, all due at once; sequence numbers keep them
         // distinct beacons (distinct digests), so everything must be delivered.
         let count = (MAX_EPOCH_EVENTS + 100) as u64;
@@ -605,7 +600,7 @@ mod tests {
     #[test]
     fn deliver_until_respects_horizon() {
         let (mut nodes, registry) = nodes_with_registry();
-        let mut plane = DeliveryPlane::new(4);
+        let mut plane = DeliveryPlane::default();
         plane.schedule(SimTime::from_micros(10), message(&registry, 3, 0, 1, false));
         plane.schedule(
             SimTime::from_micros(500),

@@ -19,13 +19,27 @@ pub enum Event {
 #[derive(Debug, Clone)]
 struct Scheduled {
     at: SimTime,
-    seq: u64,
+    /// The sequence number shifted left by one, its low bit set when the PCB was verified
+    /// and accepted before it was scheduled (see [`EventQueue::schedule_verified`]). The
+    /// bit cannot reorder two entries, whose sequence numbers differ; in its own field it
+    /// would widen every entry by a word.
+    key: u64,
     event: Event,
+}
+
+impl Scheduled {
+    fn seq(&self) -> u64 {
+        self.key >> 1
+    }
+
+    fn accepted(&self) -> bool {
+        self.key & 1 == 1
+    }
 }
 
 impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.at == other.at && self.key == other.key
     }
 }
 impl Eq for Scheduled {}
@@ -40,7 +54,7 @@ impl Ord for Scheduled {
         other
             .at
             .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+            .then_with(|| other.key.cmp(&self.key))
     }
 }
 
@@ -61,9 +75,17 @@ impl EventQueue {
 
     /// Schedules `event` for time `at`.
     pub fn schedule(&mut self, at: SimTime, event: Event) {
-        let seq = self.next_seq;
+        self.schedule_verified(at, event, false);
+    }
+
+    /// Schedules `event` for time `at` with the verdict computed ahead for it: `accepted`
+    /// tells that a PCB passed verification for its receiver at `at`. Only acceptance is
+    /// carried, in one bit: the deliverer hashes an accepted PCB's id again, and verifies
+    /// a PCB scheduled with `false` — rejected ahead, or never verified — in full.
+    pub(crate) fn schedule_verified(&mut self, at: SimTime, event: Event, accepted: bool) {
+        let key = self.next_seq << 1 | u64::from(accepted);
         self.next_seq += 1;
-        self.heap.push(Scheduled { at, seq, event });
+        self.heap.push(Scheduled { at, key, event });
     }
 
     /// The sequence number the next scheduled event will be assigned.
@@ -96,16 +118,29 @@ impl EventQueue {
         }
     }
 
+    /// Like [`EventQueue::pop_until`], but also yields whether the event is a PCB that was
+    /// verified and accepted ahead (see [`EventQueue::schedule_verified`]).
+    pub(crate) fn pop_verified_until(&mut self, until: SimTime) -> Option<(SimTime, Event, bool)> {
+        if self.next_time()? <= until {
+            let s = self.heap.pop().expect("peeked element exists");
+            let accepted = s.accepted();
+            Some((s.at, s.event, accepted))
+        } else {
+            None
+        }
+    }
+
     /// Pops the next event regardless of time.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         self.heap.pop().map(|s| (s.at, s.event))
     }
 
-    /// Like [`EventQueue::pop_until`], but also yields the event's sequence number.
+    /// Like [`EventQueue::pop_until`], but also yields the event's sequence number. A
+    /// verdict computed ahead is not handed out: the caller verifies.
     pub fn pop_entry_until(&mut self, until: SimTime) -> Option<(SimTime, u64, Event)> {
         if self.next_time()? <= until {
             let s = self.heap.pop().expect("peeked element exists");
-            Some((s.at, s.seq, s.event))
+            Some((s.at, s.seq(), s.event))
         } else {
             None
         }
@@ -153,8 +188,11 @@ impl EventQueue {
         }
         self.heap = BinaryHeap::from(kept);
         self.release_spare_capacity();
-        purged.sort_by_key(|s| (s.at, s.seq));
-        purged.into_iter().map(|s| (s.at, s.seq, s.event)).collect()
+        purged.sort_by_key(|s| (s.at, s.key));
+        purged
+            .into_iter()
+            .map(|s| (s.at, s.seq(), s.event))
+            .collect()
     }
 }
 
@@ -210,6 +248,29 @@ mod tests {
             })
             .collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
+    }
+
+    /// The accepted bit rides in the sequence key without reordering anything: equal times
+    /// still pop FIFO, each event keeps its bit, and the sequence numbers handed out are
+    /// the plain ones.
+    #[test]
+    fn the_accepted_bit_keeps_order_and_sequence_numbers() {
+        let mut q = EventQueue::new();
+        for i in 0..6 {
+            q.schedule_verified(SimTime::from_micros(100), event(i), i % 3 == 0);
+        }
+        q.schedule(SimTime::from_micros(50), event(9));
+        let (_, first, accepted) = q.pop_verified_until(SimTime::MAX).unwrap();
+        assert_eq!((first, accepted), (event(9), false));
+        let bits: Vec<bool> = (0..3)
+            .map(|_| q.pop_verified_until(SimTime::MAX).unwrap().2)
+            .collect();
+        assert_eq!(bits, [true, false, false]);
+        let seqs: Vec<u64> = std::iter::from_fn(|| q.pop_entry_until(SimTime::MAX))
+            .map(|(_, seq, _)| seq)
+            .collect();
+        assert_eq!(seqs, [3, 4, 5]);
+        assert_eq!(q.next_seq(), 7);
     }
 
     #[test]

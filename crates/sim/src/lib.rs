@@ -54,4 +54,4 @@ pub use churn::{
 pub use delivery::{DeliveryPlane, DeliveryStats};
 pub use event::{Event, EventQueue};
 pub use pd::{PdCampaign, PdPairResult, PdResult, PdWorkflow};
-pub use simulation::{SchedulerStats, SimSnapshot, Simulation, SimulationConfig};
+pub use simulation::{SchedulerStats, SimSnapshot, Simulation, SimulationConfig, MAX_VERIFY_WIDTH};

@@ -1,24 +1,31 @@
 //! The simulation driver: periodic beaconing over a topology with event-based message
 //! delivery.
+//!
+//! A round delivers what is due, then runs every node's beaconing round — one after the
+//! other, or over `parallelism` worker threads — and schedules each node's output in
+//! `AsId` order. Delivery and the node phase do not run as strict phases: at verify
+//! width 2 (`delivery_parallelism`), each finished node's PCBs are verified on a helper
+//! thread while the next nodes run, so the flush that delivers them only commits verdicts
+//! (see [`crate::delivery`]).
 
-use crate::delivery::{DeliveryPlane, DeliveryStats};
+use crate::delivery::{DeliveryPlane, DeliveryStats, Flight, Handed, VerifyAhead, MAX_WORKERS};
 use crate::event::Event;
 use irec_algorithms::incremental::IncrementalStats;
-use irec_core::{IrecNode, NodeConfig, RacConfig, RoundOutput, SharedAlgorithmStore};
-use irec_crypto::KeyRegistry;
+use irec_core::{IrecNode, NodeConfig, PcbMessage, RacConfig, SharedAlgorithmStore};
+use irec_crypto::{KeyRegistry, Verifier};
 use irec_metrics::overhead::OverheadCounter;
 use irec_metrics::RegisteredPath;
 use irec_topology::{GroupingConfig, InterfaceGroups, Topology};
 use irec_types::{AsId, IrecError, LinkId, Result, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Scheduler-quality accounting, accumulated per round: `idle = workers × round_wall −
-/// Σ busy`, where `busy` sums the instrumented payload work (node rounds, verifies,
-/// applies) and `workers` is the round pool width (`max(parallelism,
-/// delivery_parallelism)`). Serial sections therefore count `workers − 1` idle lanes.
+/// Σ busy`, where `busy` sums the instrumented payload work (node rounds, verifications
+/// ahead, deliveries) and `workers` is the round pool width (`max(parallelism, verify
+/// width)`). Serial sections therefore count `workers − 1` idle lanes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
     /// Rounds accounted.
@@ -54,10 +61,12 @@ pub struct SimulationConfig {
     /// outputs in `AsId` order before scheduling deliveries, so registered paths, overhead
     /// counters and event order are byte-identical to a sequential run.
     pub parallelism: usize,
-    /// Worker threads for the delivery plane's verify stage (see [`crate::delivery`]).
-    /// `1` (the default) verifies messages inline during the serial apply walk; `N > 1`
-    /// fans per-destination inboxes out over that many workers. Either way the apply order
-    /// is `(SimTime, seq)` and the simulation output is byte-identical.
+    /// The verify width (see [`crate::delivery`]). `1` verifies every PCB inline when it
+    /// is delivered — the reference. `2` runs one helper thread per round that verifies
+    /// each node's PCBs while the remaining nodes still run; delivery commits the verdicts
+    /// computed ahead. Either way the commit order is `(SimTime, seq)` and the simulation
+    /// output is byte-identical. Widths above [`MAX_VERIFY_WIDTH`] run as that. Defaults
+    /// to the available parallelism, capped the same way.
     pub delivery_parallelism: usize,
 }
 
@@ -67,9 +76,27 @@ impl Default for SimulationConfig {
             beacon_interval: SimDuration::from_minutes(10),
             processing_delay: SimDuration::from_millis(5),
             parallelism: 1,
-            delivery_parallelism: 1,
+            delivery_parallelism: default_verify_width(),
         }
     }
+}
+
+/// The widest verify width: one helper thread. Only that width has been measured (on a
+/// two-core host); more helpers each cost a malloc arena's worth of `peak_rss_mb` and are
+/// not shown to shorten a round.
+pub const MAX_VERIFY_WIDTH: usize = 2;
+
+/// The default verify width: the available parallelism, clamped to [1,
+/// [`MAX_VERIFY_WIDTH`]]. Asked of the host once per process, not per simulation: the
+/// answer reads the cgroup's CPU quota from the file system, which costs as much as
+/// setting up a small simulation.
+fn default_verify_width() -> usize {
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    *WIDTH.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map_or(1, usize::from)
+            .clamp(1, MAX_VERIFY_WIDTH)
+    })
 }
 
 impl SimulationConfig {
@@ -80,8 +107,8 @@ impl SimulationConfig {
         self
     }
 
-    /// Builder-style: set the delivery plane's verify-stage worker count (clamped to at
-    /// least 1).
+    /// Builder-style: set the verify width (clamped to at least 1; widths above
+    /// [`MAX_VERIFY_WIDTH`] run as that).
     #[must_use]
     pub fn with_delivery_parallelism(mut self, delivery_parallelism: usize) -> Self {
         self.delivery_parallelism = delivery_parallelism.max(1);
@@ -208,7 +235,7 @@ impl Simulation {
             topology,
             config,
             nodes,
-            plane: DeliveryPlane::new(config.delivery_parallelism),
+            plane: DeliveryPlane::default(),
             clock: SimTime::ZERO,
             round: 0,
             overhead,
@@ -419,13 +446,19 @@ impl Simulation {
         &self.overhead_pull
     }
 
+    /// The verify width the rounds run at: the configured one, capped at
+    /// [`MAX_VERIFY_WIDTH`].
+    fn verify_width(&self) -> usize {
+        self.config.delivery_parallelism.clamp(1, MAX_VERIFY_WIDTH)
+    }
+
     /// The width of the round's worker pool, for the idle accounting: the larger of the
-    /// node-phase and delivery worker counts.
+    /// node-phase worker count and the verify width.
     fn round_pool_width(&self) -> usize {
         self.config
             .parallelism
-            .max(self.config.delivery_parallelism)
-            .clamp(1, crate::delivery::MAX_WORKERS)
+            .max(self.verify_width())
+            .clamp(1, MAX_WORKERS)
     }
 
     /// Scheduler-quality accounting accumulated over the rounds run so far (see
@@ -445,8 +478,11 @@ impl Simulation {
         Ok(())
     }
 
-    /// One beaconing round as three strict phases: deliver what is due, run every node's
-    /// round, account and schedule the outputs in `AsId` order.
+    /// One beaconing round: deliver what is due, then run every node's round and schedule
+    /// the outputs in `AsId` order — verifying them ahead on a helper thread while the
+    /// remaining nodes still run (see [`crate::delivery`]). A failing node's error is
+    /// returned after the outputs of the nodes before it are scheduled; the round does not
+    /// count as run.
     fn run_single_round(&mut self) -> Result<()> {
         let wall = Instant::now();
         let busy = AtomicU64::new(0);
@@ -455,113 +491,73 @@ impl Simulation {
         // Deliver everything that arrived before this round started.
         self.plane.deliver_until_probed(&mut self.nodes, now, &busy);
 
-        // Node phase: every AS runs its beaconing round. Nodes only touch their own state
-        // here (messages are exchanged through the event queue afterwards), so the rounds
-        // are independent and can run concurrently; the outputs are accounted and scheduled
-        // in `AsId` order either way, which keeps the two modes byte-identical.
+        let verifier = Verifier::new(self.registry.clone());
+        let verify_ahead = self.verify_width() > 1;
         let workers = self.config.parallelism.min(self.nodes.len()).max(1);
-        if workers <= 1 {
-            // Stream node by node: a failing node aborts the round before any later node
-            // has run, so no node state mutates without its output being accounted.
-            let as_ids: Vec<AsId> = self.nodes.keys().copied().collect();
-            for asn in as_ids {
-                let output = {
-                    let node = self.nodes.get_mut(&asn).expect("node exists");
-                    let started = Instant::now();
-                    let output = node.beaconing_round(now);
-                    busy.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    output?
-                };
-                self.account_and_schedule(now, output);
+        let Simulation {
+            topology,
+            config,
+            nodes,
+            plane,
+            overhead,
+            overhead_pull,
+            round,
+            ..
+        } = self;
+        let mut outbox = Outbox {
+            plane,
+            overhead,
+            overhead_pull,
+            round: *round,
+            now,
+            processing_delay: config.processing_delay,
+            waiting: std::iter::repeat_with(|| None).take(nodes.len()).collect(),
+            next: 0,
+        };
+        // Runs one node's round and builds its flight, with every PCB's receipt time.
+        let fly = |node: &mut IrecNode| -> Result<Flight> {
+            let started = Instant::now();
+            let output = node.beaconing_round(now);
+            busy.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            let output = output?;
+            let arrivals = output
+                .messages
+                .iter()
+                .map(|message| arrival(topology, config.processing_delay, now, message))
+                .collect();
+            Ok(Flight::new(output, arrivals, verify_ahead))
+        };
+
+        let (pipeline, returned) = VerifyAhead::new(&verifier, &busy, nodes.len());
+        let failure = std::thread::scope(|scope| {
+            let helper = verify_ahead.then(|| {
+                let (helper, handed) = VerifyAhead::helper_channel();
+                scope.spawn(|| pipeline.help(handed));
+                helper
+            });
+            let hand_over = |flight| pipeline.hand_over(helper.as_ref(), flight);
+            if workers <= 1 {
+                run_nodes_in_turn(nodes, &fly, |flight| {
+                    hand_over(flight);
+                    outbox.take(returned.try_iter());
+                })
+            } else {
+                run_nodes_in_parallel(nodes, workers, &fly, hand_over)
             }
-        } else {
-            // All nodes have necessarily executed by the time results are merged; surface
-            // the first error in AsId order and account every output before it (outputs of
-            // nodes after a failing one are discarded — an error aborts the run anyway).
-            for (_, result) in self.run_node_phase_parallel(now, workers, &busy) {
-                let output = result?;
-                self.account_and_schedule(now, output);
-            }
+            // The helper's channel hangs up here: it verifies what is left and returns.
+        });
+        // The helper has returned: all flights are back.
+        outbox.take(returned.try_iter());
+        if let Some(err) = failure {
+            return Err(err);
         }
-        self.round += 1;
+        *round += 1;
         self.scheduler.record_round(
             self.round_pool_width(),
             wall.elapsed().as_nanos() as u64,
             busy.into_inner(),
         );
         Ok(())
-    }
-
-    /// Records one node's round output in the overhead counters and schedules its message
-    /// deliveries.
-    fn account_and_schedule(&mut self, now: SimTime, output: RoundOutput) {
-        for message in &output.messages {
-            self.overhead
-                .record(message.from_as, message.from_if, self.round, 1);
-            if message.pcb.extensions.target().is_some() {
-                self.overhead_pull
-                    .record(message.from_as, message.from_if, self.round, 1);
-            }
-        }
-        for message in output.messages {
-            let delay = self
-                .topology
-                .link_at(message.from_as, message.from_if)
-                .map(|l| l.metrics.latency)
-                .unwrap_or_default();
-            let at =
-                now + SimDuration::from_micros(delay.as_micros()) + self.config.processing_delay;
-            self.plane.schedule(at, Event::DeliverPcb(message));
-        }
-        for ret in output.pull_returns {
-            // The return travels over the discovered path itself.
-            let delay = ret.pcb.path_metrics().latency;
-            let at =
-                now + SimDuration::from_micros(delay.as_micros()) + self.config.processing_delay;
-            self.plane.schedule(at, Event::DeliverPullReturn(ret));
-        }
-    }
-
-    /// Runs every node's beaconing round over `workers` scoped worker threads and returns
-    /// the outputs in `AsId` order. Per-node execution time accumulates into `busy_nanos`
-    /// for the scheduler's idle accounting.
-    fn run_node_phase_parallel(
-        &mut self,
-        now: SimTime,
-        workers: usize,
-        busy_nanos: &AtomicU64,
-    ) -> Vec<(AsId, Result<RoundOutput>)> {
-        let mut entries: Vec<(AsId, &mut IrecNode)> = self
-            .nodes
-            .iter_mut()
-            .map(|(asn, node)| (*asn, node))
-            .collect();
-        let chunk_size = entries.len().div_ceil(workers);
-        let mut collected: Vec<(AsId, Result<RoundOutput>)> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for chunk in entries.chunks_mut(chunk_size) {
-                handles.push(scope.spawn(move || {
-                    chunk
-                        .iter_mut()
-                        .map(|(asn, node)| {
-                            let started = Instant::now();
-                            let result = node.beaconing_round(now);
-                            busy_nanos
-                                .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                            (*asn, result)
-                        })
-                        .collect::<Vec<_>>()
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|handle| handle.join().expect("node-phase worker panicked"))
-                .collect()
-        });
-        // Chunks preserve the BTreeMap's AsId order, but make the merge order explicit
-        // rather than implied by chunk concatenation.
-        collected.sort_by_key(|(asn, _)| *asn);
-        collected
     }
 
     /// Removes an AS's node from the simulation (failure injection: the AS goes offline).
@@ -804,12 +800,144 @@ impl Simulation {
     }
 }
 
+/// Runs the nodes' rounds one after the other, in `AsId` order, handing each node's flight
+/// with its position to `hand_over` as the node finishes. A failing node ends the phase
+/// before any later node has run, so no node state mutates without its output being
+/// accounted; its error is returned.
+fn run_nodes_in_turn(
+    nodes: &mut BTreeMap<AsId, IrecNode>,
+    fly: &impl Fn(&mut IrecNode) -> Result<Flight>,
+    mut hand_over: impl FnMut(Handed),
+) -> Option<IrecError> {
+    for (index, node) in nodes.values_mut().enumerate() {
+        match fly(node) {
+            Ok(flight) => hand_over((index, flight)),
+            Err(err) => return Some(err),
+        }
+    }
+    None
+}
+
+/// Runs the nodes' rounds over `workers` scoped threads, each handing a node's flight with
+/// its position to `hand_over` as the node finishes. Every node runs; the first error in
+/// `AsId` order is returned, and the outputs of the nodes after it are never scheduled (an
+/// error aborts the run anyway).
+fn run_nodes_in_parallel(
+    nodes: &mut BTreeMap<AsId, IrecNode>,
+    workers: usize,
+    fly: &(impl Fn(&mut IrecNode) -> Result<Flight> + Sync),
+    hand_over: impl Fn(Handed) + Sync,
+) -> Option<IrecError> {
+    let mut entries: Vec<(usize, &mut IrecNode)> = nodes.values_mut().enumerate().collect();
+    let chunk_size = entries.len().div_ceil(workers);
+    let hand_over = &hand_over;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = entries
+            .chunks_mut(chunk_size)
+            .map(|chunk| {
+                scope.spawn(move || {
+                    let mut failures = Vec::new();
+                    for (index, node) in chunk {
+                        match fly(node) {
+                            Ok(flight) => hand_over((*index, flight)),
+                            Err(err) => failures.push((*index, err)),
+                        }
+                    }
+                    failures
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("node-phase worker panicked"))
+            .min_by_key(|(index, _)| *index)
+            .map(|(_, err)| err)
+    })
+}
+
+/// When a PCB sent at `now` is received: after its link's latency plus the processing
+/// delay.
+fn arrival(
+    topology: &Topology,
+    processing_delay: SimDuration,
+    now: SimTime,
+    message: &PcbMessage,
+) -> SimTime {
+    let delay = topology
+        .link_at(message.from_as, message.from_if)
+        .map(|l| l.metrics.latency)
+        .unwrap_or_default();
+    now + SimDuration::from_micros(delay.as_micros()) + processing_delay
+}
+
+/// Where a round's flights go: the overhead counters and the delivery plane, in `AsId`
+/// order, whatever order they come back from verification in.
+struct Outbox<'s> {
+    plane: &'s mut DeliveryPlane,
+    overhead: &'s mut OverheadCounter,
+    overhead_pull: &'s mut OverheadCounter,
+    round: u64,
+    now: SimTime,
+    processing_delay: SimDuration,
+    /// Flights back from verification that wait for an earlier node's, by node position.
+    waiting: Vec<Option<Flight>>,
+    /// Position of the next flight to schedule.
+    next: usize,
+}
+
+impl Outbox<'_> {
+    /// Takes the flights that came back, then accounts and schedules every flight no
+    /// earlier one is still missing for. A flight that never comes back (its node failed)
+    /// holds back every later one.
+    fn take(&mut self, returned: impl Iterator<Item = Handed>) {
+        for (index, flight) in returned {
+            self.waiting[index] = Some(flight);
+        }
+        while let Some(flight) = self.waiting.get_mut(self.next).and_then(Option::take) {
+            self.next += 1;
+            self.account_and_schedule(flight);
+        }
+    }
+
+    /// Records one node's output in the overhead counters and schedules its deliveries,
+    /// every PCB at the receipt time it was verified for.
+    fn account_and_schedule(&mut self, flight: Flight) {
+        let Flight {
+            output,
+            arrivals,
+            accepted,
+        } = flight;
+        for message in &output.messages {
+            self.overhead
+                .record(message.from_as, message.from_if, self.round, 1);
+            if message.pcb.extensions.target().is_some() {
+                self.overhead_pull
+                    .record(message.from_as, message.from_if, self.round, 1);
+            }
+        }
+        for (index, (message, at)) in output.messages.into_iter().zip(arrivals).enumerate() {
+            let accepted = accepted.get(index).copied().unwrap_or(false);
+            self.plane
+                .schedule_verified(at, Event::DeliverPcb(message), accepted);
+        }
+        for ret in output.pull_returns {
+            // The return travels over the discovered path itself.
+            let delay = ret.pcb.path_metrics().latency;
+            let at = self.now + SimDuration::from_micros(delay.as_micros()) + self.processing_delay;
+            self.plane.schedule(at, Event::DeliverPullReturn(ret));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use irec_core::{PropagationPolicy, RacConfig};
+    use irec_crypto::Signer;
+    use irec_pcb::{AlgorithmRef, Pcb, PcbExtensions, StaticInfo};
     use irec_topology::builder::{figure1, figure1_topology};
     use irec_topology::{GeneratorConfig, TopologyGenerator};
+    use irec_types::{AlgorithmId, Bandwidth, IfId, Latency};
 
     fn figure1_sim(racs: Vec<RacConfig>) -> Simulation {
         let topology = Arc::new(figure1_topology());
@@ -984,6 +1112,72 @@ mod tests {
                 parallel.3, reference.3,
                 "overhead at {parallelism}x{delivery}"
             );
+        }
+    }
+
+    /// A node whose round fails ends the round with its error, the outputs of the nodes
+    /// before it scheduled, and the round not counted: neither `rounds_run` nor the
+    /// scheduler accounting moves, at any verify width.
+    #[test]
+    fn a_failing_node_leaves_the_round_uncounted() {
+        for (parallelism, delivery) in [(1, 1), (1, 2), (4, 2)] {
+            let topology = Arc::new(figure1_topology());
+            let mut sim = Simulation::new(
+                topology,
+                SimulationConfig::default()
+                    .with_parallelism(parallelism)
+                    .with_delivery_parallelism(delivery),
+                |_| {
+                    NodeConfig::default()
+                        .with_policy(PropagationPolicy::All)
+                        .with_racs(vec![
+                            RacConfig::static_rac("5SP", "5SP"),
+                            RacConfig::on_demand_rac("od"),
+                        ])
+                },
+            )
+            .unwrap();
+            sim.run_rounds(2).unwrap();
+            // A beacon that names an algorithm nobody published fails X's on-demand RAC.
+            let registry = KeyRegistry::with_ases(42, 64);
+            let reference = AlgorithmRef::new(AlgorithmId(9), irec_crypto::sha256(b"unpublished"));
+            let mut pcb = Pcb::originate(
+                figure1::DST,
+                0,
+                sim.now(),
+                sim.now() + SimDuration::from_hours(6),
+                PcbExtensions::none().with_algorithm(reference),
+            );
+            pcb.extend(
+                IfId::NONE,
+                IfId(1),
+                StaticInfo::origin(Latency::from_millis(5), Bandwidth::from_mbps(100), None),
+                &Signer::new(figure1::DST, registry),
+            )
+            .unwrap();
+            let ingress = *sim
+                .topology()
+                .as_node(figure1::X)
+                .unwrap()
+                .interfaces
+                .keys()
+                .next()
+                .unwrap();
+            sim.node(figure1::X)
+                .unwrap()
+                .ingress()
+                .db()
+                .insert(pcb, ingress, sim.now());
+            assert_eq!(sim.pending_events(), 0);
+            assert!(sim.run_rounds(1).is_err(), "width {parallelism}x{delivery}");
+            assert_eq!(sim.rounds_run(), 2, "width {parallelism}x{delivery}");
+            assert_eq!(
+                sim.scheduler_stats().rounds,
+                2,
+                "width {parallelism}x{delivery}"
+            );
+            // Src, before X in `AsId` order, still had its output scheduled.
+            assert!(sim.pending_events() > 0, "width {parallelism}x{delivery}");
         }
     }
 

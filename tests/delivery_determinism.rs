@@ -1,13 +1,14 @@
-//! Acceptance tests for the parallel message-delivery plane: a simulation run with
-//! `--delivery-parallelism > 1` must be byte-identical to a sequential run — same
+//! Acceptance tests for verify-ahead delivery: a simulation run with
+//! `--delivery-parallelism > 1`, which verifies a round's PCBs on a helper thread while the
+//! node phase runs, must be byte-identical to the inline reference at width 1 — same
 //! registered paths in the same order, same delivered/dropped/rejected counters, same
 //! ingress occupancy — on the fig6-scale workload (generated topology, the paper's
-//! five-RAC deployment) and under failure injection.
+//! five-RAC deployment), under failure injection, and where beacons expire in flight.
 //!
-//! The stores the parallel apply stage commits into — each AS's ingress database, ingress
-//! gateway and path service — take their writes through `&self`. The second half hammers
-//! them from scoped threads: no insert or registration may be lost, limit evictions must
-//! be counted exactly, and concurrent commits must equal a serial reference.
+//! The stores a delivery commits into — each AS's ingress database, ingress gateway and
+//! path service — take their writes through `&self`. The second half hammers them from
+//! scoped threads: no insert or registration may be lost, limit evictions must be counted
+//! exactly, and concurrent commits must equal a serial reference.
 
 use irec_core::beacon_db::BatchKey;
 use irec_core::path_service::{RegisteredPath as StoredPath, ShardedPathService};
@@ -74,9 +75,9 @@ fn run_fig6_workload(delivery_parallelism: usize) -> RunFingerprint {
     fingerprint(&sim)
 }
 
-/// The headline acceptance criterion: `--delivery-parallelism 4` is byte-identical to
-/// `--delivery-parallelism 1` on the fig6 workload (the parallel case drives the
-/// per-node apply stage over scoped workers).
+/// The headline acceptance criterion: `--delivery-parallelism 4` (verify ahead on one
+/// helper; widths above 2 run as 2) is byte-identical to `--delivery-parallelism 1`
+/// (inline) on the fig6 workload.
 #[test]
 fn delivery_parallelism_is_byte_identical_on_fig6_workload() {
     let sequential = run_fig6_workload(1);
@@ -121,10 +122,9 @@ fn delivery_parallelism_is_byte_identical_under_failure_injection() {
     assert_eq!(parallel, sequential);
 }
 
-/// Both delivery-plane and node-phase/RAC-engine parallelism stacked together still
-/// reproduce the sequential output. With `delivery_parallelism > 1` this exercises the
-/// delivery plane's per-node apply stage (one commit inbox per receiving AS over scoped
-/// workers), which must be byte-identical to the serial apply walk.
+/// Verify-ahead and node-phase/RAC-engine parallelism stacked together still reproduce
+/// the sequential output: node workers hand their flights to the verify helper as they
+/// finish, out of `AsId` order, and the outputs must still be scheduled in it.
 #[test]
 fn stacked_parallelism_is_byte_identical() {
     let run = |parallelism: usize, delivery_parallelism: usize| {
@@ -146,6 +146,47 @@ fn stacked_parallelism_is_byte_identical() {
     let sequential = run(1, 1);
     assert!(!sequential.paths.is_empty());
     assert_eq!(run(4, 4), sequential);
+}
+
+/// The one case where the receipt time decides a verdict. Beacons are valid for one
+/// beacon interval plus 1 ms, so an origination arrives in time, but a beacon propagated
+/// one round later arrives after it expired. A verdict computed ahead is computed for the
+/// receipt time the PCB is then scheduled at, so every verify width must reject exactly
+/// the PCBs inline verification rejects.
+#[test]
+fn pcbs_that_expire_in_flight_are_rejected_alike_at_every_verify_width() {
+    let run = |width: usize| {
+        let config = SimulationConfig::default().with_delivery_parallelism(width);
+        let validity = config.beacon_interval + SimDuration::from_millis(1);
+        let mut sim = Simulation::new(Arc::new(figure1_topology()), config, move |_| {
+            NodeConfig {
+                beacon_validity: validity,
+                ..NodeConfig::default()
+            }
+            .with_policy(PropagationPolicy::All)
+            .with_racs(vec![RacConfig::static_rac("5SP", "5SP")])
+        })
+        .expect("simulation setup");
+        sim.run_rounds(4).expect("beaconing rounds");
+        let ingress: Vec<(u64, u64, u64)> = sim
+            .live_ases()
+            .into_iter()
+            .map(|asn| {
+                let stats = sim.node(asn).expect("live node").ingress().stats();
+                (stats.accepted, stats.rejected, stats.duplicates)
+            })
+            .collect();
+        (ingress, sim.delivery_stats(), sim.registered_paths())
+    };
+    let inline = run(1);
+    let (ingress, delivery, paths) = &inline;
+    assert!(delivery.delivered > 0 && !paths.is_empty());
+    assert!(delivery.rejected > 0, "propagated beacons expire in flight");
+    let rejected: u64 = ingress.iter().map(|(_, rejected, _)| rejected).sum();
+    assert_eq!(rejected, delivery.rejected);
+    for width in [2, 4] {
+        assert_eq!(run(width), inline, "verify width {width}");
+    }
 }
 
 /// The hot origin: one |Φ| well above `irec_core::BATCH_SPLIT_THRESHOLD` (512), next to

@@ -44,6 +44,10 @@ const ALGORITHM_5SP: &str = include_str!("goldens/algorithm-5sp-a12-r10-s5.txt")
 const ALGORITHM_HD: &str = include_str!("goldens/algorithm-hd-a12-r10-s5.txt");
 const PD_GENERATED: &str = include_str!("goldens/pd-campaign-a8-s5.txt");
 
+/// The reference plane: every PCB verified inline at delivery. The goldens were recorded
+/// on it; the default verify width verifies ahead on any host with two cores or more.
+const REFERENCE: [&str; 2] = ["--delivery-parallelism", "1"];
+
 /// The execution knobs stacked as wide as they go: both parallel planes and the parallel
 /// PD campaign.
 const STACKED: [&str; 6] = [
@@ -101,11 +105,17 @@ fn determinism_probe_matches_committed_goldens() {
         ("generated", GENERATED),
         ("pd-campaign", PD_CAMPAIGN),
     ];
-    assert_matches(&probe(&[]), &fixed);
+    assert_matches(&probe(&REFERENCE), &fixed);
     for (seed, golden) in [("2", CHURN_SEED_2), ("7", CHURN_SEED_7)] {
         let mut goldens = fixed.to_vec();
         goldens.push(("churn", golden));
-        let output = probe(&["--churn-rate", "1.5", "--churn-seed", seed]);
+        let output = probe(
+            &[
+                &REFERENCE[..],
+                &["--churn-rate", "1.5", "--churn-seed", seed],
+            ]
+            .concat(),
+        );
         assert_matches(&output, &goldens);
     }
     // The goldens hold on every execution plane; the widest stack stands in for the rest
@@ -120,7 +130,7 @@ fn determinism_probe_matches_committed_goldens() {
 /// Ten rounds of one algorithm on 12 generated ASes, seed 5, on the barrier plane and the
 /// stacked one.
 fn assert_converged_plane(algorithm: &str, golden: &str) {
-    for extra in [&[][..], &STACKED] {
+    for extra in [&REFERENCE[..], &STACKED] {
         let output = render_algorithm(&converged_args(algorithm, extra));
         let label = format!("algorithm {algorithm}");
         assert_matches(&output, &[(label.as_str(), golden)]);
@@ -157,7 +167,7 @@ fn converged_hd_plane_matches_its_golden_on_the_barrier_and_the_stacked_plane() 
 /// refusals fall back to the full pass, counted among the recomputations.
 #[test]
 fn converged_hd_plane_extends_under_its_certificate_and_refuses_the_rest() {
-    for extra in [&[][..], &STACKED] {
+    for extra in [&REFERENCE[..], &STACKED] {
         let args = converged_args("HD", extra);
         let (_, mut sim) = algorithm_simulation(&args).expect("an algorithm scenario");
         sim.run_rounds(args.rounds).expect("beaconing rounds");
@@ -177,7 +187,7 @@ fn converged_hd_plane_extends_under_its_certificate_and_refuses_the_rest() {
 #[test]
 fn generated_pd_campaign_matches_its_golden_on_the_barrier_and_the_stacked_plane() {
     let base = ["--ases", "8", "--rounds", "4", "--seed", "5"];
-    for extra in [&[][..], &STACKED] {
+    for extra in [&REFERENCE[..], &STACKED] {
         let output = render_pd_generated(&args(&base, extra));
         assert_matches(&output, &[("pd-campaign generated", PD_GENERATED)]);
     }

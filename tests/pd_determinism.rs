@@ -18,9 +18,8 @@ const ROUNDS_PER_ITERATION: usize = 2;
 const MAX_PATHS: usize = 8;
 
 /// The campaign workload: a 12-AS generated topology with the paper's HD + on-demand
-/// deployment, warmed so HD has seeded paths. `delivery_parallelism > 1` routes the
-/// per-pair simulations' pull returns through the delivery plane's concurrent per-node
-/// commit inboxes.
+/// deployment, warmed so HD has seeded paths. `delivery_parallelism > 1` verifies the
+/// per-pair simulations' PCBs ahead, on a helper thread, before delivery commits them.
 fn warm_base(delivery_parallelism: usize) -> Simulation {
     let topology = Arc::new(
         TopologyGenerator::new(GeneratorConfig {
@@ -128,8 +127,7 @@ fn fingerprint(results: Vec<irec_sim::PdPairResult>) -> CampaignFingerprint {
 
 /// The headline acceptance criterion: every `--pd-parallelism {1,4}` ×
 /// `--delivery-parallelism {1,4}` combination reproduces the sequential campaign byte for
-/// byte — the parallel delivery plane routes the pull returns through its concurrent
-/// per-node commit inboxes.
+/// byte, with the per-pair simulations' PCBs verified inline or ahead.
 #[test]
 fn pd_campaign_matrix_is_byte_identical_to_sequential_unsharded() {
     let sequential = run_campaign(1, 1);
