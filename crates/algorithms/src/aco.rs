@@ -7,11 +7,10 @@
 //! deposits pheromone, pheromone evaporates, and after the per-round iteration budget the
 //! candidates are ranked by accumulated pheromone.
 //!
-//! Determinism is load-bearing (the engine's byte-identity guarantee must hold for every
-//! catalog algorithm): all randomness flows through splitmix64 streams seeded from
+//! Determinism is load-bearing (the goldens and the delta oracle compare runs byte for
+//! byte): all randomness flows through splitmix64 streams seeded from
 //! `(algorithm seed, origin, group, egress, iteration, ant)`, all arithmetic is integer, and
-//! `select` takes `&self` — no state survives a call, so the worker count cannot reorder
-//! anything the sampler observes.
+//! `select` takes `&self` — no state survives a call, so no call observes another.
 
 use crate::frame::{EgressUse, Frame};
 use crate::{AlgorithmContext, CandidateBatch, RoutingAlgorithm, SelectionResult};

@@ -233,9 +233,8 @@ pub trait RoutingAlgorithm: Send + Sync {
     /// default) for set-valued or stochastic objectives, whose choice of one candidate
     /// depends on which others are present.
     ///
-    /// The RAC engine relies on it twice: [`RoutingAlgorithm::reselect`] answers with
-    /// `select` for such a selector, and an oversized batch is split into sub-ranges whose
-    /// winners are reduced by one more `select` pass. No other algorithm is ever split.
+    /// The RAC engine relies on it: [`RoutingAlgorithm::reselect`] answers with `select`
+    /// for such a selector, over last round's winners plus the arrivals.
     fn union_composable(&self) -> bool {
         false
     }

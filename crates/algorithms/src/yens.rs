@@ -15,7 +15,7 @@
 //!   candidate arrival order.
 //!
 //! Enumeration is fully deterministic — adjacency is kept in ordered sets and the candidate
-//! queue is a `BTreeSet` — so selections are byte-identical across parallelism planes.
+//! queue is a `BTreeSet` — so selections are byte-identical from run to run.
 
 use crate::frame::{EgressUse, Frame};
 use crate::{AlgorithmContext, Candidate, CandidateBatch, RoutingAlgorithm, SelectionResult};

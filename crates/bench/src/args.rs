@@ -24,24 +24,16 @@ pub struct BenchArgs {
     /// Maximum number of parallel RACs for the throughput scan (`--max-racs`,
     /// default = available parallelism capped at 16).
     pub max_racs: usize,
-    /// Worker threads of the parallel execution engines (`--parallelism`, default 1 =
-    /// sequential). Threaded into the simulation's node phase, each node's RAC engine, and
-    /// the Fig. 6 engine-scaling section.
-    pub parallelism: usize,
     /// The verify width (`--delivery-parallelism`, default [`SimulationConfig`]'s: the
     /// available parallelism, clamped to [1, 2]). `1` verifies every PCB inline at
     /// delivery; `2` verifies a round's PCBs ahead on one helper thread while the node
     /// phase runs, and wider values run as `2`. Threaded into every simulation the
-    /// binaries build and into the delivery-scaling sections of fig6/fig7.
+    /// binaries build.
     pub delivery_parallelism: usize,
-    /// Worker threads of the PD campaign (`--pd-parallelism`, default 1 = sequential):
-    /// how many `(origin, target)` pull workflows run concurrently, each on its own
-    /// simulation snapshot. Campaign results are byte-identical for every value.
-    pub pd_parallelism: usize,
     /// Expected churn deltas per step of the churn engine (`--churn-rate`, default 0 =
     /// churn disabled). A *workload* knob: it changes what is simulated — deterministically
-    /// for a fixed `--churn-seed` — unlike the parallelism knobs, which never change
-    /// the output.
+    /// for a fixed `--churn-seed` — unlike the verify width, which never changes the
+    /// output.
     pub churn_rate: f64,
     /// PRNG seed of the churn timeline (`--churn-seed`, default 11), deliberately separate
     /// from `--seed` so the same topology can be churned with different timelines.
@@ -75,9 +67,7 @@ impl Default for BenchArgs {
             pd_pairs: 10,
             reps: 5,
             max_racs: cores.min(16),
-            parallelism: 1,
             delivery_parallelism: SimulationConfig::default().delivery_parallelism,
-            pd_parallelism: 1,
             churn_rate: 0.0,
             churn_seed: 11,
             churn_kinds: ChurnKinds::default(),
@@ -127,11 +117,9 @@ impl BenchArgs {
             "pd-pairs" => self.pd_pairs = parsed(key, value)?,
             "reps" => self.reps = parsed::<usize>(key, value)?.max(1),
             "max-racs" => self.max_racs = parsed::<usize>(key, value)?.clamp(1, 64),
-            "parallelism" => self.parallelism = parsed::<usize>(key, value)?.clamp(1, 64),
             "delivery-parallelism" => {
                 self.delivery_parallelism = parsed::<usize>(key, value)?.clamp(1, 64);
             }
-            "pd-parallelism" => self.pd_parallelism = parsed::<usize>(key, value)?.clamp(1, 64),
             "churn-rate" => {
                 let rate: f64 = parsed(key, value)?;
                 if !rate.is_finite() {
@@ -176,9 +164,7 @@ impl BenchArgs {
     /// binaries and campaign runner translate knobs into a simulation, so no caller
     /// hand-rolls the plumbing (or misses a knob added later).
     pub fn to_sim_config(&self) -> SimulationConfig {
-        SimulationConfig::default()
-            .with_parallelism(self.parallelism)
-            .with_delivery_parallelism(self.delivery_parallelism)
+        SimulationConfig::default().with_delivery_parallelism(self.delivery_parallelism)
     }
 
     /// One-screen summary of every `--key value` knob shared by the figure binaries.
@@ -195,9 +181,7 @@ impl BenchArgs {
          \x20 --reps N                  repetitions per measurement point (default 5)\n\
          \x20 --pd-pairs N              (origin, target) pairs of the PD campaign (default 10)\n\
          \x20 --max-racs N              upper bound of the RAC-count scan (default cores, cap 16)\n\
-         \x20 --parallelism N           node-phase + RAC-engine workers (default 1 = sequential)\n\
          \x20 --delivery-parallelism N  verify width; 1 = inline at delivery (default cores, cap 2)\n\
-         \x20 --pd-parallelism N        concurrent PD campaign pairs (default 1)\n\
          \x20 --churn-rate R            expected churn deltas per step (default 0 = off)\n\
          \x20 --churn-seed N            churn-timeline PRNG seed (default 11)\n\
          \x20 --churn-kinds K           delta kinds, e.g. all or link-down=3,node-leave\n\
@@ -208,7 +192,7 @@ impl BenchArgs {
          \x20 --aco-budget N            ant-colony iteration budget for a bare\n\
          \x20                           --algorithm aco (default 16, cap 1024)\n\
          \n\
-         Every parallelism value yields byte-identical simulation output.\n\
+         Every verify width yields byte-identical simulation output.\n\
          Churn knobs are workload knobs: they change the timeline, deterministically.\n\
          So is --algorithm: it changes the selection plane, deterministically per spec.\n\
          Full table with auto-default rules: docs/KNOBS.md\n"
@@ -257,12 +241,10 @@ mod tests {
         assert_eq!(a.ases, 60);
         assert_eq!(a.rounds, 8);
         assert!(a.max_racs >= 1);
-        assert_eq!(a.parallelism, 1);
         assert_eq!(
             a.delivery_parallelism,
             SimulationConfig::default().delivery_parallelism
         );
-        assert_eq!(a.pd_parallelism, 1);
     }
 
     #[test]
@@ -278,6 +260,8 @@ mod tests {
             &["--round-scheduler", "dag"],
             &["--ingress-shards", "4"],
             &["--path-shards", "4"],
+            &["--parallelism", "2"],
+            &["--pd-parallelism", "2"],
         ] {
             let key = args[0];
             assert!(rejection(args).contains(&format!("unknown argument {key}")));
@@ -291,7 +275,7 @@ mod tests {
         for (key, value) in [
             ("--ases", "twelve"),
             ("--seed", "-1"),
-            ("--parallelism", "4.5"),
+            ("--delivery-parallelism", "4.5"),
             ("--churn-rate", "fast"),
             ("--churn-rate", "inf"),
             ("--churn-kinds", "bogus-kind"),
@@ -308,9 +292,8 @@ mod tests {
 
     #[test]
     fn to_sim_config_carries_every_simulation_knob() {
-        let a = parse(&["--parallelism", "4", "--delivery-parallelism", "3"]);
+        let a = parse(&["--delivery-parallelism", "3"]);
         let config = a.to_sim_config();
-        assert_eq!(config.parallelism, 4);
         assert_eq!(config.delivery_parallelism, 3);
         // Defaults translate to the default simulation config.
         assert_eq!(parse(&[]).to_sim_config(), SimulationConfig::default());
@@ -331,12 +314,8 @@ mod tests {
             "2",
             "--max-racs",
             "4",
-            "--parallelism",
-            "6",
             "--delivery-parallelism",
             "3",
-            "--pd-parallelism",
-            "5",
         ]);
         assert_eq!(a.ases, 120);
         assert_eq!(a.rounds, 12);
@@ -344,9 +323,7 @@ mod tests {
         assert_eq!(a.pd_pairs, 3);
         assert_eq!(a.reps, 2);
         assert_eq!(a.max_racs, 4);
-        assert_eq!(a.parallelism, 6);
         assert_eq!(a.delivery_parallelism, 3);
-        assert_eq!(a.pd_parallelism, 5);
     }
 
     #[test]
@@ -354,12 +331,10 @@ mod tests {
         let a = parse(&["--ases", "1", "--max-racs", "1000"]);
         assert_eq!(a.ases, 5);
         assert_eq!(a.max_racs, 64);
-        let p = parse(&["--parallelism", "0"]);
-        assert_eq!(p.parallelism, 1);
+        let d = parse(&["--delivery-parallelism", "0"]);
+        assert_eq!(d.delivery_parallelism, 1);
         let d = parse(&["--delivery-parallelism", "500"]);
         assert_eq!(d.delivery_parallelism, 64);
-        let p = parse(&["--pd-parallelism", "0"]);
-        assert_eq!(p.pd_parallelism, 1);
     }
 
     #[test]
@@ -459,7 +434,7 @@ mod tests {
     #[test]
     fn the_knobs_table_lists_exactly_the_keys_the_parser_takes() {
         let parsed = parsed_keys();
-        assert!(parsed.len() >= 15 && parsed.contains("ases") && parsed.contains("aco-budget"));
+        assert!(parsed.len() >= 13 && parsed.contains("ases") && parsed.contains("aco-budget"));
         // A knob deleted from the parser cannot linger in the docs, and a new one must be
         // documented.
         assert_eq!(documented_keys(), parsed);

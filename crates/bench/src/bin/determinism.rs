@@ -2,12 +2,12 @@
 //! scenarios with every registered path, overhead counter and PD result in full.
 //!
 //! ```text
-//! cargo run -p irec_bench --bin determinism --release -- [--parallelism N] [--delivery-parallelism N] [--pd-parallelism N] [--churn-rate R] [--churn-seed N] [--churn-kinds K] [--algorithm A] [--aco-seed N] [--aco-budget N] [--ases 12] [--rounds 3] [--seed 5]
+//! cargo run -p irec_bench --bin determinism --release -- [--delivery-parallelism N] [--churn-rate R] [--churn-seed N] [--churn-kinds K] [--algorithm A] [--aco-seed N] [--aco-budget N] [--ases 12] [--rounds 3] [--seed 5]
 //! ```
 //!
-//! The output is byte-identical for every parallelism value, which
-//! the CI determinism job enforces by diffing a sequential run against each knob alone
-//! and all of them stacked; the selection-table counters go to stderr.
+//! The output is byte-identical for every verify width (`--delivery-parallelism`), which
+//! the CI determinism job enforces by diffing a width-1 run against a width-2 run; the
+//! selection-table counters go to stderr.
 
 use irec_bench::BenchArgs;
 

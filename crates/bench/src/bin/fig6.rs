@@ -21,8 +21,8 @@
 //! closing it would need a different boundary — candidates shared or borrowed across it —
 //! not a faster codec.
 
-use irec_bench::report::{fmt_ms, header, worker_ladder};
-use irec_bench::workload::{measure_delivery_point, measure_engine_point, measure_phi};
+use irec_bench::report::{fmt_ms, header};
+use irec_bench::workload::{measure_delivery_point, measure_phi};
 use irec_bench::BenchArgs;
 use irec_sim::MAX_VERIFY_WIDTH;
 
@@ -55,49 +55,11 @@ fn main() {
         );
     }
 
-    // Second table (`--parallelism N`): the same setup/marshal/execute breakdown measured
-    // through the parallel RAC execution engine against worker count. CPU columns stay
-    // roughly constant (same work) while wall-clock drops as workers are added.
-    let engine_phi = 256usize;
-    let worker_counts = worker_ladder(args.parallelism);
-    println!();
-    println!(
-        "# Engine scaling — RAC phase breakdown vs worker count (|Phi|={engine_phi}, 4 RACs x 4 batches)"
-    );
-    header(&[
-        "workers",
-        "wasm_setup_ms",
-        "marshal_ms",
-        "execution_ms",
-        "cpu_total_ms",
-        "wall_ms",
-        "speedup",
-    ]);
-    // `worker_counts` always starts with 1; that first row doubles as the speedup baseline
-    // (so the workers=1 row prints speedup 1.00 by construction and the point is not
-    // measured twice).
-    let mut base_wall = None;
-    for workers in worker_counts {
-        let (timing, wall) = measure_engine_point(engine_phi, workers, args.reps, args.seed);
-        let base = *base_wall.get_or_insert(wall);
-        let speedup = base.as_secs_f64() / wall.as_secs_f64().max(f64::EPSILON);
-        println!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{:.2}",
-            workers,
-            fmt_ms(timing.setup),
-            fmt_ms(timing.marshal),
-            fmt_ms(timing.execute),
-            fmt_ms(timing.total()),
-            fmt_ms(wall),
-            speedup
-        );
-    }
-
-    // Third table (`--delivery-parallelism N`): end-to-end simulation wall-clock against
+    // Second table (`--delivery-parallelism N`): end-to-end simulation wall-clock against
     // the verify width (1 = inline at delivery, 2 = verify ahead on one helper; wider
     // widths run as 2). The delivery counters are identical for every row; only the
     // wall-clock moves.
-    let delivery_counts = worker_ladder(args.delivery_parallelism.min(MAX_VERIFY_WIDTH));
+    let delivery_counts = 1..=args.delivery_parallelism.clamp(1, MAX_VERIFY_WIDTH);
     println!();
     println!(
         "# Delivery-plane scaling — simulation wall-clock vs verify width ({} ASes, {} rounds)",

@@ -11,7 +11,7 @@
 //! linearly with the number of RACs and sub-linearly with |Φ| (larger sets amortize the
 //! per-batch setup and marshalling overhead, so per-PCB throughput is higher).
 
-use irec_bench::report::{fmt_pcbs_per_sec, header, worker_ladder};
+use irec_bench::report::{fmt_pcbs_per_sec, header};
 use irec_bench::workload::{
     candidate_set, measure_delivery_point, on_demand_rac, rac_processing_latency, tag_candidates,
     workload_local_as,
@@ -26,21 +26,11 @@ const MEASURE_WINDOW: Duration = Duration::from_millis(400);
 fn main() {
     let args = BenchArgs::from_env();
     let sizes: [usize; 5] = [16, 64, 256, 1024, 4096];
-    // The preset scan covers worker counts up to `--max-racs`; `--parallelism N` keeps its
-    // global meaning ("I want N workers") by guaranteeing N itself is one of the measured
-    // points, without widening the preset sweep.
-    let rac_counts: Vec<usize> = {
-        let mut v = vec![1usize, 2, 4, 8, 16, 24, 32];
-        v.retain(|&n| n <= args.max_racs.max(1));
-        if args.parallelism > 1 && !v.contains(&args.parallelism) {
-            v.push(args.parallelism);
-            v.sort_unstable();
-        }
-        if v.is_empty() {
-            v.push(1);
-        }
-        v
-    };
+    // The preset scan covers RAC counts up to `--max-racs` (at least 1).
+    let rac_counts: Vec<usize> = [1usize, 2, 4, 8, 16, 24, 32]
+        .into_iter()
+        .filter(|&n| n <= args.max_racs.max(1))
+        .collect();
 
     println!("# Fig. 7 — PCB processing throughput (PCB/s) vs number of RACs");
     println!("# measure window per point: {MEASURE_WINDOW:?}");
@@ -55,7 +45,7 @@ fn main() {
 
     // Second table (`--delivery-parallelism N`): control-plane message throughput of the
     // simulation against its verify width (wider widths than 2 run as 2).
-    let delivery_counts = worker_ladder(args.delivery_parallelism.min(MAX_VERIFY_WIDTH));
+    let delivery_counts = 1..=args.delivery_parallelism.clamp(1, MAX_VERIFY_WIDTH);
     println!();
     println!(
         "# Delivery-plane throughput — delivered messages/s vs verify width ({} ASes, {} rounds)",

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run -p irec_bench --bin fig8c --release -- [--ases 60] [--rounds 8] \
-//!     [--pd-pairs 10] [--pd-parallelism N]
+//!     [--pd-pairs 10]
 //! ```
 //!
 //! The counts are per egress interface and per 10-simulated-minute period (non-zero cells,
@@ -13,9 +13,8 @@
 //! growing with the number of interface groups — while HD and PD send far fewer beacons in
 //! most periods, with occasional PD spikes from per-pair pull rounds.
 //!
-//! The PD campaign fans its `(origin, target)` pairs out over `--pd-parallelism` workers
-//! (each pair on its own simulation snapshot); the CDF data is byte-identical for every
-//! worker count — only the per-pair wall-clock column moves.
+//! The PD campaign runs its `(origin, target)` pairs one after the other, each on its own
+//! simulation snapshot; only the wall-clock columns vary from run to run.
 
 use irec_bench::campaign::{print_cdf, print_summary, Fig8Campaign};
 use irec_bench::report::{fmt_ms, fmt_pcbs_per_sec};
@@ -24,9 +23,8 @@ use irec_bench::BenchArgs;
 fn main() {
     let args = BenchArgs::from_env();
     eprintln!(
-        "# Fig. 8c — building topology with {} ASes (seed {}), {} rounds, \
-         pd-parallelism {}",
-        args.ases, args.seed, args.rounds, args.pd_parallelism
+        "# Fig. 8c — building topology with {} ASes (seed {}), {} rounds",
+        args.ases, args.seed, args.rounds
     );
     let campaign = Fig8Campaign::new(args);
     let data = campaign.run().expect("campaign run succeeds");
@@ -68,9 +66,7 @@ fn main() {
             fmt_pcbs_per_sec(paths as u64, pair.elapsed),
         );
     }
-    // The campaign row uses the campaign's wall-clock, not the sum of the per-pair
-    // times: with `--pd-parallelism N` the pairs overlap, and this is the row where the
-    // fan-out's speedup shows up.
+    // The campaign row: the whole campaign's wall-clock, its pairs run back to back.
     println!(
         "# campaign\t-\t-\t{total_paths}\t-\t-\t-\t{}\t{}",
         fmt_ms(data.pd_campaign_elapsed),

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p irec_bench --bin fig_alg --release -- [--ases 60] [--rounds 8] \
 //!     [--algorithm A] [--aco-seed N] [--aco-budget N] \
-//!     [--parallelism N]
+//!     [--delivery-parallelism N]
 //! ```
 //!
 //! Deploys one selection algorithm fleet-wide per run — the fixed sweep `5SP` (truncation
@@ -19,7 +19,7 @@
 //! ant colony lands between the extremes with its spread controlled by the iteration
 //! budget.
 //!
-//! The tables are byte-identical for every `--parallelism` value; the algorithm knobs are
+//! The tables are byte-identical at every `--delivery-parallelism`; the algorithm knobs are
 //! *workload* knobs and deliberately move the tables.
 
 use irec_bench::campaign::{print_cdf, print_summary};
@@ -43,7 +43,7 @@ fn main() {
             specs.push(extra);
         }
     }
-    let width = args.parallelism.max(args.delivery_parallelism);
+    let width = args.delivery_parallelism;
     eprintln!(
         "# fig_alg — {} ASes (seed {}), {} rounds per family, families {specs:?}",
         args.ases, args.seed, args.rounds

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p irec_bench --bin fig_churn --release -- [--ases 60] [--rounds 8] \
 //!     [--churn-rate R] [--churn-seed N] [--churn-kinds K] \
-//!     [--parallelism N]
+//!     [--delivery-parallelism N]
 //! ```
 //!
 //! Runs one seeded churn campaign per rate — the fixed sweep `0.5, 1.0, 2.0` deltas per
@@ -19,7 +19,7 @@
 //! more settle rounds per step and more dropped messages — while rate-independent floors
 //! stay visible (a catalog swap settles in one round and drops nothing).
 //!
-//! The tables are byte-identical for every `--parallelism` value; the churn knobs are
+//! The tables are byte-identical at every `--delivery-parallelism`; the churn knobs are
 //! *workload* knobs and deliberately move the tables. The per-rate selection counters (reused / extended /
 //! recomputed / invalidated) go to stderr.
 
@@ -36,7 +36,7 @@ fn main() {
         rates.push(args.churn_rate);
         rates.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
     }
-    let width = args.parallelism.max(args.delivery_parallelism);
+    let width = args.delivery_parallelism;
     eprintln!(
         "# fig_churn — {} ASes (seed {}), {} steps per rate, churn seed {}, kinds {}, \
          rates {rates:?}",

@@ -27,8 +27,7 @@ pub struct Fig8Data {
     /// overhead and per-pair wall-clock — the fig8b PD series and the fig8c throughput
     /// table both derive from here).
     pub pd_pairs: Vec<PdPairResult>,
-    /// Wall-clock time of the whole PD campaign (warm-up excluded). Unlike the sum of the
-    /// per-pair times, this reflects the `--pd-parallelism` fan-out.
+    /// Wall-clock time of the whole PD campaign (warm-up excluded).
     pub pd_campaign_elapsed: std::time::Duration,
     /// Per-interface-per-period overhead per series.
     pub overhead_by_series: BTreeMap<String, Vec<u64>>,
@@ -134,11 +133,6 @@ impl Fig8Campaign {
         grouping: Option<GroupingConfig>,
     ) -> Result<(Vec<RegisteredPath>, Vec<u64>)> {
         let name = rac.name.clone();
-        // Apply the worker budgets at the simulation level only (node phase + delivery
-        // plane): with hundreds of nodes per round that is where the parallelism is, and
-        // also enabling each node's RAC engine would oversubscribe the machine with up to
-        // parallelism^2 threads and distort the very wall-clock numbers the campaign
-        // measures.
         let mut sim = Simulation::new(
             Arc::clone(&self.topology),
             self.args.to_sim_config(),
@@ -165,10 +159,9 @@ impl Fig8Campaign {
     }
 
     fn run_pd(&self, data: &mut Fig8Data) -> Result<Vec<u64>> {
-        // Warm up one base simulation (simulation-level parallelism only, as in
-        // `run_series`), then fan the independent per-pair workflows out over the PD
-        // campaign engine — each pair on its own snapshot of the warm base, results
-        // merged in pair order regardless of `--pd-parallelism`.
+        // Warm up one base simulation, as in `run_series`, then run the independent
+        // per-pair workflows through the PD campaign — each pair on its own snapshot of
+        // the warm base, results in pair order.
         let mut sim = Simulation::new(
             Arc::clone(&self.topology),
             self.args.to_sim_config(),
@@ -184,7 +177,6 @@ impl Fig8Campaign {
         let campaign_start = std::time::Instant::now();
         let results = PdCampaign::new(self.pd_pairs(), 20)
             .with_rounds_per_iteration(3)
-            .with_parallelism(self.args.pd_parallelism)
             .run(&sim)?;
         data.pd_campaign_elapsed = campaign_start.elapsed();
         // The PD series of Fig. 8c: the pairs' pull-overhead samples, concatenated in
@@ -293,9 +285,7 @@ pub fn test_campaign(seed: u64) -> Fig8Campaign {
         pd_pairs: 2,
         reps: 1,
         max_racs: 2,
-        parallelism: 1,
         delivery_parallelism: 1,
-        pd_parallelism: 1,
         ..BenchArgs::default()
     })
 }

@@ -5,11 +5,10 @@
 //! `--algorithm` a fifth appends a run where every AS deploys the requested catalog spec
 //! (e.g. `5YEN` or a seeded `aco` family).
 //!
-//! The text is **byte-identical for every `--parallelism`, `--delivery-parallelism` and
-//! `--pd-parallelism` value** — that is the determinism guarantee of the parallel
-//! execution engine, of the message-delivery plane and of the PD campaign engine. The
-//! `determinism` binary prints it so CI can diff a sequential run against each knob alone and all of
-//! them stacked; `tests/determinism_goldens.rs` compares it with the outputs committed
+//! The text is **byte-identical for every `--delivery-parallelism` value** — that is the
+//! determinism guarantee of verify-ahead, the simulator's one helper thread. The
+//! `determinism` binary prints it so CI can diff a run at verify width 1 against one at
+//! width 2; `tests/determinism_goldens.rs` compares it with the outputs committed
 //! under `tests/goldens/`, which pin the bytes across commits as well: a change that only
 //! makes the simulator faster must leave them alone. The churn and algorithm knobs are
 //! different: they are *workload* knobs, so runs are compared with runs of the same
@@ -45,7 +44,6 @@ pub fn render(args: &BenchArgs) -> String {
                 RacConfig::static_rac("DO", "DO"),
                 RacConfig::static_rac("widest", "widest"),
             ])
-            .with_parallelism(args.parallelism)
     })
     .expect("figure-1 simulation setup");
     dump(&mut out, "figure1", figure1_sim, 6);
@@ -60,21 +58,19 @@ pub fn render(args: &BenchArgs) -> String {
         Arc::new(TopologyGenerator::new(config).generate()),
         args.to_sim_config(),
         |_| {
-            NodeConfig::default()
-                .with_racs(vec![
-                    RacConfig::static_rac("1SP", "1SP"),
-                    RacConfig::static_rac("5SP", "5SP"),
-                    RacConfig::static_rac("HD", "HD"),
-                    RacConfig::static_rac("DON", "DO"),
-                ])
-                .with_parallelism(args.parallelism)
+            NodeConfig::default().with_racs(vec![
+                RacConfig::static_rac("1SP", "1SP"),
+                RacConfig::static_rac("5SP", "5SP"),
+                RacConfig::static_rac("HD", "HD"),
+                RacConfig::static_rac("DON", "DO"),
+            ])
         },
     )
     .expect("generated simulation setup");
     dump(&mut out, "generated", generated, args.rounds);
 
-    // Scenario 3: the PD campaign on Fig. 1 — exercises the `--pd-parallelism` worker
-    // pool and the delivery of pull returns end to end.
+    // Scenario 3: the PD campaign on Fig. 1 — exercises the campaign's snapshots and the
+    // delivery of pull returns end to end.
     let mut base = Simulation::new(Arc::new(figure1_topology()), args.to_sim_config(), |_| {
         NodeConfig::default()
             .with_policy(PropagationPolicy::All)
@@ -82,7 +78,6 @@ pub fn render(args: &BenchArgs) -> String {
                 RacConfig::static_rac("HD", "HD"),
                 RacConfig::on_demand_rac("on-demand"),
             ])
-            .with_parallelism(args.parallelism)
     })
     .expect("PD base simulation setup");
     base.run_rounds(6).expect("PD warm-up rounds");
@@ -98,25 +93,21 @@ pub fn render(args: &BenchArgs) -> String {
         6,
     )
     .with_rounds_per_iteration(3)
-    .with_parallelism(args.pd_parallelism)
     .run(&base)
     .expect("PD campaign run");
     dump_pd_campaign(&mut out, "pd-campaign", &results);
 
     // Scenario 4 (only with `--churn-rate > 0`): the churn engine on a generated
     // topology. Churn knobs are *workload* knobs — they change this scenario's output
-    // deliberately (and deterministically), unlike the parallelism knobs,
-    // which must leave it byte-identical. The CI churn rows therefore diff churn runs
-    // against each other (same churn knobs, different parallelism planes), never against
-    // a churn-free run. The scenario is appended after the three fixed ones so enabling
+    // deliberately (and deterministically), unlike the verify width, which must leave it
+    // byte-identical. The CI churn rows therefore diff churn runs against each other
+    // (same churn knobs, different verify widths), never against a churn-free run. The scenario is appended after the three fixed ones so enabling
     // churn leaves their bytes untouched.
     if args.churn_rate > 0.0 {
-        let parallelism = args.parallelism;
         let node_config = move |_| {
             NodeConfig::default()
                 .with_policy(PropagationPolicy::All)
                 .with_racs(vec![RacConfig::static_rac("5SP", "5SP")])
-                .with_parallelism(parallelism)
         };
         let config = GeneratorConfig {
             num_ases: args.ases,
@@ -165,10 +156,10 @@ pub fn render(args: &BenchArgs) -> String {
 /// a single RAC with the requested catalog spec on the generated topology. Like the churn
 /// knobs this is a *workload* knob — `--algorithm 5YEN` or `--algorithm aco` (seeded via
 /// `--aco-seed`/`--aco-budget`) changes the selection plane deliberately, but for a fixed
-/// spec the output must stay byte-identical across every parallelism knob:
-/// ACO's randomness comes entirely from seeded per-(origin, group, egress, iteration, ant)
-/// streams, never from execution order. The CI algorithm rows diff runs with the same spec
-/// across parallelism planes.
+/// spec the output must stay byte-identical at every verify width: ACO's randomness comes
+/// entirely from seeded per-(origin, group, egress, iteration, ant) streams, never from
+/// execution order. The CI algorithm rows diff runs with the same spec across verify
+/// widths.
 pub fn render_algorithm(args: &BenchArgs) -> String {
     let mut out = String::new();
     if let Some((label, sim)) = algorithm_simulation(args) {
@@ -181,7 +172,6 @@ pub fn render_algorithm(args: &BenchArgs) -> String {
 /// without `--algorithm`.
 pub fn algorithm_simulation(args: &BenchArgs) -> Option<(String, Simulation)> {
     let spec = args.algorithm_spec()?;
-    let parallelism = args.parallelism;
     let rac_spec = spec.clone();
     let config = GeneratorConfig {
         num_ases: args.ases,
@@ -195,7 +185,6 @@ pub fn algorithm_simulation(args: &BenchArgs) -> Option<(String, Simulation)> {
             NodeConfig::default()
                 .with_policy(PropagationPolicy::All)
                 .with_racs(vec![RacConfig::static_rac(&rac_spec, &rac_spec)])
-                .with_parallelism(parallelism)
         },
     )
     .expect("algorithm scenario setup");
@@ -217,17 +206,14 @@ pub fn render_pd_generated(args: &BenchArgs) -> String {
         seed: args.seed,
         ..Default::default()
     };
-    let parallelism = args.parallelism;
     let mut base = Simulation::new(
         Arc::new(TopologyGenerator::new(config).generate()),
         args.to_sim_config(),
         move |_| {
-            NodeConfig::default()
-                .with_racs(vec![
-                    RacConfig::static_rac("HD", "HD"),
-                    RacConfig::on_demand_rac("on-demand"),
-                ])
-                .with_parallelism(parallelism)
+            NodeConfig::default().with_racs(vec![
+                RacConfig::static_rac("HD", "HD"),
+                RacConfig::on_demand_rac("on-demand"),
+            ])
         },
     )
     .expect("generated PD base simulation setup");
@@ -251,7 +237,6 @@ pub fn render_pd_generated(args: &BenchArgs) -> String {
         .collect();
     let results = PdCampaign::new(pairs, MAX_PATHS)
         .with_rounds_per_iteration(3)
-        .with_parallelism(args.pd_parallelism)
         .run(&base)
         .expect("generated PD campaign run");
     let mut out = String::new();

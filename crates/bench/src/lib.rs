@@ -27,6 +27,6 @@ pub mod workload;
 pub use args::BenchArgs;
 pub use campaign::{Fig8Campaign, Fig8Data};
 pub use workload::{
-    candidate_set, delivery_workload, engine_workload, legacy_selection_latency,
-    measure_delivery_point, measure_engine_point, rac_processing_latency, Measurement,
+    candidate_set, delivery_workload, legacy_selection_latency, measure_delivery_point,
+    rac_processing_latency, Measurement,
 };

@@ -19,21 +19,6 @@ pub fn header(columns: &[&str]) {
     println!("{}", columns.join("\t"));
 }
 
-/// The worker-count ladder of the scaling tables: the preset powers of two up to and
-/// including `max`, with `max` itself appended when it is not a preset value — so the
-/// user-requested worker count is always one of the measured points.
-pub fn worker_ladder(max: usize) -> Vec<usize> {
-    let max = max.max(1);
-    let mut counts: Vec<usize> = [1usize, 2, 4, 8, 16, 32]
-        .into_iter()
-        .filter(|&w| w <= max)
-        .collect();
-    if !counts.contains(&max) {
-        counts.push(max);
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -42,16 +27,6 @@ mod tests {
     fn millisecond_formatting() {
         assert_eq!(fmt_ms(Duration::from_millis(2)), "2.000000");
         assert_eq!(fmt_ms(Duration::from_micros(5)), "0.005000");
-    }
-
-    #[test]
-    fn worker_ladder_covers_presets_and_requested_max() {
-        assert_eq!(worker_ladder(1), vec![1]);
-        assert_eq!(worker_ladder(4), vec![1, 2, 4]);
-        assert_eq!(worker_ladder(6), vec![1, 2, 4, 6]);
-        assert_eq!(worker_ladder(32), vec![1, 2, 4, 8, 16, 32]);
-        // Degenerate input still measures the sequential baseline.
-        assert_eq!(worker_ladder(0), vec![1]);
     }
 
     #[test]

@@ -6,9 +6,7 @@ use irec_algorithms::score::KShortestPaths;
 use irec_algorithms::{AlgorithmContext, Candidate, CandidateBatch, RoutingAlgorithm};
 use irec_core::beacon_db::{BatchKey, StoredBeacon};
 use irec_core::PropagationPolicy;
-use irec_core::{
-    execute_racs, NodeConfig, Rac, RacConfig, RacTiming, ShardedIngressDb, SharedAlgorithmStore,
-};
+use irec_core::{NodeConfig, Rac, RacConfig, RacTiming, SharedAlgorithmStore};
 use irec_crypto::{KeyRegistry, Signer};
 use irec_metrics::RegisteredPath;
 use irec_pcb::{Pcb, PcbExtensions, StaticInfo};
@@ -220,54 +218,6 @@ pub fn legacy_selection_latency(candidates: &[Arc<StoredBeacon>], local_as: &AsN
     start.elapsed()
 }
 
-/// A multi-batch, multi-RAC workload for the parallel execution engine: `origins` candidate
-/// batches of `phi` beacons each in one ingress database, processed by four static RACs
-/// (1SP, 5SP, DO, widest) — the ≥4-RAC workload the engine-scaling measurements run on.
-pub fn engine_workload(phi: usize, origins: u64, seed: u64) -> (Vec<Rac>, ShardedIngressDb) {
-    let racs: Vec<Rac> = ["1SP", "5SP", "DO", "widest"]
-        .iter()
-        .map(|name| Rac::new_static(RacConfig::static_rac(*name, *name)).expect("catalog name"))
-        .collect();
-    let db = ShardedIngressDb::default();
-    for index in 0..origins.max(1) {
-        let origin = AsId(WORKLOAD_ORIGIN.value() + index * 100);
-        for stored in candidate_set_for(origin, phi, seed.wrapping_add(index)) {
-            db.insert(stored.pcb.clone(), stored.ingress, stored.received_at);
-        }
-    }
-    (racs, db)
-}
-
-/// One engine-scaling measurement point: the **mean per-pass** setup/marshal/execute
-/// breakdown and the mean per-pass wall-clock time, averaged over `repetitions` engine
-/// passes with `workers` worker threads over the [`engine_workload`] (4 RACs × 4 candidate
-/// batches). Both figures are per pass, so CPU-vs-wall comparisons are rep-independent.
-pub fn measure_engine_point(
-    phi: usize,
-    workers: usize,
-    repetitions: usize,
-    seed: u64,
-) -> (RacTiming, Duration) {
-    let local_as = workload_local_as();
-    let (racs, db) = engine_workload(phi, 4, seed);
-    let egress: Vec<IfId> = local_as.interfaces.keys().copied().collect();
-    let reps = repetitions.max(1);
-    let mut timing = RacTiming::default();
-    let start = Instant::now();
-    for _ in 0..reps {
-        let (_, pass) = execute_racs(&racs, &db, &local_as, &egress, SimTime::ZERO, workers)
-            .expect("engine workload processes cleanly");
-        timing.accumulate(&pass);
-    }
-    let mean = RacTiming {
-        setup: timing.setup / reps as u32,
-        marshal: timing.marshal / reps as u32,
-        execute: timing.execute / reps as u32,
-        candidates: timing.candidates / reps,
-    };
-    (mean, start.elapsed() / reps as u32)
-}
-
 /// Builds the delivery-plane workload: a generated-topology simulation with the paper's
 /// 5SP deployment and the given verify width. Shared by the fig6/fig7 delivery-scaling
 /// sections.
@@ -290,7 +240,7 @@ pub fn delivery_workload(ases: usize, delivery_workers: usize, seed: u64) -> Sim
 /// [`delivery_workload`] at verify width `delivery_workers` and returns the delivery
 /// accounting plus the wall-clock time of the whole run.
 ///
-/// The counters are byte-identical across worker counts (the delivery plane's determinism
+/// The counters are byte-identical across verify widths (the delivery plane's determinism
 /// guarantee); only the wall-clock changes.
 pub fn measure_delivery_point(
     ases: usize,
@@ -306,8 +256,8 @@ pub fn measure_delivery_point(
 }
 
 /// The deterministic fingerprint of one simulation run: registered paths, delivery
-/// accounting, ingress occupancy and per-round overhead samples — everything the worker
-/// knobs must leave byte-identical.
+/// accounting, ingress occupancy and per-round overhead samples — everything the verify
+/// width must leave byte-identical.
 pub type RoundFingerprint = (Vec<RegisteredPath>, DeliveryStats, usize, Vec<u64>);
 
 /// The node config of the algorithm-catalog workload: every AS runs one static RAC
@@ -321,7 +271,7 @@ fn algorithm_node_config(algorithm: &str) -> NodeConfig {
 }
 
 /// Builds the algorithm-catalog workload: a generated-topology simulation where every AS
-/// runs the named catalog algorithm, with `width` workers. Shared by the algorithm
+/// runs the named catalog algorithm, at verify width `width`. Shared by the algorithm
 /// determinism integration tests and the `fig_alg` binary.
 pub fn algorithm_workload(algorithm: &str, ases: usize, width: usize, seed: u64) -> Simulation {
     let config = GeneratorConfig {
@@ -333,16 +283,14 @@ pub fn algorithm_workload(algorithm: &str, ases: usize, width: usize, seed: u64)
     let algorithm = algorithm.to_string();
     Simulation::new(
         topology,
-        SimulationConfig::default()
-            .with_parallelism(width)
-            .with_delivery_parallelism(width),
+        SimulationConfig::default().with_delivery_parallelism(width),
         move |_| algorithm_node_config(&algorithm),
     )
     .expect("algorithm workload simulation setup")
 }
 
 /// One full run of the algorithm-catalog workload: `rounds` beaconing rounds from a fresh
-/// simulation. The fingerprint must be byte-identical across worker counts for a fixed
+/// simulation. The fingerprint must be byte-identical across verify widths for a fixed
 /// `(algorithm, ases, rounds, seed)` tuple — stochastic algorithms (ACO) included, because
 /// their randomness comes from seeded per-batch streams, never from execution order.
 pub fn algorithm_pass(
@@ -365,7 +313,7 @@ pub fn algorithm_pass(
 
 /// The deterministic fingerprint of one churn run: the per-step churn report plus the
 /// final registered paths, delivery accounting and ingress occupancy — everything that
-/// must stay byte-identical across every parallelism knob for a fixed churn config.
+/// must stay byte-identical at every verify width for a fixed churn config.
 pub type ChurnFingerprint = (Vec<ChurnStep>, Vec<RegisteredPath>, DeliveryStats, usize);
 
 /// The node config of the churn workload. Propagation is pinned to `All` (not the
@@ -379,9 +327,8 @@ fn churn_node_config() -> NodeConfig {
         .with_racs(vec![RacConfig::static_rac("5SP", "5SP")])
 }
 
-/// Builds the churn workload: a generated-topology simulation with `width` workers on the
-/// node phase and delivery plane. Shared by the churn determinism integration tests and
-/// the `fig_churn` binary.
+/// Builds the churn workload: a generated-topology simulation at verify width `width`.
+/// Shared by the churn determinism integration tests and the `fig_churn` binary.
 pub fn churn_workload(ases: usize, width: usize, seed: u64) -> Simulation {
     let config = GeneratorConfig {
         num_ases: ases,
@@ -391,9 +338,7 @@ pub fn churn_workload(ases: usize, width: usize, seed: u64) -> Simulation {
     let topology = Arc::new(TopologyGenerator::new(config).generate());
     Simulation::new(
         topology,
-        SimulationConfig::default()
-            .with_parallelism(width)
-            .with_delivery_parallelism(width),
+        SimulationConfig::default().with_delivery_parallelism(width),
         move |_| churn_node_config(),
     )
     .expect("churn workload simulation setup")
@@ -401,7 +346,7 @@ pub fn churn_workload(ases: usize, width: usize, seed: u64) -> Simulation {
 
 /// One full churn run over the [`churn_workload`]: `steps` churn steps of the seeded
 /// timeline in `churn`, applied and settled by a [`ChurnEngine`]. Returns the
-/// deterministic fingerprint — byte-identical across worker counts for a fixed
+/// deterministic fingerprint — byte-identical across verify widths for a fixed
 /// `(ases, steps, churn, seed)` tuple, which the churn determinism matrix re-asserts.
 pub fn churn_pass(
     ases: usize,
@@ -495,23 +440,11 @@ mod tests {
     }
 
     #[test]
-    fn engine_workload_scales_and_stays_deterministic() {
-        let (racs, db) = engine_workload(8, 4, 11);
-        assert_eq!(racs.len(), 4);
-        assert_eq!(db.batch_keys().len(), 4);
-        let (timing_seq, _) = measure_engine_point(8, 1, 1, 11);
-        let (timing_par, _) = measure_engine_point(8, 4, 1, 11);
-        // 4 RACs x 4 batches x 8 candidates, identical under any worker count.
-        assert_eq!(timing_seq.candidates, 4 * 4 * 8);
-        assert_eq!(timing_par.candidates, timing_seq.candidates);
-    }
-
-    #[test]
     fn delivery_point_counters_are_worker_independent() {
         let (sequential, _) = measure_delivery_point(8, 2, 1, 5);
         assert!(sequential.delivered > 0);
-        let (parallel, _) = measure_delivery_point(8, 2, 4, 5);
-        assert_eq!(parallel, sequential);
+        let (ahead, _) = measure_delivery_point(8, 2, 2, 5);
+        assert_eq!(ahead, sequential);
     }
 
     #[test]
@@ -528,9 +461,9 @@ mod tests {
         );
         assert!(!paths.is_empty());
         assert_eq!(
-            churn_pass(10, 3, churn, 4, 5),
+            churn_pass(10, 3, churn, 2, 5),
             (steps, paths, stats, occupancy),
-            "diverged at x4"
+            "diverged at verify width 2"
         );
     }
 
@@ -541,7 +474,7 @@ mod tests {
             .with_seed(13)
             .with_warmup_rounds(3);
         let (reference, sequential) = churn_pass_with_stats(10, 3, churn, 1, 5);
-        let (fingerprint, stacked) = churn_pass_with_stats(10, 3, churn, 4, 5);
+        let (fingerprint, stacked) = churn_pass_with_stats(10, 3, churn, 2, 5);
         assert_eq!(fingerprint, reference);
         // What a round reuses is decided per node from its own database, so the counters
         // are as plane-independent as the output.

@@ -141,8 +141,7 @@ pub struct BatchKey {
 ///
 /// Snapshotting replaces the per-call deep `Vec<StoredBeacon>` clones the ingress database
 /// used to hand out: the beacons themselves are shared (`Arc<StoredBeacon>`), and the batch
-/// as a whole is an `Arc` slice, so cloning a view — e.g. to move it onto a worker thread of
-/// the parallel RAC execution engine — is a pair of reference-count bumps.
+/// as a whole is an `Arc` slice, so cloning a view is a pair of reference-count bumps.
 ///
 /// Beside every beacon the view carries its [`PcbId`], as computed when this AS verified
 /// the beacon: nothing downstream of the database (fingerprinting, egress dedup, path
@@ -178,22 +177,6 @@ impl BatchView {
                 .collect(),
             ids: stored.iter().map(|&(short, slot)| slot.id(short)).collect(),
         })
-    }
-
-    /// A view of the beacons `selected` — with the ids those outputs carry — under `key`:
-    /// what the execution engine's reduce pass re-selects over.
-    pub(crate) fn of_selected<'a>(
-        key: BatchKey,
-        selected: impl Iterator<Item = &'a crate::engine::Identified> + Clone,
-    ) -> BatchView {
-        BatchView {
-            key,
-            beacons: selected
-                .clone()
-                .map(|o| Arc::clone(&o.output.beacon))
-                .collect(),
-            ids: selected.map(|o| o.pcb_id).collect(),
-        }
     }
 
     /// The view a delta-driven pass re-selects over: last round's `winners` plus the
@@ -257,17 +240,6 @@ impl BatchView {
     /// Whether the view holds no beacons.
     pub fn is_empty(&self) -> bool {
         self.beacons.is_empty()
-    }
-
-    /// A view onto a sub-range of this batch, sharing the stored beacons (the new slice
-    /// holds `Arc` clones — reference-count bumps, no deep copies). The execution engine
-    /// splits oversized batches into sub-range work items this way.
-    pub fn subrange(&self, range: std::ops::Range<usize>) -> BatchView {
-        BatchView {
-            key: self.key,
-            beacons: self.beacons[range.clone()].into(),
-            ids: self.ids[range].into(),
-        }
     }
 }
 
@@ -797,9 +769,8 @@ impl IngressDb {
 /// The ingress database of one AS: one [`IngressDb`], `Arc`-wrapped behind a
 /// `parking_lot::RwLock`.
 ///
-/// Inserts, evictions and purges take `&self`, so the RAC engine's workers read batches
-/// while nothing else writes, and writers that share the database (a benchmark, a stress
-/// test) need no outer lock. Every method delegates to the one map.
+/// Inserts, evictions and purges take `&self`, so writers that share the database (a
+/// benchmark, a stress test) need no outer lock. Every method delegates to the one map.
 ///
 /// # Copy-on-write snapshots
 ///
@@ -1544,7 +1515,6 @@ mod tests {
             };
             let view = db.batch_view(&key, SimTime::ZERO).unwrap();
             assert_eq!(view.ids(), &[p.digest()]);
-            assert_eq!(view.subrange(0..1).ids(), view.ids());
             let merged = db.origin_view(p.origin, None, SimTime::ZERO).unwrap();
             assert_eq!(merged.ids(), view.ids());
         }

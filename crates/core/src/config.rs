@@ -124,10 +124,9 @@ pub struct NodeConfig {
     /// built-in shortest-path selection and ignores every IREC extension (used by the
     /// backward-compatibility experiment).
     pub irec_enabled: bool,
-    /// Worker threads of the parallel RAC execution engine. `1` (the default) processes
-    /// every `(RAC, batch)` work item sequentially; `N > 1` fans the items out over `N`
-    /// scoped worker threads with a deterministic merge, so results are byte-identical
-    /// either way.
+    /// Ignored: the RAC execution engine runs on the node's own thread. Always `1`; kept
+    /// for the standalone benchmark, which reads it.
+    #[doc(hidden)]
     pub parallelism: usize,
 }
 
@@ -187,13 +186,6 @@ impl NodeConfig {
     #[must_use]
     pub fn with_racs(mut self, racs: Vec<RacConfig>) -> Self {
         self.racs = racs;
-        self
-    }
-
-    /// Builder-style: set the RAC execution engine's worker count (clamped to at least 1).
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
         self
     }
 

@@ -11,13 +11,11 @@
 //! every algorithm family — the union-composable scored ones that always extend, HD that
 //! extends under its certificate or is refused back to the full pass, `<k>YEN` / ACO that
 //! never extend, and an on-demand IRVM RAC that is never kept — each with and without
-//! interface-group processing over origins that use groups, at one and four workers, with
-//! the production split threshold and with one small enough that extended views are split
-//! and reduced.
+//! interface-group processing over origins that use groups.
 
 use crate::beacon_db::ShardedIngressDb;
 use crate::config::RacConfig;
-use crate::engine::{execute_racs_delta, execute_racs_with, SelectionTables};
+use crate::engine::{execute_racs, execute_racs_cached, SelectionTables};
 use crate::rac::{AlgorithmFetcher, Rac, SharedAlgorithmStore};
 use irec_crypto::{KeyRegistry, Signer};
 use irec_pcb::{AlgorithmRef, Pcb, PcbExtensions, StaticInfo};
@@ -132,8 +130,6 @@ proptest! {
     #[test]
     fn delta_round_equals_from_scratch_round(
         steps in proptest::collection::vec((0u8..13, any::<u64>()), 4..32),
-        wide in any::<bool>(),
-        split_small in any::<bool>(),
     ) {
         let registry = KeyRegistry::with_ases(11, 512);
         let store = SharedAlgorithmStore::new();
@@ -141,8 +137,6 @@ proptest! {
         let reference = store.publish(AsId(ON_DEMAND_ORIGIN), AlgorithmId(7), module);
         let node = local_as();
         let egress = [IfId(1), IfId(2), IfId(3)];
-        let parallelism = if wide { 4 } else { 1 };
-        let threshold = if split_small { 3 } else { crate::engine::BATCH_SPLIT_THRESHOLD };
 
         let db = ShardedIngressDb::default();
         let mut tables = SelectionTables::new();
@@ -207,12 +201,9 @@ proptest! {
             if (draw >> 62) == 0 {
                 continue;
             }
-            let (expected, _) =
-                execute_racs_with(&racs, &db, &node, &egress, now, 1, threshold).unwrap();
-            let (delta_round, _) = execute_racs_delta(
-                &racs, &db, &node, &egress, now, parallelism, threshold, &mut tables,
-            )
-            .unwrap();
+            let (expected, _) = execute_racs(&racs, &db, &node, &egress, now, 1).unwrap();
+            let (delta_round, _) =
+                execute_racs_cached(&racs, &db, &node, &egress, now, &mut tables).unwrap();
             let actual: Vec<_> = delta_round
                 .iter()
                 .flat_map(|batch| batch.selected.iter().map(move |selected| (batch, selected)))
@@ -243,7 +234,7 @@ fn the_oracle_workload_reaches_reuse_extend_and_full() {
     let db = ShardedIngressDb::default();
     let mut tables = SelectionTables::new();
     let mut round = |db: &ShardedIngressDb| {
-        execute_racs_delta(&racs, db, &node, &egress, SimTime::ZERO, 1, 3, &mut tables).unwrap();
+        execute_racs_cached(&racs, db, &node, &egress, SimTime::ZERO, &mut tables).unwrap();
         tables.stats()
     };
     // Eight beacons, then eight more with the same origins, groups and targets: every
@@ -280,7 +271,7 @@ fn the_oracle_workload_reaches_reuse_extend_and_full() {
 
 /// HD's refusals are reached, and come out as the full pass would: one beacon at a time
 /// into the batches of three origins, a round after each, HD with budgets one to three, with
-/// and without interface groups, at one and four workers. A small budget over few links
+/// and without interface groups. A small budget over few links
 /// is where an arrival most often lets a candidate the last round left out back in.
 #[test]
 fn hd_refusals_fall_back_to_the_from_scratch_selection() {
@@ -296,39 +287,27 @@ fn hd_refusals_fall_back_to_the_from_scratch_selection() {
             racs.push(Rac::new_static(config).unwrap());
         }
     }
-    for parallelism in [1, 4] {
-        let db = ShardedIngressDb::default();
-        let mut tables = SelectionTables::new();
-        for seq in 0..48u64 {
-            let draw = seq.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17);
-            // Origins 1 and 2 only: none of these beacons names an algorithm.
-            let pcb = beacon(&registry, reference, seq, 1 + seq % 2, draw, SimTime::ZERO);
-            db.insert(pcb, IfId(1 + ((draw >> 26) % 3) as u32), SimTime::ZERO);
-            let (expected, _) =
-                execute_racs_with(&racs, &db, &node, &egress, SimTime::ZERO, 1, 512).unwrap();
-            let (delta_round, _) = execute_racs_delta(
-                &racs,
-                &db,
-                &node,
-                &egress,
-                SimTime::ZERO,
-                parallelism,
-                512,
-                &mut tables,
-            )
-            .unwrap();
-            let actual: Vec<_> = delta_round.iter().flat_map(|b| &b.selected).collect();
-            assert_eq!(expected.len(), actual.len());
-            for (want, got) in expected.iter().zip(actual) {
-                assert!(Arc::ptr_eq(&want.beacon, &got.beacon));
-                assert_eq!(&want.egress_ifs[..], &got.egress_ifs[..]);
-            }
+    let db = ShardedIngressDb::default();
+    let mut tables = SelectionTables::new();
+    for seq in 0..48u64 {
+        let draw = seq.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17);
+        // Origins 1 and 2 only: none of these beacons names an algorithm.
+        let pcb = beacon(&registry, reference, seq, 1 + seq % 2, draw, SimTime::ZERO);
+        db.insert(pcb, IfId(1 + ((draw >> 26) % 3) as u32), SimTime::ZERO);
+        let (expected, _) = execute_racs(&racs, &db, &node, &egress, SimTime::ZERO, 1).unwrap();
+        let (delta_round, _) =
+            execute_racs_cached(&racs, &db, &node, &egress, SimTime::ZERO, &mut tables).unwrap();
+        let actual: Vec<_> = delta_round.iter().flat_map(|b| &b.selected).collect();
+        assert_eq!(expected.len(), actual.len());
+        for (want, got) in expected.iter().zip(actual) {
+            assert!(Arc::ptr_eq(&want.beacon, &got.beacon));
+            assert_eq!(&want.egress_ifs[..], &got.egress_ifs[..]);
         }
-        let stats = tables.stats();
-        assert!(
-            stats.extended > 0 && stats.refused > 0,
-            "HD neither extends nor refuses: {stats:?}"
-        );
-        assert!(stats.refused <= stats.recomputed);
     }
+    let stats = tables.stats();
+    assert!(
+        stats.extended > 0 && stats.refused > 0,
+        "HD neither extends nor refuses: {stats:?}"
+    );
+    assert!(stats.refused <= stats.recomputed);
 }

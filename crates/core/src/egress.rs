@@ -934,7 +934,6 @@ mod tests {
                 node,
                 &[IfId(2), IfId(3)],
                 SimTime::ZERO,
-                1,
                 &mut tables,
             )
             .unwrap();

@@ -1,52 +1,35 @@
-//! The parallel RAC execution engine.
+//! The RAC execution engine.
 //!
 //! The paper's central architectural claim is that routing algorithm containers execute
 //! *independently*: each RAC processes immutable candidate batches snapshotted out of the
-//! ingress database, and no RAC observes another RAC's state. This module exploits that
-//! independence. It materializes every `(RAC, candidate batch)` pair as one work item,
-//! fans the items out over `std::thread::scope` workers, and merges the results
-//! deterministically, so a run with `parallelism = N` is **byte-identical** to a sequential
-//! run:
+//! ingress database, and no RAC observes another RAC's state. The engine runs every
+//! `(RAC, candidate batch)` pair once, on the calling thread, in a fixed order:
 //!
-//! * work items are built in a fixed order (RAC configuration order, batch keys in
-//!   `BTreeMap` order) before any worker starts;
-//! * candidate batches are `Arc`-shared immutable [`BatchView`] snapshots — workers never
-//!   touch the ingress database;
-//! * per-item results are written into pre-allocated slots indexed by item, so the merge
-//!   walks items in their build order regardless of completion order — the merged output
-//!   order (RAC configuration order, batch keys ascending, candidate index within a batch)
-//!   is therefore identical for the sequential and the parallel path, and identical to what
-//!   a plain sequential loop over the RACs produces.
+//! * RAC configuration order, then batch keys ascending (`BTreeMap` order), and within a
+//!   batch the selections by candidate index — the order a plain loop over the RACs
+//!   produces, and the order the egress gateway's first-selection dedup reads;
+//! * every batch is an `Arc`-shared immutable [`BatchView`] snapshot, handed to its RAC
+//!   whole, in one selection pass, whatever its size;
+//! * the first failing pair's error is returned.
 //!
-//! Errors are deterministic too: the first failing work item *in item order* wins, exactly
-//! as in a sequential loop.
+//! Independent RACs could run side by side — `fig7` measures the paper's parallel-RAC
+//! throughput with threads of its own — but the simulator's output never depends on how
+//! its work is scheduled, and a worker pool here bought wall time only with memory
+//! (docs/ARCHITECTURE.md, *One helper thread*). The one concurrency the simulator keeps is
+//! verify-ahead's helper thread in `irec_sim`.
 
 use crate::beacon_db::{
     BatchChange, BatchCursor, BatchKey, BatchView, ShardedIngressDb, StoredBeacon,
 };
 use crate::config::RacConfig;
-use crate::rac::{Picked, Rac, RacOutput, RacTiming};
+use crate::rac::{Rac, RacOutput, RacTiming};
 use irec_algorithms::incremental::IncrementalStats;
 use irec_algorithms::SelectionResult;
 use irec_pcb::PcbId;
 use irec_topology::AsNode;
 use irec_types::{AsId, IfId, InterfaceGroupId, Result, SimTime};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Hard cap on engine workers; beyond this, coordination overhead dominates any workload
-/// this codebase produces.
-pub const MAX_WORKERS: usize = 64;
-
-/// Candidate batches larger than this are split into sub-range work items so a single hot
-/// origin (one huge |Φ|) cannot serialize the RAC phase: each sub-range is processed as its
-/// own work item and the per-sub-range selections are reduced by one final selection pass
-/// over their union (see [`execute_racs_with`]) — for the algorithms that reduce exactly;
-/// the others are never split.
-pub const BATCH_SPLIT_THRESHOLD: usize = 512;
 
 /// One selected beacon as the egress gateway consumes it: the stored beacon, the
 /// [`PcbId`] its batch view carried for it, and the egress interfaces it was selected for.
@@ -87,11 +70,11 @@ pub struct BatchSelection {
 /// this very selection last round (see [`crate::egress::EgressGateway::process_outputs`]).
 pub type BatchOutputs = Arc<BatchSelection>;
 
-/// A RAC output paired with the id its view carried: the merge's working form, which
-/// still knows the candidate index the sub-merge needs.
-pub(crate) struct Identified {
-    pub(crate) pcb_id: PcbId,
-    pub(crate) output: RacOutput,
+/// A RAC output paired with the id its view carried: the engine's working form, which
+/// still knows the candidate index the pick order is kept in.
+struct Identified {
+    pcb_id: PcbId,
+    output: RacOutput,
 }
 
 /// Pairs the outputs a RAC produced over `view` with the ids `view` carries.
@@ -105,8 +88,8 @@ fn identify(view: &BatchView, outputs: Vec<RacOutput>) -> Vec<Identified> {
         .collect()
 }
 
-/// What the merge hands on for one `(RAC, batch)` group.
-enum Merged {
+/// What the engine hands on for one `(RAC, batch)` pair.
+enum Selected {
     /// Last round's selection, served verbatim.
     Reused(BatchOutputs),
     /// A selection computed this round, the per-egress pick order it was inverted from
@@ -120,39 +103,10 @@ enum Merged {
     },
 }
 
-/// One unit of parallel work: a RAC paired with a snapshot of one candidate batch (or a
-/// sub-range of one, when the batch exceeded the split threshold).
-struct WorkItem {
-    /// Index into the RAC slice (stable identity for the deterministic merge).
-    rac_index: usize,
-    /// The immutable candidate batch to process.
-    view: BatchView,
-    /// For a re-selection over *winners ∪ arrivals*: last round's picks in `view`'s
-    /// indices (empty unless the RAC [keeps them](Rac::keeps_picks)). Only an unsplit
-    /// view carries picks that mean anything; the sub-ranges of a split one belong to a
-    /// union-composable selector, whose re-selection is `select` and reads none.
-    previous: Option<SelectionResult>,
-}
-
-/// One logical `(RAC, batch)` pair and the contiguous range of work items it was split
-/// into. Groups are built — and merged — in deterministic order: RAC configuration order,
-/// then batch keys ascending, then sub-ranges by ascending candidate offset.
-struct BatchGroup {
-    rac_index: usize,
-    key: BatchKey,
-    items: std::ops::Range<usize>,
-    /// Table hit: last round's outputs, served verbatim. Such groups carry no work items
-    /// and contribute no timing.
-    reused: Option<BatchOutputs>,
-    /// For a computed group of a RAC with a table: what the merge records beside the
-    /// fresh outputs.
-    record: Option<Record>,
-}
-
-/// The bookkeeping half of a [`SelectionTables`] entry, fixed in the snapshot phase — or
-/// in the merge, when the algorithm declined a re-selection.
+/// The bookkeeping half of a [`SelectionTables`] entry, fixed when the batch is
+/// snapshotted — or again, when the algorithm declined a re-selection.
 struct Record {
-    /// Whether the items run over *winners ∪ arrivals* rather than the whole batch.
+    /// Whether the pass ran over *winners ∪ arrivals* rather than the whole batch.
     extended: bool,
     /// For an extension: last round's selection, handed on again where the new one
     /// selects the same beacons for the same interfaces.
@@ -288,7 +242,7 @@ struct Context {
 /// | the ingress database says | pass |
 /// |---|---|
 /// | untouched | **reuse**: the outputs verbatim — exact for every deterministic algorithm |
-/// | only grew, and the RAC reselects (`Rac::reselects`: union-composable, or HD) | **extend**: [reselect](irec_algorithms::RoutingAlgorithm::reselect) over *winners ∪ arrivals*, in batch order; where the algorithm declines (an HD certificate fails), the merge runs the full pass inline; where it selects what it selected last round, last round's outputs are handed on |
+/// | only grew, and the RAC reselects (`Rac::reselects`: union-composable, or HD) | **extend**: [reselect](irec_algorithms::RoutingAlgorithm::reselect) over *winners ∪ arrivals*, in batch order; where the algorithm declines (an HD certificate fails), the engine runs the full pass right after; where it selects what it selected last round, last round's outputs are handed on |
 /// | anything else — a removal, an expiry, an arrival for `<k>YEN` / ACO, no entry yet | **full**: snapshot and select from scratch |
 ///
 /// One invariant carries correctness: an entry is used only while the database proves its
@@ -298,10 +252,8 @@ struct Context {
 /// with it: hand them only the database (or copy-on-write descendants of it) and RAC list
 /// they were filled from.
 ///
-/// Determinism: the engine probes the tables in the serial snapshot phase and writes them
-/// in the serial merge phase, both on the coordinating thread in canonical group order —
-/// worker threads never touch them, and every pass produces the outputs a from-scratch
-/// run would, so any worker count stays byte-identical.
+/// Determinism: the engine probes and writes the tables in canonical pair order, and every
+/// pass produces the outputs a from-scratch run would.
 #[derive(Debug, Clone, Default)]
 pub struct SelectionTables {
     /// Indexed by RAC configuration order; `None` for RACs that always run the full pass.
@@ -406,42 +358,37 @@ impl SelectionTables {
     }
 }
 
-/// What a work item produced: `None` where the algorithm declined a re-selection.
-type ItemResult = Result<(Option<Picked>, RacTiming)>;
-
-/// Runs every RAC over its relevant candidate batches from `db` and returns the merged
+/// Runs every RAC over its relevant candidate batches from `db` and returns the
 /// selections plus accumulated timing — always from scratch, reading nothing but `db`.
 ///
-/// With `parallelism <= 1` the items run sequentially on the calling thread; with
-/// `parallelism > 1` they are distributed over that many scoped worker threads (capped at
-/// [`MAX_WORKERS`] and at the number of items). Both paths produce byte-identical results.
-/// Batches larger than [`BATCH_SPLIT_THRESHOLD`] candidates are split into sub-range work
-/// items with a deterministic sub-merge.
+/// The pairs run one after the other on the calling thread; `_parallelism` is ignored. It
+/// stays so that callers written against this six-argument form keep compiling.
 pub fn execute_racs(
     racs: &[Rac],
     db: &ShardedIngressDb,
     local_as: &AsNode,
     egress_ifs: &[IfId],
     now: SimTime,
-    parallelism: usize,
+    _parallelism: usize,
 ) -> Result<(Vec<RacOutput>, RacTiming)> {
-    execute_racs_with(
-        racs,
-        db,
-        local_as,
-        egress_ifs,
-        now,
-        parallelism,
-        BATCH_SPLIT_THRESHOLD,
-    )
+    let (selected, timing) = execute_racs_inner(racs, db, local_as, egress_ifs, now, None)?;
+    let outputs = selected
+        .into_iter()
+        .flat_map(|selected| match selected {
+            Selected::Computed { outputs, .. } => outputs,
+            Selected::Reused(_) => unreachable!("without tables there is nothing to reuse"),
+        })
+        .map(|identified| identified.output)
+        .collect();
+    Ok((outputs, timing))
 }
 
 /// The node's entry point: [`execute_racs`] driven by what changed since `tables` were
 /// last written (see [`SelectionTables`]). Batches the ingress database reports untouched
-/// are served from the tables — no snapshot, no work item, no algorithm run, zero timing;
-/// batches that only grew are re-selected over the previous winners plus the arrivals,
-/// where the algorithm answers; everything else is snapshotted and computed as
-/// [`execute_racs`] would. The selections are those of a from-scratch pass, in its order.
+/// are served from the tables — no snapshot, no algorithm run, zero timing; batches that
+/// only grew are re-selected over the previous winners plus the arrivals, where the
+/// algorithm answers; everything else is snapshotted and computed as [`execute_racs`]
+/// would. The selections are those of a from-scratch pass, in its order.
 ///
 /// They come back per `(RAC, batch)` pair ([`BatchSelection`]) — shared with the tables,
 /// which serve them again next round — each beacon with the id its view carried
@@ -452,49 +399,14 @@ pub fn execute_racs_cached(
     local_as: &AsNode,
     egress_ifs: &[IfId],
     now: SimTime,
-    parallelism: usize,
     tables: &mut SelectionTables,
 ) -> Result<(Vec<BatchOutputs>, RacTiming)> {
-    execute_racs_delta(
-        racs,
-        db,
-        local_as,
-        egress_ifs,
-        now,
-        parallelism,
-        BATCH_SPLIT_THRESHOLD,
-        tables,
-    )
-}
-
-/// [`execute_racs_cached`] with an explicit batch-split threshold, for the tests that
-/// exercise extension over split batches.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_racs_delta(
-    racs: &[Rac],
-    db: &ShardedIngressDb,
-    local_as: &AsNode,
-    egress_ifs: &[IfId],
-    now: SimTime,
-    parallelism: usize,
-    split_threshold: usize,
-    tables: &mut SelectionTables,
-) -> Result<(Vec<BatchOutputs>, RacTiming)> {
-    let (merged, timing) = execute_racs_inner(
-        racs,
-        db,
-        local_as,
-        egress_ifs,
-        now,
-        parallelism,
-        split_threshold,
-        Some(tables),
-    )?;
-    let batches = merged
+    let (selected, timing) = execute_racs_inner(racs, db, local_as, egress_ifs, now, Some(tables))?;
+    let batches = selected
         .into_iter()
-        .map(|merged| match merged {
-            Merged::Reused(outputs) => outputs,
-            Merged::Computed {
+        .map(|selected| match selected {
+            Selected::Reused(outputs) => outputs,
+            Selected::Computed {
                 rac_index,
                 key,
                 record,
@@ -532,75 +444,34 @@ pub(crate) fn execute_racs_delta(
     Ok((batches, timing))
 }
 
-/// [`execute_racs`] with an explicit batch-split threshold (exposed so tests and benchmarks
-/// can exercise the splitting machinery on small batches).
+/// Runs every `(RAC, batch)` pair in canonical order — RAC configuration order, then batch
+/// keys ascending — probing `tables`, when given, before each batch is snapshotted: a
+/// reused batch is never snapshotted, of an extended one only the arrivals are read. A
+/// re-selection the algorithm declines is followed by the full pass, inline: snapshot and
+/// select from scratch. Timings accumulate in pair order, and the first error is returned.
 ///
-/// Splitting is part of the canonical work-item construction, **not** a function of the
-/// worker count: a batch of `n > threshold` candidates always becomes `ceil(n / threshold)`
-/// sub-range items plus one reduce pass, whether the items then run on one thread or many —
-/// which is what keeps parallel runs byte-identical to sequential ones. And it never
-/// changes a selection: only batches of RACs whose algorithm is
-/// [union-composable](irec_algorithms::RoutingAlgorithm::union_composable) are split (see
-/// [`Rac::splits_batches`]), and for those the reduce — one more selection pass over the
-/// union of the sub-range winners in ascending candidate order — is exact. Every other RAC
-/// (HD, `<k>YEN`, ACO, on-demand modules) sees its whole batch in one pass, whatever its
-/// size.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_racs_with(
-    racs: &[Rac],
-    db: &ShardedIngressDb,
-    local_as: &AsNode,
-    egress_ifs: &[IfId],
-    now: SimTime,
-    parallelism: usize,
-    split_threshold: usize,
-) -> Result<(Vec<RacOutput>, RacTiming)> {
-    let (merged, timing) = execute_racs_inner(
-        racs,
-        db,
-        local_as,
-        egress_ifs,
-        now,
-        parallelism,
-        split_threshold,
-        None,
-    )?;
-    let outputs = merged
-        .into_iter()
-        .flat_map(|merged| match merged {
-            Merged::Computed { outputs, .. } => outputs,
-            Merged::Reused(_) => unreachable!("without tables there is nothing to reuse"),
-        })
-        .map(|identified| identified.output)
-        .collect();
-    Ok((outputs, timing))
-}
-
-#[allow(clippy::too_many_arguments)]
+/// No content-keyed re-sort is applied: pair order already is the canonical ordering.
+/// Re-sorting by RAC *name* instead would silently change which RAC wins the egress
+/// gateway's first-selection dedup (and thereby path attribution) whenever operators
+/// configure RACs in non-alphabetical order.
 fn execute_racs_inner(
     racs: &[Rac],
     db: &ShardedIngressDb,
     local_as: &AsNode,
     egress_ifs: &[IfId],
     now: SimTime,
-    parallelism: usize,
-    split_threshold: usize,
     mut tables: Option<&mut SelectionTables>,
-) -> Result<(Vec<Merged>, RacTiming)> {
-    let threshold = split_threshold.max(1);
+) -> Result<(Vec<Selected>, RacTiming)> {
     if let Some(tables) = tables.as_deref_mut() {
         tables.bind(racs, local_as, egress_ifs);
     }
-    // Snapshot phase: materialize the work list in deterministic order. The tables are
-    // probed here, on the coordinating thread: a reused batch is never snapshotted and
-    // gets no work item, of an extended one only the arrivals are read.
-    let mut items = Vec::new();
-    let mut groups = Vec::new();
+    let mut selected = Vec::new();
+    let mut timing = RacTiming::default();
     for (rac_index, rac) in racs.iter().enumerate() {
         let merge_groups = rac.merges_groups();
         // Last round's entries move out; the ones still standing for a batch move back in
-        // below, the freshly computed ones in the merge phase. What is left over belonged
-        // to batches that are gone.
+        // below, the freshly computed ones in `execute_racs_cached`. What is left over
+        // belonged to batches that are gone.
         let mut previous = tables
             .as_deref_mut()
             .and_then(|t| t.table_mut(rac_index))
@@ -609,7 +480,6 @@ fn execute_racs_inner(
                 std::mem::replace(table, sized)
             });
         for key in rac.relevant_batch_keys(db) {
-            let start = items.len();
             let entry = previous
                 .as_mut()
                 .and_then(|table| table.remove(&key))
@@ -617,17 +487,11 @@ fn execute_racs_inner(
             let change = entry
                 .as_ref()
                 .map(|entry| db.changes_since(key, merge_groups, &entry.cursor, now));
-            let (view, previous, record) = match (entry, change) {
+            let (view, picks, mut record) = match (entry, change) {
                 (Some(entry), Some(BatchChange::Unchanged)) => {
                     let tables = tables.as_deref_mut().expect("entries come from tables");
                     tables.stats.reused += 1;
-                    groups.push(BatchGroup {
-                        rac_index,
-                        key,
-                        items: start..start,
-                        reused: Some(Arc::clone(&entry.outputs)),
-                        record: None,
-                    });
+                    selected.push(Selected::Reused(Arc::clone(&entry.outputs)));
                     tables
                         .table_mut(rac_index)
                         .expect("entries come from this RAC's table")
@@ -640,13 +504,13 @@ fn execute_racs_inner(
                         .expect("arrivals are reported only when there are some");
                     let (view, winner_at) =
                         BatchView::of_winners_and_arrivals(&entry.outputs.selected, &arrivals);
-                    let previous = entry
+                    let picks = entry
                         .picks
                         .as_ref()
                         .map_or_else(SelectionResult::empty, |picks| picks.in_view(&winner_at));
                     (
                         view,
-                        Some(previous),
+                        Some(picks),
                         Some(Record {
                             extended: true,
                             previous: Some(Arc::clone(&entry.outputs)),
@@ -672,267 +536,45 @@ fn execute_racs_inner(
                     (view, None, record)
                 }
             };
-            if view.len() > threshold && rac.splits_batches() {
-                let mut offset = 0;
-                while offset < view.len() {
-                    let end = (offset + threshold).min(view.len());
-                    items.push(WorkItem {
-                        rac_index,
-                        view: view.subrange(offset..end),
-                        previous: previous.clone(),
+            let (picked, pass_timing) = rac.run(
+                &view.key,
+                &view.beacons,
+                local_as,
+                egress_ifs,
+                picks.as_ref(),
+            )?;
+            timing.accumulate(&pass_timing);
+            let (outputs, picks) = match picked {
+                Some((outputs, picks)) => (identify(&view, outputs), picks),
+                None => {
+                    let (view, cursor) = db.snapshot(key, merge_groups, now);
+                    let view = view.expect("a batch with live arrivals has a view");
+                    record = Some(Record {
+                        extended: false,
+                        previous: None,
+                        refused: true,
+                        cursor,
+                        valid_until: view
+                            .earliest_expiry()
+                            .expect("a snapshot without beacons is no view"),
                     });
-                    offset = end;
+                    let (picked, pass_timing) =
+                        rac.run(&view.key, &view.beacons, local_as, egress_ifs, None)?;
+                    timing.accumulate(&pass_timing);
+                    let (outputs, picks) = picked.expect("a selection always answers");
+                    (identify(&view, outputs), picks)
                 }
-            } else {
-                items.push(WorkItem {
-                    rac_index,
-                    view,
-                    previous,
-                });
-            }
-            groups.push(BatchGroup {
+            };
+            selected.push(Selected::Computed {
                 rac_index,
                 key,
-                items: start..items.len(),
-                reused: None,
                 record,
+                outputs,
+                picks,
             });
         }
     }
-
-    let workers = parallelism.min(MAX_WORKERS).min(items.len()).max(1);
-    let results: Vec<ItemResult> = if workers <= 1 {
-        items
-            .iter()
-            .map(|item| process_item(racs, item, local_as, egress_ifs))
-            .collect()
-    } else {
-        execute_parallel(racs, &items, local_as, egress_ifs, workers)
-    };
-
-    let context = MergeContext {
-        racs,
-        db,
-        local_as,
-        egress_ifs,
-        now,
-    };
-    merge_results(&context, groups, &items, results)
-}
-
-/// Processes one work item (on whatever thread it was claimed by).
-fn process_item(
-    racs: &[Rac],
-    item: &WorkItem,
-    local_as: &AsNode,
-    egress_ifs: &[IfId],
-) -> ItemResult {
-    racs[item.rac_index].run(
-        &item.view.key,
-        &item.view.beacons,
-        local_as,
-        egress_ifs,
-        item.previous.as_ref(),
-    )
-}
-
-/// The shared claim-cursor worker pool: calls `work(index)` exactly once for every index
-/// in `0..count`, fanned out over `workers` scoped threads (clamped to [`MAX_WORKERS`] and
-/// to `count`; `<= 1` runs inline on the calling thread). Indices are claimed through an
-/// atomic cursor — cheap dynamic load balancing for skewed unit sizes — so callers that
-/// need ordered results write them into pre-allocated slots indexed by unit, exactly as
-/// [`execute_racs`] does.
-///
-/// When `busy_nanos` is given, each unit's execution time accumulates into it; the
-/// simulator uses this to compute its per-round worker idle time
-/// (`idle = workers × wall − Σ busy`).
-pub fn run_claimed<F>(count: usize, workers: usize, busy_nanos: Option<&AtomicU64>, work: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let run_unit = |index: usize| match busy_nanos {
-        Some(busy) => {
-            let started = Instant::now();
-            work(index);
-            busy.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        None => work(index),
-    };
-    let workers = workers.min(MAX_WORKERS).min(count).max(1);
-    if workers <= 1 {
-        for index in 0..count {
-            run_unit(index);
-        }
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                if index >= count {
-                    break;
-                }
-                run_unit(index);
-            });
-        }
-    });
-}
-
-/// Fans the work items out over `workers` scoped threads via [`run_claimed`], with results
-/// landing in per-item slots, which keeps the merge order independent of scheduling.
-fn execute_parallel(
-    racs: &[Rac],
-    items: &[WorkItem],
-    local_as: &AsNode,
-    egress_ifs: &[IfId],
-    workers: usize,
-) -> Vec<ItemResult> {
-    let slots: Vec<Mutex<Option<ItemResult>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    run_claimed(items.len(), workers, None, |index| {
-        *slots[index].lock() = Some(process_item(racs, &items[index], local_as, egress_ifs));
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("every work item slot is filled once the scope joins")
-        })
-        .collect()
-}
-
-/// What the merge reads besides the work: the RACs and the inputs of the round, for the
-/// reduce pass of a split group and the full pass behind a declined re-selection.
-struct MergeContext<'a> {
-    racs: &'a [Rac],
-    db: &'a ShardedIngressDb,
-    local_as: &'a AsNode,
-    egress_ifs: &'a [IfId],
-    now: SimTime,
-}
-
-/// Merges per-item results in group order: first error in item order wins and timings
-/// accumulate in item order, exactly as a sequential loop would. Groups that were split
-/// into sub-range items additionally run the deterministic sub-merge: one reduce selection
-/// pass of the owning RAC over the union of the sub-range selections (whose timing also
-/// accumulates, at the group's position). A group whose re-selection the algorithm
-/// declined runs the full pass here, inline, the same way: snapshot and select from
-/// scratch, at the group's position.
-///
-/// No content-keyed re-sort is applied: item order — RAC configuration order, then batch
-/// keys ascending, then candidate index within a batch — already is the canonical
-/// deterministic ordering, and it is byte-identical to what the pre-engine sequential loop
-/// produced. Re-sorting by RAC *name* instead would silently change which RAC wins the
-/// egress gateway's first-selection dedup (and thereby path attribution) whenever operators
-/// configure RACs in non-alphabetical order.
-fn merge_results(
-    context: &MergeContext<'_>,
-    groups: Vec<BatchGroup>,
-    items: &[WorkItem],
-    results: Vec<ItemResult>,
-) -> Result<(Vec<Merged>, RacTiming)> {
-    let mut results: Vec<Option<ItemResult>> = results.into_iter().map(Some).collect();
-    let mut merged = Vec::with_capacity(groups.len());
-    let mut timing = RacTiming::default();
-    for mut group in groups {
-        if let Some(reused) = group.reused.take() {
-            merged.push(Merged::Reused(reused));
-            continue;
-        }
-        let mut record = group.record.take();
-        let (outputs, picks) = match merge_group(context, &group, items, &mut results, &mut timing)?
-        {
-            Some(merged) => merged,
-            None => {
-                let (view, cursor) = context.db.snapshot(
-                    group.key,
-                    context.racs[group.rac_index].merges_groups(),
-                    context.now,
-                );
-                let view = view.expect("a batch with live arrivals has a view");
-                record = Some(Record {
-                    extended: false,
-                    previous: None,
-                    refused: true,
-                    cursor,
-                    valid_until: view
-                        .earliest_expiry()
-                        .expect("a snapshot without beacons is no view"),
-                });
-                select_over(context, group.rac_index, &view, &mut timing)?
-            }
-        };
-        merged.push(Merged::Computed {
-            rac_index: group.rac_index,
-            key: group.key,
-            record,
-            outputs,
-            picks,
-        });
-    }
-    Ok((merged, timing))
-}
-
-/// One selection pass of a RAC over `view`, on the coordinating thread.
-fn select_over(
-    context: &MergeContext<'_>,
-    rac_index: usize,
-    view: &BatchView,
-    timing: &mut RacTiming,
-) -> Result<(Vec<Identified>, SelectionResult)> {
-    let (picked, pass_timing) = context.racs[rac_index].run(
-        &view.key,
-        &view.beacons,
-        context.local_as,
-        context.egress_ifs,
-        None,
-    )?;
-    timing.accumulate(&pass_timing);
-    let (outputs, picks) = picked.expect("a selection always answers");
-    Ok((identify(view, outputs), picks))
-}
-
-/// Produces one computed group's final output vector and pick order: the single item's for
-/// unsplit groups, or the deterministic sub-merge for split ones; `None` when the item was
-/// a re-selection the algorithm declined. Timings accumulate into `timing` in item order,
-/// exactly as a sequential loop would. Every output is paired with the id carried by the
-/// view it was selected from.
-fn merge_group(
-    context: &MergeContext<'_>,
-    group: &BatchGroup,
-    items: &[WorkItem],
-    results: &mut [Option<ItemResult>],
-    timing: &mut RacTiming,
-) -> Result<Option<(Vec<Identified>, SelectionResult)>> {
-    // Collect each item's selections in item order (within a sub-range selections are
-    // already ordered by candidate index, and sub-ranges are ascending, so the union is
-    // in ascending original candidate order)...
-    let mut sub_selections = Vec::with_capacity(group.items.len());
-    for index in group.items.clone() {
-        let (picked, sub_timing) = results[index]
-            .take()
-            .expect("each item is consumed by exactly one group")?;
-        timing.accumulate(&sub_timing);
-        // Only an unsplit group's algorithm can decline: splitting is for the
-        // union-composable selectors, whose re-selection always answers.
-        let Some((sub_outputs, picks)) = picked else {
-            return Ok(None);
-        };
-        sub_selections.push((identify(&items[index].view, sub_outputs), picks));
-    }
-    if sub_selections.len() == 1 {
-        return Ok(sub_selections.pop());
-    }
-    let winners = BatchView::of_selected(
-        group.key,
-        sub_selections.iter().flat_map(|(outputs, _)| outputs),
-    );
-    if winners.is_empty() {
-        return Ok(Some((Vec::new(), SelectionResult::empty())));
-    }
-    // ...then reduce: one final selection pass of the owning RAC over the union of the
-    // sub-range winners — exact for the union-composable selectors, the only ones split.
-    select_over(context, group.rac_index, &winners, timing).map(Some)
+    Ok((selected, timing))
 }
 
 #[cfg(test)]
@@ -998,50 +640,12 @@ mod tests {
     }
 
     #[test]
-    fn run_claimed_runs_every_unit_exactly_once() {
-        for workers in [1, 3, 8] {
-            let hits: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
-            let busy = AtomicU64::new(0);
-            run_claimed(hits.len(), workers, Some(&busy), |index| {
-                hits[index].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        }
-        // Zero units: no spawn, no calls.
-        run_claimed(0, 4, None, |_| panic!("no units to run"));
-    }
-
-    #[test]
-    fn parallel_output_is_byte_identical_to_sequential() {
-        let racs = rac_set();
-        let db = db_with_origins(6, 4);
-        let node = local_as();
-        let egress = [IfId(1), IfId(2), IfId(3)];
-
-        let (seq_outputs, seq_timing) =
-            execute_racs(&racs, &db, &node, &egress, SimTime::ZERO, 1).unwrap();
-        for parallelism in [2, 4, 8] {
-            let (par_outputs, par_timing) =
-                execute_racs(&racs, &db, &node, &egress, SimTime::ZERO, parallelism).unwrap();
-            assert_eq!(par_outputs.len(), seq_outputs.len());
-            for (a, b) in seq_outputs.iter().zip(&par_outputs) {
-                assert_eq!(a.rac_name, b.rac_name);
-                assert_eq!(a.origin, b.origin);
-                assert_eq!(a.group, b.group);
-                assert_eq!(a.egress_ifs, b.egress_ifs);
-                assert_eq!(a.beacon, b.beacon);
-            }
-            assert_eq!(par_timing.candidates, seq_timing.candidates);
-        }
-    }
-
-    #[test]
     fn engine_handles_empty_database_and_no_racs() {
         let node = local_as();
         let db = ShardedIngressDb::default();
         let racs = rac_set();
         let (outputs, timing) =
-            execute_racs(&racs, &db, &node, &[IfId(1)], SimTime::ZERO, 4).unwrap();
+            execute_racs(&racs, &db, &node, &[IfId(1)], SimTime::ZERO, 1).unwrap();
         assert!(outputs.is_empty());
         assert_eq!(timing.candidates, 0);
 
@@ -1051,60 +655,10 @@ mod tests {
             &node,
             &[IfId(1)],
             SimTime::ZERO,
-            4,
+            1,
         )
         .unwrap();
         assert!(outputs.is_empty());
-    }
-
-    #[test]
-    fn oversized_batches_split_deterministically() {
-        // One hot origin with 24 candidates, split threshold 4 => 6 sub-range items plus a
-        // reduce pass. The output must be identical across worker counts, and for
-        // rank-independent selectors identical to the unsplit single-pass selection.
-        let racs: Vec<Rac> = ["1SP", "widest"]
-            .iter()
-            .map(|name| Rac::new_static(RacConfig::static_rac(*name, *name)).unwrap())
-            .collect();
-        let db = db_with_origins(1, 24);
-        let node = local_as();
-        let egress = [IfId(1), IfId(2), IfId(3)];
-
-        let (unsplit, unsplit_timing) = execute_racs_with(
-            &racs,
-            &db,
-            &node,
-            &egress,
-            SimTime::ZERO,
-            1,
-            BATCH_SPLIT_THRESHOLD,
-        )
-        .unwrap();
-        assert!(!unsplit.is_empty());
-        let (split_seq, split_timing) =
-            execute_racs_with(&racs, &db, &node, &egress, SimTime::ZERO, 1, 4).unwrap();
-        // Every candidate crossed the marshal boundary once per sub-range pass, plus the
-        // winners once more in the reduce pass.
-        assert!(split_timing.candidates > unsplit_timing.candidates);
-        for parallelism in [2, 4, 8] {
-            let (split_par, _) =
-                execute_racs_with(&racs, &db, &node, &egress, SimTime::ZERO, parallelism, 4)
-                    .unwrap();
-            assert_eq!(split_par.len(), split_seq.len());
-            for (a, b) in split_seq.iter().zip(&split_par) {
-                assert_eq!(a.rac_name, b.rac_name);
-                assert_eq!(a.egress_ifs, b.egress_ifs);
-                assert_eq!(a.beacon, b.beacon);
-            }
-        }
-        // 1SP and widest rank candidates independently: hierarchical selection equals the
-        // single-pass selection.
-        assert_eq!(split_seq.len(), unsplit.len());
-        for (a, b) in unsplit.iter().zip(&split_seq) {
-            assert_eq!(a.rac_name, b.rac_name);
-            assert_eq!(a.egress_ifs, b.egress_ifs);
-            assert_eq!(a.beacon, b.beacon);
-        }
     }
 
     /// Beacons of one origin with link-diverse two-hop chains, so HD's disjointness
@@ -1145,9 +699,9 @@ mod tests {
 
     #[test]
     fn outputs_share_the_stored_beacon_and_carry_its_id() {
-        // Every output — of an unsplit batch or reduced from sub-ranges — is the database's
-        // own allocation (no clone of the decoded candidate) and carries the id the view
-        // carries for it, which is the beacon's digest.
+        // Every output is the database's own allocation (no clone of the decoded
+        // candidate) and carries the id the view carries for it, which is the beacon's
+        // digest.
         let racs: Vec<Rac> = ["1SP", "HD"]
             .iter()
             .map(|name| Rac::new_static(RacConfig::static_rac(*name, *name)).unwrap())
@@ -1157,47 +711,31 @@ mod tests {
         let egress = [IfId(2), IfId(3)];
         let key = db.batch_keys()[0];
         let view = db.batch_view(&key, SimTime::ZERO).unwrap();
-        for threshold in [BATCH_SPLIT_THRESHOLD, 4] {
-            let (batches, _) = execute_racs_delta(
-                &racs,
-                &db,
-                &node,
-                &egress,
-                SimTime::ZERO,
-                2,
-                threshold,
-                &mut SelectionTables::new(),
-            )
-            .unwrap();
-            assert!(!batches.is_empty());
-            for SelectedBeacon { pcb_id, beacon, .. } in batches.iter().flat_map(|b| &b.selected) {
-                let stored = view
-                    .beacons
-                    .iter()
-                    .position(|b| Arc::ptr_eq(b, beacon))
-                    .expect("output beacon is pointer-equal to a stored beacon");
-                assert_eq!(*pcb_id, view.ids()[stored]);
-                assert_eq!(*pcb_id, beacon.pcb.digest());
-            }
+        let (batches, _) = execute_racs_cached(
+            &racs,
+            &db,
+            &node,
+            &egress,
+            SimTime::ZERO,
+            &mut SelectionTables::new(),
+        )
+        .unwrap();
+        assert!(!batches.is_empty());
+        for SelectedBeacon { pcb_id, beacon, .. } in batches.iter().flat_map(|b| &b.selected) {
+            let stored = view
+                .beacons
+                .iter()
+                .position(|b| Arc::ptr_eq(b, beacon))
+                .expect("output beacon is pointer-equal to a stored beacon");
+            assert_eq!(*pcb_id, view.ids()[stored]);
+            assert_eq!(*pcb_id, beacon.pcb.digest());
         }
     }
 
     #[test]
-    fn split_threshold_boundary_does_not_split() {
-        // Exactly `threshold` candidates stay one work item (no reduce pass): the timing
-        // counts every candidate exactly once.
-        let racs = vec![Rac::new_static(RacConfig::static_rac("1SP", "1SP")).unwrap()];
-        let db = db_with_origins(1, 8);
-        let node = local_as();
-        let (_, timing) =
-            execute_racs_with(&racs, &db, &node, &[IfId(2)], SimTime::ZERO, 4, 8).unwrap();
-        assert_eq!(timing.candidates, 8);
-    }
-
-    #[test]
-    fn errors_are_deterministic_across_parallelism() {
-        // An on-demand RAC with no published algorithm errors on fetch; the same error must
-        // surface regardless of worker count.
+    fn an_unpublished_on_demand_algorithm_fails_the_pass() {
+        // An on-demand RAC with no published algorithm errors on fetch, and the pass
+        // returns that error.
         let store = crate::rac::SharedAlgorithmStore::new();
         let reference = irec_pcb::AlgorithmRef::new(
             irec_types::AlgorithmId(9),
@@ -1227,10 +765,8 @@ mod tests {
                     .unwrap(),
             ];
         let node = local_as();
-        let seq_err = execute_racs(&racs, &db, &node, &[IfId(2)], SimTime::ZERO, 1).unwrap_err();
-        let par_err = execute_racs(&racs, &db, &node, &[IfId(2)], SimTime::ZERO, 4).unwrap_err();
-        assert_eq!(seq_err.category(), par_err.category());
-        assert_eq!(seq_err.category(), "not-found");
+        let err = execute_racs(&racs, &db, &node, &[IfId(2)], SimTime::ZERO, 1).unwrap_err();
+        assert_eq!(err.category(), "not-found");
     }
 
     /// `b` — what the node's entry point returned — selects what the reference `a` selects,
@@ -1276,15 +812,13 @@ mod tests {
         racs: &[Rac],
         db: &ShardedIngressDb,
         now: SimTime,
-        parallelism: usize,
         tables: &mut SelectionTables,
     ) -> (IncrementalStats, usize) {
         let node = local_as();
         let egress = [IfId(1), IfId(2), IfId(3)];
         let before = tables.stats();
         let (reference, _) = execute_racs(racs, db, &node, &egress, now, 1).unwrap();
-        let (batches, timing) =
-            execute_racs_cached(racs, db, &node, &egress, now, parallelism, tables).unwrap();
+        let (batches, timing) = execute_racs_cached(racs, db, &node, &egress, now, tables).unwrap();
         assert_same_outputs(&reference, &batches);
         let after = tables.stats();
         (
@@ -1315,28 +849,24 @@ mod tests {
         racs.push(Rac::new_static(RacConfig::static_rac("HD", "HD")).unwrap());
         let db = db_with_origins(6, 4);
         let mut tables = SelectionTables::new();
-        for parallelism in [1, 4] {
-            tables.clear();
-            // The first pass computes everything, the second is served from the tables
-            // without evaluating a single candidate.
-            let (first, candidates) =
-                delta_pass(&racs, &db, SimTime::ZERO, parallelism, &mut tables);
-            assert_eq!(first, counts(0, 0, racs.len() * 6));
-            assert_eq!(candidates, racs.len() * 6 * 4);
-            let second = delta_pass(&racs, &db, SimTime::ZERO, parallelism, &mut tables);
-            assert_eq!(second, (counts(racs.len() * 6, 0, 0), 0));
-        }
+        // The first pass computes everything, the second is served from the tables
+        // without evaluating a single candidate.
+        let (first, candidates) = delta_pass(&racs, &db, SimTime::ZERO, &mut tables);
+        assert_eq!(first, counts(0, 0, racs.len() * 6));
+        assert_eq!(candidates, racs.len() * 6 * 4);
+        let second = delta_pass(&racs, &db, SimTime::ZERO, &mut tables);
+        assert_eq!(second, (counts(racs.len() * 6, 0, 0), 0));
         assert_eq!(tables.len(), racs.len() * 6);
 
         // One arrival at origin 1: every RAC re-selects over its winners plus the arrival
         // — HD too, its budget exceeds the batch, so its certificate holds trivially — and
         // the other five origins stand.
         insert_arrival(&db, 1, 99, SimDuration::from_hours(6));
-        let (third, candidates) = delta_pass(&racs, &db, SimTime::ZERO, 1, &mut tables);
+        let (third, candidates) = delta_pass(&racs, &db, SimTime::ZERO, &mut tables);
         assert_eq!(third, counts(racs.len() * 5, 5, 0));
         // 1SP keeps one winner per egress, the budgets of the others exceed the batch.
         assert!(candidates < 5 * 5, "{candidates} candidates evaluated");
-        let fourth = delta_pass(&racs, &db, SimTime::ZERO, 1, &mut tables);
+        let fourth = delta_pass(&racs, &db, SimTime::ZERO, &mut tables);
         assert_eq!(fourth, (counts(racs.len() * 6, 0, 0), 0));
     }
 
@@ -1345,35 +875,35 @@ mod tests {
         let racs = rac_set();
         let db = db_with_origins(3, 4);
         let mut tables = SelectionTables::new();
-        delta_pass(&racs, &db, SimTime::ZERO, 1, &mut tables);
+        delta_pass(&racs, &db, SimTime::ZERO, &mut tables);
 
         // A purge disturbs exactly the batch it removes from.
         assert_eq!(
             db.purge_where(|b| b.pcb.origin == AsId(2) && b.pcb.sequence == 0),
             1
         );
-        let (pass, _) = delta_pass(&racs, &db, SimTime::ZERO, 1, &mut tables);
+        let (pass, _) = delta_pass(&racs, &db, SimTime::ZERO, &mut tables);
         assert_eq!(pass, counts(racs.len() * 2, 0, racs.len()));
 
         // A short-lived arrival is extended in; once it expires — the database untouched —
         // the entry computed from it no longer covers the batch.
         insert_arrival(&db, 3, 99, SimDuration::from_hours(1));
-        let (pass, _) = delta_pass(&racs, &db, SimTime::ZERO, 1, &mut tables);
+        let (pass, _) = delta_pass(&racs, &db, SimTime::ZERO, &mut tables);
         assert_eq!(pass, counts(racs.len() * 2, racs.len(), 0));
         let later = SimTime::ZERO + SimDuration::from_hours(2);
-        let (pass, _) = delta_pass(&racs, &db, later, 1, &mut tables);
+        let (pass, _) = delta_pass(&racs, &db, later, &mut tables);
         assert_eq!(pass, counts(racs.len() * 2, 0, racs.len()));
         // The sweep that evicts it disturbs the batch once more, and a batch that empties
         // takes its entries with it.
         assert_eq!(db.evict_expired(later, SimDuration::ZERO), 1);
         assert_eq!(db.purge_where(|b| b.pcb.origin == AsId(1)), 4);
-        let (pass, _) = delta_pass(&racs, &db, later, 1, &mut tables);
+        let (pass, _) = delta_pass(&racs, &db, later, &mut tables);
         assert_eq!(pass, counts(racs.len(), 0, racs.len()));
         assert_eq!(tables.len(), racs.len() * 2);
 
         // Another RAC list is another context: nothing carries over.
         let fewer = &racs[..2];
-        let (pass, _) = delta_pass(fewer, &db, later, 1, &mut tables);
+        let (pass, _) = delta_pass(fewer, &db, later, &mut tables);
         assert_eq!(pass.recomputed, fewer.len() * 2);
         assert_eq!(pass.invalidated, racs.len() * 2);
         assert_eq!(tables.clear(), fewer.len() * 2);
@@ -1385,12 +915,12 @@ mod tests {
         let store = crate::rac::SharedAlgorithmStore::new();
         let od =
             Rac::new_on_demand(RacConfig::on_demand_rac("od"), std::sync::Arc::new(store)).unwrap();
-        assert!(!od.is_cacheable() && !od.reselects() && !od.splits_batches());
+        assert!(!od.is_cacheable() && !od.reselects());
         let racs = vec![od];
         let db = db_with_origins(2, 2);
         let mut tables = SelectionTables::new();
         for _ in 0..2 {
-            delta_pass(&racs, &db, SimTime::ZERO, 1, &mut tables);
+            delta_pass(&racs, &db, SimTime::ZERO, &mut tables);
         }
         assert!(tables.is_empty());
         assert_eq!(tables.stats(), IncrementalStats::default());
@@ -1423,106 +953,68 @@ mod tests {
         let config = RacConfig::static_rac("HD", "HD").with_max_selected(2);
         let racs = vec![Rac::new_static(config).unwrap()];
         let (a, b, c) = ((2, 1), (1, 1), (1, 2));
-        for parallelism in [1, 4] {
-            let db = ShardedIngressDb::default();
-            insert_path(&db, 0, &[b, a]);
-            insert_path(&db, 1, &[c, a]);
-            insert_path(&db, 2, &[(1, 3), (4, 1), (5, 1)]);
-            let mut tables = SelectionTables::new();
-            let (first, _) = delta_pass(&racs, &db, SimTime::ZERO, parallelism, &mut tables);
-            assert_eq!(first, counts(0, 0, 1));
+        let db = ShardedIngressDb::default();
+        insert_path(&db, 0, &[b, a]);
+        insert_path(&db, 1, &[c, a]);
+        insert_path(&db, 2, &[(1, 3), (4, 1), (5, 1)]);
+        let mut tables = SelectionTables::new();
+        let (first, _) = delta_pass(&racs, &db, SimTime::ZERO, &mut tables);
+        assert_eq!(first, counts(0, 0, 1));
 
-            // A one-hop arrival over B, disjoint from c1: it is picked first, and with only
-            // B used c1 beats c2 — but c1 is not among the winners the re-selection sees.
-            // The certificate fails on c2, and the full pass picks c1.
-            insert_path(&db, 3, &[b]);
-            let (second, _) = delta_pass(&racs, &db, SimTime::ZERO, parallelism, &mut tables);
-            assert_eq!(
-                second,
-                IncrementalStats {
-                    refused: 1,
-                    ..counts(0, 0, 1)
-                }
-            );
-            let (batches, _) = execute_racs_cached(
-                &racs,
-                &db,
-                &local_as(),
-                &[IfId(1), IfId(2), IfId(3)],
-                SimTime::ZERO,
-                parallelism,
-                &mut tables,
-            )
-            .unwrap();
-            let sequences: Vec<u64> = batches[0]
-                .selected
-                .iter()
-                .map(|s| s.beacon.pcb.sequence)
-                .collect();
-            assert_eq!(sequences, [1, 3], "c1 and the arrival");
-
-            // A third arrival that changes nothing: certified over the kept picks, and
-            // last round's selection is handed on as it was — the same allocation, which
-            // the egress gateway replays.
-            insert_path(&db, 4, &[(1, 3), (4, 1), (6, 1), (7, 1)]);
-            let (third, _) = delta_pass(&racs, &db, SimTime::ZERO, parallelism, &mut tables);
-            assert_eq!(third, counts(0, 1, 0));
-            let round = |tables: &mut SelectionTables| {
-                let egress = [IfId(1), IfId(2), IfId(3)];
-                let node = local_as();
-                execute_racs_cached(&racs, &db, &node, &egress, SimTime::ZERO, 1, tables)
-                    .unwrap()
-                    .0
-            };
-            assert!(Arc::ptr_eq(&batches[0], &round(&mut tables)[0]));
-
-            // A short disjoint arrival displaces c1, under the certificate: a new selection.
-            insert_path(&db, 5, &[(1, 4)]);
-            let (fourth, _) = delta_pass(&racs, &db, SimTime::ZERO, parallelism, &mut tables);
-            assert_eq!(fourth, counts(0, 1, 0));
-            let now_selected = round(&mut tables);
-            assert!(!Arc::ptr_eq(&batches[0], &now_selected[0]));
-            let sequences: Vec<u64> = now_selected[0]
-                .selected
-                .iter()
-                .map(|s| s.beacon.pcb.sequence)
-                .collect();
-            assert_eq!(sequences, [3, 5]);
-        }
-    }
-
-    #[test]
-    fn splitting_never_changes_a_selection() {
-        // Sub-ranges of four over 24 link-diverse candidates: composable selectors reduce
-        // their sub-range winners; HD, `<k>YEN` and ACO are not split at all.
-        let node = local_as();
-        let egress = [IfId(2), IfId(3)];
-        let db = db_link_diverse(24);
-        let names = irec_algorithms::catalog::BUILTIN_NAMES
-            .iter()
-            .copied()
-            .chain(["DON", "DOB", "3SP", "aco:7:4"]);
-        for name in names {
-            let config = RacConfig::static_rac(name, name).with_max_selected(3);
-            let racs = vec![Rac::new_static(config).unwrap()];
-            let (unsplit, unsplit_timing) =
-                execute_racs_with(&racs, &db, &node, &egress, SimTime::ZERO, 1, 512).unwrap();
-            assert!(!unsplit.is_empty(), "{name} selects nothing");
-            for parallelism in [1, 4] {
-                let (split, split_timing) =
-                    execute_racs_with(&racs, &db, &node, &egress, SimTime::ZERO, parallelism, 4)
-                        .unwrap();
-                assert_eq!(
-                    split_timing.candidates > unsplit_timing.candidates,
-                    racs[0].splits_batches(),
-                    "{name}"
-                );
-                assert_eq!(unsplit.len(), split.len(), "{name}");
-                for (a, b) in unsplit.iter().zip(&split) {
-                    assert_eq!(a.egress_ifs, b.egress_ifs, "{name}");
-                    assert!(Arc::ptr_eq(&a.beacon, &b.beacon), "{name}");
-                }
+        // A one-hop arrival over B, disjoint from c1: it is picked first, and with only
+        // B used c1 beats c2 — but c1 is not among the winners the re-selection sees.
+        // The certificate fails on c2, and the full pass picks c1.
+        insert_path(&db, 3, &[b]);
+        let (second, _) = delta_pass(&racs, &db, SimTime::ZERO, &mut tables);
+        assert_eq!(
+            second,
+            IncrementalStats {
+                refused: 1,
+                ..counts(0, 0, 1)
             }
-        }
+        );
+        let (batches, _) = execute_racs_cached(
+            &racs,
+            &db,
+            &local_as(),
+            &[IfId(1), IfId(2), IfId(3)],
+            SimTime::ZERO,
+            &mut tables,
+        )
+        .unwrap();
+        let sequences: Vec<u64> = batches[0]
+            .selected
+            .iter()
+            .map(|s| s.beacon.pcb.sequence)
+            .collect();
+        assert_eq!(sequences, [1, 3], "c1 and the arrival");
+
+        // A third arrival that changes nothing: certified over the kept picks, and
+        // last round's selection is handed on as it was — the same allocation, which
+        // the egress gateway replays.
+        insert_path(&db, 4, &[(1, 3), (4, 1), (6, 1), (7, 1)]);
+        let (third, _) = delta_pass(&racs, &db, SimTime::ZERO, &mut tables);
+        assert_eq!(third, counts(0, 1, 0));
+        let round = |tables: &mut SelectionTables| {
+            let egress = [IfId(1), IfId(2), IfId(3)];
+            let node = local_as();
+            execute_racs_cached(&racs, &db, &node, &egress, SimTime::ZERO, tables)
+                .unwrap()
+                .0
+        };
+        assert!(Arc::ptr_eq(&batches[0], &round(&mut tables)[0]));
+
+        // A short disjoint arrival displaces c1, under the certificate: a new selection.
+        insert_path(&db, 5, &[(1, 4)]);
+        let (fourth, _) = delta_pass(&racs, &db, SimTime::ZERO, &mut tables);
+        assert_eq!(fourth, counts(0, 1, 0));
+        let now_selected = round(&mut tables);
+        assert!(!Arc::ptr_eq(&batches[0], &now_selected[0]));
+        let sequences: Vec<u64> = now_selected[0]
+            .selected
+            .iter()
+            .map(|s| s.beacon.pcb.sequence)
+            .collect();
+        assert_eq!(sequences, [3, 5]);
     }
 }

@@ -56,8 +56,8 @@ pub use beacon_db::{
 pub use config::{NodeConfig, PropagationPolicy, RacConfig, RacKind};
 pub use egress::{EgressGateway, OriginationSpec};
 pub use engine::{
-    execute_racs, execute_racs_cached, execute_racs_with, run_claimed, BatchOutputs,
-    BatchSelection, SelectedBeacon, SelectionTables, BATCH_SPLIT_THRESHOLD,
+    execute_racs, execute_racs_cached, BatchOutputs, BatchSelection, SelectedBeacon,
+    SelectionTables,
 };
 pub use ingress::{verify_received, IngressGateway, IngressStats, Verdict};
 pub use messages::{PcbMessage, PullReturn};

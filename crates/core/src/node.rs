@@ -304,8 +304,7 @@ impl IrecNode {
             }
         }
 
-        // 2. RAC processing (§V-C): run every RAC through the execution engine —
-        // sequentially or fanned out over worker threads, with byte-identical results (see
+        // 2. RAC processing (§V-C): run every RAC through the execution engine (see
         // `crate::engine`). The engine re-selects only where the ingress database changed
         // since the last round and serves every other batch's outputs from the node's
         // tables; what comes back is what a from-scratch pass would select, in its order.
@@ -316,7 +315,6 @@ impl IrecNode {
             local_as,
             &all_interfaces,
             now,
-            self.config.parallelism,
             &mut self.selection_tables,
         )?;
         output.timing.accumulate(&timing);

@@ -241,9 +241,9 @@ fn implausible_candidate_count() -> IrecError {
 /// A routing algorithm container.
 ///
 /// A `Rac` is `Send + Sync`: processing takes `&self`, and the only mutable state — the
-/// on-demand algorithm cache — lives behind a [`parking_lot::RwLock`], so the parallel RAC
-/// execution engine ([`crate::engine`]) can fan `process_candidates` calls for independent
-/// candidate batches out over worker threads.
+/// on-demand algorithm cache — lives behind a [`parking_lot::RwLock`], so independent
+/// candidate batches may be processed from several threads at once (the `fig7` throughput
+/// scan does; the execution engine, [`crate::engine`], runs them in turn).
 pub struct Rac {
     config: RacConfig,
     /// `config.name`, in the form kept selections share (see
@@ -391,17 +391,6 @@ impl Rac {
             .is_some_and(|algorithm| algorithm.reselect_reads_picks())
     }
 
-    /// Whether the execution engine may split an oversized batch of this RAC into
-    /// sub-ranges: only when one more `select` over the union of the sub-range winners puts
-    /// them back together exactly, which is what
-    /// [union-composable](RoutingAlgorithm::union_composable) declares. Everything else —
-    /// HD, `<k>YEN`, ACO, on-demand modules — gets its whole batch in one pass.
-    pub fn splits_batches(&self) -> bool {
-        self.static_algorithm
-            .as_ref()
-            .is_some_and(|algorithm| algorithm.union_composable())
-    }
-
     /// Whether this RAC requests all interface groups of an origin as one merged batch
     /// (interface-group processing disabled) rather than one batch per stored group.
     pub fn merges_groups(&self) -> bool {
@@ -434,8 +423,7 @@ impl Rac {
 
     /// Snapshots the candidate batches this RAC processes, honouring its pull-based /
     /// interface-group / on-demand configuration. The returned views share the stored
-    /// beacons (no deep copies) and are what the parallel execution engine distributes over
-    /// its workers.
+    /// beacons (no deep copies).
     pub fn relevant_batches(&self, db: &ShardedIngressDb, now: SimTime) -> Vec<BatchView> {
         let merge_groups = self.merges_groups();
         self.relevant_batch_keys(db)

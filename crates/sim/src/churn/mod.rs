@@ -25,10 +25,10 @@
 //! generator's PRNG is a self-contained splitmix64 stream seeded from the config; its
 //! draws consume only the stream and the simulation's *deterministic* observables (live
 //! ASes in `AsId` order, downed links in `LinkId` order, topology link ids in sorted
-//! order). The engine applies deltas between rounds — where every worker has joined —
-//! and its settle loop advances on registered-path equality, itself a deterministic
-//! output. Therefore the whole timeline, and everything downstream of it, is
-//! byte-identical across all parallelism knobs, like every other plane:
+//! order). The engine applies deltas between rounds — where the verify helper has
+//! returned — and its settle loop advances on registered-path equality, itself a
+//! deterministic output. Therefore the whole timeline, and everything downstream of it, is
+//! byte-identical at every verify width, like every other plane:
 //! `tests/churn_determinism.rs` and the CI determinism matrix enforce the bar.
 
 pub mod engine;
@@ -198,9 +198,9 @@ impl std::fmt::Display for ChurnKinds {
     }
 }
 
-/// Parameters of a churn workload. These are *workload* knobs: unlike the parallelism
-/// knobs they change the simulation's output (deliberately so) — but the output is still a
-/// pure function of this config, byte-identical across schedulers and worker counts.
+/// Parameters of a churn workload. These are *workload* knobs: unlike the verify width
+/// they change the simulation's output (deliberately so) — but the output is still a pure
+/// function of this config, byte-identical at every verify width.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnConfig {
     /// Expected number of deltas per churn step. Fractional rates accumulate: at 0.5,

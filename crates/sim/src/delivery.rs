@@ -36,9 +36,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::time::Instant;
 
-/// Hard cap on the verify width, matching the RAC engine's cap on its workers.
-pub const MAX_WORKERS: usize = 64;
-
 /// Events delivered between two releases of the queue's spare room, and the most
 /// [`DeliveryPlane::drain_due`] hands out at once to the benchmark's traced round loop.
 pub const MAX_EPOCH_EVENTS: usize = 4096;

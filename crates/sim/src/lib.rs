@@ -9,8 +9,8 @@
 //!   paper's setup): it originates fresh PCBs, runs all its RACs over the ingress database,
 //!   and hands the selections to the egress gateway;
 //! * the resulting PCB messages are delivered to the neighboring ASes through the
-//!   [`delivery::DeliveryPlane`] — a discrete [`event::EventQueue`] drained in time epochs
-//!   with per-destination-AS inboxes and a parallel-verify / serial-apply pipeline —
+//!   [`delivery::DeliveryPlane`] — a discrete [`event::EventQueue`] drained in
+//!   `(SimTime, seq)` order, whose PCBs were verified ahead on a helper thread —
 //!   delayed by the propagation latency of the traversed link (plus a small processing
 //!   delay);
 //! * pull-based beacons reaching their target are returned to the origin AS as
@@ -21,11 +21,10 @@
 //! [`pd::PdWorkflow`] implements the iterative pull-based disjointness (PD) workflow of
 //! §VIII-B on top of the simulator: seed with HD paths, then repeatedly originate on-demand +
 //! pull-based beacons that avoid all links discovered so far, adding one new disjoint path
-//! per iteration. [`pd::PdCampaign`] fans N independent `(origin, target)` workflows out
-//! over a scoped worker pool — each on its own copy-on-write [`SimSnapshot`] (restricted
-//! to the origin's reachable component; see [`Simulation::snapshot_reachable_from`]) —
-//! with results merged in pair order, byte-identical to the sequential loop and to the
-//! deep-clone loop `tests/pd_determinism.rs` keeps as its oracle.
+//! per iteration. [`pd::PdCampaign`] runs N independent `(origin, target)` workflows in
+//! pair order, each on its own copy-on-write [`SimSnapshot`] (restricted to the origin's
+//! reachable component; see [`Simulation::snapshot_reachable_from`]), byte-identical to
+//! the deep-clone loop `tests/pd_determinism.rs` keeps as its oracle.
 //!
 //! [`churn::ChurnEngine`] layers live reconfiguration on top: a seeded generator emits a
 //! deterministic timeline of topology deltas (link flaps, AS leaves/joins, RAC-catalog
@@ -34,9 +33,10 @@
 //! and re-select only where their ingress database changed (see
 //! [`irec_core::SelectionTables`]), so structural mutations need no invalidation protocol.
 //!
-//! Every round runs as three strict phases — deliver, node phase, account and schedule in
-//! `AsId` order — on one driver; the worker counts only change how wide each phase fans
-//! out, never the output.
+//! Every round delivers what is due, runs the nodes one after the other in `AsId` order and
+//! schedules their outputs in that order. At verify width 2 one helper thread verifies each
+//! finished node's PCBs while the next nodes run — the simulator's only concurrency; the
+//! width never changes the output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,12 +10,10 @@
 
 use crate::simulation::Simulation;
 use irec_algorithms::disjoint::pd_round_program;
-use irec_core::engine::run_claimed;
 use irec_core::OriginationSpec;
 use irec_metrics::RegisteredPath;
 use irec_pcb::PcbExtensions;
 use irec_types::{AlgorithmId, AsId, IfId, Result};
-use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -224,9 +222,6 @@ fn first_new_path(
     fresh.into_iter().next()
 }
 
-/// Hard cap on campaign workers, matching the other execution engines' caps.
-pub const MAX_CAMPAIGN_WORKERS: usize = 64;
-
 /// Everything one `(origin, target)` pair of a campaign produced.
 #[derive(Debug, Clone)]
 pub struct PdPairResult {
@@ -250,8 +245,7 @@ pub struct PdPairResult {
 }
 
 /// The Fig. 8 disjointness campaign: N independent `(origin, target)` pull workflows,
-/// each on its own snapshot of a warmed-up base simulation, fanned out over an
-/// engine-style scoped worker pool.
+/// run one after the other, each on its own snapshot of a warmed-up base simulation.
 ///
 /// **Snapshots.** Each pair runs on a copy-on-write
 /// [`Simulation::snapshot_reachable_from`] of the base — two pointer copies per node at
@@ -265,11 +259,9 @@ pub struct PdPairResult {
 /// [`Simulation`] snapshot, and the only shared structure — the on-demand algorithm
 /// store — is partitioned by giving every pair a disjoint algorithm-id range
 /// ([`PdCampaign::ALGORITHM_ID_BASE`] + index × [`PdCampaign::ALGORITHM_IDS_PER_PAIR`],
-/// through [`PdWorkflow::with_algorithm_id_base`]). Results land in per-pair slots and are
-/// merged in pair order, so a run with any `parallelism` value is byte-identical to the
-/// sequential pair-by-pair loop; errors surface deterministically (first failing pair in
-/// pair order wins). `tests/pd_determinism.rs` and the CI determinism job enforce this
-/// for `--pd-parallelism {1,4}` stacked with every other parallelism knob.
+/// through [`PdWorkflow::with_algorithm_id_base`]). Results come back in pair order, and
+/// the first failing pair's error is returned. `tests/pd_determinism.rs` and the CI
+/// determinism job pin the campaign against a manual pair loop, at verify widths 1 and 2.
 ///
 /// Self-pairs (`origin == target`) are short-circuited without taking a snapshot — their
 /// [`PdPairResult::self_pair`] flag is set and their result is empty.
@@ -295,13 +287,12 @@ pub struct PdPairResult {
 /// ).unwrap();
 /// base.run_rounds(4).unwrap();
 ///
-/// // Two pairs, two workers, one COW snapshot per pair; the base is never mutated.
+/// // Two pairs, one COW snapshot per pair; the base is never mutated.
 /// let results = PdCampaign::new(
 ///     vec![(figure1::SRC, figure1::DST), (figure1::DST, figure1::SRC)],
 ///     4,
 /// )
 /// .with_rounds_per_iteration(3)
-/// .with_parallelism(2)
 /// .run(&base)
 /// .unwrap();
 /// assert_eq!(results.len(), 2);
@@ -312,7 +303,6 @@ pub struct PdCampaign {
     pairs: Vec<(AsId, AsId)>,
     max_paths: usize,
     rounds_per_iteration: usize,
-    parallelism: usize,
 }
 
 impl PdCampaign {
@@ -321,10 +311,10 @@ impl PdCampaign {
 
     /// The size of every pair's algorithm-id range: pair `index` starts at
     /// [`PdCampaign::ALGORITHM_ID_BASE`] + `index` × this. Ranges are disjoint across pairs
-    /// (orders of magnitude beyond any plausible iteration count), which keeps
-    /// concurrently-running workflows of the same origin from overwriting each other in the
-    /// shared algorithm store. The ids end up inside signed PCBs, so a loop that is to
-    /// reproduce a campaign must use the same ranges.
+    /// (orders of magnitude beyond any plausible iteration count), which keeps workflows of
+    /// the same origin from overwriting each other in the shared algorithm store. The ids
+    /// end up inside signed PCBs, so a loop that is to reproduce a campaign must use the
+    /// same ranges.
     pub const ALGORITHM_IDS_PER_PAIR: u64 = 1_000_000;
 
     /// Creates a campaign discovering up to `max_paths` disjoint paths for every pair.
@@ -333,7 +323,6 @@ impl PdCampaign {
             pairs,
             max_paths,
             rounds_per_iteration: 6,
-            parallelism: 1,
         }
     }
 
@@ -341,14 +330,6 @@ impl PdCampaign {
     #[must_use]
     pub fn with_rounds_per_iteration(mut self, rounds: usize) -> Self {
         self.rounds_per_iteration = rounds.max(1);
-        self
-    }
-
-    /// Sets the campaign's worker count (clamped to `1..=`[`MAX_CAMPAIGN_WORKERS`]).
-    /// `1` runs the pairs sequentially; the output is byte-identical either way.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.clamp(1, MAX_CAMPAIGN_WORKERS);
         self
     }
 
@@ -365,62 +346,38 @@ impl PdCampaign {
     /// Runs every pair's workflow against its own snapshot of `base` and returns the
     /// results in pair order. `base` itself is never mutated.
     pub fn run(&self, base: &Simulation) -> Result<Vec<PdPairResult>> {
-        let run_pair = |index: usize, origin: AsId, target: AsId| -> Result<PdPairResult> {
-            let start = Instant::now();
-            if origin == target {
-                // There are no origin→origin paths to discover: without this
-                // short-circuit a self-pair paid for a full snapshot and
-                // `max_empty_iterations` iterations of pull traffic to itself before
-                // concluding exactly that.
-                return Ok(PdPairResult {
+        self.pairs
+            .iter()
+            .enumerate()
+            .map(|(index, &(origin, target))| {
+                let start = Instant::now();
+                if origin == target {
+                    // There are no origin→origin paths to discover: without this
+                    // short-circuit a self-pair paid for a full snapshot and
+                    // `max_empty_iterations` iterations of pull traffic to itself before
+                    // concluding exactly that.
+                    return Ok(PdPairResult {
+                        origin,
+                        target,
+                        result: PdResult::default(),
+                        pull_overhead: Vec::new(),
+                        self_pair: true,
+                        elapsed: start.elapsed(),
+                    });
+                }
+                let mut sim = base.snapshot_reachable_from(origin).into_simulation();
+                let mut workflow = PdWorkflow::new(origin, target, self.max_paths)
+                    .with_rounds_per_iteration(self.rounds_per_iteration)
+                    .with_algorithm_id_base(Self::algorithm_id_base(index));
+                let result = workflow.run(&mut sim)?;
+                Ok(PdPairResult {
                     origin,
                     target,
-                    result: PdResult::default(),
-                    pull_overhead: Vec::new(),
-                    self_pair: true,
+                    result,
+                    pull_overhead: sim.overhead_pull().nonzero_samples(),
+                    self_pair: false,
                     elapsed: start.elapsed(),
-                });
-            }
-            let mut sim = base.snapshot_reachable_from(origin).into_simulation();
-            let mut workflow = PdWorkflow::new(origin, target, self.max_paths)
-                .with_rounds_per_iteration(self.rounds_per_iteration)
-                .with_algorithm_id_base(Self::algorithm_id_base(index));
-            let result = workflow.run(&mut sim)?;
-            Ok(PdPairResult {
-                origin,
-                target,
-                result,
-                pull_overhead: sim.overhead_pull().nonzero_samples(),
-                self_pair: false,
-                elapsed: start.elapsed(),
-            })
-        };
-
-        let workers = self.parallelism.min(self.pairs.len()).max(1);
-        if workers <= 1 {
-            return self
-                .pairs
-                .iter()
-                .enumerate()
-                .map(|(index, &(origin, target))| run_pair(index, origin, target))
-                .collect();
-        }
-
-        // Fan the pairs out over the claim-cursor pool: an idle worker claims the next
-        // unstarted pair, so a long pull workflow does not hold up the pairs behind it.
-        // Results land in slots indexed by pair, so the merge order is independent of
-        // scheduling.
-        let slots: Vec<Mutex<Option<Result<PdPairResult>>>> =
-            self.pairs.iter().map(|_| Mutex::new(None)).collect();
-        run_claimed(self.pairs.len(), workers, None, |index| {
-            let (origin, target) = self.pairs[index];
-            *slots[index].lock() = Some(run_pair(index, origin, target));
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("every pair slot is filled once the scope joins")
+                })
             })
             .collect()
     }
@@ -435,8 +392,13 @@ mod tests {
     use std::sync::Arc;
 
     fn sim_with_hd_and_on_demand() -> Simulation {
+        sim_at_verify_width(SimulationConfig::default().delivery_parallelism)
+    }
+
+    fn sim_at_verify_width(width: usize) -> Simulation {
         let topology = Arc::new(figure1_topology());
-        Simulation::new(topology, SimulationConfig::default(), |_| {
+        let config = SimulationConfig::default().with_delivery_parallelism(width);
+        Simulation::new(topology, config, |_| {
             NodeConfig::default()
                 .with_policy(PropagationPolicy::All)
                 .with_racs(vec![
@@ -649,9 +611,13 @@ mod tests {
     }
 
     #[test]
-    fn campaign_is_byte_identical_across_worker_counts_and_leaves_base_untouched() {
-        let mut base = sim_with_hd_and_on_demand();
-        base.run_rounds(6).unwrap();
+    fn campaign_is_byte_identical_across_verify_widths_and_leaves_base_untouched() {
+        let warmed = |width: usize| {
+            let mut base = sim_at_verify_width(width);
+            base.run_rounds(6).unwrap();
+            base
+        };
+        let base = warmed(1);
         let base_paths = base.registered_paths();
         let base_rounds = base.rounds_run();
 
@@ -675,18 +641,15 @@ mod tests {
             "no pair ran a pull iteration — the campaign comparison would be vacuous"
         );
 
-        for parallelism in [2usize, 4, 8] {
-            let parallel = PdCampaign::new(pairs.clone(), 6)
-                .with_rounds_per_iteration(3)
-                .with_parallelism(parallelism)
-                .run(&base)
-                .unwrap();
-            assert_eq!(
-                pair_fingerprint(&parallel),
-                pair_fingerprint(&sequential),
-                "campaign diverged at parallelism {parallelism}"
-            );
-        }
+        let ahead = PdCampaign::new(pairs.clone(), 6)
+            .with_rounds_per_iteration(3)
+            .run(&warmed(2))
+            .unwrap();
+        assert_eq!(
+            pair_fingerprint(&ahead),
+            pair_fingerprint(&sequential),
+            "campaign diverged at verify width 2"
+        );
 
         // The base simulation is a read-only template: no clock movement, no new paths.
         assert_eq!(base.rounds_run(), base_rounds);
@@ -721,23 +684,5 @@ mod tests {
         // in a self-pair-free campaign (index-based, so accounting stays per-slot).
         assert!(!results[1].self_pair);
         assert!(!results[1].result.paths.is_empty());
-        // Parallel runs agree byte-for-byte on the mixed pair list too.
-        let parallel = PdCampaign::new(
-            vec![
-                (figure1::SRC, figure1::SRC),
-                (figure1::SRC, figure1::DST),
-                (figure1::DST, figure1::DST),
-            ],
-            6,
-        )
-        .with_rounds_per_iteration(3)
-        .with_parallelism(4)
-        .run(&base)
-        .unwrap();
-        assert_eq!(pair_fingerprint(&parallel), pair_fingerprint(&results));
-        assert_eq!(
-            parallel.iter().map(|r| r.self_pair).collect::<Vec<_>>(),
-            vec![true, false, true]
-        );
     }
 }

@@ -1,14 +1,14 @@
 //! The simulation driver: periodic beaconing over a topology with event-based message
 //! delivery.
 //!
-//! A round delivers what is due, then runs every node's beaconing round — one after the
-//! other, or over `parallelism` worker threads — and schedules each node's output in
-//! `AsId` order. Delivery and the node phase do not run as strict phases: at verify
-//! width 2 (`delivery_parallelism`), each finished node's PCBs are verified on a helper
-//! thread while the next nodes run, so the flush that delivers them only commits verdicts
-//! (see [`crate::delivery`]).
+//! A round delivers what is due, then runs every node's beaconing round, one after the
+//! other in `AsId` order, and schedules each node's output in that order. Delivery and
+//! the node phase do not run as strict phases: at verify width 2 (`delivery_parallelism`),
+//! each finished node's PCBs are verified on a helper thread while the next nodes run, so
+//! the flush that delivers them only commits verdicts (see [`crate::delivery`]). That
+//! helper is the simulator's only concurrency.
 
-use crate::delivery::{DeliveryPlane, DeliveryStats, Flight, Handed, VerifyAhead, MAX_WORKERS};
+use crate::delivery::{DeliveryPlane, DeliveryStats, Flight, Handed, VerifyAhead};
 use crate::event::Event;
 use irec_algorithms::incremental::IncrementalStats;
 use irec_core::{IrecNode, NodeConfig, PcbMessage, RacConfig, SharedAlgorithmStore};
@@ -24,8 +24,8 @@ use std::time::Instant;
 
 /// Scheduler-quality accounting, accumulated per round: `idle = workers × round_wall −
 /// Σ busy`, where `busy` sums the instrumented payload work (node rounds, verifications
-/// ahead, deliveries) and `workers` is the round pool width (`max(parallelism, verify
-/// width)`). Serial sections therefore count `workers − 1` idle lanes.
+/// ahead, deliveries) and `workers` is the round pool width: the verify width. Serial
+/// sections therefore count `workers − 1` idle lanes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
     /// Rounds accounted.
@@ -56,11 +56,6 @@ pub struct SimulationConfig {
     pub beacon_interval: SimDuration,
     /// Fixed per-message processing delay added on top of link propagation.
     pub processing_delay: SimDuration,
-    /// Worker threads for the node phase of each round. `1` (the default) runs every node's
-    /// beaconing round sequentially; `N > 1` runs them concurrently and merges the round
-    /// outputs in `AsId` order before scheduling deliveries, so registered paths, overhead
-    /// counters and event order are byte-identical to a sequential run.
-    pub parallelism: usize,
     /// The verify width (see [`crate::delivery`]). `1` verifies every PCB inline when it
     /// is delivered — the reference. `2` runs one helper thread per round that verifies
     /// each node's PCBs while the remaining nodes still run; delivery commits the verdicts
@@ -75,7 +70,6 @@ impl Default for SimulationConfig {
         SimulationConfig {
             beacon_interval: SimDuration::from_minutes(10),
             processing_delay: SimDuration::from_millis(5),
-            parallelism: 1,
             delivery_parallelism: default_verify_width(),
         }
     }
@@ -100,13 +94,6 @@ fn default_verify_width() -> usize {
 }
 
 impl SimulationConfig {
-    /// Builder-style: set the node-phase worker count (clamped to at least 1).
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
-        self
-    }
-
     /// Builder-style: set the verify width (clamped to at least 1; widths above
     /// [`MAX_VERIFY_WIDTH`] run as that).
     #[must_use]
@@ -143,10 +130,7 @@ impl Clone for Simulation {
     /// moment of the snapshot. The topology, the control-plane PKI and the on-demand
     /// algorithm store stay shared (the first two are immutable after setup; the store is
     /// an append-only registry whose publishers must use distinct algorithm ids across
-    /// concurrently-running clones — see [`crate::pd::PdCampaign`]).
-    ///
-    /// This is what powers the parallel PD campaign: each `(origin, target)` pair runs its
-    /// pull workflow on its own clone of the warmed-up base simulation.
+    /// clones — see [`crate::pd::PdCampaign`]).
     fn clone(&self) -> Self {
         Simulation {
             topology: Arc::clone(&self.topology),
@@ -452,15 +436,6 @@ impl Simulation {
         self.config.delivery_parallelism.clamp(1, MAX_VERIFY_WIDTH)
     }
 
-    /// The width of the round's worker pool, for the idle accounting: the larger of the
-    /// node-phase worker count and the verify width.
-    fn round_pool_width(&self) -> usize {
-        self.config
-            .parallelism
-            .max(self.verify_width())
-            .clamp(1, MAX_WORKERS)
-    }
-
     /// Scheduler-quality accounting accumulated over the rounds run so far (see
     /// [`SchedulerStats`]). Not part of the deterministic simulation output.
     pub fn scheduler_stats(&self) -> SchedulerStats {
@@ -492,8 +467,8 @@ impl Simulation {
         self.plane.deliver_until_probed(&mut self.nodes, now, &busy);
 
         let verifier = Verifier::new(self.registry.clone());
-        let verify_ahead = self.verify_width() > 1;
-        let workers = self.config.parallelism.min(self.nodes.len()).max(1);
+        let verify_width = self.verify_width();
+        let verify_ahead = verify_width > 1;
         let Simulation {
             topology,
             config,
@@ -535,15 +510,10 @@ impl Simulation {
                 scope.spawn(|| pipeline.help(handed));
                 helper
             });
-            let hand_over = |flight| pipeline.hand_over(helper.as_ref(), flight);
-            if workers <= 1 {
-                run_nodes_in_turn(nodes, &fly, |flight| {
-                    hand_over(flight);
-                    outbox.take(returned.try_iter());
-                })
-            } else {
-                run_nodes_in_parallel(nodes, workers, &fly, hand_over)
-            }
+            run_nodes_in_turn(nodes, &fly, |flight| {
+                pipeline.hand_over(helper.as_ref(), flight);
+                outbox.take(returned.try_iter());
+            })
             // The helper's channel hangs up here: it verifies what is left and returns.
         });
         // The helper has returned: all flights are back.
@@ -553,7 +523,7 @@ impl Simulation {
         }
         *round += 1;
         self.scheduler.record_round(
-            self.round_pool_width(),
+            verify_width,
             wall.elapsed().as_nanos() as u64,
             busy.into_inner(),
         );
@@ -818,43 +788,6 @@ fn run_nodes_in_turn(
     None
 }
 
-/// Runs the nodes' rounds over `workers` scoped threads, each handing a node's flight with
-/// its position to `hand_over` as the node finishes. Every node runs; the first error in
-/// `AsId` order is returned, and the outputs of the nodes after it are never scheduled (an
-/// error aborts the run anyway).
-fn run_nodes_in_parallel(
-    nodes: &mut BTreeMap<AsId, IrecNode>,
-    workers: usize,
-    fly: &(impl Fn(&mut IrecNode) -> Result<Flight> + Sync),
-    hand_over: impl Fn(Handed) + Sync,
-) -> Option<IrecError> {
-    let mut entries: Vec<(usize, &mut IrecNode)> = nodes.values_mut().enumerate().collect();
-    let chunk_size = entries.len().div_ceil(workers);
-    let hand_over = &hand_over;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = entries
-            .chunks_mut(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut failures = Vec::new();
-                    for (index, node) in chunk {
-                        match fly(node) {
-                            Ok(flight) => hand_over((*index, flight)),
-                            Err(err) => failures.push((*index, err)),
-                        }
-                    }
-                    failures
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| handle.join().expect("node-phase worker panicked"))
-            .min_by_key(|(index, _)| *index)
-            .map(|(_, err)| err)
-    })
-}
-
 /// When a PCB sent at `now` is received: after its link's latency plus the processing
 /// delay.
 fn arrival(
@@ -1062,8 +995,8 @@ mod tests {
             stats.dropped_total(),
             stats.dropped_no_node + stats.dropped_link_down + stats.rejected
         );
-        for parallelism in [2, 4] {
-            let (p_paths, p_stats, p_occupancy) = run(parallelism);
+        for width in [2, 4] {
+            let (p_paths, p_stats, p_occupancy) = run(width);
             assert_eq!(p_paths, paths);
             assert_eq!(p_stats, stats);
             assert_eq!(p_occupancy, occupancy);
@@ -1072,13 +1005,11 @@ mod tests {
 
     #[test]
     fn node_failure_is_width_independent() {
-        let run = |parallelism: usize, delivery: usize| {
+        let run = |delivery: usize| {
             let topology = Arc::new(figure1_topology());
             let mut sim = Simulation::new(
                 topology,
-                SimulationConfig::default()
-                    .with_parallelism(parallelism)
-                    .with_delivery_parallelism(delivery),
+                SimulationConfig::default().with_delivery_parallelism(delivery),
                 |_| {
                     NodeConfig::default()
                         .with_policy(PropagationPolicy::All)
@@ -1097,21 +1028,15 @@ mod tests {
                 sim.overhead().samples(),
             )
         };
-        let reference = run(1, 1);
+        let reference = run(1);
         assert!(reference.1.delivered > 0);
         assert!(reference.1.dropped_no_node > 0);
-        for (parallelism, delivery) in [(2, 4), (4, 2), (8, 8)] {
-            let parallel = run(parallelism, delivery);
-            assert_eq!(parallel.0, reference.0, "paths at {parallelism}x{delivery}");
-            assert_eq!(parallel.1, reference.1, "stats at {parallelism}x{delivery}");
-            assert_eq!(
-                parallel.2, reference.2,
-                "occupancy at {parallelism}x{delivery}"
-            );
-            assert_eq!(
-                parallel.3, reference.3,
-                "overhead at {parallelism}x{delivery}"
-            );
+        for delivery in [2, 4] {
+            let ahead = run(delivery);
+            assert_eq!(ahead.0, reference.0, "paths at width {delivery}");
+            assert_eq!(ahead.1, reference.1, "stats at width {delivery}");
+            assert_eq!(ahead.2, reference.2, "occupancy at width {delivery}");
+            assert_eq!(ahead.3, reference.3, "overhead at width {delivery}");
         }
     }
 
@@ -1120,13 +1045,11 @@ mod tests {
     /// scheduler accounting moves, at any verify width.
     #[test]
     fn a_failing_node_leaves_the_round_uncounted() {
-        for (parallelism, delivery) in [(1, 1), (1, 2), (4, 2)] {
+        for delivery in [1, 2] {
             let topology = Arc::new(figure1_topology());
             let mut sim = Simulation::new(
                 topology,
-                SimulationConfig::default()
-                    .with_parallelism(parallelism)
-                    .with_delivery_parallelism(delivery),
+                SimulationConfig::default().with_delivery_parallelism(delivery),
                 |_| {
                     NodeConfig::default()
                         .with_policy(PropagationPolicy::All)
@@ -1169,15 +1092,11 @@ mod tests {
                 .db()
                 .insert(pcb, ingress, sim.now());
             assert_eq!(sim.pending_events(), 0);
-            assert!(sim.run_rounds(1).is_err(), "width {parallelism}x{delivery}");
-            assert_eq!(sim.rounds_run(), 2, "width {parallelism}x{delivery}");
-            assert_eq!(
-                sim.scheduler_stats().rounds,
-                2,
-                "width {parallelism}x{delivery}"
-            );
+            assert!(sim.run_rounds(1).is_err(), "width {delivery}");
+            assert_eq!(sim.rounds_run(), 2, "width {delivery}");
+            assert_eq!(sim.scheduler_stats().rounds, 2, "width {delivery}");
             // Src, before X in `AsId` order, still had its output scheduled.
-            assert!(sim.pending_events() > 0, "width {parallelism}x{delivery}");
+            assert!(sim.pending_events() > 0, "width {delivery}");
         }
     }
 
@@ -1252,13 +1171,11 @@ mod tests {
 
     #[test]
     fn link_down_drops_are_width_independent() {
-        let run = |parallelism: usize, delivery: usize| {
+        let run = |delivery: usize| {
             let topology = Arc::new(figure1_topology());
             let mut sim = Simulation::new(
                 topology,
-                SimulationConfig::default()
-                    .with_parallelism(parallelism)
-                    .with_delivery_parallelism(delivery),
+                SimulationConfig::default().with_delivery_parallelism(delivery),
                 |_| {
                     NodeConfig::default()
                         .with_policy(PropagationPolicy::All)
@@ -1276,16 +1193,13 @@ mod tests {
                 sim.ingress_occupancy(),
             )
         };
-        let reference = run(1, 1);
+        let reference = run(1);
         assert!(reference.1.dropped_link_down > 0);
-        for (parallelism, delivery) in [(2, 4), (4, 2), (1, 4)] {
-            let parallel = run(parallelism, delivery);
-            assert_eq!(parallel.0, reference.0, "paths at {parallelism}x{delivery}");
-            assert_eq!(parallel.1, reference.1, "stats at {parallelism}x{delivery}");
-            assert_eq!(
-                parallel.2, reference.2,
-                "occupancy at {parallelism}x{delivery}"
-            );
+        for delivery in [2, 4] {
+            let ahead = run(delivery);
+            assert_eq!(ahead.0, reference.0, "paths at width {delivery}");
+            assert_eq!(ahead.1, reference.1, "stats at width {delivery}");
+            assert_eq!(ahead.2, reference.2, "occupancy at width {delivery}");
         }
     }
 

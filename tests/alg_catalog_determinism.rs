@@ -1,11 +1,10 @@
 //! Acceptance tests for the stochastic + k-shortest algorithm families: a deployment
 //! running `5YEN` (exact Yen's k-shortest enumeration) or `aco:<seed>:<iters>` (seeded
 //! ant-colony selection) must produce byte-identical registered paths, delivery
-//! accounting and overhead samples across worker counts. Yen's is deterministic by
+//! accounting and overhead samples at verify widths 1 and 2. Yen's is deterministic by
 //! construction; ACO is *stochastic by design* but
 //! all of its randomness comes from seeded per-(origin, group, egress, iteration, ant)
-//! splitmix64 streams, so no execution-order or thread-count knob may leak into the
-//! outcome.
+//! splitmix64 streams, so no execution-order or thread knob may leak into the outcome.
 
 use irec_bench::workload::algorithm_pass;
 
@@ -17,8 +16,8 @@ const ROUNDS: usize = 3;
 /// Kept deliberately small — ant-colony iterations are the dominant per-point cost.
 const ALGORITHMS: &[&str] = &["5YEN", "aco:7:3"];
 
-/// The headline check, over 2 algorithms × 2 topology seeds × workers {1, 4}: the
-/// four-worker run reproduces the sequential run of its `(algorithm, seed)` byte for byte.
+/// The headline check, over 2 algorithms × 2 topology seeds × verify widths {1, 2}: the
+/// width-2 run reproduces the inline run of its `(algorithm, seed)` byte for byte.
 #[test]
 fn algorithm_families_are_byte_identical_across_schedulers_and_shards() {
     for algorithm in ALGORITHMS {
@@ -29,9 +28,9 @@ fn algorithm_families_are_byte_identical_across_schedulers_and_shards() {
                 "the reference run must register paths"
             );
             assert_eq!(
-                algorithm_pass(algorithm, ASES, ROUNDS, 4, seed),
+                algorithm_pass(algorithm, ASES, ROUNDS, 2, seed),
                 reference,
-                "{algorithm} diverged at x4 workers, seed {seed}"
+                "{algorithm} diverged at verify width 2, seed {seed}"
             );
         }
     }

@@ -1,7 +1,8 @@
 //! Acceptance tests for the churn engine: a seeded churn timeline must be byte-identical
 //! — same per-step deltas, same settle rounds, same drop accounting, same final
-//! registered paths — across worker counts. Churn knobs change the workload
-//! deliberately; the parallelism knobs must never change what that workload produces. Plus the staged-migration scenario: live algorithm-catalog
+//! registered paths — at verify widths 1 and 2. Churn knobs change the workload
+//! deliberately; the verify width must never change what that workload produces. Plus
+//! the staged-migration scenario: live algorithm-catalog
 //! swaps rolled across the topology one AS at a time, with the no-blackhole invariant
 //! asserted between every step.
 
@@ -23,17 +24,17 @@ fn churn_config(churn_seed: u64) -> ChurnConfig {
         .with_warmup_rounds(2)
 }
 
-/// The headline check, over churn seeds {0, 1, 2} × workers {1, 4}: the four-worker run
-/// replays its seed's timeline exactly as the sequential run does.
+/// The headline check, over churn seeds {0, 1, 2} × verify widths {1, 2}: the width-2 run
+/// replays its seed's timeline exactly as the inline run does.
 #[test]
 fn churn_timelines_are_byte_identical_across_schedulers_and_shards() {
     for churn_seed in 0u64..3 {
         let reference = churn_pass(ASES, STEPS, churn_config(churn_seed), 1, churn_seed);
         assert_eq!(reference.0.len(), STEPS, "every step must be recorded");
         assert_eq!(
-            churn_pass(ASES, STEPS, churn_config(churn_seed), 4, churn_seed),
+            churn_pass(ASES, STEPS, churn_config(churn_seed), 2, churn_seed),
             reference,
-            "churn diverged at x4 workers, churn seed {churn_seed}"
+            "churn diverged at verify width 2, churn seed {churn_seed}"
         );
     }
 }

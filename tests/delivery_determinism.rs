@@ -94,7 +94,7 @@ fn delivery_parallelism_is_byte_identical_on_fig6_workload() {
 }
 
 /// Same guarantee with failure injection: a removed node exercises the `dropped_no_node`
-/// path, and the split counters stay identical across worker counts.
+/// path, and the split counters stay identical at every verify width.
 #[test]
 fn delivery_parallelism_is_byte_identical_under_failure_injection() {
     let run = |delivery_parallelism: usize| {
@@ -122,30 +122,24 @@ fn delivery_parallelism_is_byte_identical_under_failure_injection() {
     assert_eq!(parallel, sequential);
 }
 
-/// Verify-ahead and node-phase/RAC-engine parallelism stacked together still reproduce
-/// the sequential output: node workers hand their flights to the verify helper as they
-/// finish, out of `AsId` order, and the outputs must still be scheduled in it.
+/// Verify-ahead under the paper's five-RAC deployment, on-demand RAC included, still
+/// reproduces the inline output: flights come back from the helper in whatever order it
+/// verified them, and the outputs must still be scheduled in `AsId` order.
 #[test]
 fn stacked_parallelism_is_byte_identical() {
-    let run = |parallelism: usize, delivery_parallelism: usize| {
+    let run = |width: usize| {
         let mut sim = Simulation::new(
             Arc::new(figure1_topology()),
-            SimulationConfig::default()
-                .with_parallelism(parallelism)
-                .with_delivery_parallelism(delivery_parallelism),
-            move |_| {
-                NodeConfig::paper_simulation(false)
-                    .with_policy(PropagationPolicy::All)
-                    .with_parallelism(parallelism)
-            },
+            SimulationConfig::default().with_delivery_parallelism(width),
+            |_| NodeConfig::paper_simulation(false).with_policy(PropagationPolicy::All),
         )
         .expect("simulation setup");
         sim.run_rounds(4).expect("beaconing rounds");
         fingerprint(&sim)
     };
-    let sequential = run(1, 1);
+    let sequential = run(1);
     assert!(!sequential.paths.is_empty());
-    assert_eq!(run(4, 4), sequential);
+    assert_eq!(run(2), sequential);
 }
 
 /// The one case where the receipt time decides a verdict. Beacons are valid for one
@@ -189,8 +183,8 @@ fn pcbs_that_expire_in_flight_are_rejected_alike_at_every_verify_width() {
     }
 }
 
-/// The hot origin: one |Φ| well above `irec_core::BATCH_SPLIT_THRESHOLD` (512), next to
-/// background origins with small batches.
+/// The hot origin: one |Φ| of 600, a paper-scale candidate set, next to background
+/// origins with small batches.
 const HOT_ORIGIN: AsId = AsId(7);
 const HOT_BATCH: u64 = 600;
 const BACKGROUND_ORIGINS: u64 = 7;

@@ -2,7 +2,7 @@
 //! for byte from then on. Every other determinism check in this repository compares the
 //! system with itself — plane A against plane B of the same commit. These files pin the
 //! bytes *across* commits: a change that only makes the simulator faster (a cache, a
-//! cheaper selection pass, a parallel plane) must leave every registered path, counter
+//! cheaper selection pass, a helper thread) must leave every registered path, counter
 //! and overhead sample exactly where it was, and a change that moves them on purpose has
 //! to re-record the files and say why.
 //!
@@ -48,16 +48,8 @@ const PD_GENERATED: &str = include_str!("goldens/pd-campaign-a8-s5.txt");
 /// on it; the default verify width verifies ahead on any host with two cores or more.
 const REFERENCE: [&str; 2] = ["--delivery-parallelism", "1"];
 
-/// The execution knobs stacked as wide as they go: both parallel planes and the parallel
-/// PD campaign.
-const STACKED: [&str; 6] = [
-    "--parallelism",
-    "4",
-    "--delivery-parallelism",
-    "2",
-    "--pd-parallelism",
-    "4",
-];
+/// The one execution knob as wide as it goes: PCBs verified ahead on the helper thread.
+const STACKED: [&str; 2] = ["--delivery-parallelism", "2"];
 
 fn args(base: &[&str], extra: &[&str]) -> BenchArgs {
     let args = base.iter().chain(extra).map(|arg| arg.to_string());
@@ -118,8 +110,7 @@ fn determinism_probe_matches_committed_goldens() {
         );
         assert_matches(&output, &goldens);
     }
-    // The goldens hold on every execution plane; the widest stack stands in for the rest
-    // (the CI determinism job diffs each knob alone).
+    // The goldens hold at every verify width; width 2 verifies ahead on the helper thread.
     let mut goldens = fixed.to_vec();
     goldens.push(("churn", CHURN_SEED_7));
     let churn = ["--churn-rate", "1.5", "--churn-seed", "7"];

@@ -1,14 +1,16 @@
-//! Acceptance tests for HD over oversized candidate batches (|Φ| > `BATCH_SPLIT_THRESHOLD`).
-//! The engine splits such a batch into contiguous sub-ranges and reduces their winners by
-//! one more `select` — exact only for selectors that declare themselves
+//! Acceptance tests for HD over paper-scale candidate batches (|Φ| ∈ {600, 2048}, above the
+//! 512 candidates a batch was once cut at). The engine hands every batch to its RAC whole,
+//! in one selection pass, whatever its size: HD — and every other selector, whatever it
+//! declares — selects through the engine what its direct `select` over the whole batch
+//! selects.
+//!
+//! The tests also keep the measurement that decided which selectors a batch could be cut
+//! for. Contiguous 512-candidate sub-ranges whose winners are reduced by one more `select`
+//! are exact only for a selector that is
 //! [union-composable](RoutingAlgorithm::union_composable). HD's objective is set-valued:
 //! over *concatenated truncations* of sub-ranges it can discard the globally disjoint
-//! winners. It used to be split all the same and repaired by a merge hook that threw the
-//! sub-range passes away and ran the full batch once more; its kernel scans 2 048
-//! candidates in tens of microseconds, so now it is simply not split. These tests pin
-//! that at the paper-scale set sizes |Φ| ∈ {600, 2048} — HD through the engine ≡ HD's
-//! direct `select` over the whole batch — and quantify the link coverage a selector
-//! loses if it *wrongly* declares itself composable.
+//! winners. [`split_reduce`] computes that reduce here, in the test alone, to quantify what
+//! cutting HD's batch would cost.
 //!
 //! The workload is a crafted adversarial motif, not a random set: ten independent
 //! four-link universes where the globally complementary candidate (`y`) sits in the
@@ -21,9 +23,7 @@ use irec_algorithms::{
     AlgorithmContext, Candidate, CandidateBatch, RoutingAlgorithm, SelectionResult,
 };
 use irec_core::beacon_db::BatchKey;
-use irec_core::{
-    execute_racs_with, Rac, RacConfig, RacOutput, ShardedIngressDb, BATCH_SPLIT_THRESHOLD,
-};
+use irec_core::{execute_racs, Rac, RacConfig, RacOutput, ShardedIngressDb};
 use irec_crypto::{KeyRegistry, Signer};
 use irec_pcb::{Pcb, PcbExtensions, StaticInfo};
 use irec_topology::{AsNode, Tier};
@@ -38,10 +38,13 @@ const EGRESS: IfId = IfId(900);
 /// Number of independent motif universes; the HD budget (20) is exactly two picks per
 /// universe, so the full-batch greedy spends it on `{a1, y}` of every universe.
 const MOTIFS: u64 = 10;
+/// The width of the sub-ranges [`split_reduce`] cuts a batch into.
+const SUB_RANGE: usize = 512;
+/// The per-egress budget of every RAC here (the `RacConfig` default).
+const BUDGET: usize = 20;
 
 /// HD behind a declaration of its own: same selection, and with `claims_composable` it
-/// *lies* about being union-composable, which sends it down the concatenated-truncation
-/// reduce — kept around to measure what a wrong declaration costs.
+/// *lies* about being union-composable — which must change nothing the engine selects.
 struct LegacyReduceHd {
     hd: HeuristicDisjointness,
     claims_composable: bool,
@@ -106,10 +109,6 @@ fn chain(registry: &KeyRegistry, seq: u64, e0: u32, e1: u32) -> Pcb {
 ///
 /// Sub-ranges beyond the second (|Φ| = 2048) are pure filler.
 fn adversarial_db(phi: usize) -> ShardedIngressDb {
-    assert_eq!(
-        BATCH_SPLIT_THRESHOLD, 512,
-        "layout assumes 512-wide sub-ranges"
-    );
     assert!(phi >= 600, "needs at least two sub-ranges");
     let registry = KeyRegistry::with_ases(7, 64);
     let db = ShardedIngressDb::default();
@@ -122,7 +121,7 @@ fn adversarial_db(phi: usize) -> ShardedIngressDb {
     for m in 0..MOTIFS {
         push(10 + m as u32, 100 + m as u32); // a1^m
     }
-    for _ in MOTIFS as usize..BATCH_SPLIT_THRESHOLD {
+    for _ in MOTIFS as usize..SUB_RANGE {
         push(10, 999); // sub-range 0 filler
     }
     for m in 0..MOTIFS {
@@ -134,26 +133,18 @@ fn adversarial_db(phi: usize) -> ShardedIngressDb {
     for m in 0..MOTIFS {
         push(40 + m as u32, 200 + m as u32); // y^m
     }
-    for _ in (BATCH_SPLIT_THRESHOLD + 3 * MOTIFS as usize)..phi {
+    for _ in (SUB_RANGE + 3 * MOTIFS as usize)..phi {
         push(10, 998); // sub-range 1+ filler
     }
     db
 }
 
-fn run(rac: Rac, phi: usize, split_threshold: usize) -> Vec<RacOutput> {
+/// The engine's selection for `rac` over the adversarial batch of `phi` candidates.
+fn run(rac: Rac, phi: usize) -> Vec<RacOutput> {
     let db = adversarial_db(phi);
     let node = AsNode::new(LOCAL, Tier::Tier2);
-    let racs = vec![rac];
-    let (outputs, _) = execute_racs_with(
-        &racs,
-        &db,
-        &node,
-        &[EGRESS],
-        SimTime::ZERO,
-        4,
-        split_threshold,
-    )
-    .expect("engine pass succeeds");
+    let (outputs, _) = execute_racs(&[rac], &db, &node, &[EGRESS], SimTime::ZERO, 1)
+        .expect("engine pass succeeds");
     outputs
 }
 
@@ -165,41 +156,38 @@ fn hookless_rac(claims_composable: bool) -> Rac {
     Rac::with_algorithm(
         RacConfig::static_rac("HD", "HD"),
         Arc::new(LegacyReduceHd {
-            hd: HeuristicDisjointness::new(20),
+            hd: hd(),
             claims_composable,
         }),
     )
 }
 
-/// HD through the generic reduce it is not entitled to.
-fn legacy_rac() -> Rac {
-    hookless_rac(true)
-}
-
 /// The disjointness coverage of a selection: the number of distinct inter-AS links
 /// (AS, egress interface) traversed by the selected beacons — the quantity HD maximizes.
-fn link_coverage(outputs: &[RacOutput]) -> usize {
-    let links: BTreeSet<(AsId, IfId)> = outputs
+fn link_coverage(selection: &[(Pcb, Vec<IfId>)]) -> usize {
+    let links: BTreeSet<(AsId, IfId)> = selection
         .iter()
-        .flat_map(|output| output.beacon.pcb.link_keys())
+        .flat_map(|(pcb, _)| pcb.link_keys())
         .collect();
     links.len()
 }
 
-fn assert_identical(unsplit: &[RacOutput], split: &[RacOutput]) {
-    assert_eq!(unsplit.len(), split.len());
-    for (a, b) in unsplit.iter().zip(split) {
-        assert_eq!(a.rac_name, b.rac_name);
-        assert_eq!(a.origin, b.origin);
-        assert_eq!(a.group, b.group);
-        assert_eq!(a.egress_ifs, b.egress_ifs);
-        assert_eq!(a.beacon, b.beacon);
+/// The engine's outputs in the form [`direct`] returns.
+fn selection(outputs: &[RacOutput]) -> Vec<(Pcb, Vec<IfId>)> {
+    for output in outputs {
+        assert_eq!(
+            (output.origin, output.group),
+            (ORIGIN, InterfaceGroupId::DEFAULT)
+        );
     }
+    outputs
+        .iter()
+        .map(|output| (output.beacon.pcb.clone(), output.egress_ifs.clone()))
+        .collect()
 }
 
-/// HD's direct `select` over the whole batch, as outputs: the reference no engine
-/// machinery takes part in.
-fn direct_full_batch_selection(phi: usize) -> Vec<(Pcb, Vec<IfId>)> {
+/// The adversarial batch of `phi` candidates, as its view holds them.
+fn batch(phi: usize) -> Vec<Candidate> {
     let db = adversarial_db(phi);
     let key = BatchKey {
         origin: ORIGIN,
@@ -210,94 +198,135 @@ fn direct_full_batch_selection(phi: usize) -> Vec<(Pcb, Vec<IfId>)> {
         .batch_view(&key, SimTime::ZERO)
         .expect("the batch is stored");
     assert_eq!(view.len(), phi);
-    let batch = CandidateBatch::new(
-        ORIGIN,
-        InterfaceGroupId::DEFAULT,
-        view.beacons
-            .iter()
-            .map(|b| Candidate::new(b.pcb.clone(), b.ingress))
-            .collect(),
-    );
-    let node = AsNode::new(LOCAL, Tier::Tier2);
-    let selection = HeuristicDisjointness::new(20)
-        .select(&batch, &AlgorithmContext::new(&node, vec![EGRESS], 20))
-        .expect("HD selects");
-    let mut picked = selection.per_egress[&EGRESS].clone();
-    picked.sort_unstable();
-    picked
-        .into_iter()
-        .map(|index| (view.beacons[index].pcb.clone(), vec![EGRESS]))
+    view.beacons
+        .iter()
+        .map(|b| Candidate::new(b.pcb.clone(), b.ingress))
         .collect()
 }
 
-/// The headline regression: HD through the engine at the default threshold selects what
-/// its direct `select` over the full batch selects, at both paper-scale set sizes — and
-/// what the engine selects with the threshold out of reach.
+/// `algorithm`'s picks over `candidates`, ascending.
+fn picks(algorithm: &dyn RoutingAlgorithm, candidates: Vec<Candidate>) -> Vec<usize> {
+    let node = AsNode::new(LOCAL, Tier::Tier2);
+    let batch = CandidateBatch::new(ORIGIN, InterfaceGroupId::DEFAULT, candidates);
+    let selection = algorithm
+        .select(&batch, &AlgorithmContext::new(&node, vec![EGRESS], BUDGET))
+        .expect("the algorithm selects");
+    let mut picked = selection
+        .per_egress
+        .get(&EGRESS)
+        .cloned()
+        .unwrap_or_default();
+    picked.sort_unstable();
+    picked
+}
+
+/// `algorithm`'s direct `select` over the whole batch, as outputs: the reference no engine
+/// machinery takes part in.
+fn direct(algorithm: &dyn RoutingAlgorithm, phi: usize) -> Vec<(Pcb, Vec<IfId>)> {
+    let candidates = batch(phi);
+    picks(algorithm, candidates.clone())
+        .into_iter()
+        .map(|index| (candidates[index].pcb.clone(), vec![EGRESS]))
+        .collect()
+}
+
+/// The reduce a cut batch would get: `algorithm` over every [`SUB_RANGE`]-candidate
+/// sub-range, then once more over the union of the sub-range winners, in ascending
+/// candidate order.
+fn split_reduce(algorithm: &dyn RoutingAlgorithm, phi: usize) -> Vec<(Pcb, Vec<IfId>)> {
+    let candidates = batch(phi);
+    let winners: Vec<Candidate> = candidates
+        .chunks(SUB_RANGE)
+        .flat_map(|range| {
+            picks(algorithm, range.to_vec())
+                .into_iter()
+                .map(|index| range[index].clone())
+        })
+        .collect();
+    picks(algorithm, winners.clone())
+        .into_iter()
+        .map(|index| (winners[index].pcb.clone(), vec![EGRESS]))
+        .collect()
+}
+
+fn hd() -> HeuristicDisjointness {
+    HeuristicDisjointness::new(BUDGET)
+}
+
+/// The headline regression: HD through the engine selects, in one pass over a batch above
+/// 512 candidates, what its direct `select` over the whole batch selects, at both
+/// paper-scale set sizes.
 #[test]
 fn hd_is_never_split() {
-    assert!(!hd_rac().splits_batches());
     for phi in [600usize, 2048] {
-        assert!(phi > BATCH_SPLIT_THRESHOLD);
-        let through_engine = run(hd_rac(), phi, BATCH_SPLIT_THRESHOLD);
-        assert_identical(&run(hd_rac(), phi, phi), &through_engine);
-        let direct = direct_full_batch_selection(phi);
-        assert_eq!(through_engine.len(), direct.len());
-        for (output, (pcb, egress_ifs)) in through_engine.iter().zip(&direct) {
-            assert_eq!(&output.beacon.pcb, pcb);
-            assert_eq!(&output.egress_ifs, egress_ifs);
-        }
+        assert_eq!(
+            selection(&run(hd_rac(), phi)),
+            direct(&hd(), phi),
+            "phi = {phi}"
+        );
     }
 }
 
-/// Quantifies what a wrong declaration costs: on the adversarial motif the
-/// concatenated-truncation reduce strictly under-covers the full-batch objective (it
-/// keeps the sub-range decoys and loses every `y`), while HD as the catalog declares it
-/// matches the full-batch coverage exactly (loss = 0).
+/// Quantifies what cutting HD's batch would cost: on the adversarial motif the
+/// concatenated-truncation reduce strictly under-covers the full-batch objective (it keeps
+/// the sub-range decoys and loses every `y`), while HD through the engine matches the
+/// full-batch coverage exactly (loss = 0).
 #[test]
 fn hd_split_disjointness_delta_is_quantified() {
     for phi in [600usize, 2048] {
-        let full = link_coverage(&run(hd_rac(), phi, phi));
-        let unsplit = link_coverage(&run(hd_rac(), phi, BATCH_SPLIT_THRESHOLD));
-        let legacy = link_coverage(&run(legacy_rac(), phi, BATCH_SPLIT_THRESHOLD));
+        let full = link_coverage(&direct(&hd(), phi));
+        let engine = link_coverage(&selection(&run(hd_rac(), phi)));
+        let reduced = link_coverage(&split_reduce(&hd(), phi));
         println!(
-            "phi = {phi}: full coverage {full}, HD {unsplit} (loss {}), \
-             wrongly composable {legacy} (loss {})",
-            full - unsplit,
-            full - legacy,
+            "phi = {phi}: full coverage {full}, HD {engine} (loss {}), \
+             split and reduced {reduced} (loss {})",
+            full - engine,
+            full - reduced,
         );
-        assert_eq!(unsplit, full, "HD must be lossless at phi = {phi}");
+        assert_eq!(engine, full, "HD must be lossless at phi = {phi}");
         assert!(
-            legacy < full,
+            reduced < full,
             "the motif is built so the generic reduce strictly loses coverage \
-             (legacy {legacy} vs full {full} at phi = {phi})"
+             (reduced {reduced} vs full {full} at phi = {phi})"
         );
     }
 }
 
-/// A set-valued selector that does not declare itself composable falls into no reduce at
-/// all: the engine hands it the whole batch in one pass, whatever the split threshold, so
-/// it selects what the unsplit run selects. (Before the declaration existed it was
-/// silently given the generic reduce and lost the coverage quantified above.)
+/// No selector's batch is cut, whatever it declares: HD behind an honest declaration and
+/// behind a false claim of union-composability both select through the engine what HD's
+/// direct `select` does. 5SP, which is union-composable, does too at |Φ| = 600 — its batch
+/// is no longer cut either.
 #[test]
 fn undeclared_selectors_are_never_split() {
-    let honest = || hookless_rac(false);
-    assert!(!honest().splits_batches() && legacy_rac().splits_batches());
     for phi in [600usize, 2048] {
-        let unsplit = run(honest(), phi, phi);
-        let split = run(honest(), phi, BATCH_SPLIT_THRESHOLD);
-        assert_identical(&unsplit, &split);
-        assert_identical(&unsplit, &run(hd_rac(), phi, BATCH_SPLIT_THRESHOLD));
+        let reference = direct(&hd(), phi);
+        for claims_composable in [false, true] {
+            let rac = hookless_rac(claims_composable);
+            assert_eq!(
+                selection(&run(rac, phi)),
+                reference,
+                "claims {claims_composable} at phi = {phi}"
+            );
+        }
     }
+    let five_sp = irec_algorithms::catalog::by_name("5SP").expect("5SP resolves");
+    assert!(five_sp.union_composable());
+    let rac = Rac::new_static(RacConfig::static_rac("5SP", "5SP")).expect("5SP resolves");
+    let through_engine = selection(&run(rac, 600));
+    assert!(!through_engine.is_empty());
+    assert_eq!(through_engine, direct(five_sp.as_ref(), 600));
 }
 
-/// The wrongly declared wrapper itself stays deterministic across repeated runs — the
-/// loss it measures is an approximation artifact, not a race.
+/// The reduce stays deterministic across repeated runs — the loss it measures is an
+/// approximation artifact, not a race — and so does the engine under a false
+/// declaration.
 #[test]
 fn legacy_reduce_is_still_deterministic() {
-    let reference = run(legacy_rac(), 600, BATCH_SPLIT_THRESHOLD);
+    let reference = split_reduce(&hd(), 600);
     assert!(!reference.is_empty());
+    let engine = selection(&run(hookless_rac(true), 600));
     for _ in 0..2 {
-        let repeat = run(legacy_rac(), 600, BATCH_SPLIT_THRESHOLD);
-        assert_identical(&reference, &repeat);
+        assert_eq!(split_reduce(&hd(), 600), reference);
+        assert_eq!(selection(&run(hookless_rac(true), 600)), engine);
     }
 }

@@ -75,8 +75,7 @@ impl Reader {
                 execute_racs(&self.racs, db, local_as, &egress, sim.now(), 1).unwrap();
             let tables = self.tables.entry(asn).or_default();
             let (batches, _) =
-                execute_racs_cached(&self.racs, db, local_as, &egress, sim.now(), 1, tables)
-                    .unwrap();
+                execute_racs_cached(&self.racs, db, local_as, &egress, sim.now(), tables).unwrap();
             let selected: Vec<_> = batches
                 .iter()
                 .flat_map(|batch| batch.selected.iter().map(move |selected| (batch, selected)))

@@ -4,7 +4,7 @@
 //! (`tests/determinism_goldens.rs`), selection for selection against the from-scratch
 //! engine (`tests/incremental_reselection.rs`, the oracle proptest in `irec_core`). What
 //! is pinned here is that the tables actually carry the rounds: over a seeded churn
-//! timeline every worker count produces the same fingerprint *and the same counters*,
+//! timeline every verify width produces the same fingerprint *and the same counters*,
 //! with work reused and extended although the timeline's withdrawal sweeps keep
 //! disturbing batches; and on a plane without churn the per-round recompute count dies
 //! away while extensions carry the steady state.
@@ -32,7 +32,7 @@ fn churn_config(rate: f64) -> ChurnConfig {
 /// plane that only keeps beaconing.
 const RATES: [f64; 3] = [0.0, 1.0, 2.0];
 
-/// The sequential run every plane must reproduce, memoized per index into [`RATES`].
+/// The width-1 run every plane must reproduce, memoized per index into [`RATES`].
 fn reference(slot: usize) -> &'static (ChurnFingerprint, IncrementalStats) {
     static REFERENCE: [OnceLock<(ChurnFingerprint, IncrementalStats)>; RATES.len()] =
         [OnceLock::new(), OnceLock::new(), OnceLock::new()];
@@ -40,7 +40,7 @@ fn reference(slot: usize) -> &'static (ChurnFingerprint, IncrementalStats) {
         .get_or_init(|| churn_pass_with_stats(ASES, STEPS, churn_config(RATES[slot]), 1, SEED))
 }
 
-/// The plane matrix: fingerprint and counters agree at 1 and 4 workers, and at every
+/// The plane matrix: fingerprint and counters agree at verify widths 1 and 2, and at every
 /// churn rate, zero included, the rounds compute strictly fewer selections from scratch
 /// than there were to make (`reused + extended + recomputed` is what from-scratch rounds
 /// would compute).
@@ -52,11 +52,14 @@ fn delta_rounds_agree_across_scheduler_worker_shard_planes() {
             expected_stats.reused > 0 && expected_stats.extended > 0,
             "churn rounds at rate {rate} neither reused nor extended: {expected_stats:?}"
         );
-        let (fingerprint, stats) = churn_pass_with_stats(ASES, STEPS, churn_config(rate), 4, SEED);
-        assert_eq!(&fingerprint, expected, "run diverged at rate {rate} x4");
+        let (fingerprint, stats) = churn_pass_with_stats(ASES, STEPS, churn_config(rate), 2, SEED);
+        assert_eq!(
+            &fingerprint, expected,
+            "run diverged at rate {rate}, width 2"
+        );
         assert_eq!(
             &stats, expected_stats,
-            "counters diverged at rate {rate} x4"
+            "counters diverged at rate {rate}, width 2"
         );
     }
 }

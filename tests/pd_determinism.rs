@@ -1,8 +1,8 @@
-//! Acceptance tests for the parallel PD campaign engine: campaign results for
-//! `--pd-parallelism {1,4}` × `--delivery-parallelism {1,4}` must be byte-identical to the
-//! sequential run — same per-pair paths in the same order, same iteration counts, same
-//! pull-overhead samples — and the campaign, copy-on-write snapshots and all, must equal
-//! its oracle: a sequential loop of one workflow per pair on a deep clone of the base.
+//! Acceptance tests for the PD campaign: campaign results at verify width 2 must be
+//! byte-identical to the inline run at width 1 — same per-pair paths in the same order,
+//! same iteration counts, same pull-overhead samples — and the campaign, copy-on-write
+//! snapshots and all, must equal its oracle: a loop of one workflow per pair on a deep
+//! clone of the base.
 
 use irec_core::{NodeConfig, RacConfig};
 use irec_metrics::RegisteredPath;
@@ -18,9 +18,9 @@ const ROUNDS_PER_ITERATION: usize = 2;
 const MAX_PATHS: usize = 8;
 
 /// The campaign workload: a 12-AS generated topology with the paper's HD + on-demand
-/// deployment, warmed so HD has seeded paths. `delivery_parallelism > 1` verifies the
-/// per-pair simulations' PCBs ahead, on a helper thread, before delivery commits them.
-fn warm_base(delivery_parallelism: usize) -> Simulation {
+/// deployment, warmed so HD has seeded paths. At verify width 2 the per-pair simulations'
+/// PCBs are verified ahead, on a helper thread, before delivery commits them.
+fn warm_base(width: usize) -> Simulation {
     let topology = Arc::new(
         TopologyGenerator::new(GeneratorConfig {
             num_ases: 12,
@@ -31,7 +31,7 @@ fn warm_base(delivery_parallelism: usize) -> Simulation {
     );
     let mut sim = Simulation::new(
         topology,
-        SimulationConfig::default().with_delivery_parallelism(delivery_parallelism),
+        SimulationConfig::default().with_delivery_parallelism(width),
         move |_| {
             NodeConfig::default().with_racs(vec![
                 RacConfig::static_rac("HD", "HD"),
@@ -58,19 +58,14 @@ fn pairs(base: &Simulation) -> Vec<(AsId, AsId)> {
 /// Everything deterministic about a campaign run (per-pair wall-clock excluded).
 type CampaignFingerprint = Vec<(AsId, AsId, Vec<RegisteredPath>, usize, usize, Vec<u64>)>;
 
-fn run_campaign(pd_parallelism: usize, delivery_parallelism: usize) -> CampaignFingerprint {
-    let base = warm_base(delivery_parallelism);
-    campaign(&base, pairs(&base), pd_parallelism)
+fn run_campaign(width: usize) -> CampaignFingerprint {
+    let base = warm_base(width);
+    campaign(&base, pairs(&base))
 }
 
-fn campaign(
-    base: &Simulation,
-    pairs: Vec<(AsId, AsId)>,
-    pd_parallelism: usize,
-) -> CampaignFingerprint {
+fn campaign(base: &Simulation, pairs: Vec<(AsId, AsId)>) -> CampaignFingerprint {
     let results = PdCampaign::new(pairs, MAX_PATHS)
         .with_rounds_per_iteration(ROUNDS_PER_ITERATION)
-        .with_parallelism(pd_parallelism)
         .run(base)
         .expect("campaign run");
     fingerprint(results)
@@ -125,12 +120,12 @@ fn fingerprint(results: Vec<irec_sim::PdPairResult>) -> CampaignFingerprint {
         .collect()
 }
 
-/// The headline acceptance criterion: every `--pd-parallelism {1,4}` ×
-/// `--delivery-parallelism {1,4}` combination reproduces the sequential campaign byte for
-/// byte, with the per-pair simulations' PCBs verified inline or ahead.
+/// The headline acceptance criterion: the campaign at verify width 2 reproduces the
+/// width-1 campaign byte for byte, the per-pair simulations' PCBs verified ahead instead
+/// of inline.
 #[test]
 fn pd_campaign_matrix_is_byte_identical_to_sequential_unsharded() {
-    let sequential = run_campaign(1, 1);
+    let sequential = run_campaign(1);
     assert!(
         sequential.iter().any(|(_, _, paths, ..)| !paths.is_empty()),
         "the campaign must discover paths"
@@ -144,44 +139,39 @@ fn pd_campaign_matrix_is_byte_identical_to_sequential_unsharded() {
                 && !pull_overhead.is_empty()),
         "no pair ran a pull iteration — raise MAX_PATHS above the HD seed count"
     );
-    for (pd_parallelism, delivery_parallelism) in [(1, 4), (4, 1), (4, 4)] {
-        assert_eq!(
-            run_campaign(pd_parallelism, delivery_parallelism),
-            sequential,
-            "campaign diverged at pd-parallelism {pd_parallelism}, \
-             delivery-parallelism {delivery_parallelism}"
-        );
-    }
+    assert_eq!(
+        run_campaign(2),
+        sequential,
+        "campaign diverged at verify width 2"
+    );
 }
 
-/// The campaign facade equals the hand-rolled sequential loop it replaces: one
-/// `PdWorkflow` per pair, each on its own copy of the warm base, harvested in pair order.
-/// (Disjoint per-pair algorithm-id ranges mirror what the campaign does internally —
-/// concurrent publishers into the shared store must not collide, and the sequential
+/// The campaign facade at verify width 2 equals the hand-rolled loop it replaces at
+/// width 1: one `PdWorkflow` per pair, each on its own copy of the warm base, harvested in
+/// pair order. (Disjoint per-pair algorithm-id ranges mirror what the campaign does
+/// internally — publishers of one origin into the shared store must not collide, and the
 /// reference must publish the same ids to fetch the same modules.)
 #[test]
 fn pd_campaign_equals_manual_sequential_snapshot_loop() {
     let base = warm_base(1);
     let pairs = pairs(&base);
     assert_eq!(
-        campaign(&base, pairs.clone(), 4),
+        campaign(&warm_base(2), pairs.clone()),
         deep_clone_loop(&base, &pairs)
     );
 }
 
 /// Campaign runs never mutate the shared base: registered paths, clock and delivery
-/// accounting stay untouched, so one warm base can serve many campaigns (and many
-/// parallelism settings) in a row.
+/// accounting stay untouched, so one warm base can serve many campaigns in a row.
 #[test]
 fn pd_campaign_leaves_the_base_simulation_untouched() {
-    let base = warm_base(4);
+    let base = warm_base(2);
     let before_paths = base.registered_paths();
     let before_rounds = base.rounds_run();
     let before_stats = base.delivery_stats();
-    for pd_parallelism in [1usize, 4] {
+    for _ in 0..2 {
         PdCampaign::new(pairs(&base), MAX_PATHS)
             .with_rounds_per_iteration(ROUNDS_PER_ITERATION)
-            .with_parallelism(pd_parallelism)
             .run(&base)
             .expect("campaign run");
     }
@@ -190,20 +180,23 @@ fn pd_campaign_leaves_the_base_simulation_untouched() {
     assert_eq!(base.delivery_stats(), before_stats);
 }
 
-/// The campaign's copy-on-write snapshots reproduce the deep-clone loop byte for byte at
-/// `--pd-parallelism {1,4}`.
+/// The campaign's copy-on-write snapshots reproduce the width-1 deep-clone loop byte for
+/// byte at verify widths 1 and 2.
 #[test]
 fn cow_snapshots_match_deep_clone_across_the_matrix() {
     let base = warm_base(1);
     let pairs = pairs(&base);
     let deep = deep_clone_loop(&base, &pairs);
-    for pd_parallelism in [1usize, 4] {
-        assert_eq!(
-            campaign(&base, pairs.clone(), pd_parallelism),
-            deep,
-            "COW and deep-clone campaigns diverged at pd-parallelism {pd_parallelism}"
-        );
-    }
+    assert_eq!(
+        campaign(&base, pairs.clone()),
+        deep,
+        "COW and deep-clone campaigns diverged at verify width 1"
+    );
+    assert_eq!(
+        campaign(&warm_base(2), pairs),
+        deep,
+        "COW and deep-clone campaigns diverged at verify width 2"
+    );
 }
 
 /// On a disconnected topology, the reachability pre-pass restricts each pair's snapshot
@@ -232,8 +225,10 @@ fn reachability_restricted_snapshots_match_deep_clone_on_disconnected_topology()
             .link(10, 11, latency, bandwidth)
             .build(),
     );
-    let mut base = Simulation::new(Arc::clone(&topology), SimulationConfig::default(), |_| {
-        NodeConfig::default()
+    let warm = |width: usize| {
+        let config = SimulationConfig::default().with_delivery_parallelism(width);
+        let mut base = Simulation::new(Arc::clone(&topology), config, |_| {
+            NodeConfig::default()
                 .with_racs(vec![
                     RacConfig::static_rac("HD", "HD"),
                     RacConfig::on_demand_rac("on-demand"),
@@ -241,9 +236,12 @@ fn reachability_restricted_snapshots_match_deep_clone_on_disconnected_topology()
                 // All links here are peer links; the default valley-free policy would
                 // block every peer→peer export and nothing would propagate.
                 .with_policy(irec_core::PropagationPolicy::All)
-    })
-    .expect("simulation setup");
-    base.run_rounds(WARM_ROUNDS).expect("warm-up rounds");
+        })
+        .expect("simulation setup");
+        base.run_rounds(WARM_ROUNDS).expect("warm-up rounds");
+        base
+    };
+    let base = warm(1);
 
     // The pre-pass sees exactly component A from AS 1, component B from AS 10.
     let component_a: Vec<AsId> = base.reachable_component(AsId(1)).into_iter().collect();
@@ -260,12 +258,11 @@ fn reachability_restricted_snapshots_match_deep_clone_on_disconnected_topology()
         (AsId(1), AsId(11)), // unreachable target: must converge empty in both modes
     ];
     let deep = deep_clone_loop(&base, &pairs);
-    for pd_parallelism in [1usize, 4] {
-        let cow = campaign(&base, pairs.clone(), pd_parallelism);
+    for width in [1, 2] {
+        let cow = campaign(&warm(width), pairs.clone());
         assert_eq!(
             cow, deep,
-            "restricted COW snapshot diverged from deep clone at pd-parallelism \
-             {pd_parallelism}"
+            "restricted COW snapshot diverged from deep clone at verify width {width}"
         );
         assert!(
             cow.iter().any(|(_, _, paths, ..)| !paths.is_empty()),
