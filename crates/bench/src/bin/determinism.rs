@@ -5,9 +5,10 @@
 //! cargo run -p irec_bench --bin determinism --release -- [--delivery-parallelism N] [--churn-rate R] [--churn-seed N] [--churn-kinds K] [--algorithm A] [--aco-seed N] [--aco-budget N] [--ases 12] [--rounds 3] [--seed 5]
 //! ```
 //!
-//! The output is byte-identical for every verify width (`--delivery-parallelism`), which
-//! the CI determinism job enforces by diffing a width-1 run against a width-2 run; the
-//! selection-table counters go to stderr.
+//! The output is byte-identical for every verify width (`--delivery-parallelism`); the
+//! scenarios are the fixture catalog's builders, which `tests/fixture_matrix.rs` checks
+//! against `tests/goldens/` at verify widths 1 and 2. The selection-table counters go to
+//! stderr.
 
 use irec_bench::BenchArgs;
 

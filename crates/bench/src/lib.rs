@@ -12,8 +12,8 @@
 //!
 //! The library part holds the shared pieces: synthetic candidate-set generation (the \|Φ\|
 //! workload of §VII-B), the RAC-vs-legacy measurement kernels, the simulation campaign used
-//! by the three Fig. 8 binaries, and a tiny argument parser so the binaries stay dependency
-//! free.
+//! by the three Fig. 8 binaries, the catalog of named scenarios whose output is pinned under
+//! `tests/goldens/`, and a tiny argument parser so the binaries stay dependency free.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,6 +21,7 @@
 pub mod args;
 pub mod campaign;
 pub mod determinism;
+pub mod fixtures;
 pub mod report;
 pub mod workload;
 

@@ -11,7 +11,7 @@ use irec_crypto::{KeyRegistry, Signer};
 use irec_metrics::RegisteredPath;
 use irec_pcb::{Pcb, PcbExtensions, StaticInfo};
 use irec_sim::{ChurnConfig, ChurnEngine, ChurnStep, DeliveryStats, Simulation, SimulationConfig};
-use irec_topology::{AsNode, GeneratorConfig, Interface, Tier, TopologyGenerator};
+use irec_topology::{AsNode, GeneratorConfig, Interface, Tier, Topology, TopologyGenerator};
 use irec_types::{
     AlgorithmId, AsId, Bandwidth, GeoCoord, IfId, InterfaceGroupId, Latency, LinkId, Result,
     SimDuration, SimTime,
@@ -218,18 +218,23 @@ pub fn legacy_selection_latency(candidates: &[Arc<StoredBeacon>], local_as: &AsN
     start.elapsed()
 }
 
-/// Builds the delivery-plane workload: a generated-topology simulation with the paper's
-/// 5SP deployment and the given verify width. Shared by the fig6/fig7 delivery-scaling
-/// sections.
-pub fn delivery_workload(ases: usize, delivery_workers: usize, seed: u64) -> Simulation {
+/// A generated topology of `ases` ASes from `seed`, the generator's other settings at
+/// their defaults.
+pub(crate) fn generated_topology(ases: usize, seed: u64) -> Arc<Topology> {
     let config = GeneratorConfig {
         num_ases: ases,
         seed,
         ..Default::default()
     };
-    let topology = Arc::new(TopologyGenerator::new(config).generate());
+    Arc::new(TopologyGenerator::new(config).generate())
+}
+
+/// Builds the delivery-plane workload: a generated-topology simulation with the paper's
+/// 5SP deployment and the given verify width. Shared by the fig6/fig7 delivery-scaling
+/// sections.
+pub fn delivery_workload(ases: usize, delivery_workers: usize, seed: u64) -> Simulation {
     Simulation::new(
-        topology,
+        generated_topology(ases, seed),
         SimulationConfig::default().with_delivery_parallelism(delivery_workers),
         move |_| NodeConfig::default().with_racs(vec![RacConfig::static_rac("5SP", "5SP")]),
     )
@@ -270,22 +275,19 @@ fn algorithm_node_config(algorithm: &str) -> NodeConfig {
         .with_racs(vec![RacConfig::static_rac(algorithm, algorithm)])
 }
 
-/// Builds the algorithm-catalog workload: a generated-topology simulation where every AS
-/// runs the named catalog algorithm, at verify width `width`. Shared by the algorithm
-/// determinism integration tests and the `fig_alg` binary.
-pub fn algorithm_workload(algorithm: &str, ases: usize, width: usize, seed: u64) -> Simulation {
-    let config = GeneratorConfig {
-        num_ases: ases,
-        seed,
-        ..Default::default()
-    };
-    let topology = Arc::new(TopologyGenerator::new(config).generate());
+/// Builds the algorithm-catalog workload: a generated-topology simulation under `config`
+/// where every AS runs the named catalog algorithm. Shared by [`algorithm_pass`] and the
+/// algorithm fixtures.
+pub(crate) fn algorithm_workload(
+    algorithm: &str,
+    ases: usize,
+    config: SimulationConfig,
+    seed: u64,
+) -> Simulation {
     let algorithm = algorithm.to_string();
-    Simulation::new(
-        topology,
-        SimulationConfig::default().with_delivery_parallelism(width),
-        move |_| algorithm_node_config(&algorithm),
-    )
+    Simulation::new(generated_topology(ases, seed), config, move |_| {
+        algorithm_node_config(&algorithm)
+    })
     .expect("algorithm workload simulation setup")
 }
 
@@ -300,7 +302,8 @@ pub fn algorithm_pass(
     width: usize,
     seed: u64,
 ) -> RoundFingerprint {
-    let mut sim = algorithm_workload(algorithm, ases, width, seed);
+    let config = SimulationConfig::default().with_delivery_parallelism(width);
+    let mut sim = algorithm_workload(algorithm, ases, config, seed);
     sim.run_rounds(rounds.max(1))
         .expect("algorithm workload rounds succeed");
     (
@@ -327,41 +330,34 @@ fn churn_node_config() -> NodeConfig {
         .with_racs(vec![RacConfig::static_rac("5SP", "5SP")])
 }
 
-/// Builds the churn workload: a generated-topology simulation at verify width `width`.
-/// Shared by the churn determinism integration tests and the `fig_churn` binary.
-pub fn churn_workload(ases: usize, width: usize, seed: u64) -> Simulation {
-    let config = GeneratorConfig {
-        num_ases: ases,
-        seed,
-        ..Default::default()
-    };
-    let topology = Arc::new(TopologyGenerator::new(config).generate());
-    Simulation::new(
-        topology,
-        SimulationConfig::default().with_delivery_parallelism(width),
-        move |_| churn_node_config(),
-    )
-    .expect("churn workload simulation setup")
-}
-
-/// One full churn run over the [`churn_workload`]: `steps` churn steps of the seeded
-/// timeline in `churn`, applied and settled by a [`ChurnEngine`]. Returns the
-/// deterministic fingerprint — byte-identical across verify widths for a fixed
-/// `(ases, steps, churn, seed)` tuple, which the churn determinism matrix re-asserts.
-pub fn churn_pass(
+/// Runs the churn workload — a generated topology under `config` whose ASes run
+/// [`churn_node_config`] — through `steps` churn steps of the seeded timeline in `churn`,
+/// applied and settled by a [`ChurnEngine`]. Returns the per-step report and the final
+/// plane. Shared by [`churn_pass_with_stats`] and the churn fixtures.
+pub(crate) fn churn_run(
     ases: usize,
     steps: usize,
     churn: ChurnConfig,
-    width: usize,
+    config: SimulationConfig,
     seed: u64,
-) -> ChurnFingerprint {
-    churn_pass_with_stats(ases, steps, churn, width, seed).0
+) -> (Vec<ChurnStep>, Simulation) {
+    let mut sim = Simulation::new(generated_topology(ases, seed), config, |_| {
+        churn_node_config()
+    })
+    .expect("churn workload simulation setup");
+    let report = ChurnEngine::new(churn, |_| churn_node_config())
+        .run(&mut sim, steps)
+        .expect("churn run converges");
+    (report.steps, sim)
 }
 
-/// [`churn_pass`], additionally returning the run's accumulated [`IncrementalStats`]:
-/// how many `(RAC, batch)` selections its rounds reused, extended and recomputed, and how
-/// many kept selections the timeline's catalog swaps dropped. Counters, not output —
-/// the fingerprint is what must agree across planes.
+/// One full churn run at verify width `width`: a generated topology running 5SP with
+/// every beacon propagated, through `steps` churn steps of the seeded timeline in `churn`,
+/// each applied and settled by a [`ChurnEngine`]. Returns the deterministic fingerprint —
+/// byte-identical across verify widths for a fixed `(ases, steps, churn, seed)` tuple —
+/// and the run's accumulated [`IncrementalStats`]: how many `(RAC, batch)` selections its
+/// rounds reused, extended and recomputed, and how many kept selections the timeline's
+/// catalog swaps dropped. Counters, not output.
 pub fn churn_pass_with_stats(
     ases: usize,
     steps: usize,
@@ -369,12 +365,11 @@ pub fn churn_pass_with_stats(
     width: usize,
     seed: u64,
 ) -> (ChurnFingerprint, IncrementalStats) {
-    let mut sim = churn_workload(ases, width, seed);
-    let mut engine = ChurnEngine::new(churn, move |_| churn_node_config());
-    let report = engine.run(&mut sim, steps).expect("churn pass converges");
+    let config = SimulationConfig::default().with_delivery_parallelism(width);
+    let (steps, sim) = churn_run(ases, steps, churn, config, seed);
     (
         (
-            report.steps,
+            steps,
             sim.registered_paths(),
             sim.delivery_stats(),
             sim.ingress_occupancy(),
@@ -448,34 +443,21 @@ mod tests {
     }
 
     #[test]
-    fn churn_pass_is_width_invariant() {
-        let churn = ChurnConfig::default()
-            .with_rate(1.0)
-            .with_seed(13)
-            .with_warmup_rounds(3);
-        let (steps, paths, stats, occupancy) = churn_pass(10, 3, churn, 1, 5);
-        assert_eq!(steps.len(), 3);
-        assert!(
-            steps.iter().any(|step| !step.deltas.is_empty()),
-            "a rate-1 timeline must apply deltas"
-        );
-        assert!(!paths.is_empty());
-        assert_eq!(
-            churn_pass(10, 3, churn, 2, 5),
-            (steps, paths, stats, occupancy),
-            "diverged at verify width 2"
-        );
-    }
-
-    #[test]
     fn churn_pass_reuses_selections_on_every_plane() {
         let churn = ChurnConfig::default()
             .with_rate(1.0)
             .with_seed(13)
             .with_warmup_rounds(3);
         let (reference, sequential) = churn_pass_with_stats(10, 3, churn, 1, 5);
+        let (steps, paths, ..) = &reference;
+        assert_eq!(steps.len(), 3);
+        assert!(
+            steps.iter().any(|step| !step.deltas.is_empty()),
+            "a rate-1 timeline must apply deltas"
+        );
+        assert!(!paths.is_empty());
         let (fingerprint, stacked) = churn_pass_with_stats(10, 3, churn, 2, 5);
-        assert_eq!(fingerprint, reference);
+        assert_eq!(fingerprint, reference, "diverged at verify width 2");
         // What a round reuses is decided per node from its own database, so the counters
         // are as plane-independent as the output.
         assert_eq!(stacked, sequential);

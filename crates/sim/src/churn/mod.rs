@@ -28,8 +28,8 @@
 //! order). The engine applies deltas between rounds — where the verify helper has
 //! returned — and its settle loop advances on registered-path equality, itself a
 //! deterministic output. Therefore the whole timeline, and everything downstream of it, is
-//! byte-identical at every verify width, like every other plane:
-//! `tests/churn_determinism.rs` and the CI determinism matrix enforce the bar.
+//! byte-identical at every verify width, like every other plane: the churn fixtures of
+//! `tests/fixture_matrix.rs` enforce the bar.
 
 pub mod engine;
 pub mod generator;

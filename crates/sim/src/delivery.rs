@@ -24,8 +24,8 @@
 //! **Determinism.** A verdict computed ahead is the verdict inline verification computes
 //! at delivery, and the commits happen in `(SimTime, seq)` order on one thread either way.
 //! A run with any verify width is therefore byte-identical to the inline run at width 1,
-//! which `tests/delivery_determinism.rs`, `tests/determinism_goldens.rs` and the CI
-//! determinism job all enforce.
+//! which `tests/fixture_matrix.rs` enforces on every fixture and
+//! `tests/delivery_determinism.rs` under failure injection and in-flight expiry.
 
 use crate::event::{Event, EventQueue};
 use irec_core::{verify_received, IrecNode, RoundOutput};

@@ -260,8 +260,9 @@ pub struct PdPairResult {
 /// store — is partitioned by giving every pair a disjoint algorithm-id range
 /// ([`PdCampaign::ALGORITHM_ID_BASE`] + index × [`PdCampaign::ALGORITHM_IDS_PER_PAIR`],
 /// through [`PdWorkflow::with_algorithm_id_base`]). Results come back in pair order, and
-/// the first failing pair's error is returned. `tests/pd_determinism.rs` and the CI
-/// determinism job pin the campaign against a manual pair loop, at verify widths 1 and 2.
+/// the first failing pair's error is returned. `tests/pd_determinism.rs` pins the
+/// campaign against a manual pair loop, and the PD fixtures of `tests/fixture_matrix.rs`
+/// pin its bytes, at verify widths 1 and 2.
 ///
 /// Self-pairs (`origin == target`) are short-circuited without taking a snapshot — their
 /// [`PdPairResult::self_pair`] flag is set and their result is empty.

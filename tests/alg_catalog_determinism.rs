@@ -1,55 +1,24 @@
-//! Acceptance tests for the stochastic + k-shortest algorithm families: a deployment
-//! running `5YEN` (exact Yen's k-shortest enumeration) or `aco:<seed>:<iters>` (seeded
-//! ant-colony selection) must produce byte-identical registered paths, delivery
-//! accounting and overhead samples at verify widths 1 and 2. Yen's is deterministic by
-//! construction; ACO is *stochastic by design* but
-//! all of its randomness comes from seeded per-(origin, group, egress, iteration, ant)
-//! splitmix64 streams, so no execution-order or thread knob may leak into the outcome.
+//! Acceptance tests for the stochastic + k-shortest algorithm families: `5YEN` (exact
+//! Yen's k-shortest enumeration) and `aco:<seed>:<iters>` (seeded ant-colony selection)
+//! are algorithms of their own — the ACO seed moves the outcome, and Yen's is not an
+//! alias of the `KShortestPaths` heuristic. That a fixed spec is byte-identical at verify
+//! widths 1 and 2 is checked by the `algorithm-5yen-…` and `algorithm-aco-…` fixtures of
+//! `tests/fixture_matrix.rs`: ACO is *stochastic by design*, but all of its randomness
+//! comes from seeded per-(origin, group, egress, iteration, ant) splitmix64 streams.
 
 use irec_bench::workload::algorithm_pass;
 
 const ASES: usize = 8;
 const ROUNDS: usize = 3;
 
-/// The algorithm family matrix: one exact enumerator, one stochastic selector with a
-/// non-default spec (so the seed/iteration plumbing is exercised, not just defaults).
-/// Kept deliberately small — ant-colony iterations are the dominant per-point cost.
-const ALGORITHMS: &[&str] = &["5YEN", "aco:7:3"];
-
-/// The headline check, over 2 algorithms × 2 topology seeds × verify widths {1, 2}: the
-/// width-2 run reproduces the inline run of its `(algorithm, seed)` byte for byte.
-#[test]
-fn algorithm_families_are_byte_identical_across_schedulers_and_shards() {
-    for algorithm in ALGORITHMS {
-        for seed in 0u64..2 {
-            let reference = algorithm_pass(algorithm, ASES, ROUNDS, 1, seed);
-            assert!(
-                !reference.0.is_empty(),
-                "the reference run must register paths"
-            );
-            assert_eq!(
-                algorithm_pass(algorithm, ASES, ROUNDS, 2, seed),
-                reference,
-                "{algorithm} diverged at verify width 2, seed {seed}"
-            );
-        }
-    }
-}
-
-/// Different ACO seeds are allowed — and expected — to explore differently: the knob is
-/// real, not decorative. (Contrast with the check above, which pins each seed.)
+/// Different ACO seeds explore differently: the knob is real, not decorative. (The
+/// fixture matrix pins the plane of one seed, `aco:7:4`.)
 #[test]
 fn aco_seed_changes_outcomes() {
     let a = algorithm_pass("aco:1:3", ASES, ROUNDS, 1, 0);
     let b = algorithm_pass("aco:2:3", ASES, ROUNDS, 1, 0);
     assert!(!a.0.is_empty() && !b.0.is_empty());
-    // Registered paths may coincide on tiny topologies round for round; overhead samples
-    // include per-round selection work and are the most sensitive probe. If even those
-    // match, the runs genuinely converged to the same plane and that is acceptable — but
-    // at least assert the two runs were produced independently.
-    if a == b {
-        eprintln!("note: aco:1 and aco:2 converged to identical planes on this topology");
-    }
+    assert_ne!(a, b, "aco:1 and aco:2 produced the same plane");
 }
 
 /// Yen's enumeration and the truncation heuristic (`KShortestPaths`) are different

@@ -1,43 +1,16 @@
-//! Acceptance tests for the churn engine: a seeded churn timeline must be byte-identical
-//! — same per-step deltas, same settle rounds, same drop accounting, same final
-//! registered paths — at verify widths 1 and 2. Churn knobs change the workload
-//! deliberately; the verify width must never change what that workload produces. Plus
-//! the staged-migration scenario: live algorithm-catalog
-//! swaps rolled across the topology one AS at a time, with the no-blackhole invariant
-//! asserted between every step.
+//! Acceptance test for the churn engine's staged-migration scenario: live
+//! algorithm-catalog swaps rolled across the topology one AS at a time, with the
+//! no-blackhole invariant asserted between every step. That a seeded churn timeline is
+//! byte-identical at verify widths 1 and 2 — same per-step deltas, settle rounds, drop
+//! accounting and final registered paths — is checked by the `churn-…` fixtures of
+//! `tests/fixture_matrix.rs`, whose two timelines draw every delta kind.
 
-use irec_bench::workload::churn_pass;
 use irec_core::{NodeConfig, PropagationPolicy, RacConfig};
 use irec_sim::{
     ChurnConfig, ChurnDelta, ChurnEngine, InvariantChecker, Simulation, SimulationConfig,
 };
 use irec_topology::builder::figure1_topology;
 use std::sync::Arc;
-
-const ASES: usize = 10;
-const STEPS: usize = 2;
-
-fn churn_config(churn_seed: u64) -> ChurnConfig {
-    ChurnConfig::default()
-        .with_rate(1.0)
-        .with_seed(churn_seed)
-        .with_warmup_rounds(2)
-}
-
-/// The headline check, over churn seeds {0, 1, 2} × verify widths {1, 2}: the width-2 run
-/// replays its seed's timeline exactly as the inline run does.
-#[test]
-fn churn_timelines_are_byte_identical_across_schedulers_and_shards() {
-    for churn_seed in 0u64..3 {
-        let reference = churn_pass(ASES, STEPS, churn_config(churn_seed), 1, churn_seed);
-        assert_eq!(reference.0.len(), STEPS, "every step must be recorded");
-        assert_eq!(
-            churn_pass(ASES, STEPS, churn_config(churn_seed), 2, churn_seed),
-            reference,
-            "churn diverged at verify width 2, churn seed {churn_seed}"
-        );
-    }
-}
 
 /// The staged-migration scenario: roll a new algorithm catalog across a live deployment
 /// one AS at a time — the live-reconfiguration dual of a link or node failure. Between
