@@ -2,7 +2,8 @@
 //! `--delivery-parallelism > 1`, which verifies a round's PCBs on a helper thread while the
 //! node phase runs, must be byte-identical to the inline reference at width 1 — same
 //! registered paths in the same order, same delivered/dropped/rejected counters, same
-//! ingress occupancy — under failure injection and where beacons expire in flight. The
+//! ingress occupancy — on the fig6-scale workload (generated topology, the paper's
+//! five-RAC deployment), under failure injection, and where beacons expire in flight. The
 //! fixtures of `tests/fixture_matrix.rs` check the same on every golden's plane.
 //!
 //! The stores a delivery commits into — each AS's ingress database, ingress gateway and
@@ -21,6 +22,7 @@ use irec_metrics::RegisteredPath;
 use irec_pcb::{Pcb, PcbExtensions, PcbId, StaticInfo};
 use irec_sim::{DeliveryStats, Simulation, SimulationConfig};
 use irec_topology::builder::{figure1, figure1_topology};
+use irec_topology::{GeneratorConfig, TopologyGenerator};
 use irec_types::{
     AsId, Bandwidth, IfId, InterfaceGroupId, Latency, PathMetrics, SimDuration, SimTime,
 };
@@ -46,7 +48,53 @@ fn fingerprint(sim: &Simulation) -> RunFingerprint {
     }
 }
 
-/// Verify-ahead with failure injection: a removed node exercises the `dropped_no_node`
+/// The fig6 smoke workload: a 12-AS generated topology beaconing for 3 rounds with the
+/// paper's static RAC set.
+fn run_fig6_workload(delivery_parallelism: usize) -> RunFingerprint {
+    let topology = Arc::new(
+        TopologyGenerator::new(GeneratorConfig {
+            num_ases: 12,
+            seed: 5,
+            ..Default::default()
+        })
+        .generate(),
+    );
+    let mut sim = Simulation::new(
+        topology,
+        SimulationConfig::default().with_delivery_parallelism(delivery_parallelism),
+        move |_| {
+            NodeConfig::default().with_racs(vec![
+                RacConfig::static_rac("1SP", "1SP"),
+                RacConfig::static_rac("5SP", "5SP"),
+                RacConfig::static_rac("HD", "HD"),
+                RacConfig::static_rac("DON", "DO"),
+            ])
+        },
+    )
+    .expect("simulation setup");
+    sim.run_rounds(3).expect("beaconing rounds");
+    fingerprint(&sim)
+}
+
+/// The headline acceptance criterion: `--delivery-parallelism 4` (verify ahead on one
+/// helper; widths above 2 run as 2) is byte-identical to `--delivery-parallelism 1`
+/// (inline) on the fig6 workload.
+#[test]
+fn delivery_parallelism_is_byte_identical_on_fig6_workload() {
+    let sequential = run_fig6_workload(1);
+    assert!(
+        !sequential.paths.is_empty(),
+        "the scenario must register paths"
+    );
+    assert!(sequential.stats.delivered > 0);
+    assert_eq!(
+        run_fig6_workload(4),
+        sequential,
+        "delivery-parallelism 4 diverged from sequential"
+    );
+}
+
+/// Same guarantee with failure injection: a removed node exercises the `dropped_no_node`
 /// path, and the split counters stay identical at every verify width.
 #[test]
 fn delivery_parallelism_is_byte_identical_under_failure_injection() {
@@ -73,6 +121,26 @@ fn delivery_parallelism_is_byte_identical_under_failure_injection() {
     );
     let parallel = run(4);
     assert_eq!(parallel, sequential);
+}
+
+/// Verify-ahead under the paper's five-RAC deployment, on-demand RAC included, still
+/// reproduces the inline output: flights come back from the helper in whatever order it
+/// verified them, and the outputs must still be scheduled in `AsId` order.
+#[test]
+fn stacked_parallelism_is_byte_identical() {
+    let run = |width: usize| {
+        let mut sim = Simulation::new(
+            Arc::new(figure1_topology()),
+            SimulationConfig::default().with_delivery_parallelism(width),
+            |_| NodeConfig::paper_simulation(false).with_policy(PropagationPolicy::All),
+        )
+        .expect("simulation setup");
+        sim.run_rounds(4).expect("beaconing rounds");
+        fingerprint(&sim)
+    };
+    let sequential = run(1);
+    assert!(!sequential.paths.is_empty());
+    assert_eq!(run(2), sequential);
 }
 
 /// The one case where the receipt time decides a verdict. Beacons are valid for one
