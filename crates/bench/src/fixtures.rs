@@ -144,7 +144,16 @@ pub fn figure1_paper(config: SimulationConfig, rounds: usize) -> Rendered {
 
 /// A generated valley-free topology with the paper's static RAC set (1SP, 5SP, HD, DON).
 pub fn generated(config: SimulationConfig, ases: usize, seed: u64, rounds: usize) -> Rendered {
-    let sim = Simulation::new(generated_topology(ases, seed), config, |_| {
+    dump(
+        "generated",
+        generated_simulation(config, ases, seed),
+        rounds,
+    )
+}
+
+/// The plane [`generated`] renders, before its first round.
+pub fn generated_simulation(config: SimulationConfig, ases: usize, seed: u64) -> Simulation {
+    Simulation::new(generated_topology(ases, seed), config, |_| {
         NodeConfig::default().with_racs(vec![
             RacConfig::static_rac("1SP", "1SP"),
             RacConfig::static_rac("5SP", "5SP"),
@@ -152,8 +161,7 @@ pub fn generated(config: SimulationConfig, ases: usize, seed: u64, rounds: usize
             RacConfig::static_rac("DON", "DO"),
         ])
     })
-    .expect("generated simulation setup");
-    dump("generated", sim, rounds)
+    .expect("generated simulation setup")
 }
 
 /// A generated topology where every AS runs one RAC with the catalog spec `spec` (e.g.

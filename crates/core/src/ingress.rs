@@ -24,8 +24,8 @@ pub type Verdict = Result<PcbId>;
 /// Every check runs on every received beacon — nothing is cached across beacons, nodes
 /// or rounds. The beacon is encoded once for all its hop signatures, and the id of an
 /// accepted beacon is hashed from that same buffer ([`Pcb::verify_with_id`]). The
-/// simulator keeps only the acceptance of a beacon verified ahead and hashes its id again
-/// at delivery ([`Pcb::digest`], the same bytes); it is never taken from the sender.
+/// simulator carries the id of a beacon verified ahead to its commit, so the beacon is
+/// hashed once; the id is never taken from the sender.
 pub fn verify_received(local_as: AsId, verifier: &Verifier, pcb: &Pcb, now: SimTime) -> Verdict {
     if pcb.is_empty() {
         return Err(IrecError::policy("received beacon carries no AS entries"));

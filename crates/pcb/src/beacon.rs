@@ -336,8 +336,11 @@ impl Pcb {
     ///
     /// Encodes and hashes on every call and is deliberately not memoised — the fields are
     /// public and mutable, so a cached value could go stale. Code that touches a beacon
-    /// repeatedly carries the id computed once (`irec_core` carries the one
-    /// [`Pcb::verify_with_id`] returned at ingress).
+    /// repeatedly carries the id computed once: `irec_core` and the simulator's delivery
+    /// carry the one [`Pcb::verify_with_id`] returned at ingress, whether it ran inline or
+    /// ahead of delivery. A received beacon is hashed here only where no verification
+    /// precedes: a pull return its origin registers (`IrecNode::handle_pull_return`) and a
+    /// beacon stored without an id (`IngressDb::insert`).
     pub fn digest(&self) -> PcbId {
         PcbId(irec_crypto::sha256(&self.wire_bytes()))
     }

@@ -13,11 +13,11 @@
 //! 2. **Deliver.** Due events are popped in `(SimTime, seq)` order and delivered one by
 //!    one. A PCB over a downed link drops first, then one addressed to an AS without a node;
 //!    otherwise the receiver commits the verdict computed ahead
-//!    ([`IrecNode::apply_message`]). The queue carries only whether a PCB was accepted
-//!    ahead, in one bit of its entry, so an accepted PCB's id is hashed again here
-//!    ([`irec_pcb::Pcb::digest`]: the same bytes, a third of a verification); the id in
-//!    the entry would widen every in-flight event by 40 bytes. A PCB not accepted ahead —
-//!    rejected there, scheduled at verify width 1, or scheduled through the public
+//!    ([`IrecNode::apply_message`]). The queue entry of a PCB accepted ahead carries the id
+//!    its verification computed, so delivery commits it under that id and hashes nothing
+//!    ([`irec_pcb::Pcb::digest`] would be the same bytes again, a third of a
+//!    verification); the id widens every in-flight event by 32 bytes. A PCB not accepted
+//!    ahead — rejected there, scheduled at verify width 1, or scheduled through the public
 //!    [`DeliveryPlane::schedule`] — is verified inline first
 //!    ([`IrecNode::verify_message`]), exactly as the reference walk does.
 //!
@@ -30,6 +30,7 @@
 use crate::event::{Event, EventQueue};
 use irec_core::{verify_received, IrecNode, RoundOutput};
 use irec_crypto::Verifier;
+use irec_pcb::PcbId;
 use irec_types::{AsId, IfId, LinkId, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -152,10 +153,11 @@ impl DeliveryPlane {
         self.queue.schedule(at, event);
     }
 
-    /// Schedules `event` for delivery at time `at`; `accepted` tells that a PCB passed
-    /// verification for its receiver at `at`, and otherwise it is verified when delivered.
-    pub(crate) fn schedule_verified(&mut self, at: SimTime, event: Event, accepted: bool) {
-        self.queue.schedule_verified(at, event, accepted);
+    /// Schedules `event` for delivery at time `at`; `Some(id)` tells that a PCB passed
+    /// verification for its receiver at `at` under `id`, and with `None` it is verified
+    /// when delivered.
+    pub(crate) fn schedule_verified(&mut self, at: SimTime, event: Event, id: Option<PcbId>) {
+        self.queue.schedule_verified(at, event, id);
     }
 
     /// The sequence number the next scheduled event will be assigned.
@@ -210,9 +212,9 @@ impl DeliveryPlane {
         busy_nanos: &AtomicU64,
     ) {
         let mut delivered = 0usize;
-        while let Some((at, event, accepted)) = self.queue.pop_verified_until(until) {
+        while let Some((at, event, id)) = self.queue.pop_verified_until(until) {
             let started = Instant::now();
-            self.deliver(nodes, at, event, accepted);
+            self.deliver(nodes, at, event, id);
             busy_nanos.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
             delivered += 1;
             if delivered.is_multiple_of(MAX_EPOCH_EVENTS) {
@@ -222,14 +224,14 @@ impl DeliveryPlane {
         self.queue.release_spare_capacity();
     }
 
-    /// Delivers one event received at `at`: a PCB accepted ahead commits under its id,
-    /// hashed here; any other PCB is verified inline first.
+    /// Delivers one event received at `at`: a PCB accepted ahead commits under the id its
+    /// verification computed; any other PCB is verified inline first.
     fn deliver(
         &mut self,
         nodes: &mut BTreeMap<AsId, IrecNode>,
         at: SimTime,
         event: Event,
-        accepted: bool,
+        id: Option<PcbId>,
     ) {
         match event {
             // The downed-link check precedes the missing-node check and the verdict, so
@@ -241,10 +243,9 @@ impl DeliveryPlane {
             }
             Event::DeliverPcb(message) => match nodes.get_mut(&message.to_as) {
                 Some(node) => {
-                    let verdict = if accepted {
-                        Ok(message.pcb.digest())
-                    } else {
-                        node.verify_message(&message, at)
+                    let verdict = match id {
+                        Some(id) => Ok(id),
+                        None => node.verify_message(&message, at),
                     };
                     match node.apply_message(message, at, verdict) {
                         Ok(()) => self.stats.delivered += 1,
@@ -268,14 +269,14 @@ impl DeliveryPlane {
 
 /// One node's round output on its way into the queue: every PCB's receipt time, computed
 /// once with the scheduling rule and used for the verdict and the schedule alike, and —
-/// once verified ahead — which PCBs were accepted.
+/// once verified ahead — the id of each PCB that was accepted.
 pub(crate) struct Flight {
     pub(crate) output: RoundOutput,
     /// Receipt time of each of `output.messages`, in order.
     pub(crate) arrivals: Vec<SimTime>,
-    /// For each of `output.messages`, whether it was accepted. Empty until verified, and
-    /// then delivery verifies every PCB inline.
-    pub(crate) accepted: Vec<bool>,
+    /// For each of `output.messages`, the id it was accepted under, or `None` when it was
+    /// rejected. Empty until verified, and then delivery verifies every PCB inline.
+    pub(crate) ids: Vec<Option<PcbId>>,
 }
 
 impl Flight {
@@ -290,7 +291,7 @@ impl Flight {
         Flight {
             output,
             arrivals,
-            accepted: Vec::with_capacity(slots),
+            ids: Vec::with_capacity(slots),
         }
     }
 
@@ -301,10 +302,8 @@ impl Flight {
             .messages
             .iter()
             .zip(&self.arrivals)
-            .map(|(message, &at)| {
-                verify_received(message.to_as, verifier, &message.pcb, at).is_ok()
-            });
-        self.accepted.extend(verdicts);
+            .map(|(message, &at)| verify_received(message.to_as, verifier, &message.pcb, at).ok());
+        self.ids.extend(verdicts);
     }
 }
 
@@ -461,27 +460,38 @@ mod tests {
         traffic
     }
 
+    /// Every id stored in `node`'s ingress database, batch by batch.
+    fn stored_ids(node: &IrecNode) -> Vec<PcbId> {
+        let db = node.ingress().db();
+        db.batch_keys()
+            .iter()
+            .filter_map(|key| db.batch_view(key, SimTime::ZERO))
+            .flat_map(|view| view.ids().to_vec())
+            .collect()
+    }
+
     /// Delivers [`traffic`], each PCB carrying the verdict computed ahead for it when
-    /// `verify_ahead`, and none (inline verification at delivery) otherwise.
-    fn run_plane(verify_ahead: bool) -> (DeliveryStats, Vec<(AsId, usize)>) {
+    /// `verify_ahead`, and none (inline verification at delivery) otherwise. Returns the
+    /// accounting and every node's stored ids.
+    fn run_plane(verify_ahead: bool) -> (DeliveryStats, Vec<(AsId, Vec<PcbId>)>) {
         let (mut nodes, registry) = nodes_with_registry();
         let verifier = Verifier::new(registry.clone());
         let mut plane = DeliveryPlane::default();
         for (at, event) in traffic(&registry) {
-            let accepted = match &event {
+            let id = match &event {
                 Event::DeliverPcb(m) if verify_ahead => {
-                    verify_received(m.to_as, &verifier, &m.pcb, at).is_ok()
+                    verify_received(m.to_as, &verifier, &m.pcb, at).ok()
                 }
-                _ => false,
+                _ => None,
             };
-            plane.schedule_verified(at, event, accepted);
+            plane.schedule_verified(at, event, id);
         }
         plane.deliver_until(&mut nodes, SimTime::MAX);
-        let occupancy: Vec<(AsId, usize)> = nodes
+        let stored = nodes
             .iter()
-            .map(|(asn, node)| (*asn, node.ingress().db().len()))
+            .map(|(asn, node)| (*asn, stored_ids(node)))
             .collect();
-        (plane.stats(), occupancy)
+        (plane.stats(), stored)
     }
 
     #[test]
@@ -493,15 +503,20 @@ mod tests {
         assert_eq!(stats.dropped_total(), 5);
     }
 
+    /// Committed under the ids computed ahead, every node stores the ids inline
+    /// verification stores.
     #[test]
     fn verdicts_computed_ahead_deliver_like_inline_verification() {
         let inline = run_plane(false);
         assert_eq!(run_plane(true), inline);
         assert_eq!(inline.0.rejected, 4);
+        let stored: usize = inline.1.iter().map(|(_, ids)| ids.len()).sum();
+        assert_eq!(stored as u64, inline.0.delivered);
     }
 
     /// Flights handed to the pipeline come back verified, each exactly once, whether the
-    /// helper or the hand-over side verified it; a tampered PCB is not accepted.
+    /// helper or the hand-over side verified it: every accepted PCB with its own id, a
+    /// tampered PCB with none.
     #[test]
     fn the_pipeline_returns_every_flight_verified() {
         let (_, registry) = nodes_with_registry();
@@ -532,12 +547,19 @@ mod tests {
         assert_eq!(back.len(), flights);
         for (position, (index, flight)) in back.iter().enumerate() {
             assert_eq!(*index, position);
-            assert_eq!(flight.accepted.len(), flight.output.messages.len());
-            let rejected = flight
-                .accepted
-                .iter()
-                .filter(|accepted| !**accepted)
-                .count();
+            assert_eq!(flight.ids.len(), flight.output.messages.len());
+            let mut rejected = 0;
+            for (message, id) in flight.output.messages.iter().zip(&flight.ids) {
+                let latency = message
+                    .pcb
+                    .entries
+                    .first()
+                    .map(|e| e.static_info.link_latency);
+                let tampered = latency == Some(Latency::from_millis(1));
+                rejected += usize::from(tampered);
+                let expected = (!tampered).then(|| message.pcb.digest());
+                assert_eq!(*id, expected);
+            }
             assert_eq!(rejected, 4, "the tampered PCBs");
         }
         assert!(busy.into_inner() > 0);

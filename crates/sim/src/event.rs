@@ -1,6 +1,8 @@
 //! The discrete-event queue driving the simulation.
 
 use irec_core::{PcbMessage, PullReturn};
+use irec_crypto::Digest;
+use irec_pcb::PcbId;
 use irec_types::{AsId, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -24,16 +26,25 @@ struct Scheduled {
     /// bit cannot reorder two entries, whose sequence numbers differ; in its own field it
     /// would widen every entry by a word.
     key: u64,
+    /// The id verification computed for an accepted PCB; zero, and not read, while the
+    /// key's low bit is clear. A raw id, not an `Option`: the option's tag would pad the
+    /// entry by another word.
+    id: PcbId,
     event: Event,
 }
+
+/// An entry is the event, the time, the key and the 32-byte id: every in-flight event
+/// pays for the id, so it must not pay for more.
+const _: () = assert!(std::mem::size_of::<Scheduled>() <= 216);
 
 impl Scheduled {
     fn seq(&self) -> u64 {
         self.key >> 1
     }
 
-    fn accepted(&self) -> bool {
-        self.key & 1 == 1
+    /// The id the PCB was accepted under ahead, if it was.
+    fn verified_id(&self) -> Option<PcbId> {
+        (self.key & 1 == 1).then_some(self.id)
     }
 }
 
@@ -75,17 +86,18 @@ impl EventQueue {
 
     /// Schedules `event` for time `at`.
     pub fn schedule(&mut self, at: SimTime, event: Event) {
-        self.schedule_verified(at, event, false);
+        self.schedule_verified(at, event, None);
     }
 
-    /// Schedules `event` for time `at` with the verdict computed ahead for it: `accepted`
-    /// tells that a PCB passed verification for its receiver at `at`. Only acceptance is
-    /// carried, in one bit: the deliverer hashes an accepted PCB's id again, and verifies
-    /// a PCB scheduled with `false` — rejected ahead, or never verified — in full.
-    pub(crate) fn schedule_verified(&mut self, at: SimTime, event: Event, accepted: bool) {
-        let key = self.next_seq << 1 | u64::from(accepted);
+    /// Schedules `event` for time `at` with the verdict computed ahead for it: `Some(id)`
+    /// tells that a PCB passed verification for its receiver at `at`, under the id that
+    /// verification computed. The deliverer commits an accepted PCB under that id, and
+    /// verifies a PCB scheduled with `None` — rejected ahead, or never verified — in full.
+    pub(crate) fn schedule_verified(&mut self, at: SimTime, event: Event, id: Option<PcbId>) {
+        let key = self.next_seq << 1 | u64::from(id.is_some());
+        let id = id.unwrap_or(PcbId(Digest::ZERO));
         self.next_seq += 1;
-        self.heap.push(Scheduled { at, key, event });
+        self.heap.push(Scheduled { at, key, id, event });
     }
 
     /// The sequence number the next scheduled event will be assigned.
@@ -118,13 +130,17 @@ impl EventQueue {
         }
     }
 
-    /// Like [`EventQueue::pop_until`], but also yields whether the event is a PCB that was
-    /// verified and accepted ahead (see [`EventQueue::schedule_verified`]).
-    pub(crate) fn pop_verified_until(&mut self, until: SimTime) -> Option<(SimTime, Event, bool)> {
+    /// Like [`EventQueue::pop_until`], but also yields the id of a PCB that was verified
+    /// and accepted ahead, and `None` for any other event (see
+    /// [`EventQueue::schedule_verified`]).
+    pub(crate) fn pop_verified_until(
+        &mut self,
+        until: SimTime,
+    ) -> Option<(SimTime, Event, Option<PcbId>)> {
         if self.next_time()? <= until {
             let s = self.heap.pop().expect("peeked element exists");
-            let accepted = s.accepted();
-            Some((s.at, s.event, accepted))
+            let id = s.verified_id();
+            Some((s.at, s.event, id))
         } else {
             None
         }
@@ -251,26 +267,47 @@ mod tests {
     }
 
     /// The accepted bit rides in the sequence key without reordering anything: equal times
-    /// still pop FIFO, each event keeps its bit, and the sequence numbers handed out are
-    /// the plain ones.
+    /// still pop FIFO, an accepted event pops with the id it was scheduled with — after a
+    /// purge rebuilt the heap, too — and any other event with none, and the sequence
+    /// numbers handed out are the plain ones.
     #[test]
     fn the_accepted_bit_keeps_order_and_sequence_numbers() {
+        let id = |i: u64| PcbId(Digest([i as u8 + 1; 32]));
         let mut q = EventQueue::new();
         for i in 0..6 {
-            q.schedule_verified(SimTime::from_micros(100), event(i), i % 3 == 0);
+            let verified = (i % 3 == 0).then(|| id(i));
+            q.schedule_verified(SimTime::from_micros(100), event(i), verified);
         }
         q.schedule(SimTime::from_micros(50), event(9));
-        let (_, first, accepted) = q.pop_verified_until(SimTime::MAX).unwrap();
-        assert_eq!((first, accepted), (event(9), false));
-        let bits: Vec<bool> = (0..3)
+        let Event::DeliverPcb(mut elsewhere) = event(7) else {
+            unreachable!()
+        };
+        elsewhere.to_as = AsId(9);
+        q.schedule_verified(
+            SimTime::from_micros(100),
+            Event::DeliverPcb(elsewhere),
+            Some(id(7)),
+        );
+
+        let (_, first, verified) = q.pop_verified_until(SimTime::MAX).unwrap();
+        assert_eq!((first, verified), (event(9), None));
+        let ids: Vec<Option<PcbId>> = (0..3)
             .map(|_| q.pop_verified_until(SimTime::MAX).unwrap().2)
             .collect();
-        assert_eq!(bits, [true, false, false]);
+        assert_eq!(ids, [Some(id(0)), None, None]);
+        let purged: Vec<u64> = q
+            .purge_addressed_to(AsId(9))
+            .into_iter()
+            .map(|(_, seq, _)| seq)
+            .collect();
+        assert_eq!(purged, [7]);
+        let (_, fourth, verified) = q.pop_verified_until(SimTime::MAX).unwrap();
+        assert_eq!((fourth, verified), (event(3), Some(id(3))));
         let seqs: Vec<u64> = std::iter::from_fn(|| q.pop_entry_until(SimTime::MAX))
             .map(|(_, seq, _)| seq)
             .collect();
-        assert_eq!(seqs, [3, 4, 5]);
-        assert_eq!(q.next_seq(), 7);
+        assert_eq!(seqs, [4, 5]);
+        assert_eq!(q.next_seq(), 8);
     }
 
     #[test]

@@ -833,12 +833,13 @@ impl Outbox<'_> {
     }
 
     /// Records one node's output in the overhead counters and schedules its deliveries,
-    /// every PCB at the receipt time it was verified for.
+    /// every PCB at the receipt time it was verified for, with the id it was accepted
+    /// under.
     fn account_and_schedule(&mut self, flight: Flight) {
         let Flight {
             output,
             arrivals,
-            accepted,
+            ids,
         } = flight;
         for message in &output.messages {
             self.overhead
@@ -849,9 +850,9 @@ impl Outbox<'_> {
             }
         }
         for (index, (message, at)) in output.messages.into_iter().zip(arrivals).enumerate() {
-            let accepted = accepted.get(index).copied().unwrap_or(false);
+            let id = ids.get(index).copied().flatten();
             self.plane
-                .schedule_verified(at, Event::DeliverPcb(message), accepted);
+                .schedule_verified(at, Event::DeliverPcb(message), id);
         }
         for ret in output.pull_returns {
             // The return travels over the discovered path itself.

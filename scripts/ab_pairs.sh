@@ -13,10 +13,13 @@
 # Prints one JSON object per workload (`all`: an array of the five): per end-to-end metric
 # both sides' median and quartiles, every run, the change's wins and ties over the pairs,
 # whether the medians are further apart than the parent's inter-quartile range, and whether
-# `output_digest` was the same in every run of both sides. Progress goes to stderr.
+# `output_digest` was the same in every run of both sides. Progress goes to stderr, and
+# after the JSON one verdict line per workload. The JSON is always written; the exit
+# status is 1 when `output_digest` differed between or within the sides, or any run of
+# either side reported a failed operation, on any workload.
 set -euo pipefail
 if [ "$#" -ne 5 ]; then
-    sed -n '2,16p' "$0" >&2
+    sed -n '2,19p' "$0" >&2
     exit 2
 fi
 exec python3 - "$@" <<'PY'
@@ -102,4 +105,24 @@ document = {"nproc": os.cpu_count(), "loadavg_end": os.getloadavg()[0],
             "results": results} if workload == "all" else results[0]
 json.dump(document, sys.stdout, indent=1)
 print()
+sys.stdout.flush()
+
+
+def verdict(result):
+    moves = ", ".join(
+        f"{key} {m['change_vs_parent_pct']:+.1f} % ({m['wins']}/{result['pairs']} wins, "
+        f"{'apart' if m['medians_apart_by_more_than_parent_iqr'] else 'within IQR'})"
+        for key, m in result["metrics"].items())
+    problems = []
+    if not result["output_digest_matched"]:
+        problems.append(f"output_digest differs: {result['output_digest']}")
+    if any(result["failed"].values()):
+        problems.append(f"failed operations: {result['failed']}")
+    status = "FAIL: " + "; ".join(problems) if problems else "ok"
+    print(f"{result['workload']}: {status} | {moves}", file=sys.stderr)
+    return not problems
+
+
+verdicts = [verdict(result) for result in results]
+sys.exit(0 if all(verdicts) else 1)
 PY

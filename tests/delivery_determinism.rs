@@ -143,26 +143,32 @@ fn stacked_parallelism_is_byte_identical() {
     assert_eq!(run(2), sequential);
 }
 
-/// The one case where the receipt time decides a verdict. Beacons are valid for one
-/// beacon interval plus 1 ms, so an origination arrives in time, but a beacon propagated
-/// one round later arrives after it expired. A verdict computed ahead is computed for the
-/// receipt time the PCB is then scheduled at, so every verify width must reject exactly
-/// the PCBs inline verification rejects.
+/// Fig. 1 under 5SP with beacons valid for one beacon interval plus 1 ms, so an
+/// origination arrives in time, but a beacon propagated one round later arrives after it
+/// expired.
+fn expiring_plane(width: usize) -> Simulation {
+    let config = SimulationConfig::default().with_delivery_parallelism(width);
+    let validity = config.beacon_interval + SimDuration::from_millis(1);
+    let mut sim = Simulation::new(Arc::new(figure1_topology()), config, move |_| {
+        NodeConfig {
+            beacon_validity: validity,
+            ..NodeConfig::default()
+        }
+        .with_policy(PropagationPolicy::All)
+        .with_racs(vec![RacConfig::static_rac("5SP", "5SP")])
+    })
+    .expect("simulation setup");
+    sim.run_rounds(4).expect("beaconing rounds");
+    sim
+}
+
+/// The one case where the receipt time decides a verdict: on the [`expiring_plane`]. A
+/// verdict computed ahead is computed for the receipt time the PCB is then scheduled at,
+/// so every verify width must reject exactly the PCBs inline verification rejects.
 #[test]
 fn pcbs_that_expire_in_flight_are_rejected_alike_at_every_verify_width() {
     let run = |width: usize| {
-        let config = SimulationConfig::default().with_delivery_parallelism(width);
-        let validity = config.beacon_interval + SimDuration::from_millis(1);
-        let mut sim = Simulation::new(Arc::new(figure1_topology()), config, move |_| {
-            NodeConfig {
-                beacon_validity: validity,
-                ..NodeConfig::default()
-            }
-            .with_policy(PropagationPolicy::All)
-            .with_racs(vec![RacConfig::static_rac("5SP", "5SP")])
-        })
-        .expect("simulation setup");
-        sim.run_rounds(4).expect("beaconing rounds");
+        let sim = expiring_plane(width);
         let ingress: Vec<(u64, u64, u64)> = sim
             .live_ases()
             .into_iter()
@@ -181,6 +187,40 @@ fn pcbs_that_expire_in_flight_are_rejected_alike_at_every_verify_width() {
     assert_eq!(rejected, delivery.rejected);
     for width in [2, 4] {
         assert_eq!(run(width), inline, "verify width {width}");
+    }
+}
+
+/// Every beacon a node stores sits under its own id, `Pcb::digest()`, recomputed here
+/// from the stored beacon. At verify width 2 a PCB accepted ahead commits under the id
+/// its verification computed, carried through the flight and the queue entry, so an id
+/// that went to the wrong PCB on the way, or was never filled in, stores a beacon under
+/// an id that is not its own. Checked on the `generated-a12-r3-s5` fixture's plane and on
+/// the [`expiring_plane`], where PCBs rejected ahead are verified again inline.
+#[test]
+fn every_stored_beacon_sits_under_its_own_digest() {
+    let mut generated = irec_bench::fixtures::generated_simulation(
+        SimulationConfig::default().with_delivery_parallelism(2),
+        12,
+        5,
+    );
+    generated.run_rounds(3).expect("beaconing rounds");
+    let expiring = expiring_plane(2);
+    assert!(expiring.delivery_stats().rejected > 0);
+    for sim in [&generated, &expiring] {
+        let mut checked = 0;
+        for asn in sim.live_ases() {
+            let db = sim.node(asn).expect("live node").ingress().db();
+            for key in db.batch_keys() {
+                let Some(view) = db.batch_view(&key, SimTime::ZERO) else {
+                    continue;
+                };
+                for (beacon, id) in view.beacons.iter().zip(view.ids()) {
+                    assert_eq!(*id, beacon.pcb.digest(), "{asn:?} {key:?}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 0, "the plane stores beacons");
     }
 }
 
