@@ -310,12 +310,18 @@ fn dump_pd_campaign(label: &str, base: &Simulation, results: &[PdPairResult]) ->
         for p in &pair.result.paths {
             outln!(
                 out,
-                "pd-path\t{index}\t{}\t{}\t{}\t{}\t{:?}",
+                "pd-path\t{index}\t{}\t{}\t{}\t{}\t{:?}\t{}\t{}\t{}\t{}\t{}\t{}",
                 p.algorithm,
                 p.metrics.latency,
                 p.metrics.bandwidth,
                 p.metrics.hops,
-                p.links
+                p.links,
+                p.holder,
+                p.origin,
+                p.group,
+                p.origin_interface,
+                p.holder_interface,
+                p.metrics.bandwidth.0
             );
             outln!(rendered.unprinted, "pd-path\t{index}\t{p:?}");
         }
@@ -349,11 +355,14 @@ fn dump_state(label: &str, sim: &Simulation) -> Rendered {
         sim.ingress_occupancy(),
         sim.connectivity()
     );
+    // Trailing columns, here and on `path` and `pd-path` lines, print exactly what the
+    // columns before them round or leave out.
     outln!(
         out,
-        "overhead\ttotal={}\tsamples={:?}",
+        "overhead\ttotal={}\tsamples={:?}\tall_samples={:?}",
         sim.overhead().total(),
-        sim.overhead().nonzero_samples()
+        sim.overhead().nonzero_samples(),
+        sim.overhead().samples()
     );
     outln!(
         rendered.unprinted,
@@ -363,7 +372,7 @@ fn dump_state(label: &str, sim: &Simulation) -> Rendered {
     for p in sim.registered_paths() {
         outln!(
             out,
-            "path\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:?}",
+            "path\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:?}\t{}",
             p.holder,
             p.origin,
             p.algorithm,
@@ -373,7 +382,8 @@ fn dump_state(label: &str, sim: &Simulation) -> Rendered {
             p.metrics.latency,
             p.metrics.bandwidth,
             p.metrics.hops,
-            p.links
+            p.links,
+            p.metrics.bandwidth.0
         );
         outln!(rendered.unprinted, "path\t{p:?}");
     }
