@@ -19,6 +19,7 @@ use irec_algorithms::incremental::IncrementalStats;
 use irec_core::{NodeConfig, PropagationPolicy, RacConfig};
 use irec_sim::{ChurnConfig, PdCampaign, PdPairResult, Simulation, SimulationConfig};
 use irec_topology::builder::{figure1, figure1_topology};
+use irec_types::SimDuration;
 use std::fmt::Write;
 use std::sync::Arc;
 
@@ -101,6 +102,10 @@ pub const CATALOG: &[Fixture] = &[
         name: "algorithm-aco-s7-b4-a12-r3-s5",
         render: |width| algorithm(config(width), 12, 5, 3, "aco:7:4"),
     },
+    Fixture {
+        name: "figure1-5sp-expiring-r4",
+        render: |width| figure1_expiring(config(width), 4),
+    },
 ];
 
 /// The fixture named `name`.
@@ -140,6 +145,41 @@ pub fn figure1_paper(config: SimulationConfig, rounds: usize) -> Rendered {
     })
     .expect("figure-1 paper simulation setup");
     dump("figure1-paper", sim, rounds)
+}
+
+/// Fig. 1 under 5SP with every beacon propagated and valid for one beacon interval plus
+/// 1 ms: an origination arrives in time, a beacon propagated one round later arrives after
+/// it expired and its receiver rejects it. `rounds` rounds; the text adds each AS's
+/// ingress counters.
+pub fn figure1_expiring(config: SimulationConfig, rounds: usize) -> Rendered {
+    let mut sim = figure1_expiring_simulation(config);
+    sim.run_rounds(rounds).expect("beaconing rounds");
+    let mut rendered = dump_state("figure1-5sp-expiring", &sim);
+    for asn in sim.live_ases() {
+        let stats = sim.node(asn).expect("live node").ingress().stats();
+        outln!(
+            rendered.text,
+            "ingress\t{asn}\taccepted={}\trejected={}\tduplicates={}",
+            stats.accepted,
+            stats.rejected,
+            stats.duplicates
+        );
+    }
+    rendered
+}
+
+/// The plane [`figure1_expiring`] renders, before its first round.
+pub fn figure1_expiring_simulation(config: SimulationConfig) -> Simulation {
+    let validity = config.beacon_interval + SimDuration::from_millis(1);
+    Simulation::new(Arc::new(figure1_topology()), config, move |_| {
+        NodeConfig {
+            beacon_validity: validity,
+            ..NodeConfig::default()
+        }
+        .with_policy(PropagationPolicy::All)
+        .with_racs(vec![RacConfig::static_rac("5SP", "5SP")])
+    })
+    .expect("expiring figure-1 simulation setup")
 }
 
 /// A generated valley-free topology with the paper's static RAC set (1SP, 5SP, HD, DON).

@@ -114,6 +114,7 @@ rows! {
     figure1_paper_r5: "figure1-paper-r5";
     algorithm_5yen_a12_r3_s5: "algorithm-5yen-a12-r3-s5";
     algorithm_aco_s7_b4_a12_r3_s5: "algorithm-aco-s7-b4-a12-r3-s5";
+    figure1_5sp_expiring_r4: "figure1-5sp-expiring-r4" => beacons_expire_in_flight;
 }
 
 /// The selection tables carry churn rounds: work is reused and extended although the
@@ -140,6 +141,34 @@ fn hd_extends_under_its_certificate(run: &Rendered) {
             refused: 22,
             invalidated: 0,
         }
+    );
+}
+
+/// The value of `key=` in a tab-separated golden line.
+fn field(line: &str, key: &str) -> u64 {
+    line.split('\t')
+        .find_map(|column| column.strip_prefix(key)?.strip_prefix('='))
+        .and_then(|value| value.parse().ok())
+        .unwrap_or_else(|| panic!("no {key}= in {line:?}"))
+}
+
+/// The receipt time decides a verdict on this plane: propagated beacons expire in flight
+/// and are rejected at delivery, and every gateway's rejections add up to the plane's.
+fn beacons_expire_in_flight(run: &Rendered) {
+    let lines = || run.text.lines();
+    let counters = lines()
+        .find(|line| line.starts_with("counters\t"))
+        .expect("a counters line");
+    let rejected = field(counters, "rejected");
+    assert!(rejected > 0, "propagated beacons expire in flight");
+    assert!(field(counters, "delivered") > 0 && lines().any(|line| line.starts_with("path\t")));
+    let per_as: u64 = lines()
+        .filter(|line| line.starts_with("ingress\t"))
+        .map(|line| field(line, "rejected"))
+        .sum();
+    assert_eq!(
+        per_as, rejected,
+        "the gateways' rejections sum to the plane's"
     );
 }
 
