@@ -4,7 +4,7 @@
 //! passes a removed knob, or misspells a value, must not run (and pass its diff)
 //! vacuously.
 
-use irec_sim::{ChurnKinds, SimulationConfig};
+use irec_sim::ChurnKinds;
 use irec_types::{IrecError, Result};
 
 /// Parsed benchmark arguments with defaults suitable for a laptop-scale run.
@@ -24,16 +24,9 @@ pub struct BenchArgs {
     /// Maximum number of parallel RACs for the throughput scan (`--max-racs`,
     /// default = available parallelism capped at 16).
     pub max_racs: usize,
-    /// The verify width (`--delivery-parallelism`, default [`SimulationConfig`]'s: the
-    /// available parallelism, clamped to [1, 2]). `1` verifies every PCB inline at
-    /// delivery; `2` verifies a round's PCBs ahead on one helper thread while the node
-    /// phase runs, and wider values run as `2`. Threaded into every simulation the
-    /// binaries build.
-    pub delivery_parallelism: usize,
     /// Expected churn deltas per step of the churn engine (`--churn-rate`, default 0 =
     /// churn disabled). A *workload* knob: it changes what is simulated — deterministically
-    /// for a fixed `--churn-seed` — unlike the verify width, which never changes the
-    /// output.
+    /// for a fixed `--churn-seed`.
     pub churn_rate: f64,
     /// PRNG seed of the churn timeline (`--churn-seed`, default 11), deliberately separate
     /// from `--seed` so the same topology can be churned with different timelines.
@@ -67,7 +60,6 @@ impl Default for BenchArgs {
             pd_pairs: 10,
             reps: 5,
             max_racs: cores.min(16),
-            delivery_parallelism: SimulationConfig::default().delivery_parallelism,
             churn_rate: 0.0,
             churn_seed: 11,
             churn_kinds: ChurnKinds::default(),
@@ -117,9 +109,6 @@ impl BenchArgs {
             "pd-pairs" => self.pd_pairs = parsed(key, value)?,
             "reps" => self.reps = parsed::<usize>(key, value)?.max(1),
             "max-racs" => self.max_racs = parsed::<usize>(key, value)?.clamp(1, 64),
-            "delivery-parallelism" => {
-                self.delivery_parallelism = parsed::<usize>(key, value)?.clamp(1, 64);
-            }
             "churn-rate" => {
                 let rate: f64 = parsed(key, value)?;
                 if !rate.is_finite() {
@@ -160,13 +149,6 @@ impl BenchArgs {
         })
     }
 
-    /// The [`SimulationConfig`] these arguments describe: the one place the figure
-    /// binaries and campaign runner translate knobs into a simulation, so no caller
-    /// hand-rolls the plumbing (or misses a knob added later).
-    pub fn to_sim_config(&self) -> SimulationConfig {
-        SimulationConfig::default().with_delivery_parallelism(self.delivery_parallelism)
-    }
-
     /// One-screen summary of every `--key value` knob shared by the figure binaries.
     ///
     /// The full table — auto-default rules and determinism guarantees — lives in
@@ -181,7 +163,6 @@ impl BenchArgs {
          \x20 --reps N                  repetitions per measurement point (default 5)\n\
          \x20 --pd-pairs N              (origin, target) pairs of the PD campaign (default 10)\n\
          \x20 --max-racs N              upper bound of the RAC-count scan (default cores, cap 16)\n\
-         \x20 --delivery-parallelism N  verify width; 1 = inline at delivery (default cores, cap 2)\n\
          \x20 --churn-rate R            expected churn deltas per step (default 0 = off)\n\
          \x20 --churn-seed N            churn-timeline PRNG seed (default 11)\n\
          \x20 --churn-kinds K           delta kinds, e.g. all or link-down=3,node-leave\n\
@@ -192,7 +173,6 @@ impl BenchArgs {
          \x20 --aco-budget N            ant-colony iteration budget for a bare\n\
          \x20                           --algorithm aco (default 16, cap 1024)\n\
          \n\
-         Every verify width yields byte-identical simulation output.\n\
          Churn knobs are workload knobs: they change the timeline, deterministically.\n\
          So is --algorithm: it changes the selection plane, deterministically per spec.\n\
          Full table with auto-default rules: docs/KNOBS.md\n"
@@ -241,10 +221,6 @@ mod tests {
         assert_eq!(a.ases, 60);
         assert_eq!(a.rounds, 8);
         assert!(a.max_racs >= 1);
-        assert_eq!(
-            a.delivery_parallelism,
-            SimulationConfig::default().delivery_parallelism
-        );
     }
 
     #[test]
@@ -262,6 +238,7 @@ mod tests {
             &["--path-shards", "4"],
             &["--parallelism", "2"],
             &["--pd-parallelism", "2"],
+            &["--delivery-parallelism", "2"],
         ] {
             let key = args[0];
             assert!(rejection(args).contains(&format!("unknown argument {key}")));
@@ -275,7 +252,7 @@ mod tests {
         for (key, value) in [
             ("--ases", "twelve"),
             ("--seed", "-1"),
-            ("--delivery-parallelism", "4.5"),
+            ("--max-racs", "4.5"),
             ("--churn-rate", "fast"),
             ("--churn-rate", "inf"),
             ("--churn-kinds", "bogus-kind"),
@@ -288,15 +265,6 @@ mod tests {
             assert!(rejection(&[key]).contains(key));
             assert!(rejection(&[key, "--seed", "1"]).contains(key));
         }
-    }
-
-    #[test]
-    fn to_sim_config_carries_every_simulation_knob() {
-        let a = parse(&["--delivery-parallelism", "3"]);
-        let config = a.to_sim_config();
-        assert_eq!(config.delivery_parallelism, 3);
-        // Defaults translate to the default simulation config.
-        assert_eq!(parse(&[]).to_sim_config(), SimulationConfig::default());
     }
 
     #[test]
@@ -314,8 +282,6 @@ mod tests {
             "2",
             "--max-racs",
             "4",
-            "--delivery-parallelism",
-            "3",
         ]);
         assert_eq!(a.ases, 120);
         assert_eq!(a.rounds, 12);
@@ -323,7 +289,6 @@ mod tests {
         assert_eq!(a.pd_pairs, 3);
         assert_eq!(a.reps, 2);
         assert_eq!(a.max_racs, 4);
-        assert_eq!(a.delivery_parallelism, 3);
     }
 
     #[test]
@@ -331,10 +296,6 @@ mod tests {
         let a = parse(&["--ases", "1", "--max-racs", "1000"]);
         assert_eq!(a.ases, 5);
         assert_eq!(a.max_racs, 64);
-        let d = parse(&["--delivery-parallelism", "0"]);
-        assert_eq!(d.delivery_parallelism, 1);
-        let d = parse(&["--delivery-parallelism", "500"]);
-        assert_eq!(d.delivery_parallelism, 64);
     }
 
     #[test]
@@ -434,7 +395,7 @@ mod tests {
     #[test]
     fn the_knobs_table_lists_exactly_the_keys_the_parser_takes() {
         let parsed = parsed_keys();
-        assert!(parsed.len() >= 13 && parsed.contains("ases") && parsed.contains("aco-budget"));
+        assert!(parsed.len() >= 12 && parsed.contains("ases") && parsed.contains("aco-budget"));
         // A knob deleted from the parser cannot linger in the docs, and a new one must be
         // documented.
         assert_eq!(documented_keys(), parsed);

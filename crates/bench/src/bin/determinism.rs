@@ -2,13 +2,11 @@
 //! scenarios with every registered path, overhead counter and PD result in full.
 //!
 //! ```text
-//! cargo run -p irec_bench --bin determinism --release -- [--delivery-parallelism N] [--churn-rate R] [--churn-seed N] [--churn-kinds K] [--algorithm A] [--aco-seed N] [--aco-budget N] [--ases 12] [--rounds 3] [--seed 5]
+//! cargo run -p irec_bench --bin determinism --release -- [--churn-rate R] [--churn-seed N] [--churn-kinds K] [--algorithm A] [--aco-seed N] [--aco-budget N] [--ases 12] [--rounds 3] [--seed 5]
 //! ```
 //!
-//! The output is byte-identical for every verify width (`--delivery-parallelism`); the
-//! scenarios are the fixture catalog's builders, which `tests/fixture_matrix.rs` checks
-//! against `tests/goldens/` at verify widths 1 and 2. The selection-table counters go to
-//! stderr.
+//! The scenarios are the fixture catalog's builders, whose text `tests/fixture_matrix.rs`
+//! checks against `tests/goldens/`. The selection-table counters go to stderr.
 
 use irec_bench::BenchArgs;
 

@@ -22,9 +22,8 @@
 //! not a faster codec.
 
 use irec_bench::report::{fmt_ms, header};
-use irec_bench::workload::{measure_delivery_point, measure_phi};
+use irec_bench::workload::measure_phi;
 use irec_bench::BenchArgs;
-use irec_sim::MAX_VERIFY_WIDTH;
 
 fn main() {
     let args = BenchArgs::from_env();
@@ -52,40 +51,6 @@ fn main() {
             fmt_ms(m.irec_total()),
             fmt_ms(m.legacy),
             m.ratio()
-        );
-    }
-
-    // Second table (`--delivery-parallelism N`): end-to-end simulation wall-clock against
-    // the verify width (1 = inline at delivery, 2 = verify ahead on one helper; wider
-    // widths run as 2). The delivery counters are identical for every row; only the
-    // wall-clock moves.
-    let delivery_counts = 1..=args.delivery_parallelism.clamp(1, MAX_VERIFY_WIDTH);
-    println!();
-    println!(
-        "# Delivery-plane scaling — simulation wall-clock vs verify width ({} ASes, {} rounds)",
-        args.ases, args.rounds
-    );
-    header(&[
-        "workers",
-        "delivered",
-        "rejected",
-        "dropped_no_node",
-        "wall_ms",
-        "speedup",
-    ]);
-    let mut delivery_base = None;
-    for workers in delivery_counts {
-        let (stats, wall) = measure_delivery_point(args.ases, args.rounds, workers, args.seed);
-        let base = *delivery_base.get_or_insert(wall);
-        let speedup = base.as_secs_f64() / wall.as_secs_f64().max(f64::EPSILON);
-        println!(
-            "{}\t{}\t{}\t{}\t{}\t{:.2}",
-            workers,
-            stats.delivered,
-            stats.rejected,
-            stats.dropped_no_node,
-            fmt_ms(wall),
-            speedup
         );
     }
 }

@@ -13,11 +13,9 @@
 
 use irec_bench::report::{fmt_pcbs_per_sec, header};
 use irec_bench::workload::{
-    candidate_set, measure_delivery_point, on_demand_rac, rac_processing_latency, tag_candidates,
-    workload_local_as,
+    candidate_set, on_demand_rac, rac_processing_latency, tag_candidates, workload_local_as,
 };
 use irec_bench::BenchArgs;
-use irec_sim::MAX_VERIFY_WIDTH;
 use std::time::{Duration, Instant};
 
 /// How long each (|Φ|, #RACs) point runs.
@@ -41,25 +39,6 @@ fn main() {
             let throughput = measure_point(phi, racs, args.seed);
             println!("{racs}\t{phi}\t{throughput}");
         }
-    }
-
-    // Second table (`--delivery-parallelism N`): control-plane message throughput of the
-    // simulation against its verify width (wider widths than 2 run as 2).
-    let delivery_counts = 1..=args.delivery_parallelism.clamp(1, MAX_VERIFY_WIDTH);
-    println!();
-    println!(
-        "# Delivery-plane throughput — delivered messages/s vs verify width ({} ASes, {} rounds)",
-        args.ases, args.rounds
-    );
-    header(&["workers", "delivered", "messages_per_second"]);
-    for workers in delivery_counts {
-        let (stats, wall) = measure_delivery_point(args.ases, args.rounds, workers, args.seed);
-        println!(
-            "{}\t{}\t{}",
-            workers,
-            stats.delivered,
-            fmt_pcbs_per_sec(stats.delivered, wall)
-        );
     }
 }
 

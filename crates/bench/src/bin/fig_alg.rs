@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! cargo run -p irec_bench --bin fig_alg --release -- [--ases 60] [--rounds 8] \
-//!     [--algorithm A] [--aco-seed N] [--aco-budget N] \
-//!     [--delivery-parallelism N]
+//!     [--algorithm A] [--aco-seed N] [--aco-budget N]
 //! ```
 //!
 //! Deploys one selection algorithm fleet-wide per run — the fixed sweep `5SP` (truncation
@@ -19,8 +18,8 @@
 //! ant colony lands between the extremes with its spread controlled by the iteration
 //! budget.
 //!
-//! The tables are byte-identical at every `--delivery-parallelism`; the algorithm knobs are
-//! *workload* knobs and deliberately move the tables.
+//! The tables are byte-identical from run to run; the algorithm knobs are *workload* knobs
+//! and deliberately move the tables.
 
 use irec_bench::campaign::{print_cdf, print_summary};
 use irec_bench::workload::algorithm_pass;
@@ -43,7 +42,6 @@ fn main() {
             specs.push(extra);
         }
     }
-    let width = args.delivery_parallelism;
     eprintln!(
         "# fig_alg — {} ASes (seed {}), {} rounds per family, families {specs:?}",
         args.ases, args.seed, args.rounds
@@ -55,8 +53,7 @@ fn main() {
 
     let mut summaries = Vec::new();
     for spec in &specs {
-        let (paths, _, _, overhead) =
-            algorithm_pass(spec, args.ases, args.rounds, width, args.seed);
+        let (paths, _, _, overhead) = algorithm_pass(spec, args.ases, args.rounds, args.seed);
         assert!(!paths.is_empty(), "the {spec} run must register paths");
         let coverage: BTreeSet<(AsId, IfId)> =
             paths.iter().flat_map(|p| p.links.iter().copied()).collect();

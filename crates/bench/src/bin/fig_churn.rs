@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! cargo run -p irec_bench --bin fig_churn --release -- [--ases 60] [--rounds 8] \
-//!     [--churn-rate R] [--churn-seed N] [--churn-kinds K] \
-//!     [--delivery-parallelism N]
+//!     [--churn-rate R] [--churn-seed N] [--churn-kinds K]
 //! ```
 //!
 //! Runs one seeded churn campaign per rate — the fixed sweep `0.5, 1.0, 2.0` deltas per
@@ -19,8 +18,8 @@
 //! more settle rounds per step and more dropped messages — while rate-independent floors
 //! stay visible (a catalog swap settles in one round and drops nothing).
 //!
-//! The tables are byte-identical at every `--delivery-parallelism`; the churn knobs are
-//! *workload* knobs and deliberately move the tables. The per-rate selection counters (reused / extended /
+//! The tables are byte-identical from run to run; the churn knobs are *workload* knobs and
+//! deliberately move the tables. The per-rate selection counters (reused / extended /
 //! recomputed / invalidated) go to stderr.
 
 use irec_bench::campaign::{print_cdf, print_summary};
@@ -36,7 +35,6 @@ fn main() {
         rates.push(args.churn_rate);
         rates.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
     }
-    let width = args.delivery_parallelism;
     eprintln!(
         "# fig_churn — {} ASes (seed {}), {} steps per rate, churn seed {}, kinds {}, \
          rates {rates:?}",
@@ -54,7 +52,7 @@ fn main() {
             .with_seed(args.churn_seed)
             .with_kinds(args.churn_kinds);
         let ((steps, _, _, _), inc) =
-            churn_pass_with_stats(args.ases, args.rounds, churn, width, args.seed);
+            churn_pass_with_stats(args.ases, args.rounds, churn, args.seed);
         let deltas: usize = steps.iter().map(|s| s.deltas.len()).sum();
         eprintln!(
             "# rate {rate}: {deltas} deltas over {} steps, all invariants held",

@@ -6,7 +6,7 @@ use irec_core::{NodeConfig, RacConfig};
 use irec_metrics::delay::{pop_pair_delays, relative_to_baseline, PopPairDelays};
 use irec_metrics::tlf::tlf_per_as_pair;
 use irec_metrics::{Cdf, RegisteredPath};
-use irec_sim::{PdCampaign, PdPairResult, Simulation};
+use irec_sim::{PdCampaign, PdPairResult, Simulation, SimulationConfig};
 use irec_topology::pop::{points_of_presence, DEFAULT_POP_RADIUS_KM};
 use irec_topology::{
     GeneratorConfig, GroupingConfig, PointOfPresence, Topology, TopologyGenerator,
@@ -135,7 +135,7 @@ impl Fig8Campaign {
         let name = rac.name.clone();
         let mut sim = Simulation::new(
             Arc::clone(&self.topology),
-            self.args.to_sim_config(),
+            SimulationConfig::default(),
             move |_| NodeConfig::default().with_racs(vec![rac.clone()]),
         )?;
         if let Some(grouping) = grouping {
@@ -164,7 +164,7 @@ impl Fig8Campaign {
         // the warm base, results in pair order.
         let mut sim = Simulation::new(
             Arc::clone(&self.topology),
-            self.args.to_sim_config(),
+            SimulationConfig::default(),
             move |_| {
                 NodeConfig::default().with_racs(vec![
                     RacConfig::static_rac("HD", "HD"),
@@ -285,7 +285,6 @@ pub fn test_campaign(seed: u64) -> Fig8Campaign {
         pd_pairs: 2,
         reps: 1,
         max_racs: 2,
-        delivery_parallelism: 1,
         ..BenchArgs::default()
     })
 }

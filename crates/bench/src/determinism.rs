@@ -9,10 +9,9 @@
 //! `--ases 12 --rounds 3 --seed 5` the probe prints the `figure1`, `generated-a12-r3-s5`
 //! and `pd-campaign-figure1` goldens; a churn seed or an algorithm spec appends the
 //! matching `churn-…` or `algorithm-…` golden where the catalog has one for those
-//! arguments. The text is **byte-identical for every `--delivery-parallelism` value** —
-//! that is the determinism guarantee of verify-ahead, the simulator's one helper thread,
-//! which `tests/fixture_matrix.rs` checks for every fixture at widths 1 and 2. The churn
-//! and algorithm knobs are different: they are *workload* knobs, so runs are compared
+//! arguments. The text is byte-identical from run to run, and `tests/fixture_matrix.rs`
+//! compares every fixture's text with its golden, recorded with every PCB verified inline
+//! at delivery. The churn and algorithm knobs are *workload* knobs, so runs are compared
 //! with runs of the same workload knobs.
 //!
 //! How-it-ran reporting — the selection-table counters — goes to **stderr**, so it never
@@ -24,10 +23,9 @@ use irec_sim::ChurnConfig;
 
 /// Runs the scenarios `args` select and returns everything they would print.
 pub fn render(args: &BenchArgs) -> String {
-    let config = args.to_sim_config();
-    let mut out = fixtures::figure1(config).text;
-    out += &fixtures::generated(config, args.ases, args.seed, args.rounds).text;
-    out += &fixtures::pd_campaign_figure1(config).text;
+    let mut out = fixtures::figure1().text;
+    out += &fixtures::generated(args.ases, args.seed, args.rounds).text;
+    out += &fixtures::pd_campaign_figure1().text;
     // Churn and the algorithm spec are appended after the three fixed scenarios, so
     // enabling them leaves those scenarios' bytes untouched.
     if args.churn_rate > 0.0 {
@@ -35,10 +33,10 @@ pub fn render(args: &BenchArgs) -> String {
             .with_rate(args.churn_rate)
             .with_seed(args.churn_seed)
             .with_kinds(args.churn_kinds);
-        out += &fixtures::churn(config, args.ases, args.seed, churn).text;
+        out += &fixtures::churn(args.ases, args.seed, churn).text;
     }
     if let Some(spec) = args.algorithm_spec() {
-        out += &fixtures::algorithm(config, args.ases, args.seed, args.rounds, &spec).text;
+        out += &fixtures::algorithm(args.ases, args.seed, args.rounds, &spec).text;
     }
     out
 }

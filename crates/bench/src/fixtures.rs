@@ -1,18 +1,21 @@
 //! The fixture catalog: every named simulation scenario whose output is pinned byte for
 //! byte under `tests/goldens/`, one builder per scenario.
 //!
-//! A [`Fixture`] is a name — the stem of its golden file — and a function from verify width
-//! to what the scenario printed. `tests/fixture_matrix.rs` renders every fixture at verify
-//! widths 1 and 2 and compares both with the committed bytes, so the goldens pin the output
-//! across commits and the width-2 run pins verify-ahead against the inline reference in
-//! the same test. The `determinism` binary prints the same builders' text for its
-//! arguments ([`crate::determinism::render`]).
+//! A [`Fixture`] is a name — the stem of its golden file — and the function that runs the
+//! scenario and returns what it printed. `tests/fixture_matrix.rs` renders every fixture
+//! once and compares it with the committed bytes, so the goldens pin the output across
+//! commits. Every golden was recorded with each PCB verified inline at delivery, the
+//! reference verify-ahead must reproduce; that is how the inline reference is kept. The
+//! text prints every value exactly: each line that shows a value rounded (bandwidth) or
+//! leaves part of it out (a PD path's endpoints, the overhead zeros) carries the exact
+//! value in trailing columns. The `determinism` binary prints the same builders' text for
+//! its arguments ([`crate::determinism::render`]).
 //!
-//! Each builder takes the [`SimulationConfig`] it runs under and the scenario's workload
-//! parameters, runs the scenario once and returns its [`Rendered`] output. Builders assert
-//! what makes their scenario worth pinning (a PD campaign that never pulled pins nothing of
-//! the pull pipeline); how-it-ran reporting — the selection-table counters — goes to
-//! stderr and into [`Rendered::selections`], never into the compared text.
+//! Each builder takes the scenario's workload parameters, runs the scenario once and
+//! returns its [`Rendered`] output. Builders assert what makes their scenario worth pinning
+//! (a PD campaign that never pulled pins nothing of the pull pipeline); how-it-ran
+//! reporting — the selection-table counters — goes to stderr and into
+//! [`Rendered::selections`], never into the compared text.
 
 use crate::workload::{self, generated_topology};
 use irec_algorithms::incremental::IncrementalStats;
@@ -38,83 +41,74 @@ pub struct Rendered {
     pub text: String,
     /// How the run's `(RAC, batch)` selections were made — reused, extended, recomputed.
     /// Not part of the text, which is the same whichever pass made a selection, but
-    /// plane-independent all the same: what a round reuses is decided per node from its
+    /// deterministic all the same: what a round reuses is decided per node from its
     /// own database. For a PD campaign, the warmed base's counters.
     pub selections: IncrementalStats,
-    /// What the text rounds or leaves out: every registered path in full (the text prints
-    /// bandwidths rounded, and PD paths without holder, origin and interfaces) and every
-    /// overhead sample, the zeros of silent periods included. One item per line; compared
-    /// across verify widths, not against a golden.
-    pub unprinted: String,
 }
 
 /// A named scenario of the catalog.
 pub struct Fixture {
     /// The scenario's golden: `tests/goldens/<name>.txt`.
     pub name: &'static str,
-    /// Runs the scenario at the given verify width.
-    pub render: fn(usize) -> Rendered,
+    /// Runs the scenario.
+    pub render: fn() -> Rendered,
 }
 
 /// Every fixture, in the order the goldens were recorded.
 pub const CATALOG: &[Fixture] = &[
     Fixture {
         name: "figure1",
-        render: |width| figure1(config(width)),
+        render: figure1,
     },
     Fixture {
         name: "generated-a12-r3-s5",
-        render: |width| generated(config(width), 12, 5, 3),
+        render: || generated(12, 5, 3),
     },
     Fixture {
         name: "pd-campaign-figure1",
-        render: |width| pd_campaign_figure1(config(width)),
+        render: pd_campaign_figure1,
     },
     Fixture {
         name: "churn-a12-r3-s5-cs2",
-        render: |width| churn(config(width), 12, 5, churn_timeline(2)),
+        render: || churn(12, 5, churn_timeline(2)),
     },
     Fixture {
         name: "churn-a12-r3-s5-cs7",
-        render: |width| churn(config(width), 12, 5, churn_timeline(7)),
+        render: || churn(12, 5, churn_timeline(7)),
     },
     Fixture {
         name: "algorithm-5sp-a12-r10-s5",
-        render: |width| algorithm(config(width), 12, 5, 10, "5SP"),
+        render: || algorithm(12, 5, 10, "5SP"),
     },
     Fixture {
         name: "algorithm-hd-a12-r10-s5",
-        render: |width| algorithm(config(width), 12, 5, 10, "HD"),
+        render: || algorithm(12, 5, 10, "HD"),
     },
     Fixture {
         name: "pd-campaign-a8-s5",
-        render: |width| pd_campaign_generated(config(width), 8, 5, 4),
+        render: || pd_campaign_generated(8, 5, 4),
     },
     Fixture {
         name: "figure1-paper-r5",
-        render: |width| figure1_paper(config(width), 5),
+        render: || figure1_paper(5),
     },
     Fixture {
         name: "algorithm-5yen-a12-r3-s5",
-        render: |width| algorithm(config(width), 12, 5, 3, "5YEN"),
+        render: || algorithm(12, 5, 3, "5YEN"),
     },
     Fixture {
         name: "algorithm-aco-s7-b4-a12-r3-s5",
-        render: |width| algorithm(config(width), 12, 5, 3, "aco:7:4"),
+        render: || algorithm(12, 5, 3, "aco:7:4"),
     },
     Fixture {
         name: "figure1-5sp-expiring-r4",
-        render: |width| figure1_expiring(config(width), 4),
+        render: || figure1_expiring(4),
     },
 ];
 
 /// The fixture named `name`.
 pub fn fixture(name: &str) -> Option<&'static Fixture> {
     CATALOG.iter().find(|fixture| fixture.name == name)
-}
-
-fn config(width: usize) -> SimulationConfig {
-    SimulationConfig::default().with_delivery_parallelism(width)
 }
 
 /// The churn fixtures' timeline: rate 1.5 with every delta kind enabled. Seed 2 draws
@@ -124,25 +118,31 @@ fn churn_timeline(churn_seed: u64) -> ChurnConfig {
 }
 
 /// The quickstart setup on the paper's Fig. 1 topology: DO and widest, 6 rounds.
-pub fn figure1(config: SimulationConfig) -> Rendered {
-    let sim = Simulation::new(Arc::new(figure1_topology()), config, |_| {
-        NodeConfig::default()
-            .with_policy(PropagationPolicy::All)
-            .with_racs(vec![
-                RacConfig::static_rac("DO", "DO"),
-                RacConfig::static_rac("widest", "widest"),
-            ])
-    })
+pub fn figure1() -> Rendered {
+    let sim = Simulation::new(
+        Arc::new(figure1_topology()),
+        SimulationConfig::default(),
+        |_| {
+            NodeConfig::default()
+                .with_policy(PropagationPolicy::All)
+                .with_racs(vec![
+                    RacConfig::static_rac("DO", "DO"),
+                    RacConfig::static_rac("widest", "widest"),
+                ])
+        },
+    )
     .expect("figure-1 simulation setup");
     dump("figure1", sim, 6)
 }
 
 /// Fig. 1 under the paper's five-RAC deployment, on-demand RAC included, with every
 /// beacon propagated: `rounds` rounds.
-pub fn figure1_paper(config: SimulationConfig, rounds: usize) -> Rendered {
-    let sim = Simulation::new(Arc::new(figure1_topology()), config, |_| {
-        NodeConfig::paper_simulation(false).with_policy(PropagationPolicy::All)
-    })
+pub fn figure1_paper(rounds: usize) -> Rendered {
+    let sim = Simulation::new(
+        Arc::new(figure1_topology()),
+        SimulationConfig::default(),
+        |_| NodeConfig::paper_simulation(false).with_policy(PropagationPolicy::All),
+    )
     .expect("figure-1 paper simulation setup");
     dump("figure1-paper", sim, rounds)
 }
@@ -151,8 +151,8 @@ pub fn figure1_paper(config: SimulationConfig, rounds: usize) -> Rendered {
 /// 1 ms: an origination arrives in time, a beacon propagated one round later arrives after
 /// it expired and its receiver rejects it. `rounds` rounds; the text adds each AS's
 /// ingress counters.
-pub fn figure1_expiring(config: SimulationConfig, rounds: usize) -> Rendered {
-    let mut sim = figure1_expiring_simulation(config);
+pub fn figure1_expiring(rounds: usize) -> Rendered {
+    let mut sim = figure1_expiring_simulation();
     sim.run_rounds(rounds).expect("beaconing rounds");
     let mut rendered = dump_state("figure1-5sp-expiring", &sim);
     for asn in sim.live_ases() {
@@ -169,7 +169,8 @@ pub fn figure1_expiring(config: SimulationConfig, rounds: usize) -> Rendered {
 }
 
 /// The plane [`figure1_expiring`] renders, before its first round.
-pub fn figure1_expiring_simulation(config: SimulationConfig) -> Simulation {
+pub fn figure1_expiring_simulation() -> Simulation {
+    let config = SimulationConfig::default();
     let validity = config.beacon_interval + SimDuration::from_millis(1);
     Simulation::new(Arc::new(figure1_topology()), config, move |_| {
         NodeConfig {
@@ -183,47 +184,41 @@ pub fn figure1_expiring_simulation(config: SimulationConfig) -> Simulation {
 }
 
 /// A generated valley-free topology with the paper's static RAC set (1SP, 5SP, HD, DON).
-pub fn generated(config: SimulationConfig, ases: usize, seed: u64, rounds: usize) -> Rendered {
-    dump(
-        "generated",
-        generated_simulation(config, ases, seed),
-        rounds,
-    )
+pub fn generated(ases: usize, seed: u64, rounds: usize) -> Rendered {
+    dump("generated", generated_simulation(ases, seed), rounds)
 }
 
 /// The plane [`generated`] renders, before its first round.
-pub fn generated_simulation(config: SimulationConfig, ases: usize, seed: u64) -> Simulation {
-    Simulation::new(generated_topology(ases, seed), config, |_| {
-        NodeConfig::default().with_racs(vec![
-            RacConfig::static_rac("1SP", "1SP"),
-            RacConfig::static_rac("5SP", "5SP"),
-            RacConfig::static_rac("HD", "HD"),
-            RacConfig::static_rac("DON", "DO"),
-        ])
-    })
+pub fn generated_simulation(ases: usize, seed: u64) -> Simulation {
+    Simulation::new(
+        generated_topology(ases, seed),
+        SimulationConfig::default(),
+        |_| {
+            NodeConfig::default().with_racs(vec![
+                RacConfig::static_rac("1SP", "1SP"),
+                RacConfig::static_rac("5SP", "5SP"),
+                RacConfig::static_rac("HD", "HD"),
+                RacConfig::static_rac("DON", "DO"),
+            ])
+        },
+    )
     .expect("generated simulation setup")
 }
 
 /// A generated topology where every AS runs one RAC with the catalog spec `spec` (e.g.
 /// `5SP`, `5YEN` or a seeded `aco:<seed>:<iters>`). For a fixed spec the output is the
-/// same at every verify width — ACO's randomness comes entirely from seeded
+/// same on every run — ACO's randomness comes entirely from seeded
 /// per-(origin, group, egress, iteration, ant) streams, never from execution order.
-pub fn algorithm(
-    config: SimulationConfig,
-    ases: usize,
-    seed: u64,
-    rounds: usize,
-    spec: &str,
-) -> Rendered {
-    let sim = workload::algorithm_workload(spec, ases, config, seed);
+pub fn algorithm(ases: usize, seed: u64, rounds: usize, spec: &str) -> Rendered {
+    let sim = workload::algorithm_workload(spec, ases, seed);
     dump(&format!("algorithm {spec}"), sim, rounds)
 }
 
 /// The churn engine on a generated topology running 5SP with every beacon propagated
 /// (the churn workload of `fig_churn`): four steps of the seeded timeline `churn`, each
 /// step's deltas and settle accounting, then the final plane.
-pub fn churn(config: SimulationConfig, ases: usize, seed: u64, churn: ChurnConfig) -> Rendered {
-    let (churn_steps, sim) = workload::churn_run(ases, 4, churn, config, seed);
+pub fn churn(ases: usize, seed: u64, churn: ChurnConfig) -> Rendered {
+    let (churn_steps, sim) = workload::churn_run(ases, 4, churn, seed);
     let mut steps = String::new();
     outln!(steps, "## scenario: churn");
     for step in &churn_steps {
@@ -247,15 +242,19 @@ pub fn churn(config: SimulationConfig, ases: usize, seed: u64, churn: ChurnConfi
 
 /// The PD campaign on Fig. 1 (HD plus an on-demand RAC, 6 warm-up rounds): three pairs,
 /// one of them twice, each pulling for up to 6 paths at 3 rounds per iteration.
-pub fn pd_campaign_figure1(config: SimulationConfig) -> Rendered {
-    let mut base = Simulation::new(Arc::new(figure1_topology()), config, |_| {
-        NodeConfig::default()
-            .with_policy(PropagationPolicy::All)
-            .with_racs(vec![
-                RacConfig::static_rac("HD", "HD"),
-                RacConfig::on_demand_rac("on-demand"),
-            ])
-    })
+pub fn pd_campaign_figure1() -> Rendered {
+    let mut base = Simulation::new(
+        Arc::new(figure1_topology()),
+        SimulationConfig::default(),
+        |_| {
+            NodeConfig::default()
+                .with_policy(PropagationPolicy::All)
+                .with_racs(vec![
+                    RacConfig::static_rac("HD", "HD"),
+                    RacConfig::on_demand_rac("on-demand"),
+                ])
+        },
+    )
     .expect("PD base simulation setup");
     base.run_rounds(6).expect("PD warm-up rounds");
     // `max_paths` must exceed the HD seed count of the warmed base, or every workflow
@@ -281,20 +280,19 @@ pub fn pd_campaign_figure1(config: SimulationConfig) -> Rendered {
 /// up to 20 paths at 3 rounds per iteration. Where the Fig. 1 campaign pins five ASes,
 /// this one pins the on-demand path over origins that carry several pull iterations'
 /// algorithms at once.
-pub fn pd_campaign_generated(
-    config: SimulationConfig,
-    ases: usize,
-    seed: u64,
-    rounds: usize,
-) -> Rendered {
+pub fn pd_campaign_generated(ases: usize, seed: u64, rounds: usize) -> Rendered {
     const MAX_PATHS: usize = 20;
     const PAIRS: usize = 2;
-    let mut base = Simulation::new(generated_topology(ases, seed), config, |_| {
-        NodeConfig::default().with_racs(vec![
-            RacConfig::static_rac("HD", "HD"),
-            RacConfig::on_demand_rac("on-demand"),
-        ])
-    })
+    let mut base = Simulation::new(
+        generated_topology(ases, seed),
+        SimulationConfig::default(),
+        |_| {
+            NodeConfig::default().with_racs(vec![
+                RacConfig::static_rac("HD", "HD"),
+                RacConfig::on_demand_rac("on-demand"),
+            ])
+        },
+    )
     .expect("generated PD base simulation setup");
     base.run_rounds(rounds)
         .expect("generated PD warm-up rounds");
@@ -363,7 +361,6 @@ fn dump_pd_campaign(label: &str, base: &Simulation, results: &[PdPairResult]) ->
                 p.holder_interface,
                 p.metrics.bandwidth.0
             );
-            outln!(rendered.unprinted, "pd-path\t{index}\t{p:?}");
         }
     }
     rendered
@@ -404,11 +401,6 @@ fn dump_state(label: &str, sim: &Simulation) -> Rendered {
         sim.overhead().nonzero_samples(),
         sim.overhead().samples()
     );
-    outln!(
-        rendered.unprinted,
-        "overhead\tsamples={:?}",
-        sim.overhead().samples()
-    );
     for p in sim.registered_paths() {
         outln!(
             out,
@@ -425,7 +417,6 @@ fn dump_state(label: &str, sim: &Simulation) -> Rendered {
             p.links,
             p.metrics.bandwidth.0
         );
-        outln!(rendered.unprinted, "path\t{p:?}");
     }
     // How-it-ran reporting, like `SchedulerStats`: stderr only, never part of the
     // compared text.

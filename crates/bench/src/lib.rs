@@ -27,7 +27,4 @@ pub mod workload;
 
 pub use args::BenchArgs;
 pub use campaign::{Fig8Campaign, Fig8Data};
-pub use workload::{
-    candidate_set, delivery_workload, legacy_selection_latency, measure_delivery_point,
-    rac_processing_latency, Measurement,
-};
+pub use workload::{candidate_set, legacy_selection_latency, rac_processing_latency, Measurement};

@@ -19,7 +19,7 @@ use irec_types::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The origin AS all synthetic candidates come from.
 pub const WORKLOAD_ORIGIN: AsId = AsId(1);
@@ -229,40 +229,8 @@ pub(crate) fn generated_topology(ases: usize, seed: u64) -> Arc<Topology> {
     Arc::new(TopologyGenerator::new(config).generate())
 }
 
-/// Builds the delivery-plane workload: a generated-topology simulation with the paper's
-/// 5SP deployment and the given verify width. Shared by the fig6/fig7 delivery-scaling
-/// sections.
-pub fn delivery_workload(ases: usize, delivery_workers: usize, seed: u64) -> Simulation {
-    Simulation::new(
-        generated_topology(ases, seed),
-        SimulationConfig::default().with_delivery_parallelism(delivery_workers),
-        move |_| NodeConfig::default().with_racs(vec![RacConfig::static_rac("5SP", "5SP")]),
-    )
-    .expect("delivery workload simulation setup")
-}
-
-/// One delivery-scaling measurement point: runs `rounds` beaconing rounds of the
-/// [`delivery_workload`] at verify width `delivery_workers` and returns the delivery
-/// accounting plus the wall-clock time of the whole run.
-///
-/// The counters are byte-identical across verify widths (the delivery plane's determinism
-/// guarantee); only the wall-clock changes.
-pub fn measure_delivery_point(
-    ases: usize,
-    rounds: usize,
-    delivery_workers: usize,
-    seed: u64,
-) -> (DeliveryStats, Duration) {
-    let mut sim = delivery_workload(ases, delivery_workers, seed);
-    let start = Instant::now();
-    sim.run_rounds(rounds.max(1))
-        .expect("delivery workload rounds succeed");
-    (sim.delivery_stats(), start.elapsed())
-}
-
 /// The deterministic fingerprint of one simulation run: registered paths, delivery
-/// accounting, ingress occupancy and per-round overhead samples — everything the verify
-/// width must leave byte-identical.
+/// accounting, ingress occupancy and per-round overhead samples.
 pub type RoundFingerprint = (Vec<RegisteredPath>, DeliveryStats, usize, Vec<u64>);
 
 /// The node config of the algorithm-catalog workload: every AS runs one static RAC
@@ -275,16 +243,12 @@ fn algorithm_node_config(algorithm: &str) -> NodeConfig {
         .with_racs(vec![RacConfig::static_rac(algorithm, algorithm)])
 }
 
-/// Builds the algorithm-catalog workload: a generated-topology simulation under `config`
-/// where every AS runs the named catalog algorithm. Shared by [`algorithm_pass`] and the
-/// algorithm fixtures.
-pub(crate) fn algorithm_workload(
-    algorithm: &str,
-    ases: usize,
-    config: SimulationConfig,
-    seed: u64,
-) -> Simulation {
+/// Builds the algorithm-catalog workload: a generated-topology simulation where every AS
+/// runs the named catalog algorithm. Shared by [`algorithm_pass`] and the algorithm
+/// fixtures.
+pub(crate) fn algorithm_workload(algorithm: &str, ases: usize, seed: u64) -> Simulation {
     let algorithm = algorithm.to_string();
+    let config = SimulationConfig::default();
     Simulation::new(generated_topology(ases, seed), config, move |_| {
         algorithm_node_config(&algorithm)
     })
@@ -292,18 +256,11 @@ pub(crate) fn algorithm_workload(
 }
 
 /// One full run of the algorithm-catalog workload: `rounds` beaconing rounds from a fresh
-/// simulation. The fingerprint must be byte-identical across verify widths for a fixed
+/// simulation. The fingerprint is byte-identical from run to run for a fixed
 /// `(algorithm, ases, rounds, seed)` tuple — stochastic algorithms (ACO) included, because
 /// their randomness comes from seeded per-batch streams, never from execution order.
-pub fn algorithm_pass(
-    algorithm: &str,
-    ases: usize,
-    rounds: usize,
-    width: usize,
-    seed: u64,
-) -> RoundFingerprint {
-    let config = SimulationConfig::default().with_delivery_parallelism(width);
-    let mut sim = algorithm_workload(algorithm, ases, config, seed);
+pub fn algorithm_pass(algorithm: &str, ases: usize, rounds: usize, seed: u64) -> RoundFingerprint {
+    let mut sim = algorithm_workload(algorithm, ases, seed);
     sim.run_rounds(rounds.max(1))
         .expect("algorithm workload rounds succeed");
     (
@@ -315,8 +272,8 @@ pub fn algorithm_pass(
 }
 
 /// The deterministic fingerprint of one churn run: the per-step churn report plus the
-/// final registered paths, delivery accounting and ingress occupancy — everything that
-/// must stay byte-identical at every verify width for a fixed churn config.
+/// final registered paths, delivery accounting and ingress occupancy — byte-identical from
+/// run to run for a fixed churn config.
 pub type ChurnFingerprint = (Vec<ChurnStep>, Vec<RegisteredPath>, DeliveryStats, usize);
 
 /// The node config of the churn workload. Propagation is pinned to `All` (not the
@@ -330,7 +287,7 @@ fn churn_node_config() -> NodeConfig {
         .with_racs(vec![RacConfig::static_rac("5SP", "5SP")])
 }
 
-/// Runs the churn workload — a generated topology under `config` whose ASes run
+/// Runs the churn workload — a generated topology whose ASes run
 /// [`churn_node_config`] — through `steps` churn steps of the seeded timeline in `churn`,
 /// applied and settled by a [`ChurnEngine`]. Returns the per-step report and the final
 /// plane. Shared by [`churn_pass_with_stats`] and the churn fixtures.
@@ -338,9 +295,9 @@ pub(crate) fn churn_run(
     ases: usize,
     steps: usize,
     churn: ChurnConfig,
-    config: SimulationConfig,
     seed: u64,
 ) -> (Vec<ChurnStep>, Simulation) {
+    let config = SimulationConfig::default();
     let mut sim = Simulation::new(generated_topology(ases, seed), config, |_| {
         churn_node_config()
     })
@@ -351,22 +308,20 @@ pub(crate) fn churn_run(
     (report.steps, sim)
 }
 
-/// One full churn run at verify width `width`: a generated topology running 5SP with
-/// every beacon propagated, through `steps` churn steps of the seeded timeline in `churn`,
-/// each applied and settled by a [`ChurnEngine`]. Returns the deterministic fingerprint —
-/// byte-identical across verify widths for a fixed `(ases, steps, churn, seed)` tuple —
-/// and the run's accumulated [`IncrementalStats`]: how many `(RAC, batch)` selections its
+/// One full churn run: a generated topology running 5SP with every beacon propagated,
+/// through `steps` churn steps of the seeded timeline in `churn`, each applied and settled
+/// by a [`ChurnEngine`]. Returns the deterministic fingerprint — byte-identical from run to
+/// run for a fixed `(ases, steps, churn, seed)` tuple — and the run's accumulated
+/// [`IncrementalStats`]: how many `(RAC, batch)` selections its
 /// rounds reused, extended and recomputed, and how many kept selections the timeline's
 /// catalog swaps dropped. Counters, not output.
 pub fn churn_pass_with_stats(
     ases: usize,
     steps: usize,
     churn: ChurnConfig,
-    width: usize,
     seed: u64,
 ) -> (ChurnFingerprint, IncrementalStats) {
-    let config = SimulationConfig::default().with_delivery_parallelism(width);
-    let (steps, sim) = churn_run(ases, steps, churn, config, seed);
+    let (steps, sim) = churn_run(ases, steps, churn, seed);
     (
         (
             steps,
@@ -410,6 +365,7 @@ pub fn measure_phi(phi: usize, repetitions: usize, seed: u64) -> Measurement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn candidate_set_has_requested_size_and_valid_beacons() {
@@ -435,37 +391,23 @@ mod tests {
     }
 
     #[test]
-    fn delivery_point_counters_are_worker_independent() {
-        let (sequential, _) = measure_delivery_point(8, 2, 1, 5);
-        assert!(sequential.delivered > 0);
-        let (ahead, _) = measure_delivery_point(8, 2, 2, 5);
-        assert_eq!(ahead, sequential);
-    }
-
-    #[test]
-    fn churn_pass_reuses_selections_on_every_plane() {
+    fn churn_pass_reuses_selections() {
         let churn = ChurnConfig::default()
             .with_rate(1.0)
             .with_seed(13)
             .with_warmup_rounds(3);
-        let (reference, sequential) = churn_pass_with_stats(10, 3, churn, 1, 5);
-        let (steps, paths, ..) = &reference;
+        let ((steps, paths, ..), selections) = churn_pass_with_stats(10, 3, churn, 5);
         assert_eq!(steps.len(), 3);
         assert!(
             steps.iter().any(|step| !step.deltas.is_empty()),
             "a rate-1 timeline must apply deltas"
         );
         assert!(!paths.is_empty());
-        let (fingerprint, stacked) = churn_pass_with_stats(10, 3, churn, 2, 5);
-        assert_eq!(fingerprint, reference, "diverged at verify width 2");
-        // What a round reuses is decided per node from its own database, so the counters
-        // are as plane-independent as the output.
-        assert_eq!(stacked, sequential);
         assert!(
-            stacked.reused + stacked.extended > 0,
+            selections.reused + selections.extended > 0,
             "warm rounds keep selections"
         );
-        assert!(stacked.recomputed > 0, "disturbed batches recompute");
+        assert!(selections.recomputed > 0, "disturbed batches recompute");
     }
 
     /// One per-pair snapshot setup of the PD campaign over `base`: the copy-on-write path

@@ -922,7 +922,7 @@ mod tests {
         use crate::RacConfig;
 
         let (mut gw, registry, topo) = gateway(PropagationPolicy::All);
-        let ingress = IngressGateway::new(AsId(2), Verifier::new(registry.clone()));
+        let mut ingress = IngressGateway::new(AsId(2), Verifier::new(registry.clone()));
         let racs = [Rac::new_static(RacConfig::static_rac("5SP", "5SP")).unwrap()];
         let node = topo.as_node(AsId(2)).unwrap();
         let mut tables = crate::engine::SelectionTables::new();

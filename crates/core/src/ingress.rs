@@ -4,7 +4,6 @@ use crate::beacon_db::ShardedIngressDb;
 use irec_crypto::Verifier;
 use irec_pcb::{Pcb, PcbId};
 use irec_types::{AsId, IfId, IrecError, Result, SimTime};
-use parking_lot::Mutex;
 
 /// What [`IngressGateway::verify`] concluded about one received beacon: the rejection, or
 /// — for an accepted beacon — the id this AS computed for it while verifying. The id is
@@ -58,26 +57,15 @@ pub struct IngressStats {
 /// signatures and whether the path constructed by the PCB complies with the local AS'
 /// policies. The ingress gateway then stores the PCB in its ingress database."
 ///
-/// Commits take `&self`: the database keeps its map behind an interior lock and the
-/// statistics behind a mutex, so the gateway is shared the way its database is.
+/// The gateway has one owner, its node: commits take `&mut self`. Cloning is deep — the
+/// database's clone copies it and the statistics are copied — so the clone evolves
+/// independently (used by `Simulation`'s snapshot clone).
+#[derive(Clone)]
 pub struct IngressGateway {
     local_as: AsId,
     db: ShardedIngressDb,
     verifier: Verifier,
-    stats: Mutex<IngressStats>,
-}
-
-impl Clone for IngressGateway {
-    /// Deep-clones the gateway: the database and the statistics are copied, so the clone
-    /// evolves independently (used by `Simulation`'s snapshot clone).
-    fn clone(&self) -> Self {
-        IngressGateway {
-            local_as: self.local_as,
-            db: self.db.clone(),
-            verifier: self.verifier.clone(),
-            stats: Mutex::new(self.stats()),
-        }
-    }
+    stats: IngressStats,
 }
 
 impl IngressGateway {
@@ -90,7 +78,7 @@ impl IngressGateway {
             local_as: self.local_as,
             db: self.db.cow_clone(),
             verifier: self.verifier.clone(),
-            stats: Mutex::new(self.stats()),
+            stats: self.stats,
         }
     }
 
@@ -100,7 +88,7 @@ impl IngressGateway {
             local_as,
             db: ShardedIngressDb::default(),
             verifier,
-            stats: Mutex::default(),
+            stats: IngressStats::default(),
         }
     }
 
@@ -112,7 +100,7 @@ impl IngressGateway {
 
     /// The gateway statistics.
     pub fn stats(&self) -> IngressStats {
-        *self.stats.lock()
+        self.stats
     }
 
     /// Number of stored beacons still valid at `now` — the occupancy figure to report
@@ -128,7 +116,7 @@ impl IngressGateway {
     /// but not an error. Equivalent to [`IngressGateway::verify`] followed by
     /// [`IngressGateway::commit`] — the simulator runs the two stages apart, so a beacon
     /// can be verified ahead of its delivery.
-    pub fn receive(&self, pcb: Pcb, ingress: IfId, now: SimTime) -> Result<()> {
+    pub fn receive(&mut self, pcb: Pcb, ingress: IfId, now: SimTime) -> Result<()> {
         let verdict = self.verify(&pcb, now);
         self.commit(pcb, ingress, now, verdict)
     }
@@ -144,20 +132,24 @@ impl IngressGateway {
     /// again). `verdict` must be what [`IngressGateway::verify`] returned for this `pcb`.
     /// Messages of one origin must commit in delivery order — this is where the dedup index
     /// and the statistics mutate.
-    pub fn commit(&self, pcb: Pcb, ingress: IfId, now: SimTime, verdict: Verdict) -> Result<()> {
+    pub fn commit(
+        &mut self,
+        pcb: Pcb,
+        ingress: IfId,
+        now: SimTime,
+        verdict: Verdict,
+    ) -> Result<()> {
         let id = match verdict {
             Ok(id) => id,
             Err(e) => {
-                self.stats.lock().rejected += 1;
+                self.stats.rejected += 1;
                 return Err(e);
             }
         };
-        let stored = self.db.insert_with_id(id, pcb, ingress, now);
-        let mut stats = self.stats.lock();
-        if stored {
-            stats.accepted += 1;
+        if self.db.insert_with_id(id, pcb, ingress, now) {
+            self.stats.accepted += 1;
         } else {
-            stats.duplicates += 1;
+            self.stats.duplicates += 1;
         }
         Ok(())
     }
@@ -205,7 +197,7 @@ mod tests {
     #[test]
     fn accepts_valid_beacon() {
         let reg = registry();
-        let gw = IngressGateway::new(AsId(10), Verifier::new(reg.clone()));
+        let mut gw = IngressGateway::new(AsId(10), Verifier::new(reg.clone()));
         gw.receive(beacon(&reg, 1, &[2, 3], 6), IfId(7), SimTime::ZERO)
             .unwrap();
         assert_eq!(gw.stats().accepted, 1);
@@ -215,7 +207,7 @@ mod tests {
     #[test]
     fn rejects_expired_beacon() {
         let reg = registry();
-        let gw = IngressGateway::new(AsId(10), Verifier::new(reg.clone()));
+        let mut gw = IngressGateway::new(AsId(10), Verifier::new(reg.clone()));
         let pcb = beacon(&reg, 1, &[], 1);
         let late = SimTime::ZERO + SimDuration::from_hours(2);
         assert!(gw.receive(pcb, IfId(7), late).is_err());
@@ -226,7 +218,7 @@ mod tests {
     #[test]
     fn rejects_loop_through_local_as() {
         let reg = registry();
-        let gw = IngressGateway::new(AsId(3), Verifier::new(reg.clone()));
+        let mut gw = IngressGateway::new(AsId(3), Verifier::new(reg.clone()));
         let pcb = beacon(&reg, 1, &[2, 3], 6);
         let err = gw.receive(pcb, IfId(7), SimTime::ZERO).unwrap_err();
         assert_eq!(err.category(), "policy");
@@ -235,7 +227,7 @@ mod tests {
     #[test]
     fn rejects_tampered_signature() {
         let reg = registry();
-        let gw = IngressGateway::new(AsId(10), Verifier::new(reg.clone()));
+        let mut gw = IngressGateway::new(AsId(10), Verifier::new(reg.clone()));
         let mut pcb = beacon(&reg, 1, &[2], 6);
         pcb.entries.to_mut()[1].static_info.link_latency = Latency::from_millis(1);
         let err = gw.receive(pcb, IfId(7), SimTime::ZERO).unwrap_err();
@@ -245,7 +237,7 @@ mod tests {
     #[test]
     fn rejects_empty_beacon() {
         let reg = registry();
-        let gw = IngressGateway::new(AsId(10), Verifier::new(reg.clone()));
+        let mut gw = IngressGateway::new(AsId(10), Verifier::new(reg.clone()));
         let pcb = Pcb::originate(
             AsId(1),
             0,
@@ -259,7 +251,7 @@ mod tests {
     #[test]
     fn duplicates_counted_not_errored() {
         let reg = registry();
-        let gw = IngressGateway::new(AsId(10), Verifier::new(reg.clone()));
+        let mut gw = IngressGateway::new(AsId(10), Verifier::new(reg.clone()));
         let pcb = beacon(&reg, 1, &[2], 6);
         gw.receive(pcb.clone(), IfId(7), SimTime::ZERO).unwrap();
         gw.receive(pcb, IfId(7), SimTime::ZERO).unwrap();
@@ -273,8 +265,8 @@ mod tests {
         let reg = registry();
         // Two gateways fed the same traffic: one through `receive`, one through the split
         // verify/commit pipeline. Stats and database contents must be identical.
-        let whole = IngressGateway::new(AsId(10), Verifier::new(reg.clone()));
-        let split = IngressGateway::new(AsId(10), Verifier::new(reg.clone()));
+        let mut whole = IngressGateway::new(AsId(10), Verifier::new(reg.clone()));
+        let mut split = IngressGateway::new(AsId(10), Verifier::new(reg.clone()));
         let valid = beacon(&reg, 1, &[2, 3], 6);
         let mut tampered = beacon(&reg, 2, &[3], 6);
         tampered.entries.to_mut()[0].static_info.link_latency = Latency::from_millis(1);
@@ -309,7 +301,7 @@ mod tests {
     #[test]
     fn verdict_carries_the_id_the_database_dedups_on() {
         let reg = registry();
-        let gw = IngressGateway::new(AsId(10), Verifier::new(reg.clone()));
+        let mut gw = IngressGateway::new(AsId(10), Verifier::new(reg.clone()));
         let pcb = beacon(&reg, 1, &[2, 3], 6);
         let id = gw.verify(&pcb, SimTime::ZERO).unwrap();
         assert_eq!(id, pcb.digest());

@@ -28,8 +28,8 @@
 //! order). The engine applies deltas between rounds — where the verify helper has
 //! returned — and its settle loop advances on registered-path equality, itself a
 //! deterministic output. Therefore the whole timeline, and everything downstream of it, is
-//! byte-identical at every verify width, like every other plane: the churn fixtures of
-//! `tests/fixture_matrix.rs` enforce the bar.
+//! byte-identical from run to run, like every other plane: the churn fixtures of
+//! `tests/fixture_matrix.rs` pin its bytes.
 
 pub mod engine;
 pub mod generator;
@@ -198,9 +198,9 @@ impl std::fmt::Display for ChurnKinds {
     }
 }
 
-/// Parameters of a churn workload. These are *workload* knobs: unlike the verify width
-/// they change the simulation's output (deliberately so) — but the output is still a pure
-/// function of this config, byte-identical at every verify width.
+/// Parameters of a churn workload. These are *workload* knobs: they change the
+/// simulation's output (deliberately so) — but the output is still a pure function of this
+/// config.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnConfig {
     /// Expected number of deltas per churn step. Fractional rates accumulate: at 0.5,

@@ -6,10 +6,11 @@
 //!    receiver's AS number and the shared key registry, and of nothing else in flight. So
 //!    `Simulation::run_single_round` does not wait for delivery to verify: as each node
 //!    finishes its beaconing round, its output goes out as a *flight* that carries every
-//!    PCB's receipt time, computed once with the scheduling rule. At verify width 2 a
-//!    helper thread verifies the flights (`VerifyAhead`) while the main thread runs the
-//!    remaining nodes, and each verified flight is scheduled in `AsId` order, every
-//!    accepted PCB marked as such.
+//!    PCB's receipt time, computed once with the scheduling rule. A helper thread
+//!    verifies the flights (`VerifyAhead`) while the main thread runs the remaining
+//!    nodes, and each verified flight is scheduled in `AsId` order, every accepted PCB
+//!    marked as such. This is the only path: which thread runs a check is not part of
+//!    the model, so nothing selects another.
 //! 2. **Deliver.** Due events are popped in `(SimTime, seq)` order and delivered one by
 //!    one. A PCB over a downed link drops first, then one addressed to an AS without a node;
 //!    otherwise the receiver commits the verdict computed ahead
@@ -17,15 +18,17 @@
 //!    its verification computed, so delivery commits it under that id and hashes nothing
 //!    ([`irec_pcb::Pcb::digest`] would be the same bytes again, a third of a
 //!    verification); the id widens every in-flight event by 32 bytes. A PCB not accepted
-//!    ahead — rejected there, scheduled at verify width 1, or scheduled through the public
-//!    [`DeliveryPlane::schedule`] — is verified inline first
-//!    ([`IrecNode::verify_message`]), exactly as the reference walk does.
+//!    ahead — rejected there, or scheduled through the public [`DeliveryPlane::schedule`]
+//!    — is verified inline first ([`IrecNode::verify_message`]).
 //!
 //! **Determinism.** A verdict computed ahead is the verdict inline verification computes
 //! at delivery, and the commits happen in `(SimTime, seq)` order on one thread either way.
-//! A run with any verify width is therefore byte-identical to the inline run at width 1,
-//! which `tests/fixture_matrix.rs` enforces on every fixture and
-//! `tests/delivery_determinism.rs` under failure injection and in-flight expiry.
+//! The inline reference survives as recorded bytes and as a unit oracle: every golden
+//! under `tests/goldens/` was recorded with every PCB verified inline at delivery, and
+//! `tests/fixture_matrix.rs` compares each fixture's run with its golden — exact
+//! bandwidths, PD path endpoints and overhead zeros included;
+//! `verdicts_computed_ahead_deliver_like_inline_verification` below commits the same
+//! traffic both ways.
 
 use crate::event::{Event, EventQueue};
 use irec_core::{verify_received, IrecNode, RoundOutput};
@@ -275,23 +278,19 @@ pub(crate) struct Flight {
     /// Receipt time of each of `output.messages`, in order.
     pub(crate) arrivals: Vec<SimTime>,
     /// For each of `output.messages`, the id it was accepted under, or `None` when it was
-    /// rejected. Empty until verified, and then delivery verifies every PCB inline.
+    /// rejected. Empty until verified.
     pub(crate) ids: Vec<Option<PcbId>>,
 }
 
 impl Flight {
-    /// A flight of `output`; `verify_ahead` reserves the verdict slots here, on the thread
-    /// that builds the flight, so the helper that verifies it allocates none.
-    pub(crate) fn new(output: RoundOutput, arrivals: Vec<SimTime>, verify_ahead: bool) -> Self {
-        let slots = if verify_ahead {
-            output.messages.len()
-        } else {
-            0
-        };
+    /// A flight of `output`. The verdict slots are reserved here, on the thread that builds
+    /// the flight, so the helper that verifies it allocates none.
+    pub(crate) fn new(output: RoundOutput, arrivals: Vec<SimTime>) -> Self {
+        let ids = Vec::with_capacity(output.messages.len());
         Flight {
             output,
             arrivals,
-            ids: Vec::with_capacity(slots),
+            ids,
         }
     }
 
@@ -347,16 +346,11 @@ impl<'a> VerifyAhead<'a> {
     }
 
     /// Hands a finished node's flight to the helper on `helper`, or verifies it here when
-    /// one already waits there. Without a helper the flight goes back unverified, and
-    /// delivery verifies its PCBs inline.
-    pub(crate) fn hand_over(&self, helper: Option<&SyncSender<Handed>>, flight: Handed) {
-        match helper {
-            Some(helper) => {
-                if let Err(TrySendError::Full(flight)) = helper.try_send(flight) {
-                    self.verify(flight);
-                }
-            }
-            None => self.send_back(flight),
+    /// one already waits there: the helper has not taken it yet, as on a host without a
+    /// spare core.
+    pub(crate) fn hand_over(&self, helper: &SyncSender<Handed>, flight: Handed) {
+        if let Err(TrySendError::Full(flight)) = helper.try_send(flight) {
+            self.verify(flight);
         }
     }
 
@@ -373,13 +367,9 @@ impl<'a> VerifyAhead<'a> {
         flight.verify(self.verifier);
         self.busy_nanos
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.send_back((index, flight));
-    }
-
-    fn send_back(&self, flight: Handed) {
         // The channel has room for every flight of the round: this never blocks. It only
         // fails once the round has unwound, and then the flight is moot.
-        let _ = self.verified.send(flight);
+        let _ = self.verified.send((index, flight));
     }
 }
 
@@ -514,6 +504,22 @@ mod tests {
         assert_eq!(stored as u64, inline.0.delivered);
     }
 
+    /// The PCBs of [`traffic`] as one node's flight, not yet verified.
+    fn flight(registry: &KeyRegistry) -> Flight {
+        let (arrivals, messages) = traffic(registry)
+            .into_iter()
+            .filter_map(|(at, event)| match event {
+                Event::DeliverPcb(message) => Some((at, message)),
+                Event::DeliverPullReturn(_) => None,
+            })
+            .unzip();
+        let output = RoundOutput {
+            messages,
+            ..RoundOutput::default()
+        };
+        Flight::new(output, arrivals)
+    }
+
     /// Flights handed to the pipeline come back verified, each exactly once, whether the
     /// helper or the hand-over side verified it: every accepted PCB with its own id, a
     /// tampered PCB with none.
@@ -528,18 +534,7 @@ mod tests {
             let (helper, handed) = VerifyAhead::helper_channel();
             scope.spawn(|| pipeline.help(handed));
             for index in 0..flights {
-                let (arrivals, messages) = traffic(&registry)
-                    .into_iter()
-                    .filter_map(|(at, event)| match event {
-                        Event::DeliverPcb(message) => Some((at, message)),
-                        Event::DeliverPullReturn(_) => None,
-                    })
-                    .unzip();
-                let output = RoundOutput {
-                    messages,
-                    ..RoundOutput::default()
-                };
-                pipeline.hand_over(Some(&helper), (index, Flight::new(output, arrivals, true)));
+                pipeline.hand_over(&helper, (index, flight(&registry)));
             }
         });
         let mut back: Vec<Handed> = returned.try_iter().collect();
@@ -563,6 +558,43 @@ mod tests {
             assert_eq!(rejected, 4, "the tampered PCBs");
         }
         assert!(busy.into_inner() > 0);
+    }
+
+    /// The path a host without a spare core takes: while a flight waits in the helper's
+    /// one slot, `hand_over` verifies the next flight on the calling thread, and its ids
+    /// are the ones inline verification computes — `None` for the tampered PCBs.
+    #[test]
+    fn a_full_helper_channel_verifies_on_the_caller() {
+        let (_, registry) = nodes_with_registry();
+        let verifier = Verifier::new(registry.clone());
+        let busy = AtomicU64::new(0);
+        let (pipeline, returned) = VerifyAhead::new(&verifier, &busy, 2);
+        let (helper, handed) = VerifyAhead::helper_channel();
+        pipeline.hand_over(&helper, (0, flight(&registry)));
+        assert!(
+            returned.try_recv().is_err(),
+            "the first flight waits for the helper"
+        );
+        pipeline.hand_over(&helper, (1, flight(&registry)));
+        let (index, verified) = returned.try_recv().expect("verified on the caller");
+        assert_eq!(index, 1);
+        let inline: Vec<Option<PcbId>> = verified
+            .output
+            .messages
+            .iter()
+            .zip(&verified.arrivals)
+            .map(|(message, &at)| verify_received(message.to_as, &verifier, &message.pcb, at).ok())
+            .collect();
+        assert_eq!(verified.ids, inline);
+        assert_eq!(
+            inline.iter().filter(|id| id.is_none()).count(),
+            4,
+            "the tampered PCBs"
+        );
+        assert!(busy.into_inner() > 0);
+        let (index, waiting) = handed.try_recv().expect("the helper's slot holds a flight");
+        assert_eq!(index, 0);
+        assert!(waiting.ids.is_empty(), "left for the helper to verify");
     }
 
     #[test]

@@ -34,9 +34,9 @@
 //! [`irec_core::SelectionTables`]), so structural mutations need no invalidation protocol.
 //!
 //! Every round delivers what is due, runs the nodes one after the other in `AsId` order and
-//! schedules their outputs in that order. At verify width 2 one helper thread verifies each
-//! finished node's PCBs while the next nodes run — the simulator's only concurrency; the
-//! width never changes the output.
+//! schedules their outputs in that order. One helper thread verifies each finished node's
+//! PCBs while the next nodes run — the simulator's only concurrency, which never changes
+//! the output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,4 +54,4 @@ pub use churn::{
 pub use delivery::{DeliveryPlane, DeliveryStats};
 pub use event::{Event, EventQueue};
 pub use pd::{PdCampaign, PdPairResult, PdResult, PdWorkflow};
-pub use simulation::{SchedulerStats, SimSnapshot, Simulation, SimulationConfig, MAX_VERIFY_WIDTH};
+pub use simulation::{SchedulerStats, SimSnapshot, Simulation, SimulationConfig};

@@ -262,7 +262,7 @@ pub struct PdPairResult {
 /// through [`PdWorkflow::with_algorithm_id_base`]). Results come back in pair order, and
 /// the first failing pair's error is returned. `tests/pd_determinism.rs` pins the
 /// campaign against a manual pair loop, and the PD fixtures of `tests/fixture_matrix.rs`
-/// pin its bytes, at verify widths 1 and 2.
+/// pin its bytes.
 ///
 /// Self-pairs (`origin == target`) are short-circuited without taking a snapshot — their
 /// [`PdPairResult::self_pair`] flag is set and their result is empty.
@@ -393,13 +393,8 @@ mod tests {
     use std::sync::Arc;
 
     fn sim_with_hd_and_on_demand() -> Simulation {
-        sim_at_verify_width(SimulationConfig::default().delivery_parallelism)
-    }
-
-    fn sim_at_verify_width(width: usize) -> Simulation {
         let topology = Arc::new(figure1_topology());
-        let config = SimulationConfig::default().with_delivery_parallelism(width);
-        Simulation::new(topology, config, |_| {
+        Simulation::new(topology, SimulationConfig::default(), |_| {
             NodeConfig::default()
                 .with_policy(PropagationPolicy::All)
                 .with_racs(vec![
@@ -597,28 +592,10 @@ mod tests {
         );
     }
 
-    fn pair_fingerprint(results: &[PdPairResult]) -> Vec<(AsId, AsId, PdResult, Vec<u64>)> {
-        results
-            .iter()
-            .map(|r| {
-                (
-                    r.origin,
-                    r.target,
-                    r.result.clone(),
-                    r.pull_overhead.clone(),
-                )
-            })
-            .collect()
-    }
-
     #[test]
-    fn campaign_is_byte_identical_across_verify_widths_and_leaves_base_untouched() {
-        let warmed = |width: usize| {
-            let mut base = sim_at_verify_width(width);
-            base.run_rounds(6).unwrap();
-            base
-        };
-        let base = warmed(1);
+    fn campaign_pulls_and_leaves_base_untouched() {
+        let mut base = sim_with_hd_and_on_demand();
+        base.run_rounds(6).unwrap();
         let base_paths = base.registered_paths();
         let base_rounds = base.rounds_run();
 
@@ -629,27 +606,17 @@ mod tests {
         ];
         // `max_paths` above the HD seed count, so the workflows actually iterate and the
         // comparison covers the pull pipeline, not just snapshot cloning.
-        let sequential = PdCampaign::new(pairs.clone(), 6)
+        let results = PdCampaign::new(pairs.clone(), 6)
             .with_rounds_per_iteration(3)
             .run(&base)
             .unwrap();
-        assert_eq!(sequential.len(), pairs.len());
-        assert!(sequential.iter().any(|r| !r.result.paths.is_empty()));
+        assert_eq!(results.len(), pairs.len());
+        assert!(results.iter().any(|r| !r.result.paths.is_empty()));
         assert!(
-            sequential
+            results
                 .iter()
                 .any(|r| r.result.iterations > 0 && !r.pull_overhead.is_empty()),
-            "no pair ran a pull iteration — the campaign comparison would be vacuous"
-        );
-
-        let ahead = PdCampaign::new(pairs.clone(), 6)
-            .with_rounds_per_iteration(3)
-            .run(&warmed(2))
-            .unwrap();
-        assert_eq!(
-            pair_fingerprint(&ahead),
-            pair_fingerprint(&sequential),
-            "campaign diverged at verify width 2"
+            "no pair ran a pull iteration — the base would not be exercised"
         );
 
         // The base simulation is a read-only template: no clock movement, no new paths.

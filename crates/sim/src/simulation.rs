@@ -3,10 +3,9 @@
 //!
 //! A round delivers what is due, then runs every node's beaconing round, one after the
 //! other in `AsId` order, and schedules each node's output in that order. Delivery and
-//! the node phase do not run as strict phases: at verify width 2 (`delivery_parallelism`),
-//! each finished node's PCBs are verified on a helper thread while the next nodes run, so
-//! the flush that delivers them only commits verdicts (see [`crate::delivery`]). That
-//! helper is the simulator's only concurrency.
+//! the node phase do not run as strict phases: each finished node's PCBs are verified on a
+//! helper thread while the next nodes run, so the flush that delivers them only commits
+//! verdicts (see [`crate::delivery`]). That helper is the simulator's only concurrency.
 
 use crate::delivery::{DeliveryPlane, DeliveryStats, Flight, Handed, VerifyAhead};
 use crate::event::Event;
@@ -19,13 +18,13 @@ use irec_topology::{GroupingConfig, InterfaceGroups, Topology};
 use irec_types::{AsId, IrecError, LinkId, Result, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Scheduler-quality accounting, accumulated per round: `idle = workers × round_wall −
+/// Scheduler-quality accounting, accumulated per round: `idle = LANES × round_wall −
 /// Σ busy`, where `busy` sums the instrumented payload work (node rounds, verifications
-/// ahead, deliveries) and `workers` is the round pool width: the verify width. Serial
-/// sections therefore count `workers − 1` idle lanes.
+/// ahead, deliveries) and a round runs on [`SchedulerStats::LANES`] lanes: the driving
+/// thread and the verify helper. Serial sections therefore count one idle lane.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
     /// Rounds accounted.
@@ -39,13 +38,16 @@ pub struct SchedulerStats {
 }
 
 impl SchedulerStats {
-    /// Folds one round into the totals: `wall_nanos` elapsed on the driving thread with
-    /// `workers` nominal lanes, of which `busy_nanos` worker-nanoseconds did payload work.
-    pub fn record_round(&mut self, workers: usize, wall_nanos: u64, busy_nanos: u64) {
+    /// The lanes a round runs on: the driving thread and the verify helper.
+    pub const LANES: u64 = 2;
+
+    /// Folds one round into the totals: `wall_nanos` elapsed on the driving thread, of
+    /// which `busy_nanos` worker-nanoseconds did payload work on either lane.
+    pub fn record_round(&mut self, wall_nanos: u64, busy_nanos: u64) {
         self.rounds += 1;
         self.wall_nanos += wall_nanos;
         self.busy_nanos += busy_nanos;
-        self.idle_nanos += (workers as u64 * wall_nanos).saturating_sub(busy_nanos);
+        self.idle_nanos += (Self::LANES * wall_nanos).saturating_sub(busy_nanos);
     }
 }
 
@@ -56,13 +58,6 @@ pub struct SimulationConfig {
     pub beacon_interval: SimDuration,
     /// Fixed per-message processing delay added on top of link propagation.
     pub processing_delay: SimDuration,
-    /// The verify width (see [`crate::delivery`]). `1` verifies every PCB inline when it
-    /// is delivered — the reference. `2` runs one helper thread per round that verifies
-    /// each node's PCBs while the remaining nodes still run; delivery commits the verdicts
-    /// computed ahead. Either way the commit order is `(SimTime, seq)` and the simulation
-    /// output is byte-identical. Widths above [`MAX_VERIFY_WIDTH`] run as that. Defaults
-    /// to the available parallelism, capped the same way.
-    pub delivery_parallelism: usize,
 }
 
 impl Default for SimulationConfig {
@@ -70,36 +65,7 @@ impl Default for SimulationConfig {
         SimulationConfig {
             beacon_interval: SimDuration::from_minutes(10),
             processing_delay: SimDuration::from_millis(5),
-            delivery_parallelism: default_verify_width(),
         }
-    }
-}
-
-/// The widest verify width: one helper thread. Only that width has been measured (on a
-/// two-core host); more helpers each cost a malloc arena's worth of `peak_rss_mb` and are
-/// not shown to shorten a round.
-pub const MAX_VERIFY_WIDTH: usize = 2;
-
-/// The default verify width: the available parallelism, clamped to [1,
-/// [`MAX_VERIFY_WIDTH`]]. Asked of the host once per process, not per simulation: the
-/// answer reads the cgroup's CPU quota from the file system, which costs as much as
-/// setting up a small simulation.
-fn default_verify_width() -> usize {
-    static WIDTH: OnceLock<usize> = OnceLock::new();
-    *WIDTH.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map_or(1, usize::from)
-            .clamp(1, MAX_VERIFY_WIDTH)
-    })
-}
-
-impl SimulationConfig {
-    /// Builder-style: set the verify width (clamped to at least 1; widths above
-    /// [`MAX_VERIFY_WIDTH`] run as that).
-    #[must_use]
-    pub fn with_delivery_parallelism(mut self, delivery_parallelism: usize) -> Self {
-        self.delivery_parallelism = delivery_parallelism.max(1);
-        self
     }
 }
 
@@ -430,12 +396,6 @@ impl Simulation {
         &self.overhead_pull
     }
 
-    /// The verify width the rounds run at: the configured one, capped at
-    /// [`MAX_VERIFY_WIDTH`].
-    fn verify_width(&self) -> usize {
-        self.config.delivery_parallelism.clamp(1, MAX_VERIFY_WIDTH)
-    }
-
     /// Scheduler-quality accounting accumulated over the rounds run so far (see
     /// [`SchedulerStats`]). Not part of the deterministic simulation output.
     pub fn scheduler_stats(&self) -> SchedulerStats {
@@ -467,8 +427,6 @@ impl Simulation {
         self.plane.deliver_until_probed(&mut self.nodes, now, &busy);
 
         let verifier = Verifier::new(self.registry.clone());
-        let verify_width = self.verify_width();
-        let verify_ahead = verify_width > 1;
         let Simulation {
             topology,
             config,
@@ -500,18 +458,15 @@ impl Simulation {
                 .iter()
                 .map(|message| arrival(topology, config.processing_delay, now, message))
                 .collect();
-            Ok(Flight::new(output, arrivals, verify_ahead))
+            Ok(Flight::new(output, arrivals))
         };
 
         let (pipeline, returned) = VerifyAhead::new(&verifier, &busy, nodes.len());
         let failure = std::thread::scope(|scope| {
-            let helper = verify_ahead.then(|| {
-                let (helper, handed) = VerifyAhead::helper_channel();
-                scope.spawn(|| pipeline.help(handed));
-                helper
-            });
+            let (helper, handed) = VerifyAhead::helper_channel();
+            scope.spawn(|| pipeline.help(handed));
             run_nodes_in_turn(nodes, &fly, |flight| {
-                pipeline.hand_over(helper.as_ref(), flight);
+                pipeline.hand_over(&helper, flight);
                 outbox.take(returned.try_iter());
             })
             // The helper's channel hangs up here: it verifies what is left and returns.
@@ -522,11 +477,8 @@ impl Simulation {
             return Err(err);
         }
         *round += 1;
-        self.scheduler.record_round(
-            verify_width,
-            wall.elapsed().as_nanos() as u64,
-            busy.into_inner(),
-        );
+        self.scheduler
+            .record_round(wall.elapsed().as_nanos() as u64, busy.into_inner());
         Ok(())
     }
 
@@ -849,8 +801,7 @@ impl Outbox<'_> {
                     .record(message.from_as, message.from_if, self.round, 1);
             }
         }
-        for (index, (message, at)) in output.messages.into_iter().zip(arrivals).enumerate() {
-            let id = ids.get(index).copied().flatten();
+        for ((message, at), id) in output.messages.into_iter().zip(arrivals).zip(ids) {
             self.plane
                 .schedule_verified(at, Event::DeliverPcb(message), id);
         }
@@ -969,147 +920,63 @@ mod tests {
         assert!(sim.registered_paths_by("nonexistent").is_empty());
     }
 
-    #[test]
-    fn delivery_parallelism_preserves_simulation_output() {
-        let run = |delivery_parallelism: usize| {
-            let topology = Arc::new(figure1_topology());
-            let mut sim = Simulation::new(
-                topology,
-                SimulationConfig::default().with_delivery_parallelism(delivery_parallelism),
-                |_| {
-                    NodeConfig::default()
-                        .with_policy(PropagationPolicy::All)
-                        .with_racs(vec![RacConfig::static_rac("5SP", "5SP")])
-                },
-            )
-            .unwrap();
-            sim.run_rounds(5).unwrap();
-            (
-                sim.registered_paths(),
-                sim.delivery_stats(),
-                sim.ingress_occupancy(),
-            )
-        };
-        let (paths, stats, occupancy) = run(1);
-        assert!(stats.delivered > 0);
-        assert_eq!(
-            stats.dropped_total(),
-            stats.dropped_no_node + stats.dropped_link_down + stats.rejected
-        );
-        for width in [2, 4] {
-            let (p_paths, p_stats, p_occupancy) = run(width);
-            assert_eq!(p_paths, paths);
-            assert_eq!(p_stats, stats);
-            assert_eq!(p_occupancy, occupancy);
-        }
-    }
-
-    #[test]
-    fn node_failure_is_width_independent() {
-        let run = |delivery: usize| {
-            let topology = Arc::new(figure1_topology());
-            let mut sim = Simulation::new(
-                topology,
-                SimulationConfig::default().with_delivery_parallelism(delivery),
-                |_| {
-                    NodeConfig::default()
-                        .with_policy(PropagationPolicy::All)
-                        .with_racs(vec![RacConfig::static_rac("5SP", "5SP")])
-                },
-            )
-            .unwrap();
-            sim.run_rounds(3).unwrap();
-            // Fail an AS mid-run: in-flight messages to it must drop identically.
-            sim.remove_node(figure1::X);
-            sim.run_rounds(2).unwrap();
-            (
-                sim.registered_paths(),
-                sim.delivery_stats(),
-                sim.ingress_occupancy(),
-                sim.overhead().samples(),
-            )
-        };
-        let reference = run(1);
-        assert!(reference.1.delivered > 0);
-        assert!(reference.1.dropped_no_node > 0);
-        for delivery in [2, 4] {
-            let ahead = run(delivery);
-            assert_eq!(ahead.0, reference.0, "paths at width {delivery}");
-            assert_eq!(ahead.1, reference.1, "stats at width {delivery}");
-            assert_eq!(ahead.2, reference.2, "occupancy at width {delivery}");
-            assert_eq!(ahead.3, reference.3, "overhead at width {delivery}");
-        }
-    }
-
     /// A node whose round fails ends the round with its error, the outputs of the nodes
     /// before it scheduled, and the round not counted: neither `rounds_run` nor the
-    /// scheduler accounting moves, at any verify width.
+    /// scheduler accounting moves.
     #[test]
     fn a_failing_node_leaves_the_round_uncounted() {
-        for delivery in [1, 2] {
-            let topology = Arc::new(figure1_topology());
-            let mut sim = Simulation::new(
-                topology,
-                SimulationConfig::default().with_delivery_parallelism(delivery),
-                |_| {
-                    NodeConfig::default()
-                        .with_policy(PropagationPolicy::All)
-                        .with_racs(vec![
-                            RacConfig::static_rac("5SP", "5SP"),
-                            RacConfig::on_demand_rac("od"),
-                        ])
-                },
-            )
+        let mut sim = figure1_sim(vec![
+            RacConfig::static_rac("5SP", "5SP"),
+            RacConfig::on_demand_rac("od"),
+        ]);
+        sim.run_rounds(2).unwrap();
+        // A beacon that names an algorithm nobody published fails X's on-demand RAC.
+        let registry = KeyRegistry::with_ases(42, 64);
+        let reference = AlgorithmRef::new(AlgorithmId(9), irec_crypto::sha256(b"unpublished"));
+        let mut pcb = Pcb::originate(
+            figure1::DST,
+            0,
+            sim.now(),
+            sim.now() + SimDuration::from_hours(6),
+            PcbExtensions::none().with_algorithm(reference),
+        );
+        pcb.extend(
+            IfId::NONE,
+            IfId(1),
+            StaticInfo::origin(Latency::from_millis(5), Bandwidth::from_mbps(100), None),
+            &Signer::new(figure1::DST, registry),
+        )
+        .unwrap();
+        let ingress = *sim
+            .topology()
+            .as_node(figure1::X)
+            .unwrap()
+            .interfaces
+            .keys()
+            .next()
             .unwrap();
-            sim.run_rounds(2).unwrap();
-            // A beacon that names an algorithm nobody published fails X's on-demand RAC.
-            let registry = KeyRegistry::with_ases(42, 64);
-            let reference = AlgorithmRef::new(AlgorithmId(9), irec_crypto::sha256(b"unpublished"));
-            let mut pcb = Pcb::originate(
-                figure1::DST,
-                0,
-                sim.now(),
-                sim.now() + SimDuration::from_hours(6),
-                PcbExtensions::none().with_algorithm(reference),
-            );
-            pcb.extend(
-                IfId::NONE,
-                IfId(1),
-                StaticInfo::origin(Latency::from_millis(5), Bandwidth::from_mbps(100), None),
-                &Signer::new(figure1::DST, registry),
-            )
-            .unwrap();
-            let ingress = *sim
-                .topology()
-                .as_node(figure1::X)
-                .unwrap()
-                .interfaces
-                .keys()
-                .next()
-                .unwrap();
-            sim.node(figure1::X)
-                .unwrap()
-                .ingress()
-                .db()
-                .insert(pcb, ingress, sim.now());
-            assert_eq!(sim.pending_events(), 0);
-            assert!(sim.run_rounds(1).is_err(), "width {delivery}");
-            assert_eq!(sim.rounds_run(), 2, "width {delivery}");
-            assert_eq!(sim.scheduler_stats().rounds, 2, "width {delivery}");
-            // Src, before X in `AsId` order, still had its output scheduled.
-            assert!(sim.pending_events() > 0, "width {delivery}");
-        }
+        sim.node(figure1::X)
+            .unwrap()
+            .ingress()
+            .db()
+            .insert(pcb, ingress, sim.now());
+        assert_eq!(sim.pending_events(), 0);
+        assert!(sim.run_rounds(1).is_err());
+        assert_eq!(sim.rounds_run(), 2);
+        assert_eq!(sim.scheduler_stats().rounds, 2);
+        // Src, before X in `AsId` order, still had its output scheduled.
+        assert!(sim.pending_events() > 0);
     }
 
     #[test]
     fn idle_is_wall_minus_busy_over_the_pool() {
         let mut stats = SchedulerStats::default();
-        stats.record_round(4, 1_000, 2_500);
+        stats.record_round(1_000, 1_500);
         assert_eq!(stats.rounds, 1);
-        assert_eq!(stats.idle_nanos, 4 * 1_000 - 2_500);
-        // Busy exceeding workers × wall (clock skew across cores) saturates to zero idle.
-        stats.record_round(1, 100, 1_000);
-        assert_eq!(stats.idle_nanos, 4 * 1_000 - 2_500);
+        assert_eq!(stats.idle_nanos, 2 * 1_000 - 1_500);
+        // Busy exceeding lanes × wall (clock skew across cores) saturates to zero idle.
+        stats.record_round(100, 1_000);
+        assert_eq!(stats.idle_nanos, 2 * 1_000 - 1_500);
         assert_eq!(stats.wall_nanos, 1_100);
     }
 
@@ -1168,40 +1035,6 @@ mod tests {
         assert_eq!(sim.dropped_link_down(), dropped);
         assert!(sim.set_link_down(irec_types::LinkId(u64::MAX)).is_err());
         assert!(sim.set_link_up(irec_types::LinkId(u64::MAX)).is_err());
-    }
-
-    #[test]
-    fn link_down_drops_are_width_independent() {
-        let run = |delivery: usize| {
-            let topology = Arc::new(figure1_topology());
-            let mut sim = Simulation::new(
-                topology,
-                SimulationConfig::default().with_delivery_parallelism(delivery),
-                |_| {
-                    NodeConfig::default()
-                        .with_policy(PropagationPolicy::All)
-                        .with_racs(vec![RacConfig::static_rac("5SP", "5SP")])
-                },
-            )
-            .unwrap();
-            sim.run_rounds(2).unwrap();
-            let link = sim.topology().links_of(figure1::X)[0];
-            sim.set_link_down(link).unwrap();
-            sim.run_rounds(3).unwrap();
-            (
-                sim.registered_paths(),
-                sim.delivery_stats(),
-                sim.ingress_occupancy(),
-            )
-        };
-        let reference = run(1);
-        assert!(reference.1.dropped_link_down > 0);
-        for delivery in [2, 4] {
-            let ahead = run(delivery);
-            assert_eq!(ahead.0, reference.0, "paths at width {delivery}");
-            assert_eq!(ahead.1, reference.1, "stats at width {delivery}");
-            assert_eq!(ahead.2, reference.2, "occupancy at width {delivery}");
-        }
     }
 
     #[test]

@@ -18,10 +18,29 @@ use irec_sim::{Simulation, SimulationConfig};
 use irec_topology::{GeneratorConfig, TopologyGenerator};
 use std::sync::Arc;
 
+const USAGE: &str = "usage: internet_scale [num_ases] [rounds]";
+
+/// `[num_ases] [rounds]`, defaulting to 60 and 8. A value that does not parse or a third
+/// argument is an error, never a silent fallback to the default.
+fn parse_args(args: &[String]) -> Result<(usize, usize), String> {
+    if let Some(surplus) = args.get(2) {
+        return Err(format!("unexpected argument {surplus:?}"));
+    }
+    let value = |index: usize, name: &str, default: usize| match args.get(index) {
+        None => Ok(default),
+        Some(raw) => raw
+            .parse()
+            .map_err(|err| format!("{name}: cannot parse {raw:?}: {err}")),
+    };
+    Ok((value(0, "num_ases", 60)?, value(1, "rounds", 8)?))
+}
+
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let num_ases: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(60);
-    let rounds: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(8);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (num_ases, rounds) = parse_args(&args).unwrap_or_else(|err| {
+        eprintln!("{err}\n{USAGE}");
+        std::process::exit(2);
+    });
 
     let config = GeneratorConfig {
         num_ases,

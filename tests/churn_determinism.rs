@@ -1,8 +1,8 @@
 //! Acceptance test for the churn engine's staged-migration scenario: live
 //! algorithm-catalog swaps rolled across the topology one AS at a time, with the
 //! no-blackhole invariant asserted between every step. That a seeded churn timeline is
-//! byte-identical at verify widths 1 and 2 — same per-step deltas, settle rounds, drop
-//! accounting and final registered paths — is checked by the `churn-…` fixtures of
+//! byte-identical to its recording — same per-step deltas, settle rounds, drop accounting
+//! and final registered paths — is checked by the `churn-…` fixtures of
 //! `tests/fixture_matrix.rs`, whose two timelines draw every delta kind.
 
 use irec_core::{NodeConfig, PropagationPolicy, RacConfig};

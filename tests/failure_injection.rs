@@ -56,7 +56,7 @@ fn local_as() -> AsNode {
 #[test]
 fn corrupted_beacons_are_dropped_without_poisoning_the_database() {
     let registry = KeyRegistry::with_ases(3, 16);
-    let gateway = IngressGateway::new(AsId(99), Verifier::new(registry.clone()));
+    let mut gateway = IngressGateway::new(AsId(99), Verifier::new(registry.clone()));
 
     let good = beacon(&registry, 1, PcbExtensions::none());
     let mut corrupted = beacon(&registry, 2, PcbExtensions::none());
@@ -237,88 +237,71 @@ fn messages_to_an_offline_as_are_counted_as_dropped() {
 /// Regression test for mid-run node re-addition: after remove → add → re-beacon, the
 /// rejoined AS must regain full reachability (its neighbors' propagation-dedup marks for
 /// the interfaces facing it are reset, or steady-state selections would never be re-sent
-/// to it), and the whole flap — paths, accounting, occupancy — must be byte-identical
-/// at verify widths 1 and 2.
+/// to it), and the offline window's losses must be accounted.
 #[test]
 fn node_flap_restores_reachability_with_exact_accounting() {
-    let run = |width: usize| {
-        let node_config = move |_| {
-            NodeConfig::default()
-                .with_policy(PropagationPolicy::All)
-                .with_racs(vec![RacConfig::static_rac("5SP", "5SP")])
-        };
-        let mut sim = Simulation::new(
-            Arc::new(figure1_topology()),
-            SimulationConfig::default().with_delivery_parallelism(width),
-            node_config,
-        )
-        .unwrap();
-        sim.run_rounds(4).unwrap();
-        assert!((sim.connectivity() - 1.0).abs() < f64::EPSILON);
-        assert!(sim.remove_node(figure1::X).is_some());
-        sim.run_rounds(2).unwrap();
-        assert_eq!(sim.live_ases().len(), 4, "X must be gone");
-        sim.add_node(figure1::X, node_config(figure1::X)).unwrap();
-        assert!(
-            sim.add_node(figure1::X, node_config(figure1::X)).is_err(),
-            "re-adding a live node must be rejected"
-        );
-        sim.run_rounds(4).unwrap();
-        assert_eq!(sim.pending_events(), 0, "rounds must drain the event queue");
-        (
-            sim.registered_paths(),
-            sim.delivery_stats(),
-            sim.ingress_occupancy(),
-            sim.connectivity(),
-        )
+    let node_config = move |_| {
+        NodeConfig::default()
+            .with_policy(PropagationPolicy::All)
+            .with_racs(vec![RacConfig::static_rac("5SP", "5SP")])
     };
-
-    let reference = run(1);
+    let mut sim = Simulation::new(
+        Arc::new(figure1_topology()),
+        SimulationConfig::default(),
+        node_config,
+    )
+    .unwrap();
+    sim.run_rounds(4).unwrap();
+    assert!((sim.connectivity() - 1.0).abs() < f64::EPSILON);
+    assert!(sim.remove_node(figure1::X).is_some());
+    sim.run_rounds(2).unwrap();
+    assert_eq!(sim.live_ases().len(), 4, "X must be gone");
+    sim.add_node(figure1::X, node_config(figure1::X)).unwrap();
     assert!(
-        (reference.3 - 1.0).abs() < f64::EPSILON,
+        sim.add_node(figure1::X, node_config(figure1::X)).is_err(),
+        "re-adding a live node must be rejected"
+    );
+    sim.run_rounds(4).unwrap();
+    assert_eq!(sim.pending_events(), 0, "rounds must drain the event queue");
+    assert!(
+        (sim.connectivity() - 1.0).abs() < f64::EPSILON,
         "re-beaconing must restore full reachability, got connectivity {}",
-        reference.3
+        sim.connectivity()
     );
     assert!(
-        reference.1.dropped_no_node > 0,
+        sim.delivery_stats().dropped_no_node > 0,
         "the offline window must drop messages"
     );
-    assert_eq!(run(2), reference, "node flap diverged at verify width 2");
 }
 
 /// Regression test pinning the drop-counter split: a message emitted over a downed link
 /// endpoint counts as `dropped_link_down` even when its addressee is *also* gone (the
 /// downed-link check precedes the missing-node check in every delivery path), while
-/// messages to the missing node over up links count as `dropped_no_node` — and the split
-/// and the registered paths are identical at verify widths 1 and 2.
+/// messages to the missing node over up links count as `dropped_no_node`.
 #[test]
 fn link_down_and_node_removal_split_drop_counters_deterministically() {
-    let run = |width: usize| {
-        let mut sim = Simulation::new(
-            Arc::new(figure1_topology()),
-            SimulationConfig::default().with_delivery_parallelism(width),
-            |_| {
-                NodeConfig::default()
-                    .with_policy(PropagationPolicy::All)
-                    .with_racs(vec![RacConfig::static_rac("5SP", "5SP")])
-            },
-        )
-        .unwrap();
-        sim.run_rounds(3).unwrap();
-        // Down the Src–X link *and* remove X: Src's beacons over the downed link hit the
-        // link-down arm; beacons to X over its other (up) links hit the no-node arm.
-        let src_x = sim
-            .topology()
-            .link_at(figure1::SRC, IfId(1))
-            .expect("Src's first interface is the Src-X link")
-            .id;
-        sim.set_link_down(src_x).unwrap();
-        assert!(sim.remove_node(figure1::X).is_some());
-        sim.run_rounds(2).unwrap();
-        (sim.delivery_stats(), sim.registered_paths())
-    };
-
-    let (stats, paths) = run(1);
+    let mut sim = Simulation::new(
+        Arc::new(figure1_topology()),
+        SimulationConfig::default(),
+        |_| {
+            NodeConfig::default()
+                .with_policy(PropagationPolicy::All)
+                .with_racs(vec![RacConfig::static_rac("5SP", "5SP")])
+        },
+    )
+    .unwrap();
+    sim.run_rounds(3).unwrap();
+    // Down the Src–X link *and* remove X: Src's beacons over the downed link hit the
+    // link-down arm; beacons to X over its other (up) links hit the no-node arm.
+    let src_x = sim
+        .topology()
+        .link_at(figure1::SRC, IfId(1))
+        .expect("Src's first interface is the Src-X link")
+        .id;
+    sim.set_link_down(src_x).unwrap();
+    assert!(sim.remove_node(figure1::X).is_some());
+    sim.run_rounds(2).unwrap();
+    let stats = sim.delivery_stats();
     assert!(
         stats.dropped_link_down > 0,
         "the downed link must account drops"
@@ -327,18 +310,13 @@ fn link_down_and_node_removal_split_drop_counters_deterministically() {
         stats.dropped_no_node > 0,
         "the removed node must account drops"
     );
-    assert_eq!(
-        run(2),
-        (stats, paths),
-        "drop-counter split or registered paths diverged at verify width 2"
-    );
 }
 
 /// Expired beacons are evicted from the databases and do not linger in path computation.
 #[test]
 fn expired_beacons_are_evicted_from_the_control_plane() {
     let registry = KeyRegistry::with_ases(3, 16);
-    let gateway = IngressGateway::new(AsId(99), Verifier::new(registry.clone()));
+    let mut gateway = IngressGateway::new(AsId(99), Verifier::new(registry.clone()));
     // Valid for 6 hours.
     let pcb = beacon(&registry, 1, PcbExtensions::none());
     gateway.receive(pcb, IfId(1), SimTime::ZERO).unwrap();

@@ -1,26 +1,25 @@
-//! The fixture matrix: every fixture of `irec_bench::fixtures::CATALOG`, rendered at verify
-//! widths 1 and 2, against its committed golden under `tests/goldens/`.
+//! The fixture matrix: every fixture of `irec_bench::fixtures::CATALOG`, rendered once,
+//! against its committed golden under `tests/goldens/`.
 //!
-//! Each row checks three things on the same two runs:
-//! - the width-1 text (every PCB verified inline at delivery, the reference) equals the
-//!   golden byte for byte, so the bytes are pinned *across* commits: a change that only
-//!   makes the simulator faster must leave every registered path, counter and overhead
-//!   sample exactly where it was;
-//! - the width-2 run (each finished node's PCBs verified ahead on the helper thread)
-//!   prints the same text, makes its selections the same way (`Rendered::selections`)
-//!   and agrees on everything the text rounds or leaves out (`Rendered::unprinted`);
+//! Each row checks two things on one run:
+//! - the text equals the golden byte for byte, so the bytes are pinned *across* commits:
+//!   a change that only makes the simulator faster must leave every registered path,
+//!   counter and overhead sample exactly where it was. The text prints every value
+//!   exactly (bandwidths in kbps, PD paths with their endpoints, the overhead zeros), and
+//!   every golden was recorded with each PCB verified inline at delivery, so a run, which
+//!   verifies ahead on the helper thread, is held to the inline reference;
 //! - the fixture's own assertions, where it has any.
 //!
 //! One `#[test]` per fixture, so libtest spreads the rows over the cores and a failure
 //! names its fixture.
 //!
 //! **Re-recording after an intended change.** Run `cargo test --test fixture_matrix`. A
-//! row whose width-1 text differs from its golden writes that text to
+//! row whose text differs from its golden writes that text to
 //! `target/tmp/goldens/<name>.txt` and panics with the first differing line and the
 //! command that re-records the golden, `cp target/tmp/goldens/<name>.txt
 //! tests/goldens/<name>.txt`. Re-record in a commit that changes nothing else and say
-//! which fixtures moved and why. A width-2 run that differs from a width-1 run that
-//! matches is a determinism bug, never a re-record.
+//! which fixtures moved and why. A change that is meant to move no output and still
+//! differs is a bug, never a re-record.
 
 use irec_algorithms::incremental::IncrementalStats;
 use irec_bench::fixtures::{fixture, Rendered, CATALOG};
@@ -49,42 +48,26 @@ fn golden_path(name: &str) -> PathBuf {
     goldens().join(format!("{name}.txt"))
 }
 
-/// Runs the row of fixture `name` and returns its width-1 run for the fixture's own
-/// assertions.
+/// Runs the row of fixture `name` and returns its run for the fixture's own assertions.
 fn check(name: &str) -> Rendered {
     let fixture = fixture(name).unwrap_or_else(|| panic!("no fixture named {name}"));
     let golden = std::fs::read_to_string(golden_path(name))
         .unwrap_or_else(|e| panic!("reading the golden of {name}: {e}"));
-    let inline = (fixture.render)(1);
-    if inline.text != golden {
+    let run = (fixture.render)();
+    if run.text != golden {
         let recorded = Path::new(env!("CARGO_TARGET_TMPDIR")).join("goldens");
         std::fs::create_dir_all(&recorded).expect("creating the re-record directory");
         let recorded = recorded.join(format!("{name}.txt"));
-        std::fs::write(&recorded, &inline.text).expect("writing the re-recorded output");
+        std::fs::write(&recorded, &run.text).expect("writing the re-recorded output");
         panic!(
             "fixture {name} differs from tests/goldens/{name}.txt at its {}\n\
              after an intended change, re-record with: cp {} {}",
-            first_difference(&inline.text, &golden),
+            first_difference(&run.text, &golden),
             recorded.display(),
             golden_path(name).display(),
         );
     }
-    let ahead = (fixture.render)(2);
-    assert!(
-        ahead.text == inline.text,
-        "fixture {name} at verify width 2 differs from width 1 at its {}",
-        first_difference(&ahead.text, &inline.text),
-    );
-    assert!(
-        ahead.unprinted == inline.unprinted,
-        "fixture {name}'s unprinted state at verify width 2 differs from width 1 at its {}",
-        first_difference(&ahead.unprinted, &inline.unprinted),
-    );
-    assert_eq!(
-        ahead.selections, inline.selections,
-        "fixture {name}'s selection counters at verify width 2 differ from width 1"
-    );
-    inline
+    run
 }
 
 /// Declares one test per fixture, each with the fixture's own assertions after the `=>`,

@@ -3,9 +3,8 @@
 //! for byte against files recorded before the delta path existed (the oldest goldens of
 //! `tests/fixture_matrix.rs`), selection for selection against the from-scratch engine
 //! (`tests/incremental_reselection.rs`, the oracle proptest in `irec_core`). The fixture
-//! matrix also pins that the tables carry churn rounds: both churn fixtures make their
-//! selections the same way at every verify width, with work reused and extended although
-//! the timelines' withdrawal sweeps keep disturbing batches. What is pinned here is that
+//! matrix also pins that the tables carry churn rounds: both churn fixtures reuse and
+//! extend work although the timelines' withdrawal sweeps keep disturbing batches. What is pinned here is that
 //! on a plane without churn the per-round recompute count dies away while extensions
 //! carry the steady state.
 

@@ -1,8 +1,7 @@
 //! Acceptance tests for the PD campaign: the campaign, copy-on-write snapshots and all,
 //! must equal its oracle — a loop of one workflow per pair on a deep clone of the base —
-//! at verify widths 1 and 2, and must leave its base untouched. That the campaign itself
-//! is byte-identical at both widths is checked by the `pd-campaign-…` fixtures of
-//! `tests/fixture_matrix.rs`.
+//! and must leave its base untouched. The campaign's bytes are pinned by the
+//! `pd-campaign-…` fixtures of `tests/fixture_matrix.rs`.
 
 use irec_core::{NodeConfig, RacConfig};
 use irec_metrics::RegisteredPath;
@@ -18,9 +17,8 @@ const ROUNDS_PER_ITERATION: usize = 2;
 const MAX_PATHS: usize = 8;
 
 /// The campaign workload: a 12-AS generated topology with the paper's HD + on-demand
-/// deployment, warmed so HD has seeded paths. At verify width 2 the per-pair simulations'
-/// PCBs are verified ahead, on a helper thread, before delivery commits them.
-fn warm_base(width: usize) -> Simulation {
+/// deployment, warmed so HD has seeded paths.
+fn warm_base() -> Simulation {
     let topology = Arc::new(
         TopologyGenerator::new(GeneratorConfig {
             num_ases: 12,
@@ -29,16 +27,12 @@ fn warm_base(width: usize) -> Simulation {
         })
         .generate(),
     );
-    let mut sim = Simulation::new(
-        topology,
-        SimulationConfig::default().with_delivery_parallelism(width),
-        move |_| {
-            NodeConfig::default().with_racs(vec![
-                RacConfig::static_rac("HD", "HD"),
-                RacConfig::on_demand_rac("on-demand"),
-            ])
-        },
-    )
+    let mut sim = Simulation::new(topology, SimulationConfig::default(), move |_| {
+        NodeConfig::default().with_racs(vec![
+            RacConfig::static_rac("HD", "HD"),
+            RacConfig::on_demand_rac("on-demand"),
+        ])
+    })
     .expect("simulation setup");
     sim.run_rounds(WARM_ROUNDS).expect("warm-up rounds");
     sim
@@ -115,17 +109,17 @@ fn fingerprint(results: Vec<irec_sim::PdPairResult>) -> CampaignFingerprint {
         .collect()
 }
 
-/// The campaign facade at verify width 2 equals the hand-rolled loop it replaces at
-/// width 1: one `PdWorkflow` per pair, each on its own copy of the warm base, harvested in
-/// pair order. (Disjoint per-pair algorithm-id ranges mirror what the campaign does
-/// internally — publishers of one origin into the shared store must not collide, and the
-/// reference must publish the same ids to fetch the same modules.)
+/// The campaign facade equals the hand-rolled loop it replaces: one `PdWorkflow` per
+/// pair, each on its own copy of the warm base, harvested in pair order. (Disjoint
+/// per-pair algorithm-id ranges mirror what the campaign does internally — publishers of
+/// one origin into the shared store must not collide, and the reference must publish the
+/// same ids to fetch the same modules.)
 #[test]
 fn pd_campaign_equals_manual_sequential_snapshot_loop() {
-    let base = warm_base(1);
+    let base = warm_base();
     let pairs = pairs(&base);
     assert_eq!(
-        campaign(&warm_base(2), pairs.clone()),
+        campaign(&base, pairs.clone()),
         deep_clone_loop(&base, &pairs)
     );
 }
@@ -134,7 +128,7 @@ fn pd_campaign_equals_manual_sequential_snapshot_loop() {
 /// accounting stay untouched, so one warm base can serve many campaigns in a row.
 #[test]
 fn pd_campaign_leaves_the_base_simulation_untouched() {
-    let base = warm_base(2);
+    let base = warm_base();
     let before_paths = base.registered_paths();
     let before_rounds = base.rounds_run();
     let before_stats = base.delivery_stats();
@@ -149,11 +143,10 @@ fn pd_campaign_leaves_the_base_simulation_untouched() {
     assert_eq!(base.delivery_stats(), before_stats);
 }
 
-/// The campaign's copy-on-write snapshots reproduce the width-1 deep-clone loop byte for
-/// byte at verify widths 1 and 2.
+/// The campaign's copy-on-write snapshots reproduce the deep-clone loop byte for byte.
 #[test]
 fn cow_snapshots_match_deep_clone_across_the_matrix() {
-    let base = warm_base(1);
+    let base = warm_base();
     let pairs = pairs(&base);
     let deep = deep_clone_loop(&base, &pairs);
     assert!(
@@ -169,14 +162,9 @@ fn cow_snapshots_match_deep_clone_across_the_matrix() {
         "no pair ran a pull iteration — raise MAX_PATHS above the HD seed count"
     );
     assert_eq!(
-        campaign(&base, pairs.clone()),
+        campaign(&base, pairs),
         deep,
-        "COW and deep-clone campaigns diverged at verify width 1"
-    );
-    assert_eq!(
-        campaign(&warm_base(2), pairs),
-        deep,
-        "COW and deep-clone campaigns diverged at verify width 2"
+        "COW and deep-clone campaigns diverged"
     );
 }
 
@@ -206,23 +194,18 @@ fn reachability_restricted_snapshots_match_deep_clone_on_disconnected_topology()
             .link(10, 11, latency, bandwidth)
             .build(),
     );
-    let warm = |width: usize| {
-        let config = SimulationConfig::default().with_delivery_parallelism(width);
-        let mut base = Simulation::new(Arc::clone(&topology), config, |_| {
-            NodeConfig::default()
-                .with_racs(vec![
-                    RacConfig::static_rac("HD", "HD"),
-                    RacConfig::on_demand_rac("on-demand"),
-                ])
-                // All links here are peer links; the default valley-free policy would
-                // block every peer→peer export and nothing would propagate.
-                .with_policy(irec_core::PropagationPolicy::All)
-        })
-        .expect("simulation setup");
-        base.run_rounds(WARM_ROUNDS).expect("warm-up rounds");
-        base
-    };
-    let base = warm(1);
+    let mut base = Simulation::new(topology, SimulationConfig::default(), |_| {
+        NodeConfig::default()
+            .with_racs(vec![
+                RacConfig::static_rac("HD", "HD"),
+                RacConfig::on_demand_rac("on-demand"),
+            ])
+            // All links here are peer links; the default valley-free policy would block
+            // every peer→peer export and nothing would propagate.
+            .with_policy(irec_core::PropagationPolicy::All)
+    })
+    .expect("simulation setup");
+    base.run_rounds(WARM_ROUNDS).expect("warm-up rounds");
 
     // The pre-pass sees exactly component A from AS 1, component B from AS 10.
     let component_a: Vec<AsId> = base.reachable_component(AsId(1)).into_iter().collect();
@@ -238,16 +221,14 @@ fn reachability_restricted_snapshots_match_deep_clone_on_disconnected_topology()
         (AsId(10), AsId(11)),
         (AsId(1), AsId(11)), // unreachable target: must converge empty in both modes
     ];
-    let deep = deep_clone_loop(&base, &pairs);
-    for width in [1, 2] {
-        let cow = campaign(&warm(width), pairs.clone());
-        assert_eq!(
-            cow, deep,
-            "restricted COW snapshot diverged from deep clone at verify width {width}"
-        );
-        assert!(
-            cow.iter().any(|(_, _, paths, ..)| !paths.is_empty()),
-            "in-component pairs must discover paths"
-        );
-    }
+    let cow = campaign(&base, pairs.clone());
+    assert_eq!(
+        cow,
+        deep_clone_loop(&base, &pairs),
+        "restricted COW snapshot diverged from deep clone"
+    );
+    assert!(
+        cow.iter().any(|(_, _, paths, ..)| !paths.is_empty()),
+        "in-component pairs must discover paths"
+    );
 }
