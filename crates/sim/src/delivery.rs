@@ -27,6 +27,8 @@
 //! under `tests/goldens/` was recorded with every PCB verified inline at delivery, and
 //! `tests/fixture_matrix.rs` compares each fixture's run with its golden — exact
 //! bandwidths, PD path endpoints and overhead zeros included;
+//! `tests/delivery_determinism.rs` and `tests/parallel_determinism.rs` hold five more
+//! planes to fingerprints recorded inline;
 //! `verdicts_computed_ahead_deliver_like_inline_verification` below commits the same
 //! traffic both ways.
 

@@ -1,31 +1,158 @@
 //! Acceptance tests for verify-ahead delivery and the stores it commits into. A round's
-//! PCBs are verified on a helper thread while the node phase runs, and delivery commits
-//! each accepted PCB under the id its verification computed: every stored beacon must sit
-//! under its own digest. That the output equals the inline reference is what the goldens
-//! of `tests/fixture_matrix.rs` pin — they were recorded with every PCB verified inline at
-//! delivery.
+//! PCBs are verified on a helper thread while the node phase runs; the output must equal
+//! the inline reference, which verified every PCB at delivery — same registered paths in
+//! the same order, same delivered/dropped/rejected counters, same ingress occupancy — on
+//! the fig6-scale workload (generated topology, the paper's static RAC set), under failure
+//! injection and under the paper's five-RAC deployment. Each plane's reference was
+//! recorded inline, as its counters and the digest of its whole fingerprint; the goldens
+//! of `tests/fixture_matrix.rs` pin the same on every fixture's plane. Delivery commits
+//! each accepted PCB under the id its verification computed: every stored beacon must
+//! sit under its own digest.
 //!
 //! The ingress database and the path service take their writes through `&self`. The
 //! second half hammers them from scoped threads: no insert or registration may be lost,
 //! and limit evictions must be counted exactly. The ingress gateway has one owner; its
 //! commit path is checked serially.
 
+mod common;
+
+use common::{assert_matches_inline, Reference, RunFingerprint};
 use irec_bench::fixtures;
 use irec_core::beacon_db::BatchKey;
 use irec_core::path_service::{RegisteredPath as StoredPath, ShardedPathService};
 use irec_core::{
-    IngressGateway, IrecNode, NodeConfig, PropagationPolicy, PullReturn, ShardedIngressDb,
-    SharedAlgorithmStore,
+    IngressGateway, IrecNode, NodeConfig, PropagationPolicy, PullReturn, RacConfig,
+    ShardedIngressDb, SharedAlgorithmStore,
 };
 use irec_crypto::{Digest, KeyRegistry, Signer, Verifier};
 use irec_pcb::{Pcb, PcbExtensions, PcbId, StaticInfo};
-use irec_topology::builder::figure1_topology;
+use irec_sim::{DeliveryStats, Simulation, SimulationConfig};
+use irec_topology::builder::{figure1, figure1_topology};
+use irec_topology::{GeneratorConfig, TopologyGenerator};
 use irec_types::{
     AsId, Bandwidth, IfId, InterfaceGroupId, Latency, PathMetrics, SimDuration, SimTime,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// The fig6 smoke workload: a 12-AS generated topology beaconing for 3 rounds with the
+/// paper's static RAC set.
+fn run_fig6_workload() -> RunFingerprint {
+    let topology = Arc::new(
+        TopologyGenerator::new(GeneratorConfig {
+            num_ases: 12,
+            seed: 5,
+            ..Default::default()
+        })
+        .generate(),
+    );
+    let mut sim = Simulation::new(topology, SimulationConfig::default(), move |_| {
+        NodeConfig::default().with_racs(vec![
+            RacConfig::static_rac("1SP", "1SP"),
+            RacConfig::static_rac("5SP", "5SP"),
+            RacConfig::static_rac("HD", "HD"),
+            RacConfig::static_rac("DON", "DO"),
+        ])
+    })
+    .expect("simulation setup");
+    sim.run_rounds(3).expect("beaconing rounds");
+    RunFingerprint::of(&sim)
+}
+
+/// The headline acceptance criterion: verifying ahead on the helper is byte-identical to
+/// the inline reference on the fig6 workload.
+#[test]
+fn delivery_parallelism_is_byte_identical_on_fig6_workload() {
+    let run = run_fig6_workload();
+    assert!(!run.paths.is_empty(), "the scenario must register paths");
+    assert!(run.stats.delivered > 0);
+    assert_matches_inline(
+        &run,
+        Reference {
+            paths: 3217,
+            overhead_total: 6764,
+            stats: DeliveryStats {
+                delivered: 6107,
+                dropped_no_node: 0,
+                dropped_link_down: 0,
+                rejected: 657,
+            },
+            occupancy: 6107,
+            digest: 5679739975905763776,
+        },
+    );
+}
+
+/// Same guarantee with failure injection: a removed node exercises the `dropped_no_node`
+/// path, and the split counters stay those of the inline reference.
+#[test]
+fn delivery_parallelism_is_byte_identical_under_failure_injection() {
+    let mut sim = Simulation::new(
+        Arc::new(figure1_topology()),
+        SimulationConfig::default(),
+        |_| {
+            NodeConfig::default()
+                .with_policy(PropagationPolicy::All)
+                .with_racs(vec![RacConfig::static_rac("5SP", "5SP")])
+        },
+    )
+    .expect("simulation setup");
+    sim.run_rounds(2).expect("beaconing rounds");
+    sim.remove_node(figure1::X);
+    sim.run_rounds(2).expect("beaconing rounds after failure");
+    let run = RunFingerprint::of(&sim);
+    assert!(
+        run.stats.dropped_no_node > 0,
+        "the removed AS must lose in-flight messages"
+    );
+    assert_matches_inline(
+        &run,
+        Reference {
+            paths: 37,
+            overhead_total: 151,
+            stats: DeliveryStats {
+                delivered: 108,
+                dropped_no_node: 25,
+                dropped_link_down: 0,
+                rejected: 18,
+            },
+            occupancy: 101,
+            digest: 2675090489602780259,
+        },
+    );
+}
+
+/// Verify-ahead under the paper's five-RAC deployment, on-demand RAC included, still
+/// reproduces the inline output: flights come back from the helper in whatever order it
+/// verified them, and the outputs must still be scheduled in `AsId` order.
+#[test]
+fn stacked_parallelism_is_byte_identical() {
+    let mut sim = Simulation::new(
+        Arc::new(figure1_topology()),
+        SimulationConfig::default(),
+        |_| NodeConfig::paper_simulation(false).with_policy(PropagationPolicy::All),
+    )
+    .expect("simulation setup");
+    sim.run_rounds(4).expect("beaconing rounds");
+    let run = RunFingerprint::of(&sim);
+    assert!(!run.paths.is_empty());
+    assert_matches_inline(
+        &run,
+        Reference {
+            paths: 190,
+            overhead_total: 180,
+            stats: DeliveryStats {
+                delivered: 156,
+                dropped_no_node: 0,
+                dropped_link_down: 0,
+                rejected: 24,
+            },
+            occupancy: 156,
+            digest: 18004734283395640589,
+        },
+    );
+}
 
 /// Every beacon a node stores sits under its own id, `Pcb::digest()`, recomputed here
 /// from the stored beacon. A PCB accepted ahead commits under the id its verification
